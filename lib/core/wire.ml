@@ -21,18 +21,170 @@ let count (ops, bytes) s =
 
 let signing_tag = "pvr-signed-v1:"
 
+(* ---- Batched signatures (§3.8) ---------------------------------------------
+
+   A signer with several statements to sign at once signs them under one RSA
+   signature: the statements are the leaves of a small Merkle tree and the
+   RSA signature covers its domain-tagged root.  Each statement's signature
+   is then
+
+     rsa_sig(root) ‖ nonce (16 B) ‖ leaf index (u32 BE) ‖ siblings (32 B each)
+
+   with the siblings listed from the leaf up.  A batch of one is the plain
+   RSA signature over the tagged statement, byte for byte, so the two shapes
+   differ in length alone: a plain signature is exactly the modulus width.
+
+   Leaves hide their statements: leaf = H(0x00 ‖ nonce ‖ tagged statement),
+   the nonce an HMAC of the statement's encoding under a key derived from
+   the signer's private key, so a verifier cannot confirm a guessed route
+   against a sibling digest.  Leaves are ordered by nonce.  A level of odd
+   width is padded with a pseudorandom digest from the same key, so every
+   leaf has exactly ceil(log2 n) siblings and a pad looks like any other
+   sibling.  The sibling sides are the index bits (bit l set: the sibling
+   sits on the left at level l) and an index must be below 2^depth, so a
+   statement has exactly one encoding in a given batch. *)
+
+let root_tag = "pvr-batch-root-v1:"
+let nonce_len = 16
+let max_depth = 32
+
+let leaf_hash nonce enc =
+  C.Sha256.digest_parts [ "\x00"; nonce; signing_tag; enc ]
+
+let node_hash l r = C.Sha256.digest_parts [ "\x01"; l; r ]
+
+let nonce_key (key : C.Rsa.private_key) =
+  C.Hmac.Key.create
+    (C.Hmac.mac
+       ~key:(C.Bigint.to_bytes_be key.C.Rsa.d)
+       "pvr-batch-nonce-key-v1")
+
+(* Signatures for two or more distinct encodings, as (encoding, signature)
+   pairs.  The leaves hash the tagged statement without building it. *)
+let batch_signatures key encs =
+  let nk = nonce_key key in
+  let leaves =
+    List.map
+      (fun e -> (String.sub (C.Hmac.mac_with nk e) 0 nonce_len, e))
+      encs
+    |> List.sort compare |> Array.of_list
+  in
+  let rec build depth level levels =
+    if Array.length level = 1 then (level.(0), List.rev levels)
+    else begin
+      let level =
+        if Array.length level mod 2 = 0 then level
+        else
+          Array.append level
+            [| C.Hmac.mac_with nk ("\x02pad" ^ BU.be32 depth) |]
+      in
+      let up =
+        Array.init (Array.length level / 2) (fun i ->
+            node_hash level.(2 * i) level.((2 * i) + 1))
+      in
+      build (depth + 1) up (level :: levels)
+    end
+  in
+  let root, levels =
+    build 0 (Array.map (fun (nonce, e) -> leaf_hash nonce e) leaves) []
+  in
+  let rsa = C.Rsa.sign key (root_tag ^ root) in
+  Array.to_list leaves
+  |> List.mapi (fun i (nonce, e) ->
+         ( e,
+           String.concat ""
+             (rsa :: nonce :: BU.be32 i
+             :: List.mapi (fun l level -> level.((i lsr l) lxor 1)) levels) ))
+
+(* The single statement resolver behind [verify] and [verify_batch]: the
+   (message, RSA signature) pair a signature over encoding [enc] stands
+   for — the tagged statement for a plain signature, the tagged Merkle root
+   its path leads to for a batched one.  [None] for bytes of neither shape;
+   never raises. *)
+let resolve pub enc signature =
+  let kb = C.Rsa.key_size pub in
+  let len = String.length signature in
+  if len = kb then Some (signing_tag ^ enc, signature)
+  else begin
+    let path = len - kb - nonce_len - 4 in
+    let depth = path / 32 in
+    if path <= 0 || path mod 32 <> 0 || depth > max_depth then None
+    else begin
+      let index = BU.read_be32 signature (kb + nonce_len) in
+      if index lsr depth <> 0 then None
+      else begin
+        let node = ref (leaf_hash (String.sub signature kb nonce_len) enc) in
+        for l = 0 to depth - 1 do
+          let sibling = String.sub signature (kb + nonce_len + 4 + (32 * l)) 32 in
+          node :=
+            if (index lsr l) land 1 = 0 then node_hash !node sibling
+            else node_hash sibling !node
+        done;
+        Some (root_tag ^ !node, String.sub signature 0 kb)
+      end
+    end
+  end
+
+type 'a draft = {
+  d_payload : 'a;
+  d_signer : Bgp.Asn.t;
+  d_enc : string;
+  mutable d_signature : string; (* "" until signed *)
+}
+
+type pending = Pending : 'a draft -> pending
+
+let draft ~as_ ~encode payload =
+  {
+    d_payload = payload;
+    d_signer = as_;
+    d_enc = encode payload;
+    d_signature = "";
+  }
+
+let signed d =
+  if d.d_signature = "" then invalid_arg "Wire.signed: draft not signed yet";
+  { payload = d.d_payload; signer = d.d_signer; signature = d.d_signature }
+
+let sign_batch keyring pendings =
+  let groups = Hashtbl.create 8 in
+  List.iter
+    (fun (Pending d as p) ->
+      Hashtbl.replace groups d.d_signer
+        (p :: Option.value (Hashtbl.find_opt groups d.d_signer) ~default:[]))
+    pendings;
+  Hashtbl.iter
+    (fun signer group ->
+      let key = Keyring.private_key keyring signer in
+      let sigs =
+        match
+          List.sort_uniq String.compare
+            (List.map (fun (Pending d) -> d.d_enc) group)
+        with
+        | [ e ] -> [ (e, C.Rsa.sign key (signing_tag ^ e)) ]
+        | encs -> batch_signatures key encs
+      in
+      let by_enc = Hashtbl.of_seq (List.to_seq sigs) in
+      List.iter
+        (fun (Pending d) -> d.d_signature <- Hashtbl.find by_enc d.d_enc)
+        group)
+    groups
+
 let sign_with key ~as_ ~encode payload =
   let msg = signing_tag ^ encode payload in
   { payload; signer = as_; signature = C.Rsa.sign key msg }
 
 let sign keyring ~as_ ~encode payload =
-  sign_with (Keyring.private_key keyring as_) ~as_ ~encode payload
+  let d = draft ~as_ ~encode payload in
+  sign_batch keyring [ Pending d ];
+  signed d
 
 let verify keyring ~encode s =
   match Keyring.public_key keyring s.signer with
-  | pub ->
-      C.Rsa.verify pub ~msg:(signing_tag ^ encode s.payload)
-        ~signature:s.signature
+  | pub -> (
+      match resolve pub (encode s.payload) s.signature with
+      | Some (msg, signature) -> C.Rsa.verify pub ~msg ~signature
+      | None -> false)
   | exception Not_found -> false
 
 (* A heterogeneous batch member: the payload type is packed away so one
@@ -42,13 +194,17 @@ type check = Check : { item : 'a signed; encode : 'a -> string } -> check
 let check ~encode item = Check { item; encode }
 
 let verify_batch keyring checks =
-  (* Resolve keys (memoized by [Keyring]); unknown signers are verdicted
-     [false] without consulting RSA, exactly like [verify]. *)
+  (* Resolve keys (memoized by [Keyring]) and statements; unknown signers
+     and malformed signatures are verdicted [false] without consulting RSA,
+     exactly like [verify]. *)
   let resolved =
     List.map
       (fun (Check { item; encode }) ->
         match Keyring.public_key keyring item.signer with
-        | pub -> Some (pub, signing_tag ^ encode item.payload, item.signature)
+        | pub ->
+            Option.map
+              (fun (msg, signature) -> (pub, msg, signature))
+              (resolve pub (encode item.payload) item.signature)
         | exception Not_found -> None)
       checks
   in
@@ -117,10 +273,12 @@ let encode_export e =
          | Some ann -> encode_signed ~encode:encode_announce ann);
        ])
 
+(* Signatures are not compared: one honest payload signed in two batches
+   carries two different valid signatures, and each is verified on its own
+   wherever a commit is accepted. *)
 let equal_commit a b =
   Bgp.Asn.equal a.signer b.signer
   && encode_commit a.payload = encode_commit b.payload
-  && String.equal a.signature b.signature
 
 (* ---- Transport decoding -------------------------------------------------- *)
 

@@ -13,7 +13,43 @@ type 'a signed = private { payload : 'a; signer : Bgp.Asn.t; signature : string 
 
 val sign :
   Keyring.t -> as_:Bgp.Asn.t -> encode:('a -> string) -> 'a -> 'a signed
-(** Sign a payload with the AS's key from the keyring. *)
+(** Sign a payload with the AS's key from the keyring: {!sign_batch} over a
+    batch of one, which is a plain RSA signature over the tagged encoding. *)
+
+(** {2 Batched signing (§3.8)}
+
+    "Sign messages in batches, perhaps using a small MHT to reveal batched
+    routes individually."  All statements a signer drafts for one
+    {!sign_batch} call share one RSA signature over the domain-tagged root
+    of a Merkle tree whose leaves are the statements; each statement's
+    signature is [rsa_sig(root) ‖ nonce ‖ leaf index ‖ siblings] (16-byte
+    nonce, u32 index, 32-byte sibling digests from the leaf up).  A signer
+    with a single statement gets a plain RSA signature, byte-identical to
+    {!sign}.  {!verify} and {!verify_batch} accept both shapes.
+
+    Leaves are salted with a nonce derived from the signer's private key,
+    so sibling digests reveal nothing about the other statements in the
+    batch; the path depth reveals ceil(log2 n) of the signer's batch size
+    n, and the index its rank by nonce.  Signatures are a deterministic
+    function of the signer's key and the set of statements in its batch. *)
+
+type 'a draft
+(** A statement waiting for its signature. *)
+
+val draft : as_:Bgp.Asn.t -> encode:('a -> string) -> 'a -> 'a draft
+
+type pending = Pending : 'a draft -> pending
+(** A draft with its payload type packed away, so one batch can mix
+    statement kinds. *)
+
+val sign_batch : Keyring.t -> pending list -> unit
+(** Sign every draft: drafts are grouped by signer and each group is signed
+    as one batch, identical messages sharing one leaf.
+    @raise Not_found for an AS without a key. *)
+
+val signed : 'a draft -> 'a signed
+(** The signed statement of a draft that went through {!sign_batch}.
+    @raise Invalid_argument if it has not been signed yet. *)
 
 val sign_with :
   Pvr_crypto.Rsa.private_key -> as_:Bgp.Asn.t -> encode:('a -> string) -> 'a -> 'a signed
@@ -21,8 +57,9 @@ val sign_with :
     does {e not} match its claimed identity. *)
 
 val verify : Keyring.t -> encode:('a -> string) -> 'a signed -> bool
-(** Check the signature against the signer's public key in the keyring.
-    Returns [false] (never raises) for unknown signers. *)
+(** Check the signature, plain or batched, against the signer's public key
+    in the keyring.  Returns [false] (never raises) for unknown signers and
+    for signature bytes of neither shape. *)
 
 type check
 (** One member of a {!verify_batch} call, payload type packed away so a
@@ -76,7 +113,9 @@ val encode_signed : encode:('a -> string) -> 'a signed -> string
     signed statement is nested inside another or inside evidence). *)
 
 val equal_commit : commit signed -> commit signed -> bool
-(** Same signer, same payload bytes, same signature. *)
+(** Same signer, same payload bytes.  Signatures are not compared: the
+    same payload signed in two batches carries two valid signatures, which
+    is not equivocation. *)
 
 (** {2 Transport decoding}
 

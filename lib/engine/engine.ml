@@ -57,11 +57,15 @@ let g_mem_ceiling = Pvr_obs.gauge "engine.mem.ceiling"
 (* Per-vertex memo tables.  A vertex is (re)computed by exactly one pool
    task per epoch, so its tables have a single owner at any time; the pool's
    join barrier publishes them back to the scheduling domain. *)
+(* Sign memos are keyed by (signer, payload encoding); the encoding string
+   is the one a fresh draft signs, so a miss keeps no second copy. *)
+type 'a memo = (Bgp.Asn.t * string, 'a Pvr.Wire.signed) Hashtbl.t
+
 type vcache = {
   ccache : C.Commitment.Cache.t;
-  ann_memo : (string, Pvr.Wire.announce Pvr.Wire.signed) Hashtbl.t;
-  cmt_memo : (string, Pvr.Wire.commit Pvr.Wire.signed) Hashtbl.t;
-  exp_memo : (string, Pvr.Wire.export Pvr.Wire.signed) Hashtbl.t;
+  ann_memo : Pvr.Wire.announce memo;
+  cmt_memo : Pvr.Wire.commit memo;
+  exp_memo : Pvr.Wire.export memo;
 }
 
 type snapshot = {
@@ -210,6 +214,22 @@ let spilled_states t =
     (fun _ s n -> match s with Spilled _ -> n + 1 | Resident _ -> n)
     t.states 0
 
+let signatures t =
+  let add tbl acc =
+    Hashtbl.fold
+      (fun (signer, enc) (s : _ Pvr.Wire.signed) acc ->
+        (Bgp.Asn.to_string signer ^ "|" ^ enc, s.Pvr.Wire.signature) :: acc)
+      tbl acc
+  in
+  Hashtbl.fold
+    (fun _ slot acc ->
+      match slot with
+      | Resident { vs_cache = Some vc; _ } ->
+          add vc.ann_memo (add vc.cmt_memo (add vc.exp_memo acc))
+      | Resident _ | Spilled _ -> acc)
+    t.states []
+  |> List.sort compare
+
 let vertex_key v =
   Bgp.Asn.to_string v.vprover ^ "|" ^ Bgp.Prefix.to_string v.vprefix
 
@@ -340,33 +360,83 @@ let collect t =
         prefixes)
     t.ases
 
-let sign_memo tbl keyring ~as_ ~encode payload =
-  let key = Bgp.Asn.to_string as_ ^ "|" ^ encode payload in
-  match Hashtbl.find_opt tbl key with
-  | Some s ->
-      Pvr_obs.incr sign_hits;
-      s
-  | None ->
-      Pvr_obs.incr sign_misses;
-      let s = Pvr.Wire.sign keyring ~as_ ~encode payload in
-      Hashtbl.add tbl key s;
-      s
-
 let providers_string providers =
   String.concat "," (List.map Bgp.Asn.to_string providers)
 
-(* The honest fast path: Proto_min.prove re-built on derived commitments and
-   the memo tables, so recommitting to unchanged routes is pure cache hits.
-   A pure function of (keyring, salt period, snapshot): no DRBG draws. *)
-let fast_round keyring ~max_path_len ~wire_epoch vc (sn : snapshot) =
+(* ---- the honest round: draft, sign, check ---------------------------------
+
+   The honest fast path is Proto_min.prove re-built on derived commitments
+   and the memo tables, split into pool phases over the dirty set so that
+   signing is batched across vertices (§3.8):
+
+   - draft, per vertex: build the payloads, derive the commitments through
+     the commitment cache and look up the sign memos;
+   - sign, per signer: every memo miss of one signer goes into one
+     {!Pvr.Wire.sign_batch}, one RSA signature over a Merkle root.
+     Announces are signed first; commits and exports next, because an
+     export embeds its signed provenance announce;
+   - check, per vertex: attach the signatures, run the neighbour and
+     beneficiary checks and the judge, and build the report line.
+
+   Each phase is a pure function of (keyring, salt period, snapshots), so
+   outcomes do not depend on jobs, shards or scheduling.  Signatures depend
+   on which statements share a batch, but report lines hold commitments,
+   never signatures. *)
+
+(* A statement the round needs signed: a memo hit, or a miss drafted under
+   its memo key and signed by this epoch's batch. *)
+type 'a stmt =
+  | Hit of 'a Pvr.Wire.signed
+  | Miss of (Bgp.Asn.t * string) * 'a Pvr.Wire.draft
+
+let memo_find tbl key =
+  let found = Hashtbl.find_opt tbl key in
+  Pvr_obs.incr (if Option.is_none found then sign_misses else sign_hits);
+  found
+
+let memo_lookup tbl ~as_ ~encode payload =
+  let enc = encode payload in
+  let key = (as_, enc) in
+  match memo_find tbl key with
+  | Some s -> Hit s
+  | None -> Miss (key, Pvr.Wire.draft ~as_ ~encode:(fun _ -> enc) payload)
+
+let signed_of = function Hit s -> s | Miss (_, d) -> Pvr.Wire.signed d
+
+(* The signed statement, a fresh signature entering the memo. *)
+let settle tbl = function
+  | Hit s -> s
+  | Miss (key, d) ->
+      let s = Pvr.Wire.signed d in
+      Hashtbl.replace tbl key s;
+      s
+
+(* The export's payload embeds its provenance announce, whose signature is
+   only known once the announces are signed; its memo key is (provenance
+   neighbour, export encoding without the provenance), since the prover is
+   the same for every entry of a vertex's memo. *)
+type export_slot =
+  | No_export
+  | Export_after of (Bgp.Asn.t * string) (* memo key *)
+  | Export of Pvr.Wire.export stmt
+
+type draft = {
+  dr_sn : snapshot;
+  dr_vc : vcache;
+  dr_wire_epoch : int;
+  dr_announces : (Bgp.Asn.t * Pvr.Wire.announce stmt) list;
+  dr_committed : (C.Commitment.commitment * C.Commitment.opening) list;
+  dr_commit : Pvr.Wire.commit stmt;
+  mutable dr_export : export_slot;
+}
+
+let draft_round ~max_path_len ~wire_epoch vc (sn : snapshot) =
   let prover = sn.sn_vertex.vprover and prefix = sn.sn_vertex.vprefix in
-  let beneficiary = sn.sn_beneficiary in
   let announces =
     List.map
       (fun (n, r) ->
         ( n,
-          sign_memo vc.ann_memo keyring ~as_:n
-            ~encode:Pvr.Wire.encode_announce
+          memo_lookup vc.ann_memo ~as_:n ~encode:Pvr.Wire.encode_announce
             { Pvr.Wire.ann_epoch = wire_epoch; ann_to = prover; ann_route = r }
         ))
       sn.sn_inputs
@@ -387,7 +457,7 @@ let fast_round keyring ~max_path_len ~wire_epoch vc (sn : snapshot) =
       ~vertex:(vertex_key sn.sn_vertex) ~context:ctx bits
   in
   let commit =
-    sign_memo vc.cmt_memo keyring ~as_:prover ~encode:Pvr.Wire.encode_commit
+    memo_lookup vc.cmt_memo ~as_:prover ~encode:Pvr.Wire.encode_commit
       {
         Pvr.Wire.cmt_epoch = wire_epoch;
         cmt_prefix = prefix;
@@ -398,7 +468,83 @@ let fast_round keyring ~max_path_len ~wire_epoch vc (sn : snapshot) =
             committed;
       }
   in
-  let openings = List.map snd committed in
+  let export =
+    match
+      List.find_opt (fun (_, r) -> Bgp.Route.equal r sn.sn_export) sn.sn_inputs
+    with
+    | None -> No_export
+    | Some (via, _) -> (
+        let key =
+          ( via,
+            Pvr.Wire.encode_export
+              {
+                Pvr.Wire.exp_epoch = wire_epoch;
+                exp_to = sn.sn_beneficiary;
+                exp_route = sn.sn_export;
+                exp_provenance = None;
+              } )
+        in
+        match memo_find vc.exp_memo key with
+        | Some s -> Export (Hit s)
+        | None -> Export_after key)
+  in
+  {
+    dr_sn = sn;
+    dr_vc = vc;
+    dr_wire_epoch = wire_epoch;
+    dr_announces = announces;
+    dr_committed = committed;
+    dr_commit = commit;
+    dr_export = export;
+  }
+
+let pending signer = function
+  | Miss (_, dr) -> [ (signer, Pvr.Wire.Pending dr) ]
+  | Hit _ -> []
+
+(* First signing phase: every announce miss, under its neighbour's key. *)
+let announce_pendings d =
+  List.concat_map (fun (n, st) -> pending n st) d.dr_announces
+
+(* Between the phases: an export miss is drafted once its provenance
+   announce carries a signature. *)
+let draft_export d =
+  match d.dr_export with
+  | Export_after ((via, _) as key) ->
+      let dr =
+        Pvr.Wire.draft ~as_:d.dr_sn.sn_vertex.vprover
+          ~encode:Pvr.Wire.encode_export
+          {
+            Pvr.Wire.exp_epoch = d.dr_wire_epoch;
+            exp_to = d.dr_sn.sn_beneficiary;
+            exp_route = d.dr_sn.sn_export;
+            exp_provenance = Some (signed_of (List.assoc via d.dr_announces));
+          }
+      in
+      d.dr_export <- Export (Miss (key, dr))
+  | No_export | Export _ -> ()
+
+(* Second signing phase: the prover's commit and export misses. *)
+let prover_pendings d =
+  let prover = d.dr_sn.sn_vertex.vprover in
+  pending prover d.dr_commit
+  @ match d.dr_export with Export st -> pending prover st | _ -> []
+
+let check_round keyring d =
+  let sn = d.dr_sn and vc = d.dr_vc in
+  let prover = sn.sn_vertex.vprover and prefix = sn.sn_vertex.vprefix in
+  let beneficiary = sn.sn_beneficiary in
+  let announces =
+    List.map (fun (n, st) -> (n, settle vc.ann_memo st)) d.dr_announces
+  in
+  let commit = settle vc.cmt_memo d.dr_commit in
+  let export =
+    match d.dr_export with
+    | No_export -> None
+    | Export st -> Some (settle vc.exp_memo st)
+    | Export_after _ -> invalid_arg "Engine.check_round: export not signed"
+  in
+  let openings = List.map snd d.dr_committed in
   let opening_at i = List.nth openings (i - 1) in
   let neighbor_disclosures =
     List.map
@@ -408,25 +554,6 @@ let fast_round keyring ~max_path_len ~wire_epoch vc (sn : snapshot) =
         in
         (n, { Pvr.Proto_common.nd_index = len; nd_opening = opening_at len }))
       announces
-  in
-  let provenance =
-    List.find_opt
-      (fun (_, (ann : Pvr.Wire.announce Pvr.Wire.signed)) ->
-        Bgp.Route.equal ann.Pvr.Wire.payload.Pvr.Wire.ann_route sn.sn_export)
-      announces
-  in
-  let export =
-    Option.map
-      (fun (_, ann) ->
-        sign_memo vc.exp_memo keyring ~as_:prover
-          ~encode:Pvr.Wire.encode_export
-          {
-            Pvr.Wire.exp_epoch = wire_epoch;
-            exp_to = beneficiary;
-            exp_route = sn.sn_export;
-            exp_provenance = Some ann;
-          })
-      provenance
   in
   let bd =
     {
@@ -614,20 +741,76 @@ let faulty_round keyring ~max_path_len ~wire_epoch ~secret ~plan ~faults
     vx_line = line;
   }
 
-let run_round t ~wire_epoch vc sn =
-  (* The plan is a pure function of (secret, vertex, wire epoch): identical
-     for every jobs/shards/cache configuration, and stable within a salt
-     period so carried-forward outcomes agree with recomputation. *)
-  let plan =
-    Pvr.Adversary.plan_round t.strategy ~seed:t.secret
-      ~prover:sn.sn_vertex.vprover ~prefix:sn.sn_vertex.vprefix
-      ~epoch:wire_epoch
+(* Every dirty vertex's round, outcomes in task order: draft, sign the
+   announces, draft the exports, sign the commits and exports, check.
+   [shard i] pins the per-vertex phases to their owning worker when
+   sharding is on; the sign phases are per signer and go through the
+   dynamic pool. *)
+let run_rounds t ~wire_epoch ~shard (work : (snapshot * vcache) array) =
+  let per_vertex tasks =
+    if t.shards > 0 then Pool.run_sharded ~jobs:t.jobs ~shard tasks
+    else Pool.run ~jobs:t.jobs tasks
   in
-  if t.faults <> None || plan.Pvr.Adversary.rp_behaviour <> Pvr.Adversary.Honest
-  then
-    faulty_round t.keyring ~max_path_len:t.max_path_len ~wire_epoch
-      ~secret:t.secret ~plan ~faults:t.faults sn
-  else fast_round t.keyring ~max_path_len:t.max_path_len ~wire_epoch vc sn
+  let drafted =
+    per_vertex
+      (Array.map
+         (fun (sn, vc) () ->
+           (* The plan is a pure function of (secret, vertex, wire epoch):
+              identical for every jobs/shards/cache configuration, and
+              stable within a salt period so carried-forward outcomes agree
+              with recomputation.  Faulty and Byzantine rounds run whole
+              here, signing batches of one through the runner. *)
+           let plan =
+             Pvr.Adversary.plan_round t.strategy ~seed:t.secret
+               ~prover:sn.sn_vertex.vprover ~prefix:sn.sn_vertex.vprefix
+               ~epoch:wire_epoch
+           in
+           if
+             t.faults <> None
+             || plan.Pvr.Adversary.rp_behaviour <> Pvr.Adversary.Honest
+           then
+             `Done
+               (faulty_round t.keyring ~max_path_len:t.max_path_len
+                  ~wire_epoch ~secret:t.secret ~plan ~faults:t.faults sn)
+           else
+             `Drafted
+               (draft_round ~max_path_len:t.max_path_len ~wire_epoch vc sn))
+         work)
+  in
+  let drafts =
+    Array.of_list
+      (List.filter_map
+         (function `Drafted d -> Some d | `Done _ -> None)
+         (Array.to_list drafted))
+  in
+  (* One batch per signer; batches are independent, so the dynamic pool
+     may run them in any order. *)
+  let sign_phase pendings_of =
+    let by_signer = Hashtbl.create 16 in
+    Array.iter
+      (fun d ->
+        List.iter
+          (fun (signer, p) ->
+            Hashtbl.replace by_signer signer
+              (p
+              :: Option.value (Hashtbl.find_opt by_signer signer) ~default:[]))
+          (pendings_of d))
+      drafts;
+    Hashtbl.fold
+      (fun _ batch acc ->
+        (fun () -> Pvr.Wire.sign_batch t.keyring batch) :: acc)
+      by_signer []
+    |> Array.of_list |> Pool.run ~jobs:t.jobs |> ignore
+  in
+  sign_phase announce_pendings;
+  Array.iter draft_export drafts;
+  sign_phase prover_pendings;
+  per_vertex
+    (Array.map
+       (function
+         | `Done o -> fun () -> o
+         | `Drafted d -> fun () -> check_round t.keyring d)
+       drafted)
 
 let report_line r =
   Printf.sprintf
@@ -945,26 +1128,19 @@ let epoch ?(apply = fun _ -> 0) ?(on_phase = fun (_ : string) -> ()) t =
            | _ -> fresh_vcache t ~period)
          dirty)
   in
-  let tasks =
-    Array.of_list dirty
-    |> Array.mapi (fun i (sn, _, _) ->
-           fun () -> run_round t ~wire_epoch caches.(i) sn)
+  let shard_ids =
+    if t.shards = 0 then [||]
+    else
+      Array.of_list
+        (List.map (fun (sn, _, _) -> shard_of ~shards:t.shards sn.sn_vertex) dirty)
   in
+  (* Static per-(prover,prefix) partition under [shards]: no cross-domain
+     work stealing on the dirty set.  Outcome order — and therefore the
+     report digest — is the dirty order either way. *)
   let results =
-    if t.shards > 0 then begin
-      (* Static per-(prover,prefix) partition: no cross-domain work
-         stealing on the dirty set.  Task order — and therefore the merged
-         outcome order and the report digest — is identical to the dynamic
-         pool's. *)
-      let shard_ids =
-        Array.of_list
-          (List.map
-             (fun (sn, _, _) -> shard_of ~shards:t.shards sn.sn_vertex)
-             dirty)
-      in
-      Pool.run_sharded ~jobs:t.jobs ~shard:(fun i -> shard_ids.(i)) tasks
-    end
-    else Pool.run ~jobs:t.jobs tasks
+    run_rounds t ~wire_epoch
+      ~shard:(fun i -> shard_ids.(i))
+      (Array.of_list (List.mapi (fun i (sn, _, _) -> (sn, caches.(i))) dirty))
   in
   on_phase "verify";
   (* Merge back in vertex order; record fresh state for recomputed vertices,

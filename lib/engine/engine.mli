@@ -191,6 +191,12 @@ val digest : t -> string
 val live_vertices : t -> vertex list
 (** The (prover, prefix) promises the engine tracked last epoch, sorted. *)
 
+val signatures : t -> (string * string) list
+(** Every signed statement held in the resident memo tables, as (memo key,
+    signature), sorted.  With the caches on these are the epoch-batched
+    signatures (§3.8) of the statements the last rounds signed; a test hook
+    for their determinism. *)
+
 val report_line : epoch_report -> string
 (** One canonical summary line, stable across [jobs] and cache settings:
     [epoch=… period=… changes=… msgs=… vertices=… dirty+skipped=… detected=…

@@ -1,10 +1,9 @@
 (** Dense binary Merkle hash trees (Merkle 1980).
 
-    Used for §3.8 batch signing: during a BGP update burst, a router builds
-    a small MHT over the batch, signs only the root, and reveals each route
-    with its authentication path ("it seems feasible to sign messages in
-    batches, perhaps using a small MHT to reveal batched routes
-    individually").  Experiment E5 measures the amortization. *)
+    Used for the Merkle-committed bit vector ([Pvr.Bitvec], experiment
+    E5b).  §3.8 batch signing uses its own compact
+    tree with salted leaves ([Pvr.Wire.sign_batch]), whose sibling digests
+    must not let a verifier confirm a guessed route. *)
 
 type t
 

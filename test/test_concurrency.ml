@@ -38,11 +38,9 @@ let diff_keyring =
        (C.Drbg.of_int_seed 4242)
        (List.init diff_ases (fun i -> asn (i + 1))))
 
-(* One seeded 3-epoch workload; returns the per-epoch report digests and
-   the final RIB digest.  Everything that may legally vary — jobs, shards,
-   intern, cache — is a parameter; the digests must not notice. *)
-let diff_run ~seed ~intern ~jobs ~shards ~cache () =
-  with_intern intern @@ fun () ->
+(* One seeded 3-epoch workload: the engine and its per-epoch report
+   digests. *)
+let diff_engine ~seed ~jobs ~shards ~cache () =
   let topo = G.Topology.generate (C.Drbg.of_int_seed seed) ~ases:diff_ases () in
   let origins = List.init 3 (fun i -> asn (diff_ases - i)) in
   let sim = G.Simulator.create topo in
@@ -65,7 +63,15 @@ let diff_run ~seed ~intern ~jobs ~shards ~cache () =
     let r = E.epoch ~apply eng in
     digests := r.E.ep_digest :: !digests
   done;
-  (List.rev !digests, E.rib_digest eng)
+  (eng, List.rev !digests)
+
+(* The per-epoch report digests and the final RIB digest.  Everything that
+   may legally vary — jobs, shards, intern, cache — is a parameter; the
+   digests must not notice. *)
+let diff_run ~seed ~intern ~jobs ~shards ~cache () =
+  with_intern intern @@ fun () ->
+  let eng, digests = diff_engine ~seed ~jobs ~shards ~cache () in
+  (digests, E.rib_digest eng)
 
 (* jobs in {1,2,4,8} x intern on/off x shards: every combination must
    reproduce the jobs=1 plain-representation baseline byte for byte. *)
@@ -302,6 +308,20 @@ let sharded_counter_multi_domain_mix () =
   Obs.add c 1;
   check_int "mixed-domain fold" 601 (Obs.value c)
 
+(* Epoch-batched signing (§3.8): a signer's batch is the set of its memo
+   misses across the dirty set, so its Merkle tree — and every signature
+   cut from it — must not depend on which worker drafted which vertex. *)
+let batched_signatures_jobs_invariant () =
+  let sigs jobs =
+    let eng, _ = diff_engine ~seed:271 ~jobs ~shards:0 ~cache:true () in
+    E.signatures eng
+  in
+  let s1 = sigs 1 and s2 = sigs 2 in
+  check_bool "signatures retained" true (s1 <> []);
+  check_bool "some signatures are batched" true
+    (List.exists (fun (_, s) -> String.length s > 64) s1);
+  check_bool "identical at jobs 1 and 2" true (s1 = s2)
+
 let suite =
   [
     digest_differential;
@@ -320,4 +340,6 @@ let suite =
       sharded_counter_vs_runner_report);
     ("obs: mixed inline/worker increments fold exactly", `Quick,
       sharded_counter_multi_domain_mix);
+    ("signatures: batched signatures identical at jobs 1 and 2", `Quick,
+      batched_signatures_jobs_invariant);
   ]

@@ -24,7 +24,7 @@ let suites =
     ("serve", Test_serve.suite);
   ]
 
-let expected_tests = 459
+let expected_tests = 467
 
 let () =
   let total = List.fold_left (fun n (_, s) -> n + List.length s) 0 suites in

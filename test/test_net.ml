@@ -281,6 +281,95 @@ let random_bytes_never_decode_to_nonsense =
       | _ -> true
       | exception _ -> false)
 
+(* ---- batched signatures as untrusted bytes ---------------------------------------- *)
+
+(* Two batches of announces by one provider (RSA-512: 64-byte root
+   signature, then a 16-byte nonce, a u32 index and 32-byte siblings). *)
+let batched_announces =
+  lazy
+    (let kr = Lazy.force keyring in
+     let n = List.hd providers in
+     let sign_all epoch count =
+       let drafts =
+         List.init count (fun i ->
+             P.Wire.draft ~as_:n ~encode:P.Wire.encode_announce
+               {
+                 P.Wire.ann_epoch = epoch;
+                 ann_to = a_as;
+                 ann_route = mk_route n (i + 1);
+               })
+       in
+       P.Wire.sign_batch kr (List.map (fun d -> P.Wire.Pending d) drafts);
+       List.map P.Wire.signed drafts
+     in
+     (sign_all 1 5, sign_all 2 3))
+
+(* The same statement under other signature bytes, decoded from transport
+   bytes as a receiver would. *)
+let with_signature (s : P.Wire.announce P.Wire.signed) signature =
+  match
+    P.Wire.decode_signed ~decode:P.Wire.decode_announce
+      (C.Bytes_util.encode_list
+         [
+           P.Wire.encode_announce s.P.Wire.payload;
+           C.Bytes_util.be32 (G.Asn.to_int s.P.Wire.signer);
+           signature;
+         ])
+  with
+  | Some s' -> s'
+  | None -> Alcotest.fail "transport bytes did not decode"
+
+let batched_signature_mutations_rejected =
+  qtest "batched signatures: mutated bytes verify false, never raise"
+    ~count:200
+    QCheck2.Gen.(triple (int_bound 5) (int_bound 4) (int_bound 1_000_000))
+    (fun (kind, which, r) ->
+      let kr = Lazy.force keyring in
+      let first, second = Lazy.force batched_announces in
+      let target = List.nth first which in
+      let sg = target.P.Wire.signature in
+      let len = String.length sg in
+      let kb = 64 in
+      let flip pos =
+        Bytes.to_string
+          (let b = Bytes.of_string sg in
+           Bytes.set b pos
+             (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl (r mod 8))));
+           b)
+      in
+      let mutated =
+        match kind with
+        | 0 -> String.sub sg 0 (r mod len) (* truncated *)
+        | 1 -> flip (kb + 20 + (r mod (len - kb - 20))) (* a sibling byte *)
+        | 2 -> flip (kb + (r mod 16)) (* a nonce byte *)
+        | 3 -> flip (kb + 16 + (r mod 4)) (* an index byte *)
+        | 4 ->
+            (* an index beyond the 3-level path *)
+            String.sub sg 0 (kb + 16)
+            ^ C.Bytes_util.be32 (8 + r)
+            ^ String.sub sg (kb + 20) (len - kb - 20)
+        | _ ->
+            (* a valid root signature paired with a foreign path *)
+            let foreign =
+              (List.nth second (r mod 3)).P.Wire.signature
+            in
+            String.sub foreign 0 kb ^ String.sub sg kb (len - kb)
+      in
+      let forged = with_signature target mutated in
+      let valid = List.nth first ((which + 1) mod 5) in
+      match
+        ( P.Wire.verify kr ~encode:P.Wire.encode_announce forged,
+          P.Wire.verify_batch kr
+            (List.map
+               (P.Wire.check ~encode:P.Wire.encode_announce)
+               [ forged; valid ]) )
+      with
+      | false, [ false; true ] -> true
+      | _ -> false
+      | exception e ->
+          Printf.eprintf "verify raised %s\n" (Printexc.to_string e);
+          false)
+
 (* ---- Timeout evidence ----------------------------------------------------------- *)
 
 let timeout_roundtrip_and_nesting () =
@@ -595,6 +684,7 @@ let suite =
     Alcotest.test_case "reliable duplicates reach handler" `Quick
       reliable_duplicates_reach_handler;
     decoders_never_raise;
+    batched_signature_mutations_rejected;
     random_bytes_never_decode_to_nonsense;
     Alcotest.test_case "timeout evidence roundtrip + nesting" `Quick
       timeout_roundtrip_and_nesting;

@@ -87,6 +87,279 @@ let keyring_unknown_raises () =
   Alcotest.check_raises "unknown" Not_found (fun () ->
       ignore (P.Keyring.public_key kr (asn 424242)))
 
+(* ---- Batched signatures (§3.8) ------------------------------------------------ *)
+
+(* RSA-512: a plain signature is exactly this wide. *)
+let key_bytes = 64
+
+let ann_payload ?(epoch = 1) ?(to_ = a_as) n len =
+  { P.Wire.ann_epoch = epoch; ann_to = to_; ann_route = mk_route n len }
+
+let commit_payload ?(epoch = 1) ?(prefix = prefix0) commitments =
+  {
+    P.Wire.cmt_epoch = epoch;
+    cmt_prefix = prefix;
+    cmt_scheme = "min";
+    cmt_commitments = commitments;
+  }
+
+(* Sign payloads of one kind as one batch, in input order. *)
+let batch ~as_ ~encode payloads =
+  let drafts = List.map (P.Wire.draft ~as_ ~encode) payloads in
+  P.Wire.sign_batch (Lazy.force keyring)
+    (List.map (fun d -> P.Wire.Pending d) drafts);
+  List.map P.Wire.signed drafts
+
+let wire_batch_of_one_kat () =
+  (* Pinned bytes of a plain RSA-512 signature: [Wire.sign] and a batch of
+     one must both still produce exactly these. *)
+  let expect =
+    "81176946d88c46d50bfca94b9d11e6a4a8896dcc16a5ca2fbf1a66d63f81ee07"
+    ^ "83adcf39c3c4f6ae43003f34166e28e7a09448d918fbec43abd57e4ebe562788"
+  in
+  let payload = ann_payload (asn 10) 2 in
+  let plain =
+    P.Wire.sign (Lazy.force keyring) ~as_:(asn 10)
+      ~encode:P.Wire.encode_announce payload
+  in
+  let one =
+    List.hd (batch ~as_:(asn 10) ~encode:P.Wire.encode_announce [ payload ])
+  in
+  Alcotest.(check string) "Wire.sign" expect (C.Hex.encode plain.P.Wire.signature);
+  Alcotest.(check string) "batch of one" expect
+    (C.Hex.encode one.P.Wire.signature)
+
+let wire_batched_verify () =
+  let kr = Lazy.force keyring in
+  let verify = P.Wire.verify kr ~encode:P.Wire.encode_announce in
+  List.iter
+    (fun (n, depth) ->
+      let anns =
+        batch ~as_:(asn 10) ~encode:P.Wire.encode_announce
+          (List.init n (fun i -> ann_payload (asn 10) (i + 1)))
+      in
+      List.iter
+        (fun (s : P.Wire.announce P.Wire.signed) ->
+          check_int
+            (Printf.sprintf "width, batch of %d" n)
+            (key_bytes + 20 + (32 * depth))
+            (String.length s.P.Wire.signature);
+          check_bool "verifies" true (verify s))
+        anns;
+      check_bool "verify_batch" true
+        (List.for_all Fun.id
+           (P.Wire.verify_batch kr
+              (List.map (P.Wire.check ~encode:P.Wire.encode_announce) anns))))
+    [ (2, 1); (3, 2); (5, 3); (8, 3); (9, 4) ];
+  (* A signature cut for one statement does not cover its batch mates. *)
+  match
+    batch ~as_:(asn 10) ~encode:P.Wire.encode_announce
+      [ ann_payload (asn 10) 1; ann_payload (asn 10) 2 ]
+  with
+  | [ a; b ] ->
+      let swapped =
+        P.Wire.decode_signed ~decode:P.Wire.decode_announce
+          (C.Bytes_util.encode_list
+             [
+               P.Wire.encode_announce a.P.Wire.payload;
+               C.Bytes_util.be32 10;
+               b.P.Wire.signature;
+             ])
+      in
+      check_bool "swapped signature rejected" true
+        (match swapped with Some s -> not (verify s) | None -> false)
+  | _ -> Alcotest.fail "two signatures expected"
+
+let wire_batch_mixes_kinds () =
+  (* One batch may hold a commit and an export, as the engine's second
+     signing phase does; both verify, alone and as a same-key batch. *)
+  let kr = Lazy.force keyring in
+  let n1 = List.hd providers in
+  let provenance =
+    P.Wire.sign kr ~as_:n1 ~encode:P.Wire.encode_announce (ann_payload n1 2)
+  in
+  let cd = P.Wire.draft ~as_:a_as ~encode:P.Wire.encode_commit (commit_payload [ "c" ]) in
+  let ed =
+    P.Wire.draft ~as_:a_as ~encode:P.Wire.encode_export
+      {
+        P.Wire.exp_epoch = 1;
+        exp_to = b_as;
+        exp_route = mk_route n1 2;
+        exp_provenance = Some provenance;
+      }
+  in
+  P.Wire.sign_batch kr [ P.Wire.Pending cd; P.Wire.Pending ed ];
+  let c = P.Wire.signed cd and e = P.Wire.signed ed in
+  check_int "batched" (key_bytes + 20 + 32) (String.length c.P.Wire.signature);
+  check_bool "commit verifies" true
+    (P.Wire.verify kr ~encode:P.Wire.encode_commit c);
+  check_bool "export verifies" true
+    (P.Wire.verify kr ~encode:P.Wire.encode_export e);
+  check_bool "same-key batch verifies" true
+    (P.Wire.verify_batch kr
+       [
+         P.Wire.check ~encode:P.Wire.encode_commit c;
+         P.Wire.check ~encode:P.Wire.encode_export e;
+       ]
+    = [ true; true ]);
+  Alcotest.check_raises "unsigned draft"
+    (Invalid_argument "Wire.signed: draft not signed yet") (fun () ->
+      ignore
+        (P.Wire.signed
+           (P.Wire.draft ~as_:a_as ~encode:P.Wire.encode_commit
+              (commit_payload [ "d" ]))))
+
+let accuracy_rebatched_commit_not_equivocation () =
+  (* §2.3 Accuracy: one honest commit signed alone and again inside a batch
+     carries two different valid signatures.  That is not equivocation. *)
+  let kr = Lazy.force keyring in
+  let payload = commit_payload [ "x"; "y" ] in
+  let alone = P.Wire.sign kr ~as_:a_as ~encode:P.Wire.encode_commit payload in
+  let batched =
+    List.hd
+      (batch ~as_:a_as ~encode:P.Wire.encode_commit
+         [
+           payload;
+           commit_payload ~prefix:(G.Prefix.of_string "11.0.0.0/8") [ "z" ];
+           commit_payload ~epoch:2 [ "w" ];
+         ])
+  in
+  check_bool "signatures differ" true
+    (alone.P.Wire.signature <> batched.P.Wire.signature);
+  List.iter
+    (fun c ->
+      check_bool "verifies" true (P.Wire.verify kr ~encode:P.Wire.encode_commit c))
+    [ alone; batched ];
+  check_bool "verify_batch" true
+    (P.Wire.verify_batch kr
+       (List.map (P.Wire.check ~encode:P.Wire.encode_commit) [ alone; batched ])
+    = [ true; true ]);
+  check_bool "equal_commit" true (P.Wire.equal_commit alone batched);
+  check_bool "judge: not guilty" true
+    (P.Judge.evaluate_offline kr
+       (P.Evidence.Equivocation { first = alone; second = batched })
+    <> P.Judge.Guilty);
+  let g = P.Gossip.create kr in
+  let n1 = List.hd providers in
+  ignore (P.Gossip.receive g ~holder:b_as alone);
+  check_bool "gossip: same holder" true
+    (P.Gossip.receive g ~holder:b_as batched = None);
+  ignore (P.Gossip.receive g ~holder:n1 batched);
+  check_bool "gossip: exchange" true (P.Gossip.exchange g b_as n1 = [])
+
+let evidence_batched_transport () =
+  (* §2.3 Evidence under the batched shape: evidence whose commit, export
+     and witness carry batched signatures still convicts after a trip
+     through the evidence codec. *)
+  let kr = Lazy.force keyring in
+  let rng = fresh_rng () in
+  let n1 = List.hd providers and n2 = List.nth providers 1 in
+  let digests bits =
+    List.map (fun ((c : C.Commitment.commitment), _) -> (c :> string)) bits
+  in
+  let other = G.Prefix.of_string "11.0.0.0/8" in
+  (* False bit: N1 announced a 2-hop route, A committed b_2 = 0. *)
+  let witness =
+    List.hd
+      (batch ~as_:n1 ~encode:P.Wire.encode_announce
+         [ ann_payload n1 2; ann_payload ~to_:b_as n1 2; ann_payload ~epoch:2 n1 3 ])
+  in
+  let zeros = List.init 4 (fun _ -> C.Commitment.commit_bit rng false) in
+  let false_commit =
+    List.hd
+      (batch ~as_:a_as ~encode:P.Wire.encode_commit
+         [ commit_payload (digests zeros); commit_payload ~prefix:other [ "o" ] ])
+  in
+  (* Non-minimal export: A committed b_1 = 1 yet exported a 3-hop route. *)
+  let ones = List.init 4 (fun _ -> C.Commitment.commit_bit rng true) in
+  let provenance =
+    List.hd
+      (batch ~as_:n2 ~encode:P.Wire.encode_announce
+         [ ann_payload ~epoch:2 n2 3; ann_payload ~epoch:2 ~to_:b_as n2 3 ])
+  in
+  let cd =
+    P.Wire.draft ~as_:a_as ~encode:P.Wire.encode_commit
+      (commit_payload ~epoch:2 (digests ones))
+  in
+  let ed =
+    P.Wire.draft ~as_:a_as ~encode:P.Wire.encode_export
+      {
+        P.Wire.exp_epoch = 2;
+        exp_to = b_as;
+        exp_route = mk_route n2 3;
+        exp_provenance = Some provenance;
+      }
+  in
+  let od =
+    P.Wire.draft ~as_:a_as ~encode:P.Wire.encode_commit
+      (commit_payload ~epoch:2 ~prefix:other [ "o" ])
+  in
+  P.Wire.sign_batch kr [ P.Wire.Pending cd; P.Wire.Pending ed; P.Wire.Pending od ];
+  let evidence =
+    [
+      P.Evidence.False_bit
+        {
+          commit = false_commit;
+          index = 2;
+          opening = snd (List.nth zeros 1);
+          witness;
+        };
+      P.Evidence.Nonminimal_export
+        {
+          commit = P.Wire.signed cd;
+          export = P.Wire.signed ed;
+          index = 1;
+          opening = snd (List.hd ones);
+        };
+    ]
+  in
+  List.iter
+    (fun s -> check_bool "batched" true (String.length s > key_bytes))
+    [
+      witness.P.Wire.signature;
+      false_commit.P.Wire.signature;
+      (P.Wire.signed ed).P.Wire.signature;
+    ];
+  List.iter
+    (fun e ->
+      let kind = P.Evidence.kind e in
+      check_bool ("guilty before transport: " ^ kind) true
+        (P.Judge.evaluate_offline kr e = P.Judge.Guilty);
+      match P.Evidence_codec.decode (P.Evidence_codec.encode e) with
+      | None -> Alcotest.failf "decode failed for %s" kind
+      | Some e' ->
+          check_bool ("guilty after transport: " ^ kind) true
+            (P.Judge.evaluate_offline kr e' = P.Judge.Guilty))
+    evidence
+
+let confidentiality_batched_siblings_hidden () =
+  (* A sibling digest must not let a verifier confirm a guessed route: no
+     sibling equals the unsalted leaf hash of any message in the batch. *)
+  let payloads = List.init 8 (fun i -> ann_payload (asn 10) (i + 1)) in
+  let signed = batch ~as_:(asn 10) ~encode:P.Wire.encode_announce payloads in
+  let unsalted =
+    List.concat_map
+      (fun p ->
+        let enc = P.Wire.encode_announce p in
+        let msg = "pvr-signed-v1:" ^ enc in
+        List.map C.Sha256.digest [ msg; "\x00" ^ msg; enc; "\x00" ^ enc ])
+      payloads
+  in
+  let indices =
+    List.map
+      (fun (s : P.Wire.announce P.Wire.signed) ->
+        let sg = s.P.Wire.signature in
+        check_int "depth 3" (key_bytes + 20 + 96) (String.length sg);
+        for l = 0 to 2 do
+          check_bool "sibling is salted" false
+            (List.mem (String.sub sg (key_bytes + 20 + (32 * l)) 32) unsalted)
+        done;
+        C.Bytes_util.read_be32 sg (key_bytes + 16))
+      signed
+  in
+  check_bool "indices are a permutation" true
+    (List.sort compare indices = List.init 8 Fun.id)
+
 (* ---- Access control ------------------------------------------------------------ *)
 
 let alpha_figure1 () =
@@ -1639,6 +1912,15 @@ let suite =
     ("wire forged identity rejected", `Quick, wire_forged_identity_rejected);
     ("wire tamper rejected", `Quick, wire_tamper_rejected);
     ("keyring unknown raises", `Quick, keyring_unknown_raises);
+    ("wire batch of one = plain signature (KAT)", `Quick, wire_batch_of_one_kat);
+    ("wire batched signatures verify", `Quick, wire_batched_verify);
+    ("wire batch mixes statement kinds", `Quick, wire_batch_mixes_kinds);
+    ("accuracy: re-batched commit is not equivocation", `Quick,
+     accuracy_rebatched_commit_not_equivocation);
+    ("evidence: batched signatures survive transport", `Quick,
+     evidence_batched_transport);
+    ("confidentiality: batched siblings are salted", `Quick,
+     confidentiality_batched_siblings_hidden);
     ("alpha figure 1", `Quick, alpha_figure1);
     ("alpha components independent", `Quick, alpha_components_independent);
     ("alpha for_promise verifiable", `Quick, alpha_for_promise_verifiable);
