@@ -1,5 +1,5 @@
 module C = Pvr_crypto
-module Codec = Pvr_store.Codec
+module Codec = Pvr_crypto.Codec
 
 (* Digest-level tracker of the whole world's RIB state, keyed by
    (AS, prefix).  The resident representation is one 32-byte entry digest

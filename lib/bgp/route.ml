@@ -1,4 +1,5 @@
 module BU = Pvr_crypto.Bytes_util
+module Codec = Pvr_crypto.Codec
 
 type origin = Igp | Egp | Incomplete
 
@@ -50,16 +51,16 @@ let strip_private_attrs r = { r with local_pref = default_local_pref }
 let origin_code = function Igp -> 0 | Egp -> 1 | Incomplete -> 2
 
 let encode r =
-  BU.encode_list
+  Codec.encode_list
     [
       Prefix.to_string r.prefix;
-      BU.encode_list
+      Codec.encode_list
         (List.map (fun a -> BU.be32 (Asn.to_int a)) r.as_path);
       BU.be32 (Asn.to_int r.next_hop);
       BU.be32 r.local_pref;
       BU.be32 r.med;
       BU.be32 (origin_code r.origin);
-      BU.encode_list
+      Codec.encode_list
         (List.map (fun (a, v) -> BU.be32 a ^ BU.be32 v) r.communities);
     ]
 

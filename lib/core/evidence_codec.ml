@@ -1,80 +1,59 @@
 module C = Pvr_crypto
 module BU = Pvr_crypto.Bytes_util
-module Merkle = Pvr_merkle.Merkle_tree
+module Codec = Pvr_crypto.Codec
 module Prefix_tree = Pvr_merkle.Prefix_tree
 
-let ( let* ) = Option.bind
+(* Decoders raise [Codec.Malformed] on any bad field; [decode] is the one
+   boundary that turns it into [None]. *)
 
 (* ---- primitives ---------------------------------------------------------- *)
 
-let enc_list = BU.encode_list
-
-let dec_list s =
-  let read_u32 pos =
-    if pos + 4 > String.length s then None
-    else Some (BU.read_be32 s pos, pos + 4)
-  in
-  match read_u32 0 with
-  | None -> None
-  | Some (count, pos) when count >= 0 && count <= String.length s ->
-      let rec items n pos acc =
-        if n = 0 then
-          if pos = String.length s then Some (List.rev acc) else None
-        else
-          match read_u32 pos with
-          | None -> None
-          | Some (len, pos) ->
-              if len < 0 || pos + len > String.length s then None
-              else items (n - 1) (pos + len) (String.sub s pos len :: acc)
-      in
-      items count pos []
-  | Some _ -> None
+let enc_list = Codec.encode_list
 
 let enc_int n = BU.be32 n
 
-let dec_int s = if String.length s = 4 then Some (BU.read_be32 s 0) else None
+let dec_int = Codec.u32_item
 
 let enc_opening (o : C.Commitment.opening) =
   enc_list [ o.C.Commitment.value; o.C.Commitment.nonce ]
 
 let dec_opening s =
-  match dec_list s with
-  | Some [ value; nonce ] -> Some { C.Commitment.value; nonce }
-  | _ -> None
+  match Codec.list s with
+  | [ value; nonce ] -> { C.Commitment.value; nonce }
+  | _ -> Codec.malformed "opening"
 
 let enc_option enc = function
   | None -> enc_list [ "0" ]
   | Some x -> enc_list [ "1"; enc x ]
 
 let dec_option dec s =
-  match dec_list s with
-  | Some [ "0" ] -> Some None
-  | Some [ "1"; x ] -> Option.map (fun v -> Some v) (dec x)
-  | _ -> None
+  match Codec.list s with
+  | [ "0" ] -> None
+  | [ "1"; x ] -> Some (dec x)
+  | _ -> Codec.malformed "option"
 
 let enc_indexed_openings openings =
   enc_list (List.map (fun (i, o) -> enc_list [ enc_int i; enc_opening o ]) openings)
 
 let dec_indexed_openings s =
-  let* items = dec_list s in
-  List.fold_right
-    (fun item acc ->
-      let* acc = acc in
-      let* parts = dec_list item in
-      match parts with
-      | [ i; o ] ->
-          let* i = dec_int i in
-          let* o = dec_opening o in
-          Some ((i, o) :: acc)
-      | _ -> None)
-    items (Some [])
+  List.map
+    (fun item ->
+      match Codec.list item with
+      | [ i; o ] -> (dec_int i, dec_opening o)
+      | _ -> Codec.malformed "indexed opening")
+    (Codec.list s)
+
+let dec_signed ~decode s =
+  match Wire.decode_signed ~decode s with
+  | Some signed -> signed
+  | None -> Codec.malformed "signed statement"
 
 let enc_signed_announce = Wire.encode_signed ~encode:Wire.encode_announce
-let dec_signed_announce = Wire.decode_signed ~decode:Wire.decode_announce
+let dec_signed_announce = dec_signed ~decode:Wire.decode_announce
 let enc_signed_commit = Wire.encode_signed ~encode:Wire.encode_commit
-let dec_signed_commit = Wire.decode_signed ~decode:Wire.decode_commit
+let dec_signed_commit = dec_signed ~decode:Wire.decode_commit
 let enc_signed_export = Wire.encode_signed ~encode:Wire.encode_export
-let dec_signed_export = Wire.decode_signed ~decode:Wire.decode_export
+let dec_signed_export = dec_signed ~decode:Wire.decode_export
 
 (* ---- graph pieces --------------------------------------------------------- *)
 
@@ -82,12 +61,9 @@ let enc_component (c : Evidence.graph_component) =
   enc_list [ c.Evidence.gc_raw; enc_opening c.Evidence.gc_opening ]
 
 let dec_component s =
-  let* parts = dec_list s in
-  match parts with
-  | [ gc_raw; o ] ->
-      let* gc_opening = dec_opening o in
-      Some { Evidence.gc_raw; gc_opening }
-  | _ -> None
+  match Codec.list s with
+  | [ gc_raw; o ] -> { Evidence.gc_raw; gc_opening = dec_opening o }
+  | _ -> Codec.malformed "graph component"
 
 let enc_disclosure (d : Evidence.graph_disclosure) =
   enc_list
@@ -102,25 +78,21 @@ let enc_disclosure (d : Evidence.graph_disclosure) =
     ]
 
 let dec_disclosure s =
-  let* parts = dec_list s in
-  match parts with
+  match Codec.list s with
   | [ gd_vertex; gd_leaf; proof; preds; succs; payload; bits ] ->
-      let* gd_proof = Prefix_tree.decode_proof proof in
-      let* gd_preds = dec_option dec_component preds in
-      let* gd_succs = dec_option dec_component succs in
-      let* gd_payload = dec_option dec_component payload in
-      let* gd_bits = dec_indexed_openings bits in
-      Some
-        {
-          Evidence.gd_vertex;
-          gd_leaf;
-          gd_proof;
-          gd_preds;
-          gd_succs;
-          gd_payload;
-          gd_bits;
-        }
-  | _ -> None
+      {
+        Evidence.gd_vertex;
+        gd_leaf;
+        gd_proof =
+          (match Prefix_tree.decode_proof proof with
+          | Some p -> p
+          | None -> Codec.malformed "prefix-tree proof");
+        gd_preds = dec_option dec_component preds;
+        gd_succs = dec_option dec_component succs;
+        gd_payload = dec_option dec_component payload;
+        gd_bits = dec_indexed_openings bits;
+      }
+  | _ -> Codec.malformed "graph disclosure"
 
 let enc_offence (o : Evidence.graph_offence) =
   match o with
@@ -134,21 +106,19 @@ let enc_offence (o : Evidence.graph_offence) =
       enc_list [ "export-uncommitted"; out_var; enc_signed_export export ]
 
 let dec_offence s =
-  let* parts = dec_list s in
-  match parts with
+  match Codec.list s with
   | [ "wrong-input"; var; witness ] ->
-      let* witness = dec_signed_announce witness in
-      Some (Evidence.Wrong_input_value { var; witness })
+      Evidence.Wrong_input_value
+        { var; witness = dec_signed_announce witness }
   | [ "false-bit"; op; index; witness ] ->
-      let* index = dec_int index in
-      let* witness = dec_signed_announce witness in
-      Some (Evidence.False_evidence_bit { op; index; witness })
+      Evidence.False_evidence_bit
+        { op; index = dec_int index; witness = dec_signed_announce witness }
   | [ "output-mismatch"; out_var; op; detail ] ->
-      Some (Evidence.Output_evidence_mismatch { out_var; op; detail })
+      Evidence.Output_evidence_mismatch { out_var; op; detail }
   | [ "export-uncommitted"; out_var; export ] ->
-      let* export = dec_signed_export export in
-      Some (Evidence.Export_not_committed { out_var; export })
-  | _ -> None
+      Evidence.Export_not_committed
+        { out_var; export = dec_signed_export export }
+  | _ -> Codec.malformed "graph offence"
 
 (* ---- top level ------------------------------------------------------------- *)
 
@@ -221,92 +191,93 @@ let rec encode (e : Evidence.t) =
           enc_int bit_index; enc_opening opening;
         ]
 
-let rec decode s =
-  let* parts = dec_list s in
+let rec dec_evidence parts =
   match parts with
-  | [ "timeout"; retries; claim ] ->
-      let* retries = dec_int retries in
-      let* claim = decode claim in
+  | [ "timeout"; retries; claim ] -> (
+      match Codec.list claim with
       (* Nesting is meaningless (a timeout of a timeout) and would let a
          hostile encoder stack arbitrarily deep recursion; reject it. *)
-      (match claim with
-      | Evidence.Timeout _ -> None
-      | _ -> Some (Evidence.Timeout { claim; retries }))
+      | "timeout" :: _ -> Codec.malformed "nested timeout"
+      | claim ->
+          Evidence.Timeout
+            { claim = dec_evidence claim; retries = dec_int retries })
   | [ "equivocation"; first; second ] ->
-      let* first = dec_signed_commit first in
-      let* second = dec_signed_commit second in
-      Some (Evidence.Equivocation { first; second })
+      Evidence.Equivocation
+        { first = dec_signed_commit first; second = dec_signed_commit second }
   | [ "false-bit"; commit; index; opening; witness ] ->
-      let* commit = dec_signed_commit commit in
-      let* index = dec_int index in
-      let* opening = dec_opening opening in
-      let* witness = dec_signed_announce witness in
-      Some (Evidence.False_bit { commit; index; opening; witness })
+      Evidence.False_bit
+        {
+          commit = dec_signed_commit commit;
+          index = dec_int index;
+          opening = dec_opening opening;
+          witness = dec_signed_announce witness;
+        }
   | [ "non-monotonic"; commit; si; so; ui; uo ] ->
-      let* commit = dec_signed_commit commit in
-      let* set_index = dec_int si in
-      let* set_opening = dec_opening so in
-      let* unset_index = dec_int ui in
-      let* unset_opening = dec_opening uo in
-      Some
-        (Evidence.Non_monotonic_bits
-           { commit; set_index; set_opening; unset_index; unset_opening })
+      Evidence.Non_monotonic_bits
+        {
+          commit = dec_signed_commit commit;
+          set_index = dec_int si;
+          set_opening = dec_opening so;
+          unset_index = dec_int ui;
+          unset_opening = dec_opening uo;
+        }
   | [ "nonminimal"; commit; export; index; opening ] ->
-      let* commit = dec_signed_commit commit in
-      let* export = dec_signed_export export in
-      let* index = dec_int index in
-      let* opening = dec_opening opening in
-      Some (Evidence.Nonminimal_export { commit; export; index; opening })
+      Evidence.Nonminimal_export
+        {
+          commit = dec_signed_commit commit;
+          export = dec_signed_export export;
+          index = dec_int index;
+          opening = dec_opening opening;
+        }
   | [ "unsupported"; commit; export; openings ] ->
-      let* commit = dec_signed_commit commit in
-      let* export = dec_signed_export export in
-      let* openings = dec_indexed_openings openings in
-      Some (Evidence.Unsupported_export { commit; export; openings })
+      Evidence.Unsupported_export
+        {
+          commit = dec_signed_commit commit;
+          export = dec_signed_export export;
+          openings = dec_indexed_openings openings;
+        }
   | [ "bad-provenance"; export ] ->
-      let* export = dec_signed_export export in
-      Some (Evidence.Bad_provenance { export })
+      Evidence.Bad_provenance { export = dec_signed_export export }
   | [ "missing-export"; commit; openings; claimant ] ->
-      let* commit = dec_signed_commit commit in
-      let* openings = dec_indexed_openings openings in
-      let* claimant = dec_int claimant in
-      Some
-        (Evidence.Missing_export_claim
-           { commit; openings; claimant = Pvr_bgp.Asn.of_int claimant })
+      Evidence.Missing_export_claim
+        {
+          commit = dec_signed_commit commit;
+          openings = dec_indexed_openings openings;
+          claimant = Pvr_bgp.Asn.of_int (dec_int claimant);
+        }
   | [ "missing-disclosure"; commit; announce; claimant ] ->
-      let* commit = dec_signed_commit commit in
-      let* announce = dec_signed_announce announce in
-      let* claimant = dec_int claimant in
-      Some
-        (Evidence.Missing_disclosure_claim
-           { commit; announce; claimant = Pvr_bgp.Asn.of_int claimant })
+      Evidence.Missing_disclosure_claim
+        {
+          commit = dec_signed_commit commit;
+          announce = dec_signed_announce announce;
+          claimant = Pvr_bgp.Asn.of_int (dec_int claimant);
+        }
   | [ "graph"; commit; disclosures; offence ] ->
-      let* commit = dec_signed_commit commit in
-      let* items = dec_list disclosures in
-      let* disclosures =
-        List.fold_right
-          (fun item acc ->
-            let* acc = acc in
-            let* d = dec_disclosure item in
-            Some (d :: acc))
-          items (Some [])
-      in
-      let* offence = dec_offence offence in
-      Some (Evidence.Graph_violation { commit; disclosures; offence })
+      Evidence.Graph_violation
+        {
+          commit = dec_signed_commit commit;
+          disclosures = List.map dec_disclosure (Codec.list disclosures);
+          offence = dec_offence offence;
+        }
   | [ "cross-shorter"; commit; export; block; opening ] ->
-      let* commit = dec_signed_commit commit in
-      let* my_export = dec_signed_export export in
-      let* other_block = dec_int block in
-      let* opening = dec_opening opening in
-      Some
-        (Evidence.Cross_shorter_export { commit; my_export; other_block; opening })
+      Evidence.Cross_shorter_export
+        {
+          commit = dec_signed_commit commit;
+          my_export = dec_signed_export export;
+          other_block = dec_int block;
+          opening = dec_opening opening;
+        }
   | [ "own-vector"; commit; export; bit_index; opening ] ->
-      let* commit = dec_signed_commit commit in
-      let* my_export = dec_signed_export export in
-      let* bit_index = dec_int bit_index in
-      let* opening = dec_opening opening in
-      Some
-        (Evidence.Own_vector_mismatch { commit; my_export; bit_index; opening })
-  | _ -> None
+      Evidence.Own_vector_mismatch
+        {
+          commit = dec_signed_commit commit;
+          my_export = dec_signed_export export;
+          bit_index = dec_int bit_index;
+          opening = dec_opening opening;
+        }
+  | _ -> Codec.malformed "evidence"
+
+let decode s = Codec.decode_list s dec_evidence
 
 let to_hex e = C.Hex.encode (encode e)
 

@@ -1,6 +1,6 @@
 module Bgp = Pvr_bgp
 module C = Pvr_crypto
-module BU = Pvr_crypto.Bytes_util
+module Codec = Pvr_crypto.Codec
 module Rfg = Pvr_rfg.Rfg
 module Operator = Pvr_rfg.Operator
 module Promise = Pvr_rfg.Promise
@@ -23,57 +23,32 @@ type disclosure = {
 
 (* ---- Payload encodings -------------------------------------------------- *)
 
-let encode_id_list ids = BU.encode_list ids
-
-let decode_id_list s =
-  let read_u32 pos =
-    if pos + 4 > String.length s then None
-    else Some (BU.read_be32 s pos, pos + 4)
-  in
-  match read_u32 0 with
-  | None -> None
-  | Some (count, pos) ->
-      let rec items n pos acc =
-        if n = 0 then
-          if pos = String.length s then Some (List.rev acc) else None
-        else
-          match read_u32 pos with
-          | None -> None
-          | Some (len, pos) ->
-              if pos + len > String.length s then None
-              else items (n - 1) (pos + len) (String.sub s pos len :: acc)
-      in
-      items count pos []
+let encode_id_list ids = Codec.encode_list ids
 
 let encode_var_payload routes =
-  BU.encode_list ("var" :: List.map Bgp.Route.encode routes)
+  Codec.encode_list ("var" :: List.map Bgp.Route.encode routes)
 
 let encode_op_payload op bit_digests =
-  BU.encode_list [ "op"; Operator.encode op; BU.encode_list bit_digests ]
+  Codec.encode_list [ "op"; Operator.encode op; Codec.encode_list bit_digests ]
 
 (* Decode an op payload back into (operator-encoding, bit digests). *)
 let decode_op_payload raw =
-  match decode_id_list raw with
-  | Some [ tag; op_enc; digests_enc ] when tag = "op" -> begin
-      match decode_id_list digests_enc with
-      | Some digests -> Some (op_enc, digests)
-      | None -> None
-    end
-  | _ -> None
+  Codec.decode_list raw (function
+    | [ "op"; op_enc; digests_enc ] -> (op_enc, Codec.list digests_enc)
+    | _ -> Codec.malformed "op payload")
 
 let encode_comp_payload inner_root =
-  BU.encode_list [ "comp"; inner_root ]
+  Codec.encode_list [ "comp"; inner_root ]
 
 let decode_comp_payload raw =
-  match decode_id_list raw with
-  | Some [ tag; root ] when tag = "comp" && String.length root = 32 ->
-      Some root
-  | _ -> None
+  Codec.decode_list raw (function
+    | [ "comp"; root ] when String.length root = 32 -> root
+    | _ -> Codec.malformed "comp payload")
 
 let decode_var_payload raw =
-  match decode_id_list raw with
-  | Some (tag :: encs) when tag = "var" -> Some encs
-  | _ -> None
+  Codec.decode_list raw (function
+    | "var" :: encs -> encs
+    | _ -> Codec.malformed "var payload")
 
 (* ---- Evidence bits per operator ----------------------------------------- *)
 
@@ -199,7 +174,7 @@ let rec build_subtree rng ~k ~ns rfg valuation =
       vr_preds_open = o_preds;
       vr_succs_open = o_succs;
       vr_payload_open = o_payload;
-      vr_leaf = BU.encode_list [ c_preds; c_succs; c_payload ];
+      vr_leaf = Codec.encode_list [ c_preds; c_succs; c_payload ];
       vr_bits = bits;
       vr_inner = inner;
     }
@@ -375,12 +350,13 @@ let disclose ?role ps ~alpha ~viewer =
 (* ---- Verification ------------------------------------------------------- *)
 
 let leaf_digests leaf =
-  match decode_id_list leaf with
-  | Some [ c_preds; c_succs; c_payload ]
-    when List.for_all (fun d -> String.length d = 32)
-           [ c_preds; c_succs; c_payload ] ->
-      Some (c_preds, c_succs, c_payload)
-  | _ -> None
+  Codec.decode_list leaf (function
+    | [ c_preds; c_succs; c_payload ]
+      when List.for_all
+             (fun d -> String.length d = 32)
+             [ c_preds; c_succs; c_payload ] ->
+        (c_preds, c_succs, c_payload)
+    | _ -> Codec.malformed "leaf digests")
 
 let component_valid digest (c : component_opening) =
   String.length digest = 32
@@ -475,7 +451,7 @@ let forced_bit_indices od ~var ~len =
               let branch =
                 match od.preds with
                 | Some c -> begin
-                    match decode_id_list c.raw with
+                    match Codec.decode_list c.raw Fun.id with
                     | Some [ first; _ ] when first = var -> 0
                     | Some [ _; second ] when second = var -> 1
                     | _ -> -1
@@ -532,7 +508,7 @@ let check_provider keyring ~me ~my_announce ~commit ~disclosures =
                     match d.succs with
                     | None -> []
                     | Some c ->
-                        Option.value (decode_id_list c.raw) ~default:[]
+                        Option.value (Codec.decode_list c.raw Fun.id) ~default:[]
                   in
                   let len = Bgp.Route.path_length my_route in
                   List.concat_map
@@ -637,7 +613,7 @@ let check_beneficiary keyring ~me ~commit ~disclosures ~export =
           match out_d.preds with
           | None -> None
           | Some c -> begin
-              match decode_id_list c.raw with
+              match Codec.decode_list c.raw Fun.id with
               | Some [ op_id ] -> find_disclosure disclosures op_id
               | _ -> None
             end

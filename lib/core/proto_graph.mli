@@ -46,6 +46,27 @@ type disclosure = {
           viewer's own route length for a provider) *)
 }
 
+(** {2 Payload codecs}
+
+    The committed byte formats, in {!Pvr_crypto.Codec}'s list format.  They
+    reach a verifier from the prover, so each decoder returns [None] on any
+    malformed input. *)
+
+val encode_var_payload : Bgp.Route.t list -> string
+val decode_var_payload : string -> string list option
+(** ["var"], then each route's {!Pvr_bgp.Route.encode}. *)
+
+val encode_op_payload : Pvr_rfg.Operator.t -> string list -> string
+val decode_op_payload : string -> (string * string list) option
+(** ["op"], the {!Pvr_rfg.Operator.encode}d operator and its bit digests. *)
+
+val encode_comp_payload : string -> string
+val decode_comp_payload : string -> string option
+(** ["comp"] and a composite's 32-byte inner root. *)
+
+val leaf_digests : string -> (string * string * string) option
+(** The leaf triple I(x): three 32-byte component digests. *)
+
 type prover_state
 
 val prove :
@@ -111,9 +132,6 @@ val check_beneficiary :
 (** The beneficiary B: navigate from its output variable to the producing
     operator, check the output value against the operator type and its
     committed bit evidence, and check export/provenance consistency. *)
-
-val decode_id_list : string -> Rfg.vertex_id list option
-(** Decode a preds/succs component payload (exposed for tests/judge). *)
 
 (** {2 Composite operators (§4 structural privacy)}
 

@@ -1,6 +1,7 @@
 module Bgp = Pvr_bgp
 module C = Pvr_crypto
 module BU = Pvr_crypto.Bytes_util
+module Codec = Pvr_crypto.Codec
 open Proto_common
 
 type prover_output = {
@@ -16,34 +17,14 @@ let scheme = "noshorter"
    of block j (0-based) is j*k + i; its list position is 1 + j*k + i - 1. *)
 
 let encode_header ~beneficiaries ~k =
-  BU.encode_list
+  Codec.encode_list
     (BU.be32 k :: List.map (fun a -> BU.be32 (Bgp.Asn.to_int a)) beneficiaries)
 
 let decode_header s =
-  let read_u32 pos =
-    if pos + 4 > String.length s then None
-    else Some (BU.read_be32 s pos, pos + 4)
-  in
-  match read_u32 0 with
-  | None -> None
-  | Some (count, pos) when count >= 1 ->
-      let rec items n pos acc =
-        if n = 0 then
-          if pos = String.length s then Some (List.rev acc) else None
-        else
-          match read_u32 pos with
-          | None -> None
-          | Some (len, pos) ->
-              if len <> 4 || pos + len > String.length s then None
-              else items (n - 1) (pos + len) (BU.read_be32 s pos :: acc)
-      in
-      Option.map
-        (fun vals ->
-          match vals with
-          | k :: asns -> (k, List.map Bgp.Asn.of_int asns)
-          | [] -> assert false)
-        (items count pos [])
-  | Some _ -> None
+  Codec.decode_list s (fun items ->
+      match List.map Codec.u32_item items with
+      | k :: asns -> (k, List.map Bgp.Asn.of_int asns)
+      | [] -> Codec.malformed "empty header")
 
 let header_of_commit (commit : Wire.commit Wire.signed) =
   match commit.Wire.payload.Wire.cmt_commitments with

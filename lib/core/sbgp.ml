@@ -1,5 +1,6 @@
 module Bgp = Pvr_bgp
 module BU = Pvr_crypto.Bytes_util
+module Codec = Pvr_crypto.Codec
 
 type attestation = {
   att_prefix : Bgp.Prefix.t;
@@ -10,11 +11,11 @@ type attestation = {
 type chain = attestation Wire.signed list
 
 let encode_attestation a =
-  BU.encode_list
+  Codec.encode_list
     [
       "sbgp-attest";
       Bgp.Prefix.to_string a.att_prefix;
-      BU.encode_list (List.map (fun x -> BU.be32 (Bgp.Asn.to_int x)) a.att_path);
+      Codec.encode_list (List.map (fun x -> BU.be32 (Bgp.Asn.to_int x)) a.att_path);
       BU.be32 (Bgp.Asn.to_int a.att_to);
     ]
 

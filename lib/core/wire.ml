@@ -1,6 +1,7 @@
 module Bgp = Pvr_bgp
 module C = Pvr_crypto
 module BU = Pvr_crypto.Bytes_util
+module Codec = Pvr_crypto.Codec
 
 type epoch = int
 
@@ -237,7 +238,7 @@ type export = {
 
 let encode_announce a =
   count obs_announce
-    (BU.encode_list
+    (Codec.encode_list
        [
          "announce";
          BU.be32 a.ann_epoch;
@@ -247,7 +248,7 @@ let encode_announce a =
 
 let encode_commit c =
   count obs_commit
-    (BU.encode_list
+    (Codec.encode_list
        ([
           "commit";
           BU.be32 c.cmt_epoch;
@@ -257,12 +258,12 @@ let encode_commit c =
        @ c.cmt_commitments))
 
 let encode_signed ~encode s =
-  BU.encode_list
+  Codec.encode_list
     [ encode s.payload; BU.be32 (Bgp.Asn.to_int s.signer); s.signature ]
 
 let encode_export e =
   count obs_export
-    (BU.encode_list
+    (Codec.encode_list
        [
          "export";
          BU.be32 e.exp_epoch;
@@ -282,133 +283,83 @@ let equal_commit a b =
 
 (* ---- Transport decoding -------------------------------------------------- *)
 
-let decode_list s =
-  let read_u32 pos =
-    if pos + 4 > String.length s then None
-    else Some (BU.read_be32 s pos, pos + 4)
-  in
-  match read_u32 0 with
-  | None -> None
-  | Some (count, pos) when count >= 0 && count <= String.length s ->
-      let rec items n pos acc =
-        if n = 0 then
-          if pos = String.length s then Some (List.rev acc) else None
-        else
-          match read_u32 pos with
-          | None -> None
-          | Some (len, pos) ->
-              if len < 0 || pos + len > String.length s then None
-              else items (n - 1) (pos + len) (String.sub s pos len :: acc)
-      in
-      items count pos []
-  | Some _ -> None
+(* Field decoders raise [Codec.Malformed]; each public decoder catches it
+   at its [Codec.decode_list] boundary. *)
 
-let u32 s = if String.length s = 4 then Some (BU.read_be32 s 0) else None
-
-let asn_of s = Option.map Bgp.Asn.of_int (u32 s)
+let asn_of s = Bgp.Asn.of_int (Codec.u32_item s)
 
 let prefix_of s =
   match Bgp.Prefix.of_string s with
-  | p -> Some p
-  | exception Invalid_argument _ -> None
+  | p -> p
+  | exception Invalid_argument _ -> Codec.malformed "prefix"
+
+let origin_of s =
+  match Codec.u32_item s with
+  | 0 -> Bgp.Route.Igp
+  | 1 -> Bgp.Route.Egp
+  | 2 -> Bgp.Route.Incomplete
+  | _ -> Codec.malformed "origin"
+
+let community_of s =
+  if String.length s <> 8 then Codec.malformed "community";
+  (BU.read_be32 s 0, BU.read_be32 s 4)
 
 (* Route decoding mirrors [Bgp.Route.encode]. *)
 let route_of s =
-  match decode_list s with
-  | Some [ prefix; path; next_hop; local_pref; med; origin; communities ] ->
-      let ( let* ) = Option.bind in
-      let* prefix = prefix_of prefix in
-      let* path_items = decode_list path in
-      let* as_path =
-        List.fold_right
-          (fun item acc ->
-            match (asn_of item, acc) with
-            | Some a, Some acc -> Some (a :: acc)
-            | _ -> None)
-          path_items (Some [])
-      in
-      let* next_hop = asn_of next_hop in
-      let* local_pref = u32 local_pref in
-      let* med = u32 med in
-      let* origin_code = u32 origin in
-      let* origin =
-        match origin_code with
-        | 0 -> Some Bgp.Route.Igp
-        | 1 -> Some Bgp.Route.Egp
-        | 2 -> Some Bgp.Route.Incomplete
-        | _ -> None
-      in
-      let* comm_items = decode_list communities in
-      let* communities =
-        List.fold_right
-          (fun item acc ->
-            match acc with
-            | None -> None
-            | Some acc ->
-                if String.length item = 8 then
-                  Some
-                    ((BU.read_be32 item 0, BU.read_be32 item 4) :: acc)
-                else None)
-          comm_items (Some [])
-      in
-      Some
-        {
-          Bgp.Route.prefix;
-          as_path;
-          next_hop;
-          local_pref;
-          med;
-          origin;
-          communities;
-        }
-  | _ -> None
+  match Codec.list s with
+  | [ prefix; path; next_hop; local_pref; med; origin; communities ] ->
+      {
+        Bgp.Route.prefix = prefix_of prefix;
+        as_path = List.map asn_of (Codec.list path);
+        next_hop = asn_of next_hop;
+        local_pref = Codec.u32_item local_pref;
+        med = Codec.u32_item med;
+        origin = origin_of origin;
+        communities = List.map community_of (Codec.list communities);
+      }
+  | _ -> Codec.malformed "route"
+
+let signed_of ~decode = function
+  | [ payload; signer; signature ] -> (
+      match decode payload with
+      | Some payload -> { payload; signer = asn_of signer; signature }
+      | None -> Codec.malformed "signed payload")
+  | _ -> Codec.malformed "signed statement"
+
+let decode_signed ~decode s = Codec.decode_list s (signed_of ~decode)
 
 let decode_announce s =
-  match decode_list s with
-  | Some [ tag; epoch; to_; route ] when tag = "announce" ->
-      let ( let* ) = Option.bind in
-      let* ann_epoch = u32 epoch in
-      let* ann_to = asn_of to_ in
-      let* ann_route = route_of route in
-      Some { ann_epoch; ann_to; ann_route }
-  | _ -> None
-
-let decode_signed_raw ~decode s =
-  match decode_list s with
-  | Some [ payload_enc; signer; signature ] ->
-      let ( let* ) = Option.bind in
-      let* payload = decode payload_enc in
-      let* signer = asn_of signer in
-      Some { payload; signer; signature }
-  | _ -> None
-
-let decode_export_opt s =
-  if s = "" then Some None
-  else
-    Option.map
-      (fun ann -> Some ann)
-      (decode_signed_raw ~decode:decode_announce s)
+  Codec.decode_list s (function
+    | [ "announce"; epoch; to_; route ] ->
+        {
+          ann_epoch = Codec.u32_item epoch;
+          ann_to = asn_of to_;
+          ann_route = route_of route;
+        }
+    | _ -> Codec.malformed "announce")
 
 let decode_commit s =
-  match decode_list s with
-  | Some (tag :: epoch :: prefix :: scheme :: commitments) when tag = "commit"
-    ->
-      let ( let* ) = Option.bind in
-      let* cmt_epoch = u32 epoch in
-      let* cmt_prefix = prefix_of prefix in
-      Some { cmt_epoch; cmt_prefix; cmt_scheme = scheme;
-             cmt_commitments = commitments }
-  | _ -> None
+  Codec.decode_list s (function
+    | "commit" :: epoch :: prefix :: scheme :: commitments ->
+        {
+          cmt_epoch = Codec.u32_item epoch;
+          cmt_prefix = prefix_of prefix;
+          cmt_scheme = scheme;
+          cmt_commitments = commitments;
+        }
+    | _ -> Codec.malformed "commit")
 
 let decode_export s =
-  match decode_list s with
-  | Some [ tag; epoch; to_; route; provenance ] when tag = "export" ->
-      let ( let* ) = Option.bind in
-      let* exp_epoch = u32 epoch in
-      let* exp_to = asn_of to_ in
-      let* exp_route = route_of route in
-      let* exp_provenance = decode_export_opt provenance in
-      Some { exp_epoch; exp_to; exp_route; exp_provenance }
-  | _ -> None
-
-let decode_signed ~decode s = decode_signed_raw ~decode s
+  Codec.decode_list s (function
+    | [ "export"; epoch; to_; route; provenance ] ->
+        {
+          exp_epoch = Codec.u32_item epoch;
+          exp_to = asn_of to_;
+          exp_route = route_of route;
+          exp_provenance =
+            (if provenance = "" then None
+             else
+               Some
+                 (signed_of ~decode:decode_announce (Codec.list provenance)));
+        }
+    | _ -> Codec.malformed "export")

@@ -37,8 +37,3 @@ let read_le32 s off =
   lor (Char.code s.[off + 3] lsl 24)
 
 let concat parts = String.concat "" parts
-
-let length_prefixed s = be32 (String.length s) ^ s
-
-let encode_list items =
-  concat (be32 (List.length items) :: List.map length_prefixed items)

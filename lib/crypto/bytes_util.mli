@@ -28,11 +28,3 @@ val read_le32 : string -> int -> int
 
 val concat : string list -> string
 (** Concatenation without separator (alias of [String.concat ""]). *)
-
-val length_prefixed : string -> string
-(** [length_prefixed s] is [be32 (String.length s) ^ s].  Used to build
-    injective encodings of tuples before hashing. *)
-
-val encode_list : string list -> string
-(** Injective encoding of a list of strings: a [be32] count followed by each
-    element length-prefixed.  Two distinct lists never encode equally. *)

@@ -5,7 +5,7 @@ type opening = { value : string; nonce : string }
 let tag = "pvr-commit-v1:"
 
 let commit_with_nonce ~nonce value =
-  Sha256.digest (tag ^ Bytes_util.encode_list [ value; nonce ])
+  Sha256.digest (tag ^ Codec.encode_list [ value; nonce ])
 
 let commit rng value =
   let nonce = Drbg.generate rng 32 in
@@ -21,7 +21,7 @@ let commit_bit rng b = commit rng (bit_string b)
 let nonce_tag = "pvr-commit-nonce-v1"
 
 let derived_nonce ~key ~context value =
-  Hmac.mac ~key (Bytes_util.encode_list [ nonce_tag; context; value ])
+  Hmac.mac ~key (Codec.encode_list [ nonce_tag; context; value ])
 
 let commit_derived ~key ~context value =
   let nonce = derived_nonce ~key ~context value in
@@ -103,7 +103,7 @@ module Cache = struct
 
   let derived_nonce_fast t ~context value =
     Hmac.mac_with t.hkey
-      (Bytes_util.encode_list [ nonce_tag; context; value ])
+      (Codec.encode_list [ nonce_tag; context; value ])
 
   let commit t ~context value =
     match Hashtbl.find_opt t.tbl (context, value) with

@@ -130,46 +130,15 @@ let verify ~ring ~msg t =
 let ring_size t = Array.length t.xs
 
 let encode t =
-  Bytes_util.encode_list
+  Codec.encode_list
     (Bytes_util.be32 t.domain_bytes :: t.glue
     :: Array.to_list (Array.map B.to_bytes_be t.xs))
 
 let decode s =
   (* Inverse of [encode]; returns None on any malformed input. *)
-  let read_u32 pos =
-    if pos + 4 > String.length s then None
-    else Some (Bytes_util.read_be32 s pos, pos + 4)
-  in
-  let read_item pos =
-    match read_u32 pos with
-    | None -> None
-    | Some (len, pos) ->
-        if len < 0 || pos + len > String.length s then None
-        else Some (String.sub s pos len, pos + len)
-  in
-  match read_u32 0 with
-  | None -> None
-  | Some (count, pos) ->
-      if count < 2 then None
-      else begin
-        let rec items n pos acc =
-          if n = 0 then
-            if pos = String.length s then Some (List.rev acc) else None
-          else
-            match read_item pos with
-            | None -> None
-            | Some (item, pos) -> items (n - 1) pos (item :: acc)
-        in
-        match items count pos [] with
-        | Some (domain :: glue :: xs) when String.length domain = 4 ->
-            let domain_bytes = Bytes_util.read_be32 domain 0 in
-            if String.length glue <> domain_bytes then None
-            else
-              Some
-                {
-                  glue;
-                  xs = Array.of_list (List.map B.of_bytes_be xs);
-                  domain_bytes;
-                }
-        | _ -> None
-      end
+  Codec.decode_list s (function
+    | domain :: glue :: xs ->
+        let domain_bytes = Codec.u32_item domain in
+        if String.length glue <> domain_bytes then Codec.malformed "glue";
+        { glue; xs = Array.of_list (List.map B.of_bytes_be xs); domain_bytes }
+    | _ -> Codec.malformed "ring signature")

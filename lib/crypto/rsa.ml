@@ -208,4 +208,4 @@ let verify_batch items =
 
 let fingerprint pub =
   Sha256.digest
-    (Bytes_util.encode_list [ B.to_bytes_be pub.n; B.to_bytes_be pub.e ])
+    (Codec.encode_list [ B.to_bytes_be pub.n; B.to_bytes_be pub.e ])

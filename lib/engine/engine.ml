@@ -826,24 +826,34 @@ let report_line r =
    and spill pages (exactly one record per page frame): a spilled slot can
    be passed straight through into a checkpoint, and unspill reuses the
    checkpoint reader. *)
-module Codec = Pvr_store.Codec
+module Codec = Pvr_crypto.Codec
+module Row = Pvr_query.Row
 
+let row_of_outcome ~epoch o =
+  {
+    Row.r_epoch = epoch;
+    r_prover = Bgp.Asn.to_int o.vx_vertex.vprover;
+    r_addr = o.vx_vertex.vprefix.Bgp.Prefix.addr;
+    r_len = o.vx_vertex.vprefix.Bgp.Prefix.len;
+    r_beneficiary = Bgp.Asn.to_int o.vx_beneficiary;
+    r_providers = List.map Bgp.Asn.to_int o.vx_providers;
+    r_behaviour = Pvr.Adversary.to_string o.vx_behaviour;
+    r_detected = o.vx_detected;
+    r_convicted = o.vx_convicted;
+    r_evidence = o.vx_evidence;
+    r_kinds = o.vx_kinds;
+    r_leaked = o.vx_leaked_bits;
+    r_excess = o.vx_excess_bits;
+  }
+
+(* A record is the key, period and digest, then the outcome as an evidence
+   row body ({!Row.encode_body}: prover through excess), then the canonical
+   line.  The body carries no epoch; a decoded record's row has epoch 0. *)
 type state_record = {
   sr_key : string;
   sr_period : int;
   sr_digest : string;
-  sr_prover : int;
-  sr_addr : int;
-  sr_len : int;
-  sr_beneficiary : int;
-  sr_providers : int list;
-  sr_behaviour : string;
-  sr_detected : bool;
-  sr_convicted : bool;
-  sr_evidence : int;
-  sr_kinds : string list;
-  sr_leaked : int;
-  sr_excess : int;
+  sr_row : Row.t;
   sr_line : string;
 }
 
@@ -851,88 +861,39 @@ let encode_state buf key vs =
   Codec.str buf key;
   Codec.u32 buf vs.vs_period;
   Codec.str buf vs.vs_digest;
-  let o = vs.vs_outcome in
-  Codec.u32 buf (Bgp.Asn.to_int o.vx_vertex.vprover);
-  Codec.u32 buf o.vx_vertex.vprefix.Bgp.Prefix.addr;
-  Codec.u32 buf o.vx_vertex.vprefix.Bgp.Prefix.len;
-  Codec.u32 buf (Bgp.Asn.to_int o.vx_beneficiary);
-  Codec.u32 buf (List.length o.vx_providers);
-  List.iter (fun a -> Codec.u32 buf (Bgp.Asn.to_int a)) o.vx_providers;
-  Codec.str buf (Pvr.Adversary.to_string o.vx_behaviour);
-  Codec.bool_ buf o.vx_detected;
-  Codec.bool_ buf o.vx_convicted;
-  Codec.u32 buf o.vx_evidence;
-  Codec.u32 buf (List.length o.vx_kinds);
-  List.iter (fun k -> Codec.str buf k) o.vx_kinds;
-  Codec.u32 buf o.vx_leaked_bits;
-  Codec.u32 buf o.vx_excess_bits;
-  Codec.str buf o.vx_line
+  Row.encode_body buf (row_of_outcome ~epoch:0 vs.vs_outcome);
+  Codec.str buf vs.vs_outcome.vx_line
 
 let read_state r =
   let sr_key = Codec.get_str r in
   let sr_period = Codec.get_u32 r in
   let sr_digest = Codec.get_str r in
-  let sr_prover = Codec.get_u32 r in
-  let sr_addr = Codec.get_u32 r in
-  let sr_len = Codec.get_u32 r in
-  let sr_beneficiary = Codec.get_u32 r in
-  let np = Codec.get_u32 r in
-  let sr_providers = List.init np (fun _ -> Codec.get_u32 r) in
-  let sr_behaviour = Codec.get_str r in
-  let sr_detected = Codec.get_bool r in
-  let sr_convicted = Codec.get_bool r in
-  let sr_evidence = Codec.get_u32 r in
-  let nk = Codec.get_u32 r in
-  let sr_kinds = List.init nk (fun _ -> Codec.get_str r) in
-  let sr_leaked = Codec.get_u32 r in
-  let sr_excess = Codec.get_u32 r in
+  let sr_row = Row.read_body ~epoch:0 r in
   let sr_line = Codec.get_str r in
-  {
-    sr_key;
-    sr_period;
-    sr_digest;
-    sr_prover;
-    sr_addr;
-    sr_len;
-    sr_beneficiary;
-    sr_providers;
-    sr_behaviour;
-    sr_detected;
-    sr_convicted;
-    sr_evidence;
-    sr_kinds;
-    sr_leaked;
-    sr_excess;
-    sr_line;
-  }
+  { sr_key; sr_period; sr_digest; sr_row; sr_line }
 
 let outcome_of_record sr =
-  let vertex =
-    {
-      vprover = Bgp.Asn.of_int sr.sr_prover;
-      vprefix = Bgp.Prefix.make ~addr:sr.sr_addr ~len:sr.sr_len;
-    }
-  in
+  let row = sr.sr_row in
   {
-    vx_vertex = vertex;
-    vx_beneficiary = Bgp.Asn.of_int sr.sr_beneficiary;
-    vx_providers = List.map Bgp.Asn.of_int sr.sr_providers;
+    vx_vertex = { vprover = Row.prover row; vprefix = Row.prefix row };
+    vx_beneficiary = Row.beneficiary row;
+    vx_providers = Row.providers row;
     vx_routes = [];
     vx_recomputed = false;
     vx_behaviour =
       (match
          List.find_opt
-           (fun b -> Pvr.Adversary.to_string b = sr.sr_behaviour)
+           (fun b -> Pvr.Adversary.to_string b = row.Row.r_behaviour)
            Pvr.Adversary.all
        with
       | Some b -> b
       | None -> Pvr.Adversary.Honest);
-    vx_detected = sr.sr_detected;
-    vx_convicted = sr.sr_convicted;
-    vx_evidence = sr.sr_evidence;
-    vx_kinds = sr.sr_kinds;
-    vx_leaked_bits = sr.sr_leaked;
-    vx_excess_bits = sr.sr_excess;
+    vx_detected = row.Row.r_detected;
+    vx_convicted = row.Row.r_convicted;
+    vx_evidence = row.Row.r_evidence;
+    vx_kinds = row.Row.r_kinds;
+    vx_leaked_bits = row.Row.r_leaked;
+    vx_excess_bits = row.Row.r_excess;
     vx_net = None;
     vx_line = sr.sr_line;
   }

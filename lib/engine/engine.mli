@@ -197,6 +197,11 @@ val signatures : t -> (string * string) list
     signatures (§3.8) of the statements the last rounds signed; a test hook
     for their determinism. *)
 
+val row_of_outcome : epoch:int -> outcome -> Pvr_query.Row.t
+(** The evidence-plane row of an outcome; its body
+    ({!Pvr_query.Row.encode_body}) is also the outcome part of the engine's
+    checkpoint and spill-page vertex records. *)
+
 val report_line : epoch_report -> string
 (** One canonical summary line, stable across [jobs] and cache settings:
     [epoch=… period=… changes=… msgs=… vertices=… dirty+skipped=… detected=…

@@ -1,7 +1,6 @@
 module Store = Pvr_store.Store
 module Bgp = Pvr_bgp
 module Frame = Pvr_query.Frame
-module Row = Pvr_query.Row
 module Evidence_index = Pvr_query.Evidence_index
 
 type epoch_record = Frame.epoch_record = {
@@ -60,23 +59,6 @@ let pager s ~run_id =
             | Error e -> Error e));
   }
 
-let row_of_outcome ~epoch (o : Engine.outcome) =
-  {
-    Row.r_epoch = epoch;
-    r_prover = Bgp.Asn.to_int o.Engine.vx_vertex.Engine.vprover;
-    r_addr = o.Engine.vx_vertex.Engine.vprefix.Bgp.Prefix.addr;
-    r_len = o.Engine.vx_vertex.Engine.vprefix.Bgp.Prefix.len;
-    r_beneficiary = Bgp.Asn.to_int o.Engine.vx_beneficiary;
-    r_providers = List.map Bgp.Asn.to_int o.Engine.vx_providers;
-    r_behaviour = Pvr.Adversary.to_string o.Engine.vx_behaviour;
-    r_detected = o.Engine.vx_detected;
-    r_convicted = o.Engine.vx_convicted;
-    r_evidence = o.Engine.vx_evidence;
-    r_kinds = o.Engine.vx_kinds;
-    r_leaked = o.Engine.vx_leaked_bits;
-    r_excess = o.Engine.vx_excess_bits;
-  }
-
 (* The session's live index must cover every epoch of the run, so after a
    resume (index = None, engine past epoch 1) it is rematerialized from
    the journal before this epoch's frames are appended. *)
@@ -98,7 +80,7 @@ let record s eng (r : Engine.epoch_report) =
   let run_id = Engine.Checkpoint.run_id eng in
   let epoch = r.Engine.ep_epoch in
   let idx = live_index s ~run_id ~epoch in
-  let rows = List.map (row_of_outcome ~epoch) r.Engine.ep_outcomes in
+  let rows = List.map (Engine.row_of_outcome ~epoch) r.Engine.ep_outcomes in
   (* On paging sessions, journal the delta RIB tracker's view first: one
      delta page per epoch, plus a full page on the snapshot cadence.
      Pages ride before the epoch record, so the commit mark covers them;

@@ -1,5 +1,6 @@
 module H = Pvr_crypto.Sha256
 module BU = Pvr_crypto.Bytes_util
+module Codec = Pvr_crypto.Codec
 
 (* Domain-separated hashing prevents leaf/node confusion attacks. *)
 let leaf_hash v = H.digest ("mt-leaf:" ^ v)
@@ -68,63 +69,23 @@ let verify ~root:expected ~leaf proof =
   BU.equal_ct !acc expected
 
 let encode_proof p =
-  BU.encode_list
+  Codec.encode_list
     (BU.be32 p.index
     :: List.map
          (fun (h, side) -> (match side with `Left -> "L" | `Right -> "R") ^ h)
          p.path)
 
 let decode_proof s =
-  let read_u32 pos =
-    if pos + 4 > String.length s then None
-    else Some (BU.read_be32 s pos, pos + 4)
+  let step item =
+    if String.length item <> 33 then Codec.malformed "proof step";
+    let side =
+      match item.[0] with
+      | 'L' -> `Left
+      | 'R' -> `Right
+      | _ -> Codec.malformed "proof side"
+    in
+    (String.sub item 1 32, side)
   in
-  let read_item pos =
-    match read_u32 pos with
-    | None -> None
-    | Some (len, pos) ->
-        if pos + len > String.length s then None
-        else Some (String.sub s pos len, pos + len)
-  in
-  match read_u32 0 with
-  | None -> None
-  | Some (count, pos) when count >= 1 -> begin
-      let rec items n pos acc =
-        if n = 0 then
-          if pos = String.length s then Some (List.rev acc) else None
-        else
-          match read_item pos with
-          | None -> None
-          | Some (item, pos) -> items (n - 1) pos (item :: acc)
-      in
-      match items count pos [] with
-      | Some (idx :: rest) when String.length idx = 4 -> begin
-          let index = BU.read_be32 idx 0 in
-          let step item =
-            if String.length item <> 33 then None
-            else
-              let side =
-                match item.[0] with
-                | 'L' -> Some `Left
-                | 'R' -> Some `Right
-                | _ -> None
-              in
-              match side with
-              | None -> None
-              | Some side -> Some (String.sub item 1 32, side)
-          in
-          let rec map_all = function
-            | [] -> Some []
-            | x :: xs -> begin
-                match (step x, map_all xs) with
-                | Some y, Some ys -> Some (y :: ys)
-                | _ -> None
-              end
-          in
-          match map_all rest with
-          | Some path -> Some { index; path }
-          | None -> None
-        end
-      | _ -> None
-    end
-  | Some _ -> None
+  Codec.decode_list s (function
+    | idx :: rest -> { index = Codec.u32_item idx; path = List.map step rest }
+    | [] -> Codec.malformed "empty proof")

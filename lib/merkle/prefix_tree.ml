@@ -1,5 +1,6 @@
 module H = Pvr_crypto.Sha256
 module BU = Pvr_crypto.Bytes_util
+module Codec = Pvr_crypto.Codec
 
 type node =
   | Leaf of string                     (* committed value *)
@@ -14,7 +15,7 @@ let node_hash l r = H.digest ("pt-node:" ^ l ^ r)
    private seed, so it is indistinguishable from a real subtree digest to
    anyone who does not hold the seed. *)
 let blind_hash seed path =
-  H.digest ("pt-blind:" ^ BU.encode_list [ seed; Bitstring.to_string path ])
+  H.digest ("pt-blind:" ^ Codec.encode_list [ seed; Bitstring.to_string path ])
 
 let insert top path value =
   let n = Bitstring.length path in
@@ -108,24 +109,10 @@ let verify ~root:expected ~path ~value proof =
 
 let proof_length = List.length
 
-let encode_proof p = BU.encode_list p
+let encode_proof p = Codec.encode_list p
 
 let decode_proof s =
-  let read_u32 pos =
-    if pos + 4 > String.length s then None
-    else Some (BU.read_be32 s pos, pos + 4)
-  in
-  match read_u32 0 with
-  | None -> None
-  | Some (count, pos) ->
-      let rec items n pos acc =
-        if n = 0 then
-          if pos = String.length s then Some (List.rev acc) else None
-        else
-          match read_u32 pos with
-          | None -> None
-          | Some (len, pos) ->
-              if len <> 32 || pos + len > String.length s then None
-              else items (n - 1) (pos + len) (String.sub s pos len :: acc)
-      in
-      items count pos []
+  Codec.decode_list s (fun siblings ->
+      if List.exists (fun d -> String.length d <> 32) siblings then
+        Codec.malformed "sibling digest";
+      siblings)

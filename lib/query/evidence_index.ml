@@ -1,5 +1,5 @@
 module Bgp = Pvr_bgp
-module Codec = Pvr_store.Codec
+module Codec = Pvr_crypto.Codec
 module Store = Pvr_store.Store
 module Bits = Pvr_merkle.Bitstring
 
@@ -212,8 +212,12 @@ let load blob =
       let run_id = Codec.get_str r in
       let t = create ~run_id () in
       let n = Codec.get_u32 r in
+      (* [save] writes epochs strictly ascending, which [add_epoch] needs. *)
+      let prev = ref (-1) in
       for _ = 1 to n do
         let epoch = Codec.get_u32 r in
+        if epoch <= !prev then Codec.malformed "index epochs out of order";
+        prev := epoch;
         let count = Codec.get_u32 r in
         let rows = List.init count (fun _ -> Row.read r) in
         add_epoch t ~epoch rows

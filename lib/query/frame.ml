@@ -1,4 +1,4 @@
-module Codec = Pvr_store.Codec
+module Codec = Pvr_crypto.Codec
 
 (* Tag space of engine journal payloads.  Tag 1 predates this module: it
    doubled as the epoch-record version field, so v1 epoch payloads from

@@ -1,5 +1,5 @@
 module Bgp = Pvr_bgp
-module Codec = Pvr_store.Codec
+module Codec = Pvr_crypto.Codec
 module J = Pvr_obs.Json
 
 type t = {
@@ -40,8 +40,9 @@ let compare a b =
 
 let equal a b = compare a b = 0 && a = b
 
-let encode buf r =
-  Codec.u32 buf r.r_epoch;
+(* The body is every field after the epoch, in declaration order; the
+   engine's vertex-state records carry the same body. *)
+let encode_body buf r =
   Codec.u32 buf r.r_prover;
   Codec.u32 buf r.r_addr;
   Codec.u32 buf r.r_len;
@@ -57,11 +58,15 @@ let encode buf r =
   Codec.u32 buf r.r_leaked;
   Codec.u32 buf r.r_excess
 
-let read rd =
-  let r_epoch = Codec.get_u32 rd in
+let encode buf r =
+  Codec.u32 buf r.r_epoch;
+  encode_body buf r
+
+let read_body ~epoch:r_epoch rd =
   let r_prover = Codec.get_u32 rd in
   let r_addr = Codec.get_u32 rd in
   let r_len = Codec.get_u32 rd in
+  if r_len > 32 then Codec.malformed "prefix length out of range";
   let r_beneficiary = Codec.get_u32 rd in
   let np = Codec.get_u32 rd in
   let r_providers = List.init np (fun _ -> Codec.get_u32 rd) in
@@ -88,6 +93,8 @@ let read rd =
     r_leaked;
     r_excess;
   }
+
+let read rd = read_body ~epoch:(Codec.get_u32 rd) rd
 
 let to_json r =
   J.Obj

@@ -39,8 +39,16 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 
 val encode : Buffer.t -> t -> unit
-val read : Pvr_store.Codec.reader -> t
-(** @raise Pvr_store.Codec.Malformed on truncated input. *)
+val read : Pvr_crypto.Codec.reader -> t
+(** @raise Pvr_crypto.Codec.Malformed on truncated input. *)
+
+val encode_body : Buffer.t -> t -> unit
+(** Every field but [r_epoch], in declaration order: {!encode} is the
+    epoch followed by the body.  The engine's vertex-state records embed
+    the same body. *)
+
+val read_body : epoch:int -> Pvr_crypto.Codec.reader -> t
+(** Inverse of {!encode_body}.  @raise Pvr_crypto.Codec.Malformed *)
 
 val to_json : t -> Pvr_obs.Json.t
 (** Fixed field order — byte-stable across runs and recoveries. *)

@@ -1,5 +1,5 @@
 module Bgp = Pvr_bgp
-module BU = Pvr_crypto.Bytes_util
+module Codec = Pvr_crypto.Codec
 
 type t =
   | Exists
@@ -97,62 +97,52 @@ let encode_cond (c : Bgp.Policy.match_cond) =
 let encode op =
   match op with
   | Exists | Min_path_length | Union | Shorter_of | First_nonempty ->
-      BU.encode_list [ name op ]
-  | Best steps -> BU.encode_list (name op :: List.map encode_step steps)
-  | Filter conds -> BU.encode_list (name op :: List.map encode_cond conds)
-  | Not_through a -> BU.encode_list [ name op; Bgp.Asn.to_string a ]
+      Codec.encode_list [ name op ]
+  | Best steps -> Codec.encode_list (name op :: List.map encode_step steps)
+  | Filter conds -> Codec.encode_list (name op :: List.map encode_cond conds)
+  | Not_through a -> Codec.encode_list [ name op; Bgp.Asn.to_string a ]
   | Has_community (a, v) ->
-      BU.encode_list [ name op; Printf.sprintf "%d:%d" a v ]
-  | Within_hops_of_min n -> BU.encode_list [ name op; string_of_int n ]
+      Codec.encode_list [ name op; Printf.sprintf "%d:%d" a v ]
+  | Within_hops_of_min n -> Codec.encode_list [ name op; string_of_int n ]
 
-let decode_list s =
-  let read_u32 pos =
-    if pos + 4 > String.length s then None
-    else
-      Some
-        ( (Char.code s.[pos] lsl 24)
-          lor (Char.code s.[pos + 1] lsl 16)
-          lor (Char.code s.[pos + 2] lsl 8)
-          lor Char.code s.[pos + 3],
-          pos + 4 )
-  in
-  match read_u32 0 with
-  | None -> None
-  | Some (count, pos) ->
-      let rec items n pos acc =
-        if n = 0 then
-          if pos = String.length s then Some (List.rev acc) else None
-        else
-          match read_u32 pos with
-          | None -> None
-          | Some (len, pos) ->
-              if pos + len > String.length s then None
-              else items (n - 1) (pos + len) (String.sub s pos len :: acc)
-      in
-      items count pos []
+(* Decoders raise [Codec.Malformed]; [decode] catches it at its
+   [Codec.decode_list] boundary. *)
 
 let decode_step = function
-  | "lp" -> Some Bgp.Decision.Highest_local_pref
-  | "len" -> Some Bgp.Decision.Shortest_as_path
-  | "orig" -> Some Bgp.Decision.Lowest_origin
-  | "med" -> Some Bgp.Decision.Lowest_med
-  | "nbr" -> Some Bgp.Decision.Lowest_neighbor
-  | _ -> None
+  | "lp" -> Bgp.Decision.Highest_local_pref
+  | "len" -> Bgp.Decision.Shortest_as_path
+  | "orig" -> Bgp.Decision.Lowest_origin
+  | "med" -> Bgp.Decision.Lowest_med
+  | "nbr" -> Bgp.Decision.Lowest_neighbor
+  | _ -> Codec.malformed "decision step"
 
+let decode_int s =
+  match int_of_string_opt s with
+  | Some n -> n
+  | None -> Codec.malformed "integer"
+
+(* The operator encoding reaches a verifier inside a prover's disclosed
+   payload, so a negative AS number is malformed input, not a bug. *)
 let decode_asn s =
   if String.length s > 2 && String.sub s 0 2 = "AS" then
-    Option.map Bgp.Asn.of_int
-      (int_of_string_opt (String.sub s 2 (String.length s - 2)))
-  else None
+    match int_of_string_opt (String.sub s 2 (String.length s - 2)) with
+    | Some n when n >= 0 -> Bgp.Asn.of_int n
+    | _ -> Codec.malformed "AS number"
+  else Codec.malformed "AS number"
 
 let decode_community s =
   match String.split_on_char ':' s with
   | [ a; v ] -> begin
       match (int_of_string_opt a, int_of_string_opt v) with
-      | Some a, Some v when a >= 0 && v >= 0 -> Some (a, v)
-      | _ -> None
+      | Some a, Some v when a >= 0 && v >= 0 -> (a, v)
+      | _ -> Codec.malformed "community"
     end
-  | _ -> None
+  | _ -> Codec.malformed "community"
+
+let decode_prefix p =
+  match Bgp.Prefix.of_string p with
+  | p -> p
+  | exception Invalid_argument _ -> Codec.malformed "prefix"
 
 let decode_cond s =
   let param prefix_str =
@@ -161,64 +151,36 @@ let decode_cond s =
       Some (String.sub s n (String.length s - n))
     else None
   in
-  if s = "any" then Some Bgp.Policy.Match_any
+  if s = "any" then Bgp.Policy.Match_any
   else
-    match param "pfx=" with
-    | Some p -> (
-        match Bgp.Prefix.of_string p with
-        | p -> Some (Bgp.Policy.Match_prefix_exact p)
-        | exception Invalid_argument _ -> None)
-    | None -> (
-        match param "pfx<" with
-        | Some p -> (
-            match Bgp.Prefix.of_string p with
-            | p -> Some (Bgp.Policy.Match_prefix_in p)
-            | exception Invalid_argument _ -> None)
-        | None -> (
-            match param "comm=" with
-            | Some c ->
-                Option.map (fun c -> Bgp.Policy.Match_community c)
-                  (decode_community c)
-            | None -> (
-                match param "inpath=" with
-                | Some a ->
-                    Option.map (fun a -> Bgp.Policy.Match_as_in_path a)
-                      (decode_asn a)
-                | None -> (
-                    match param "nh=" with
-                    | Some a ->
-                        Option.map (fun a -> Bgp.Policy.Match_next_hop a)
-                          (decode_asn a)
-                    | None -> (
-                        match param "len<=" with
-                        | Some n ->
-                            Option.map (fun n -> Bgp.Policy.Match_path_length_le n)
-                              (int_of_string_opt n)
-                        | None -> None)))))
-
-let rec all_some = function
-  | [] -> Some []
-  | None :: _ -> None
-  | Some x :: rest -> Option.map (fun xs -> x :: xs) (all_some rest)
+    match
+      List.find_map
+        (fun (tag, decode) -> Option.map decode (param tag))
+        [
+          ("pfx=", fun p -> Bgp.Policy.Match_prefix_exact (decode_prefix p));
+          ("pfx<", fun p -> Bgp.Policy.Match_prefix_in (decode_prefix p));
+          ("comm=", fun c -> Bgp.Policy.Match_community (decode_community c));
+          ("inpath=", fun a -> Bgp.Policy.Match_as_in_path (decode_asn a));
+          ("nh=", fun a -> Bgp.Policy.Match_next_hop (decode_asn a));
+          ("len<=", fun n -> Bgp.Policy.Match_path_length_le (decode_int n));
+        ]
+    with
+    | Some cond -> cond
+    | None -> Codec.malformed "filter condition"
 
 let decode s =
-  match decode_list s with
-  | Some [ "exists" ] -> Some Exists
-  | Some [ "min" ] -> Some Min_path_length
-  | Some [ "union" ] -> Some Union
-  | Some [ "shorter-of" ] -> Some Shorter_of
-  | Some [ "first-nonempty" ] -> Some First_nonempty
-  | Some ("best" :: steps) ->
-      Option.map (fun steps -> Best steps) (all_some (List.map decode_step steps))
-  | Some ("filter" :: conds) ->
-      Option.map (fun conds -> Filter conds) (all_some (List.map decode_cond conds))
-  | Some [ "not-through"; a ] ->
-      Option.map (fun a -> Not_through a) (decode_asn a)
-  | Some [ "has-community"; c ] ->
-      Option.map (fun c -> Has_community c) (decode_community c)
-  | Some [ "within-hops-of-min"; n ] ->
-      Option.map (fun n -> Within_hops_of_min n) (int_of_string_opt n)
-  | _ -> None
+  Codec.decode_list s (function
+    | [ "exists" ] -> Exists
+    | [ "min" ] -> Min_path_length
+    | [ "union" ] -> Union
+    | [ "shorter-of" ] -> Shorter_of
+    | [ "first-nonempty" ] -> First_nonempty
+    | "best" :: steps -> Best (List.map decode_step steps)
+    | "filter" :: conds -> Filter (List.map decode_cond conds)
+    | [ "not-through"; a ] -> Not_through (decode_asn a)
+    | [ "has-community"; c ] -> Has_community (decode_community c)
+    | [ "within-hops-of-min"; n ] -> Within_hops_of_min (decode_int n)
+    | _ -> Codec.malformed "operator")
 
 let pp ppf op =
   match op with

@@ -3,7 +3,7 @@
    Transport: a byte stream (Unix domain socket or TCP).  Every message is
    one length-framed record — a 4-byte big-endian payload length followed
    by the payload — in the same style as the store's WAL framing.  The
-   payload is a {!Pvr_store.Codec} record whose first u32 is the message
+   payload is a {!Pvr_crypto.Codec} record whose first u32 is the message
    tag; decoding is bounds-checked, and a malformed or oversized frame
    tears down only the offending connection, never the daemon.
 
@@ -13,7 +13,7 @@
    after the terminal frame, so a connection carries at most one
    in-flight request. *)
 
-module Codec = Pvr_store.Codec
+module Codec = Pvr_crypto.Codec
 
 (* Frames above this are a protocol violation (the largest legitimate
    frame is a query result page, far below 1 MiB). *)

@@ -481,7 +481,7 @@ let encode_list_injective =
   qtest "encode_list is injective"
     QCheck2.Gen.(pair (list string) (list string))
     (fun (a, b) ->
-      a = b || C.Bytes_util.encode_list a <> C.Bytes_util.encode_list b)
+      a = b || C.Codec.encode_list a <> C.Codec.encode_list b)
 
 let xor_involution =
   qtest "xor twice = id" QCheck2.Gen.(pair string string) (fun (a, b) ->

@@ -22,9 +22,10 @@ let suites =
     ("mem", Test_mem.suite);
     ("concurrency", Test_concurrency.suite);
     ("serve", Test_serve.suite);
+    ("codec", Test_codec.suite);
   ]
 
-let expected_tests = 467
+let expected_tests = 489
 
 let () =
   let total = List.fold_left (fun n (_, s) -> n + List.length s) 0 suites in

@@ -89,17 +89,6 @@ let rib_delta_delta_roundtrip =
       | Ok changes' -> changes' = changes
       | Error _ -> false)
 
-let rib_delta_decoders_never_raise =
-  qtest ~count:60 "rib_delta: decoders never raise on mangled blobs"
-    QCheck2.Gen.(int_range 0 100_000)
-    (fun seed ->
-      let rng = C.Drbg.of_int_seed seed in
-      let t = tracker_of_seed (seed + 1) 30 in
-      let full = N.Fuzz.mangle rng (RD.encode_full t) in
-      let dl = N.Fuzz.mangle rng (RD.encode_delta (RD.drain_changes t)) in
-      (match RD.decode_full full with Ok _ | Error _ -> true)
-      && match RD.decode_delta dl with Ok _ | Error _ -> true)
-
 let rib_delta_replay_reconstructs () =
   (* The journal shape: one full blob, then a stream of deltas.  Replaying
      them onto a fresh tracker must land on the live tracker's digest. *)
@@ -408,7 +397,6 @@ let suite =
   [
     rib_delta_full_roundtrip;
     rib_delta_delta_roundtrip;
-    rib_delta_decoders_never_raise;
     ("rib_delta: full+delta replay reconstructs", `Quick,
      rib_delta_replay_reconstructs);
     ("rib digest: incremental equals oracle", `Quick, rib_digest_matches_oracle);

@@ -159,7 +159,7 @@ let wire_batched_verify () =
   | [ a; b ] ->
       let swapped =
         P.Wire.decode_signed ~decode:P.Wire.decode_announce
-          (C.Bytes_util.encode_list
+          (C.Codec.encode_list
              [
                P.Wire.encode_announce a.P.Wire.payload;
                C.Bytes_util.be32 10;
@@ -1244,13 +1244,6 @@ let evidence_codec_roundtrip_graph () =
       | _ -> ())
     evs
 
-let evidence_codec_garbage =
-  qtest "evidence decoder never crashes" ~count:200 QCheck2.Gen.string
-    (fun s ->
-      let _ = P.Evidence_codec.decode s in
-      let _ = P.Evidence_codec.of_hex s in
-      true)
-
 (* ---- Wire transport codecs ----------------------------------------------------------- *)
 
 let wire_announce_transport_roundtrip () =
@@ -1300,15 +1293,6 @@ let wire_export_transport_roundtrip () =
           check_bool "nested provenance verifies" true
             (P.Wire.verify kr ~encode:P.Wire.encode_announce inner)
       | None -> Alcotest.fail "provenance lost")
-
-let wire_decode_rejects_garbage =
-  qtest "wire decoders never crash on garbage" ~count:200 QCheck2.Gen.string
-    (fun s ->
-      let _ = P.Wire.decode_announce s in
-      let _ = P.Wire.decode_commit s in
-      let _ = P.Wire.decode_export s in
-      let _ = P.Wire.decode_signed ~decode:P.Wire.decode_announce s in
-      true)
 
 let wire_decode_rejects_truncation () =
   let ann = announce (asn 10) 2 in
@@ -1963,11 +1947,9 @@ let suite =
     ("gossip: multi-prover isolation", `Quick, multi_prover_gossip_isolation);
     ("evidence codec: all kinds roundtrip", `Slow, evidence_codec_roundtrip_all_kinds);
     ("evidence codec: graph violations", `Quick, evidence_codec_roundtrip_graph);
-    evidence_codec_garbage;
     ("wire transport: announce roundtrip", `Quick, wire_announce_transport_roundtrip);
     ("wire transport: commit roundtrip", `Quick, wire_commit_transport_roundtrip);
     ("wire transport: export roundtrip", `Quick, wire_export_transport_roundtrip);
-    wire_decode_rejects_garbage;
     ("wire transport: truncation rejected", `Quick, wire_decode_rejects_truncation);
     wire_announce_roundtrip_property;
     wire_commit_roundtrip_property;

@@ -238,7 +238,7 @@ let row_codec_roundtrip =
       let buf = Buffer.create 64 in
       Row.encode buf r;
       match
-        Pvr_store.Codec.decode (Buffer.contents buf) (fun rd -> Row.read rd)
+        Pvr_crypto.Codec.decode (Buffer.contents buf) (fun rd -> Row.read rd)
       with
       | Ok r' -> r' = r
       | Error e -> QCheck2.Test.fail_reportf "decode failed: %s" e)

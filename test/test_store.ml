@@ -15,7 +15,7 @@ module C = Pvr_crypto
 module N = Pvr_net
 module S = Pvr_store.Store
 module AF = Pvr_store.Atomic_file
-module Codec = Pvr_store.Codec
+module Codec = Pvr_crypto.Codec
 module Crc32 = Pvr_store.Crc32
 
 let check_bool = Alcotest.(check bool)
@@ -278,42 +278,6 @@ let recover_never_raises_on_mangled_snapshot =
         rc.S.rc_snapshots
       && List.mem_assoc 3 rc.S.rc_snapshots)
 
-let persist_decode_never_raises =
-  qtest ~count:60 "persist: epoch-record decoder never raises"
-    QCheck2.Gen.(int_range 0 100_000)
-    (fun seed ->
-      let rng = C.Drbg.of_int_seed (seed + 13) in
-      let er =
-        {
-          Persist.er_epoch = 3;
-          er_period = 1;
-          er_changes = 2;
-          er_msgs = 17;
-          er_vertices = 9;
-          er_dirty = 4;
-          er_skipped = 5;
-          er_detected = 0;
-          er_convicted = 0;
-          er_digest = String.make 64 'd';
-          er_rib = String.make 64 'r';
-          er_run_id = String.make 64 'i';
-        }
-      in
-      let good = Persist.encode_epoch er in
-      (match Persist.decode_epoch good with
-      | Ok er' when er' = er -> ()
-      | _ -> QCheck2.Test.fail_report "roundtrip failed");
-      match Persist.decode_epoch (N.Fuzz.mangle rng good) with
-      | Ok _ | Error _ -> true)
-
-let checkpoint_info_never_raises =
-  qtest ~count:40 "checkpoint: info/load never raise on mangled blobs"
-    QCheck2.Gen.(int_range 0 100_000)
-    (fun seed ->
-      let rng = C.Drbg.of_int_seed (seed + 29) in
-      let blob = N.Fuzz.mangle rng (String.make 64 'b') in
-      match E.Checkpoint.info blob with Ok _ | Error _ -> true)
-
 (* ---- resume equivalence --------------------------------------------------------- *)
 
 (* Engine world sharing Test_engine's topology and keyring (keygen
@@ -501,8 +465,6 @@ let suite =
       corrupt_snapshot_skipped;
     recover_never_raises_on_mangled_journal;
     recover_never_raises_on_mangled_snapshot;
-    persist_decode_never_raises;
-    checkpoint_info_never_raises;
     Alcotest.test_case "resume: equivalence at every epoch boundary" `Slow
       resume_equivalence;
     Alcotest.test_case "resume: torn journal + lost snapshot" `Quick
