@@ -704,12 +704,15 @@ let e8 () =
   J.Obj
     [ ("rows", J.List rows); ("gossip_ablation", J.Obj ablation) ]
 
-(* ---- E9: online verification throughput ----------------------------------------- *)
+(* ---- E9: continuous verification throughput -------------------------------------- *)
 
 let e9 () =
-  header "E9  continuous verification throughput (Online, per-update cost)";
-  (* A star around A: 8 providers each originating several prefixes; the
-     Online layer verifies A's promise to B for every prefix in the table. *)
+  header "E9  continuous verification throughput (Engine, per-vertex cost)";
+  (* A star around A: 8 providers each originating several prefixes.  One
+     engine epoch with the caches off verifies every (A, prefix) vertex;
+     each vertex's beneficiary is the lowest-ASN neighbour of A that is not
+     its provider. *)
+  let module E = Pvr_engine.Engine in
   let k = 8 in
   let star_providers = List.filteri (fun i _ -> i < k) providers in
   let topo =
@@ -719,42 +722,34 @@ let e9 () =
   let sim = G.Simulator.create topo in
   G.Simulator.set_gao_rexford sim false;
   let prefixes_per_provider = 4 in
-  let prefixes = ref [] in
   List.iteri
     (fun i n ->
       for j = 0 to prefixes_per_provider - 1 do
-        let p =
-          G.Prefix.make ~addr:(((i + 1) lsl 24) lor (j lsl 16)) ~len:16
-        in
-        prefixes := p :: !prefixes;
-        G.Simulator.originate sim ~asn:n p
+        G.Simulator.originate sim ~asn:n
+          (G.Prefix.make ~addr:(((i + 1) lsl 24) lor (j lsl 16)) ~len:16)
       done)
     star_providers;
   ignore (G.Simulator.run sim);
-  let online =
-    P.Online.create ~max_path_len:16 (C.Drbg.of_int_seed 900) keyring ~sim
-      ~prover:a_as ~beneficiary:b_as ~providers:star_providers
+  let eng =
+    E.create ~cache:false ~max_path_len:16 (C.Drbg.of_int_seed 900) keyring
+      ~topology:topo ~sim ()
   in
-  let table = !prefixes in
   let t0 = Unix.gettimeofday () in
-  let reports = P.Online.run_epochs online ~prefixes:table in
+  let r = E.epoch eng in
   let dt = Unix.gettimeofday () -. t0 in
-  let detected = List.filter (fun (_, r) -> r.P.Runner.detected) reports in
+  let n = r.E.ep_dirty in
+  let ms_per_vertex = dt *. 1000.0 /. float_of_int (max 1 n) in
   Printf.printf
-    "verified %d prefixes (k=%d providers) in %.2fs -> %.1f \
-     updates/s, %.1f ms/update; false positives: %d\n%!"
-    (List.length table) k dt
-    (float_of_int (List.length table) /. dt)
-    (dt *. 1000.0 /. float_of_int (List.length table))
-    (List.length detected);
+    "verified %d vertices (k=%d providers) in %.2fs -> %.1f ms/vertex; \
+     false positives: %d\n%!"
+    n k dt ms_per_vertex r.E.ep_detected;
   J.Obj
     [
-      ("prefixes", J.Int (List.length table));
+      ("vertices", J.Int n);
       ("k", J.Int k);
       ("seconds", J.Float dt);
-      ("updates_per_s", J.Float (float_of_int (List.length table) /. dt));
-      ("ms_per_update", J.Float (dt *. 1000.0 /. float_of_int (List.length table)));
-      ("false_positives", J.Int (List.length detected));
+      ("ms_per_vertex", J.Float ms_per_vertex);
+      ("false_positives", J.Int r.E.ep_detected);
     ]
 
 (* ---- E10: faulty-network rounds -------------------------------------------------- *)
@@ -1075,10 +1070,10 @@ let e12 () =
       ("modes", J.List rows);
     ]
 
-(* ---- E13: internet scale: generated topology, interning, shards ------------------ *)
+(* ---- E13: internet scale: generated topology, interning ------------------------- *)
 
 let e13 () =
-  header "E13  internet scale: generated topology, route interning, shards";
+  header "E13  internet scale: generated topology, route interning";
   let seed = 2028 in
   (* One RSA-512 keyring covering ASNs 1..1000 serves every topology size
      below: [Topology.generate ~ases:n] always numbers its ASes 1..n, so a
@@ -1095,9 +1090,9 @@ let e13 () =
   Printf.printf "[e13] done in %.1fs\n%!" (Unix.gettimeofday () -. t0);
   (* Every run re-derives topology, churn and engine secret from fixed
      integer seeds: same [ases] means the same internet, so digests are
-     comparable across jobs/shards/cache/intern settings. *)
+     comparable across jobs/cache/intern settings. *)
   let run ?(epochs = 4) ?(turnover = 0.2) ?(mem = 0) ?on_epoch ~ases ~jobs
-      ~shards ~intern ~cache () =
+      ~intern ~cache () =
     G.Intern.set_enabled intern;
     let topo =
       G.Topology.generate (C.Drbg.of_int_seed (seed + 2)) ~ases ()
@@ -1112,7 +1107,7 @@ let e13 () =
     in
     let churn_rng = C.Drbg.of_int_seed (seed + 3) in
     let eng =
-      E.create ~jobs ~shards ~cache ~salt_every:8
+      E.create ~jobs ~cache ~salt_every:8
         (C.Drbg.of_int_seed (seed + 4))
         ekeyring ~topology:topo ~sim ()
     in
@@ -1164,9 +1159,7 @@ let e13 () =
         List.map
           (fun jobs ->
             let t0 = Unix.gettimeofday () in
-            let _, dirty, msgs =
-              run ~ases ~jobs ~shards:8 ~intern:true ~cache:true ()
-            in
+            let _, dirty, msgs = run ~ases ~jobs ~intern:true ~cache:true () in
             let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
             Printf.printf "%6d %5d  %10.1f  %10.1f  %8d  %8d\n%!" ases jobs
               ms
@@ -1194,8 +1187,7 @@ let e13 () =
       (fun turnover ->
         let t0 = Unix.gettimeofday () in
         let _, dirty, _ =
-          run ~turnover ~ases:300 ~jobs:1 ~shards:8 ~intern:true ~cache:true
-            ()
+          run ~turnover ~ases:300 ~jobs:1 ~intern:true ~cache:true ()
         in
         let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
         Printf.printf "%8.2f  %10.1f  %8d\n%!" turnover ms dirty;
@@ -1208,24 +1200,21 @@ let e13 () =
       [ 0.05; 0.2; 0.5 ]
   in
   (* Determinism matrix at 1000 ASes: the digest must be byte-identical
-     across jobs, shard counts, the memo cache and interning. *)
-  let base, _, _ = run ~ases:1000 ~jobs:1 ~shards:0 ~intern:true ~cache:true () in
+     across jobs, the memo cache and interning. *)
+  let base, _, _ = run ~ases:1000 ~jobs:1 ~intern:true ~cache:true () in
   let matrix =
     [
-      ( "jobs=2 shards=5",
-        fun () -> run ~ases:1000 ~jobs:2 ~shards:5 ~intern:true ~cache:true () );
-      ( "jobs=4 shards=16",
-        fun () -> run ~ases:1000 ~jobs:4 ~shards:16 ~intern:true ~cache:true () );
+      ("jobs=2", fun () -> run ~ases:1000 ~jobs:2 ~intern:true ~cache:true ());
+      ("jobs=4", fun () -> run ~ases:1000 ~jobs:4 ~intern:true ~cache:true ());
       ( "jobs=2 intern=off",
-        fun () -> run ~ases:1000 ~jobs:2 ~shards:5 ~intern:false ~cache:true () );
+        fun () -> run ~ases:1000 ~jobs:2 ~intern:false ~cache:true () );
       ( "jobs=1 cache=off",
-        fun () -> run ~ases:1000 ~jobs:1 ~shards:0 ~intern:true ~cache:false () );
+        fun () -> run ~ases:1000 ~jobs:1 ~intern:true ~cache:false () );
       ( "jobs=2 mem-ceiling",
         (* Bounded memory at scale: a tight governor ceiling with spilling
            must not perturb the digest (E16 measures the footprint). *)
         fun () ->
-          run ~mem:200_000 ~ases:1000 ~jobs:2 ~shards:5 ~intern:true
-            ~cache:true () );
+          run ~mem:200_000 ~ases:1000 ~jobs:2 ~intern:true ~cache:true () );
     ]
   in
   let determinism =
@@ -1250,7 +1239,7 @@ let e13 () =
     let words = ref [] in
     let before = ref 0.0 in
     let d, _, _ =
-      run ~epochs:6 ~turnover:0.0 ~ases:1000 ~jobs:1 ~shards:0 ~intern
+      run ~epochs:6 ~turnover:0.0 ~ases:1000 ~jobs:1 ~intern
         ~cache:true
         ~on_epoch:(fun i _ ->
           (* Epoch 1 seeds the table (RSA everywhere); epochs 2.. are the
@@ -1452,7 +1441,7 @@ let e16 () =
     in
     let churn_rng = C.Drbg.of_int_seed (seed + 3) in
     let eng =
-      E.create ~jobs:1 ~shards:0 ~cache:true ~salt_every:8
+      E.create ~jobs:1 ~cache:true ~salt_every:8
         (C.Drbg.of_int_seed (seed + 4))
         ekeyring ~topology:topo ~sim ()
     in

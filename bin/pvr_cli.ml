@@ -228,7 +228,6 @@ type eparams = Pvr_serve.Workload.params = {
   p_gen_seed : int option;
   p_epochs : int;
   p_jobs : int;
-  p_shards : int;
   p_intern : bool;
   p_bits : int;
   p_cache : bool;
@@ -922,16 +921,6 @@ let eparams_term =
       value & opt int 1
       & info [ "jobs"; "j" ] ~doc:"Worker domains for verification rounds.")
   in
-  let shards =
-    Arg.(
-      value & opt int 0
-      & info [ "shards" ]
-          ~doc:
-            "Static (prover, prefix) shard count: each vertex is pinned to \
-             shard hash(vertex) mod $(docv) and each worker domain owns a \
-             disjoint set of shards — no work stealing.  0 (default) keeps \
-             dynamic scheduling.  The digest is identical either way.")
-  in
   let intern =
     Arg.(
       value & opt bool false
@@ -1026,7 +1015,7 @@ let eparams_term =
              under the temp dir.  The digest is byte-identical with \
              spilling on or off.")
   in
-  let make p_seed p_tiers p_peering p_ases p_gen_seed p_epochs p_jobs p_shards
+  let make p_seed p_tiers p_peering p_ases p_gen_seed p_epochs p_jobs
       p_intern p_bits p_cache p_salt_every p_turnover p_origins p_ppo p_anycast
       p_drop p_strategy p_mem_ceiling p_spill =
     {
@@ -1037,7 +1026,6 @@ let eparams_term =
       p_gen_seed;
       p_epochs;
       p_jobs;
-      p_shards;
       p_intern;
       p_bits;
       p_cache;
@@ -1054,7 +1042,7 @@ let eparams_term =
   in
   Term.(
     const make $ seed $ tiers $ peering $ ases $ gen_seed $ epochs $ jobs
-    $ shards $ intern $ bits $ cache $ salt_every $ turnover $ origins
+    $ intern $ bits $ cache $ salt_every $ turnover $ origins
     $ prefixes_per_origin $ anycast $ drop $ strategy $ mem_ceiling $ spill)
 
 let checkpoint_every_arg =
@@ -1409,9 +1397,9 @@ let serve_cmd =
       value & opt int 8
       & info [ "queue-cap" ]
           ~doc:
-            "Bounded admission queue: at most this many accepted work \
-             items may wait for a worker; further requests are refused \
-             with Busy immediately (explicit backpressure, never \
+            "Bounded admission queue: beyond one item per worker, at most \
+             this many accepted work items may wait; further requests are \
+             refused with Busy immediately (explicit backpressure, never \
              unbounded buffering).")
   in
   let store =

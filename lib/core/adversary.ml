@@ -62,189 +62,124 @@ let sign_export keyring ~prover ~epoch ~beneficiary ~route ~provenance =
       exp_provenance = provenance;
     }
 
+(* Answer the judge by standing behind the disclosure made to B. *)
+let respond_with bd ~accused:_ = function
+  | Judge.Produce_export _ -> begin
+      match bd.bd_export with
+      | Some e -> Judge.Export_response e
+      | None -> Judge.No_response
+    end
+  | Judge.Produce_opening { index; _ } -> begin
+      match List.assoc_opt index bd.bd_openings with
+      | Some o -> Judge.Opening_response o
+      | None -> Judge.No_response
+    end
+
 let run_min behaviour ?(max_path_len = Proto_min.default_max_path_len)
     ?(comply = false) rng keyring ~prover ~beneficiary ~epoch ~prefix ~inputs
     =
   Pvr_obs.with_span "adversary.run_min" @@ fun () ->
-  let inputs =
-    List.filter
-      (fun ann ->
-        valid_input keyring ~prover ~epoch ~prefix ann
-        && path_len ann <= max_path_len)
-      inputs
+  (* Every behaviour perturbs the honest prover's output.  Its k commitment
+     draws come first; the lying variants draw k more afterwards. *)
+  let honest =
+    Proto_min.prove ~max_path_len rng keyring ~prover ~beneficiary ~epoch
+      ~prefix ~inputs
   in
-  let k = max_path_len in
+  let inputs = honest.Proto_min.inputs in
+  let honest_bd = honest.Proto_min.beneficiary_disclosure in
   let shortest =
     List.fold_left (fun acc a -> min acc (path_len a)) max_int inputs
   in
   let longest = List.fold_left (fun acc a -> max acc (path_len a)) 0 inputs in
-  let winner = List.find_opt (fun a -> path_len a = shortest) inputs in
-  let loser = List.find_opt (fun a -> path_len a = longest) inputs in
-  let honest_commit, honest_openings =
-    build_commitments rng keyring ~prover ~epoch ~prefix ~k
-      ~claimed_shortest:shortest
-  in
-  let opening_at openings i = List.nth openings (i - 1) in
-  let honest_neighbor_disclosures =
-    List.map
-      (fun ann ->
-        ( ann.Wire.signer,
-          Some
-            {
-              nd_index = path_len ann;
-              nd_opening = opening_at honest_openings (path_len ann);
-            } ))
-      inputs
-  in
-  let honest_export =
+  let loser_export () =
     Option.map
       (fun (chosen : Wire.announce Wire.signed) ->
         sign_export keyring ~prover ~epoch ~beneficiary
           ~route:chosen.Wire.payload.Wire.ann_route ~provenance:(Some chosen))
-      winner
+      (List.find_opt (fun a -> path_len a = longest) inputs)
   in
-  let all_openings openings = List.mapi (fun i o -> (i + 1, o)) openings in
-  let honest_respond ~accused:_ = function
-    | Judge.Produce_export _ -> begin
-        match honest_export with
-        | Some e -> Judge.Export_response e
-        | None -> Judge.No_response
-      end
-    | Judge.Produce_opening { index; _ } ->
-        if index >= 1 && index <= k then
-          Judge.Opening_response (opening_at honest_openings index)
-        else Judge.No_response
+  (* Bits pretending the longest input is the shortest, opened in full to
+     B together with the longest export: self-consistent for B. *)
+  let lie () =
+    let commit, openings =
+      build_commitments rng keyring ~prover ~epoch ~prefix ~k:max_path_len
+        ~claimed_shortest:longest
+    in
+    ( commit,
+      {
+        bd_openings = List.mapi (fun i o -> (i + 1, o)) openings;
+        bd_export = loser_export ();
+      } )
+  in
+  let honest_run =
+    {
+      commit_for = (fun _ -> honest.Proto_min.commit);
+      neighbor_disclosures =
+        List.map
+          (fun (n, d) -> (n, Some d))
+          honest.Proto_min.neighbor_disclosures;
+      beneficiary_disclosure = honest_bd;
+      respond = respond_with honest_bd;
+    }
+  in
+  let stonewall =
+    if comply then honest_run.respond else fun ~accused:_ _ -> Judge.No_response
   in
   match behaviour with
-  | Honest ->
-      {
-        commit_for = (fun _ -> honest_commit);
-        neighbor_disclosures = honest_neighbor_disclosures;
-        beneficiary_disclosure =
-          {
-            bd_openings = all_openings honest_openings;
-            bd_export = honest_export;
-          };
-        respond = honest_respond;
-      }
+  | Honest -> honest_run
   | Export_nonminimal ->
       (* Honest bits, but ship the longest route to B. *)
-      let export =
-        Option.map
-          (fun (chosen : Wire.announce Wire.signed) ->
-            sign_export keyring ~prover ~epoch ~beneficiary
-              ~route:chosen.Wire.payload.Wire.ann_route
-              ~provenance:(Some chosen))
-          loser
-      in
       {
-        commit_for = (fun _ -> honest_commit);
-        neighbor_disclosures = honest_neighbor_disclosures;
-        beneficiary_disclosure =
-          { bd_openings = all_openings honest_openings; bd_export = export };
-        respond = honest_respond;
+        honest_run with
+        beneficiary_disclosure = { honest_bd with bd_export = loser_export () };
       }
   | False_bits ->
-      (* Commit bits pretending the longest route is the shortest, and
-         export the longest.  Internally consistent for B; providers with
-         shorter routes see their bit open to 0. *)
-      let lying_commit, lying_openings =
-        build_commitments rng keyring ~prover ~epoch ~prefix ~k
-          ~claimed_shortest:longest
-      in
-      let neighbor_disclosures =
-        List.map
-          (fun ann ->
-            ( ann.Wire.signer,
-              Some
-                {
-                  nd_index = path_len ann;
-                  nd_opening = opening_at lying_openings (path_len ann);
-                } ))
-          inputs
-      in
-      let export =
-        Option.map
-          (fun (chosen : Wire.announce Wire.signed) ->
-            sign_export keyring ~prover ~epoch ~beneficiary
-              ~route:chosen.Wire.payload.Wire.ann_route
-              ~provenance:(Some chosen))
-          loser
-      in
+      (* Lie to everyone.  Providers with shorter routes see their bit open
+         to 0. *)
+      let commit, bd = lie () in
       {
-        commit_for = (fun _ -> lying_commit);
-        neighbor_disclosures;
-        beneficiary_disclosure =
-          { bd_openings = all_openings lying_openings; bd_export = export };
-        respond =
-          (fun ~accused:_ -> function
-            | Judge.Produce_export _ -> begin
-                match export with
-                | Some e -> Judge.Export_response e
-                | None -> Judge.No_response
-              end
-            | Judge.Produce_opening { index; _ } ->
-                if index >= 1 && index <= k then
-                  Judge.Opening_response (opening_at lying_openings index)
-                else Judge.No_response);
+        commit_for = (fun _ -> commit);
+        neighbor_disclosures =
+          List.map
+            (fun ann ->
+              ( ann.Wire.signer,
+                Some
+                  {
+                    nd_index = path_len ann;
+                    nd_opening = List.assoc (path_len ann) bd.bd_openings;
+                  } ))
+            inputs;
+        beneficiary_disclosure = bd;
+        respond = respond_with bd;
       }
   | Equivocate ->
-      (* Providers see the truthful commitment; B sees a lying one paired
-         with a consistent (longest) export.  Each party's local view is
-         self-consistent; only gossip reveals the split. *)
-      let lying_commit, lying_openings =
-        build_commitments rng keyring ~prover ~epoch ~prefix ~k
-          ~claimed_shortest:longest
-      in
-      let export =
-        Option.map
-          (fun (chosen : Wire.announce Wire.signed) ->
-            sign_export keyring ~prover ~epoch ~beneficiary
-              ~route:chosen.Wire.payload.Wire.ann_route
-              ~provenance:(Some chosen))
-          loser
-      in
+      (* Providers see the truthful commitment; B sees the lying one.  Each
+         party's local view is self-consistent; only gossip reveals the
+         split. *)
+      let commit, bd = lie () in
       {
+        honest_run with
         commit_for =
           (fun who ->
-            if Bgp.Asn.equal who beneficiary then lying_commit
-            else honest_commit);
-        neighbor_disclosures = honest_neighbor_disclosures;
-        beneficiary_disclosure =
-          { bd_openings = all_openings lying_openings; bd_export = export };
-        respond = honest_respond;
+            if Bgp.Asn.equal who beneficiary then commit
+            else honest.Proto_min.commit);
+        beneficiary_disclosure = bd;
       }
   | Suppress_export ->
       {
-        commit_for = (fun _ -> honest_commit);
-        neighbor_disclosures = honest_neighbor_disclosures;
-        beneficiary_disclosure =
-          {
-            bd_openings = all_openings honest_openings;
-            bd_export = None;
-          };
-        respond =
-          (if comply then honest_respond
-           else fun ~accused:_ _ -> Judge.No_response);
+        honest_run with
+        beneficiary_disclosure = { honest_bd with bd_export = None };
+        respond = stonewall;
       }
   | Refuse_disclosure ->
       (* Withhold the opening from the first providing neighbor. *)
-      let neighbor_disclosures =
-        match honest_neighbor_disclosures with
-        | (victim, _) :: rest -> (victim, None) :: rest
-        | [] -> []
-      in
       {
-        commit_for = (fun _ -> honest_commit);
-        neighbor_disclosures;
-        beneficiary_disclosure =
-          {
-            bd_openings = all_openings honest_openings;
-            bd_export = honest_export;
-          };
-        respond =
-          (if comply then honest_respond
-           else fun ~accused:_ _ -> Judge.No_response);
+        honest_run with
+        neighbor_disclosures =
+          (match honest_run.neighbor_disclosures with
+          | (victim, _) :: rest -> (victim, None) :: rest
+          | [] -> []);
+        respond = stonewall;
       }
   | Forge_provenance ->
       (* Export a fabricated route of minimal length whose provenance
@@ -267,16 +202,12 @@ let run_min behaviour ?(max_path_len = Proto_min.default_max_path_len)
           { Wire.ann_epoch = epoch; ann_to = prover; ann_route = route }
       in
       let export =
-        Some
-          (sign_export keyring ~prover ~epoch ~beneficiary ~route
-             ~provenance:(Some forged_announce))
+        sign_export keyring ~prover ~epoch ~beneficiary ~route
+          ~provenance:(Some forged_announce)
       in
       {
-        commit_for = (fun _ -> honest_commit);
-        neighbor_disclosures = honest_neighbor_disclosures;
-        beneficiary_disclosure =
-          { bd_openings = all_openings honest_openings; bd_export = export };
-        respond = honest_respond;
+        honest_run with
+        beneficiary_disclosure = { honest_bd with bd_export = Some export };
       }
 
 type detector = Beneficiary | Provider of Bgp.Asn.t | Gossip

@@ -55,9 +55,10 @@ val run_min :
   prefix:Pvr_bgp.Prefix.t ->
   inputs:Wire.announce Wire.signed list ->
   min_run
-(** Run the prover side of the §3.3 protocol under the given behaviour.
-    Requires at least one valid input for the misbehaving variants to have
-    something to corrupt.  [comply] (default [false]) makes the stonewalling
+(** Run the prover side of the §3.3 protocol under the given behaviour:
+    {!Proto_min.prove}'s honest output, perturbed.  Requires at least one
+    valid input for the misbehaving variants to have something to
+    corrupt.  [comply] (default [false]) makes the stonewalling
     variants ([Suppress_export], [Refuse_disclosure]) answer the judge
     honestly when challenged: the omission is still detected and evidence
     raised, but the challenge exonerates — the "lost messages never convict"
@@ -77,7 +78,7 @@ val expected_detectors :
     {!Pvr.Runner.fault_profile}s already are: the engine asks
     {!plan_round} what each (prover, prefix) vertex does at each wire
     epoch.  Plans are pure functions of (seed, vertex, epoch) — never of
-    scheduling, sharding or caching. *)
+    scheduling or caching. *)
 
 type strategy =
   | Sweep of behaviour  (** every prover runs [behaviour] every round *)
@@ -86,8 +87,8 @@ type strategy =
           vertex pool their disclosed bits for the leakage audit *)
   | Cross_shard of { shards : int; target : int }
       (** equivocate exactly on the vertices whose seeded hash lands in
-          shard [target] of [shards] — a fixed cross-cutting subset of the
-          engine's own sharding *)
+          bucket [target] of [shards] — a fixed subset of the vertex set,
+          cutting across provers and prefixes *)
   | Adaptive_low_value of { cheat : behaviour }
       (** run [cheat] only on low-value /24-tier prefixes (the tiered
           address plan of {!Pvr_bgp.Topology.tiered_prefixes}), honest on

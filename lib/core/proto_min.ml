@@ -6,6 +6,7 @@ type prover_output = {
   commit : Wire.commit Wire.signed;
   neighbor_disclosures : (Bgp.Asn.t * neighbor_disclosure) list;
   beneficiary_disclosure : beneficiary_disclosure;
+  inputs : Wire.announce Wire.signed list;
 }
 
 let scheme = "min"
@@ -74,6 +75,7 @@ let prove ?(max_path_len = default_max_path_len) rng keyring ~prover
         bd_openings = List.mapi (fun i o -> (i + 1, o)) openings;
         bd_export = export;
       };
+    inputs;
   }
 
 let check_neighbor _keyring ~me ~my_announce ~commit ~disclosure =

@@ -25,6 +25,8 @@ type prover_output = {
   commit : Wire.commit Wire.signed;
   neighbor_disclosures : (Pvr_bgp.Asn.t * neighbor_disclosure) list;
   beneficiary_disclosure : beneficiary_disclosure;
+  inputs : Wire.announce Wire.signed list;
+      (** the admitted inputs: validly signed and within [max_path_len] *)
 }
 
 val scheme : string

@@ -128,7 +128,6 @@ type t = {
   topo : Bgp.Topology.t;
   sim : Bgp.Simulator.t;
   jobs : int;
-  shards : int;
   cache : bool;
   salt_every : int;
   max_path_len : int;
@@ -155,10 +154,10 @@ type t = {
 
 let chain0 = C.Sha256.digest_hex "pvr-engine-report-v1"
 
-let create ?(jobs = 1) ?(shards = 0) ?(cache = true) ?(salt_every = 8)
+let create ?(jobs = 1) ?(cache = true) ?(salt_every = 8)
     ?(max_path_len = Pvr.Proto_min.default_max_path_len)
-    ?(behaviour = Pvr.Adversary.Honest) ?strategy ?faults rng keyring
-    ~topology ~sim () =
+    ?(strategy = Pvr.Adversary.Sweep Pvr.Adversary.Honest) ?faults rng
+    keyring ~topology ~sim () =
   (* One draw fixes every future salt and task seed; the caller's generator
      is never consulted again, so engine output is a function of this
      secret alone. *)
@@ -175,12 +174,10 @@ let create ?(jobs = 1) ?(shards = 0) ?(cache = true) ?(salt_every = 8)
     topo = topology;
     sim;
     jobs = max 1 jobs;
-    shards = max 0 shards;
     cache;
     salt_every = max 1 salt_every;
     max_path_len;
-    strategy =
-      Option.value strategy ~default:(Pvr.Adversary.Sweep behaviour);
+    strategy;
     faults;
     secret;
     ases = List.sort Bgp.Asn.compare (Bgp.Topology.ases topology);
@@ -232,18 +229,6 @@ let signatures t =
 
 let vertex_key v =
   Bgp.Asn.to_string v.vprover ^ "|" ^ Bgp.Prefix.to_string v.vprefix
-
-(* Shard of a vertex: FNV-1a over the vertex key, reduced mod the shard
-   count.  A pure function of the vertex (never of scheduling state), so
-   with [shards > 0] each (prover, prefix) is pinned to the same shard —
-   and hence the same owning domain — for the life of the run. *)
-let shard_of ~shards v =
-  let h =
-    String.fold_left
-      (fun h c -> (h lxor Char.code c) * 0x100000001b3 land max_int)
-      0x3bf29ce484222325 (vertex_key v)
-  in
-  h mod shards
 
 let salt t ~period =
   C.Hmac.mac ~key:t.secret ("engine-salt|" ^ string_of_int period)
@@ -379,7 +364,7 @@ let providers_string providers =
      beneficiary checks and the judge, and build the report line.
 
    Each phase is a pure function of (keyring, salt period, snapshots), so
-   outcomes do not depend on jobs, shards or scheduling.  Signatures depend
+   outcomes do not depend on jobs or scheduling.  Signatures depend
    on which statements share a batch, but report lines hold commitments,
    never signatures. *)
 
@@ -742,23 +727,16 @@ let faulty_round keyring ~max_path_len ~wire_epoch ~secret ~plan ~faults
   }
 
 (* Every dirty vertex's round, outcomes in task order: draft, sign the
-   announces, draft the exports, sign the commits and exports, check.
-   [shard i] pins the per-vertex phases to their owning worker when
-   sharding is on; the sign phases are per signer and go through the
-   dynamic pool. *)
-let run_rounds t ~wire_epoch ~shard (work : (snapshot * vcache) array) =
-  let per_vertex tasks =
-    if t.shards > 0 then Pool.run_sharded ~jobs:t.jobs ~shard tasks
-    else Pool.run ~jobs:t.jobs tasks
-  in
+   announces, draft the exports, sign the commits and exports, check. *)
+let run_rounds t ~wire_epoch (work : (snapshot * vcache) array) =
   let drafted =
-    per_vertex
+    Pool.run ~jobs:t.jobs
       (Array.map
          (fun (sn, vc) () ->
            (* The plan is a pure function of (secret, vertex, wire epoch):
-              identical for every jobs/shards/cache configuration, and
-              stable within a salt period so carried-forward outcomes agree
-              with recomputation.  Faulty and Byzantine rounds run whole
+              identical for every jobs/cache configuration, and stable
+              within a salt period so carried-forward outcomes agree with
+              recomputation.  Faulty and Byzantine rounds run whole
               here, signing batches of one through the runner. *)
            let plan =
              Pvr.Adversary.plan_round t.strategy ~seed:t.secret
@@ -805,7 +783,7 @@ let run_rounds t ~wire_epoch ~shard (work : (snapshot * vcache) array) =
   sign_phase announce_pendings;
   Array.iter draft_export drafts;
   sign_phase prover_pendings;
-  per_vertex
+  Pool.run ~jobs:t.jobs
     (Array.map
        (function
          | `Done o -> fun () -> o
@@ -1089,18 +1067,10 @@ let epoch ?(apply = fun _ -> 0) ?(on_phase = fun (_ : string) -> ()) t =
            | _ -> fresh_vcache t ~period)
          dirty)
   in
-  let shard_ids =
-    if t.shards = 0 then [||]
-    else
-      Array.of_list
-        (List.map (fun (sn, _, _) -> shard_of ~shards:t.shards sn.sn_vertex) dirty)
-  in
-  (* Static per-(prover,prefix) partition under [shards]: no cross-domain
-     work stealing on the dirty set.  Outcome order — and therefore the
-     report digest — is the dirty order either way. *)
+  (* Outcome order — and therefore the report digest — is the dirty
+     order, whichever worker ran which round. *)
   let results =
     run_rounds t ~wire_epoch
-      ~shard:(fun i -> shard_ids.(i))
       (Array.of_list (List.mapi (fun i (sn, _, _) -> (sn, caches.(i))) dirty))
   in
   on_phase "verify";

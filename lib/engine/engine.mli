@@ -91,11 +91,9 @@ type epoch_report = {
 
 val create :
   ?jobs:int ->
-  ?shards:int ->
   ?cache:bool ->
   ?salt_every:int ->
   ?max_path_len:int ->
-  ?behaviour:Pvr.Adversary.behaviour ->
   ?strategy:Pvr.Adversary.strategy ->
   ?faults:Pvr.Runner.fault_profile ->
   Pvr_crypto.Drbg.t ->
@@ -104,17 +102,12 @@ val create :
   sim:Bgp.Simulator.t ->
   unit ->
   t
-(** [jobs] (default 1) worker domains; [shards] (default 0 = dynamic
-    scheduling) — when positive, each (prover, prefix) vertex is pinned to
-    shard [hash(vertex) mod shards] and domain [shard mod jobs] via
-    {!Pool.run_sharded}, so no vertex ever migrates between domains and
-    there is no work stealing on the dirty set; the report digest is
-    byte-identical for any [shards]/[jobs] combination; [cache] (default
+(** [jobs] (default 1) worker domains, fed by the dynamic {!Pool}; the
+    report digest is byte-identical for any [jobs]; [cache] (default
     [true]) — off means every live vertex is recomputed every epoch with
     no memo tables (the E11 baseline); [salt_every] (default 8) epochs per
     salt period;
-    [behaviour] (default [Honest]) is injected at {e every} prover;
-    [strategy] (default [Sweep behaviour]) is the adversary policy asked,
+    [strategy] (default [Sweep Honest]) is the adversary policy asked,
     per vertex and wire epoch, what each prover does — honest-planned
     vertices keep the fast path, misbehaving ones run the full fault
     runner with a disclosure ledger and leakage audit;

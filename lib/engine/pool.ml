@@ -13,10 +13,9 @@
 
    Determinism is unchanged: results land in per-task slots and are
    returned in task order no matter which worker ran what or how rounds
-   interleave.  Dynamic handout now hands out *chunks* of consecutive
-   tasks (coarser work units — one atomic fetch per chunk instead of per
-   task); static sharded ownership remains a pure function of the shard
-   map.  Each worker flushes its domain-local intern arena
+   interleave.  Work is handed out as *chunks* of consecutive tasks
+   (coarser work units — one atomic fetch per chunk instead of per
+   task).  Each worker flushes its domain-local intern arena
    ({!Pvr_bgp.Intern.flush}) before signalling the barrier, so canonical
    ids exist in the global tables by the time the caller resumes. *)
 
@@ -26,8 +25,7 @@ let run_inline tasks = Array.map (fun f -> f ()) tasks
 
 (* Upper bound on resident worker domains.  [run ~jobs] with a larger
    [jobs] still executes every task — extra parallelism is folded onto the
-   existing workers (dynamic mode drains chunks; sharded mode assigns
-   multiple shard roles per worker). *)
+   existing workers, which drain chunks until none are left. *)
 let max_workers = 16
 
 (* Test-only scheduler perturbation: called with the task index right
@@ -189,9 +187,9 @@ let publish_utilization w =
 
 (* ---- barrier rounds ------------------------------------------------------- *)
 
-(* Hand worker k the closure [body k] for k < w and wait until all [w]
-   report done.  The body runs outside the pool mutex; completion
-   decrements [remaining] under it. *)
+(* Hand workers 0..w-1 the closure [body] and wait until all [w] report
+   done; [body] returns how many tasks its worker executed.  The body runs
+   outside the pool mutex; completion decrements [remaining] under it. *)
 (* Rounds are serialized: two concurrent [run]s would otherwise race on
    the per-worker mailboxes.  In practice only the batch engine dispatches
    rounds (serve sessions run their engines inline and parallelize across
@@ -211,7 +209,7 @@ let dispatch_round ~w body =
       Some
         (fun () ->
           let t0 = Unix.gettimeofday () in
-          let executed = body k in
+          let executed = body () in
           Pvr_bgp.Intern.flush ();
           let dt = Unix.gettimeofday () -. t0 in
           Mutex.lock st.mu;
@@ -255,7 +253,7 @@ let run ~jobs tasks =
        tasks.  8 chunks per worker keeps self-balancing across uneven
        task costs while cutting handout traffic by the chunk factor. *)
     let chunk = max 1 (n / (w * 8)) in
-    let body _k =
+    let body () =
       let executed = ref 0 in
       let rec drain () =
         let lo = Atomic.fetch_and_add next chunk in
@@ -275,36 +273,6 @@ let run ~jobs tasks =
         end
       in
       drain ();
-      !executed
-    in
-    dispatch_round ~w body;
-    collect results
-  end
-
-let run_sharded ~jobs ~shard tasks =
-  let n = Array.length tasks in
-  if jobs <= 1 || n <= 1 then run_inline tasks
-  else begin
-    let jobs = min jobs n in
-    let w = min jobs max_workers in
-    let results = Array.make n Pending in
-    (* Static ownership: the owner of task [i] is a pure function of the
-       shard map — [(shard i) mod jobs] names a role, and worker [k]
-       plays every role congruent to [k] mod [w] (identical to the
-       one-domain-per-role scheme whenever [jobs <= max_workers]).  No
-       atomic handout, no work stealing: a task lands on the same owner
-       for any interleaving, so per-owner cache locality survives across
-       epochs. *)
-    let body k =
-      let executed = ref 0 in
-      for i = 0 to n - 1 do
-        if (shard i land max_int) mod jobs mod w = k then begin
-          !perturb_hook i;
-          results.(i) <-
-            (match tasks.(i) () with v -> Done v | exception e -> Failed e);
-          incr executed
-        end
-      done;
       !executed
     in
     dispatch_round ~w body;

@@ -34,21 +34,6 @@ val run : jobs:int -> (unit -> 'a) array -> 'a array
     via one atomic counter, so workers self-balance across tasks of uneven
     cost with a fraction of the handout traffic of per-task dispatch. *)
 
-val run_sharded :
-  jobs:int -> shard:(int -> int) -> (unit -> 'a) array -> 'a array
-(** Like {!run}, but with {e static ownership} instead of an atomic
-    handout: the owner of task [i] is the pure function
-    [(shard i) mod jobs], and worker [k] plays every owner role congruent
-    to [k] modulo the resident worker count (identical to one domain per
-    role whenever [jobs] is at most 16).  No task ever migrates — there is
-    no cross-domain work stealing.  The engine shards by (prover, prefix),
-    so a vertex is always computed by the worker owning its shard, its
-    cache locality survives across epochs, and placement is a function of
-    the shard map rather than scheduling luck.  Results are still returned
-    in task order; [shard] may return any int (it is masked non-negative).
-    Load balance is the caller's problem — a skewed shard function leaves
-    workers idle. *)
-
 val submit : (unit -> unit) -> unit
 (** Enqueue an asynchronous work item; the first idle worker executes it.
     Items are self-contained: they must catch their own exceptions and
@@ -58,7 +43,7 @@ val submit : (unit -> unit) -> unit
 
 val ensure_workers : int -> unit
 (** Spawn resident workers up to the given count (capped at 16).  [run]
-    and [run_sharded] call this implicitly; the serve daemon calls it once
+    calls this implicitly; the serve daemon calls it once
     at startup to size the pool. *)
 
 val worker_count : unit -> int
@@ -71,7 +56,6 @@ val shutdown : unit -> unit
 
 val set_perturb : (int -> unit) option -> unit
 (** Test-only scheduler perturbation: [Some f] calls [f i] right before a
-    pool worker executes task [i] (both handout modes; never on the
-    inline path).  The concurrency stress battery installs seeded random
-    sleeps here to prove result/digest order-independence.  [None]
-    removes the hook. *)
+    pool worker executes task [i] (never on the inline path).  The
+    concurrency stress battery installs seeded random sleeps here to
+    prove result/digest order-independence.  [None] removes the hook. *)

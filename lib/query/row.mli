@@ -4,7 +4,7 @@
     Rows carry only configuration-invariant facts — verdicts, behaviour,
     evidence kinds, leakage counts — never caches, routes or network
     transcripts, so the same seed produces byte-identical rows for any
-    jobs/shards/cache setting and across crash/recover boundaries. *)
+    jobs/cache setting and across crash/recover boundaries. *)
 
 module Bgp = Pvr_bgp
 

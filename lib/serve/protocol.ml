@@ -82,7 +82,7 @@ type verdict = {
 type stats_reply = {
   st_sessions : int; (* open sessions *)
   st_inflight : int; (* admitted work items not yet finished *)
-  st_queue_depth : int; (* admitted items waiting for a worker *)
+  st_queue_depth : int; (* admitted items beyond one per worker *)
   st_queue_cap : int;
   st_workers : int;
   st_draining : bool;
@@ -118,7 +118,6 @@ let encode_params b (p : Workload.params) =
   Codec.u32 b (match p.p_gen_seed with Some s -> s | None -> 0);
   Codec.u32 b p.p_epochs;
   Codec.u32 b p.p_jobs;
-  Codec.u32 b p.p_shards;
   Codec.bool_ b p.p_intern;
   Codec.u32 b p.p_bits;
   Codec.bool_ b p.p_cache;
@@ -147,7 +146,6 @@ let decode_params r : Workload.params =
   let p_gen_seed = if has_gen_seed then Some gen_seed else None in
   let p_epochs = Codec.get_u32 r in
   let p_jobs = Codec.get_u32 r in
-  let p_shards = Codec.get_u32 r in
   let p_intern = Codec.get_bool r in
   let p_bits = Codec.get_u32 r in
   let p_cache = Codec.get_bool r in
@@ -173,7 +171,6 @@ let decode_params r : Workload.params =
     p_gen_seed;
     p_epochs;
     p_jobs;
-    p_shards;
     p_intern;
     p_bits;
     p_cache;

@@ -7,15 +7,16 @@
    verify anything; worker domains never touch sockets.
 
    Admission control is a bounded queue: an admitted work item waits in
-   the pool's async queue until a worker frees up, and when [queue_cap]
-   items are already waiting the request is refused with [Busy]
-   immediately — a slow or bursty client sees explicit backpressure,
-   never unbounded buffering.  Verdict streaming has the same property at
-   per-session granularity: the worker pushes each epoch's verdict into a
-   bounded buffer drained by the connection thread, blocks when the
-   buffer is full (the session's own consumer is the only party stalled),
-   and aborts the run outright when the consumer is gone — a killed
-   client cancels its session instead of wedging a worker.
+   the pool's async queue until a worker frees up, and when every worker
+   is taken and [queue_cap] more items are waiting the request is refused
+   with [Busy] immediately — a slow or bursty client sees explicit
+   backpressure, never unbounded buffering.  Verdict streaming has the
+   same property at per-session granularity: the worker pushes each
+   epoch's verdict into a bounded buffer drained by the connection
+   thread, blocks when the buffer is full (the session's own consumer is
+   the only party stalled), and aborts the run outright when the
+   consumer is gone — a killed client cancels its session instead of
+   wedging a worker.
 
    Sessions run their engines inline ([p_jobs] forced to 1): parallelism
    comes from running many sessions across the worker domains, and the
@@ -37,7 +38,7 @@ type listen = Unix_sock of string | Tcp of string * int
 type config = {
   listen : listen;
   workers : int; (* pool worker domains executing session work *)
-  queue_cap : int; (* admitted-but-not-yet-running bound *)
+  queue_cap : int; (* admitted items allowed beyond one per worker *)
   store_dir : string option; (* evidence store served to Query requests *)
   quiet : bool;
 }
@@ -68,7 +69,7 @@ type t = {
   sessions : (int, session) Hashtbl.t;
   mutable next_session : int;
   mutable next_conn : int;
-  mutable queued : int; (* admitted items waiting for a worker *)
+  mutable queued : int; (* admitted items no worker has dequeued yet *)
   mutable running : int; (* items executing on a worker *)
   mutable conn_active : int; (* connection threads inside a request *)
   mutable draining : bool;
@@ -78,13 +79,19 @@ type t = {
   mutable conn_fds : (int * Unix.file_descr) list;
 }
 
+(* Admitted items beyond one per worker: the backlog [queue_cap] bounds.
+   Items handed to idle workers that have not dequeued them yet are not
+   backlog. *)
+let backlog t =
+  max 0 (t.queued + t.running - Pvr_engine.Pool.worker_count ())
+
 let stats t =
   Mutex.lock t.mu;
   let s =
     {
       Protocol.st_sessions = Hashtbl.length t.sessions;
       st_inflight = t.queued + t.running;
-      st_queue_depth = t.queued;
+      st_queue_depth = backlog t;
       st_queue_cap = t.cfg.queue_cap;
       st_workers = Pvr_engine.Pool.worker_count ();
       st_draining = t.draining;
@@ -94,15 +101,21 @@ let stats t =
   s
 
 let publish_queue t =
-  Obs.set_gauge g_queue_depth t.queued;
+  Obs.set_gauge g_queue_depth (backlog t);
   Obs.set_gauge g_inflight (t.queued + t.running);
   Obs.set_gauge g_sessions (Hashtbl.length t.sessions)
 
 (* Admit one work item, or refuse with [Busy].  [work] runs on a pool
-   worker domain and must not raise. *)
+   worker domain and must not raise.  The bound counts every admitted
+   item, queued or running, so an item handed to an idle worker that has
+   not dequeued it yet is never refused as backlog. *)
 let try_submit t work =
   Mutex.lock t.mu;
-  if t.draining || t.queued >= t.cfg.queue_cap then begin
+  if
+    t.draining
+    || t.queued + t.running
+       >= Pvr_engine.Pool.worker_count () + t.cfg.queue_cap
+  then begin
     publish_queue t;
     Mutex.unlock t.mu;
     Obs.incr c_busy;

@@ -7,11 +7,12 @@
     domains never touch sockets.
 
     Backpressure is explicit and bounded at both levels: admission is a
-    bounded queue ([queue_cap] waiting items, refusals answered [Busy]
-    immediately and counted on [serve.busy]), and verdict streaming runs
-    through a bounded per-session buffer — a slow consumer stalls only
-    its own session's worker, and a vanished consumer cancels the session
-    outright, so a killed client never wedges the pool.  Queue depth is
+    bounded queue (one item per worker plus [queue_cap] waiting items,
+    refusals answered [Busy] immediately and counted on [serve.busy]),
+    and verdict streaming runs through a bounded per-session buffer — a
+    slow consumer stalls only its own session's worker, and a vanished
+    consumer cancels the session outright, so a killed client never
+    wedges the pool.  Queue depth (items beyond one per worker) is
     published on the [serve.queue.depth] gauge.
 
     Sessions run their engines inline ([p_jobs] forced to 1; the digest
@@ -23,7 +24,7 @@ type listen = Unix_sock of string | Tcp of string * int
 type config = {
   listen : listen;
   workers : int;  (** pool worker domains executing session work *)
-  queue_cap : int;  (** admitted-but-not-yet-running bound *)
+  queue_cap : int;  (** admitted items allowed beyond one per worker *)
   store_dir : string option;  (** evidence store served to Query requests *)
   quiet : bool;
 }

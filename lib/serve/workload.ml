@@ -16,7 +16,6 @@ type params = {
   p_gen_seed : int option;
   p_epochs : int;
   p_jobs : int;
-  p_shards : int;
   p_intern : bool;
   p_bits : int;
   p_cache : bool;
@@ -42,7 +41,6 @@ let defaults =
     p_gen_seed = None;
     p_epochs = 5;
     p_jobs = 1;
-    p_shards = 0;
     p_intern = false;
     p_bits = 512;
     p_cache = true;
@@ -93,11 +91,11 @@ let build_world ?(quiet = false) p =
   let ases = G.Topology.ases topo in
   if not quiet then begin
     Printf.printf
-      "engine: %d ASes, %d links; seed=%d epochs=%d jobs=%d shards=%d \
-       cache=%b intern=%b salt_every=%d turnover=%.2f\n%!"
+      "engine: %d ASes, %d links; seed=%d epochs=%d jobs=%d cache=%b \
+       intern=%b salt_every=%d turnover=%.2f\n%!"
       (G.Topology.size topo)
       (List.length (G.Topology.links topo))
-      p.p_seed p.p_epochs p.p_jobs p.p_shards p.p_cache p.p_intern
+      p.p_seed p.p_epochs p.p_jobs p.p_cache p.p_intern
       p.p_salt_every p.p_turnover;
     Printf.printf "Generating %d RSA-%d keys...\n%!" (List.length ases) p.p_bits
   end;
@@ -149,7 +147,7 @@ let engine_core ?(quiet = false) ?(on_phase = fun ~epoch:_ (_ : string) -> ())
     else None
   in
   let eng =
-    Pvr_engine.Engine.create ~jobs:p.p_jobs ~shards:p.p_shards ~cache:p.p_cache
+    Pvr_engine.Engine.create ~jobs:p.p_jobs ~cache:p.p_cache
       ~salt_every:p.p_salt_every ~strategy:p.p_strategy ?faults
       world.w_engine_rng world.w_keyring ~topology:world.w_topo ~sim ()
   in

@@ -15,7 +15,6 @@ type params = {
   p_gen_seed : int option;
   p_epochs : int;
   p_jobs : int;
-  p_shards : int;
   p_intern : bool;
   p_bits : int;
   p_cache : bool;

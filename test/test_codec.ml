@@ -446,7 +446,6 @@ let params =
   and+ p_gen_seed = opt small
   and+ p_epochs = small
   and+ p_jobs = int_range 1 8
-  and+ p_shards = int_range 1 8
   and+ p_intern = bool
   and+ p_bits = oneofl [ 512; 1024 ]
   and+ p_cache = bool
@@ -467,7 +466,6 @@ let params =
     p_gen_seed;
     p_epochs;
     p_jobs;
-    p_shards;
     p_intern;
     p_bits;
     p_cache;

@@ -2,7 +2,7 @@
    (PR 10): the persistent domain pool, per-domain intern arenas with
    canonicalizing merge at epoch barriers, and sharded observability
    counters.  The anchor is the digest invariant — every epoch digest must
-   be byte-identical across jobs x shards x intern x cache settings, even
+   be byte-identical across jobs x intern x cache settings, even
    under adversarial scheduling perturbation — plus unit checks that the
    merge and fold machinery is exact, not merely statistically close. *)
 
@@ -40,7 +40,7 @@ let diff_keyring =
 
 (* One seeded 3-epoch workload: the engine and its per-epoch report
    digests. *)
-let diff_engine ~seed ~jobs ~shards ~cache () =
+let diff_engine ~seed ~jobs ~cache () =
   let topo = G.Topology.generate (C.Drbg.of_int_seed seed) ~ases:diff_ases () in
   let origins = List.init 3 (fun i -> asn (diff_ases - i)) in
   let sim = G.Simulator.create topo in
@@ -49,7 +49,7 @@ let diff_engine ~seed ~jobs ~shards ~cache () =
   in
   let churn_rng = C.Drbg.of_int_seed (seed + 1) in
   let eng =
-    E.create ~jobs ~shards ~cache ~salt_every:2
+    E.create ~jobs ~cache ~salt_every:2
       (C.Drbg.of_int_seed (seed + 2))
       (Lazy.force diff_keyring) ~topology:topo ~sim ()
   in
@@ -66,31 +66,30 @@ let diff_engine ~seed ~jobs ~shards ~cache () =
   (eng, List.rev !digests)
 
 (* The per-epoch report digests and the final RIB digest.  Everything that
-   may legally vary — jobs, shards, intern, cache — is a parameter; the
+   may legally vary — jobs, intern, cache — is a parameter; the
    digests must not notice. *)
-let diff_run ~seed ~intern ~jobs ~shards ~cache () =
+let diff_run ~seed ~intern ~jobs ~cache () =
   with_intern intern @@ fun () ->
-  let eng, digests = diff_engine ~seed ~jobs ~shards ~cache () in
+  let eng, digests = diff_engine ~seed ~jobs ~cache () in
   (digests, E.rib_digest eng)
 
-(* jobs in {1,2,4,8} x intern on/off x shards: every combination must
+(* jobs in {1,2,4,8} x intern on/off x cache: every combination must
    reproduce the jobs=1 plain-representation baseline byte for byte. *)
 let digest_differential =
   let open QCheck2.Gen in
   let gen =
     let* seed = 1 -- 1000 in
     let* jobs = oneofl [ 1; 2; 4; 8 ] in
-    let* shards = oneofl [ 0; 1; 3; 5; 8 ] in
     let* intern = bool in
     let* cache = bool in
-    return (seed, jobs, shards, intern, cache)
+    return (seed, jobs, intern, cache)
   in
-  qtest ~count:8 "digests: jobs x shards x intern x cache differential" gen
-    (fun (seed, jobs, shards, intern, cache) ->
+  qtest ~count:8 "digests: jobs x intern x cache differential" gen
+    (fun (seed, jobs, intern, cache) ->
       let base, base_rib =
-        diff_run ~seed ~intern:false ~jobs:1 ~shards:0 ~cache:true ()
+        diff_run ~seed ~intern:false ~jobs:1 ~cache:true ()
       in
-      let d, rib = diff_run ~seed ~intern ~jobs ~shards ~cache () in
+      let d, rib = diff_run ~seed ~intern ~jobs ~cache () in
       base = d && base_rib = rib && base <> [])
 
 (* Scheduler perturbation: seeded random sleeps before every pool task
@@ -100,7 +99,7 @@ let digest_differential =
    again even on failure. *)
 let perturbed_schedule_deterministic () =
   let base, base_rib =
-    diff_run ~seed:271 ~intern:true ~jobs:1 ~shards:0 ~cache:true ()
+    diff_run ~seed:271 ~intern:true ~jobs:1 ~cache:true ()
   in
   List.iter
     (fun pseed ->
@@ -120,7 +119,7 @@ let perturbed_schedule_deterministic () =
         (fun () ->
           Pool.set_perturb (Some sleep);
           let d, rib =
-            diff_run ~seed:271 ~intern:true ~jobs:4 ~shards:5 ~cache:true ()
+            diff_run ~seed:271 ~intern:true ~jobs:4 ~cache:true ()
           in
           Alcotest.(check (list string))
             (Printf.sprintf "perturb seed %d: epoch digests" pseed)
@@ -313,7 +312,7 @@ let sharded_counter_multi_domain_mix () =
    cut from it — must not depend on which worker drafted which vertex. *)
 let batched_signatures_jobs_invariant () =
   let sigs jobs =
-    let eng, _ = diff_engine ~seed:271 ~jobs ~shards:0 ~cache:true () in
+    let eng, _ = diff_engine ~seed:271 ~jobs ~cache:true () in
     E.signatures eng
   in
   let s1 = sigs 1 and s2 = sigs 2 in

@@ -143,7 +143,9 @@ let run_engine ?(jobs = 1) ?(cache = true) ?behaviour ?faults ~seed ~epochs
   in
   let churn_rng = C.Drbg.of_int_seed seed in
   let eng =
-    E.create ~jobs ~cache ~salt_every:3 ~max_path_len:8 ?behaviour ?faults
+    E.create ~jobs ~cache ~salt_every:3 ~max_path_len:8
+      ?strategy:(Option.map (fun b -> P.Adversary.Sweep b) behaviour)
+      ?faults
       (C.Drbg.of_int_seed (seed + 1))
       (Lazy.force ekeyring) ~topology:topo ~sim ()
   in
@@ -165,6 +167,48 @@ let drop_faults =
     P.Runner.perfect_faults with
     P.Runner.fp_policy = N.faulty ~drop:0.15 ~duplicate:0.05 ~delay_max:2 ();
   }
+
+(* A in the centre of a star, B and four providers around it, all taken
+   from the shared keyring.  Each provider originates one prefix with a
+   different amount of prepending, so A's vertex has inputs of four
+   distinct lengths, and B (the one neighbour that is not a provider) is
+   its beneficiary.  [decision] replaces A's decision process.  Returns
+   the engine, A, and the first epoch's [apply]. *)
+let star_prefix = G.Prefix.of_string "10.0.0.0/8"
+
+let star_engine ?decision () =
+  let kr = Lazy.force ekeyring in
+  let a, b, providers =
+    match P.Keyring.members kr with
+    | a :: b :: rest -> (a, b, List.filteri (fun i _ -> i < 4) rest)
+    | _ -> assert false
+  in
+  let topo =
+    G.Topology.star ~center:a ~leaves:(b :: providers)
+      ~rel:G.Relationship.Customer
+  in
+  let sim = G.Simulator.create topo in
+  G.Simulator.set_gao_rexford sim false;
+  List.iteri
+    (fun i n ->
+      G.Simulator.set_export_policy sim ~asn:n ~neighbor:a
+        [
+          {
+            G.Policy.matches = [];
+            actions = [ G.Policy.Prepend (n, i) ];
+            verdict = G.Policy.Accept;
+          };
+        ])
+    providers;
+  Option.iter (G.Simulator.set_decision_override sim ~asn:a) decision;
+  let eng =
+    E.create ~max_path_len:8 (C.Drbg.of_int_seed 61) kr ~topology:topo ~sim ()
+  in
+  let apply sim =
+    List.iter (fun n -> G.Simulator.originate sim ~asn:n star_prefix) providers;
+    List.length providers
+  in
+  (eng, a, apply)
 
 (* ---- engine determinism --------------------------------------------------------- *)
 
@@ -319,7 +363,15 @@ let fault_soak_accuracy () =
   let eng4, _ =
     run_engine ~faults:drop_faults ~jobs:4 ~seed:31 ~epochs:4 ~turnover:0.3 ()
   in
-  check_string "faulty digest across jobs" (E.digest eng) (E.digest eng4)
+  check_string "faulty digest across jobs" (E.digest eng) (E.digest eng4);
+  (* The honest star on a perfect network: nothing is even detected. *)
+  let star, _, apply = star_engine () in
+  let r1 = E.epoch ~apply star in
+  let r2 = E.epoch star in
+  check_int "star vertices" 1 r1.E.ep_vertices;
+  check_int "star epoch 1 detections" 0 r1.E.ep_detected;
+  check_int "star epoch 2 detections" 0 r2.E.ep_detected;
+  check_int "star epoch counter" 2 (E.current_epoch star)
 
 let fault_soak_detection () =
   (* A Byzantine prover at every vertex, over a lossy network: whenever the
@@ -372,6 +424,55 @@ let perfect_net_byzantine_always_convicted () =
             check_bool "convicted on perfect net" true o.E.vx_convicted)
         r.E.ep_outcomes)
     reports
+
+let corrupt_decision_convicted () =
+  (* A's decision process goes rogue and prefers the LONGEST candidate, so
+     the route it really exports to B is not the minimum of its inputs. *)
+  let longest _ candidates =
+    List.fold_left
+      (fun acc r ->
+        match acc with
+        | Some best when G.Route.path_length r <= G.Route.path_length best ->
+            acc
+        | _ -> Some r)
+      None candidates
+  in
+  let eng, a, apply = star_engine ~decision:longest () in
+  let r = E.epoch ~apply eng in
+  match
+    List.find_opt
+      (fun (o : E.outcome) ->
+        G.Asn.equal o.E.vx_vertex.E.vprover a
+        && G.Prefix.equal o.E.vx_vertex.E.vprefix star_prefix)
+      r.E.ep_outcomes
+  with
+  | None -> Alcotest.fail "no vertex (A, prefix)"
+  | Some o ->
+      check_bool "convicted" true o.E.vx_convicted;
+      Alcotest.(check (list string))
+        "evidence kinds" [ "nonminimal-export" ] o.E.vx_kinds
+
+(* Fixed digests of `pvr engine --seed 12 --tiers 1,2,4 --epochs 3 --bits
+   512` under a Byzantine strategy and under a lossy network: a change to
+   the verdicts, evidence counts, message counts or leakage of the
+   adversary and fault-runner rounds shows here. *)
+let golden_digests () =
+  let module W = Pvr_serve.Workload in
+  List.iter
+    (fun (name, tweak, want) ->
+      let p = tweak { W.defaults with W.p_seed = 12; p_epochs = 3 } in
+      match W.engine_core ~quiet:true (W.build_world ~quiet:true p) p with
+      | Ok (digest, _) -> check_string name want digest
+      | Error e -> Alcotest.fail e)
+    [
+      ( "false-bits",
+        (fun p ->
+          { p with W.p_strategy = P.Adversary.Sweep P.Adversary.False_bits }),
+        "b9fbfea97a27ac0ca826ce0cdc5bde4df05eb4c47756aebb4ec4f1cc8fa55c4f" );
+      ( "drop 0.1",
+        (fun p -> { p with W.p_drop = 0.1 }),
+        "d9c53aacda46cdefc73b2a9fed574a853f8aa1e04af47a69721f26e6dd7d98a5" );
+    ]
 
 (* ---- keyring memo --------------------------------------------------------------- *)
 
@@ -437,6 +538,10 @@ let suite =
       fault_soak_detection;
     Alcotest.test_case "engine: byzantine convicted on perfect net" `Quick
       perfect_net_byzantine_always_convicted;
+    Alcotest.test_case "engine: corrupt decision convicted" `Quick
+      corrupt_decision_convicted;
+    Alcotest.test_case "engine: golden digests (false-bits, drop 0.1)" `Quick
+      golden_digests;
     Alcotest.test_case "keyring: memo serves hot-path lookups" `Quick
       keyring_memo_serves_lookups;
     Alcotest.test_case "churn: deterministic streams" `Quick

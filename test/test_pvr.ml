@@ -1642,91 +1642,6 @@ let graph_composite_evaluates () =
         (G.Route.path_length e.P.Wire.payload.P.Wire.exp_route)
   | None -> Alcotest.fail "expected export"
 
-(* ---- Online verification over the simulator --------------------------------------- *)
-
-let online_setup () =
-  (* Star topology: providers and B around A; each provider originates the
-     watched prefix with a different amount of prepending, so A's inputs
-     have distinct lengths. *)
-  let kr = Lazy.force keyring in
-  let topo =
-    G.Topology.star ~center:a_as ~leaves:(b_as :: providers)
-      ~rel:G.Relationship.Customer
-  in
-  let sim = G.Simulator.create topo in
-  G.Simulator.set_gao_rexford sim false;
-  List.iteri
-    (fun i n ->
-      G.Simulator.set_export_policy sim ~asn:n ~neighbor:a_as
-        [
-          {
-            G.Policy.matches = [];
-            actions = [ G.Policy.Prepend (n, i) ];
-            verdict = G.Policy.Accept;
-          };
-        ])
-    providers;
-  List.iter (fun n -> G.Simulator.originate sim ~asn:n prefix0) providers;
-  ignore (G.Simulator.run sim);
-  let online =
-    P.Online.create ~max_path_len:8 (fresh_rng ()) kr ~sim ~prover:a_as
-      ~beneficiary:b_as ~providers
-  in
-  (sim, online)
-
-let online_honest_epochs_clean () =
-  let _, online = online_setup () in
-  let r1 = P.Online.epoch online ~prefix:prefix0 in
-  check_bool "epoch 1 clean" false r1.P.Runner.detected;
-  let r2 = P.Online.epoch online ~prefix:prefix0 in
-  check_bool "epoch 2 clean" false r2.P.Runner.detected;
-  check_int "epoch counter" 2 (P.Online.current_epoch online)
-
-let online_detects_corrupt_decision () =
-  let sim, online = online_setup () in
-  (* A's decision process goes rogue: prefer the LONGEST candidate. *)
-  G.Simulator.set_decision_override sim ~asn:a_as (fun _ candidates ->
-      List.fold_left
-        (fun acc r ->
-          match acc with
-          | None -> Some r
-          | Some best ->
-              if G.Route.path_length r > G.Route.path_length best then Some r
-              else acc)
-        None candidates);
-  (* Force re-selection by withdrawing and re-announcing one origin. *)
-  G.Simulator.withdraw_origin sim ~asn:(List.hd providers) prefix0;
-  ignore (G.Simulator.run sim);
-  G.Simulator.originate sim ~asn:(List.hd providers) prefix0;
-  ignore (G.Simulator.run sim);
-  let r = P.Online.epoch online ~prefix:prefix0 in
-  check_bool "corrupt decision detected" true r.P.Runner.detected;
-  check_bool "convicted" true r.P.Runner.convicted;
-  check_bool "nonminimal export evidence" true
-    (List.exists
-       (fun (_, e) ->
-         match e with P.Evidence.Nonminimal_export _ -> true | _ -> false)
-       r.P.Runner.raised)
-
-let online_detects_suppression () =
-  let sim, online = online_setup () in
-  (* A stops exporting to B altogether. *)
-  G.Simulator.set_export_policy sim ~asn:a_as ~neighbor:b_as
-    G.Policy.reject_all;
-  G.Simulator.withdraw_origin sim ~asn:(List.hd providers) prefix0;
-  ignore (G.Simulator.run sim);
-  G.Simulator.originate sim ~asn:(List.hd providers) prefix0;
-  ignore (G.Simulator.run sim);
-  let r = P.Online.epoch online ~prefix:prefix0 in
-  check_bool "suppression detected" true r.P.Runner.detected;
-  check_bool "claim raised" true
-    (List.exists
-       (fun (_, e) ->
-         match e with
-         | P.Evidence.Missing_export_claim _ -> true
-         | _ -> false)
-       r.P.Runner.raised)
-
 (* ---- Proto_no_shorter (§2 promise 4) --------------------------------------------- *)
 
 let beneficiaries3 = [ b_as; asn 2; List.hd providers ]
@@ -1968,9 +1883,6 @@ let suite =
     ("composite: structural privacy", `Quick, graph_composite_structural_privacy);
     ("composite: authorized inspection", `Quick, graph_composite_authorized_inspection);
     ("composite: evaluates through", `Quick, graph_composite_evaluates);
-    ("online: honest epochs clean", `Quick, online_honest_epochs_clean);
-    ("online: corrupt decision detected", `Quick, online_detects_corrupt_decision);
-    ("online: suppression detected", `Quick, online_detects_suppression);
     ("noshorter: equal exports clean", `Quick, noshorter_equal_exports_clean);
     ("noshorter: absent export clean", `Quick, noshorter_absent_export_clean);
     ("noshorter: detects favouritism", `Quick, noshorter_detects_favouritism);

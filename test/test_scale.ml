@@ -1,12 +1,11 @@
 (* Internet-scale layer: the synthetic power-law generator's Gao–Rexford
-   invariants, hash-consed route interning, static shard scheduling, and the
-   differential oracle — interned and plain representations must produce
+   invariants, hash-consed route interning, and the differential
+   oracle — interned and plain representations must produce
    identical Decision outcomes, RIB digests and engine report digests on
    random topologies and churn schedules. *)
 
 module P = Pvr
 module E = Pvr_engine.Engine
-module Pool = Pvr_engine.Pool
 module G = Pvr_bgp
 module C = Pvr_crypto
 
@@ -347,41 +346,6 @@ let rib_digest_intern_invariant () =
   G.Rib.set_best rib (sample_route 0).G.Route.prefix None;
   check_bool "digest tracks content" false (G.Rib.digest rib = plain)
 
-(* ---- sharded pool ----------------------------------------------------------------- *)
-
-let sharded_matches_dynamic =
-  qtest ~count:50 "pool: run_sharded ≡ run, results in task order"
-    QCheck2.Gen.(triple (1 -- 40) (1 -- 6) small_int)
-    (fun (n, jobs, salt) ->
-      let tasks = Array.init n (fun i -> fun () -> (i * i) + salt) in
-      let expect = Pool.run ~jobs:1 tasks in
-      let shard i = (i * 2654435761) lxor salt in
-      Pool.run_sharded ~jobs ~shard tasks = expect)
-
-let sharded_degenerate_shards () =
-  (* Constant and negative shard values must still run every task. *)
-  let tasks = Array.init 17 (fun i -> fun () -> i + 1) in
-  let expect = Array.init 17 (fun i -> i + 1) in
-  Alcotest.(check (array int))
-    "constant shard" expect
-    (Pool.run_sharded ~jobs:4 ~shard:(fun _ -> 5) tasks);
-  Alcotest.(check (array int))
-    "negative shard" expect
-    (Pool.run_sharded ~jobs:3 ~shard:(fun i -> -i) tasks)
-
-let sharded_propagates_exception () =
-  let tasks =
-    Array.init 9 (fun i ->
-        fun () -> if i = 4 then failwith "shard boom" else i)
-  in
-  List.iter
-    (fun jobs ->
-      match Pool.run_sharded ~jobs ~shard:Fun.id tasks with
-      | _ -> Alcotest.fail "expected exception"
-      | exception Failure m ->
-          check_string (Printf.sprintf "jobs=%d" jobs) "shard boom" m)
-    [ 1; 2; 4 ]
-
 (* ---- differential oracle ----------------------------------------------------------- *)
 
 (* One 16-AS keyring shared by every engine oracle test (keygen dominates). *)
@@ -396,7 +360,7 @@ let oracle_keyring =
 (* Run [epochs] of the same seeded workload and return per-epoch report
    digests, the final RIB digest, and every (AS, prefix, best-route
    encoding) decision outcome. *)
-let oracle_run ?strategy ~seed ~intern ~jobs ~shards ~cache () =
+let oracle_run ?strategy ~seed ~intern ~jobs ~cache () =
   with_intern intern @@ fun () ->
   let topo =
     G.Topology.generate (C.Drbg.of_int_seed seed) ~ases:oracle_ases ()
@@ -408,7 +372,7 @@ let oracle_run ?strategy ~seed ~intern ~jobs ~shards ~cache () =
   in
   let churn_rng = C.Drbg.of_int_seed (seed + 1) in
   let eng =
-    E.create ~jobs ~shards ~cache ~salt_every:2 ?strategy
+    E.create ~jobs ~cache ~salt_every:2 ?strategy
       (C.Drbg.of_int_seed (seed + 2))
       (Lazy.force oracle_keyring) ~topology:topo ~sim ()
   in
@@ -438,10 +402,8 @@ let oracle_run ?strategy ~seed ~intern ~jobs ~shards ~cache () =
 let oracle_intern_transparent () =
   List.iter
     (fun seed ->
-      let base = oracle_run ~seed ~intern:false ~jobs:1 ~shards:0 ~cache:true () in
-      let interned =
-        oracle_run ~seed ~intern:true ~jobs:2 ~shards:3 ~cache:true ()
-      in
+      let base = oracle_run ~seed ~intern:false ~jobs:1 ~cache:true () in
+      let interned = oracle_run ~seed ~intern:true ~jobs:2 ~cache:true () in
       let digests0, rib0, dec0 = base and digests1, rib1, dec1 = interned in
       Alcotest.(check (list string))
         (Printf.sprintf "seed %d: epoch digests" seed)
@@ -453,43 +415,40 @@ let oracle_intern_transparent () =
       check_bool "outcomes non-trivial" true (dec0 <> []))
     [ 2; 29; 631 ]
 
-let oracle_shards_jobs_invariant () =
+let oracle_jobs_invariant () =
   let seed = 77 in
-  let base = oracle_run ~seed ~intern:true ~jobs:1 ~shards:0 ~cache:true () in
+  let base = oracle_run ~seed ~intern:true ~jobs:1 ~cache:true () in
   List.iter
-    (fun (jobs, shards, cache) ->
-      let d, rib, dec = oracle_run ~seed ~intern:true ~jobs ~shards ~cache () in
+    (fun (jobs, cache) ->
+      let d, rib, dec = oracle_run ~seed ~intern:true ~jobs ~cache () in
       let d0, rib0, dec0 = base in
       Alcotest.(check (list string))
-        (Printf.sprintf "jobs=%d shards=%d cache=%b" jobs shards cache)
+        (Printf.sprintf "jobs=%d cache=%b" jobs cache)
         d0 d;
       check_string "rib" rib0 rib;
       check_bool "decisions" true (dec = dec0))
-    [ (2, 1, true); (2, 5, true); (3, 7, true); (1, 4, false) ]
+    [ (2, true); (3, true); (1, false) ]
 
 (* PR 6: adversarial rounds keep the whole determinism contract — a
    strategy mixing fast and fault-runner paths (cross-shard equivocation
    picks its dirty subset by vertex hash) must produce byte-identical
-   digests and decisions for any jobs/shards/intern/cache setting. *)
+   digests and decisions for any jobs/intern/cache setting. *)
 let oracle_adversary_invariant () =
   let strategy = P.Adversary.Cross_shard { shards = 4; target = 1 } in
   let seed = 91 in
   let base =
-    oracle_run ~strategy ~seed ~intern:true ~jobs:1 ~shards:0 ~cache:true ()
+    oracle_run ~strategy ~seed ~intern:true ~jobs:1 ~cache:true ()
   in
   let d0, rib0, dec0 = base in
   List.iter
-    (fun (intern, jobs, shards, cache) ->
-      let d, rib, dec =
-        oracle_run ~strategy ~seed ~intern ~jobs ~shards ~cache ()
-      in
+    (fun (intern, jobs, cache) ->
+      let d, rib, dec = oracle_run ~strategy ~seed ~intern ~jobs ~cache () in
       Alcotest.(check (list string))
-        (Printf.sprintf "intern=%b jobs=%d shards=%d cache=%b" intern jobs
-           shards cache)
+        (Printf.sprintf "intern=%b jobs=%d cache=%b" intern jobs cache)
         d0 d;
       check_string "rib" rib0 rib;
       check_bool "decisions" true (dec = dec0))
-    [ (false, 2, 3, true); (true, 3, 5, true); (true, 1, 0, false) ]
+    [ (false, 2, true); (true, 3, true); (true, 1, false) ]
 
 let suite =
   [
@@ -509,12 +468,9 @@ let suite =
     ("intern: memoized encode", `Quick, intern_encode_memo);
     ("intern: disabled is identity", `Quick, intern_disabled_is_identity);
     ("rib digest: interning-invariant", `Quick, rib_digest_intern_invariant);
-    sharded_matches_dynamic;
-    ("pool: degenerate shard functions", `Quick, sharded_degenerate_shards);
-    ("pool: sharded exception propagation", `Quick, sharded_propagates_exception);
     ("oracle: interning transparent end-to-end", `Slow, oracle_intern_transparent);
-    ("oracle: digest invariant across jobs/shards/cache", `Slow,
-     oracle_shards_jobs_invariant);
+    ("oracle: digest invariant across jobs/cache", `Slow,
+     oracle_jobs_invariant);
     ("oracle: adversarial runs digest-invariant", `Slow,
      oracle_adversary_invariant);
   ]
