@@ -363,7 +363,9 @@ let fault_soak_accuracy () =
   let eng4, _ =
     run_engine ~faults:drop_faults ~jobs:4 ~seed:31 ~epochs:4 ~turnover:0.3 ()
   in
-  check_string "faulty digest across jobs" (E.digest eng) (E.digest eng4);
+  check_string "faulty digest across jobs" (E.digest eng) (E.digest eng4)
+
+let honest_epochs_clean () =
   (* The honest star on a perfect network: nothing is even detected. *)
   let star, _, apply = star_engine () in
   let r1 = E.epoch ~apply star in
@@ -534,6 +536,7 @@ let suite =
       engine_memo_hits_on_partial_churn;
     Alcotest.test_case "engine: accuracy under faults (multi-epoch soak)"
       `Quick fault_soak_accuracy;
+    Alcotest.test_case "engine: honest epochs clean" `Quick honest_epochs_clean;
     Alcotest.test_case "engine: detection oracle under faults" `Quick
       fault_soak_detection;
     Alcotest.test_case "engine: byzantine convicted on perfect net" `Quick
