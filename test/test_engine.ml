@@ -476,6 +476,72 @@ let golden_digests () =
         "d9c53aacda46cdefc73b2a9fed574a853f8aa1e04af47a69721f26e6dd7d98a5" );
     ]
 
+(* Per-vertex outcomes of the same seed-12 world, pinned independently of
+   the report-line format: one SHA-256 per run over every outcome's
+   (prover, prefix, beneficiary, providers, detected, convicted, evidence
+   count, evidence kinds, leaked bits, excess bits).  A change to the
+   verdicts, evidence or leakage accounting of any round shows here, while
+   a change to how outcomes are rendered or signed does not. *)
+let outcome_projection_golden () =
+  let module W = Pvr_serve.Workload in
+  let project ?faults strategy =
+    let p = { W.defaults with W.p_seed = 12; p_epochs = 3 } in
+    let w = W.build_world ~quiet:true p in
+    let sim = G.Simulator.create w.W.w_topo in
+    let eng =
+      E.create ~salt_every:p.W.p_salt_every ~strategy ?faults w.W.w_engine_rng
+        w.W.w_keyring ~topology:w.W.w_topo ~sim ()
+    in
+    let buf = Buffer.create 4096 in
+    for i = 1 to p.W.p_epochs do
+      let apply sim =
+        if i = 1 then List.length (G.Update_gen.Churn.seed w.W.w_churn sim)
+        else
+          List.length
+            (G.Update_gen.Churn.step w.W.w_churn_rng ~turnover:p.W.p_turnover
+               w.W.w_churn sim)
+      in
+      List.iter
+        (fun (o : E.outcome) ->
+          Printf.bprintf buf "%s %s %s %s %b %b %d %s %d %d\n"
+            (G.Asn.to_string o.E.vx_vertex.E.vprover)
+            (G.Prefix.to_string o.E.vx_vertex.E.vprefix)
+            (G.Asn.to_string o.E.vx_beneficiary)
+            (String.concat "," (List.map G.Asn.to_string o.E.vx_providers))
+            o.E.vx_detected o.E.vx_convicted o.E.vx_evidence
+            (String.concat "," o.E.vx_kinds)
+            o.E.vx_leaked_bits o.E.vx_excess_bits)
+        (E.epoch ~apply eng).E.ep_outcomes
+    done;
+    C.Sha256.digest_hex (Buffer.contents buf)
+  in
+  let drop =
+    { P.Runner.perfect_faults with fp_policy = N.faulty ~drop:0.1 () }
+  in
+  List.iter
+    (fun (name, got, want) -> check_string name want (Lazy.force got))
+    ([
+       ( "sweep false-bits",
+         lazy (project (P.Adversary.Sweep P.Adversary.False_bits)),
+         "1185ad05c56cc3cf86290eb6e5356d84f4eeee6531d30bab7f82262aac76c100" );
+       ( "drop 0.1",
+         lazy (project ~faults:drop (P.Adversary.Sweep P.Adversary.Honest)),
+         "bd77b1fba1499164cc12c2e8a834a6cd41a1b8729172083ee67a283ea7eceeec" );
+     ]
+    @ List.map2
+        (fun s want ->
+          ( P.Adversary.strategy_to_string s,
+            lazy (project ~faults:P.Runner.perfect_faults s),
+            want ))
+        P.Adversary.all_strategies
+        [
+          "bd77b1fba1499164cc12c2e8a834a6cd41a1b8729172083ee67a283ea7eceeec";
+          "52a6c791b91df968f4009b5ec521c2e328c2afcce818382e94134d819ff46fd6";
+          "b467a005a9eb55a27a7f03dab733ee6aac28dba1da9923c9252f454b195a6de3";
+          "b8b9e11de5bf280ce32421b0524dafe92bd19b6ab89d297d388fdf7b0e8bcb24";
+          "3a637e01f6f204298b6e464999cf9935acac1f99f18a00a9def3ba6360b7bd4b";
+        ])
+
 (* ---- keyring memo --------------------------------------------------------------- *)
 
 let keyring_memo_serves_lookups () =
@@ -545,6 +611,8 @@ let suite =
       corrupt_decision_convicted;
     Alcotest.test_case "engine: golden digests (false-bits, drop 0.1)" `Quick
       golden_digests;
+    Alcotest.test_case "engine: outcome projection golden" `Quick
+      outcome_projection_golden;
     Alcotest.test_case "keyring: memo serves hot-path lookups" `Quick
       keyring_memo_serves_lookups;
     Alcotest.test_case "churn: deterministic streams" `Quick
