@@ -517,12 +517,11 @@ let run_crashsoak p kills checkpoint_every dir_opt no_corrupt keep stats =
    The E14 surface as a command: run the strategy zoo over a generated
    power-law internet whose promises span the tiered /8–/16–/24 address
    plan, and print one deterministic matrix line per (strategy, prefix
-   family).  Every vertex routes through the fault runner (perfect links)
-   so the disclosure ledger and leakage audit are live even for honest
-   plans.  Exit 1 on any undetected cheat whose witnessing messages were
-   delivered, any non-complying cheat not convicted, any convicted
-   stonewalling-but-complying prover, or any honest vertex with excess
-   bits. *)
+   family).  Every round keeps a disclosure ledger, so the leakage audit
+   covers honest plans too.  Exit 1 on any undetected cheat whose
+   witnessing messages were delivered, any non-complying cheat not
+   convicted, any convicted stonewalling-but-complying prover, or any
+   honest vertex with excess bits. *)
 
 type row = {
   mutable r_vertices : int;
@@ -598,7 +597,6 @@ let run_adversary spec coalition seed ases epochs jobs bits stats =
           List.iter (fun (a, p) -> G.Simulator.originate sim ~asn:a p) plan;
           let eng =
             E.create ~jobs ~salt_every:1 ~strategy
-              ~faults:P.Runner.perfect_faults
               (C.Drbg.split master ("engine-" ^ name))
               keyring ~topology:topo ~sim ()
           in
@@ -639,14 +637,7 @@ let run_adversary spec coalition seed ases epochs jobs bits stats =
                   if o.E.vx_detected then row.r_detected <- row.r_detected + 1;
                   if o.E.vx_convicted then
                     row.r_convicted <- row.r_convicted + 1;
-                  let required =
-                    match o.E.vx_net with
-                    | Some nr ->
-                        P.Runner.detection_expected o.E.vx_behaviour
-                          ~beneficiary:o.E.vx_beneficiary ~routes:o.E.vx_routes
-                          nr
-                    | None -> false
-                  in
+                  let required = o.E.vx_required in
                   if required && not o.E.vx_detected then
                     violation "undetected cheat strategy=%s vertex=%s" name
                       vertex;

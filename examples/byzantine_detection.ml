@@ -60,18 +60,18 @@ let () =
       routes
   in
   let honest =
-    P.Adversary.run_min P.Adversary.Honest rng keyring ~prover:a
-      ~beneficiary:b ~epoch:2 ~prefix ~inputs:announces
+    P.Runner.prove rng keyring ~prover:a ~beneficiary:b ~epoch:2 ~prefix
+      ~inputs:announces
   in
   let false_claim =
     P.Evidence.Missing_export_claim
       {
-        commit = honest.P.Adversary.commit_for b;
-        openings = honest.P.Adversary.beneficiary_disclosure.bd_openings;
+        commit = P.Runner.commit_for honest b;
+        openings = (P.Runner.beneficiary_disclosure honest).bd_openings;
         claimant = b;
       }
   in
   Printf.printf "  judge verdict: %s (A produced the export on challenge)\n"
     (P.Judge.verdict_to_string
-       (P.Judge.evaluate keyring ~respond:honest.P.Adversary.respond
+       (P.Judge.evaluate keyring ~respond:(P.Runner.respond honest)
           false_claim))

@@ -1,6 +1,5 @@
 module Bgp = Pvr_bgp
 module C = Pvr_crypto
-open Proto_common
 
 type behaviour =
   | Honest
@@ -23,192 +22,6 @@ let to_string = function
   | Suppress_export -> "suppress-export"
   | Refuse_disclosure -> "refuse-disclosure"
   | Forge_provenance -> "forge-provenance"
-
-type min_run = {
-  commit_for : Bgp.Asn.t -> Wire.commit Wire.signed;
-  neighbor_disclosures :
-    (Bgp.Asn.t * Proto_common.neighbor_disclosure option) list;
-  beneficiary_disclosure : Proto_common.beneficiary_disclosure;
-  respond : accused:Bgp.Asn.t -> Judge.challenge -> Judge.response;
-}
-
-let path_len (ann : Wire.announce Wire.signed) =
-  Bgp.Route.path_length ann.Wire.payload.Wire.ann_route
-
-(* Build a full commitment set for a claimed shortest length. *)
-let build_commitments rng keyring ~prover ~epoch ~prefix ~k ~claimed_shortest =
-  let bits = List.init k (fun i -> claimed_shortest <= i + 1) in
-  let committed = List.map (C.Commitment.commit_bit rng) bits in
-  let commit =
-    Wire.sign keyring ~as_:prover ~encode:Wire.encode_commit
-      {
-        Wire.cmt_epoch = epoch;
-        cmt_prefix = prefix;
-        cmt_scheme = Proto_min.scheme;
-        cmt_commitments =
-          List.map
-            (fun ((c : C.Commitment.commitment), _) -> (c :> string))
-            committed;
-      }
-  in
-  (commit, List.map snd committed)
-
-let sign_export keyring ~prover ~epoch ~beneficiary ~route ~provenance =
-  Wire.sign keyring ~as_:prover ~encode:Wire.encode_export
-    {
-      Wire.exp_epoch = epoch;
-      exp_to = beneficiary;
-      exp_route = route;
-      exp_provenance = provenance;
-    }
-
-(* Answer the judge by standing behind the disclosure made to B. *)
-let respond_with bd ~accused:_ = function
-  | Judge.Produce_export _ -> begin
-      match bd.bd_export with
-      | Some e -> Judge.Export_response e
-      | None -> Judge.No_response
-    end
-  | Judge.Produce_opening { index; _ } -> begin
-      match List.assoc_opt index bd.bd_openings with
-      | Some o -> Judge.Opening_response o
-      | None -> Judge.No_response
-    end
-
-let run_min behaviour ?(max_path_len = Proto_min.default_max_path_len)
-    ?(comply = false) rng keyring ~prover ~beneficiary ~epoch ~prefix ~inputs
-    =
-  Pvr_obs.with_span "adversary.run_min" @@ fun () ->
-  (* Every behaviour perturbs the honest prover's output.  Its k commitment
-     draws come first; the lying variants draw k more afterwards. *)
-  let honest =
-    Proto_min.prove ~max_path_len rng keyring ~prover ~beneficiary ~epoch
-      ~prefix ~inputs
-  in
-  let inputs = honest.Proto_min.inputs in
-  let honest_bd = honest.Proto_min.beneficiary_disclosure in
-  let shortest =
-    List.fold_left (fun acc a -> min acc (path_len a)) max_int inputs
-  in
-  let longest = List.fold_left (fun acc a -> max acc (path_len a)) 0 inputs in
-  let loser_export () =
-    Option.map
-      (fun (chosen : Wire.announce Wire.signed) ->
-        sign_export keyring ~prover ~epoch ~beneficiary
-          ~route:chosen.Wire.payload.Wire.ann_route ~provenance:(Some chosen))
-      (List.find_opt (fun a -> path_len a = longest) inputs)
-  in
-  (* Bits pretending the longest input is the shortest, opened in full to
-     B together with the longest export: self-consistent for B. *)
-  let lie () =
-    let commit, openings =
-      build_commitments rng keyring ~prover ~epoch ~prefix ~k:max_path_len
-        ~claimed_shortest:longest
-    in
-    ( commit,
-      {
-        bd_openings = List.mapi (fun i o -> (i + 1, o)) openings;
-        bd_export = loser_export ();
-      } )
-  in
-  let honest_run =
-    {
-      commit_for = (fun _ -> honest.Proto_min.commit);
-      neighbor_disclosures =
-        List.map
-          (fun (n, d) -> (n, Some d))
-          honest.Proto_min.neighbor_disclosures;
-      beneficiary_disclosure = honest_bd;
-      respond = respond_with honest_bd;
-    }
-  in
-  let stonewall =
-    if comply then honest_run.respond else fun ~accused:_ _ -> Judge.No_response
-  in
-  match behaviour with
-  | Honest -> honest_run
-  | Export_nonminimal ->
-      (* Honest bits, but ship the longest route to B. *)
-      {
-        honest_run with
-        beneficiary_disclosure = { honest_bd with bd_export = loser_export () };
-      }
-  | False_bits ->
-      (* Lie to everyone.  Providers with shorter routes see their bit open
-         to 0. *)
-      let commit, bd = lie () in
-      {
-        commit_for = (fun _ -> commit);
-        neighbor_disclosures =
-          List.map
-            (fun ann ->
-              ( ann.Wire.signer,
-                Some
-                  {
-                    nd_index = path_len ann;
-                    nd_opening = List.assoc (path_len ann) bd.bd_openings;
-                  } ))
-            inputs;
-        beneficiary_disclosure = bd;
-        respond = respond_with bd;
-      }
-  | Equivocate ->
-      (* Providers see the truthful commitment; B sees the lying one.  Each
-         party's local view is self-consistent; only gossip reveals the
-         split. *)
-      let commit, bd = lie () in
-      {
-        honest_run with
-        commit_for =
-          (fun who ->
-            if Bgp.Asn.equal who beneficiary then commit
-            else honest.Proto_min.commit);
-        beneficiary_disclosure = bd;
-      }
-  | Suppress_export ->
-      {
-        honest_run with
-        beneficiary_disclosure = { honest_bd with bd_export = None };
-        respond = stonewall;
-      }
-  | Refuse_disclosure ->
-      (* Withhold the opening from the first providing neighbor. *)
-      {
-        honest_run with
-        neighbor_disclosures =
-          (match honest_run.neighbor_disclosures with
-          | (victim, _) :: rest -> (victim, None) :: rest
-          | [] -> []);
-        respond = stonewall;
-      }
-  | Forge_provenance ->
-      (* Export a fabricated route of minimal length whose provenance
-         announcement carries a bogus signature. *)
-      let route =
-        let asn_fake = Bgp.Asn.of_int 65000 in
-        let path =
-          List.init (max shortest 1) (fun i ->
-              if i = 0 then asn_fake else Bgp.Asn.of_int (65001 + i))
-        in
-        let base = Bgp.Route.originate ~asn:asn_fake prefix in
-        { base with Bgp.Route.as_path = path; next_hop = asn_fake }
-      in
-      let forged_announce =
-        (* Signed by the adversary itself while claiming another signer:
-           the signature can never verify against the claimed key. *)
-        let key = Keyring.private_key keyring prover in
-        Wire.sign_with key ~as_:(Bgp.Asn.of_int 65000)
-          ~encode:Wire.encode_announce
-          { Wire.ann_epoch = epoch; ann_to = prover; ann_route = route }
-      in
-      let export =
-        sign_export keyring ~prover ~epoch ~beneficiary ~route
-          ~provenance:(Some forged_announce)
-      in
-      {
-        honest_run with
-        beneficiary_disclosure = { honest_bd with bd_export = Some export };
-      }
 
 type detector = Beneficiary | Provider of Bgp.Asn.t | Gossip
 
@@ -255,6 +68,96 @@ type round_plan = {
   rp_comply : bool;
   rp_coalition : int;
 }
+
+(* ---- perturbing the honest draft ------------------------------------------
+
+   Every behaviour rewrites the honest draft before anything is signed, so
+   Byzantine statements share their signer's batch with honest ones. *)
+
+let perturb plan (d : Proto_min.draft) =
+  let len (_, r) = Bgp.Route.path_length r in
+  let inputs = d.Proto_min.dr_inputs in
+  let longest = List.fold_left (fun acc i -> max acc (len i)) 0 inputs in
+  let loser_export =
+    Option.map
+      (fun (n, r) -> (r, Proto_min.Input n))
+      (List.find_opt (fun i -> len i = longest) inputs)
+  in
+  (* Bits pretending the longest input is the shortest, opened in full to
+     B together with the longest export: self-consistent for B. *)
+  let lie () =
+    Proto_min.commit_claim d.Proto_min.dr_committer ~tag:"|lie"
+      ~k:(List.length d.Proto_min.dr_committed)
+      ~claimed_shortest:longest
+  in
+  let stonewall d =
+    if plan.rp_comply then d
+    else { d with Proto_min.dr_answer = Proto_min.Stonewall }
+  in
+  match plan.rp_behaviour with
+  | Honest -> d
+  | Export_nonminimal ->
+      (* Honest bits, but ship the longest route to B. *)
+      { d with Proto_min.dr_export = loser_export }
+  | False_bits ->
+      (* Lie to everyone.  Providers with shorter routes see their bit open
+         to 0. *)
+      let committed = lie () in
+      {
+        d with
+        Proto_min.dr_committed = committed;
+        dr_committed_b = committed;
+        dr_export = loser_export;
+        dr_answer = Proto_min.Stand_by loser_export;
+      }
+  | Equivocate ->
+      (* Providers see the truthful commitment; B sees the lying one.  Each
+         party's local view is self-consistent; only gossip reveals the
+         split. *)
+      {
+        d with
+        Proto_min.dr_committed_b = lie ();
+        dr_export = loser_export;
+      }
+  | Suppress_export -> stonewall { d with Proto_min.dr_export = None }
+  | Refuse_disclosure ->
+      (* Withhold the opening from the first providing neighbor. *)
+      stonewall
+        {
+          d with
+          Proto_min.dr_withheld =
+            (match inputs with (victim, _) :: _ -> [ victim ] | [] -> []);
+        }
+  | Forge_provenance ->
+      (* Export a fabricated route of minimal length whose provenance
+         announcement carries a bogus signature. *)
+      let asn_fake = Bgp.Asn.of_int 65000 in
+      let route =
+        let hops = List.fold_left (fun m i -> min m (len i)) max_int inputs in
+        let path =
+          List.init (if inputs = [] then 1 else hops) (fun i ->
+              if i = 0 then asn_fake else Bgp.Asn.of_int (65001 + i))
+        in
+        let base = Bgp.Route.originate ~asn:asn_fake d.Proto_min.dr_prefix in
+        { base with Bgp.Route.as_path = path; next_hop = asn_fake }
+      in
+      let forged_announce =
+        (* Signed by the adversary itself while claiming another signer:
+           the signature can never verify against the claimed key. *)
+        let key =
+          Keyring.private_key d.Proto_min.dr_keyring d.Proto_min.dr_prover
+        in
+        Wire.sign_with key ~as_:asn_fake ~encode:Wire.encode_announce
+          {
+            Wire.ann_epoch = d.Proto_min.dr_epoch;
+            ann_to = d.Proto_min.dr_prover;
+            ann_route = route;
+          }
+      in
+      {
+        d with
+        Proto_min.dr_export = Some (route, Proto_min.Forged forged_announce);
+      }
 
 let honest_plan = { rp_behaviour = Honest; rp_comply = false; rp_coalition = 1 }
 

@@ -31,38 +31,8 @@ type behaviour =
 
 val all : behaviour list
 val to_string : behaviour -> string
-
-type min_run = {
-  commit_for : Pvr_bgp.Asn.t -> Wire.commit Wire.signed;
-      (** per-recipient commitment (differs only under [Equivocate]) *)
-  neighbor_disclosures :
-    (Pvr_bgp.Asn.t * Proto_common.neighbor_disclosure option) list;
-      (** [None] = the adversary withheld the opening *)
-  beneficiary_disclosure : Proto_common.beneficiary_disclosure;
-  respond : accused:Pvr_bgp.Asn.t -> Judge.challenge -> Judge.response;
-      (** how this prover answers a judge *)
-}
-
-val run_min :
-  behaviour ->
-  ?max_path_len:int ->
-  ?comply:bool ->
-  Pvr_crypto.Drbg.t ->
-  Keyring.t ->
-  prover:Pvr_bgp.Asn.t ->
-  beneficiary:Pvr_bgp.Asn.t ->
-  epoch:Wire.epoch ->
-  prefix:Pvr_bgp.Prefix.t ->
-  inputs:Wire.announce Wire.signed list ->
-  min_run
-(** Run the prover side of the §3.3 protocol under the given behaviour:
-    {!Proto_min.prove}'s honest output, perturbed.  Requires at least one
-    valid input for the misbehaving variants to have something to
-    corrupt.  [comply] (default [false]) makes the stonewalling
-    variants ([Suppress_export], [Refuse_disclosure]) answer the judge
-    honestly when challenged: the omission is still detected and evidence
-    raised, but the challenge exonerates — the "lost messages never convict"
-    surface a {!Timing_probe} strategy probes. *)
+val behaviour_of_string : string -> behaviour option
+(** Inverse of {!to_string}. *)
 
 type detector = Beneficiary | Provider of Pvr_bgp.Asn.t | Gossip
 
@@ -103,6 +73,14 @@ type round_plan = {
   rp_comply : bool;  (** answer judge challenges honestly *)
   rp_coalition : int;  (** providers pooling views in the leakage audit *)
 }
+
+val perturb : round_plan -> Proto_min.draft -> Proto_min.draft
+(** The honest draft rewritten under [plan], before anything is signed.
+    Lying bit vectors go through the draft's committer (fresh nonces).
+    [rp_comply] makes the stonewalling variants ([Suppress_export],
+    [Refuse_disclosure]) answer the judge honestly: the omission is still
+    detected, but the challenge exonerates — the "lost messages never
+    convict" surface a {!Timing_probe} strategy probes. *)
 
 val all_strategies : strategy list
 (** One canonical instance per family — what [pvr adversary --strategy all]

@@ -117,8 +117,8 @@ let fact_bits = function
   | Knows_min_length _ -> 5
   | Knows_route { route; _ } -> 32 * Bgp.Route.path_length route
 
-let dedup view =
-  List.fold_left (fun acc f -> if List.mem f acc then acc else acc @ [ f ]) [] view
+let dedup v =
+  List.rev (List.fold_left (fun a f -> if List.mem f a then a else f :: a) [] v)
 
 let view_bits view = List.fold_left (fun n f -> n + fact_bits f) 0 (dedup view)
 
@@ -168,7 +168,7 @@ let audit ~viewer ?(authorized = fun _ -> false) ~baseline ~observed () =
   {
     au_viewer = viewer;
     au_baseline_bits = view_bits baseline;
-    au_observed_bits = view_bits observed;
+    au_observed_bits = bits observed;
     au_excess = ex;
     au_excess_bits;
     au_unauthorized_bits = bits unauthorized;
@@ -200,17 +200,19 @@ let court = Bgp.Asn.of_int 0
 
 module Ledger = struct
   type ledger = {
-    mutable facts : (Bgp.Asn.t * fact) list; (* reverse arrival order *)
+    facts : (Bgp.Asn.t, fact list) Hashtbl.t; (* reverse arrival order *)
     mutable opaque : int;
     mutable refused : (Bgp.Asn.t * int) list; (* per-viewer refusal tally *)
   }
 
-  let create () = { facts = []; opaque = 0; refused = [] }
+  let create () = { facts = Hashtbl.create 8; opaque = 0; refused = [] }
+  let facts l v = Option.value (Hashtbl.find_opt l.facts v) ~default:[]
 
   let record l ~viewer fact =
-    if not (List.mem (viewer, fact) l.facts) then begin
+    let known = facts l viewer in
+    if not (List.mem fact known) then begin
       Pvr_obs.add obs_bits_disclosed (fact_bits fact);
-      l.facts <- (viewer, fact) :: l.facts
+      Hashtbl.replace l.facts viewer (fact :: known)
     end
 
   let record_opaque l ~viewer:_ = l.opaque <- l.opaque + 1
@@ -233,12 +235,13 @@ module Ledger = struct
   let refusals l =
     List.sort (fun (a, _) (b, _) -> Bgp.Asn.compare a b) l.refused
 
-  let view l ~viewer =
-    List.rev
-      (List.filter_map
-         (fun (v, f) -> if Bgp.Asn.equal v viewer then Some f else None)
-         l.facts)
+  let view l ~viewer = List.rev (facts l viewer)
 
   let viewers l =
-    List.sort_uniq Bgp.Asn.compare (List.map fst l.facts)
+    List.sort Bgp.Asn.compare (Hashtbl.fold (fun v _ acc -> v :: acc) l.facts [])
+
+  let bits l =
+    Hashtbl.fold
+      (fun _ fs n -> List.fold_left (fun n f -> n + fact_bits f) n fs)
+      l.facts 0
 end

@@ -155,4 +155,7 @@ module Ledger : sig
 
   val view : ledger -> viewer:Bgp.Asn.t -> view
   val viewers : ledger -> Bgp.Asn.t list
+
+  val bits : ledger -> int
+  (** {!view_bits} summed over every viewer's view. *)
 end

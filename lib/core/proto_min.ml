@@ -2,83 +2,73 @@ module Bgp = Pvr_bgp
 module C = Pvr_crypto
 open Proto_common
 
-type prover_output = {
-  commit : Wire.commit Wire.signed;
-  neighbor_disclosures : (Bgp.Asn.t * neighbor_disclosure) list;
-  beneficiary_disclosure : beneficiary_disclosure;
-  inputs : Wire.announce Wire.signed list;
+type committed = (C.Commitment.commitment * C.Commitment.opening) list
+type committer = tag:string -> bool list -> committed
+type provenance = Input of Bgp.Asn.t | Forged of Wire.announce Wire.signed
+type export_plan = Bgp.Route.t * provenance
+type answer = Stonewall | Stand_by of export_plan option
+
+type draft = {
+  dr_keyring : Keyring.t;
+  dr_committer : committer;
+  dr_prover : Bgp.Asn.t;
+  dr_beneficiary : Bgp.Asn.t;
+  dr_epoch : Wire.epoch;
+  dr_prefix : Bgp.Prefix.t;
+  dr_inputs : (Bgp.Asn.t * Bgp.Route.t) list;
+  dr_committed : committed;
+  dr_committed_b : committed;
+  dr_withheld : Bgp.Asn.t list;
+  dr_export : export_plan option;
+  dr_answer : answer;
 }
 
 let scheme = "min"
 
 let default_max_path_len = 32
 
-let path_len (ann : Wire.announce Wire.signed) =
-  Bgp.Route.path_length ann.Wire.payload.Wire.ann_route
+let route_len (_, r) = Bgp.Route.path_length r
 
-let prove ?(max_path_len = default_max_path_len) rng keyring ~prover
-    ~beneficiary ~epoch ~prefix ~inputs =
-  Pvr_obs.with_span "proto_min.prove" @@ fun () ->
-  let inputs =
-    (* Input-signature checks are the per-round RSA bill; batch them. *)
-    List.map2
-      (fun ann ok -> (ann, ok))
-      inputs
-      (valid_inputs keyring ~prover ~epoch ~prefix inputs)
-    |> List.filter_map (fun (ann, ok) ->
-           if ok && path_len ann <= max_path_len then Some ann else None)
+(* b_i = 1 iff some input has length <= i, i.e. iff shortest <= i. *)
+let commit_claim committer ~tag ~k ~claimed_shortest =
+  committer ~tag (List.init k (fun i -> claimed_shortest <= i + 1))
+
+let openings committed = List.mapi (fun i (_, o) -> (i + 1, o)) committed
+
+let draft ?(max_path_len = default_max_path_len) ?export keyring ~committer
+    ~prover ~beneficiary ~epoch ~prefix ~inputs =
+  let shortest =
+    List.fold_left (fun m i -> min m (route_len i)) max_int inputs
   in
-  let lengths = List.map path_len inputs in
-  let shortest = List.fold_left min max_int lengths in
-  (* b_i = 1 iff some input has length <= i, i.e. iff shortest <= i. *)
-  let bits = List.init max_path_len (fun i -> shortest <= i + 1) in
-  let committed = List.map (C.Commitment.commit_bit rng) bits in
-  let commit =
-    Wire.sign keyring ~as_:prover ~encode:Wire.encode_commit
-      {
-        Wire.cmt_epoch = epoch;
-        cmt_prefix = prefix;
-        cmt_scheme = scheme;
-        cmt_commitments =
-          List.map (fun ((c : C.Commitment.commitment), _) -> (c :> string)) committed;
-      }
+  let committed =
+    commit_claim committer ~tag:"" ~k:max_path_len ~claimed_shortest:shortest
   in
-  let openings = List.map snd committed in
-  let opening_at i = List.nth openings (i - 1) in
-  let neighbor_disclosures =
-    List.map
-      (fun ann ->
-        ( ann.Wire.signer,
-          { nd_index = path_len ann; nd_opening = opening_at (path_len ann) } ))
-      inputs
+  let exported (_, r) =
+    Option.fold ~none:false ~some:(Bgp.Route.equal r) export
   in
-  let winner =
-    List.find_opt (fun ann -> path_len ann = shortest) inputs
+  let chosen =
+    match List.find_opt exported inputs with
+    | None -> List.find_opt (fun i -> route_len i = shortest) inputs
+    | c -> c
   in
-  let export =
-    Option.map
-      (fun (chosen : Wire.announce Wire.signed) ->
-        Wire.sign keyring ~as_:prover ~encode:Wire.encode_export
-          {
-            Wire.exp_epoch = epoch;
-            exp_to = beneficiary;
-            exp_route = chosen.Wire.payload.Wire.ann_route;
-            exp_provenance = Some chosen;
-          })
-      winner
-  in
+  let export = Option.map (fun (n, r) -> (r, Input n)) chosen in
   {
-    commit;
-    neighbor_disclosures;
-    beneficiary_disclosure =
-      {
-        bd_openings = List.mapi (fun i o -> (i + 1, o)) openings;
-        bd_export = export;
-      };
-    inputs;
+    dr_keyring = keyring;
+    dr_committer = committer;
+    dr_prover = prover;
+    dr_beneficiary = beneficiary;
+    dr_epoch = epoch;
+    dr_prefix = prefix;
+    dr_inputs = inputs;
+    dr_committed = committed;
+    dr_committed_b = committed;
+    dr_withheld = [];
+    dr_export = export;
+    dr_answer = Stand_by export;
   }
 
-let check_neighbor _keyring ~me ~my_announce ~commit ~disclosure =
+let check_neighbor ?(on_bit = fun _ _ -> ()) _keyring ~me ~my_announce ~commit
+    ~disclosure =
   let missing =
     Evidence.Missing_disclosure_claim
       { commit; announce = my_announce; claimant = me }
@@ -88,13 +78,14 @@ let check_neighbor _keyring ~me ~my_announce ~commit ~disclosure =
   in
   match disclosure with
   | None -> [ missing ]
-  | Some { nd_index; nd_opening } ->
-      if nd_index <> my_len then [ missing ]
-      else begin
-        match opening_bit_at commit ~index:nd_index nd_opening with
-        | None -> [ missing ]
-        | Some true -> []
-        | Some false ->
+  | Some { nd_index; nd_opening } -> begin
+      match opening_bit_at commit ~index:nd_index nd_opening with
+      | None -> [ missing ]
+      | Some bit ->
+          on_bit nd_index bit;
+          if nd_index <> my_len then [ missing ]
+          else if bit then []
+          else
             [
               Evidence.False_bit
                 {
@@ -104,9 +95,10 @@ let check_neighbor _keyring ~me ~my_announce ~commit ~disclosure =
                   witness = my_announce;
                 };
             ]
-      end
+    end
 
-let check_beneficiary keyring ~me ~commit ~disclosure =
+let check_beneficiary ?(on_bit = fun _ _ -> ()) keyring ~me ~commit ~disclosure
+    =
   let k = List.length commit.Wire.payload.Wire.cmt_commitments in
   let claim_missing () =
     [
@@ -119,7 +111,9 @@ let check_beneficiary keyring ~me ~commit ~disclosure =
     List.filter_map
       (fun (i, o) ->
         match opening_bit_at commit ~index:i o with
-        | Some b -> Some (i, b, o)
+        | Some b ->
+            on_bit i b;
+            Some (i, b, o)
         | None -> None)
       disclosure.bd_openings
   in

@@ -21,14 +21,6 @@
 
 open Proto_common
 
-type prover_output = {
-  commit : Wire.commit Wire.signed;
-  neighbor_disclosures : (Pvr_bgp.Asn.t * neighbor_disclosure) list;
-  beneficiary_disclosure : beneficiary_disclosure;
-  inputs : Wire.announce Wire.signed list;
-      (** the admitted inputs: validly signed and within [max_path_len] *)
-}
-
 val scheme : string
 (** ["min"]. *)
 
@@ -36,32 +28,94 @@ val default_max_path_len : int
 (** 32 — "Suppose the maximum AS-path length at A is k" (§3.3).  Real BGP
     paths essentially never exceed this. *)
 
-val prove :
+(** {2 The prover's draft}
+
+    Everything A will send, before anything is signed: the first phase of
+    a {!Runner} round, which {!Adversary.perturb} may rewrite. *)
+
+type committed =
+  (Pvr_crypto.Commitment.commitment * Pvr_crypto.Commitment.opening) list
+(** One commitment per threshold bit b_1..b_k, with its opening. *)
+
+type committer = tag:string -> bool list -> committed
+(** Commits to a bit vector: [tag] is [""] for the honest vector, another
+    tag for a second vector of the round (a lie), whose nonces are then
+    fresh even when it claims the same bits. *)
+
+type provenance =
+  | Input of Pvr_bgp.Asn.t  (** that provider's signed announce *)
+  | Forged of Wire.announce Wire.signed
+
+type export_plan = Pvr_bgp.Route.t * provenance
+(** An export to B before signing: the route and its provenance. *)
+
+type answer =
+  | Stonewall  (** A answers no challenge *)
+  | Stand_by of export_plan option
+      (** A answers with openings of [dr_committed] and this export *)
+
+type draft = {
+  dr_keyring : Keyring.t;
+  dr_committer : committer;
+  dr_prover : Pvr_bgp.Asn.t;
+  dr_beneficiary : Pvr_bgp.Asn.t;
+  dr_epoch : Wire.epoch;
+  dr_prefix : Pvr_bgp.Prefix.t;
+  dr_inputs : (Pvr_bgp.Asn.t * Pvr_bgp.Route.t) list;
+      (** the admitted inputs, in arrival order *)
+  dr_committed : committed;
+      (** sent to the providers, each opened at its own route length *)
+  dr_committed_b : committed;
+      (** sent to B and opened in full; physically [dr_committed] unless A
+          equivocates *)
+  dr_withheld : Pvr_bgp.Asn.t list;  (** providers denied their opening *)
+  dr_export : export_plan option;  (** the export B is sent *)
+  dr_answer : answer;  (** what A shows the judge when challenged *)
+}
+
+val draft :
   ?max_path_len:int ->
-  Pvr_crypto.Drbg.t ->
+  ?export:Pvr_bgp.Route.t ->
   Keyring.t ->
+  committer:committer ->
   prover:Pvr_bgp.Asn.t ->
   beneficiary:Pvr_bgp.Asn.t ->
   epoch:Wire.epoch ->
   prefix:Pvr_bgp.Prefix.t ->
-  inputs:Wire.announce Wire.signed list ->
-  prover_output
-(** Honest A.  Inputs whose path exceeds [max_path_len] are ignored (they
-    could never win the minimum among admissible routes anyway, and the bit
-    vector cannot express them). *)
+  inputs:(Pvr_bgp.Asn.t * Pvr_bgp.Route.t) list ->
+  draft
+(** Honest A.  [inputs] must already be admitted (validly signed, at most
+    [max_path_len] hops).  A commits to k = [max_path_len] bits, opens
+    b_{|r_i|} to each provider and every bit to B, and exports [export]
+    (the route its decision process chose) when that is an admitted input,
+    else the first shortest input. *)
+
+val commit_claim :
+  committer -> tag:string -> k:int -> claimed_shortest:int -> committed
+(** Commit to the k bits a shortest input of [claimed_shortest] hops
+    implies. *)
+
+val openings : committed -> (int * Pvr_crypto.Commitment.opening) list
+(** The openings, indexed from 1. *)
 
 val check_neighbor :
+  ?on_bit:(int -> bool -> unit) ->
   Keyring.t ->
   me:Pvr_bgp.Asn.t ->
   my_announce:Wire.announce Wire.signed ->
   commit:Wire.commit Wire.signed ->
   disclosure:neighbor_disclosure option ->
   Evidence.t list
-(** N_i: the disclosed opening must be for index |r_i| and show bit 1. *)
+(** N_i: the disclosed opening must be for index |r_i| and show bit 1.
+    [on_bit] sees the bit when the opening verifies, so a caller can account
+    it without opening it again. *)
 
 val check_beneficiary :
+  ?on_bit:(int -> bool -> unit) ->
   Keyring.t ->
   me:Pvr_bgp.Asn.t ->
   commit:Wire.commit Wire.signed ->
   disclosure:beneficiary_disclosure ->
   Evidence.t list
+(** B: all k openings, bit monotonicity, and a minimal, properly signed
+    export.  [on_bit] sees every opening that verifies. *)

@@ -1,11 +1,12 @@
-(** End-to-end verification rounds on the Figure-1 scenario.
-
-    One round: providers sign announcements → the (possibly Byzantine)
-    prover A commits, disclosing per §3.3 → neighbors gossip A's
-    commitment → every party runs its checks → all raised evidence is
-    taken to the {!Judge}, with A answering challenges according to its
-    behaviour.  Experiment E8 sweeps this over behaviours and topologies;
-    the test suite asserts the §2.3 properties on the reports. *)
+(** The §3.3 verification round every vertex runs, in three phases (§3.4:
+    commit, disclose selectively, verify): {b draft} ({!Proto_min.draft},
+    then {!Adversary.perturb} for a Byzantine A), {b sign} ({!sign}, one
+    {!Wire.sign_batch} per signer across all drafts) and {b check}
+    ({!check}: delivery over a {!transport}, every party's checks, gossip
+    and the {!Judge}).  The engine runs the phases over its dirty set;
+    {!min_round} and {!min_round_faulty} run them for one vertex.
+    Experiment E8 sweeps this over behaviours and topologies; the test
+    suite asserts the §2.3 properties on the reports. *)
 
 module Bgp = Pvr_bgp
 
@@ -33,8 +34,8 @@ type fault_profile = {
 }
 
 val perfect_faults : fault_profile
-(** Lossless, delay-free links; under this profile {!min_round_faulty} is
-    behaviourally identical to the former direct-call round. *)
+(** Lossless, delay-free links: every party receives what [Direct]
+    delivers, over a simulated channel. *)
 
 type net_report = {
   base : report;
@@ -58,6 +59,115 @@ type net_report = {
   ticks : int;  (** simulated ticks consumed across both channels *)
 }
 
+type transport =
+  | Direct
+      (** every message arrives, in order, with no simulated ticks; gossip
+          runs only when A sent different commitment bytes *)
+  | Net of fault_profile
+      (** a {!Pvr_net} stop-and-wait ARQ channel for the protocol messages,
+          a best-effort one for gossip digests *)
+
+(** {2 Sign} *)
+
+type memo
+(** Signed statements by (signer, payload encoding) — exports by
+    (provenance signer, encoding without the provenance): a statement found
+    here is not signed again. *)
+
+val memo : ?on_lookup:(hit:bool -> unit) -> unit -> memo
+(** Empty tables; [on_lookup] is told of every hit and miss. *)
+
+val clear_memo : memo -> unit
+
+val memo_signatures : memo -> (string * string) list
+(** Every statement held, as (["signer|encoding"] key, signature). *)
+
+type round = {
+  draft : Proto_min.draft;
+  announces : (Bgp.Asn.t * Wire.announce Wire.signed) list;
+      (** the admitted inputs' signed announces *)
+  commit : Wire.commit Wire.signed;  (** sent to the providers *)
+  commit_b : Wire.commit Wire.signed;
+      (** sent to B (another commitment only under [Equivocate]) *)
+  export : Wire.export Wire.signed option;  (** sent to B *)
+  answer : Wire.export Wire.signed option;
+      (** the export A produces when the judge challenges it *)
+}
+(** A signed draft: everything A sends in the round. *)
+
+val commit_for : round -> Bgp.Asn.t -> Wire.commit Wire.signed
+
+val neighbor_disclosures :
+  round -> (Bgp.Asn.t * Proto_common.neighbor_disclosure option) list
+(** Each admitted provider's opening; [None] = A withholds it. *)
+
+val beneficiary_disclosure : round -> Proto_common.beneficiary_disclosure
+
+val respond : round -> accused:Bgp.Asn.t -> Judge.challenge -> Judge.response
+(** How A answers a judge: as its draft's [dr_answer] says. *)
+
+type pool = { run : 'a. (unit -> 'a) array -> 'a array }
+(** Runs independent tasks, returning results in task order. *)
+
+val sign :
+  ?pool:pool -> Keyring.t -> (memo * Proto_min.draft) array -> round array
+(** Sign the statements missing from each draft's memo (which they then
+    enter), one batch per signer: the announces first, then commitments
+    and exports, since an export embeds its signed provenance announce.
+    [pool] (default: inline) runs the tasks.  Signatures depend on which
+    statements share a batch; no outcome does. *)
+
+val prove :
+  ?max_path_len:int ->
+  ?comply:bool ->
+  ?behaviour:Adversary.behaviour ->
+  Pvr_crypto.Drbg.t ->
+  Keyring.t ->
+  prover:Bgp.Asn.t ->
+  beneficiary:Bgp.Asn.t ->
+  epoch:Wire.epoch ->
+  prefix:Bgp.Prefix.t ->
+  inputs:Wire.announce Wire.signed list ->
+  round
+(** One A's draft and sign phases: admit the validly signed inputs within
+    [max_path_len] (default {!Proto_min.default_max_path_len}), draft with
+    nonces drawn from the DRBG, perturb under [behaviour] (default
+    [Honest]) and [comply] (default [false]), and sign. *)
+
+(** {2 Check} *)
+
+type link
+(** One round's transport state. *)
+
+val connect :
+  transport ->
+  Pvr_crypto.Drbg.t Lazy.t ->
+  prover:Bgp.Asn.t ->
+  (Bgp.Asn.t * 'a) list ->
+  link * (Bgp.Asn.t * 'a) list
+(** Open the round's transport and deliver each provider's announce;
+    returns the link and, in arrival order, the items whose announce
+    arrived ([Direct]: the list itself).  [Net] splits its channel
+    generators off the DRBG before the prover draws from it; [Direct]
+    never forces it. *)
+
+val check :
+  ?gossip:[ `Clique | `Ring | `None ] ->
+  ?ledger:Leakage.Ledger.ledger ->
+  Keyring.t ->
+  link ->
+  round ->
+  net_report
+(** Deliver the round and run every party's checks, gossip (default:
+    clique) and the judge.  A party still owed a disclosure re-requests it
+    up to [fp_retry_budget] times, then raises {!Evidence.Timeout} around
+    its omission claim ([Direct]: the bare claim).  [ledger] accounts every
+    bit disclosed to each party (openings, the export, judge challenges),
+    reusing the bits the checks opened.  A [Direct] report shows full
+    delivery and no traffic. *)
+
+(** {2 One standalone round} *)
+
 val min_round_faulty :
   ?gossip:[ `Clique | `Ring | `None ] ->
   ?max_path_len:int ->
@@ -73,22 +183,10 @@ val min_round_faulty :
   prefix:Bgp.Prefix.t ->
   routes:(Bgp.Asn.t * Bgp.Route.t) list ->
   net_report
-(** Run one §3.3 round with every wire message passed through a
-    deterministic simulated network ({!Pvr_net}) under [faults] (default
-    {!perfect_faults}).  Announces, commitments, and disclosures use a
-    stop-and-wait ARQ channel with [fp_retry_budget] retransmissions;
-    gossip digests use a separate best-effort channel.  A party still owed
-    a disclosure after [fp_retry_budget] explicit re-requests raises
-    {!Evidence.Timeout} around the omission claim.  Fault schedules are a
-    deterministic function of the seed behind [rng] (they draw from
-    children split off before any protocol draws).
-
-    [ledger] accounts every disclosed bit of the round per receiving party:
-    provider and beneficiary openings, the export, commitment receptions
-    (opaque, zero bits) and whatever judge challenges extract.  [comply]
-    (default [false]) is forwarded to {!Adversary.run_min}: stonewalling
-    behaviours answer the judge honestly when challenged, so they are
-    detected but exonerated. *)
+(** One round over [Net faults] (default {!perfect_faults}): the providers
+    sign and send their announces, then {!prove} over those that arrived,
+    then {!check}.  Fault schedules are a deterministic function of the
+    seed behind [rng]. *)
 
 val min_round :
   ?gossip:[ `Clique | `Ring | `None ] ->
@@ -102,9 +200,8 @@ val min_round :
   prefix:Bgp.Prefix.t ->
   routes:(Bgp.Asn.t * Bgp.Route.t) list ->
   report
-(** Run one §3.3 round.  [routes] are the provider announcements (neighbor,
-    route as it arrives at A).  Gossip topology defaults to the full
-    clique.  Equivalent to [min_round_faulty ~faults:perfect_faults]. *)
+(** [routes] are the provider announcements (neighbor, route as it arrives
+    at A).  Equivalent to [min_round_faulty ~faults:perfect_faults]. *)
 
 val detection_expected :
   Adversary.behaviour ->
@@ -118,9 +215,9 @@ val detection_expected :
     commitment and received what it needed — its disclosure, an
     acknowledged announce (for the stonewalling victim), or an unbroken
     clique gossip round (for equivocation).  Assumes clique gossip with at
-    least one round.  When this returns [true] on a [min_round_faulty]
-    report, the report must show [detected] and [convicted] for every
-    non-[Honest] behaviour; the soak harness asserts exactly that. *)
+    least one round.  When this returns [true] on a {!check} report, the
+    report must show [detected] and [convicted] for every non-[Honest]
+    behaviour; the soak harness asserts exactly that. *)
 
 val announce_of_route :
   Keyring.t ->

@@ -16,7 +16,7 @@ type outcome = {
   vx_kinds : string list;
   vx_leaked_bits : int;
   vx_excess_bits : int;
-  vx_net : Pvr.Runner.net_report option;
+  vx_required : bool;
   vx_line : string;
 }
 
@@ -57,16 +57,7 @@ let g_mem_ceiling = Pvr_obs.gauge "engine.mem.ceiling"
 (* Per-vertex memo tables.  A vertex is (re)computed by exactly one pool
    task per epoch, so its tables have a single owner at any time; the pool's
    join barrier publishes them back to the scheduling domain. *)
-(* Sign memos are keyed by (signer, payload encoding); the encoding string
-   is the one a fresh draft signs, so a miss keeps no second copy. *)
-type 'a memo = (Bgp.Asn.t * string, 'a Pvr.Wire.signed) Hashtbl.t
-
-type vcache = {
-  ccache : C.Commitment.Cache.t;
-  ann_memo : Pvr.Wire.announce memo;
-  cmt_memo : Pvr.Wire.commit memo;
-  exp_memo : Pvr.Wire.export memo;
-}
+type vcache = { ccache : C.Commitment.Cache.t; memo : Pvr.Runner.memo }
 
 type snapshot = {
   sn_vertex : vertex;
@@ -132,7 +123,7 @@ type t = {
   salt_every : int;
   max_path_len : int;
   strategy : Pvr.Adversary.strategy;
-  faults : Pvr.Runner.fault_profile option;
+  transport : Pvr.Runner.transport;
   secret : string;
   ases : Bgp.Asn.t list; (* sorted *)
   nbrs : (Bgp.Asn.t, Bgp.Asn.t list) Hashtbl.t;
@@ -178,7 +169,10 @@ let create ?(jobs = 1) ?(cache = true) ?(salt_every = 8)
     salt_every = max 1 salt_every;
     max_path_len;
     strategy;
-    faults;
+    transport =
+      (match faults with
+      | None -> Pvr.Runner.Direct
+      | Some f -> Pvr.Runner.Net f);
     secret;
     ases = List.sort Bgp.Asn.compare (Bgp.Topology.ases topology);
     nbrs;
@@ -212,17 +206,11 @@ let spilled_states t =
     t.states 0
 
 let signatures t =
-  let add tbl acc =
-    Hashtbl.fold
-      (fun (signer, enc) (s : _ Pvr.Wire.signed) acc ->
-        (Bgp.Asn.to_string signer ^ "|" ^ enc, s.Pvr.Wire.signature) :: acc)
-      tbl acc
-  in
   Hashtbl.fold
     (fun _ slot acc ->
       match slot with
       | Resident { vs_cache = Some vc; _ } ->
-          add vc.ann_memo (add vc.cmt_memo (add vc.exp_memo acc))
+          Pvr.Runner.memo_signatures vc.memo @ acc
       | Resident _ | Spilled _ -> acc)
     t.states []
   |> List.sort compare
@@ -236,9 +224,11 @@ let salt t ~period =
 let fresh_vcache t ~period =
   {
     ccache = C.Commitment.Cache.create ~period ~key:(salt t ~period) ();
-    ann_memo = Hashtbl.create 32;
-    cmt_memo = Hashtbl.create 8;
-    exp_memo = Hashtbl.create 8;
+    memo =
+      Pvr.Runner.memo
+        ~on_lookup:(fun ~hit ->
+          Pvr_obs.incr (if hit then sign_hits else sign_misses))
+        ();
   }
 
 (* Salt rotation: reuse the carried vcache's allocations, invalidate every
@@ -247,9 +237,7 @@ let fresh_vcache t ~period =
    them rather than letting them accumulate. *)
 let recycle_vcache t vc ~period =
   C.Commitment.Cache.rotate vc.ccache ~period ~key:(salt t ~period);
-  Hashtbl.reset vc.ann_memo;
-  Hashtbl.reset vc.cmt_memo;
-  Hashtbl.reset vc.exp_memo;
+  Pvr.Runner.clear_memo vc.memo;
   vc
 
 (* [Intern.encode] is byte-identical to [Route.encode]; with interning on
@@ -348,447 +336,173 @@ let collect t =
 let providers_string providers =
   String.concat "," (List.map Bgp.Asn.to_string providers)
 
-(* ---- the honest round: draft, sign, check ---------------------------------
+(* ---- the round: draft, sign, check ----------------------------------------
 
-   The honest fast path is Proto_min.prove re-built on derived commitments
-   and the memo tables, split into pool phases over the dirty set so that
-   signing is batched across vertices (§3.8):
+   Every dirty vertex runs the round of {!Pvr.Runner} in pool phases over
+   the dirty set (draft per vertex, sign per signer, check per vertex), so
+   that signing is batched across vertices (§3.8).  Each phase is a pure
+   function of (secret, keyring, salt period, snapshots); signatures depend
+   on which statements share a batch, but report lines never hold one. *)
 
-   - draft, per vertex: build the payloads, derive the commitments through
-     the commitment cache and look up the sign memos;
-   - sign, per signer: every memo miss of one signer goes into one
-     {!Pvr.Wire.sign_batch}, one RSA signature over a Merkle root.
-     Announces are signed first; commits and exports next, because an
-     export embeds its signed provenance announce;
-   - check, per vertex: attach the signatures, run the neighbour and
-     beneficiary checks and the judge, and build the report line.
+(* The [Net] round's DRBG is seeded from (engine secret, vertex, wire
+   epoch, snapshot digest): the fault schedule is a pure function of the
+   vertex state, whatever the scheduling, jobs or cache. *)
+let round_rng t ~wire_epoch (sn : snapshot) =
+  lazy
+    (C.Drbg.create
+       ~seed:
+         (String.concat "|"
+            [ t.secret; "round"; vertex_key sn.sn_vertex;
+              string_of_int wire_epoch; snapshot_digest sn ]))
 
-   Each phase is a pure function of (keyring, salt period, snapshots), so
-   outcomes do not depend on jobs or scheduling.  Signatures depend
-   on which statements share a batch, but report lines hold commitments,
-   never signatures. *)
+(* Derived nonces: a quiet vertex recommitting to the same bit pattern
+   within a salt period pays zero hash work (the vector memo).  The context
+   embeds the wire epoch, which is constant within a period, so vector hits
+   return the very commitments a per-bit recomputation would produce. *)
+let committer vc ~wire_epoch (sn : snapshot) ~tag bits =
+  let ctx i =
+    Printf.sprintf "%s|%s|%d|%d%s"
+      (Bgp.Asn.to_string sn.sn_vertex.vprover)
+      (Bgp.Prefix.to_string sn.sn_vertex.vprefix)
+      wire_epoch (i + 1) tag
+  in
+  C.Commitment.Cache.commit_bit_vector vc.ccache
+    ~vertex:(vertex_key sn.sn_vertex ^ tag)
+    ~context:ctx bits
 
-(* A statement the round needs signed: a memo hit, or a miss drafted under
-   its memo key and signed by this epoch's batch. *)
-type 'a stmt =
-  | Hit of 'a Pvr.Wire.signed
-  | Miss of (Bgp.Asn.t * string) * 'a Pvr.Wire.draft
-
-let memo_find tbl key =
-  let found = Hashtbl.find_opt tbl key in
-  Pvr_obs.incr (if Option.is_none found then sign_misses else sign_hits);
-  found
-
-let memo_lookup tbl ~as_ ~encode payload =
-  let enc = encode payload in
-  let key = (as_, enc) in
-  match memo_find tbl key with
-  | Some s -> Hit s
-  | None -> Miss (key, Pvr.Wire.draft ~as_ ~encode:(fun _ -> enc) payload)
-
-let signed_of = function Hit s -> s | Miss (_, d) -> Pvr.Wire.signed d
-
-(* The signed statement, a fresh signature entering the memo. *)
-let settle tbl = function
-  | Hit s -> s
-  | Miss (key, d) ->
-      let s = Pvr.Wire.signed d in
-      Hashtbl.replace tbl key s;
-      s
-
-(* The export's payload embeds its provenance announce, whose signature is
-   only known once the announces are signed; its memo key is (provenance
-   neighbour, export encoding without the provenance), since the prover is
-   the same for every entry of a vertex's memo. *)
-type export_slot =
-  | No_export
-  | Export_after of (Bgp.Asn.t * string) (* memo key *)
-  | Export of Pvr.Wire.export stmt
-
-type draft = {
-  dr_sn : snapshot;
-  dr_vc : vcache;
-  dr_wire_epoch : int;
-  dr_announces : (Bgp.Asn.t * Pvr.Wire.announce stmt) list;
-  dr_committed : (C.Commitment.commitment * C.Commitment.opening) list;
-  dr_commit : Pvr.Wire.commit stmt;
-  mutable dr_export : export_slot;
-}
-
-let draft_round ~max_path_len ~wire_epoch vc (sn : snapshot) =
-  let prover = sn.sn_vertex.vprover and prefix = sn.sn_vertex.vprefix in
-  let announces =
-    List.map
-      (fun (n, r) ->
-        ( n,
-          memo_lookup vc.ann_memo ~as_:n ~encode:Pvr.Wire.encode_announce
-            { Pvr.Wire.ann_epoch = wire_epoch; ann_to = prover; ann_route = r }
-        ))
+let draft_round t ~wire_epoch ((sn : snapshot), vc) =
+  let prover = sn.sn_vertex.vprover in
+  (* The plan is a pure function of (secret, vertex, wire epoch): identical
+     for every jobs/cache configuration, and stable within a salt period so
+     carried-forward outcomes agree with recomputation. *)
+  let plan =
+    Pvr.Adversary.plan_round t.strategy ~seed:t.secret ~prover
+      ~prefix:sn.sn_vertex.vprefix ~epoch:wire_epoch
+  in
+  let link, inputs =
+    Pvr.Runner.connect t.transport (round_rng t ~wire_epoch sn) ~prover
       sn.sn_inputs
   in
-  let lengths = List.map (fun (_, r) -> Bgp.Route.path_length r) sn.sn_inputs in
-  let shortest = List.fold_left min max_int lengths in
-  let bits = List.init max_path_len (fun i -> shortest <= i + 1) in
-  let ctx i =
-    Printf.sprintf "%s|%s|%d|%d" (Bgp.Asn.to_string prover)
-      (Bgp.Prefix.to_string prefix) wire_epoch (i + 1)
+  let d =
+    Pvr.Proto_min.draft ~max_path_len:t.max_path_len ~export:sn.sn_export
+      t.keyring
+      ~committer:(committer vc ~wire_epoch sn)
+      ~prover ~beneficiary:sn.sn_beneficiary ~epoch:wire_epoch
+      ~prefix:sn.sn_vertex.vprefix ~inputs
   in
-  let committed =
-    (* Vector-level memo: a quiet vertex recommitting to the same bit
-       pattern within a salt period pays zero hash work.  [ctx] embeds the
-       wire epoch, which is constant within a period, so vector hits return
-       the very commitments a per-bit recomputation would produce. *)
-    C.Commitment.Cache.commit_bit_vector vc.ccache
-      ~vertex:(vertex_key sn.sn_vertex) ~context:ctx bits
+  (plan, link, (vc.memo, Pvr.Adversary.perturb plan d))
+
+(* (leaked, excess) bits: every party's view audited against its plain-BGP
+   baseline under the Figure-1 α — each provider, the beneficiary, and the
+   plan's coalition of the first [rp_coalition] providers by ASN.  B's
+   baseline is the promise-kept export, so a cheating round's disclosures
+   legitimately show positive excess: the meter flagging the cheat. *)
+let audit ledger plan (sn : snapshot) =
+  let module L = Pvr.Leakage in
+  (* α is consulted only for excess facts, which honest rounds never show. *)
+  let alpha =
+    lazy
+      (Pvr.Access_control.figure1 ~beneficiary:sn.sn_beneficiary
+         ~providers:(List.map fst sn.sn_inputs))
   in
-  let commit =
-    memo_lookup vc.cmt_memo ~as_:prover ~encode:Pvr.Wire.encode_commit
-      {
-        Pvr.Wire.cmt_epoch = wire_epoch;
-        cmt_prefix = prefix;
-        cmt_scheme = Pvr.Proto_min.scheme;
-        cmt_commitments =
-          List.map
-            (fun ((c : C.Commitment.commitment), _) -> (c :> string))
-            committed;
-      }
+  let audit ~viewer members =
+    let baseline = L.pooled (List.map snd members) in
+    let authorized f =
+      List.exists
+        (fun (v, _) -> L.alpha_authorizes (Lazy.force alpha) ~viewer:v f)
+        members
+    in
+    L.audit ~viewer ~authorized ~baseline
+      ~observed:
+        (baseline
+        @ List.concat_map (fun (v, _) -> L.Ledger.view ledger ~viewer:v) members)
+      ()
   in
-  let export =
-    match
-      List.find_opt (fun (_, r) -> Bgp.Route.equal r sn.sn_export) sn.sn_inputs
-    with
-    | None -> No_export
-    | Some (via, _) -> (
-        let key =
-          ( via,
-            Pvr.Wire.encode_export
-              {
-                Pvr.Wire.exp_epoch = wire_epoch;
-                exp_to = sn.sn_beneficiary;
-                exp_route = sn.sn_export;
-                exp_provenance = None;
-              } )
-        in
-        match memo_find vc.exp_memo key with
-        | Some s -> Export (Hit s)
-        | None -> Export_after key)
+  let single (v, baseline) =
+    audit ~viewer:(Bgp.Asn.to_string v) [ (v, baseline) ]
   in
-  {
-    dr_sn = sn;
-    dr_vc = vc;
-    dr_wire_epoch = wire_epoch;
-    dr_announces = announces;
-    dr_committed = committed;
-    dr_commit = commit;
-    dr_export = export;
-  }
+  let provider (p, r) = (p, L.plain_bgp_provider ~me:p ~my_route:r) in
+  let coalition =
+    List.filteri (fun i _ -> i < plan.Pvr.Adversary.rp_coalition) sn.sn_inputs
+  in
+  let audits =
+    single
+      ( sn.sn_beneficiary,
+        L.plain_bgp_beneficiary ~exported:(Some sn.sn_export) )
+    :: List.map (fun i -> single (provider i)) sn.sn_inputs
+    @
+    if plan.Pvr.Adversary.rp_coalition > 1 then
+      [
+        audit
+          ~viewer:("coalition:" ^ providers_string (List.map fst coalition))
+          (List.map provider coalition);
+      ]
+    else []
+  in
+  ( L.Ledger.bits ledger,
+    List.fold_left (fun n a -> n + a.L.au_excess_bits) 0 audits )
 
-let pending signer = function
-  | Miss (_, dr) -> [ (signer, Pvr.Wire.Pending dr) ]
-  | Hit _ -> []
-
-(* First signing phase: every announce miss, under its neighbour's key. *)
-let announce_pendings d =
-  List.concat_map (fun (n, st) -> pending n st) d.dr_announces
-
-(* Between the phases: an export miss is drafted once its provenance
-   announce carries a signature. *)
-let draft_export d =
-  match d.dr_export with
-  | Export_after ((via, _) as key) ->
-      let dr =
-        Pvr.Wire.draft ~as_:d.dr_sn.sn_vertex.vprover
-          ~encode:Pvr.Wire.encode_export
-          {
-            Pvr.Wire.exp_epoch = d.dr_wire_epoch;
-            exp_to = d.dr_sn.sn_beneficiary;
-            exp_route = d.dr_sn.sn_export;
-            exp_provenance = Some (signed_of (List.assoc via d.dr_announces));
-          }
-      in
-      d.dr_export <- Export (Miss (key, dr))
-  | No_export | Export _ -> ()
-
-(* Second signing phase: the prover's commit and export misses. *)
-let prover_pendings d =
-  let prover = d.dr_sn.sn_vertex.vprover in
-  pending prover d.dr_commit
-  @ match d.dr_export with Export st -> pending prover st | _ -> []
-
-let check_round keyring d =
-  let sn = d.dr_sn and vc = d.dr_vc in
-  let prover = sn.sn_vertex.vprover and prefix = sn.sn_vertex.vprefix in
+let check_round t (sn : snapshot) plan link round =
+  let ledger = Pvr.Leakage.Ledger.create () in
+  let nr = Pvr.Runner.check ~ledger t.keyring link round in
+  let base = nr.Pvr.Runner.base in
+  let leaked, excess = audit ledger plan sn in
   let beneficiary = sn.sn_beneficiary in
-  let announces =
-    List.map (fun (n, st) -> (n, settle vc.ann_memo st)) d.dr_announces
-  in
-  let commit = settle vc.cmt_memo d.dr_commit in
-  let export =
-    match d.dr_export with
-    | No_export -> None
-    | Export st -> Some (settle vc.exp_memo st)
-    | Export_after _ -> invalid_arg "Engine.check_round: export not signed"
-  in
-  let openings = List.map snd d.dr_committed in
-  let opening_at i = List.nth openings (i - 1) in
-  let neighbor_disclosures =
-    List.map
-      (fun (n, (ann : Pvr.Wire.announce Pvr.Wire.signed)) ->
-        let len =
-          Bgp.Route.path_length ann.Pvr.Wire.payload.Pvr.Wire.ann_route
-        in
-        (n, { Pvr.Proto_common.nd_index = len; nd_opening = opening_at len }))
-      announces
-  in
-  let bd =
-    {
-      Pvr.Proto_common.bd_openings = List.mapi (fun i o -> (i + 1, o)) openings;
-      bd_export = export;
-    }
-  in
-  let raised = ref [] in
-  List.iter
-    (fun (n, ann) ->
-      let disclosure = List.assoc_opt n neighbor_disclosures in
-      List.iter
-        (fun e -> raised := e :: !raised)
-        (Pvr.Proto_min.check_neighbor keyring ~me:n ~my_announce:ann ~commit
-           ~disclosure))
-    announces;
-  List.iter
-    (fun e -> raised := e :: !raised)
-    (Pvr.Proto_min.check_beneficiary keyring ~me:beneficiary ~commit
-       ~disclosure:bd);
-  let raised = List.rev !raised in
-  let verdicts = List.map (Pvr.Judge.evaluate_offline keyring) raised in
-  let detected = raised <> [] in
-  let convicted = List.exists (fun v -> v = Pvr.Judge.Guilty) verdicts in
-  let commit_hex =
-    String.sub
-      (C.Sha256.digest_hex
-         (String.concat "" commit.Pvr.Wire.payload.Pvr.Wire.cmt_commitments))
-      0 16
-  in
   let providers = List.map fst sn.sn_inputs in
+  let raised = base.Pvr.Runner.raised in
+  let commit = round.Pvr.Runner.commit_b.Pvr.Wire.payload in
   let line =
     Printf.sprintf "%s %s b=%s prov=%s det=%b conv=%b ev=%d c=%s"
-      (Bgp.Asn.to_string prover)
-      (Bgp.Prefix.to_string prefix)
+      (Bgp.Asn.to_string sn.sn_vertex.vprover)
+      (Bgp.Prefix.to_string sn.sn_vertex.vprefix)
       (Bgp.Asn.to_string beneficiary)
       (providers_string providers)
-      detected convicted (List.length raised) commit_hex
+      base.Pvr.Runner.detected base.Pvr.Runner.convicted (List.length raised)
+      (String.sub
+         (C.Sha256.digest_hex (String.concat "" commit.Pvr.Wire.cmt_commitments))
+         0 16)
   in
+  let behaviour = plan.Pvr.Adversary.rp_behaviour in
   {
     vx_vertex = sn.sn_vertex;
     vx_beneficiary = beneficiary;
     vx_providers = providers;
     vx_routes = sn.sn_inputs;
     vx_recomputed = true;
-    vx_behaviour = Pvr.Adversary.Honest;
-    vx_detected = detected;
-    vx_convicted = convicted;
-    vx_evidence = List.length raised;
-    vx_kinds = List.sort_uniq String.compare (List.map Pvr.Evidence.kind raised);
-    vx_leaked_bits = 0;
-    vx_excess_bits = 0;
-    vx_net = None;
-    vx_line = line;
-  }
-
-(* Fault-injected (or Byzantine) rounds delegate to the full runner.  The
-   round's DRBG is seeded from (engine secret, vertex, salt period, snapshot
-   digest), making the outcome a pure function of the vertex state — the
-   same schedule regardless of scheduling order, jobs, or whether the cache
-   skipped the vertex last epoch. *)
-let faulty_round keyring ~max_path_len ~wire_epoch ~secret ~plan ~faults
-    (sn : snapshot) =
-  let behaviour = plan.Pvr.Adversary.rp_behaviour in
-  let prover = sn.sn_vertex.vprover and prefix = sn.sn_vertex.vprefix in
-  let seed =
-    String.concat "|"
-      [
-        secret;
-        "round";
-        vertex_key sn.sn_vertex;
-        string_of_int wire_epoch;
-        snapshot_digest sn;
-      ]
-  in
-  let rng = C.Drbg.create ~seed in
-  let module L = Pvr.Leakage in
-  let ledger = L.Ledger.create () in
-  let nr =
-    Pvr.Runner.min_round_faulty ?faults ~max_path_len ~ledger
-      ~comply:plan.Pvr.Adversary.rp_comply behaviour rng keyring ~prover
-      ~beneficiary:sn.sn_beneficiary ~epoch:wire_epoch ~prefix
-      ~routes:sn.sn_inputs
-  in
-  let base = nr.Pvr.Runner.base in
-  let providers = List.map fst sn.sn_inputs in
-  (* Leakage accounting: audit every party's observed view against its
-     plain-BGP baseline under the Figure-1 α.  The beneficiary baseline is
-     the promise-kept export, so a cheating round's inconsistent
-     disclosures legitimately show positive excess — that is the meter
-     flagging the cheat, not a protocol leak. *)
-  let alpha =
-    Pvr.Access_control.figure1 ~beneficiary:sn.sn_beneficiary ~providers
-  in
-  let view_of v = L.Ledger.view ledger ~viewer:v in
-  let provider_audits =
-    List.map
-      (fun (p, r) ->
-        let baseline = L.plain_bgp_provider ~me:p ~my_route:r in
-        L.audit
-          ~viewer:(Bgp.Asn.to_string p)
-          ~authorized:(L.alpha_authorizes alpha ~viewer:p)
-          ~baseline
-          ~observed:(baseline @ view_of p)
-          ())
-      sn.sn_inputs
-  in
-  let bene_baseline = L.plain_bgp_beneficiary ~exported:(Some sn.sn_export) in
-  let bene_audit =
-    L.audit
-      ~viewer:(Bgp.Asn.to_string sn.sn_beneficiary)
-      ~authorized:(L.alpha_authorizes alpha ~viewer:sn.sn_beneficiary)
-      ~baseline:bene_baseline
-      ~observed:(bene_baseline @ view_of sn.sn_beneficiary)
-      ()
-  in
-  let coalition_audits =
-    if plan.Pvr.Adversary.rp_coalition > 1 then begin
-      (* [sn_inputs] is sorted by ASN: the coalition is the first [size]
-         providers pooling their disclosed bits. *)
-      let members =
-        List.filteri
-          (fun i _ -> i < plan.Pvr.Adversary.rp_coalition)
-          sn.sn_inputs
-      in
-      let baseline =
-        L.pooled
-          (List.map
-             (fun (p, r) -> L.plain_bgp_provider ~me:p ~my_route:r)
-             members)
-      in
-      let observed =
-        L.pooled (baseline :: List.map (fun (p, _) -> view_of p) members)
-      in
-      [
-        L.audit
-          ~viewer:
-            ("coalition:" ^ providers_string (List.map fst members))
-          ~authorized:(fun f ->
-            List.exists
-              (fun (p, _) -> L.alpha_authorizes alpha ~viewer:p f)
-              members)
-          ~baseline ~observed ();
-      ]
-    end
-    else []
-  in
-  let audits = provider_audits @ (bene_audit :: coalition_audits) in
-  let leaked =
-    List.fold_left
-      (fun n v -> n + L.view_bits (view_of v))
-      0
-      (L.Ledger.viewers ledger)
-  in
-  let excess =
-    List.fold_left (fun n a -> n + a.L.au_excess_bits) 0 audits
-  in
-  let line =
-    Printf.sprintf
-      "%s %s b=%s prov=%s det=%b conv=%b ev=%d m=%d cb=%d lk=%d xs=%d"
-      (Bgp.Asn.to_string prover)
-      (Bgp.Prefix.to_string prefix)
-      (Bgp.Asn.to_string sn.sn_beneficiary)
-      (providers_string providers)
-      base.Pvr.Runner.detected base.Pvr.Runner.convicted
-      (List.length base.Pvr.Runner.raised)
-      base.Pvr.Runner.messages base.Pvr.Runner.commit_bytes leaked excess
-  in
-  {
-    vx_vertex = sn.sn_vertex;
-    vx_beneficiary = sn.sn_beneficiary;
-    vx_providers = providers;
-    vx_routes = sn.sn_inputs;
-    vx_recomputed = true;
     vx_behaviour = behaviour;
     vx_detected = base.Pvr.Runner.detected;
     vx_convicted = base.Pvr.Runner.convicted;
-    vx_evidence = List.length base.Pvr.Runner.raised;
+    vx_evidence = List.length raised;
     vx_kinds =
       List.sort_uniq String.compare
-        (List.map (fun (_, e) -> Pvr.Evidence.kind e) base.Pvr.Runner.raised);
+        (List.map (fun (_, e) -> Pvr.Evidence.kind e) raised);
     vx_leaked_bits = leaked;
     vx_excess_bits = excess;
-    vx_net = Some nr;
+    vx_required =
+      behaviour <> Pvr.Adversary.Honest
+      && Pvr.Runner.detection_expected behaviour ~beneficiary
+           ~routes:sn.sn_inputs nr;
     vx_line = line;
   }
 
-(* Every dirty vertex's round, outcomes in task order: draft, sign the
-   announces, draft the exports, sign the commits and exports, check. *)
+(* Every dirty vertex's round, outcomes in task order. *)
 let run_rounds t ~wire_epoch (work : (snapshot * vcache) array) =
   let drafted =
     Pool.run ~jobs:t.jobs
-      (Array.map
-         (fun (sn, vc) () ->
-           (* The plan is a pure function of (secret, vertex, wire epoch):
-              identical for every jobs/cache configuration, and stable
-              within a salt period so carried-forward outcomes agree with
-              recomputation.  Faulty and Byzantine rounds run whole
-              here, signing batches of one through the runner. *)
-           let plan =
-             Pvr.Adversary.plan_round t.strategy ~seed:t.secret
-               ~prover:sn.sn_vertex.vprover ~prefix:sn.sn_vertex.vprefix
-               ~epoch:wire_epoch
-           in
-           if
-             t.faults <> None
-             || plan.Pvr.Adversary.rp_behaviour <> Pvr.Adversary.Honest
-           then
-             `Done
-               (faulty_round t.keyring ~max_path_len:t.max_path_len
-                  ~wire_epoch ~secret:t.secret ~plan ~faults:t.faults sn)
-           else
-             `Drafted
-               (draft_round ~max_path_len:t.max_path_len ~wire_epoch vc sn))
-         work)
+      (Array.map (fun w () -> draft_round t ~wire_epoch w) work)
   in
-  let drafts =
-    Array.of_list
-      (List.filter_map
-         (function `Drafted d -> Some d | `Done _ -> None)
-         (Array.to_list drafted))
+  let rounds =
+    Pvr.Runner.sign
+      ~pool:{ Pvr.Runner.run = (fun tasks -> Pool.run ~jobs:t.jobs tasks) }
+      t.keyring
+      (Array.map (fun (_, _, md) -> md) drafted)
   in
-  (* One batch per signer; batches are independent, so the dynamic pool
-     may run them in any order. *)
-  let sign_phase pendings_of =
-    let by_signer = Hashtbl.create 16 in
-    Array.iter
-      (fun d ->
-        List.iter
-          (fun (signer, p) ->
-            Hashtbl.replace by_signer signer
-              (p
-              :: Option.value (Hashtbl.find_opt by_signer signer) ~default:[]))
-          (pendings_of d))
-      drafts;
-    Hashtbl.fold
-      (fun _ batch acc ->
-        (fun () -> Pvr.Wire.sign_batch t.keyring batch) :: acc)
-      by_signer []
-    |> Array.of_list |> Pool.run ~jobs:t.jobs |> ignore
-  in
-  sign_phase announce_pendings;
-  Array.iter draft_export drafts;
-  sign_phase prover_pendings;
   Pool.run ~jobs:t.jobs
-    (Array.map
-       (function
-         | `Done o -> fun () -> o
-         | `Drafted d -> fun () -> check_round t.keyring d)
-       drafted)
+    (Array.mapi
+       (fun i (sn, _) () ->
+         let plan, link, _ = drafted.(i) in
+         check_round t sn plan link rounds.(i))
+       work)
 
 let report_line r =
   Printf.sprintf
@@ -832,6 +546,7 @@ type state_record = {
   sr_period : int;
   sr_digest : string;
   sr_row : Row.t;
+  sr_behaviour : Pvr.Adversary.behaviour;
   sr_line : string;
 }
 
@@ -847,8 +562,13 @@ let read_state r =
   let sr_period = Codec.get_u32 r in
   let sr_digest = Codec.get_str r in
   let sr_row = Row.read_body ~epoch:0 r in
+  let sr_behaviour =
+    match Pvr.Adversary.behaviour_of_string sr_row.Row.r_behaviour with
+    | Some b -> b
+    | None -> Codec.malformed ("unknown behaviour " ^ sr_row.Row.r_behaviour)
+  in
   let sr_line = Codec.get_str r in
-  { sr_key; sr_period; sr_digest; sr_row; sr_line }
+  { sr_key; sr_period; sr_digest; sr_row; sr_behaviour; sr_line }
 
 let outcome_of_record sr =
   let row = sr.sr_row in
@@ -858,21 +578,14 @@ let outcome_of_record sr =
     vx_providers = Row.providers row;
     vx_routes = [];
     vx_recomputed = false;
-    vx_behaviour =
-      (match
-         List.find_opt
-           (fun b -> Pvr.Adversary.to_string b = row.Row.r_behaviour)
-           Pvr.Adversary.all
-       with
-      | Some b -> b
-      | None -> Pvr.Adversary.Honest);
+    vx_behaviour = sr.sr_behaviour;
     vx_detected = row.Row.r_detected;
     vx_convicted = row.Row.r_convicted;
     vx_evidence = row.Row.r_evidence;
     vx_kinds = row.Row.r_kinds;
     vx_leaked_bits = row.Row.r_leaked;
     vx_excess_bits = row.Row.r_excess;
-    vx_net = None;
+    vx_required = false;
     vx_line = sr.sr_line;
   }
 
@@ -1236,13 +949,13 @@ module Checkpoint = struct
     ck_states : int;
   }
 
-  (* v4: the RIB digest is now the delta-tracker digest (two-level, per-AS
-     over per-pair entry digests) rather than the flat O(world) walk — a
-     semantic change to [ck_rib]/[er_rib], so older blobs are refused and
-     resume falls back to full recomputation, which the determinism
-     contract makes harmless.  v3 added per-vertex evidence-kind tags; v2
-     behaviour and leaked/excess bit counts. *)
-  let ck_version = 4
+  (* v5: every vertex writes the honest line format, so older blobs'
+     carried Byzantine or lossy lines would hash differently from
+     recomputation; they are refused and resume recomputes, which the
+     determinism contract makes harmless.  v4 made the RIB digest the
+     delta-tracker digest; v3 added evidence-kind tags; v2 behaviour and
+     leaked/excess bit counts. *)
+  let ck_version = 5
   let run_id t = C.Sha256.digest_hex ("pvr-engine-run-id|" ^ t.secret)
 
   let save t =
@@ -1301,7 +1014,7 @@ module Checkpoint = struct
   (* Rebuild a vstate from its serialized record.  Memo tables restart
      absent ([vs_cache = None], built lazily on the next dirty hit):
      recomputation is pure, so empty tables cost redundant crypto but can
-     never change an outcome.  [vx_routes]/[vx_net] are not persisted; a
+     never change an outcome.  [vx_routes]/[vx_required] are not persisted; a
      carried-forward outcome only contributes its canonical line to the
      digest. *)
   let vstate_of_record sr =

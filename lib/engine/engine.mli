@@ -12,7 +12,9 @@
 
     {2 Incremental commitments}
 
-    Recomputed rounds draw no fresh randomness: commitment nonces are
+    Every recomputed vertex runs the one round of {!Pvr.Runner} — draft,
+    sign, check — whatever its plan and transport, and keeps a disclosure
+    ledger.  Recomputed rounds draw no fresh randomness: commitment nonces are
     {e derived} ({!Pvr_crypto.Commitment.commit_derived}) from an epoch
     salt, itself derived from the engine's master seed and rotated every
     [salt_every] epochs (the wire epoch is the salt-period index, so
@@ -26,8 +28,8 @@
 
     Dirty vertices are scheduled onto a {!Pool} of OCaml 5 domains
     ([jobs]).  Every task is a pure function of (master seed, vertex
-    snapshot, salt period): the fast path uses derived nonces only, and
-    fault-injected rounds seed a private DRBG from the vertex snapshot
+    snapshot, salt period): rounds use derived nonces only, and
+    fault-injected rounds seed their transport from the vertex snapshot
     digest.  Hence the determinism contract: {b same seed ⇒ byte-identical
     reports and digest, for any [jobs] and for the cache on or off}.  The
     test suite asserts both equivalences. *)
@@ -46,8 +48,7 @@ type outcome = {
       (** the round's inputs, as received at the prover *)
   vx_recomputed : bool;  (** [false]: carried forward from a clean epoch *)
   vx_behaviour : Pvr.Adversary.behaviour;
-      (** what the strategy planned at this vertex ([Honest] on the fast
-          path) *)
+      (** what the strategy planned at this vertex *)
   vx_detected : bool;
   vx_convicted : bool;
   vx_evidence : int;
@@ -59,15 +60,15 @@ type outcome = {
           unchanged). *)
   vx_leaked_bits : int;
       (** total bits disclosed across all parties (and the court) per the
-          {!Pvr.Leakage} accounting convention; [0] on the fast path *)
+          {!Pvr.Leakage} accounting convention *)
   vx_excess_bits : int;
       (** audited bits beyond each party's plain-BGP baseline, summed over
           providers, beneficiary and the coalition (positive excess on a
-          cheating round is the meter flagging the cheat); [0] on the fast
-          path *)
-  vx_net : Pvr.Runner.net_report option;
-      (** present for fault-injected rounds — feed it to
-          {!Pvr.Runner.detection_expected} *)
+          cheating round is the meter flagging the cheat) *)
+  vx_required : bool;
+      (** §2.3 Detection must have fired: {!Pvr.Runner.detection_expected}
+          on the round's delivery (full delivery without [faults]);
+          [false] when read back from a checkpoint or spill page *)
   vx_line : string;
       (** canonical one-line rendering; the per-epoch digest hashes these.
           Excludes [vx_recomputed], so it is identical whether the outcome
@@ -108,11 +109,10 @@ val create :
     no memo tables (the E11 baseline); [salt_every] (default 8) epochs per
     salt period;
     [strategy] (default [Sweep Honest]) is the adversary policy asked,
-    per vertex and wire epoch, what each prover does — honest-planned
-    vertices keep the fast path, misbehaving ones run the full fault
-    runner with a disclosure ledger and leakage audit;
-    [faults] (default none) routes each round through
-    {!Pvr.Runner.min_round_faulty}.  The master seed is drawn from the
+    per vertex and wire epoch, what each prover does
+    ({!Pvr.Adversary.perturb});
+    [faults] (default none: the [Direct] transport) checks each round over
+    [Pvr.Runner.Net faults].  The master seed is drawn from the
     DRBG at creation — the engine never touches the generator again, so
     results are independent of later draws from it. *)
 

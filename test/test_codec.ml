@@ -1,8 +1,9 @@
 (* One table for every decoder of untrusted bytes.  Each row names a
    decoder, a generator of valid values and their encoder; its test checks
-   that decoding an encoding gives the value back, and that decoding a
+   that decoding an encoding gives the value back, that decoding a
    Fuzz-mangled encoding (plus any kept seed inputs) or pure random bytes
-   never raises.  Below the table: a differential between the Codec list
+   never raises, and that the row's well-framed but invalid inputs are
+   refused.  Below the table: a differential between the Codec list
    reader and the reference loop every decoder used to hand-roll, and the
    operator decoder's negative-AS cases. *)
 
@@ -35,12 +36,14 @@ type row =
       same : 'a -> 'b -> bool;  (** the decoded value is the encoded one *)
       seeds : string list Lazy.t;
           (** further fixed inputs to mangle, such as real signed samples *)
+      rejects : string list Lazy.t;
+          (** well-framed inputs the decoder must refuse *)
     }
       -> row
 
-let row ?(count = 100) ?(seeds = lazy []) ?(equal = ( = )) name gen ~encode
-    ~decode =
-  Row { name; count; gen; encode; decode; same = equal; seeds }
+let row ?(count = 100) ?(seeds = lazy []) ?(rejects = lazy []) ?(equal = ( = ))
+    name gen ~encode ~decode =
+  Row { name; count; gen; encode; decode; same = equal; seeds; rejects }
 
 (* Arbitrary bytes, short and long. *)
 let random_bytes =
@@ -65,7 +68,10 @@ let row_test (Row r) =
       List.for_all
         (fun s -> never_raises r.name r.decode (N.Fuzz.mangle rng s))
         (enc :: Lazy.force r.seeds)
-      && never_raises r.name r.decode junk)
+      && never_raises r.name r.decode junk
+      && List.for_all
+           (fun s -> never_raises r.name r.decode s && r.decode s = None)
+           (Lazy.force r.rejects))
 
 let of_result decode s = Result.to_option (decode s)
 
@@ -544,6 +550,15 @@ let checkpoints =
          (Result.get_ok (E.Checkpoint.info blob), blob))
        [ 1; 2 ])
 
+(* A checkpoint whose vertex records name a behaviour no prover has: every
+   "honest" becomes "honost", which keeps the framing intact. *)
+let unknown_behaviour blob =
+  let b = Bytes.of_string blob in
+  for i = 0 to Bytes.length b - 6 do
+    if Bytes.sub_string b i 6 = "honest" then Bytes.set b (i + 4) 'o'
+  done;
+  Bytes.to_string b
+
 (* ---- rows ----------------------------------------------------------------- *)
 
 (* The corpus of the transport fuzz test: signed samples and evidence. *)
@@ -602,6 +617,7 @@ let proof_rows =
         decode = PG.decode_var_payload;
         same = (fun routes encs -> List.map G.Route.encode routes = encs);
         seeds = lazy [];
+        rejects = lazy [];
       };
     Row
       {
@@ -614,6 +630,7 @@ let proof_rows =
           (fun (op, digests) (enc, digests') ->
             R.Operator.encode op = enc && digests = digests');
         seeds = lazy [];
+        rejects = lazy [];
       };
     row "Proto_graph.decode_comp_payload" digest ~encode:PG.encode_comp_payload
       ~decode:PG.decode_comp_payload;
@@ -683,7 +700,9 @@ let store_rows =
       ~encode:snd
       ~decode:(fun blob ->
         Option.map (fun info -> (info, blob)) (of_result E.Checkpoint.info blob))
-      ~seeds:(lazy [ String.make 64 'b' ]);
+      ~seeds:(lazy [ String.make 64 'b' ])
+      ~rejects:
+        (lazy [ unknown_behaviour (snd (List.hd (Lazy.force checkpoints))) ]);
   ]
 
 let table = wire_rows @ proof_rows @ store_rows

@@ -590,22 +590,24 @@ let min_honest_clean () =
   let rng = fresh_rng () in
   let inputs = List.mapi (fun i n -> announce n (i + 1)) providers in
   let out =
-    P.Proto_min.prove ~max_path_len:8 rng kr ~prover:a_as ~beneficiary:b_as
+    P.Runner.prove ~max_path_len:8 rng kr ~prover:a_as ~beneficiary:b_as
       ~epoch:1 ~prefix:prefix0 ~inputs
   in
   check_int "B clean" 0
     (List.length
-       (P.Proto_min.check_beneficiary kr ~me:b_as ~commit:out.commit
-          ~disclosure:out.beneficiary_disclosure));
+       (P.Proto_min.check_beneficiary kr ~me:b_as ~commit:(P.Runner.commit_for out b_as)
+          ~disclosure:(P.Runner.beneficiary_disclosure out)));
   List.iter
     (fun (ann : P.Wire.announce P.Wire.signed) ->
-      let d = List.assoc_opt ann.P.Wire.signer out.neighbor_disclosures in
+      let d =
+        Option.join (List.assoc_opt ann.P.Wire.signer (P.Runner.neighbor_disclosures out))
+      in
       check_int "Ni clean" 0
         (List.length
            (P.Proto_min.check_neighbor kr ~me:ann.P.Wire.signer
-              ~my_announce:ann ~commit:out.commit ~disclosure:d)))
+              ~my_announce:ann ~commit:(P.Runner.commit_for out b_as) ~disclosure:d)))
     inputs;
-  match out.beneficiary_disclosure.bd_export with
+  match (P.Runner.beneficiary_disclosure out).bd_export with
   | Some e ->
       check_int "shortest exported" 1
         (G.Route.path_length e.P.Wire.payload.P.Wire.exp_route)
@@ -615,11 +617,11 @@ let min_commitment_count () =
   let kr = Lazy.force keyring in
   let rng = fresh_rng () in
   let out =
-    P.Proto_min.prove ~max_path_len:16 rng kr ~prover:a_as ~beneficiary:b_as
+    P.Runner.prove ~max_path_len:16 rng kr ~prover:a_as ~beneficiary:b_as
       ~epoch:1 ~prefix:prefix0 ~inputs:[ announce (asn 10) 3 ]
   in
   check_int "k commitments" 16
-    (List.length out.commit.P.Wire.payload.P.Wire.cmt_commitments)
+    (List.length (P.Runner.commit_for out b_as).P.Wire.payload.P.Wire.cmt_commitments)
 
 let min_ignores_invalid_inputs () =
   let kr = Lazy.force keyring in
@@ -628,10 +630,10 @@ let min_ignores_invalid_inputs () =
   let wrong_epoch = announce ~epoch:9 (asn 10) 1 in
   let ok = announce (asn 11) 3 in
   let out =
-    P.Proto_min.prove ~max_path_len:8 rng kr ~prover:a_as ~beneficiary:b_as
+    P.Runner.prove ~max_path_len:8 rng kr ~prover:a_as ~beneficiary:b_as
       ~epoch:1 ~prefix:prefix0 ~inputs:[ wrong_epoch; ok ]
   in
-  match out.beneficiary_disclosure.bd_export with
+  match (P.Runner.beneficiary_disclosure out).bd_export with
   | Some e ->
       check_int "only the valid input counts" 3
         (G.Route.path_length e.P.Wire.payload.P.Wire.exp_route)
@@ -641,11 +643,11 @@ let min_paths_beyond_k_ignored () =
   let kr = Lazy.force keyring in
   let rng = fresh_rng () in
   let out =
-    P.Proto_min.prove ~max_path_len:4 rng kr ~prover:a_as ~beneficiary:b_as
+    P.Runner.prove ~max_path_len:4 rng kr ~prover:a_as ~beneficiary:b_as
       ~epoch:1 ~prefix:prefix0 ~inputs:[ announce (asn 10) 9 ]
   in
   check_bool "no admissible input, no export" true
-    (out.beneficiary_disclosure.bd_export = None)
+    ((P.Runner.beneficiary_disclosure out).bd_export = None)
 
 (* Property: over random scenarios, the honest §3.3 run is clean and exports
    the minimum. *)
@@ -657,25 +659,27 @@ let min_honest_property =
       let rng = fresh_rng () in
       let inputs = List.mapi (fun i l -> announce (List.nth providers i) l) lens in
       let out =
-        P.Proto_min.prove ~max_path_len:8 rng kr ~prover:a_as
+        P.Runner.prove ~max_path_len:8 rng kr ~prover:a_as
           ~beneficiary:b_as ~epoch:1 ~prefix:prefix0 ~inputs
       in
       let b_clean =
-        P.Proto_min.check_beneficiary kr ~me:b_as ~commit:out.commit
-          ~disclosure:out.beneficiary_disclosure
+        P.Proto_min.check_beneficiary kr ~me:b_as ~commit:(P.Runner.commit_for out b_as)
+          ~disclosure:(P.Runner.beneficiary_disclosure out)
         = []
       in
       let ns_clean =
         List.for_all
           (fun (ann : P.Wire.announce P.Wire.signed) ->
             P.Proto_min.check_neighbor kr ~me:ann.P.Wire.signer
-              ~my_announce:ann ~commit:out.commit
-              ~disclosure:(List.assoc_opt ann.P.Wire.signer out.neighbor_disclosures)
+              ~my_announce:ann ~commit:(P.Runner.commit_for out b_as)
+              ~disclosure:
+                (Option.join
+                   (List.assoc_opt ann.P.Wire.signer (P.Runner.neighbor_disclosures out)))
             = [])
           inputs
       in
       let minimal =
-        match (out.beneficiary_disclosure.bd_export, lens) with
+        match ((P.Runner.beneficiary_disclosure out).bd_export, lens) with
         | None, [] -> true
         | Some e, _ :: _ ->
             G.Route.path_length e.P.Wire.payload.P.Wire.exp_route
@@ -739,23 +743,23 @@ let matrix_no_false_accusations () =
       routes
   in
   let run =
-    P.Adversary.run_min P.Adversary.Honest ~max_path_len:8 rng kr ~prover:a_as
+    P.Runner.prove ~max_path_len:8 rng kr ~prover:a_as
       ~beneficiary:b_as ~epoch:1 ~prefix:prefix0 ~inputs:announces
   in
   (* B falsely claims it got nothing. *)
   let claim =
     P.Evidence.Missing_export_claim
       {
-        commit = run.P.Adversary.commit_for b_as;
+        commit = P.Runner.commit_for run b_as;
         openings =
           List.map
             (fun (i, o) -> (i, o))
-            run.P.Adversary.beneficiary_disclosure.bd_openings;
+            (P.Runner.beneficiary_disclosure run).bd_openings;
         claimant = b_as;
       }
   in
   check_bool "honest A exonerated" true
-    (P.Judge.evaluate kr ~respond:run.P.Adversary.respond claim
+    (P.Judge.evaluate kr ~respond:(P.Runner.respond run) claim
     = P.Judge.Exonerated)
 
 let matrix_stubborn_omission_guilty () =
@@ -763,14 +767,14 @@ let matrix_stubborn_omission_guilty () =
   let rng = fresh_rng () in
   let announces = [ announce (asn 10) 2 ] in
   let run =
-    P.Adversary.run_min P.Adversary.Honest ~max_path_len:8 rng kr ~prover:a_as
+    P.Runner.prove ~max_path_len:8 rng kr ~prover:a_as
       ~beneficiary:b_as ~epoch:1 ~prefix:prefix0 ~inputs:announces
   in
   let claim =
     P.Evidence.Missing_export_claim
       {
-        commit = run.P.Adversary.commit_for b_as;
-        openings = run.P.Adversary.beneficiary_disclosure.bd_openings;
+        commit = P.Runner.commit_for run b_as;
+        openings = (P.Runner.beneficiary_disclosure run).bd_openings;
         claimant = b_as;
       }
   in
@@ -786,14 +790,15 @@ let judge_rejects_cross_scheme_confusion () =
   let short = announce (asn 10) 2 in
   let long = announce (asn 11) 6 in
   let out =
-    P.Proto_min.prove ~max_path_len:8 rng kr ~prover:a_as ~beneficiary:b_as
+    P.Runner.prove ~max_path_len:8 rng kr ~prover:a_as ~beneficiary:b_as
       ~epoch:1 ~prefix:prefix0 ~inputs:[ short ]
   in
   (* Bits encode shortest=2, so b_1 = 0 truthfully.  A witness of length 6
      does NOT force b_1; evidence claiming so is bogus. *)
-  let o1 = List.assoc 1 out.beneficiary_disclosure.bd_openings in
+  let o1 = List.assoc 1 (P.Runner.beneficiary_disclosure out).bd_openings in
   let bogus =
-    P.Evidence.False_bit { commit = out.commit; index = 1; opening = o1; witness = long }
+    P.Evidence.False_bit
+      { commit = P.Runner.commit_for out b_as; index = 1; opening = o1; witness = long }
   in
   check_bool "long witness cannot frame a low bit" true
     (P.Judge.evaluate_offline kr bogus = P.Judge.Rejected)
@@ -805,14 +810,14 @@ let min_tie_between_equal_routes () =
   let rng = fresh_rng () in
   let inputs = [ announce (asn 10) 3; announce (asn 11) 3 ] in
   let out =
-    P.Proto_min.prove ~max_path_len:8 rng kr ~prover:a_as ~beneficiary:b_as
+    P.Runner.prove ~max_path_len:8 rng kr ~prover:a_as ~beneficiary:b_as
       ~epoch:1 ~prefix:prefix0 ~inputs
   in
   check_int "B clean on tie" 0
     (List.length
-       (P.Proto_min.check_beneficiary kr ~me:b_as ~commit:out.commit
-          ~disclosure:out.beneficiary_disclosure));
-  match out.beneficiary_disclosure.bd_export with
+       (P.Proto_min.check_beneficiary kr ~me:b_as ~commit:(P.Runner.commit_for out b_as)
+          ~disclosure:(P.Runner.beneficiary_disclosure out)));
+  match (P.Runner.beneficiary_disclosure out).bd_export with
   | Some e ->
       check_int "tied length exported" 3
         (G.Route.path_length e.P.Wire.payload.P.Wire.exp_route)
@@ -825,15 +830,15 @@ let judge_rejects_fabrications () =
   let rng = fresh_rng () in
   let inputs = [ announce (asn 10) 2; announce (asn 11) 3 ] in
   let out =
-    P.Proto_min.prove ~max_path_len:8 rng kr ~prover:a_as ~beneficiary:b_as
+    P.Runner.prove ~max_path_len:8 rng kr ~prover:a_as ~beneficiary:b_as
       ~epoch:1 ~prefix:prefix0 ~inputs
   in
-  let some_opening = List.assoc 2 out.beneficiary_disclosure.bd_openings in
+  let some_opening = List.assoc 2 (P.Runner.beneficiary_disclosure out).bd_openings in
   (* Claim bit 2 is 0 — but it opens to 1, so the evidence is bogus. *)
   let bogus =
     P.Evidence.False_bit
       {
-        commit = out.commit;
+        commit = P.Runner.commit_for out b_as;
         index = 2;
         opening = some_opening;
         witness = List.hd inputs;
@@ -842,7 +847,8 @@ let judge_rejects_fabrications () =
   check_bool "bogus false-bit rejected" true
     (P.Judge.evaluate_offline kr bogus = P.Judge.Rejected);
   (* Equivocation evidence with twice the same message is no evidence. *)
-  let dup = P.Evidence.Equivocation { first = out.commit; second = out.commit } in
+  let commit = P.Runner.commit_for out b_as in
+  let dup = P.Evidence.Equivocation { first = commit; second = commit } in
   check_bool "duplicate commit rejected" true
     (P.Judge.evaluate_offline kr dup = P.Judge.Rejected)
 
@@ -1129,20 +1135,20 @@ let collusion_defeats_detection () =
   let short = announce (asn 10) 1 in
   let long = announce (asn 11) 5 in
   let run inputs =
-    P.Adversary.run_min P.Adversary.False_bits ~max_path_len:8 rng kr
+    P.Runner.prove ~behaviour:P.Adversary.False_bits ~max_path_len:8 rng kr
       ~prover:a_as ~beneficiary:b_as ~epoch:1 ~prefix:prefix0 ~inputs
   in
   (* Case 1: only AS10 could catch the lie, and it colludes (we simply do
      not run its check).  B's view is internally consistent. *)
   let out = run [ short; long ] in
   let b_evidence =
-    P.Proto_min.check_beneficiary kr ~me:b_as ~commit:(out.commit_for b_as)
-      ~disclosure:out.beneficiary_disclosure
+    P.Proto_min.check_beneficiary kr ~me:b_as ~commit:(P.Runner.commit_for out b_as)
+      ~disclosure:(P.Runner.beneficiary_disclosure out)
   in
   let honest_long_evidence =
     P.Proto_min.check_neighbor kr ~me:(asn 11) ~my_announce:long
-      ~commit:(out.commit_for (asn 11))
-      ~disclosure:(Option.join (List.assoc_opt (asn 11) out.neighbor_disclosures))
+      ~commit:(P.Runner.commit_for out (asn 11))
+      ~disclosure:(Option.join (List.assoc_opt (asn 11) (P.Runner.neighbor_disclosures out)))
   in
   check_int "B sees nothing" 0 (List.length b_evidence);
   check_int "the long-route provider sees nothing" 0
@@ -1152,8 +1158,8 @@ let collusion_defeats_detection () =
   let out2 = run [ short; long; short2 ] in
   let honest_short2 =
     P.Proto_min.check_neighbor kr ~me:(asn 12) ~my_announce:short2
-      ~commit:(out2.commit_for (asn 12))
-      ~disclosure:(Option.join (List.assoc_opt (asn 12) out2.neighbor_disclosures))
+      ~commit:(P.Runner.commit_for out2 (asn 12))
+      ~disclosure:(Option.join (List.assoc_opt (asn 12) (P.Runner.neighbor_disclosures out2)))
   in
   check_bool "an honest short provider detects" true (honest_short2 <> [])
 
