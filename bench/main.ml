@@ -1826,6 +1826,7 @@ let e17 () =
   let wall = Unix.gettimeofday () -. t0 in
   stop_mon := true;
   Thread.join monitor;
+  let st = S.stats srv in
   S.stop srv;
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let lats = List.sort compare !latencies in
@@ -1841,12 +1842,13 @@ let e17 () =
   Printf.printf
     "%d sessions x %d epochs in %.1fs: %.1f sessions/s, %.1f updates/s, \
      verdict p50=%.1fms p95=%.1fms, busy retries=%d, peak queue=%d (cap %d), \
-     peak heap=%.1f MB\n%!"
+     peak heap=%.1f MB, world cache hits=%d misses=%d\n%!"
     sessions epochs wall
     (float_of_int sessions /. wall)
     (float_of_int !updates /. wall)
     p50 p95 !busy_retries !peak_queue queue_cap
-    (float_of_int (!peak_heap * 8) /. 1e6);
+    (float_of_int (!peak_heap * 8) /. 1e6)
+    st.Pr.st_world_hits st.Pr.st_world_misses;
   J.Obj
     [
       ("sessions", J.Int sessions);
@@ -1864,6 +1866,8 @@ let e17 () =
       ("peak_queue_depth", J.Int !peak_queue);
       ("peak_heap_mb", J.Float (float_of_int (!peak_heap * 8) /. 1e6));
       ("digest_matches_batch", J.Bool (!mismatches = 0));
+      ("world_cache_hits", J.Int st.Pr.st_world_hits);
+      ("world_cache_misses", J.Int st.Pr.st_world_misses);
     ]
 
 (* ---- Bechamel: one Test.make per experiment ------------------------------------- *)

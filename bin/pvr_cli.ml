@@ -1464,6 +1464,22 @@ let run_drive socket tcp sessions p stats =
                   incr failed;
                   Printf.printf "session %d seed=%d ERROR %s\n" i (p.p_seed + i) e)
             results;
+          (* The daemon's world cache since it started: a session whose
+             seed, topology and key size it has seen skips key generation. *)
+          (match Pvr_serve.Client.connect listen with
+          | exception Unix.Unix_error _ -> ()
+          | cl -> (
+              Fun.protect ~finally:(fun () -> Pvr_serve.Client.close cl)
+              @@ fun () ->
+              match Pvr_serve.Client.stats cl with
+              | Ok st ->
+                  let looked = st.st_world_hits + st.st_world_misses in
+                  Printf.printf
+                    "world cache: hits=%d misses=%d keys=%d hit_ratio=%.2f\n"
+                    st.st_world_hits st.st_world_misses st.st_world_keys
+                    (if looked = 0 then 0.0
+                     else float_of_int st.st_world_hits /. float_of_int looked)
+              | Error e -> Printf.eprintf "pvr drive: stats: %s\n%!" e));
           if !failed > 0 then 3 else if !convicted > 0 then 1 else 0)
 
 let drive_cmd =

@@ -86,6 +86,9 @@ type stats_reply = {
   st_queue_cap : int;
   st_workers : int;
   st_draining : bool;
+  st_world_hits : int; (* sessions whose world came from the world cache *)
+  st_world_misses : int; (* sessions that built their world *)
+  st_world_keys : int; (* RSA keys the world cache holds *)
 }
 
 type request =
@@ -259,7 +262,10 @@ let encode_response resp =
       Codec.u32 b st.st_queue_depth;
       Codec.u32 b st.st_queue_cap;
       Codec.u32 b st.st_workers;
-      Codec.bool_ b st.st_draining
+      Codec.bool_ b st.st_draining;
+      Codec.u32 b st.st_world_hits;
+      Codec.u32 b st.st_world_misses;
+      Codec.u32 b st.st_world_keys
   | Rows rows ->
       Codec.u32 b 107;
       Codec.u32 b (List.length rows);
@@ -292,6 +298,9 @@ let decode_response payload =
           let st_queue_cap = Codec.get_u32 r in
           let st_workers = Codec.get_u32 r in
           let st_draining = Codec.get_bool r in
+          let st_world_hits = Codec.get_u32 r in
+          let st_world_misses = Codec.get_u32 r in
+          let st_world_keys = Codec.get_u32 r in
           Stats_r
             {
               st_sessions;
@@ -300,6 +309,9 @@ let decode_response payload =
               st_queue_cap;
               st_workers;
               st_draining;
+              st_world_hits;
+              st_world_misses;
+              st_world_keys;
             }
       | 107 ->
           let n = Codec.get_u32 r in

@@ -29,6 +29,9 @@ type stats_reply = {
   st_queue_cap : int;
   st_workers : int;
   st_draining : bool;
+  st_world_hits : int;  (** sessions whose world came from the world cache *)
+  st_world_misses : int;  (** sessions that built their world *)
+  st_world_keys : int;  (** RSA keys the world cache holds *)
 }
 
 type request =

@@ -32,6 +32,134 @@ let c_busy = Obs.counter "serve.busy"
 let c_requests = Obs.counter "serve.requests"
 let c_conns = Obs.counter "serve.conns"
 let c_cancelled = Obs.counter "serve.cancelled"
+let c_world_hits = Obs.counter "serve.world_cache.hits"
+let c_world_misses = Obs.counter "serve.world_cache.misses"
+let g_world_entries = Obs.gauge "serve.world_cache.entries"
+let g_world_keys = Obs.gauge "serve.world_cache.keys"
+
+(* ---- world cache ------------------------------------------------------------ *)
+
+(* Bound on the RSA keys the world cache holds, summed over its worlds.
+   A cached world costs about 1.1 kB per key at RSA-512 and 1.7 kB per key
+   at RSA-1024 (key pair, keyring entries and the AS's share of the
+   topology; [Obj.reachable_words] over 3- and 7-AS worlds), so a full
+   cache holds about 4.5 MB at RSA-512 and 7 MB at RSA-1024. *)
+let world_cache_keys = 4096
+
+(* The immutable part of session worlds — topology and keyring — keyed by
+   the params that decide them ({!Workload.world_key}), least recently used
+   evicted first.  Key generation runs outside the mutex: two workers that
+   miss on one key both build it and the first insert wins, which is safe
+   because the build is deterministic. *)
+module World_cache = struct
+  type stats = { hits : int; misses : int; keys : int }
+
+  type entry = {
+    e_world : Pvr_bgp.Topology.t * Pvr.Keyring.t;
+    e_keys : int;
+    mutable e_used : int; (* [clock] at the last hit or insert *)
+  }
+
+  type t = {
+    max_keys : int;
+    mu : Mutex.t;
+    table : (Workload.world_key, entry) Hashtbl.t;
+    mutable keys : int; (* sum of [e_keys] over [table] *)
+    mutable clock : int;
+    mutable hits : int;
+    mutable misses : int;
+  }
+
+  let create ~max_keys =
+    {
+      max_keys;
+      mu = Mutex.create ();
+      table = Hashtbl.create 64;
+      keys = 0;
+      clock = 0;
+      hits = 0;
+      misses = 0;
+    }
+
+  let tick (c : t) =
+    c.clock <- c.clock + 1;
+    c.clock
+
+  let find (c : t) key =
+    Mutex.lock c.mu;
+    let found =
+      match Hashtbl.find_opt c.table key with
+      | Some e ->
+          e.e_used <- tick c;
+          c.hits <- c.hits + 1;
+          Some e.e_world
+      | None ->
+          c.misses <- c.misses + 1;
+          None
+    in
+    Mutex.unlock c.mu;
+    found
+
+  (* Evict least recently used worlds until [need] more keys fit. *)
+  let rec make_room (c : t) need =
+    if c.keys + need > c.max_keys then begin
+      let lru =
+        Hashtbl.fold
+          (fun k e acc ->
+            match acc with
+            | Some (_, old) when old.e_used <= e.e_used -> acc
+            | _ -> Some (k, e))
+          c.table None
+      in
+      Option.iter
+        (fun (k, e) ->
+          Hashtbl.remove c.table k;
+          c.keys <- c.keys - e.e_keys;
+          make_room c need)
+        lru
+    end
+
+  (* Returns the resident world when a concurrent miss inserted first. *)
+  let insert (c : t) key world =
+    let n = List.length (Pvr.Keyring.members (snd world)) in
+    Mutex.lock c.mu;
+    let world =
+      match Hashtbl.find_opt c.table key with
+      | Some e -> e.e_world
+      | None when n > c.max_keys -> world
+      | None ->
+          make_room c n;
+          Hashtbl.replace c.table key { e_world = world; e_keys = n; e_used = tick c };
+          c.keys <- c.keys + n;
+          world
+    in
+    Obs.set_gauge g_world_entries (Hashtbl.length c.table);
+    Obs.set_gauge g_world_keys c.keys;
+    Mutex.unlock c.mu;
+    world
+
+  let lookup c : Workload.cache =
+   fun key generate ->
+    match find c key with
+    | Some world ->
+        Obs.incr c_world_hits;
+        world
+    | None ->
+        Obs.incr c_world_misses;
+        insert c key (generate ())
+
+  let mem (c : t) key =
+    Mutex.lock c.mu;
+    let m = Hashtbl.mem c.table key in
+    Mutex.unlock c.mu;
+    m
+
+  let stats (c : t) : stats =
+    Mutex.lock c.mu;
+    let s = { hits = c.hits; misses = c.misses; keys = c.keys } in
+    Mutex.unlock c.mu;
+    s
+end
 
 type listen = Unix_sock of string | Tcp of string * int
 
@@ -77,6 +205,11 @@ type t = {
   mutable accept_thread : Thread.t option;
   mutable conn_threads : Thread.t list;
   mutable conn_fds : (int * Unix.file_descr) list;
+  worlds : World_cache.t;
+  idx_mu : Mutex.t; (* guards [idx]; held while a query (re)builds it *)
+  mutable idx : ((int * int * int) * Pvr_query.Evidence_index.t) option;
+      (* the held evidence index and the journal (dev, inode, size) it was
+         built from *)
 }
 
 (* Admitted items beyond one per worker: the backlog [queue_cap] bounds.
@@ -86,6 +219,7 @@ let backlog t =
   max 0 (t.queued + t.running - Pvr_engine.Pool.worker_count ())
 
 let stats t =
+  let w = World_cache.stats t.worlds in
   Mutex.lock t.mu;
   let s =
     {
@@ -95,6 +229,9 @@ let stats t =
       st_queue_cap = t.cfg.queue_cap;
       st_workers = Pvr_engine.Pool.worker_count ();
       st_draining = t.draining;
+      st_world_hits = w.hits;
+      st_world_misses = w.misses;
+      st_world_keys = w.keys;
     }
   in
   Mutex.unlock t.mu;
@@ -257,7 +394,7 @@ let close_conn_sessions t conn =
   Mutex.unlock t.mu
 
 (* Run a session's epochs on a worker, streaming verdicts through [ch]. *)
-let session_work s ch () =
+let session_work t s ch () =
   let h_epoch = Obs.histogram "serve.epoch" in
   let result =
     try
@@ -265,7 +402,10 @@ let session_work s ch () =
         match s.s_world with
         | Some w -> w
         | None ->
-            let w = Workload.build_world ~quiet:true s.s_params in
+            let w =
+              Workload.build_world ~quiet:true
+                ~cache:(World_cache.lookup t.worlds) s.s_params
+            in
             s.s_world <- Some w;
             w
       in
@@ -318,6 +458,28 @@ let stream_to_fd fd ch =
   in
   loop ()
 
+(* The held evidence index over [dir], rebuilt only when the journal changed
+   since it was built: an epoch was appended, or a reset replaced the file.
+   The journal is stat'ed before the build, so rows appended during a
+   build only cause one more rebuild on the next query. *)
+let current_index t dir =
+  Mutex.lock t.idx_mu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.idx_mu) @@ fun () ->
+  let stamp =
+    match Unix.stat (Pvr_store.Store.journal_path ~dir) with
+    | st -> Some (st.st_dev, st.st_ino, st.st_size)
+    | exception Unix.Unix_error _ -> None
+  in
+  match (t.idx, stamp) with
+  | Some (built, idx), Some now when built = now -> Ok idx
+  | _ ->
+      let r = Pvr_query.Evidence_index.build ~dir () in
+      t.idx <-
+        (match (r, stamp) with
+        | Ok idx, Some now -> Some (now, idx)
+        | _ -> None);
+      r
+
 let run_query t req =
   match t.cfg.store_dir with
   | None -> Protocol.Err "no evidence store attached (--store)"
@@ -329,7 +491,7 @@ let run_query t req =
               Protocol.Err
                 ("syntax error\n" ^ Pvr_query.Lang.render_error ~query:q_text e)
           | Ok q -> (
-              match Pvr_query.Evidence_index.build ~dir () with
+              match current_index t dir with
               | Error e -> Protocol.Err e
               | Ok idx ->
                   let viewer = Pvr_bgp.Asn.of_int q_viewer in
@@ -408,7 +570,7 @@ let handle_request t ~conn fd req =
               false
           | `Go ->
               let ch = Vchan.create ~cancel:s.s_cancel verdict_cap in
-              if try_submit t (session_work s ch) then begin
+              if try_submit t (session_work t s ch) then begin
                 let dead = stream_to_fd fd ch in
                 Mutex.lock t.mu;
                 s.s_running <- false;
@@ -539,6 +701,9 @@ let start cfg =
       accept_thread = None;
       conn_threads = [];
       conn_fds = [];
+      worlds = World_cache.create ~max_keys:world_cache_keys;
+      idx_mu = Mutex.create ();
+      idx = None;
     }
   in
   t.accept_thread <- Some (Thread.create accept_loop t);

@@ -17,7 +17,15 @@
 
     Sessions run their engines inline ([p_jobs] forced to 1; the digest
     is byte-identical for any jobs value) — parallelism comes from
-    running many sessions across the worker domains. *)
+    running many sessions across the worker domains.
+
+    State kept between requests: a session's topology and keyring come
+    from a {!World_cache} shared by every session, bounded by
+    {!world_cache_keys} RSA keys, so a seed seen before skips key
+    generation; the churn state and the churn and engine DRBGs are
+    derived afresh per session ({!Workload.build_world}).  Query requests
+    read one held {!Pvr_query.Evidence_index}, rebuilt only when the
+    store's journal has changed since it was built. *)
 
 type listen = Unix_sock of string | Tcp of string * int
 
@@ -31,6 +39,38 @@ type config = {
 
 val default_config : listen -> config
 (** 2 workers, queue cap 8, no store, quiet. *)
+
+val world_cache_keys : int
+(** The daemon's world-cache bound: RSA keys held, summed over cached
+    worlds (about 4.5 MB at RSA-512, 7 MB at RSA-1024). *)
+
+(** Least-recently-used cache of the immutable part of session worlds,
+    keyed by {!Workload.world_key} and bounded by the total number of keys
+    it holds.  Thread-safe; key generation runs outside its mutex.  A world
+    with more keys than the bound is built but never cached. *)
+module World_cache : sig
+  type t
+
+  type stats = {
+    hits : int;
+    misses : int;
+    keys : int;  (** RSA keys over the cached worlds, [<= max_keys] *)
+  }
+
+  val create : max_keys:int -> t
+
+  val lookup : t -> Workload.cache
+  (** Pass as [build_world ~cache].  A hit counts on
+      [serve.world_cache.hits] and marks the world most recently used; a
+      miss counts on [serve.world_cache.misses], generates, and inserts
+      (evicting least recently used worlds until it fits) unless a
+      concurrent miss inserted first, whose world is then returned. *)
+
+  val mem : t -> Workload.world_key -> bool
+  (** Cached now; does not count as a use. *)
+
+  val stats : t -> stats
+end
 
 type t
 

@@ -63,45 +63,86 @@ type world = {
   w_engine_rng : C.Drbg.t;
 }
 
+(* The params fields that decide a world's topology and keys, and nothing
+   else: two params with equal keys build equal topologies and keyrings.
+   It lives next to [build_world] so that a field [build_world] starts
+   reading for either part cannot be missed here. *)
+type world_key = {
+  k_seed : int;
+  k_tiers : string;
+  k_peering : float;
+  k_ases : int;
+  k_gen_seed : int option;
+  k_bits : int;
+}
+
+let world_key p =
+  {
+    k_seed = p.p_seed;
+    k_tiers = p.p_tiers;
+    k_peering = p.p_peering;
+    k_ases = p.p_ases;
+    k_gen_seed = p.p_gen_seed;
+    k_bits = p.p_bits;
+  }
+
+type cache =
+  world_key -> (unit -> G.Topology.t * P.Keyring.t) -> G.Topology.t * P.Keyring.t
+
 (* Deterministic world construction.  The split order on the master DRBG —
-   "topology", "keys", "churn", "engine" — is part of the on-disk contract:
-   a resumed run replays the same streams, so it must never change. *)
-let build_world ?(quiet = false) p =
+   "topology" (unless --gen-seed seeds a generated topology), "keys",
+   "churn", "engine" — is part of the on-disk contract: a resumed run
+   replays the same streams, so it must never change.  Every split is made
+   on every call; a [cache] may only stand in for the topology and key
+   generation that consume the first two streams. *)
+let build_world ?(quiet = false) ?(cache : cache option) p =
   G.Intern.set_enabled p.p_intern;
   let master = C.Drbg.of_int_seed p.p_seed in
-  let topo =
-    if p.p_ases > 0 then
-      (* Power-law internet.  --gen-seed decouples the topology from the
-         run seed (same internet, different salts/churn); without it the
-         topology comes from the master stream like the hierarchy does. *)
-      let gen_rng =
-        match p.p_gen_seed with
-        | Some s -> C.Drbg.of_int_seed s
-        | None -> C.Drbg.split master "topology"
-      in
-      G.Topology.generate gen_rng ~extra_peering:p.p_peering ~ases:p.p_ases ()
-    else
-      let tiers =
-        List.map int_of_string (String.split_on_char ',' p.p_tiers)
-      in
-      G.Topology.hierarchy
-        (C.Drbg.split master "topology")
-        ~tiers ~extra_peering:p.p_peering
+  (* Power-law internet: --gen-seed decouples the topology from the run
+     seed (same internet, different salts/churn); without it the topology
+     comes from the master stream like the hierarchy does. *)
+  let topo_rng =
+    match p.p_gen_seed with
+    | Some s when p.p_ases > 0 -> C.Drbg.of_int_seed s
+    | _ -> C.Drbg.split master "topology"
   in
+  let keys_rng = C.Drbg.split master "keys" in
+  let announced = ref false in
+  let announce topo =
+    announced := true;
+    if not quiet then
+      Printf.printf
+        "engine: %d ASes, %d links; seed=%d epochs=%d jobs=%d cache=%b \
+         intern=%b salt_every=%d turnover=%.2f\n%!"
+        (G.Topology.size topo)
+        (List.length (G.Topology.links topo))
+        p.p_seed p.p_epochs p.p_jobs p.p_cache p.p_intern p.p_salt_every
+        p.p_turnover
+  in
+  let generate () =
+    let topo =
+      if p.p_ases > 0 then
+        G.Topology.generate topo_rng ~extra_peering:p.p_peering ~ases:p.p_ases ()
+      else
+        let tiers =
+          List.map int_of_string (String.split_on_char ',' p.p_tiers)
+        in
+        G.Topology.hierarchy topo_rng ~tiers ~extra_peering:p.p_peering
+    in
+    let ases = G.Topology.ases topo in
+    announce topo;
+    if not quiet then
+      Printf.printf "Generating %d RSA-%d keys...\n%!" (List.length ases)
+        p.p_bits;
+    (topo, P.Keyring.create ~bits:p.p_bits keys_rng ases)
+  in
+  let topo, keyring =
+    match cache with
+    | None -> generate ()
+    | Some cache -> cache (world_key p) generate
+  in
+  if not !announced then announce topo;
   let ases = G.Topology.ases topo in
-  if not quiet then begin
-    Printf.printf
-      "engine: %d ASes, %d links; seed=%d epochs=%d jobs=%d cache=%b \
-       intern=%b salt_every=%d turnover=%.2f\n%!"
-      (G.Topology.size topo)
-      (List.length (G.Topology.links topo))
-      p.p_seed p.p_epochs p.p_jobs p.p_cache p.p_intern
-      p.p_salt_every p.p_turnover;
-    Printf.printf "Generating %d RSA-%d keys...\n%!" (List.length ases) p.p_bits
-  end;
-  let keyring =
-    P.Keyring.create ~bits:p.p_bits (C.Drbg.split master "keys") ases
-  in
   (* Churn origins: the highest-numbered (bottom-tier) ASes. *)
   let origin_list =
     let sorted = List.sort (fun a b -> G.Asn.compare b a) ases in

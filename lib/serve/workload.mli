@@ -41,11 +41,41 @@ type world = {
   w_engine_rng : Pvr_crypto.Drbg.t;
 }
 
-val build_world : ?quiet:bool -> params -> world
+type world_key = {
+  k_seed : int;
+  k_tiers : string;
+  k_peering : float;
+  k_ases : int;
+  k_gen_seed : int option;
+  k_bits : int;
+}
+(** Exactly the {!params} fields that decide a world's topology and
+    keyring.  Params with equal keys build equal [w_topo] and [w_keyring];
+    every other field ([p_intern], churn, engine knobs) is re-derived per
+    call. *)
+
+val world_key : params -> world_key
+
+type cache =
+  world_key ->
+  (unit -> Pvr_bgp.Topology.t * Pvr.Keyring.t) ->
+  Pvr_bgp.Topology.t * Pvr.Keyring.t
+(** [cache key generate] returns the topology and keyring for [key],
+    either remembered or by calling [generate] (the serve daemon's
+    world cache).  Sharing them is safe: the engine never mutates a
+    topology or a keyring. *)
+
+val build_world : ?quiet:bool -> ?cache:cache -> params -> world
 (** Deterministic world construction.  The split order on the master
-    DRBG — "topology", "keys", "churn", "engine" — is part of the
-    on-disk contract: a resumed run replays the same streams, so it must
-    never change.  Also flips the global intern toggle to [p_intern]. *)
+    DRBG — "topology" (skipped when [p_gen_seed] seeds a generated
+    topology), "keys", "churn", "engine" — is part of the on-disk
+    contract: a resumed run replays the same streams, so it must never
+    change.  The splits are made on every call, cached or not: a [cache]
+    hit skips only the [Topology] and [Keyring.create] calls that read
+    the "topology" and "keys" streams, so the churn and engine streams of
+    a hit equal those of a fresh build.  Without [cache] every world is
+    built from scratch.  Also flips the global intern toggle to
+    [p_intern]. *)
 
 val engine_core :
   ?quiet:bool ->

@@ -525,7 +525,10 @@ let response =
        and+ st_queue_depth = u32
        and+ st_queue_cap = u32
        and+ st_workers = u32
-       and+ st_draining = bool in
+       and+ st_draining = bool
+       and+ st_world_hits = u32
+       and+ st_world_misses = u32
+       and+ st_world_keys = u32 in
        Protocol.Stats_r
          {
            st_sessions;
@@ -534,6 +537,9 @@ let response =
            st_queue_cap;
            st_workers;
            st_draining;
+           st_world_hits;
+           st_world_misses;
+           st_world_keys;
          });
       map (fun rows -> Protocol.Rows rows) (items blob);
     ]

@@ -27,10 +27,11 @@ let fresh_sock () =
     (Filename.get_temp_dir_name ())
     (Printf.sprintf "pvr-serve-test-%d-%d.sock" (Unix.getpid ()) !sock_seq)
 
-let with_server ?(workers = 2) ?(queue_cap = 8) f =
+let with_server ?(workers = 2) ?(queue_cap = 8) ?store_dir f =
   let path = fresh_sock () in
   let t =
-    S.start { (S.default_config (S.Unix_sock path)) with workers; queue_cap }
+    S.start
+      { (S.default_config (S.Unix_sock path)) with workers; queue_cap; store_dir }
   in
   Fun.protect
     ~finally:(fun () ->
@@ -163,6 +164,178 @@ let concurrent_sessions_isolated () =
   (* Different seeds must not bleed into each other. *)
   check_bool "digests differ across seeds" true
     (want.(0) <> want.(1) && want.(1) <> want.(2))
+
+(* ---- world cache ------------------------------------------------------------------ *)
+
+let world_stats c =
+  match Cl.stats c with
+  | Ok st -> (st.Pr.st_world_hits, st.Pr.st_world_misses)
+  | Error e -> Alcotest.fail ("stats: " ^ e)
+
+(* Sessions whose topology and keyring come from the daemon's world cache
+   must stream the digests of a fresh batch world: a hit re-derives the
+   churn and engine DRBGs exactly as a build does, concurrent hits share
+   one keyring across worker domains, and params that change the topology
+   or the keys never hit another world. *)
+let cached_world_equals_fresh () =
+  with_server ~workers:2 @@ fun path _t ->
+  let c = Cl.connect (S.Unix_sock path) in
+  Fun.protect ~finally:(fun () -> Cl.close c) @@ fun () ->
+  let served p = fst (session_digest c p) in
+  (* The same seed twice in sequence: the second run is a hit. *)
+  let p = params 60 in
+  let want = fst (batch_digest p) in
+  check_string "first run (miss) = batch" want (served p);
+  let hits0, misses0 = world_stats c in
+  check_string "second run (hit) = batch" want (served p);
+  let hits1, misses1 = world_stats c in
+  check_int "second run hit the cache" (hits0 + 1) hits1;
+  check_int "second run built nothing" misses0 misses1;
+  (* The same seed on two connections at once, both hits on one world. *)
+  let p = params 61 in
+  let want = fst (batch_digest p) in
+  check_string "priming run = batch" want (served p);
+  let got = Array.make 2 (Error "never ran") in
+  let threads =
+    Array.init 2 (fun i ->
+        Thread.create
+          (fun () ->
+            let c = Cl.connect (S.Unix_sock path) in
+            Fun.protect ~finally:(fun () -> Cl.close c) @@ fun () ->
+            got.(i) <-
+              (match Cl.open_session c p with
+              | Error e -> Error e
+              | Ok id -> Result.map fst (Cl.run_epochs c id)))
+          ())
+  in
+  Array.iter Thread.join threads;
+  Array.iteri
+    (fun i r ->
+      match r with
+      | Ok d -> check_string (Printf.sprintf "concurrent hit %d = batch" i) want d
+      | Error e -> Alcotest.fail (Printf.sprintf "concurrent hit %d: %s" i e))
+    got;
+  let hits2, _ = world_stats c in
+  check_int "both concurrent runs hit" (hits1 + 2) hits2;
+  (* One p_seed, worlds that differ in the key size, the hierarchy and
+     the generator seed: each must build its own world.  Report lines
+     carry no signatures, so the key size leaves the digest unchanged and
+     only the miss count shows that 768-bit keys were generated. *)
+  let base = params 62 in
+  let generated = { base with W.p_ases = 5; p_gen_seed = Some 1 } in
+  List.iter
+    (fun (what, a, b) ->
+      let da = fst (batch_digest a) and db = fst (batch_digest b) in
+      if what <> "p_bits" then
+        check_bool (what ^ ": the digests differ") true (da <> db);
+      check_string (what ^ ": first world = batch") da (served a);
+      let _, misses = world_stats c in
+      check_string (what ^ ": second world = batch") db (served b);
+      let _, misses' = world_stats c in
+      check_int (what ^ ": second world built") (misses + 1) misses')
+    [
+      ("p_bits", base, { base with W.p_bits = 768 });
+      ("p_tiers", base, { base with W.p_tiers = "1,3" });
+      ("p_gen_seed", generated, { generated with W.p_gen_seed = Some 2 });
+    ]
+
+(* The cache itself, with a bound of six keys: two 3-AS worlds fit, a
+   third evicts the least recently used, and a 7-AS world never enters. *)
+let world_cache_evicts_lru () =
+  let bound = 6 in
+  let cache = S.World_cache.create ~max_keys:bound in
+  let build p = W.build_world ~quiet:true ~cache:(S.World_cache.lookup cache) p in
+  let run p =
+    let st = S.World_cache.stats cache in
+    let w = build p in
+    let st' = S.World_cache.stats cache in
+    check_bool "cached keys within the bound" true (st'.S.World_cache.keys <= bound);
+    (match W.engine_core ~quiet:true w p with
+    | Ok (d, _) -> check_string "digest = batch" (fst (batch_digest p)) d
+    | Error e -> Alcotest.fail e);
+    st'.S.World_cache.hits > st.S.World_cache.hits
+  in
+  let cached p = S.World_cache.mem cache (W.world_key p) in
+  let a = params 70 and b = params 71 and c = params 72 in
+  check_bool "a misses" false (run a);
+  check_bool "b misses" false (run b);
+  check_bool "a hits, and is now most recently used" true (run a);
+  check_bool "c misses" false (run c);
+  check_bool "b, least recently used, was evicted" false (cached b);
+  check_bool "a stays" true (cached a);
+  check_bool "c stays" true (cached c);
+  check_bool "evicted b is rebuilt" false (run b);
+  check_bool "rebuilding b evicted a" false (cached a);
+  let big = { (params 73) with W.p_tiers = "1,2,4" } in
+  check_bool "an oversized world misses" false (run big);
+  check_bool "an oversized world is not cached" false (cached big);
+  check_bool "and evicts nothing" true (cached b && cached c);
+  check_bool "it misses again" false (run big)
+
+(* ---- held evidence index ------------------------------------------------------------ *)
+
+(* The daemon answers queries from one held index.  An epoch appended to
+   the served store between two queries must show up in the second
+   answer, which must equal Exec.run over a freshly built index. *)
+let held_index_follows_journal () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "pvr-serve-idx-%d" (Unix.getpid ()))
+  in
+  let p = params ~epochs:2 80 in
+  let record epochs ~resume =
+    let p = { p with W.p_epochs = epochs } in
+    match
+      W.engine_core ~quiet:true ~checkpoint_dir:dir ~resume ~fsync:false
+        (W.build_world ~quiet:true p) p
+    with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail ("recording the store: " ^ e)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      try
+        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+        Unix.rmdir dir
+      with Sys_error _ | Unix.Unix_error _ -> ())
+  @@ fun () ->
+  record 2 ~resume:false;
+  let court = Pvr.Leakage.court in
+  let text = "rows where epoch >= 1 order by epoch" in
+  let q =
+    match Pvr_query.Lang.parse text with
+    | Ok q -> q
+    | Error _ -> Alcotest.fail "query syntax"
+  in
+  let fresh () =
+    match Pvr_query.Evidence_index.build ~quiet:true ~dir () with
+    | Error e -> Alcotest.fail e
+    | Ok idx ->
+        let res = Pvr_query.Exec.run idx ~viewer:court q in
+        ( res.Pvr_query.Exec.qr_rows,
+          String.split_on_char '\n'
+            (Pvr_query.Exec.render_json ~query:q ~viewer:court res) )
+  in
+  with_server ~store_dir:dir @@ fun path _t ->
+  let c = Cl.connect (S.Unix_sock path) in
+  Fun.protect ~finally:(fun () -> Cl.close c) @@ fun () ->
+  let ask () =
+    match Cl.query ~viewer:(Pvr_bgp.Asn.to_int court) ~json:true c text with
+    | Ok rows -> rows
+    | Error e -> Alcotest.fail ("query: " ^ e)
+  in
+  let _, want2 = fresh () in
+  let got2 = ask () in
+  check_bool "two-epoch answer = fresh index" true (got2 = want2);
+  check_bool "an unchanged journal gives the same answer" true (ask () = want2);
+  record 3 ~resume:true;
+  let rows3, want3 = fresh () in
+  check_bool "the appended epoch has rows" true
+    (List.exists (fun r -> r.Pvr_query.Row.r_epoch = 3) rows3);
+  let got3 = ask () in
+  check_bool "the second answer shows the new rows" true (got3 <> got2);
+  check_bool "three-epoch answer = fresh index" true (got3 = want3)
 
 (* ---- backpressure ------------------------------------------------------------------ *)
 
@@ -348,6 +521,12 @@ let suite =
       serve_matches_batch;
     Alcotest.test_case "serve: concurrent sessions are isolated" `Quick
       concurrent_sessions_isolated;
+    Alcotest.test_case "serve: cached world equals a fresh world" `Quick
+      cached_world_equals_fresh;
+    Alcotest.test_case "serve: world cache evicts least recently used" `Quick
+      world_cache_evicts_lru;
+    Alcotest.test_case "serve: held index follows the journal" `Quick
+      held_index_follows_journal;
     Alcotest.test_case "serve: backpressure refuses with Busy" `Slow
       backpressure_returns_busy;
     Alcotest.test_case "serve: killed client never wedges the pool" `Quick
