@@ -19,6 +19,12 @@ module Codec = Pvr_crypto.Codec
    frame is a query result page, far below 1 MiB). *)
 let max_frame = 16 * 1024 * 1024
 
+(* Requests are much smaller: the largest, [Open_session] and [Query],
+   take a few hundred bytes.  The daemon reads requests under this bound,
+   so a client announcing a huge frame is hung up on before its payload
+   is allocated. *)
+let max_request = 64 * 1024
+
 exception Closed
 
 (* ---- framing -------------------------------------------------------------- *)
@@ -59,14 +65,16 @@ let write_frame fd payload =
   Bytes.blit_string payload 0 msg 4 n;
   really_write fd msg 0 (4 + n)
 
-let read_frame fd =
+let read_bounded ~max fd =
   let hdr = Bytes.create 4 in
   really_read fd hdr 0 4;
   let n = Int32.to_int (Bytes.get_int32_be hdr 0) in
-  if n < 0 || n > max_frame then raise Closed;
+  if n < 0 || n > max then raise Closed;
   let payload = Bytes.create n in
   really_read fd payload 0 n;
   Bytes.unsafe_to_string payload
+
+let read_frame fd = read_bounded ~max:max_frame fd
 
 (* ---- messages ------------------------------------------------------------- *)
 
@@ -324,7 +332,7 @@ let send_request fd req = write_frame fd (encode_request req)
 let send_response fd resp = write_frame fd (encode_response resp)
 
 let recv_request fd =
-  match decode_request (read_frame fd) with
+  match decode_request (read_bounded ~max:max_request fd) with
   | Ok req -> Ok req
   | Error e -> Error e
 

@@ -12,6 +12,12 @@ exception Closed
 (** Peer hung up (EOF, EPIPE, ECONNRESET) — the connection is dead. *)
 
 val max_frame : int
+(** Largest frame {!read_frame} accepts (16 MiB): the bound on
+    responses. *)
+
+val max_request : int
+(** Largest request frame {!recv_request} accepts (64 KiB).  A larger
+    length prefix raises {!Closed} before the payload is allocated. *)
 
 type verdict = {
   v_epoch : int;

@@ -4,24 +4,31 @@
    a self-pipe so shutdown can interrupt it), one systhread per
    connection, and a fixed pool of worker domains (the engine's
    {!Pvr_engine.Pool}) executing session work.  Connection threads never
-   verify anything; worker domains never touch sockets.
+   verify anything.
+
+   A session belongs to the connection that opened it: the connection
+   thread keeps its own table of session params, so no other connection
+   can run or close it, and the sessions die with the connection.  A
+   [Run_epochs] hands the session's run to a pool worker and the
+   connection thread blocks until the worker has finished.  The worker
+   writes each epoch's verdict and the terminal [Done]/[Err] frame to the
+   socket itself, so a slow reader stalls only its own worker (through the
+   kernel socket buffer) and a vanished reader fails the next write, which
+   cancels the run instead of wedging a worker.
 
    Admission control is a bounded queue: an admitted work item waits in
    the pool's async queue until a worker frees up, and when every worker
    is taken and [queue_cap] more items are waiting the request is refused
    with [Busy] immediately — a slow or bursty client sees explicit
-   backpressure, never unbounded buffering.  Verdict streaming has the
-   same property at per-session granularity: the worker pushes each
-   epoch's verdict into a bounded buffer drained by the connection
-   thread, blocks when the buffer is full (the session's own consumer is
-   the only party stalled), and aborts the run outright when the
-   consumer is gone — a killed client cancels its session instead of
-   wedging a worker.
+   backpressure, never unbounded buffering.
 
-   Sessions run their engines inline ([p_jobs] forced to 1): parallelism
-   comes from running many sessions across the worker domains, and the
-   engine's digest is byte-identical for any jobs value, so a serve
-   session and a batch `pvr engine --jobs N` run agree on every digest. *)
+   Every run builds its world ({!Workload.build_world}) with the topology
+   and keyring from the world cache, so a second run of one session
+   streams the same digests as the first.  Sessions run their engines
+   inline ([p_jobs] forced to 1): parallelism comes from running many
+   sessions across the worker domains, and the engine's digest is
+   byte-identical for any jobs value, so a serve session and a batch
+   `pvr engine --jobs N` run agree on every digest. *)
 
 module Obs = Pvr_obs
 
@@ -175,17 +182,8 @@ let default_config listen =
   { listen; workers = 2; queue_cap = 8; store_dir = None; quiet = true }
 
 exception Cancelled
-(* Raised inside a worker's on_report when the session's consumer is gone:
+(* Raised inside a worker's on_report when the session's peer is gone:
    unwinds the engine run through its own cleanup. *)
-
-type session = {
-  s_id : int;
-  s_params : Workload.params;
-  s_conn : int; (* owning connection: sessions die with their connection *)
-  mutable s_world : Workload.world option; (* built by the first run, on a worker *)
-  mutable s_running : bool;
-  s_cancel : bool ref; (* set when the consumer disappears mid-stream *)
-}
 
 type t = {
   cfg : config;
@@ -193,9 +191,8 @@ type t = {
   stop_r : Unix.file_descr; (* self-pipe: signal handlers write, select reads *)
   stop_w : Unix.file_descr;
   mu : Mutex.t;
-  idle_cond : Condition.t; (* fires when conn_active or inflight drops *)
-  sessions : (int, session) Hashtbl.t;
-  mutable next_session : int;
+  idle_cond : Condition.t; (* fires when conn_active drops or an item finishes *)
+  sessions : int Atomic.t; (* open sessions, summed over connections *)
   mutable next_conn : int;
   mutable queued : int; (* admitted items no worker has dequeued yet *)
   mutable running : int; (* items executing on a worker *)
@@ -223,7 +220,7 @@ let stats t =
   Mutex.lock t.mu;
   let s =
     {
-      Protocol.st_sessions = Hashtbl.length t.sessions;
+      Protocol.st_sessions = Atomic.get t.sessions;
       st_inflight = t.queued + t.running;
       st_queue_depth = backlog t;
       st_queue_cap = t.cfg.queue_cap;
@@ -239,14 +236,17 @@ let stats t =
 
 let publish_queue t =
   Obs.set_gauge g_queue_depth (backlog t);
-  Obs.set_gauge g_inflight (t.queued + t.running);
-  Obs.set_gauge g_sessions (Hashtbl.length t.sessions)
+  Obs.set_gauge g_inflight (t.queued + t.running)
 
-(* Admit one work item, or refuse with [Busy].  [work] runs on a pool
-   worker domain and must not raise.  The bound counts every admitted
-   item, queued or running, so an item handed to an idle worker that has
-   not dequeued it yet is never refused as backlog. *)
-let try_submit t work =
+let add_sessions t n =
+  Obs.set_gauge g_sessions (Atomic.fetch_and_add t.sessions n + n)
+
+(* Run [work] on a pool worker and block until it has finished, or refuse
+   with [Busy] at once ([None]).  The bound counts every admitted item,
+   queued or running, so an item handed to an idle worker that has not
+   dequeued it yet is never refused as backlog.  [work] returns [true]
+   when the connection's peer is gone; an exception counts as that. *)
+let run_admitted t work =
   Mutex.lock t.mu;
   if
     t.draining
@@ -256,166 +256,65 @@ let try_submit t work =
     publish_queue t;
     Mutex.unlock t.mu;
     Obs.incr c_busy;
-    false
+    None
   end
   else begin
     t.queued <- t.queued + 1;
     publish_queue t;
     Mutex.unlock t.mu;
+    let result = ref None in
     Pvr_engine.Pool.submit (fun () ->
         Mutex.lock t.mu;
         t.queued <- t.queued - 1;
         t.running <- t.running + 1;
         publish_queue t;
         Mutex.unlock t.mu;
-        (try work () with _ -> ());
+        let dead = try work () with _ -> true in
         (* Merge this worker's intern arena eagerly: async items have no
            epoch barrier to do it for them. *)
         Pvr_bgp.Intern.flush ();
         Mutex.lock t.mu;
         t.running <- t.running - 1;
+        result := Some dead;
         publish_queue t;
         Condition.broadcast t.idle_cond;
         Mutex.unlock t.mu);
-    true
+    Mutex.lock t.mu;
+    while !result = None do
+      Condition.wait t.idle_cond t.mu
+    done;
+    let r = !result in
+    Mutex.unlock t.mu;
+    r
   end
-
-(* ---- bounded verdict channel ---------------------------------------------- *)
-
-(* Worker -> connection-thread stream for one Run_epochs.  [push] blocks
-   when [cap] frames are waiting (bounded buffering); it raises
-   {!Cancelled} instead once the consumer has hung up. *)
-module Vchan = struct
-  type 'a ch = {
-    q : 'a Queue.t;
-    cap : int;
-    mu : Mutex.t;
-    cond : Condition.t;
-    cancel : bool ref;
-  }
-
-  let create ~cancel cap =
-    { q = Queue.create (); cap; mu = Mutex.create (); cond = Condition.create (); cancel }
-
-  let push ch v =
-    Mutex.lock ch.mu;
-    while Queue.length ch.q >= ch.cap && not !(ch.cancel) do
-      Condition.wait ch.cond ch.mu
-    done;
-    if !(ch.cancel) then begin
-      Mutex.unlock ch.mu;
-      raise Cancelled
-    end;
-    Queue.push v ch.q;
-    Condition.broadcast ch.cond;
-    Mutex.unlock ch.mu
-
-  (* Terminal frames must land even when the consumer is gone, so the
-     drain loop can tell the stream is over. *)
-  let push_terminal ch v =
-    Mutex.lock ch.mu;
-    Queue.push v ch.q;
-    Condition.broadcast ch.cond;
-    Mutex.unlock ch.mu
-
-  let pop ch =
-    Mutex.lock ch.mu;
-    while Queue.is_empty ch.q do
-      Condition.wait ch.cond ch.mu
-    done;
-    let v = Queue.pop ch.q in
-    Condition.broadcast ch.cond;
-    Mutex.unlock ch.mu;
-    v
-
-  let cancel ch =
-    Mutex.lock ch.mu;
-    ch.cancel := true;
-    Condition.broadcast ch.cond;
-    Mutex.unlock ch.mu
-end
 
 (* ---- request handling ------------------------------------------------------ *)
 
-let verdict_cap = 128
+(* Send one frame; [true] when the peer is gone. *)
+let reply fd frame =
+  try
+    Protocol.send_response fd frame;
+    false
+  with Protocol.Closed | Unix.Unix_error _ -> true
 
-let find_session t id =
-  Mutex.lock t.mu;
-  let s = Hashtbl.find_opt t.sessions id in
-  Mutex.unlock t.mu;
-  s
-
-let open_session t ~conn p =
-  Mutex.lock t.mu;
-  let id = t.next_session in
-  t.next_session <- id + 1;
-  let s =
-    {
-      s_id = id;
-      (* Sessions verify inline; the pool parallelizes across sessions.
-         The digest is identical for any jobs value, so this is invisible
-         to the client. *)
-      s_params = { p with Workload.p_jobs = 1 };
-      s_conn = conn;
-      s_world = None;
-      s_running = false;
-      s_cancel = ref false;
-    }
-  in
-  Hashtbl.replace t.sessions id s;
-  publish_queue t;
-  Mutex.unlock t.mu;
-  id
-
-let close_session t id =
-  Mutex.lock t.mu;
-  (match Hashtbl.find_opt t.sessions id with
-  | Some s ->
-      s.s_cancel := true;
-      Hashtbl.remove t.sessions id
-  | None -> ());
-  publish_queue t;
-  Mutex.unlock t.mu
-
-(* Drop every session owned by a finished connection; running ones are
-   cancelled and unwind on their next verdict. *)
-let close_conn_sessions t conn =
-  Mutex.lock t.mu;
-  let doomed =
-    Hashtbl.fold (fun id s acc -> if s.s_conn = conn then (id, s) :: acc else acc)
-      t.sessions []
-  in
-  List.iter
-    (fun (id, s) ->
-      s.s_cancel := true;
-      Hashtbl.remove t.sessions id)
-    doomed;
-  publish_queue t;
-  Mutex.unlock t.mu
-
-(* Run a session's epochs on a worker, streaming verdicts through [ch]. *)
-let session_work t s ch () =
+(* Run a session's epochs on a worker, writing each verdict and then the
+   terminal frame to [fd].  Every run builds its world, so a second run of
+   one session streams the batch digests again; the world cache makes the
+   topology and keyring a hit.  A write to a vanished peer cancels the
+   run.  Returns [true] when the peer is gone. *)
+let session_work t fd p () =
   let h_epoch = Obs.histogram "serve.epoch" in
-  let result =
-    try
-      let world =
-        match s.s_world with
-        | Some w -> w
-        | None ->
-            let w =
-              Workload.build_world ~quiet:true
-                ~cache:(World_cache.lookup t.worlds) s.s_params
-            in
-            s.s_world <- Some w;
-            w
-      in
-      let last = ref (Unix.gettimeofday ()) in
-      let on_report (r : Pvr_engine.Engine.epoch_report) =
-        let now = Unix.gettimeofday () in
-        Obs.observe h_epoch (now -. !last);
-        last := now;
-        if !(s.s_cancel) then raise Cancelled;
-        Vchan.push ch
+  match
+    let world =
+      Workload.build_world ~quiet:true ~cache:(World_cache.lookup t.worlds) p
+    in
+    let last = ref (Unix.gettimeofday ()) in
+    let on_report (r : Pvr_engine.Engine.epoch_report) =
+      let now = Unix.gettimeofday () in
+      Obs.observe h_epoch (now -. !last);
+      last := now;
+      if
+        reply fd
           (Protocol.Verdict
              {
                v_epoch = r.ep_epoch;
@@ -425,38 +324,17 @@ let session_work t s ch () =
                v_convicted = r.ep_convicted;
                v_digest = r.ep_digest;
              })
-      in
-      match Workload.engine_core ~quiet:true ~on_report world s.s_params with
-      | Ok (digest, convicted) ->
-          Protocol.Done { d_digest = digest; d_convicted = convicted }
-      | Error e -> Protocol.Err e
-    with
-    | Cancelled ->
-        Obs.incr c_cancelled;
-        Protocol.Err "cancelled"
-    | e -> Protocol.Err (Printexc.to_string e)
-  in
-  Vchan.push_terminal ch result
-
-let is_terminal = function
-  | Protocol.Done _ | Protocol.Err _ | Protocol.Busy | Protocol.Ok_r -> true
-  | _ -> false
-
-(* Drain the verdict channel to the socket.  A dead consumer flips the
-   cancel flag (unblocking/aborting the worker) and keeps discarding
-   frames until the terminal one, so the stream always unwinds. *)
-let stream_to_fd fd ch =
-  let dead = ref false in
-  let rec loop () =
-    let frame = Vchan.pop ch in
-    (if not !dead then
-       try Protocol.send_response fd frame
-       with Protocol.Closed | Unix.Unix_error _ ->
-         dead := true;
-         Vchan.cancel ch);
-    if is_terminal frame then !dead else loop ()
-  in
-  loop ()
+      then raise Cancelled
+    in
+    Workload.engine_core ~quiet:true ~on_report world p
+  with
+  | Ok (digest, convicted) ->
+      reply fd (Protocol.Done { d_digest = digest; d_convicted = convicted })
+  | Error e -> reply fd (Protocol.Err e)
+  | exception Cancelled ->
+      Obs.incr c_cancelled;
+      true
+  | exception e -> reply fd (Protocol.Err (Printexc.to_string e))
 
 (* The held evidence index over [dir], rebuilt only when the journal changed
    since it was built: an epoch was appended, or a reset replaced the file.
@@ -504,99 +382,65 @@ let run_query t req =
                   Protocol.Rows (String.split_on_char '\n' text)))
       | _ -> Protocol.Err "internal: not a query")
 
-(* Handle one request.  Returns [true] when the connection must close. *)
-let handle_request t ~conn fd req =
+(* Handle one request on a connection whose open sessions are [sessions]
+   (id -> params; ids are numbered per connection).  Returns [true] when
+   the connection must close. *)
+let handle_request t ~sessions ~next_id fd req =
   Obs.incr c_requests;
+  let run work =
+    match run_admitted t work with
+    | Some dead -> dead
+    | None -> reply fd Protocol.Busy
+  in
   match req with
-  | Protocol.Ping ->
-      Protocol.send_response fd Protocol.Ok_r;
-      false
-  | Protocol.Stats ->
-      Protocol.send_response fd (Protocol.Stats_r (stats t));
-      false
+  | Protocol.Ping -> reply fd Protocol.Ok_r
+  | Protocol.Stats -> reply fd (Protocol.Stats_r (stats t))
   | Protocol.Open_session p ->
       if Mutex.lock t.mu; t.draining then begin
         Mutex.unlock t.mu;
-        Protocol.send_response fd (Protocol.Err "draining");
+        ignore (reply fd (Protocol.Err "draining") : bool);
         true
       end
       else begin
         Mutex.unlock t.mu;
-        let id = open_session t ~conn p in
-        Protocol.send_response fd (Protocol.Session id);
-        false
+        let id = !next_id in
+        incr next_id;
+        (* Sessions verify inline; the pool parallelizes across sessions.
+           The digest is identical for any jobs value, so this is invisible
+           to the client. *)
+        Hashtbl.replace sessions id { p with Workload.p_jobs = 1 };
+        add_sessions t 1;
+        reply fd (Protocol.Session id)
       end
   | Protocol.Close_session id ->
-      close_session t id;
-      Protocol.send_response fd Protocol.Ok_r;
-      false
-  | Protocol.Query _ ->
-      Protocol.send_response fd (run_query t req);
-      false
-  | Protocol.Stall ms ->
-      let ch = Vchan.create ~cancel:(ref false) 1 in
-      if
-        try_submit t (fun () ->
-            Unix.sleepf (float_of_int ms /. 1000.0);
-            Vchan.push_terminal ch Protocol.Ok_r)
-      then (
-        let dead = stream_to_fd fd ch in
-        dead)
-      else begin
-        Protocol.send_response fd Protocol.Busy;
-        false
+      if Hashtbl.mem sessions id then begin
+        Hashtbl.remove sessions id;
+        add_sessions t (-1);
+        reply fd Protocol.Ok_r
       end
+      else reply fd (Protocol.Err "unknown session")
+  | Protocol.Query _ -> reply fd (run_query t req)
+  | Protocol.Stall ms ->
+      run (fun () ->
+          Unix.sleepf (float_of_int ms /. 1000.0);
+          reply fd Protocol.Ok_r)
   | Protocol.Run_epochs id -> (
-      match find_session t id with
-      | None ->
-          Protocol.send_response fd (Protocol.Err "unknown session");
-          false
-      | Some s ->
-          let start =
-            Mutex.lock t.mu;
-            if s.s_running then begin
-              Mutex.unlock t.mu;
-              `Already
-            end
-            else begin
-              s.s_running <- true;
-              Mutex.unlock t.mu;
-              `Go
-            end
-          in
-          (match start with
-          | `Already ->
-              Protocol.send_response fd (Protocol.Err "session already running");
-              false
-          | `Go ->
-              let ch = Vchan.create ~cancel:s.s_cancel verdict_cap in
-              if try_submit t (session_work t s ch) then begin
-                let dead = stream_to_fd fd ch in
-                Mutex.lock t.mu;
-                s.s_running <- false;
-                Mutex.unlock t.mu;
-                dead
-              end
-              else begin
-                Mutex.lock t.mu;
-                s.s_running <- false;
-                Mutex.unlock t.mu;
-                Protocol.send_response fd Protocol.Busy;
-                false
-              end))
+      match Hashtbl.find_opt sessions id with
+      | None -> reply fd (Protocol.Err "unknown session")
+      | Some p -> run (session_work t fd p))
 
 (* ---- connection loop ------------------------------------------------------- *)
 
 let conn_loop t ~conn fd =
   Obs.incr c_conns;
+  let sessions = Hashtbl.create 4 and next_id = ref 1 in
   let rec loop () =
     match Protocol.recv_request fd with
     | exception Protocol.Closed -> ()
     | exception Unix.Unix_error _ -> ()
-    | Error e -> (
+    | Error e ->
         (* Malformed frame: answer if the socket still lives, then close. *)
-        try Protocol.send_response fd (Protocol.Err ("malformed request: " ^ e))
-        with Protocol.Closed | Unix.Unix_error _ -> ())
+        ignore (reply fd (Protocol.Err ("malformed request: " ^ e)) : bool)
     | Ok req ->
         Mutex.lock t.mu;
         t.conn_active <- t.conn_active + 1;
@@ -609,7 +453,7 @@ let conn_loop t ~conn fd =
               Condition.broadcast t.idle_cond;
               Mutex.unlock t.mu)
             (fun () ->
-              try handle_request t ~conn fd req
+              try handle_request t ~sessions ~next_id fd req
               with Protocol.Closed | Unix.Unix_error _ -> true)
         in
         let draining =
@@ -622,7 +466,7 @@ let conn_loop t ~conn fd =
   in
   Fun.protect
     ~finally:(fun () ->
-      close_conn_sessions t conn;
+      add_sessions t (-Hashtbl.length sessions);
       (try Unix.close fd with Unix.Unix_error _ -> ());
       Mutex.lock t.mu;
       t.conn_fds <- List.filter (fun (c, _) -> c <> conn) t.conn_fds;
@@ -690,8 +534,7 @@ let start cfg =
       stop_w;
       mu = Mutex.create ();
       idle_cond = Condition.create ();
-      sessions = Hashtbl.create 16;
-      next_session = 1;
+      sessions = Atomic.make 0;
       next_conn = 1;
       queued = 0;
       running = 0;

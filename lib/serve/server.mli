@@ -3,29 +3,39 @@
 
     Shape: one accept loop (own systhread, interruptible via a self-pipe),
     one systhread per connection, and {!Pvr_engine.Pool} worker domains
-    executing session work.  Connection threads never verify; worker
-    domains never touch sockets.
+    executing session work.  Connection threads never verify.
 
-    Backpressure is explicit and bounded at both levels: admission is a
-    bounded queue (one item per worker plus [queue_cap] waiting items,
-    refusals answered [Busy] immediately and counted on [serve.busy]),
-    and verdict streaming runs through a bounded per-session buffer — a
-    slow consumer stalls only its own session's worker, and a vanished
-    consumer cancels the session outright, so a killed client never
-    wedges the pool.  Queue depth (items beyond one per worker) is
-    published on the [serve.queue.depth] gauge.
+    Sessions belong to their connection: session ids are numbered per
+    connection and looked up only in that connection's table, so a
+    foreign id answers [unknown session], and closing the connection
+    closes its sessions.  [serve.sessions] and [st_sessions] count open
+    sessions over every connection.
+
+    A [Run_epochs] runs on a pool worker while the connection thread
+    waits; the worker writes each [Verdict] and the terminal [Done]/[Err]
+    frame to the socket itself.  Backpressure is explicit and bounded:
+    admission is a bounded queue (one item per worker plus [queue_cap]
+    waiting items, refusals answered [Busy] immediately and counted on
+    [serve.busy]); a slow reader stalls only its own worker, through the
+    kernel socket buffer; and a vanished reader fails the worker's next
+    write, which cancels the run, so a killed client never wedges the
+    pool.  Queue depth (items beyond one per worker) is published on the
+    [serve.queue.depth] gauge.  Request frames are bounded by
+    {!Protocol.max_request}.
 
     Sessions run their engines inline ([p_jobs] forced to 1; the digest
     is byte-identical for any jobs value) — parallelism comes from
     running many sessions across the worker domains.
 
-    State kept between requests: a session's topology and keyring come
-    from a {!World_cache} shared by every session, bounded by
+    State kept between requests: every run builds its world
+    ({!Workload.build_world}), taking the topology and keyring from a
+    {!World_cache} shared by every session and bounded by
     {!world_cache_keys} RSA keys, so a seed seen before skips key
     generation; the churn state and the churn and engine DRBGs are
-    derived afresh per session ({!Workload.build_world}).  Query requests
-    read one held {!Pvr_query.Evidence_index}, rebuilt only when the
-    store's journal has changed since it was built. *)
+    derived afresh per run, so every run of a session streams the batch
+    digests.  Query requests read one held {!Pvr_query.Evidence_index},
+    rebuilt only when the store's journal has changed since it was
+    built. *)
 
 type listen = Unix_sock of string | Tcp of string * int
 

@@ -4,9 +4,11 @@
    a session streamed over the wire must reproduce, byte for byte, the
    digests of a batch `pvr engine` run of the same parameters.
 
-   Most tests run an in-process daemon on a throwaway Unix socket (an
-   in-process SIGTERM would kill the test runner); the real-signal drain
-   contract is exercised against a forked `pvr serve` CLI process. *)
+   Most tests run an in-process daemon on a throwaway Unix socket, and
+   the digest differential and the vanished-client test run over TCP as
+   well (an in-process SIGTERM would kill the test runner); the
+   real-signal drain contract is exercised against a forked `pvr serve`
+   CLI process. *)
 
 module S = Pvr_serve.Server
 module Cl = Pvr_serve.Client
@@ -27,17 +29,27 @@ let fresh_sock () =
     (Filename.get_temp_dir_name ())
     (Printf.sprintf "pvr-serve-test-%d-%d.sock" (Unix.getpid ()) !sock_seq)
 
-let with_server ?(workers = 2) ?(queue_cap = 8) ?store_dir f =
-  let path = fresh_sock () in
+(* A loopback TCP address on a port the kernel just reported free. *)
+let fresh_tcp () =
+  let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.bind fd (ADDR_INET (Unix.inet_addr_loopback, 0));
+  match Unix.getsockname fd with
+  | ADDR_INET (_, port) -> S.Tcp ("127.0.0.1", port)
+  | ADDR_UNIX _ -> assert false
+
+let with_server ?(listen = S.Unix_sock (fresh_sock ())) ?(workers = 2)
+    ?(queue_cap = 8) ?store_dir f =
   let t =
-    S.start
-      { (S.default_config (S.Unix_sock path)) with workers; queue_cap; store_dir }
+    S.start { (S.default_config listen) with workers; queue_cap; store_dir }
   in
   Fun.protect
     ~finally:(fun () ->
       (try S.stop t with _ -> ());
-      try Unix.unlink path with Unix.Unix_error _ -> ())
-    (fun () -> f path t)
+      match listen with
+      | S.Unix_sock path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
+      | S.Tcp _ -> ())
+    (fun () -> f listen t)
 
 (* A session small enough to run many times: 3 ASes, 2 origins, RSA-512. *)
 let params ?(epochs = 2) seed =
@@ -49,18 +61,28 @@ let batch_digest p =
   | Ok (digest, convicted) -> (digest, convicted)
   | Error e -> Alcotest.fail ("batch run failed: " ^ e)
 
-let session_digest ?on_verdict c p =
+let open_session c p =
   match Cl.open_session c p with
   | Error e -> Alcotest.fail ("open_session: " ^ e)
-  | Ok id -> (
-      match Cl.run_epochs ?on_verdict c id with
-      | Ok (digest, convicted) -> (digest, convicted)
-      | Error e -> Alcotest.fail ("run_epochs: " ^ e))
+  | Ok id -> id
+
+let run_session ?on_verdict c id =
+  match Cl.run_epochs ?on_verdict c id with
+  | Ok (digest, convicted) -> (digest, convicted)
+  | Error e -> Alcotest.fail ("run_epochs: " ^ e)
+
+let session_digest ?on_verdict c p = run_session ?on_verdict c (open_session c p)
 
 (* Raw protocol access, for tests that must hang up mid-stream. *)
-let raw_connect path =
-  let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
-  Unix.connect fd (ADDR_UNIX path);
+let raw_connect listen =
+  let fd, addr =
+    match listen with
+    | S.Unix_sock path -> (Unix.socket PF_UNIX SOCK_STREAM 0, Unix.ADDR_UNIX path)
+    | S.Tcp (host, port) ->
+        ( Unix.socket PF_INET SOCK_STREAM 0,
+          Unix.ADDR_INET (Unix.inet_addr_of_string host, port) )
+  in
+  Unix.connect fd addr;
   fd
 
 let contains haystack needle =
@@ -84,8 +106,8 @@ let poll ?(timeout = 10.0) ~what cond =
 (* ---- basics ------------------------------------------------------------------------ *)
 
 let ping_stats_and_errors () =
-  with_server @@ fun path t ->
-  let c = Cl.connect (S.Unix_sock path) in
+  with_server @@ fun listen t ->
+  let c = Cl.connect listen in
   Fun.protect ~finally:(fun () -> Cl.close c) @@ fun () ->
   check_bool "ping" true (Cl.ping c);
   (match Cl.stats c with
@@ -106,41 +128,71 @@ let ping_stats_and_errors () =
 
 (* ---- serve-vs-batch differential -------------------------------------------------- *)
 
-let serve_matches_batch () =
+(* Run twice, the same session streams the batch digests both times:
+   every run builds its world afresh. *)
+let serve_matches_batch ?listen () =
   let p = params 42 in
   let want, want_conv = batch_digest p in
-  with_server @@ fun path _t ->
-  let c = Cl.connect (S.Unix_sock path) in
+  with_server ?listen @@ fun listen _t ->
+  let c = Cl.connect listen in
   Fun.protect ~finally:(fun () -> Cl.close c) @@ fun () ->
-  let verdicts = ref [] in
-  let got, conv =
-    session_digest ~on_verdict:(fun v -> verdicts := v :: !verdicts) c p
-  in
-  check_string "final digest matches batch" want got;
-  check_int "convictions match batch" want_conv conv;
-  let vs = List.rev !verdicts in
-  check_int "one verdict per epoch" p.W.p_epochs (List.length vs);
-  List.iteri
-    (fun i v -> check_int "epochs in order" (i + 1) v.Pr.v_epoch)
-    vs;
-  (* The stream's last running digest is the terminal digest: the hash
-     chain the client watched is the one the daemon committed to. *)
-  check_string "last verdict digest is terminal" got
-    (List.nth vs (List.length vs - 1)).Pr.v_digest
+  let id = open_session c p in
+  List.iter
+    (fun run ->
+      let verdicts = ref [] in
+      let got, conv =
+        run_session ~on_verdict:(fun v -> verdicts := v :: !verdicts) c id
+      in
+      check_string (run ^ ": final digest matches batch") want got;
+      check_int (run ^ ": convictions match batch") want_conv conv;
+      let vs = List.rev !verdicts in
+      check_int (run ^ ": one verdict per epoch") p.W.p_epochs (List.length vs);
+      List.iteri
+        (fun i v -> check_int (run ^ ": epochs in order") (i + 1) v.Pr.v_epoch)
+        vs;
+      (* The stream's last running digest is the terminal digest: the hash
+         chain the client watched is the one the daemon committed to. *)
+      check_string (run ^ ": last verdict digest is terminal") got
+        (List.nth vs (List.length vs - 1)).Pr.v_digest)
+    [ "first run"; "second run" ]
+
+(* ---- sessions belong to their connection ------------------------------------------ *)
+
+(* Another connection can neither run nor close a session: its id is
+   unknown there, and the owner's session is untouched. *)
+let sessions_belong_to_connection () =
+  let p = params 43 in
+  let want, _ = batch_digest p in
+  with_server @@ fun listen t ->
+  let a = Cl.connect listen and b = Cl.connect listen in
+  Fun.protect ~finally:(fun () -> Cl.close a; Cl.close b) @@ fun () ->
+  let id = open_session a p in
+  (match Cl.run_epochs b id with
+  | Error e -> check_string "foreign run refused" "unknown session" e
+  | Ok _ -> Alcotest.fail "a foreign connection ran the session");
+  (match Cl.close_session b id with
+  | Error e -> check_string "foreign close refused" "unknown session" e
+  | Ok () -> Alcotest.fail "a foreign connection closed the session");
+  check_int "the session is still open" 1 (S.stats t).Pr.st_sessions;
+  check_string "the owner's run = batch" want (fst (run_session a id));
+  (match Cl.close_session a id with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail ("owner's close: " ^ e));
+  check_int "the owner closed it" 0 (S.stats t).Pr.st_sessions
 
 (* ---- concurrent sessions are isolated --------------------------------------------- *)
 
 let concurrent_sessions_isolated () =
   let seeds = [| 50; 51; 52 |] in
   let want = Array.map (fun s -> fst (batch_digest (params s))) seeds in
-  with_server ~workers:2 @@ fun path _t ->
+  with_server ~workers:2 @@ fun listen _t ->
   let got = Array.make (Array.length seeds) (Error "never ran") in
   let threads =
     Array.mapi
       (fun i seed ->
         Thread.create
           (fun () ->
-            let c = Cl.connect (S.Unix_sock path) in
+            let c = Cl.connect listen in
             Fun.protect ~finally:(fun () -> Cl.close c) @@ fun () ->
             match Cl.open_session c (params seed) with
             | Error e -> got.(i) <- Error e
@@ -178,8 +230,8 @@ let world_stats c =
    one keyring across worker domains, and params that change the topology
    or the keys never hit another world. *)
 let cached_world_equals_fresh () =
-  with_server ~workers:2 @@ fun path _t ->
-  let c = Cl.connect (S.Unix_sock path) in
+  with_server ~workers:2 @@ fun listen _t ->
+  let c = Cl.connect listen in
   Fun.protect ~finally:(fun () -> Cl.close c) @@ fun () ->
   let served p = fst (session_digest c p) in
   (* The same seed twice in sequence: the second run is a hit. *)
@@ -200,7 +252,7 @@ let cached_world_equals_fresh () =
     Array.init 2 (fun i ->
         Thread.create
           (fun () ->
-            let c = Cl.connect (S.Unix_sock path) in
+            let c = Cl.connect listen in
             Fun.protect ~finally:(fun () -> Cl.close c) @@ fun () ->
             got.(i) <-
               (match Cl.open_session c p with
@@ -317,8 +369,8 @@ let held_index_follows_journal () =
           String.split_on_char '\n'
             (Pvr_query.Exec.render_json ~query:q ~viewer:court res) )
   in
-  with_server ~store_dir:dir @@ fun path _t ->
-  let c = Cl.connect (S.Unix_sock path) in
+  with_server ~store_dir:dir @@ fun listen _t ->
+  let c = Cl.connect listen in
   Fun.protect ~finally:(fun () -> Cl.close c) @@ fun () ->
   let ask () =
     match Cl.query ~viewer:(Pvr_bgp.Asn.to_int court) ~json:true c text with
@@ -350,7 +402,7 @@ let backpressure_returns_busy () =
   @@ fun () ->
   Obs.reset_all ();
   Obs.set_enabled true;
-  with_server ~workers:2 ~queue_cap:1 @@ fun path _t ->
+  with_server ~workers:2 ~queue_cap:1 @@ fun listen _t ->
   let workers = Pool.worker_count () in
   check_bool "pool has workers" true (workers >= 1);
   let occupants = workers + 1 in
@@ -359,7 +411,7 @@ let backpressure_returns_busy () =
     List.init occupants (fun _ ->
         Thread.create
           (fun () ->
-            let c = Cl.connect (S.Unix_sock path) in
+            let c = Cl.connect listen in
             Fun.protect ~finally:(fun () -> Cl.close c) @@ fun () ->
             (match Cl.stall c 1500 with
             | Ok () -> ()
@@ -367,7 +419,7 @@ let backpressure_returns_busy () =
             Atomic.incr finished)
           ())
   in
-  let probe = Cl.connect (S.Unix_sock path) in
+  let probe = Cl.connect listen in
   Fun.protect ~finally:(fun () -> Cl.close probe) @@ fun () ->
   poll ~what:"full queue" (fun () ->
       match Cl.stats probe with
@@ -387,10 +439,10 @@ let backpressure_returns_busy () =
 (* A client that hangs up mid-stream must cancel its own session and
    nothing else: the pool drains, the daemon stays serviceable, and a
    subsequent session completes with the right digest. *)
-let killed_client_never_wedges () =
-  with_server @@ fun path t ->
+let killed_client_never_wedges ?listen () =
+  with_server ?listen @@ fun listen t ->
   let p = params ~epochs:6 77 in
-  let fd = raw_connect path in
+  let fd = raw_connect listen in
   Pr.send_request fd (Pr.Open_session p);
   let sid =
     match Pr.recv_response fd with
@@ -403,15 +455,49 @@ let killed_client_never_wedges () =
   | Ok (Pr.Verdict _) -> ()
   | _ -> Alcotest.fail "expected a verdict frame");
   Unix.close fd;
-  (* The daemon notices on its next write and unwinds the worker. *)
+  (* The worker's next write fails and unwinds the run. *)
   poll ~what:"pool drain after client death" (fun () ->
       let st = S.stats t in
       st.Pr.st_inflight = 0 && st.Pr.st_sessions = 0);
-  let c = Cl.connect (S.Unix_sock path) in
+  let c = Cl.connect listen in
   Fun.protect ~finally:(fun () -> Cl.close c) @@ fun () ->
   let want, _ = batch_digest (params 78) in
   let got, _ = session_digest c (params 78) in
   check_string "daemon still serves correct digests" want got
+
+(* ---- oversized request headers --------------------------------------------------- *)
+
+(* Twenty clients each announce a 16 MiB request and send nothing more.
+   The daemon hangs up on each at once, without allocating the payload,
+   and keeps serving. *)
+let oversized_requests_hang_up () =
+  with_server @@ fun listen t ->
+  let n = 20 in
+  let heap () = (Gc.quick_stat ()).Gc.heap_words in
+  let before = heap () in
+  let fds = List.init n (fun _ -> raw_connect listen) in
+  Fun.protect ~finally:(fun () -> List.iter Unix.close fds) @@ fun () ->
+  let hdr = Bytes.create 4 in
+  Bytes.set_int32_be hdr 0 (Int32.of_int Pr.max_frame);
+  List.iter (fun fd -> ignore (Unix.write fd hdr 0 4 : int)) fds;
+  List.iter
+    (fun fd ->
+      match Unix.select [ fd ] [] [] 5.0 with
+      | [], _, _ -> Alcotest.fail "connection still open after 5 s"
+      | _ -> (
+          match Unix.read fd (Bytes.create 1) 0 1 with
+          | 0 -> ()
+          | _ -> Alcotest.fail "expected the daemon to hang up"
+          | exception Unix.Unix_error (ECONNRESET, _, _) -> ()))
+    fds;
+  let bound_words = n * Pr.max_request / (Sys.word_size / 8) in
+  check_bool "heap growth under one request bound per connection" true
+    (heap () - before < bound_words);
+  poll ~what:"hung-up connections" (fun () -> (S.stats t).Pr.st_inflight = 0);
+  let c = Cl.connect listen in
+  Fun.protect ~finally:(fun () -> Cl.close c) @@ fun () ->
+  let want, _ = batch_digest (params 79) in
+  check_string "a later session = batch" want (fst (session_digest c (params 79)))
 
 (* ---- drain on shutdown ------------------------------------------------------------- *)
 
@@ -421,13 +507,14 @@ let shutdown_drains_inflight () =
   let p = params ~epochs:4 91 in
   let want, _ = batch_digest p in
   let path = fresh_sock () in
-  let t = S.start { (S.default_config (S.Unix_sock path)) with workers = 2 } in
+  let listen = S.Unix_sock path in
+  let t = S.start { (S.default_config listen) with workers = 2 } in
   let first_verdict = Atomic.make false in
   let result = ref (Error "never ran") in
   let client =
     Thread.create
       (fun () ->
-        let c = Cl.connect (S.Unix_sock path) in
+        let c = Cl.connect listen in
         Fun.protect ~finally:(fun () -> Cl.close c) @@ fun () ->
         match Cl.open_session c p with
         | Error e -> result := Error e
@@ -445,7 +532,7 @@ let shutdown_drains_inflight () =
   (match !result with
   | Ok (d, _) -> check_string "in-flight stream completed through drain" want d
   | Error e -> Alcotest.fail ("stream aborted by shutdown: " ^ e));
-  (match Cl.connect (S.Unix_sock path) with
+  (match Cl.connect listen with
   | exception Unix.Unix_error _ -> ()
   | c ->
       Cl.close c;
@@ -474,14 +561,14 @@ let sigterm_drains_forked_daemon () =
   poll ~what:"daemon socket" (fun () ->
       Sys.file_exists path
       &&
-      match raw_connect path with
+      match raw_connect (S.Unix_sock path) with
       | exception Unix.Unix_error _ -> false
       | fd ->
           Unix.close fd;
           true);
   let p = params ~epochs:3 13 in
   let want, _ = batch_digest p in
-  let fd = raw_connect path in
+  let fd = raw_connect (S.Unix_sock path) in
   Pr.send_request fd (Pr.Open_session p);
   let sid =
     match Pr.recv_response fd with
@@ -519,6 +606,10 @@ let suite =
       ping_stats_and_errors;
     Alcotest.test_case "serve: session digest = batch digest" `Quick
       serve_matches_batch;
+    Alcotest.test_case "serve: session digest = batch digest over TCP" `Quick
+      (fun () -> serve_matches_batch ~listen:(fresh_tcp ()) ());
+    Alcotest.test_case "serve: sessions belong to their connection" `Quick
+      sessions_belong_to_connection;
     Alcotest.test_case "serve: concurrent sessions are isolated" `Quick
       concurrent_sessions_isolated;
     Alcotest.test_case "serve: cached world equals a fresh world" `Quick
@@ -531,6 +622,11 @@ let suite =
       backpressure_returns_busy;
     Alcotest.test_case "serve: killed client never wedges the pool" `Quick
       killed_client_never_wedges;
+    Alcotest.test_case "serve: killed client never wedges the pool over TCP"
+      `Quick
+      (fun () -> killed_client_never_wedges ~listen:(fresh_tcp ()) ());
+    Alcotest.test_case "serve: oversized request headers are hung up on" `Quick
+      oversized_requests_hang_up;
     Alcotest.test_case "serve: shutdown drains in-flight streams" `Quick
       shutdown_drains_inflight;
     Alcotest.test_case "serve: SIGTERM drains the forked daemon" `Slow
