@@ -365,6 +365,12 @@ let cli_matrix_reproducible () =
   check_int "second run exits 0" 0 (capture "adv_run2.txt");
   let s1 = read "adv_run1.txt" and s2 = read "adv_run2.txt" in
   check_bool "byte-identical output" true (s1 = s2);
+  (* Pinned bytes: the CLI is the only implementation of the zoo tally
+     and its §2.3 violation rules, so any drift in them shows here. *)
+  Alcotest.(check string)
+    "pinned output sha256"
+    "2ba03a33cdb1919402a9671989a544134b4627ed5ba3c165924baa8b42eab65a"
+    (C.Sha256.digest_hex s1);
   let contains needle =
     let nl = String.length needle and hl = String.length s1 in
     let rec go i =
