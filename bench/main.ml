@@ -254,28 +254,26 @@ let e4 () =
   let payload64 = String.make 64 'x' in
   let payload1k = String.make 1024 'x' in
   let sig_ = C.Rsa.sign key payload64 in
-  (* Before/after: the "naive" column routes modular exponentiation through
-     square-and-multiply ([set_fast_mod_pow false] — exactly the pre-fast-path
-     code), the "fast" column through Montgomery CIOS + fixed-window.  For
-     hashing, "naive" is the general buffering one-shot and "fast" the
-     precomputed-layout / precomputed-midstate variants. *)
-  let with_naive f =
-    C.Bigint.set_fast_mod_pow false;
-    Fun.protect ~finally:(fun () -> C.Bigint.set_fast_mod_pow true) f
+  (* Before/after: the "naive" column exponentiates by square-and-multiply
+     ([Rsa.sign_plain]: plain x^d mod n; verify: [Bigint.mod_pow_naive] of
+     the signature), the "fast" column through CRT + Montgomery CIOS +
+     fixed-window.  For hashing, "naive" is the general buffering one-shot
+     and "fast" the precomputed-layout / precomputed-midstate variants. *)
+  let pub = key.C.Rsa.pub in
+  let recover mod_pow =
+    mod_pow ~base:(C.Bigint.of_bytes_be sig_) ~exp:pub.C.Rsa.e
+      ~modulus:pub.C.Rsa.n
   in
   let fixed64 = C.Sha256.Fixed.create 64 in
   let hmac_key = C.Hmac.Key.create "e4-bench-key" in
   let pairs =
     [
       ( "rsa-1024 sign",
-        (fun () -> with_naive (fun () -> ignore (C.Rsa.sign key payload64))),
+        (fun () -> ignore (C.Rsa.sign_plain key payload64)),
         fun () -> ignore (C.Rsa.sign key payload64) );
       ( "rsa-1024 verify",
-        (fun () ->
-          with_naive (fun () ->
-              ignore (C.Rsa.verify key.C.Rsa.pub ~msg:payload64 ~signature:sig_))),
-        fun () ->
-          ignore (C.Rsa.verify key.C.Rsa.pub ~msg:payload64 ~signature:sig_) );
+        (fun () -> ignore (recover C.Bigint.mod_pow_naive)),
+        fun () -> ignore (C.Rsa.verify pub ~msg:payload64 ~signature:sig_) );
       ( "sha256 64B",
         (fun () -> ignore (C.Sha256.digest payload64)),
         fun () -> ignore (C.Sha256.Fixed.digest fixed64 payload64) );
@@ -359,10 +357,13 @@ let e4 () =
           ])
       [ 1; 8; 64 ]
   in
-  (* Fast paths must be bit-exact drop-ins: same signature bytes through
-     both exponentiation routes, and CRT ≡ plain x^d mod n. *)
-  assert (with_naive (fun () -> C.Rsa.sign key payload64) = sig_);
+  (* Fast paths must be bit-exact drop-ins: CRT ≡ plain x^d mod n, and
+     both exponentiation routes recover the same encoded message. *)
   assert (C.Rsa.sign_plain key payload64 = sig_);
+  assert (
+    C.Bigint.equal
+      (recover C.Bigint.mod_pow_naive)
+      (recover C.Bigint.mod_pow));
   (* The §3.8 overhead argument, machine-checkable: one RSA signature plus
      k SHA-256 commitments per verified update. *)
   let ms_of n =
@@ -814,56 +815,85 @@ let e10 () =
   in
   J.Obj [ ("rows", J.List rows) ]
 
-(* ---- E11: continuous engine (incremental caching, multicore) --------------------- *)
+(* ---- engine worlds: E11-E17 run what `pvr engine` runs --------------------------- *)
 
 module E = Pvr_engine.Engine
+module W = Pvr_serve.Workload
+
+(* The engine experiments build their worlds and drive their epochs through
+   [Workload], the code `pvr engine`, `pvr crashsoak` and `pvr serve`
+   share.  Each keeps a local memo of topologies and keyrings and primes it
+   before anything is timed or counted, so key generation stays outside
+   every measurement. *)
+let world_memo () : W.cache =
+  let tbl = Hashtbl.create 4 in
+  fun key generate ->
+    match Hashtbl.find_opt tbl key with
+    | Some tk -> tk
+    | None ->
+        let tk = generate () in
+        Hashtbl.add tbl key tk;
+        tk
+
+let prime memo p = W.build_world ~quiet:true ~cache:memo p
+
+(* One quiet run of [p] over a fresh world (journal fsync off: the store
+   experiments measure serialization and framing, not the disk); returns
+   the final digest. *)
+let run_world ?memo ?on_report ?checkpoint_dir ?checkpoint_every p =
+  match
+    W.engine_core ~quiet:true ?on_report ?checkpoint_dir ?checkpoint_every
+      ~fsync:false
+      (W.build_world ~quiet:true ?cache:memo p)
+      p
+  with
+  | Ok (digest, _) -> digest
+  | Error e -> failwith e
+
+let bench_dir name =
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "pvr-bench-%s-%d" name (Unix.getpid ()))
+
+let remove_dir dir =
+  try
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Unix.rmdir dir
+  with Sys_error _ | Unix.Unix_error _ -> ()
+
+(* E11 and E12: a 10-AS hierarchy under 20% turnover with anycast churn. *)
+let hierarchy_params seed =
+  {
+    W.defaults with
+    W.p_seed = seed;
+    p_tiers = "1,3,6";
+    p_peering = 0.2;
+    p_epochs = 6;
+    p_origins = 3;
+    p_anycast = 2;
+  }
+
+(* ---- E11: continuous engine (incremental caching, multicore) --------------------- *)
 
 let e11 () =
   header "E11  continuous engine: incremental caching & multicore scheduling";
-  let seed = 2026 in
-  let topo =
-    G.Topology.hierarchy
-      (C.Drbg.of_int_seed (seed + 1))
-      ~tiers:[ 1; 3; 6 ] ~extra_peering:0.2
-  in
-  let ases = G.Topology.ases topo in
-  Printf.printf "[e11] generating %d RSA-512 key pairs...\n%!"
-    (List.length ases);
-  let ekeyring =
-    P.Keyring.create ~bits:512 (C.Drbg.of_int_seed (seed + 2)) ases
-  in
-  let origins =
-    List.sort (fun a b -> G.Asn.compare b a) ases
-    |> List.filteri (fun i _ -> i < 3)
-    |> List.rev
-  in
-  let epochs = 6 and turnover = 0.2 in
-  (* Every run below re-derives its DRBGs from fixed integer seeds, so all
-     runs see the same topology, keys, churn schedule and engine secret;
-     the digest cross-checks assert exactly that. *)
+  let p = hierarchy_params 2026 in
+  let memo = world_memo () in
+  let ases = G.Topology.size (prime memo p).W.w_topo in
+  let epochs = p.p_epochs and turnover = p.p_turnover in
+  (* Every run re-derives its DRBGs from the same seed, so all runs see the
+     same topology, keys, churn schedule and engine secret; the digest
+     cross-checks assert exactly that. *)
   let run ~jobs ~cache () =
-    let sim = G.Simulator.create topo in
-    let churn =
-      G.Update_gen.Churn.create ~anycast:2 ~origins ~prefixes_per_origin:2 ()
-    in
-    let churn_rng = C.Drbg.of_int_seed (seed + 3) in
-    let eng =
-      E.create ~jobs ~cache ~salt_every:8
-        (C.Drbg.of_int_seed (seed + 4))
-        ekeyring ~topology:topo ~sim ()
-    in
     let dirty = ref 0 and vertices = ref 0 in
-    for i = 1 to epochs do
-      let apply sim =
-        if i = 1 then List.length (G.Update_gen.Churn.seed churn sim)
-        else
-          List.length (G.Update_gen.Churn.step churn_rng ~turnover churn sim)
-      in
-      let r = E.epoch ~apply eng in
-      dirty := !dirty + r.E.ep_dirty;
-      vertices := !vertices + r.E.ep_vertices
-    done;
-    (E.digest eng, !dirty, !vertices)
+    let digest =
+      run_world ~memo
+        ~on_report:(fun r ->
+          dirty := !dirty + r.E.ep_dirty;
+          vertices := !vertices + r.E.ep_vertices)
+        { p with p_jobs = jobs; p_cache = cache }
+    in
+    (digest, !dirty, !vertices)
   in
   (* Op counts: cache on vs off, exact counter deltas on a single domain. *)
   let (digest_on, rounds_on, verts), d_on = counted (run ~jobs:1 ~cache:true) in
@@ -871,18 +901,6 @@ let e11 () =
     counted (run ~jobs:1 ~cache:false)
   in
   assert (digest_on = digest_off);
-  (* The fast-math acceptance gate: the same seeded run through the naive
-     square-and-multiply exponentiation produces the byte-identical
-     engine digest — Montgomery/CRT/batch-verify change timings only. *)
-  C.Bigint.set_fast_mod_pow false;
-  let digest_naive, _, _ =
-    Fun.protect
-      ~finally:(fun () -> C.Bigint.set_fast_mod_pow true)
-      (run ~jobs:1 ~cache:true)
-  in
-  assert (digest_on = digest_naive);
-  Printf.printf "naive-modexp digest check: identical (%s)\n%!"
-    (String.sub digest_naive 0 16);
   let ops label d rounds =
     Printf.printf
       "%-9s  rounds=%-4d  sha256=%-6d  rsa_sign=%-4d (%.2f/round)  \
@@ -950,10 +968,10 @@ let e11 () =
   in
   J.Obj
     [
-      ("ases", J.Int (List.length ases));
+      ("ases", J.Int ases);
       ("epochs", J.Int epochs);
       ("turnover", J.Float turnover);
-      ("salt_every", J.Int 8);
+      ("salt_every", J.Int p.p_salt_every);
       ("cores", J.Int cores);
       ("digest", J.String digest_on);
       ("cache_on", cache_json d_on rounds_on);
@@ -965,63 +983,17 @@ let e11 () =
 
 let e12 () =
   header "E12  durable store: journal/snapshot overhead, checkpoint cadence";
-  let seed = 2027 in
-  let topo =
-    G.Topology.hierarchy
-      (C.Drbg.of_int_seed (seed + 1))
-      ~tiers:[ 1; 3; 6 ] ~extra_peering:0.2
-  in
-  let ases = G.Topology.ases topo in
-  Printf.printf "[e12] generating %d RSA-512 key pairs...\n%!"
-    (List.length ases);
-  let ekeyring =
-    P.Keyring.create ~bits:512 (C.Drbg.of_int_seed (seed + 2)) ases
-  in
-  let origins =
-    List.sort (fun a b -> G.Asn.compare b a) ases
-    |> List.filteri (fun i _ -> i < 3)
-    |> List.rev
-  in
-  let epochs = 6 and turnover = 0.2 in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "pvr-bench-e12-%d" (Unix.getpid ()))
-  in
+  let p = hierarchy_params 2027 in
+  let memo = world_memo () in
+  let ases = G.Topology.size (prime memo p).W.w_topo in
+  let epochs = p.p_epochs in
+  let dir = bench_dir "e12" in
   (* One engine run, journaling every epoch into [dir] when [snapshot_every]
-     is given (fsync off: we measure serialization + framing, not the disk).
-     Identical world derivation to E11's [run], so digests must agree with a
-     checkpoint-free run. *)
+     is given; the digest must agree with a checkpoint-free run. *)
   let run ?snapshot_every () =
-    let sim = G.Simulator.create topo in
-    let churn =
-      G.Update_gen.Churn.create ~anycast:2 ~origins ~prefixes_per_origin:2 ()
-    in
-    let churn_rng = C.Drbg.of_int_seed (seed + 3) in
-    let eng =
-      E.create ~jobs:1 ~cache:true ~salt_every:8
-        (C.Drbg.of_int_seed (seed + 4))
-        ekeyring ~topology:topo ~sim ()
-    in
-    (match snapshot_every with
-    | Some _ -> Pvr_store.Store.reset ~dir
-    | None -> ());
-    let session =
-      Option.map
-        (fun n ->
-          Pvr_engine.Persist.start ~fsync:false ~snapshot_every:n ~dir ())
-        snapshot_every
-    in
-    for i = 1 to epochs do
-      let apply sim =
-        if i = 1 then List.length (G.Update_gen.Churn.seed churn sim)
-        else List.length (G.Update_gen.Churn.step churn_rng ~turnover churn sim)
-      in
-      let r = E.epoch ~apply eng in
-      Option.iter (fun s -> Pvr_engine.Persist.record s eng r) session
-    done;
-    Option.iter Pvr_engine.Persist.close session;
-    E.digest eng
+    run_world ~memo
+      ?checkpoint_dir:(Option.map (fun _ -> dir) snapshot_every)
+      ?checkpoint_every:snapshot_every p
   in
   let baseline = run () in
   Printf.printf "%-12s  %10s  %10s  %12s  %9s  %9s\n" "mode" "run ms"
@@ -1055,80 +1027,59 @@ let e12 () =
     let every_5 = mode "every-5" (Some 5) in
     [ off; every_epoch; every_5 ]
   in
-  (try
-     Array.iter
-       (fun f -> Sys.remove (Filename.concat dir f))
-       (Sys.readdir dir);
-     Unix.rmdir dir
-   with Sys_error _ | Unix.Unix_error _ -> ());
+  remove_dir dir;
   J.Obj
     [
-      ("ases", J.Int (List.length ases));
+      ("ases", J.Int ases);
       ("epochs", J.Int epochs);
-      ("turnover", J.Float turnover);
+      ("turnover", J.Float p.p_turnover);
       ("digest", J.String baseline);
       ("modes", J.List rows);
     ]
 
 (* ---- E13: internet scale: generated topology, interning ------------------------- *)
 
+(* E13 and E16: a generated power-law internet, churned at its four
+   highest ASNs — late arrivals in the preferential-attachment order, hence
+   stubs near the edge, as in the paper's promise-to-beneficiary scenario. *)
+let internet_params seed ~ases ~epochs =
+  {
+    W.defaults with
+    W.p_seed = seed;
+    p_ases = ases;
+    p_epochs = epochs;
+    p_peering = 0.05;
+  }
+
 let e13 () =
   header "E13  internet scale: generated topology, route interning";
-  let seed = 2028 in
-  (* One RSA-512 keyring covering ASNs 1..1000 serves every topology size
-     below: [Topology.generate ~ases:n] always numbers its ASes 1..n, so a
-     superset ring avoids regenerating keys per size (keygen dominates
-     wall-clock at this scale). *)
-  let max_ases = 1000 in
-  Printf.printf "[e13] generating %d RSA-512 key pairs...\n%!" max_ases;
-  let t0 = Unix.gettimeofday () in
-  let ekeyring =
-    P.Keyring.create ~bits:512
-      (C.Drbg.of_int_seed (seed + 1))
-      (List.init max_ases (fun i -> asn (i + 1)))
-  in
-  Printf.printf "[e13] done in %.1fs\n%!" (Unix.gettimeofday () -. t0);
-  (* Every run re-derives topology, churn and engine secret from fixed
-     integer seeds: same [ases] means the same internet, so digests are
-     comparable across jobs/cache/intern settings. *)
-  let run ?(epochs = 4) ?(turnover = 0.2) ?(mem = 0) ?on_epoch ~ases ~jobs
-      ~intern ~cache () =
-    G.Intern.set_enabled intern;
-    let topo =
-      G.Topology.generate (C.Drbg.of_int_seed (seed + 2)) ~ases ()
-    in
-    (* Origins: the four highest ASNs — late arrivals in the preferential-
-       attachment order, hence stubs near the edge, as in the paper's
-       promise-to-beneficiary scenario. *)
-    let origins = List.init 4 (fun i -> asn (ases - i)) in
-    let sim = G.Simulator.create topo in
-    let churn =
-      G.Update_gen.Churn.create ~anycast:1 ~origins ~prefixes_per_origin:2 ()
-    in
-    let churn_rng = C.Drbg.of_int_seed (seed + 3) in
-    let eng =
-      E.create ~jobs ~cache ~salt_every:8
-        (C.Drbg.of_int_seed (seed + 4))
-        ekeyring ~topology:topo ~sim ()
-    in
-    if mem > 0 then begin
-      E.set_mem_ceiling eng mem;
-      E.set_pager eng (Some (E.memory_pager ()))
-    end;
+  let base_p = internet_params 2028 ~ases:1000 ~epochs:4 in
+  let sizes = [ 100; 300; 1000 ] in
+  let memo = world_memo () in
+  List.iter (fun ases -> ignore (prime memo { base_p with p_ases = ases })) sizes;
+  (* Every run re-derives topology, churn and engine secret from the same
+     seed: same [ases] means the same internet, so digests are comparable
+     across jobs/cache/intern settings. *)
+  let run ?(epochs = base_p.p_epochs) ?(turnover = base_p.p_turnover) ?(mem = 0)
+      ?on_report ~ases ~jobs ~intern ~cache () =
     let dirty = ref 0 and msgs = ref 0 in
-    for i = 1 to epochs do
-      let apply sim =
-        if i = 1 then List.length (G.Update_gen.Churn.seed churn sim)
-        else
-          List.length (G.Update_gen.Churn.step churn_rng ~turnover churn sim)
-      in
-      let r = E.epoch ~apply eng in
-      dirty := !dirty + r.E.ep_dirty;
-      msgs := !msgs + r.E.ep_msgs;
-      Option.iter (fun f -> f i r) on_epoch
-    done;
-    let d = E.digest eng in
-    G.Intern.set_enabled false;
+    let d =
+      run_world ~memo
+        ~on_report:(fun r ->
+          dirty := !dirty + r.E.ep_dirty;
+          msgs := !msgs + r.E.ep_msgs;
+          Option.iter (fun f -> f r) on_report)
+        {
+          base_p with
+          p_ases = ases;
+          p_epochs = epochs;
+          p_turnover = turnover;
+          p_jobs = jobs;
+          p_intern = intern;
+          p_cache = cache;
+          p_mem_ceiling = mem;
+        }
+    in
     (d, !dirty, !msgs)
   in
   (* Scaling curve: ASes x jobs at fixed turnover (single timed run per
@@ -1137,7 +1088,7 @@ let e13 () =
   Printf.printf "cores=%d\n%!" cores;
   Printf.printf "%6s %5s  %10s  %10s  %8s  %8s\n" "ases" "jobs" "run ms"
     "ms/epoch" "dirty" "msgs";
-  let epochs = 4 in
+  let epochs = base_p.p_epochs in
   (* Per-domain utilization as published by the pool after each round:
      cumulative busy/idle microseconds and task counts per resident worker.
      Contention shows up here as busy-time skew or idle-time blowup even
@@ -1178,24 +1129,25 @@ let e13 () =
               if jobs > 1 then [ ("pool_domains", pool_domain_gauges ()) ]
               else []))
           [ 1; 2 ])
-      [ 100; 300; 1000 ]
+      sizes
   in
   (* Turnover sweep at a fixed mid-size internet. *)
-  Printf.printf "%8s  %10s  %8s\n" "turnover" "run ms" "dirty";
+  Printf.printf "%8s  %10s  %8s  %8s\n" "turnover" "run ms" "dirty" "msgs";
   let turnover_rows =
     List.map
       (fun turnover ->
         let t0 = Unix.gettimeofday () in
-        let _, dirty, _ =
+        let _, dirty, msgs =
           run ~turnover ~ases:300 ~jobs:1 ~intern:true ~cache:true ()
         in
         let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-        Printf.printf "%8.2f  %10.1f  %8d\n%!" turnover ms dirty;
+        Printf.printf "%8.2f  %10.1f  %8d  %8d\n%!" turnover ms dirty msgs;
         J.Obj
           [
             ("turnover", J.Float turnover);
             ("ms_per_run", J.Float ms);
             ("dirty", J.Int dirty);
+            ("msgs", J.Int msgs);
           ])
       [ 0.05; 0.2; 0.5 ]
   in
@@ -1239,13 +1191,12 @@ let e13 () =
     let words = ref [] in
     let before = ref 0.0 in
     let d, _, _ =
-      run ~epochs:6 ~turnover:0.0 ~ases:1000 ~jobs:1 ~intern
-        ~cache:true
-        ~on_epoch:(fun i _ ->
+      run ~epochs:6 ~turnover:0.0 ~ases:1000 ~jobs:1 ~intern ~cache:true
+        ~on_report:(fun r ->
           (* Epoch 1 seeds the table (RSA everywhere); epochs 2.. are the
              steady state we measure. *)
           let now = allocated_words () in
-          if i >= 2 then words := (now -. !before) :: !words;
+          if r.E.ep_epoch >= 2 then words := (now -. !before) :: !words;
           before := now)
         ()
     in
@@ -1254,6 +1205,7 @@ let e13 () =
   in
   let d_off, w_off = quiet_words ~intern:false in
   let d_on, w_on = quiet_words ~intern:true in
+  G.Intern.set_enabled false;
   assert (d_off = d_on);
   let ratio = w_off /. w_on in
   Printf.printf
@@ -1265,7 +1217,7 @@ let e13 () =
   assert (ratio >= 2.0);
   J.Obj
     [
-      ("max_ases", J.Int max_ases);
+      ("max_ases", J.Int (List.fold_left max 0 sizes));
       ("epochs", J.Int epochs);
       ("cores", J.Int cores);
       ("scaling", J.List scaling);
@@ -1282,124 +1234,6 @@ let e13 () =
           ] );
     ]
 
-(* ---- E14: adversary zoo x prefix family: detection / leakage -------------------- *)
-
-let e14 () =
-  header "E14  adversary zoo: detection and leakage matrix";
-  let seed = 2031 in
-  let ases = 12 in
-  let epochs = 2 in
-  let ekeyring =
-    P.Keyring.create ~bits:512
-      (C.Drbg.of_int_seed (seed + 1))
-      (List.init ases (fun i -> asn (i + 1)))
-  in
-  (* One run of the zoo: generated internet, every tiered prefix
-     originated; every round keeps a disclosure ledger, honest plans
-     included. *)
-  let run strategy =
-    let topo =
-      G.Topology.generate (C.Drbg.of_int_seed (seed + 2)) ~ases ()
-    in
-    let plan = G.Topology.tiered_prefixes topo in
-    let sim = G.Simulator.create topo in
-    List.iter (fun (a, p) -> G.Simulator.originate sim ~asn:a p) plan;
-    let eng =
-      E.create ~salt_every:1 ~strategy
-        (C.Drbg.of_int_seed (seed + 3))
-        ekeyring ~topology:topo ~sim ()
-    in
-    let outcomes = ref [] in
-    for _ = 1 to epochs do
-      let r = E.epoch eng in
-      outcomes := !outcomes @ r.E.ep_outcomes
-    done;
-    (E.digest eng, !outcomes)
-  in
-  let families = [ 8; 16; 24 ] in
-  Printf.printf "%-22s %-4s %8s %6s %8s %9s %7s %6s\n" "strategy" "fam"
-    "vertices" "cheats" "detected" "convicted" "leaked" "excess";
-  let rows =
-    List.map
-      (fun strategy ->
-        let name = P.Adversary.strategy_to_string strategy in
-        let complying =
-          match strategy with P.Adversary.Timing_probe _ -> true | _ -> false
-        in
-        let digest, outcomes = run strategy in
-        (* Seed-reproducibility contract: a second same-seed run of the
-           same strategy is byte-identical. *)
-        let digest2, _ = run strategy in
-        assert (digest = digest2);
-        let fam_rows =
-          List.filter_map
-            (fun len ->
-              let os =
-                List.filter
-                  (fun o -> o.E.vx_vertex.E.vprefix.G.Prefix.len = len)
-                  outcomes
-              in
-              if os = [] then None
-              else begin
-                let count p = List.length (List.filter p os) in
-                let cheats =
-                  count (fun o -> o.E.vx_behaviour <> P.Adversary.Honest)
-                in
-                let detected = count (fun o -> o.E.vx_detected) in
-                let convicted = count (fun o -> o.E.vx_convicted) in
-                let sum f = List.fold_left (fun a o -> a + f o) 0 os in
-                let leaked = sum (fun o -> o.E.vx_leaked_bits) in
-                let excess = sum (fun o -> o.E.vx_excess_bits) in
-                (* §2.3 acceptance: every cheat whose witnessing messages
-                   were delivered is detected — and convicted, unless the
-                   strategy complies with challenges (stonewalling probes
-                   are exonerated, never convicted).  Honest vertices leak
-                   zero bits beyond their plain-BGP baseline. *)
-                List.iter
-                  (fun o ->
-                    if o.E.vx_behaviour <> P.Adversary.Honest then begin
-                      if o.E.vx_required then assert o.E.vx_detected;
-                      if complying then assert (not o.E.vx_convicted)
-                      else if o.E.vx_required then assert o.E.vx_convicted
-                    end
-                    else begin
-                      assert (not o.E.vx_convicted);
-                      assert (o.E.vx_excess_bits = 0)
-                    end)
-                  os;
-                Printf.printf
-                  "%-22s /%-3d %8d %6d %8d %9d %7d %6d\n%!" name len
-                  (List.length os) cheats detected convicted leaked excess;
-                Some
-                  (J.Obj
-                     [
-                       ("family", J.Int len);
-                       ("vertices", J.Int (List.length os));
-                       ("cheats", J.Int cheats);
-                       ("detected", J.Int detected);
-                       ("convicted", J.Int convicted);
-                       ("leaked_bits", J.Int leaked);
-                       ("excess_bits", J.Int excess);
-                     ])
-              end)
-            families
-        in
-        J.Obj
-          [
-            ("strategy", J.String name);
-            ("digest", J.String digest);
-            ("reproducible", J.Bool true);
-            ("families", J.List fam_rows);
-          ])
-      P.Adversary.all_strategies
-  in
-  J.Obj
-    [
-      ("ases", J.Int ases);
-      ("epochs", J.Int epochs);
-      ("strategies", J.List rows);
-    ]
-
 (* ---- E16: bounded memory: governor staging and spill-to-store ------------------- *)
 
 (* The memory-governor acceptance claim, measured: an unbounded run's peak
@@ -1410,71 +1244,23 @@ let e14 () =
    behaviour are visible across commits. *)
 let e16 () =
   header "E16  bounded memory: governor, spill-to-store, digest parity";
-  let seed = 2040 in
-  let ases = 300 in
-  let epochs = 6 in
-  let ekeyring =
-    P.Keyring.create ~bits:512
-      (C.Drbg.of_int_seed (seed + 1))
-      (List.init ases (fun i -> asn (i + 1)))
-  in
+  let p = { (internet_params 2040 ~ases:300 ~epochs:6) with W.p_ppo = 4 } in
+  let memo = world_memo () in
+  ignore (prime memo p);
   (* One seeded engine run; [ceiling] > 0 installs the governor with a
      store-backed pager.  Returns (digest, peak major-heap words above the
      pre-run compacted floor). *)
   let run ?(ceiling = 0) () =
     Gc.compact ();
     let floor_words = (Gc.quick_stat ()).Gc.heap_words in
-    let topo = G.Topology.generate (C.Drbg.of_int_seed (seed + 2)) ~ases () in
-    let origins = List.init 4 (fun i -> asn (ases - i)) in
-    let sim = G.Simulator.create topo in
-    G.Simulator.set_log_enabled sim false;
-    let churn =
-      G.Update_gen.Churn.create ~anycast:1 ~origins ~prefixes_per_origin:4 ()
-    in
-    let churn_rng = C.Drbg.of_int_seed (seed + 3) in
-    let eng =
-      E.create ~jobs:1 ~cache:true ~salt_every:8
-        (C.Drbg.of_int_seed (seed + 4))
-        ekeyring ~topology:topo ~sim ()
-    in
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "pvr-bench-e16-%d" (Unix.getpid ()))
-    in
-    let session =
-      if ceiling > 0 then begin
-        Pvr_store.Store.reset ~dir;
-        let s = Pvr_engine.Persist.start ~fsync:false ~snapshot_every:0 ~dir () in
-        E.set_mem_ceiling eng ceiling;
-        E.set_pager eng
-          (Some (Pvr_engine.Persist.pager s ~run_id:(E.Checkpoint.run_id eng)));
-        Some s
-      end
-      else None
-    in
     let peak = ref 0 in
-    Fun.protect
-      ~finally:(fun () ->
-        Option.iter Pvr_engine.Persist.close session;
-        if session <> None then
-          try
-            Array.iter
-              (fun f -> Sys.remove (Filename.concat dir f))
-              (Sys.readdir dir);
-            Unix.rmdir dir
-          with Sys_error _ | Unix.Unix_error _ -> ())
-      (fun () ->
-        for i = 1 to epochs do
-          let apply sim =
-            if i = 1 then G.Update_gen.Churn.seed_count churn sim
-            else
-              G.Update_gen.Churn.step_count churn_rng ~turnover:0.2 churn sim
-          in
-          ignore (E.epoch ~apply eng : E.epoch_report);
-          peak := max !peak ((Gc.quick_stat ()).Gc.heap_words - floor_words)
-        done);
-    (E.digest eng, !peak)
+    let d =
+      run_world ~memo
+        ~on_report:(fun _ ->
+          peak := max !peak ((Gc.quick_stat ()).Gc.heap_words - floor_words))
+        { p with p_mem_ceiling = ceiling }
+    in
+    (d, !peak)
   in
   let t0 = Unix.gettimeofday () in
   let base_digest, unbounded_peak = run () in
@@ -1504,8 +1290,8 @@ let e16 () =
   assert (mem "spills" > 0);
   J.Obj
     [
-      ("ases", J.Int ases);
-      ("epochs", J.Int epochs);
+      ("ases", J.Int p.p_ases);
+      ("epochs", J.Int p.p_epochs);
       ("digest", J.String base_digest);
       ("digest_matches", J.Bool (bounded_digest = base_digest));
       ( "unbounded",
@@ -1536,54 +1322,28 @@ let e15 () =
   let module Idx = Pvr_query.Evidence_index in
   let module Lang = Pvr_query.Lang in
   let module Exec = Pvr_query.Exec in
-  let seed = 2033 in
-  let topo =
-    G.Topology.hierarchy
-      (C.Drbg.of_int_seed (seed + 1))
-      ~tiers:[ 1; 3; 8 ] ~extra_peering:0.2
-  in
-  let ases = G.Topology.ases topo in
-  let ekeyring =
-    P.Keyring.create ~bits:512 (C.Drbg.of_int_seed (seed + 2)) ases
-  in
-  let origins =
-    List.sort (fun a b -> G.Asn.compare b a) ases
-    |> List.filteri (fun i _ -> i < 4)
-    |> List.rev
-  in
-  let epochs = 24 and turnover = 0.25 in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "pvr-bench-e15-%d" (Unix.getpid ()))
-  in
-  Pvr_store.Store.reset ~dir;
   (* A stonewalling timing-probe run: probed cheats are detected but never
      convicted, so the evidence plane has violations to query while the run
      itself stays clean. *)
-  let sim = G.Simulator.create topo in
-  let churn =
-    G.Update_gen.Churn.create ~anycast:4 ~origins ~prefixes_per_origin:4 ()
+  let p =
+    {
+      W.defaults with
+      W.p_seed = 2033;
+      p_tiers = "1,3,8";
+      p_peering = 0.2;
+      p_epochs = 24;
+      p_turnover = 0.25;
+      p_salt_every = 4;
+      p_anycast = 4;
+      p_ppo = 4;
+      p_strategy = P.Adversary.Timing_probe { period = 3 };
+    }
   in
-  let churn_rng = C.Drbg.of_int_seed (seed + 3) in
-  let eng =
-    E.create ~jobs:1 ~cache:true ~salt_every:4
-      ~strategy:(P.Adversary.Timing_probe { period = 3 })
-      (C.Drbg.of_int_seed (seed + 4))
-      ekeyring ~topology:topo ~sim ()
-  in
-  let session =
-    Pvr_engine.Persist.start ~fsync:false ~snapshot_every:4 ~dir ()
-  in
-  for i = 1 to epochs do
-    let apply sim =
-      if i = 1 then List.length (G.Update_gen.Churn.seed churn sim)
-      else List.length (G.Update_gen.Churn.step churn_rng ~turnover churn sim)
-    in
-    let r = E.epoch ~apply eng in
-    Pvr_engine.Persist.record session eng r
-  done;
-  Pvr_engine.Persist.close session;
+  let memo = world_memo () in
+  let ases = G.Topology.ases (prime memo p).W.w_topo in
+  let epochs = p.p_epochs in
+  let dir = bench_dir "e15" in
+  ignore (run_world ~memo ~checkpoint_dir:dir ~checkpoint_every:4 p : string);
   let build () =
     counted (fun () ->
         match Idx.build ~quiet:true ~dir () with
@@ -1697,6 +1457,7 @@ let e15 () =
           ])
       queries
   in
+  remove_dir dir;
   J.Obj
     [
       ("ases", J.Int (List.length ases));
@@ -1713,7 +1474,6 @@ let e17 () =
   header "E17  serve: concurrent verification sessions over one daemon";
   let module S = Pvr_serve.Server in
   let module Cl = Pvr_serve.Client in
-  let module W = Pvr_serve.Workload in
   let module Pr = Pvr_serve.Protocol in
   let sessions = 100 in
   let distinct_seeds = 8 in
@@ -1730,12 +1490,7 @@ let e17 () =
   (* Batch oracle: one engine run per distinct seed; every streamed
      session must land byte-identically on one of these digests. *)
   let batch =
-    Array.init distinct_seeds (fun i ->
-        let p = params (7000 + i) in
-        let w = W.build_world ~quiet:true p in
-        match W.engine_core ~quiet:true w p with
-        | Ok (d, _) -> d
-        | Error e -> failwith ("e17 batch oracle: " ^ e))
+    Array.init distinct_seeds (fun i -> run_world (params (7000 + i)))
   in
   let path =
     Filename.concat
@@ -1984,7 +1739,6 @@ let () =
       ("e11_engine", e11);
       ("e12_durable_store", e12);
       ("e13_scale", e13);
-      ("e14_adversary_zoo", e14);
       ("e15_query", e15);
       ("e16_memory", e16);
       ("e17_serve", e17);

@@ -239,7 +239,6 @@ type eparams = Pvr_serve.Workload.params = {
   p_drop : float;
   p_strategy : P.Adversary.strategy;
   p_mem_ceiling : int; (* major-heap budget in words; 0 = unbounded *)
-  p_spill : bool; (* page cold vertex state out through the store *)
 }
 
 let build_world = Pvr_serve.Workload.build_world
@@ -283,9 +282,10 @@ let run_engine p checkpoint resume checkpoint_every no_fsync report stats =
 
 exception Crashsoak_abort of int
 
-(* Spill runs add the two paging barriers to the kill pool.  A scheduled
-   spill/unspill kill may never fire in an epoch with no paging activity —
-   the child then finishes early, which the soak loop tolerates. *)
+(* Runs under a mem ceiling spill, so they add the two paging barriers to
+   the kill pool.  A scheduled spill/unspill kill may never fire in an
+   epoch with no paging activity — the child then finishes early, which
+   the soak loop tolerates. *)
 let phases ~spill =
   if spill then [| "apply"; "collect"; "unspill"; "verify"; "spill"; "record" |]
   else [| "apply"; "collect"; "verify"; "record" |]
@@ -390,7 +390,7 @@ let run_crashsoak p kills checkpoint_every dir_opt no_corrupt keep stats =
         Pvr_store.Store.reset ~dir;
         let sched = C.Drbg.split (C.Drbg.of_int_seed p.p_seed) "crashsoak" in
         let points =
-          kill_schedule sched ~phases:(phases ~spill:p.p_spill)
+          kill_schedule sched ~phases:(phases ~spill:(p.p_mem_ceiling > 0))
             ~epochs:p.p_epochs ~kills
         in
         Printf.printf "crashsoak: seed=%d dir=%s kill schedule: %s\n%!" p.p_seed
@@ -990,25 +990,14 @@ let eparams_term =
             "Major-heap budget in words (the figure \
              $(b,engine.gc.heap_words) exports).  When the post-epoch heap \
              exceeds it the governor sheds load in stages — drop cold memo \
-             tables, spill cold vertex state (with $(b,--spill)), throttle \
-             carry-forward — all digest-invariant.  0 (default) is \
-             unbounded.")
-  in
-  let spill =
-    Arg.(
-      value & flag
-      & info [ "spill" ]
-          ~doc:
-            "Let the memory governor page cold (prover, prefix) vertex \
-             state out to the store as CRC-framed journal pages, read back \
-             transiently (or recomputed, identically) when needed.  Uses \
-             the $(b,--checkpoint) store when given, else a scratch store \
-             under the temp dir.  The digest is byte-identical with \
-             spilling on or off.")
+             tables, spill cold vertex state to the store as CRC-framed \
+             journal pages (the $(b,--checkpoint) store when given, else a \
+             scratch store under the temp dir), throttle carry-forward — \
+             all digest-invariant.  0 (default) is unbounded.")
   in
   let make p_seed p_tiers p_peering p_ases p_gen_seed p_epochs p_jobs
       p_intern p_bits p_cache p_salt_every p_turnover p_origins p_ppo p_anycast
-      p_drop p_strategy p_mem_ceiling p_spill =
+      p_drop p_strategy p_mem_ceiling =
     {
       p_seed;
       p_tiers;
@@ -1028,13 +1017,12 @@ let eparams_term =
       p_drop;
       p_strategy;
       p_mem_ceiling;
-      p_spill;
     }
   in
   Term.(
     const make $ seed $ tiers $ peering $ ases $ gen_seed $ epochs $ jobs
     $ intern $ bits $ cache $ salt_every $ turnover $ origins
-    $ prefixes_per_origin $ anycast $ drop $ strategy $ mem_ceiling $ spill)
+    $ prefixes_per_origin $ anycast $ drop $ strategy $ mem_ceiling)
 
 let checkpoint_every_arg =
   Arg.(

@@ -280,16 +280,6 @@ let flush () =
 
 (* ---- id / stats reads (flush the caller's arena, then read global) -------- *)
 
-let path_id p =
-  if not !enabled_flag then None
-  else begin
-    flush ();
-    with_lock @@ fun () ->
-    match Path_tbl.find_opt g_paths p with
-    | Some (_, id) -> Some id
-    | None -> None
-  end
-
 let route_id r =
   if not !enabled_flag then None
   else begin

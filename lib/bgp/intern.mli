@@ -48,12 +48,6 @@ val flush : unit -> unit
     their own domain before signalling the epoch barrier; the read APIs
     below call it implicitly.  Cheap no-op when nothing is pending. *)
 
-val path_id : Asn.t list -> int option
-(** Dense id (assigned in merge order from 0) of an already-interned
-    path; [None] if never interned or while disabled.  Flushes the
-    calling domain's arena first, so ids interned on this domain are
-    always visible. *)
-
 val route_id : Route.t -> int option
 (** Dense id of an already-interned route; [None] if never interned or
     while disabled.  Flushes the calling domain's arena first. *)

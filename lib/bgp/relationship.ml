@@ -18,5 +18,3 @@ let export_allowed ~learned_from ~to_ =
   | Customer, _ -> true
   | (Peer | Provider), Customer -> true
   | (Peer | Provider), (Peer | Provider) -> false
-
-let preference_rank = function Customer -> 0 | Peer -> 1 | Provider -> 2

@@ -20,7 +20,3 @@ val export_allowed : learned_from:t -> to_:t -> bool
 (** The Gao–Rexford export rule: routes learned from customers are exported
     to everyone; routes learned from peers or providers are exported only to
     customers. *)
-
-val preference_rank : t -> int
-(** Economic preference when choosing among routes: customer (0) over
-    peer (1) over provider (2). *)

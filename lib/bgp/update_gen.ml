@@ -99,22 +99,6 @@ module Churn = struct
     | Announce (asn, prefix) -> Simulator.originate sim ~asn prefix
     | Withdraw (asn, prefix) -> Simulator.withdraw_origin sim ~asn prefix
 
-  (* Streaming variant: apply each origination as the slot walk produces
-     it and count, never building the change list.  At 100k-AS scale the
-     materialized list is pure heap pressure the epoch loop immediately
-     folds back down to a length. *)
-  let seed_count t sim =
-    let applied = ref 0 in
-    Array.iter
-      (fun s ->
-        if not s.live then begin
-          s.live <- true;
-          apply sim (Announce (s.origin, s.prefix));
-          incr applied
-        end)
-      t.slots;
-    !applied
-
   let seed t sim =
     Array.to_list t.slots
     |> List.filter_map (fun s ->
@@ -126,11 +110,7 @@ module Churn = struct
              Some c
            end)
 
-  (* The partial Fisher-Yates shuffle picking the flipped slots, shared by
-     both step variants so their DRBG draw sequences are identical — a
-     seeded run produces the same epochs whichever variant the caller
-     uses. *)
-  let pick_flips rng ~turnover t =
+  let step rng ~turnover t sim =
     let n = Array.length t.slots in
     let flips = int_of_float (Float.of_int n *. turnover +. 0.5) in
     let flips = max 0 (min n flips) in
@@ -144,24 +124,13 @@ module Churn = struct
       idx.(k) <- idx.(r);
       idx.(r) <- tmp
     done;
-    (idx, flips)
-
-  let flip_slot s =
-    s.live <- not s.live;
-    if s.live then Announce (s.origin, s.prefix)
-    else Withdraw (s.origin, s.prefix)
-
-  let step_count rng ~turnover t sim =
-    let idx, flips = pick_flips rng ~turnover t in
-    for k = 0 to flips - 1 do
-      apply sim (flip_slot t.slots.(idx.(k)))
-    done;
-    flips
-
-  let step rng ~turnover t sim =
-    let idx, flips = pick_flips rng ~turnover t in
     List.init flips (fun k ->
-        let c = flip_slot t.slots.(idx.(k)) in
+        let s = t.slots.(idx.(k)) in
+        s.live <- not s.live;
+        let c =
+          if s.live then Announce (s.origin, s.prefix)
+          else Withdraw (s.origin, s.prefix)
+        in
         apply sim c;
         c)
 end

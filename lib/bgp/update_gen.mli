@@ -59,13 +59,4 @@ module Churn : sig
   (** Flip [turnover · size] distinct slots (live ⇄ withdrawn), chosen by
       the DRBG; applies the changes to the simulator.  [turnover 0.] is a
       quiet epoch, [1.] a full-table flap. *)
-
-  val seed_count : t -> Simulator.t -> int
-  val step_count :
-    Pvr_crypto.Drbg.t -> turnover:float -> t -> Simulator.t -> int
-  (** Streaming twins of {!seed}/{!step}: apply each change as it is
-      produced and return only the count, never materializing the change
-      list — at 100k-AS scale the list is pure heap pressure.  Both
-      consume exactly the same DRBG draws as their list-building twins,
-      so a seeded run is epoch-identical whichever variant drives it. *)
 end

@@ -32,10 +32,7 @@ let holder_map t holder =
 (* Slot bookkeeping for a commit whose signature has already been checked;
    [receive] is this behind a per-commit verification, [run_round] batches
    the verification across a whole round first. *)
-let receive_checked ?ledger t ~holder commit =
-  (* Commitments are hiding: the holder observes traffic but learns zero
-     bits, which the disclosure ledger records as an opaque event. *)
-  Option.iter (fun l -> Leakage.Ledger.record_opaque l ~viewer:holder) ledger;
+let receive_checked t ~holder commit =
   let slot = Slot.of_commit commit in
   let m = holder_map t holder in
   match Slot_map.find_opt slot m with
@@ -49,9 +46,9 @@ let receive_checked ?ledger t ~holder commit =
         Some (Evidence.Equivocation { first = existing; second = commit })
       end
 
-let receive ?ledger t ~holder commit =
+let receive t ~holder commit =
   if not (Wire.verify t.keyring ~encode:Wire.encode_commit commit) then None
-  else receive_checked ?ledger t ~holder commit
+  else receive_checked t ~holder commit
 
 (* [view_of] decides what each party transmits: for a standalone exchange
    that is the current view; for a synchronous round it is the view frozen
@@ -88,7 +85,7 @@ type digest = Wire.commit Wire.signed list
 
 let digest_of_map m = List.map snd (Slot_map.bindings m)
 
-let run_round ?net ?ledger t ~edges =
+let run_round ?net t ~edges =
   (* Synchronous round: every edge transmits the views the holders had when
      the round started.  Gossip therefore spreads one hop per round — on a
      ring, an equivocation towards two holders more than two hops apart
@@ -138,7 +135,7 @@ let run_round ?net ?ledger t ~edges =
   List.iter2
     (fun (dst, commit) ok ->
       if ok then begin
-        match receive_checked ?ledger t ~holder:dst commit with
+        match receive_checked t ~holder:dst commit with
         | Some e -> evidence := e :: !evidence
         | None -> ()
       end)

@@ -15,7 +15,6 @@ type t
 val create : Keyring.t -> t
 
 val receive :
-  ?ledger:Leakage.Ledger.ledger ->
   t ->
   holder:Pvr_bgp.Asn.t ->
   Wire.commit Wire.signed ->
@@ -23,9 +22,8 @@ val receive :
 (** [holder] records a commitment it received directly from the signer.
     Returns equivocation evidence immediately if it conflicts with one the
     holder already knows.  Invalidly-signed commitments are ignored.
-    [ledger] accounts the reception as an opaque (zero-bit) event:
-    commitments are hiding, so gossip provably contributes nothing to the
-    holder's leakage view. *)
+    Commitments are hiding, so gossip contributes nothing to the holder's
+    leakage view. *)
 
 val exchange : t -> Pvr_bgp.Asn.t -> Pvr_bgp.Asn.t -> Evidence.t list
 (** One gossip edge: the two parties compare everything they hold and both
@@ -36,7 +34,6 @@ type digest = Wire.commit Wire.signed list
 
 val run_round :
   ?net:digest Pvr_net.t ->
-  ?ledger:Leakage.Ledger.ledger ->
   t ->
   edges:(Pvr_bgp.Asn.t * Pvr_bgp.Asn.t) list ->
   Evidence.t list

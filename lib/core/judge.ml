@@ -8,8 +8,6 @@ let verdict_to_string = function
   | Exonerated -> "exonerated"
   | Rejected -> "rejected"
 
-let pp_verdict ppf v = Format.pp_print_string ppf (verdict_to_string v)
-
 type challenge =
   | Produce_export of {
       epoch : Wire.epoch;
@@ -401,16 +399,14 @@ let evaluate ?ledger keyring ~respond evidence =
           begin
             match (ch, r) with
             | Produce_opening { index; _ }, Opening_response o -> begin
-                match commit_of_evidence evidence with
-                | Some commit -> begin
-                    match bit_at commit ~index o with
-                    | Some value ->
-                        Leakage.Ledger.record l ~viewer:Leakage.court
-                          (Leakage.Knows_bit { index; value })
-                    | None ->
-                        Leakage.Ledger.record_opaque l ~viewer:Leakage.court
-                  end
-                | None -> Leakage.Ledger.record_opaque l ~viewer:Leakage.court
+                match
+                  Option.bind (commit_of_evidence evidence) (fun commit ->
+                      bit_at commit ~index o)
+                with
+                | Some value ->
+                    Leakage.Ledger.record l ~viewer:Leakage.court
+                      (Leakage.Knows_bit { index; value })
+                | None -> ()
               end
             | Produce_export _, Export_response e ->
                 let route = e.Wire.payload.Wire.exp_route in

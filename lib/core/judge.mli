@@ -17,7 +17,6 @@ type verdict =
   | Exonerated  (** the accused disproved the accusation *)
   | Rejected    (** the evidence itself is malformed or unconvincing *)
 
-val pp_verdict : Format.formatter -> verdict -> unit
 val verdict_to_string : verdict -> string
 
 type challenge =

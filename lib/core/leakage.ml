@@ -124,12 +124,6 @@ let view_bits view = List.fold_left (fun n f -> n + fact_bits f) 0 (dedup view)
 
 let pooled views = dedup (List.concat views)
 
-let excess_bits ~baseline ~observed =
-  List.fold_left
-    (fun n f -> n + fact_bits f)
-    0
-    (excess ~baseline ~observed:(dedup observed))
-
 (* α adapter: which facts the access-control map explicitly authorizes a
    viewer to learn beyond plain BGP.  The Figure-1 vertex naming applies:
    threshold bits and the input count belong to the public ["op:min"]
@@ -192,20 +186,19 @@ let validate_privacy_claims audits =
 
 (* ---- per-round disclosure ledger ------------------------------------------
 
-   Threaded through gossip, the judge and the runner so every disclosed bit
-   of a round is accounted per viewer.  Hiding commitments are recorded as
-   opaque events: observed traffic, zero information. *)
+   Threaded through the judge and the runner so every disclosed bit
+   of a round is accounted per viewer.  Hiding commitments disclose
+   nothing, so they are not recorded. *)
 
 let court = Bgp.Asn.of_int 0
 
 module Ledger = struct
   type ledger = {
     facts : (Bgp.Asn.t, fact list) Hashtbl.t; (* reverse arrival order *)
-    mutable opaque : int;
     mutable refused : (Bgp.Asn.t * int) list; (* per-viewer refusal tally *)
   }
 
-  let create () = { facts = Hashtbl.create 8; opaque = 0; refused = [] }
+  let create () = { facts = Hashtbl.create 8; refused = [] }
   let facts l v = Option.value (Hashtbl.find_opt l.facts v) ~default:[]
 
   let record l ~viewer fact =
@@ -214,9 +207,6 @@ module Ledger = struct
       Pvr_obs.add obs_bits_disclosed (fact_bits fact);
       Hashtbl.replace l.facts viewer (fact :: known)
     end
-
-  let record_opaque l ~viewer:_ = l.opaque <- l.opaque + 1
-  let opaque_count l = l.opaque
 
   (* α said no: the item was withheld, but the *attempt* is part of the
      audit trail — refusals are how the disclosure ledger proves the

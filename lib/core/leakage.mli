@@ -83,9 +83,6 @@ val pooled : view list -> view
 (** Union of coalition members' views, deduplicated — what colluding
     neighbors learn by pooling disclosed bits. *)
 
-val excess_bits : baseline:view -> observed:view -> int
-(** {!view_bits} of the deduplicated {!excess}. *)
-
 val alpha_authorizes :
   Access_control.t -> viewer:Bgp.Asn.t -> fact -> bool
 (** Does the α access-control map explicitly authorize [viewer] to learn
@@ -120,7 +117,7 @@ val validate_privacy_claims : audit list -> (unit, string list) result
 
 (** {2 Disclosure ledger}
 
-    Threaded through {!Pvr.Gossip}, {!Pvr.Judge} and {!Pvr.Runner} so every
+    Threaded through {!Pvr.Judge} and {!Pvr.Runner} so every
     bit a round actually disclosed is accounted per receiving party. *)
 
 val court : Bgp.Asn.t
@@ -135,11 +132,6 @@ module Ledger : sig
   val record : ledger -> viewer:Bgp.Asn.t -> fact -> unit
   (** Account a disclosed fact (idempotent per (viewer, fact)); increments
       ["leakage.bits.disclosed"]. *)
-
-  val record_opaque : ledger -> viewer:Bgp.Asn.t -> unit
-  (** A hiding commitment changed hands: observed traffic, zero bits. *)
-
-  val opaque_count : ledger -> int
 
   val record_refusal : ledger -> viewer:Bgp.Asn.t -> unit
   (** Account an α-refused disclosure attempt: [viewer] asked for (or a

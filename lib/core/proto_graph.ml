@@ -243,7 +243,6 @@ let prove ?(max_path_len = 32) rng keyring ~prover ~epoch ~prefix ~rfg ~inputs
 let commit_message ps = ps.ps_commit
 let root ps = ps.ps_root
 let valuation ps = ps.ps_valuation
-let tree_cardinal ps = Prefix_tree.cardinal ps.ps_tree
 
 let exported ps ~beneficiary =
   List.find_map

@@ -85,7 +85,6 @@ val prove :
 val commit_message : prover_state -> Wire.commit Wire.signed
 val root : prover_state -> string
 val valuation : prover_state -> Rfg.valuation
-val tree_cardinal : prover_state -> int
 
 val exported : prover_state -> beneficiary:Bgp.Asn.t -> Wire.export Wire.signed option
 (** The signed export for a beneficiary output variable of the graph (with

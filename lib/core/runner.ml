@@ -388,7 +388,7 @@ let check ?(gossip = `Clique) ?ledger keyring link r =
     Hashtbl.replace direct_commit who ();
     Option.iter
       (raise_ Adversary.Gossip)
-      (Gossip.receive ?ledger g ~holder:who commit)
+      (Gossip.receive g ~holder:who commit)
   in
   let receive_nd who nd =
     if not (Hashtbl.mem got_nd who) then Hashtbl.replace got_nd who nd
@@ -402,7 +402,7 @@ let check ?(gossip = `Clique) ?ledger keyring link r =
     in
     List.iter
       (raise_ Adversary.Gossip)
-      (Gossip.run_round ?net ?ledger g ~edges)
+      (Gossip.run_round ?net g ~edges)
   in
   (* Each party checks against the commitment it holds: its own under
      [Direct], the first it accepted (directly or via gossip) under [Net].

@@ -562,17 +562,10 @@ let mod_pow_mont ~base:b ~exp ~modulus =
   mont_mul ctx acc one_v out;
   normalize out
 
-(* The naive path stays selectable so the bench can time the exact pre-fast
-   implementation and assert digest equality against it.  Toggled only
-   between runs from a single domain; concurrent readers are safe. *)
-let fast_mod_pow = ref true
-let set_fast_mod_pow b = fast_mod_pow := b
-let fast_mod_pow_enabled () = !fast_mod_pow
-
 let mod_pow ~base:b ~exp ~modulus =
   if is_zero modulus then raise Division_by_zero;
   if equal modulus one then zero
-  else if !fast_mod_pow && not (is_even modulus) then
+  else if not (is_even modulus) then
     mod_pow_mont ~base:b ~exp ~modulus
   else mod_pow_naive ~base:b ~exp ~modulus
 
@@ -630,5 +623,3 @@ let random_odd_bits rng n =
   (* Force the top bit (exact bit width) and the bottom bit (odd). *)
   let v = if test_bit v (n - 1) then v else add v (shift_left one (n - 1)) in
   if is_even v then add v one else v
-
-let pp ppf a = Format.pp_print_string ppf (to_string a)

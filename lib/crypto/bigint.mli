@@ -67,9 +67,9 @@ val rem_int : t -> int -> int
 val mod_pow : base:t -> exp:t -> modulus:t -> t
 (** Modular exponentiation.  Odd moduli take the fast path: Montgomery
     representation with word-by-word CIOS multiplication and fixed-window
-    (w=4) exponentiation.  Even moduli (and the naive toggle below) fall
-    back to {!mod_pow_naive}.  Both paths return identical values — the
-    differential test battery asserts it on random inputs.
+    (w=4) exponentiation.  Even moduli fall back to {!mod_pow_naive}.
+    Both paths return identical values — the differential test battery
+    asserts it on random inputs.
     @raise Division_by_zero if [modulus] is zero. *)
 
 val mod_pow_naive : base:t -> exp:t -> modulus:t -> t
@@ -78,14 +78,6 @@ val mod_pow_naive : base:t -> exp:t -> modulus:t -> t
     path; like the fast path it is {b not constant-time} and must not be
     treated as side-channel hardened.
     @raise Division_by_zero if [modulus] is zero. *)
-
-val set_fast_mod_pow : bool -> unit
-(** Route {!mod_pow} through the naive oracle ([false]) or the Montgomery
-    fast path ([true], the default).  Exists so benchmarks can time the
-    exact pre-fast-path implementation and assert digest equality between
-    the two; toggle only between runs, not concurrently with them. *)
-
-val fast_mod_pow_enabled : unit -> bool
 
 val gcd : t -> t -> t
 
@@ -103,5 +95,3 @@ val random_below : Drbg.t -> t -> t
 val random_odd_bits : Drbg.t -> int -> t
 (** Uniform odd value with exactly [n] bits (top and bottom bits set);
     used by prime generation.  Requires [n >= 2]. *)
-
-val pp : Format.formatter -> t -> unit

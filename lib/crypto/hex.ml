@@ -16,5 +16,3 @@ let decode s =
   if String.length s mod 2 <> 0 then invalid_arg "Hex.decode: odd length";
   String.init (String.length s / 2) (fun i ->
       Char.chr ((nibble s.[2 * i] lsl 4) lor nibble s.[(2 * i) + 1]))
-
-let pp ppf s = Format.pp_print_string ppf (encode s)

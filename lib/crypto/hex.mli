@@ -6,6 +6,3 @@ val encode : string -> string
 val decode : string -> string
 (** Inverse of {!encode}; accepts upper- and lowercase digits.
     @raise Invalid_argument on odd length or non-hex characters. *)
-
-val pp : Format.formatter -> string -> unit
-(** Prints the hex encoding of the argument. *)

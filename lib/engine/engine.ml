@@ -132,7 +132,6 @@ type t = {
   states : (string, slot) Hashtbl.t;
   mutable epoch_no : int;
   mutable chain : string;
-  mutable live : vertex list;
   rtracker : Bgp.Rib_delta.t;
       (* digest-level mirror of the simulator's RIBs, fed from its dirty
          pairs — keeps [rib_digest] O(dirty) instead of O(world) *)
@@ -179,7 +178,6 @@ let create ?(jobs = 1) ?(cache = true) ?(salt_every = 8)
     states = Hashtbl.create 256;
     epoch_no = 0;
     chain = chain0;
-    live = [];
     rtracker = Bgp.Rib_delta.create ();
     pager = None;
     mem_ceiling = 0;
@@ -188,7 +186,6 @@ let create ?(jobs = 1) ?(cache = true) ?(salt_every = 8)
 
 let current_epoch t = t.epoch_no
 let digest t = t.chain
-let live_vertices t = t.live
 let set_pager t p = t.pager <- p
 
 let set_mem_ceiling t words =
@@ -844,7 +841,6 @@ let epoch ?(apply = fun _ -> 0) ?(on_phase = fun (_ : string) -> ()) t =
       t.states []
   in
   List.iter (Hashtbl.remove t.states) dead;
-  t.live <- List.map (fun sn -> sn.sn_vertex) snapshots;
   govern t ~on_phase;
   let n_vertices = List.length snapshots in
   let n_dirty = List.length dirty in

@@ -181,9 +181,6 @@ val digest : t -> string
 (** The running report digest ([ep_digest] of the latest epoch; the hex
     digest of an empty history before the first one). *)
 
-val live_vertices : t -> vertex list
-(** The (prover, prefix) promises the engine tracked last epoch, sorted. *)
-
 val signatures : t -> (string * string) list
 (** Every signed statement held in the resident memo tables, as (memo key,
     signature), sorted.  With the caches on these are the epoch-batched

@@ -15,8 +15,6 @@ let append_bit t b = t ^ if b then "1" else "0"
 let of_bools bits =
   String.concat "" (List.map (fun b -> if b then "1" else "0") bits)
 
-let to_bools t = List.init (String.length t) (fun i -> t.[i] = '1')
-
 let of_int_bits v ~len =
   if len < 0 || len > 32 then invalid_arg "Bitstring.of_int_bits";
   String.init len (fun i ->
@@ -57,6 +55,4 @@ let prefix_free paths =
   in
   check paths
 
-let compare = String.compare
 let equal = String.equal
-let pp ppf t = Format.pp_print_string ppf t

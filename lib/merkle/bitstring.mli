@@ -20,7 +20,6 @@ val length : t -> int
 val get : t -> int -> bool
 val append_bit : t -> bool -> t
 val of_bools : bool list -> t
-val to_bools : t -> bool list
 
 val of_int_bits : int -> len:int -> t
 (** The first [len] bits of a 32-bit integer, most-significant first —
@@ -48,6 +47,4 @@ val prefix_free : t list -> bool
 (** Is the set prefix-free (no element a strict or equal prefix of a
     different element; duplicates violate it)? *)
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

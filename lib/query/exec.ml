@@ -215,9 +215,6 @@ let run ?ledger idx ~viewer (q : Lang.t) =
     match q.Lang.q_limit with None -> ordered | Some n -> take n ordered
   in
   Pvr_obs.add c_rows (List.length final);
-  List.iter
-    (fun (_ : Row.t) -> Pvr.Leakage.Ledger.record_opaque ledger ~viewer)
-    final;
   { qr_rows = final; qr_refused = List.length refused; qr_plan = pl }
 
 (* ---- rendering -------------------------------------------------------- *)

@@ -64,8 +64,8 @@ val run :
   result_
 (** Plan and execute for [viewer].  Unauthorized rows are dropped before
     ordering and limit (a limit is never padded with invisible rows);
-    refusals and returned rows are accounted in [ledger] (a throwaway one
-    when omitted, so counters still move). *)
+    refusals are accounted in [ledger] (a throwaway one when omitted, so
+    counters still move). *)
 
 val to_json : query:Lang.t -> viewer:Bgp.Asn.t -> result_ -> Pvr_obs.Json.t
 

@@ -139,8 +139,7 @@ let encode_params b (p : Workload.params) =
   Codec.u32 b p.p_anycast;
   Codec.str b (Printf.sprintf "%.17g" p.p_drop);
   Codec.str b (Pvr.Adversary.strategy_to_string p.p_strategy);
-  Codec.u32 b p.p_mem_ceiling;
-  Codec.bool_ b p.p_spill
+  Codec.u32 b p.p_mem_ceiling
 
 let float_of_field s =
   match float_of_string_opt s with
@@ -173,7 +172,6 @@ let decode_params r : Workload.params =
     | None -> raise (Codec.Malformed ("unknown strategy " ^ s))
   in
   let p_mem_ceiling = Codec.get_u32 r in
-  let p_spill = Codec.get_bool r in
   {
     p_seed;
     p_tiers;
@@ -193,7 +191,6 @@ let decode_params r : Workload.params =
     p_drop;
     p_strategy;
     p_mem_ceiling;
-    p_spill;
   }
 
 (* ---- request codec --------------------------------------------------------- *)

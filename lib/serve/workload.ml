@@ -26,8 +26,9 @@ type params = {
   p_anycast : int;
   p_drop : float;
   p_strategy : P.Adversary.strategy;
-  p_mem_ceiling : int; (* major-heap budget in words; 0 = unbounded *)
-  p_spill : bool; (* page cold vertex state out through the store *)
+  p_mem_ceiling : int;
+      (* major-heap budget in words; 0 = unbounded, else cold vertex state
+         spills through the store *)
 }
 
 (* Mirrors the CLI's flag defaults, so a request that omits overrides runs
@@ -52,7 +53,6 @@ let defaults =
     p_drop = 0.0;
     p_strategy = P.Adversary.Sweep P.Adversary.Honest;
     p_mem_ceiling = 0;
-    p_spill = false;
   }
 
 type world = {
@@ -221,11 +221,12 @@ let engine_core ?(quiet = false) ?(on_phase = fun ~epoch:_ (_ : string) -> ())
   match start with
   | Error e -> Error e
   | Ok start ->
+      let spill = p.p_mem_ceiling > 0 in
       let session =
         Option.map
           (fun dir ->
             Pvr_engine.Persist.start ~fsync ~snapshot_every:checkpoint_every
-              ~page:p.p_spill ~dir ())
+              ~page:spill ~dir ())
           checkpoint_dir
       in
       (* Spilling without a checkpoint dir still needs a WAL to page into:
@@ -234,7 +235,7 @@ let engine_core ?(quiet = false) ?(on_phase = fun ~epoch:_ (_ : string) -> ())
          serve daemon can run several spilling sessions concurrently in
          one process. *)
       let scratch_dir =
-        if p.p_spill && session = None then
+        if spill && session = None then
           Some
             (Filename.concat
                (Filename.get_temp_dir_name ())
@@ -250,7 +251,7 @@ let engine_core ?(quiet = false) ?(on_phase = fun ~epoch:_ (_ : string) -> ())
           scratch_dir
       in
       Pvr_engine.Engine.set_mem_ceiling eng p.p_mem_ceiling;
-      if p.p_spill then begin
+      if spill then begin
         let s =
           match session with Some s -> s | None -> Option.get scratch
         in

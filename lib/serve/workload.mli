@@ -25,8 +25,9 @@ type params = {
   p_anycast : int;
   p_drop : float;
   p_strategy : Pvr.Adversary.strategy;
-  p_mem_ceiling : int;  (** major-heap budget in words; 0 = unbounded *)
-  p_spill : bool;  (** page cold vertex state out through the store *)
+  p_mem_ceiling : int;
+      (** major-heap budget in words; 0 = unbounded, else the governor may
+          page cold vertex state out through the store *)
 }
 
 val defaults : params

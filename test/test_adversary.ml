@@ -367,8 +367,7 @@ let cli_matrix_reproducible () =
   check_bool "byte-identical output" true (s1 = s2);
   (* Pinned bytes: the CLI is the only implementation of the zoo tally
      and its §2.3 violation rules, so any drift in them shows here. *)
-  Alcotest.(check string)
-    "pinned output sha256"
+  Alcotest.(check string) "pinned output sha256"
     "2ba03a33cdb1919402a9671989a544134b4627ed5ba3c165924baa8b42eab65a"
     (C.Sha256.digest_hex s1);
   let contains needle =

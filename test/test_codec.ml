@@ -462,8 +462,7 @@ let params =
   and+ p_anycast = small
   and+ p_drop = float_bound_inclusive 1.0
   and+ p_strategy = oneofl P.Adversary.all_strategies
-  and+ p_mem_ceiling = u32
-  and+ p_spill = bool in
+  and+ p_mem_ceiling = u32 in
   {
     Pvr_serve.Workload.p_seed;
     p_tiers;
@@ -483,7 +482,6 @@ let params =
     p_drop;
     p_strategy;
     p_mem_ceiling;
-    p_spill;
   }
 
 let request =

@@ -252,21 +252,6 @@ let mont_edge_cases () =
        (B.mod_pow ~base:(B.of_int 123) ~exp:(B.of_int 77) ~modulus:even)
        (B.mod_pow_naive ~base:(B.of_int 123) ~exp:(B.of_int 77) ~modulus:even))
 
-let mont_toggle_roundtrip () =
-  (* [set_fast_mod_pow false] must route through the naive path and still
-     produce identical values — this is exactly how the benches get their
-     "before" numbers. *)
-  let base = B.random_bits (C.Drbg.of_int_seed 7) 200 in
-  let exp = B.random_bits (C.Drbg.of_int_seed 8) 64 in
-  let modulus = B.random_odd_bits (C.Drbg.of_int_seed 9) 192 in
-  check_bool "fast enabled by default" true (B.fast_mod_pow_enabled ());
-  let fast = B.mod_pow ~base ~exp ~modulus in
-  B.set_fast_mod_pow false;
-  Fun.protect ~finally:(fun () -> B.set_fast_mod_pow true) @@ fun () ->
-  check_bool "toggle observed" false (B.fast_mod_pow_enabled ());
-  check_bool "naive route identical" true
-    (B.equal fast (B.mod_pow ~base ~exp ~modulus))
-
 (* ---- RSA: CRT signing and batch verification vs per-item oracles -------- *)
 
 (* Keygen dominates: two fixed 512-bit keys serve the whole section, and a
@@ -480,7 +465,6 @@ let suite =
     hmac_key_differential;
     mont_differential;
     ("mod_pow edge cases", `Quick, mont_edge_cases);
-    ("mod_pow naive toggle", `Quick, mont_toggle_roundtrip);
     crt_sign_differential;
     ("CRT sign at 1024 bits", `Slow, crt_sign_1024);
     batch_differential;

@@ -273,18 +273,6 @@ let cache_reduces_sha256 () =
   check_bool "vertices skipped counted" true
     (delta d_on "engine.vertices.skipped" > 0)
 
-let fast_crypto_equals_naive_digest () =
-  (* The fast-math acceptance gate as a differential test: rerouting every
-     modular exponentiation through the naive square-and-multiply oracle
-     must reproduce the byte-identical engine digest for the same seed. *)
-  let eng_fast, _ = run_engine ~seed:91 ~epochs:3 ~turnover:0.3 () in
-  check_bool "fast path on" true (C.Bigint.fast_mod_pow_enabled ());
-  C.Bigint.set_fast_mod_pow false;
-  Fun.protect ~finally:(fun () -> C.Bigint.set_fast_mod_pow true) @@ fun () ->
-  let eng_naive, _ = run_engine ~seed:91 ~epochs:3 ~turnover:0.3 () in
-  check_string "digest byte-identical fast vs naive modexp"
-    (E.digest eng_fast) (E.digest eng_naive)
-
 let commitment_cache_hits_under_churn () =
   (* The PR-7 regression floor: under 20% turnover inside one salt period,
      the commitment cache (per-bit entries plus the vector memo) must
@@ -618,8 +606,6 @@ let suite =
     incremental_equals_scratch_qcheck;
     Alcotest.test_case "engine: cache reduces SHA-256 finalizes" `Quick
       cache_reduces_sha256;
-    Alcotest.test_case "engine: fast modexp ≡ naive modexp digest" `Quick
-      fast_crypto_equals_naive_digest;
     Alcotest.test_case "engine: commitment-cache hits under 20% churn" `Quick
       commitment_cache_hits_under_churn;
     Alcotest.test_case "engine: memo hits on partial churn" `Quick

@@ -1,10 +1,10 @@
 (* Memory-governor and delta-RIB tests: Rib_delta blob round-trips and
    full+delta replay, the incremental-vs-oracle RIB digest equivalence,
-   streaming churn twins, the spill layer's digest invariance across
+   the spill layer's digest invariance across
    ceiling x jobs x cache (including a pager that always fails reads),
    governor staging counters, tag-4 page frames, random-access journal
    reads, the 10k-AS generated-topology tier histogram, and the CLI's
-   --spill/--mem-ceiling and crashsoak spill kill-point contracts. *)
+   --mem-ceiling and crashsoak spill kill-point contracts. *)
 
 module E = Pvr_engine.Engine
 module G = Pvr_bgp
@@ -147,8 +147,10 @@ let run_mem ?(jobs = 1) ?(cache = true) ?(ceiling = 0) ?pager ?(epochs = 4)
     let r =
       E.epoch
         ~apply:(fun sim ->
-          if i = 1 then G.Update_gen.Churn.seed_count churn sim
-          else G.Update_gen.Churn.step_count churn_rng ~turnover:0.3 churn sim)
+          if i = 1 then List.length (G.Update_gen.Churn.seed churn sim)
+          else
+            List.length
+              (G.Update_gen.Churn.step churn_rng ~turnover:0.3 churn sim))
         eng
     in
     lines := E.report_line r :: !lines;
@@ -175,57 +177,6 @@ let rib_digest_matches_oracle () =
           (E.rib_digest eng))
   in
   check_string "same world, same tracker" (E.rib_digest eng) (E.rib_digest eng')
-
-let streaming_churn_equivalence () =
-  (* The list-building and streaming churn variants must consume the same
-     DRBG draws and leave the simulator in the same state. *)
-  let topo = Lazy.force Test_engine.etopo in
-  let origins =
-    List.sort (fun a b -> G.Asn.compare b a) (G.Topology.ases topo)
-    |> List.filteri (fun i _ -> i < 2)
-    |> List.rev
-  in
-  let fingerprint sim =
-    let t = RD.create () in
-    List.iter
-      (fun a ->
-        let rib = G.Simulator.rib sim a in
-        List.iter
-          (fun p ->
-            ignore
-              (RD.update t ~asn:a ~prefix:p ~entry:(G.Rib.prefix_entry rib p)
-                : bool))
-          (G.Rib.prefixes rib))
-      (G.Topology.ases topo);
-    RD.digest t
-  in
-  let run_variant streaming =
-    let sim = G.Simulator.create topo in
-    let churn =
-      G.Update_gen.Churn.create ~anycast:2 ~origins ~prefixes_per_origin:2 ()
-    in
-    let rng = C.Drbg.of_int_seed 555 in
-    let counts =
-      List.init 4 (fun i ->
-          let n =
-            if i = 0 then
-              if streaming then G.Update_gen.Churn.seed_count churn sim
-              else List.length (G.Update_gen.Churn.seed churn sim)
-            else if streaming then
-              G.Update_gen.Churn.step_count rng ~turnover:0.4 churn sim
-            else
-              List.length (G.Update_gen.Churn.step rng ~turnover:0.4 churn sim)
-          in
-          ignore (G.Simulator.run sim : int);
-          n)
-    in
-    (counts, fingerprint sim)
-  in
-  let counts_l, fp_l = run_variant false in
-  let counts_s, fp_s = run_variant true in
-  check_bool "batch sizes" true (counts_l = counts_s);
-  check_bool "non-trivial churn" true (List.exists (fun n -> n > 0) counts_l);
-  check_string "simulator state" fp_l fp_s
 
 let spill_differential () =
   let eng0, lines0 = run_mem 303 in
@@ -378,7 +329,7 @@ let cli_spill_digest_matches () =
       check_int "spill run under a 1-word ceiling" 0
         (run_cli
            (Printf.sprintf
-              "engine --seed 7 --epochs 3 --tiers 1,2 --origins 2 --spill \
+              "engine --seed 7 --epochs 3 --tiers 1,2 --origins 2 \
                --mem-ceiling 1 --report %s"
               (rep "b.json")));
       check_string "identical run reports" (read_file (rep "a.json"))
@@ -390,7 +341,7 @@ let cli_crashsoak_spill () =
      byte-identical. *)
   check_int "crashsoak with spill kill points" 0
     (run_cli
-       "crashsoak --seed 37 --epochs 6 --kills 3 --spill --mem-ceiling 1 \
+       "crashsoak --seed 37 --epochs 6 --kills 3 --mem-ceiling 1 \
         --no-corrupt")
 
 let suite =
@@ -400,8 +351,6 @@ let suite =
     ("rib_delta: full+delta replay reconstructs", `Quick,
      rib_delta_replay_reconstructs);
     ("rib digest: incremental equals oracle", `Quick, rib_digest_matches_oracle);
-    ("churn: streaming twins match list twins", `Quick,
-     streaming_churn_equivalence);
     ("spill differential: ceiling x jobs x cache", `Quick, spill_differential);
     ("governor: shedding stages and counters", `Quick, governor_stages);
     ("governor: failed page reads recompute", `Quick,
@@ -409,6 +358,7 @@ let suite =
     frame_page_roundtrip;
     ("store: random-access frame reads", `Quick, read_frame_at_random_access);
     ("topology: 10k-AS generation histogram", `Quick, topology_10k_histogram);
-    ("cli: --spill digest matches unbounded", `Quick, cli_spill_digest_matches);
+    ("cli: mem-ceiling run digest matches unbounded", `Quick,
+     cli_spill_digest_matches);
     ("cli: crashsoak survives spill kill points", `Slow, cli_crashsoak_spill);
   ]
