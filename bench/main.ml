@@ -1080,6 +1080,8 @@ let e13 () =
           p_mem_ceiling = mem;
         }
     in
+    (* Every run starts from empty intern tables, as a fresh process does. *)
+    G.Intern.set_enabled false;
     (d, !dirty, !msgs)
   in
   (* Scaling curve: ASes x jobs at fixed turnover (single timed run per
@@ -1205,7 +1207,6 @@ let e13 () =
   in
   let d_off, w_off = quiet_words ~intern:false in
   let d_on, w_on = quiet_words ~intern:true in
-  G.Intern.set_enabled false;
   assert (d_off = d_on);
   let ratio = w_off /. w_on in
   Printf.printf
