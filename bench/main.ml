@@ -1056,7 +1056,9 @@ let e13 () =
   let base_p = internet_params 2028 ~ases:1000 ~epochs:4 in
   let sizes = [ 100; 300; 1000 ] in
   let memo = world_memo () in
-  List.iter (fun ases -> ignore (prime memo { base_p with p_ases = ases })) sizes;
+  List.iter
+    (fun ases -> ignore (prime memo { base_p with p_ases = ases }))
+    sizes;
   (* Every run re-derives topology, churn and engine secret from the same
      seed: same [ases] means the same internet, so digests are comparable
      across jobs/cache/intern settings. *)
