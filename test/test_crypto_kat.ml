@@ -252,6 +252,17 @@ let mont_edge_cases () =
        (B.mod_pow ~base:(B.of_int 123) ~exp:(B.of_int 77) ~modulus:even)
        (B.mod_pow_naive ~base:(B.of_int 123) ~exp:(B.of_int 77) ~modulus:even))
 
+let mont_wide_base () =
+  (* A multi-limb base wider than the modulus must be reduced before the
+     Montgomery conversion and land on the naive oracle's value. *)
+  let base = B.random_bits (C.Drbg.of_int_seed 7) 200 in
+  let exp = B.random_bits (C.Drbg.of_int_seed 8) 64 in
+  let modulus = B.random_odd_bits (C.Drbg.of_int_seed 9) 192 in
+  check_bool "wide base ≡ naive" true
+    (B.equal
+       (B.mod_pow ~base ~exp ~modulus)
+       (B.mod_pow_naive ~base ~exp ~modulus))
+
 (* ---- RSA: CRT signing and batch verification vs per-item oracles -------- *)
 
 (* Keygen dominates: two fixed 512-bit keys serve the whole section, and a
@@ -465,6 +476,7 @@ let suite =
     hmac_key_differential;
     mont_differential;
     ("mod_pow edge cases", `Quick, mont_edge_cases);
+    ("mod_pow wide base ≡ naive", `Quick, mont_wide_base);
     crt_sign_differential;
     ("CRT sign at 1024 bits", `Slow, crt_sign_1024);
     batch_differential;

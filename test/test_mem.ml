@@ -358,7 +358,6 @@ let suite =
     frame_page_roundtrip;
     ("store: random-access frame reads", `Quick, read_frame_at_random_access);
     ("topology: 10k-AS generation histogram", `Quick, topology_10k_histogram);
-    ("cli: mem-ceiling run digest matches unbounded", `Quick,
-     cli_spill_digest_matches);
+    ("cli: mem-ceiling digest = unbounded", `Quick, cli_spill_digest_matches);
     ("cli: crashsoak survives spill kill points", `Slow, cli_crashsoak_spill);
   ]
