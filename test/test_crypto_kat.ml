@@ -1,9 +1,8 @@
 (* Known-answer and differential tests for the fast-math crypto core.
 
    The fast paths introduced for the engine's per-epoch RSA/SHA-256 bill —
-   Montgomery/fixed-window modular exponentiation, CRT signing, batch
-   verification, precomputed-schedule and multi-buffer SHA-256, HMAC key
-   midstates — must be byte-identical to the naive reference paths they
+   Montgomery/fixed-window modular exponentiation, CRT signing,
+   precomputed-schedule and multi-buffer SHA-256, HMAC key midstates — must be byte-identical to the naive reference paths they
    replaced.  This suite pins them three ways:
 
    - FIPS 180-4 / RFC 4231 known answers, run against {e every} API
@@ -11,8 +10,9 @@
    - qcheck differential oracles against the retained naive paths
      ([Bigint.mod_pow_naive], [Rsa.sign_plain], per-item [Rsa.verify],
      [Commitment.commit_derived]);
-   - forged-batch tests: [verify_batch] must reject {e exactly} the forged
-     items, whatever mix of flipped bits, wrong keys and wrong messages. *)
+   - forged-batch tests: [Wire.verify_batch] must reject {e exactly} the
+     forged items, whatever mix of flipped bits, wrong signers, wrong
+     messages, cancelling signature pairs and misshapen bytes. *)
 
 module C = Pvr_crypto
 module B = C.Bigint
@@ -263,7 +263,7 @@ let mont_wide_base () =
        (B.mod_pow ~base ~exp ~modulus)
        (B.mod_pow_naive ~base ~exp ~modulus))
 
-(* ---- RSA: CRT signing and batch verification vs per-item oracles -------- *)
+(* ---- RSA: CRT signing vs the plain x^d mod n oracle ---------------------- *)
 
 (* Keygen dominates: two fixed 512-bit keys serve the whole section, and a
    single 1024-bit key pins the production width. *)
@@ -286,82 +286,158 @@ let crt_sign_1024 () =
   check_bool "verifies" true
     (C.Rsa.verify key.C.Rsa.pub ~msg:"production width" ~signature:s)
 
-(* A batch mixing two keys, duplicate entries, and per-item forgeries
-   chosen by [forge]: 0 = valid, 1 = flipped signature bit, 2 = wrong key,
-   3 = wrong message. *)
-let build_batch plan =
+(* ---- Wire.verify_batch: exact per-statement verdicts -------------------- *)
+
+module P = Pvr
+module Asn = Pvr_bgp.Asn
+
+let wire_signers = [ Asn.of_int 1; Asn.of_int 2 ]
+
+let wire_keyring =
+  lazy (P.Keyring.create ~bits:512 (C.Drbg.of_int_seed 1004) wire_signers)
+
+let commit_payload ?(epoch = 1) i =
+  {
+    P.Wire.cmt_epoch = epoch;
+    cmt_prefix = Pvr_bgp.Prefix.of_string "10.0.0.0/8";
+    cmt_scheme = "min";
+    cmt_commitments = [ Printf.sprintf "statement %d" i ];
+  }
+
+(* [signed] is private: a forged statement is built the way an attacker
+   delivers one, as transport bytes. *)
+let forge ~signer payload signature =
+  Option.get
+    (P.Wire.decode_signed ~decode:P.Wire.decode_commit
+       (C.Codec.encode_list
+          [
+            P.Wire.encode_commit payload;
+            C.Bytes_util.be32 (Asn.to_int signer);
+            signature;
+          ]))
+
+let check_commit = P.Wire.check ~encode:P.Wire.encode_commit
+
+(* A batch over two signers, with duplicate statements, plain and
+   Merkle-batched signatures, and per-item forgeries chosen by the plan:
+   0 = valid, 1 = flipped signature bit, 2 = wrong signer, 3 = wrong
+   message.  Batched items of one signer share one RSA signature. *)
+let build_wire_batch plan =
+  let kr = Lazy.force wire_keyring in
+  let signer i = List.nth wire_signers (i mod 2) in
+  let drafts =
+    List.mapi
+      (fun i (_, batched) ->
+        let d =
+          P.Wire.draft ~as_:(signer i) ~encode:P.Wire.encode_commit
+            (commit_payload (i / 3))
+        in
+        if not batched then P.Wire.sign_batch kr [ P.Wire.Pending d ];
+        (d, batched))
+      plan
+  in
+  P.Wire.sign_batch kr
+    (List.filter_map
+       (fun (d, batched) -> if batched then Some (P.Wire.Pending d) else None)
+       drafts);
   List.mapi
-    (fun i forge ->
-      let key, other =
-        if i mod 2 = 0 then (Lazy.force key_a, Lazy.force key_b)
-        else (Lazy.force key_b, Lazy.force key_a)
-      in
-      let msg = Printf.sprintf "batch item %d" (i / 3) in
-      let signature = C.Rsa.sign key msg in
-      match forge with
-      | 0 -> (key.C.Rsa.pub, msg, signature)
+    (fun i ((forgery, _), (d, _)) ->
+      let s = P.Wire.signed d in
+      match forgery with
+      | 0 -> s
       | 1 ->
-          let b = Bytes.of_string signature in
-          Bytes.set b 5 (Char.chr (Char.code (Bytes.get b 5) lxor 0x10));
-          (key.C.Rsa.pub, msg, Bytes.to_string b)
-      | 2 -> (other.C.Rsa.pub, msg, signature)
-      | _ -> (key.C.Rsa.pub, msg ^ "!", signature))
-    plan
+          let b = Bytes.of_string s.P.Wire.signature in
+          let at = (7 * i) mod Bytes.length b in
+          Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0x10));
+          forge ~signer:s.P.Wire.signer s.P.Wire.payload (Bytes.to_string b)
+      | 2 -> forge ~signer:(signer (i + 1)) s.P.Wire.payload s.P.Wire.signature
+      | _ ->
+          forge ~signer:s.P.Wire.signer
+            (commit_payload ~epoch:2 (i / 3))
+            s.P.Wire.signature)
+    (List.combine plan drafts)
 
-let batch_differential =
-  qtest ~count:40 "verify_batch ≡ per-item verify (mixed forgeries)"
-    QCheck2.Gen.(list_size (int_range 0 12) (int_bound 3))
+let wire_batch_differential =
+  qtest ~count:30 "Wire.verify_batch ≡ Wire.verify"
+    QCheck2.Gen.(list_size (int_range 0 10) (pair (int_bound 3) bool))
     (fun plan ->
-      let batch = build_batch plan in
-      C.Rsa.verify_batch batch
-      = List.map
-          (fun (pub, msg, signature) -> C.Rsa.verify pub ~msg ~signature)
-          batch)
+      let kr = Lazy.force wire_keyring in
+      let batch = build_wire_batch plan in
+      let verdicts = P.Wire.verify_batch kr (List.map check_commit batch) in
+      verdicts
+      = List.map (P.Wire.verify kr ~encode:P.Wire.encode_commit) batch
+      && verdicts = List.map (fun (f, _) -> f = 0) plan)
 
-let batch_rejects_exactly_forged () =
+let wire_batch_forged_mask () =
   (* Deterministic spot check: the verdict list flags exactly the forged
-     positions, so a screening failure can never smear across a batch. *)
-  let plan = [ 0; 1; 0; 2; 0; 3; 0; 0 ] in
-  let verdicts = C.Rsa.verify_batch (build_batch plan) in
-  Alcotest.(check (list bool))
-    "forged mask"
-    (List.map (fun f -> f = 0) plan)
-    verdicts;
-  check_bool "empty batch" true (C.Rsa.verify_batch [] = [])
+     positions, in both signature shapes. *)
+  let kr = Lazy.force wire_keyring in
+  List.iter
+    (fun batched ->
+      let plan = List.map (fun f -> (f, batched)) [ 0; 1; 0; 2; 0; 3; 0; 0 ] in
+      Alcotest.(check (list bool))
+        (Printf.sprintf "forged mask (batched %b)" batched)
+        (List.map (fun (f, _) -> f = 0) plan)
+        (P.Wire.verify_batch kr
+           (List.map check_commit (build_wire_batch plan))))
+    [ false; true ];
+  check_bool "empty batch" true (P.Wire.verify_batch kr [] = [])
 
-let batch_screening_and_dedup_counters () =
-  let key = Lazy.force key_a in
-  let sig_of m = C.Rsa.sign key m in
-  let item m = (key.C.Rsa.pub, m, sig_of m) in
-  (* All-valid same-key batch with one duplicate: one screening
-     exponentiation covers the group, the duplicate costs nothing. *)
-  let (verdicts, d) =
-    counted (fun () -> C.Rsa.verify_batch [ item "x"; item "y"; item "x" ])
+(* Two plain signatures of one signer, multiplied by x and x^-1 mod n: each
+   is a forgery, but their product is the product of two valid signatures.
+   A product screen over same-key signatures accepts the pair; exact
+   verification must reject both. *)
+let wire_batch_cancelling_forgery () =
+  let kr = Lazy.force wire_keyring in
+  let signer = List.hd wire_signers in
+  let pub = P.Keyring.public_key kr signer in
+  let n = pub.C.Rsa.n in
+  let scale x (s : P.Wire.commit P.Wire.signed) =
+    forge ~signer s.P.Wire.payload
+      (B.to_bytes_be ~pad_to:(C.Rsa.key_size pub)
+         (B.rem (B.mul (B.of_bytes_be s.P.Wire.signature) x) n))
   in
-  Alcotest.(check (list bool)) "all accepted" [ true; true; true ] verdicts;
-  check_int "deduped" 1 (delta d "crypto.rsa.verify_batch.deduped");
-  check_int "screened" 2 (delta d "crypto.rsa.verify_batch.screened");
-  check_int "no fallback" 0 (delta d "crypto.rsa.verify_batch.fallbacks");
-  check_int "no per-item verify" 0 (delta d "crypto.rsa.verify.ops");
-  (* One forged item: screening fails, the fallback isolates it. *)
-  let forged = (key.C.Rsa.pub, "z", sig_of "not z") in
-  let (verdicts, d) =
-    counted (fun () -> C.Rsa.verify_batch [ item "x"; forged ])
+  let sign i =
+    P.Wire.sign kr ~as_:signer ~encode:P.Wire.encode_commit (commit_payload i)
   in
-  Alcotest.(check (list bool)) "forged isolated" [ true; false ] verdicts;
-  check_bool "fallback taken" true
-    (delta d "crypto.rsa.verify_batch.fallbacks" > 0)
-
-let batch_structural_rejects () =
-  let key = Lazy.force key_a in
-  let good = (key.C.Rsa.pub, "ok", C.Rsa.sign key "ok") in
-  let wrong_len = (key.C.Rsa.pub, "ok", "short") in
-  let too_big =
-    (key.C.Rsa.pub, "ok", String.make (C.Rsa.key_size key.C.Rsa.pub) '\xff')
-  in
+  let a = sign 1 and b = sign 2 in
+  let a' = scale B.two a and b' = scale (B.mod_inv B.two n) b in
+  let verify = P.Wire.verify kr ~encode:P.Wire.encode_commit in
+  check_bool "first forged alone" false (verify a');
+  check_bool "second forged alone" false (verify b');
   Alcotest.(check (list bool))
-    "structural misfits rejected without smearing" [ true; false; false ]
-    (C.Rsa.verify_batch [ good; wrong_len; too_big ])
+    "cancelling pair rejected" [ false; false ]
+    (P.Wire.verify_batch kr [ check_commit a'; check_commit b' ]);
+  Alcotest.(check (list bool))
+    "next to the genuine pair" [ true; false; true; false ]
+    (P.Wire.verify_batch kr (List.map check_commit [ a; a'; b; b' ]))
+
+let wire_batch_structural_rejects () =
+  let kr = Lazy.force wire_keyring in
+  let signer = List.hd wire_signers in
+  let kb = C.Rsa.key_size (P.Keyring.public_key kr signer) in
+  let good =
+    P.Wire.sign kr ~as_:signer ~encode:P.Wire.encode_commit (commit_payload 1)
+  in
+  let with_sig s = forge ~signer good.P.Wire.payload s in
+  let pad k = good.P.Wire.signature ^ String.make k '\x00' in
+  Alcotest.(check (list bool))
+    "structural misfits rejected without smearing"
+    [ true; false; false; false; false; false ]
+    (P.Wire.verify_batch kr
+       (List.map check_commit
+          [
+            good;
+            with_sig "short";
+            with_sig (pad 1);
+            (* nonce and index present, sibling cut short *)
+            with_sig (pad (16 + 4 + 31));
+            (* s >= n *)
+            with_sig (String.make kb '\xff');
+            (* index 2 needs depth 2, the path has one sibling *)
+            with_sig (good.P.Wire.signature ^ String.make 16 'n'
+                      ^ C.Bytes_util.be32 2 ^ String.make 32 's');
+          ]))
 
 (* ---- Commitment cache vs the uncached derived-commitment oracle --------- *)
 
@@ -479,12 +555,12 @@ let suite =
     ("mod_pow wide base ≡ naive", `Quick, mont_wide_base);
     crt_sign_differential;
     ("CRT sign at 1024 bits", `Slow, crt_sign_1024);
-    batch_differential;
-    ("verify_batch rejects exactly forged", `Quick, batch_rejects_exactly_forged);
-    ( "verify_batch screening/dedup counters",
+    wire_batch_differential;
+    ("Wire.verify_batch exact forged mask", `Quick, wire_batch_forged_mask);
+    ( "Wire.verify_batch cancelling forgery",
       `Quick,
-      batch_screening_and_dedup_counters );
-    ("verify_batch structural rejects", `Quick, batch_structural_rejects);
+      wire_batch_cancelling_forgery );
+    ("Wire.verify_batch structural rejects", `Quick, wire_batch_structural_rejects);
     cache_matches_commit_derived;
     ("vector commit ≡ per-bit", `Quick, vector_matches_per_bit);
     ("vector hit accounting", `Quick, vector_hit_accounting);

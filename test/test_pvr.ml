@@ -852,6 +852,55 @@ let judge_rejects_fabrications () =
   check_bool "duplicate commit rejected" true
     (P.Judge.evaluate_offline kr dup = P.Judge.Rejected)
 
+(* Evidence whose two signatures by the accused are genuine ones multiplied
+   by 2 and 2^-1 mod n.  Neither verifies alone, while their product equals
+   the genuine pair's, so a product screen over same-key signatures would
+   accept both.  The judge must not convict on it. *)
+let judge_cancelling_forgery_not_guilty () =
+  let kr = Lazy.force keyring in
+  let rng = fresh_rng () in
+  let set, opening = C.Commitment.commit_bit rng true in
+  let unset, _ = C.Commitment.commit_bit rng false in
+  let commit =
+    P.Wire.sign kr ~as_:a_as ~encode:P.Wire.encode_commit
+      (commit_payload [ (set :> string); (unset :> string) ])
+  in
+  let export =
+    P.Wire.sign kr ~as_:a_as ~encode:P.Wire.encode_export
+      {
+        P.Wire.exp_epoch = 1;
+        exp_to = b_as;
+        exp_route = mk_route (asn 10) 3;
+        exp_provenance = None;
+      }
+  in
+  let evidence commit export =
+    P.Evidence.Nonminimal_export { commit; export; index = 1; opening }
+  in
+  check_bool "genuine signatures convict" true
+    (P.Judge.evaluate_offline kr (evidence commit export) = P.Judge.Guilty);
+  let pub = P.Keyring.public_key kr a_as in
+  let n = pub.C.Rsa.n in
+  let scale x signature =
+    C.Bigint.to_bytes_be ~pad_to:(C.Rsa.key_size pub)
+      (C.Bigint.rem (C.Bigint.mul (C.Bigint.of_bytes_be signature) x) n)
+  in
+  let resigned ~decode ~encode s signature =
+    Option.get
+      (P.Wire.decode_signed ~decode
+         (C.Codec.encode_list
+            [ encode s.P.Wire.payload; C.Bytes_util.be32 (G.Asn.to_int a_as); signature ]))
+  in
+  let commit' =
+    resigned ~decode:P.Wire.decode_commit ~encode:P.Wire.encode_commit commit
+      (scale C.Bigint.two commit.P.Wire.signature)
+  and export' =
+    resigned ~decode:P.Wire.decode_export ~encode:P.Wire.encode_export export
+      (scale (C.Bigint.mod_inv C.Bigint.two n) export.P.Wire.signature)
+  in
+  check_bool "forged pair not guilty" true
+    (P.Judge.evaluate_offline kr (evidence commit' export') <> P.Judge.Guilty)
+
 let judge_convicts_each_selfcontained_kind () =
   (* Sanity: run each behaviour and verify the judged kinds match. *)
   let expect_kind beh pred =
@@ -1850,6 +1899,8 @@ let suite =
     ("matrix: honest A exonerated on false claim", `Quick, matrix_no_false_accusations);
     ("matrix: stubborn omission guilty", `Quick, matrix_stubborn_omission_guilty);
     ("judge rejects fabrications", `Quick, judge_rejects_fabrications);
+    ("judge: cancelling forgery not guilty", `Quick,
+     judge_cancelling_forgery_not_guilty);
     ("judge rejects cross-scheme confusion", `Quick, judge_rejects_cross_scheme_confusion);
     ("min tie between equal routes", `Quick, min_tie_between_equal_routes);
     ("judge convicts each evidence kind", `Slow, judge_convicts_each_selfcontained_kind);
