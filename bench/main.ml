@@ -321,42 +321,6 @@ let e4 () =
           ])
       rows
   in
-  (* Batch verification: one screening exponentiation amortized over a
-     same-key batch, against the per-item loop on the same items. *)
-  Printf.printf "%-16s  %12s  %12s  %8s\n" "verify batch" "per-item ms"
-    "batched ms" "amortize";
-  let batch_rows =
-    List.map
-      (fun size ->
-        let items =
-          List.init size (fun i ->
-              let msg = Printf.sprintf "batch msg %d" i in
-              (key.C.Rsa.pub, msg, C.Rsa.sign key msg))
-        in
-        let per_item_ms =
-          time_ms (fun () ->
-              List.iter
-                (fun (pub, msg, signature) ->
-                  assert (C.Rsa.verify pub ~msg ~signature))
-                items)
-        in
-        let batched_ms =
-          time_ms (fun () ->
-              assert (List.for_all Fun.id (C.Rsa.verify_batch items)))
-        in
-        Printf.printf "%-16d  %12.4f  %12.4f  %7.1fx\n%!" size
-          (per_item_ms /. float_of_int size)
-          (batched_ms /. float_of_int size)
-          (per_item_ms /. batched_ms);
-        J.Obj
-          [
-            ("batch", J.Int size);
-            ("per_item_ms", J.Float (per_item_ms /. float_of_int size));
-            ("batched_per_item_ms", J.Float (batched_ms /. float_of_int size));
-            ("amortization", J.Float (per_item_ms /. batched_ms));
-          ])
-      [ 1; 8; 64 ]
-  in
   (* Fast paths must be bit-exact drop-ins: CRT ≡ plain x^d mod n, and
      both exponentiation routes recover the same encoded message. *)
   assert (C.Rsa.sign_plain key payload64 = sig_);
@@ -379,7 +343,6 @@ let e4 () =
   J.Obj
     [
       ("rows", J.List jrows);
-      ("verify_batch_rows", J.List batch_rows);
       ( "s38_claim",
         J.Obj
           [

@@ -32,8 +32,9 @@ let export_valid keyring (e : Wire.export Wire.signed) =
   Wire.verify keyring ~encode:Wire.encode_export e
 
 (* Evidence almost always pairs a commit and an export signed by the same
-   accused prover, so the two checks form a same-key batch: one screening
-   exponentiation instead of two full verifications. *)
+   accused prover, often under one batch root: one call verifies that root
+   once.  No caller's table is passed — evidence must convince a third
+   party on its own. *)
 let commit_export_valid keyring commit (e : Wire.export Wire.signed) =
   match
     Wire.verify_batch keyring

@@ -27,9 +27,10 @@ let valid_input keyring ~prover ~epoch ~prefix (ann : Wire.announce Wire.signed)
   Wire.verify keyring ~encode:Wire.encode_announce ann
   && valid_input_structural ~prover ~epoch ~prefix ann
 
-(* Batch form: one verdict per announce, signature checks amortized through
-   {!Wire.verify_batch} (duplicate announces — gossip re-delivery, repeated
-   inputs — cost one verification).  Agrees with per-item {!valid_input}. *)
+(* Batch form: one verdict per announce, signature checks through one
+   {!Wire.verify_batch} call (duplicate announces — gossip re-delivery,
+   repeated inputs — cost one verification).  Agrees with per-item
+   {!valid_input}. *)
 let valid_inputs keyring ~prover ~epoch ~prefix anns =
   let sigs =
     Wire.verify_batch keyring
@@ -48,28 +49,29 @@ let opening_bit_at (commit : Wire.commit Wire.signed) ~index opening =
     else None
   end
 
-let check_export_provenance keyring ~commit ~beneficiary
+let check_export_provenance ?verified keyring ~commit ~beneficiary
     (export : Wire.export Wire.signed) =
   let bad () = Error (Evidence.Bad_provenance { export }) in
   let cp = commit.Wire.payload in
   let ep = export.Wire.payload in
   (* Both signatures (the export and its nested provenance announce) go
-     through one batch call: on the honest path both are needed anyway,
-     and the batch layer dedups statements repeated across the dirty set. *)
+     through one batch call, under the beneficiary's table when it has
+     one: each sits under its signer's batch root, which B checks once
+     per epoch. *)
   let export_sig, ann_sig =
-    match ep.Wire.exp_provenance with
-    | Some ann -> begin
-        match
-          Wire.verify_batch keyring
-            [
-              Wire.check ~encode:Wire.encode_export export;
-              Wire.check ~encode:Wire.encode_announce ann;
-            ]
-        with
-        | [ e; a ] -> (e, a)
-        | _ -> (false, false)
-      end
-    | None -> (Wire.verify keyring ~encode:Wire.encode_export export, false)
+    match
+      Wire.verify_batch
+        ?verified:(Option.map (fun t -> (t, beneficiary)) verified)
+        keyring
+        (Wire.check ~encode:Wire.encode_export export
+        :: Option.to_list
+             (Option.map
+                (Wire.check ~encode:Wire.encode_announce)
+                ep.Wire.exp_provenance))
+    with
+    | [ e; a ] -> (e, a)
+    | [ e ] -> (e, false)
+    | _ -> (false, false)
   in
   if not export_sig then bad ()
   else if not (Bgp.Asn.equal export.Wire.signer commit.Wire.signer) then bad ()

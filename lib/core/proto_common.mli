@@ -53,6 +53,7 @@ val opening_bit_at :
     otherwise. *)
 
 val check_export_provenance :
+  ?verified:Wire.Verified.t ->
   Keyring.t ->
   commit:Wire.commit Wire.signed ->
   beneficiary:Pvr_bgp.Asn.t ->
@@ -61,4 +62,5 @@ val check_export_provenance :
 (** Validate an export received by B: A's signature, epoch/prefix/recipient
     consistency, and the embedded provenance (a validly-signed input whose
     route equals the exported route).  On success, returns the provenance
-    announcement. *)
+    announcement.  [verified] is the beneficiary's table of roots it has
+    already verified ({!Wire.verify_batch}); a judge never passes one. *)

@@ -97,8 +97,8 @@ let check_neighbor ?(on_bit = fun _ _ -> ()) _keyring ~me ~my_announce ~commit
             ]
     end
 
-let check_beneficiary ?(on_bit = fun _ _ -> ()) keyring ~me ~commit ~disclosure
-    =
+let check_beneficiary ?(on_bit = fun _ _ -> ()) ?verified keyring ~me ~commit
+    ~disclosure =
   let k = List.length commit.Wire.payload.Wire.cmt_commitments in
   let claim_missing () =
     [
@@ -155,7 +155,8 @@ let check_beneficiary ?(on_bit = fun _ _ -> ()) keyring ~me ~commit ~disclosure
         | false, None -> []
         | false, Some export -> begin
             match
-              check_export_provenance keyring ~commit ~beneficiary:me export
+              check_export_provenance ?verified keyring ~commit ~beneficiary:me
+                export
             with
             | Ok _ ->
                 [
@@ -171,7 +172,8 @@ let check_beneficiary ?(on_bit = fun _ _ -> ()) keyring ~me ~commit ~disclosure
         | true, None -> claim_missing ()
         | true, Some export -> begin
             match
-              check_export_provenance keyring ~commit ~beneficiary:me export
+              check_export_provenance ?verified keyring ~commit ~beneficiary:me
+                export
             with
             | Error e -> [ e ]
             | Ok provenance -> begin

@@ -112,10 +112,13 @@ val check_neighbor :
 
 val check_beneficiary :
   ?on_bit:(int -> bool -> unit) ->
+  ?verified:Wire.Verified.t ->
   Keyring.t ->
   me:Pvr_bgp.Asn.t ->
   commit:Wire.commit Wire.signed ->
   disclosure:beneficiary_disclosure ->
   Evidence.t list
 (** B: all k openings, bit monotonicity, and a minimal, properly signed
-    export.  [on_bit] sees every opening that verifies. *)
+    export.  [on_bit] sees every opening that verifies; [verified] is B's
+    table of verified signature roots
+    ({!Proto_common.check_export_provenance}). *)

@@ -369,7 +369,7 @@ let connect transport rng ~prover items =
   in
   ({ channel; providers; arrived = List.map fst arrived }, arrived)
 
-let check ?(gossip = `Clique) ?ledger keyring link r =
+let check ?(gossip = `Clique) ?ledger ?verified keyring link r =
   let d = r.draft in
   let nds = neighbor_disclosures r and bd = beneficiary_disclosure r in
   let announces = Hashtbl.of_seq (List.to_seq r.announces) in
@@ -556,7 +556,7 @@ let check ?(gossip = `Clique) ?ledger keyring link r =
         (raise_ Adversary.Beneficiary)
         (Proto_min.check_beneficiary
            ?on_bit:(on_bit beneficiary commit)
-           keyring ~me:beneficiary ~commit ~disclosure:bd)
+           ?verified keyring ~me:beneficiary ~commit ~disclosure:bd)
   | Some commit, None ->
       (* Total silence: B holds a commitment but never received the opening
          set.  The judge settles whether anything was owed. *)

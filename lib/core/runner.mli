@@ -154,6 +154,7 @@ val connect :
 val check :
   ?gossip:[ `Clique | `Ring | `None ] ->
   ?ledger:Leakage.Ledger.ledger ->
+  ?verified:Wire.Verified.t ->
   Keyring.t ->
   link ->
   round ->
@@ -163,8 +164,11 @@ val check :
     up to [fp_retry_budget] times, then raises {!Evidence.Timeout} around
     its omission claim ([Direct]: the bare claim).  [ledger] accounts every
     bit disclosed to each party (openings, the export, judge challenges),
-    reusing the bits the checks opened.  A [Direct] report shows full
-    delivery and no traffic. *)
+    reusing the bits the checks opened.  [verified] is the caller's table
+    of signature roots already verified, consulted for the beneficiary's
+    export check under the beneficiary's name ({!Wire.verify_batch}); the
+    judge never sees it.  A [Direct] report shows full delivery and no
+    traffic. *)
 
 (** {2 One standalone round} *)
 

@@ -97,7 +97,7 @@ let batch_signatures key encs =
              (rsa :: nonce :: BU.be32 i
              :: List.mapi (fun l level -> level.((i lsr l) lxor 1)) levels) ))
 
-(* The single statement resolver behind [verify] and [verify_batch]: the
+(* The single statement resolver behind [verify_batch]: the
    (message, RSA signature) pair a signature over encoding [enc] stands
    for — the tagged statement for a plain signature, the tagged Merkle root
    its path leads to for a batched one.  [None] for bytes of neither shape;
@@ -180,13 +180,35 @@ let sign keyring ~as_ ~encode payload =
   sign_batch keyring [ Pending d ];
   signed d
 
-let verify keyring ~encode s =
-  match Keyring.public_key keyring s.signer with
-  | pub -> (
-      match resolve pub (encode s.payload) s.signature with
-      | Some (msg, signature) -> C.Rsa.verify pub ~msg ~signature
-      | None -> false)
-  | exception Not_found -> false
+(* ---- Verification ----------------------------------------------------------
+
+   Every statement resolves to the (message, RSA signature) pair it stands
+   for, and that pair is checked with one exact [Rsa.verify].  A verifier
+   that checks many statements under one signer's batch root — a
+   beneficiary receiving several exports from one prover in an epoch —
+   would pay the same RSA operation once per statement, so verified pairs
+   are remembered in a [Verified] table.  Its keys are the exact bytes of
+   (verifying AS, signer, message, RSA signature): a verifier pays once per
+   root it checks, never for another AS's verification.  Only positive
+   verdicts are stored, so a forgery is re-checked (and rejected) on every
+   presentation, and every statement still recomputes its own Merkle path
+   up to the root. *)
+
+module Verified = struct
+  type t = {
+    lock : Mutex.t option; (* [None]: a call-local table *)
+    seen : (int * int * string * string, unit) Hashtbl.t;
+  }
+
+  let create () = { lock = Some (Mutex.create ()); seen = Hashtbl.create 64 }
+  let local () = { lock = None; seen = Hashtbl.create 8 }
+
+  let locked t f =
+    match t.lock with None -> f () | Some m -> Mutex.protect m f
+
+  let mem t key = locked t (fun () -> Hashtbl.mem t.seen key)
+  let add t key = locked t (fun () -> Hashtbl.replace t.seen key ())
+end
 
 (* A heterogeneous batch member: the payload type is packed away so one
    [verify_batch] call can mix announces, commits and exports. *)
@@ -194,31 +216,32 @@ type check = Check : { item : 'a signed; encode : 'a -> string } -> check
 
 let check ~encode item = Check { item; encode }
 
-let verify_batch keyring checks =
-  (* Resolve keys (memoized by [Keyring]) and statements; unknown signers
-     and malformed signatures are verdicted [false] without consulting RSA,
-     exactly like [verify]. *)
-  let resolved =
-    List.map
-      (fun (Check { item; encode }) ->
-        match Keyring.public_key keyring item.signer with
-        | pub ->
-            Option.map
-              (fun (msg, signature) -> (pub, msg, signature))
-              (resolve pub (encode item.payload) item.signature)
-        | exception Not_found -> None)
-      checks
+(* Unknown signers and malformed signatures are [false] without consulting
+   RSA.  Verification runs outside the lock: two domains that miss on the
+   same key both verify, and both store [true]. *)
+let verify_batch ?verified keyring checks =
+  let table, verifier =
+    match verified with
+    | Some (t, v) -> (t, Bgp.Asn.to_int v)
+    | None -> (Verified.local (), -1)
   in
-  let known = List.filter_map Fun.id resolved in
-  let verdicts = C.Rsa.verify_batch known in
-  let rec stitch resolved verdicts =
-    match (resolved, verdicts) with
-    | [], [] -> []
-    | None :: rest, vs -> false :: stitch rest vs
-    | Some _ :: rest, v :: vs -> v :: stitch rest vs
-    | _ -> invalid_arg "Wire.verify_batch: verdict arity mismatch"
-  in
-  stitch resolved verdicts
+  List.map
+    (fun (Check { item; encode }) ->
+      match Keyring.public_key keyring item.signer with
+      | exception Not_found -> false
+      | pub -> (
+          match resolve pub (encode item.payload) item.signature with
+          | None -> false
+          | Some (msg, signature) ->
+              let key = (verifier, Bgp.Asn.to_int item.signer, msg, signature) in
+              Verified.mem table key
+              ||
+              let ok = C.Rsa.verify pub ~msg ~signature in
+              if ok then Verified.add table key;
+              ok))
+    checks
+
+let verify keyring ~encode s = verify_batch keyring [ check ~encode s ] = [ true ]
 
 type announce = { ann_epoch : epoch; ann_to : Bgp.Asn.t; ann_route : Bgp.Route.t }
 

@@ -58,8 +58,9 @@ val sign_with :
 
 val verify : Keyring.t -> encode:('a -> string) -> 'a signed -> bool
 (** Check the signature, plain or batched, against the signer's public key
-    in the keyring.  Returns [false] (never raises) for unknown signers and
-    for signature bytes of neither shape. *)
+    in the keyring: {!verify_batch} over one check.  Returns [false] (never
+    raises) for unknown signers and for signature bytes of neither
+    shape. *)
 
 type check
 (** One member of a {!verify_batch} call, payload type packed away so a
@@ -67,12 +68,29 @@ type check
 
 val check : encode:('a -> string) -> 'a signed -> check
 
-val verify_batch : Keyring.t -> check list -> bool list
-(** One verdict per check, in order; agrees with per-item {!verify}
-    (unknown signers are [false]).  Same-signer groups are screened with a
-    single exponentiation and duplicate statements are verified once
-    ({!Pvr_crypto.Rsa.verify_batch}), which is what amortizes dirty-set
-    and gossip verification. *)
+(** Positive verdicts of exact RSA verification.  Keys are the exact bytes
+    of (verifying AS, signer, signed message, RSA signature), where the
+    signed message is the tagged statement of a plain signature or the
+    tagged Merkle root of a batched one.  Only verifications that
+    succeeded are stored.  A table serves one keyring and may be shared
+    between domains. *)
+module Verified : sig
+  type t
+
+  val create : unit -> t
+end
+
+val verify_batch :
+  ?verified:Verified.t * Bgp.Asn.t -> Keyring.t -> check list -> bool list
+(** One verdict per check, in order, each exactly the per-item {!verify}
+    verdict (unknown signers are [false]).  Each statement's Merkle path is
+    recomputed; its (signer, root, RSA signature) is then looked up in the
+    table under the verifying AS, and only a miss pays [Rsa.verify].
+    [verified = (table, verifier)] remembers verdicts across calls — the
+    engine keeps one table per epoch; without it the call uses a table of
+    its own, so identical statements within one call (gossip fan-out) cost
+    one verification.  Evidence for a third party must be checked without
+    a caller's table. *)
 
 (** {2 Statements} *)
 

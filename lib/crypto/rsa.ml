@@ -104,108 +104,6 @@ let sign_plain key msg =
   in
   B.to_bytes_be ~pad_to:kb s
 
-(* ---- Batch verification -------------------------------------------------
-
-   Bellare–Garay–Rabin screening for a same-key group: every signature is
-   valid iff s_i^e = em_i for all i, which implies
-   (prod s_i)^e = prod em_i (mod n) — one e=65537 exponentiation plus 2B
-   modular multiplications instead of B exponentiations.  The converse
-   does not hold against an adversary who crafts forgeries whose errors
-   cancel inside the product, so a failed screen falls back to per-item
-   {!verify} (which also yields the exact forged-item mask), and per-item
-   verification remains the oracle the differential tests compare to. *)
-
-let obs_batch = Pvr_obs.counter "crypto.rsa.verify_batch.calls"
-let obs_batch_items = Pvr_obs.counter "crypto.rsa.verify_batch.items"
-let obs_batch_screened = Pvr_obs.counter "crypto.rsa.verify_batch.screened"
-let obs_batch_fallback = Pvr_obs.counter "crypto.rsa.verify_batch.fallbacks"
-let obs_batch_dedup = Pvr_obs.counter "crypto.rsa.verify_batch.deduped"
-
-let verify_batch items =
-  match items with
-  | [] -> []
-  | _ ->
-      Pvr_obs.incr obs_batch;
-      let arr = Array.of_list items in
-      let n_items = Array.length arr in
-      Pvr_obs.add obs_batch_items n_items;
-      let res = Array.make n_items false in
-      (* Identical (key, msg, signature) triples — gossip fans the same
-         commitment to every holder — are verified once and mirrored. *)
-      let first : (string * string * string, int) Hashtbl.t =
-        Hashtbl.create (2 * n_items)
-      in
-      let aliases = ref [] in
-      let groups : (B.t * B.t, (int * B.t * B.t) list ref) Hashtbl.t =
-        Hashtbl.create 8
-      in
-      Array.iteri
-        (fun i (pub, msg, signature) ->
-          let id =
-            (B.to_bytes_be pub.n ^ "|" ^ B.to_bytes_be pub.e, msg, signature)
-          in
-          match Hashtbl.find_opt first id with
-          | Some j ->
-              Pvr_obs.incr obs_batch_dedup;
-              aliases := (i, j) :: !aliases
-          | None ->
-              Hashtbl.add first id i;
-              let kb = key_size pub in
-              if String.length signature = kb then begin
-                let s = B.of_bytes_be signature in
-                if B.compare s pub.n < 0 then begin
-                  match encode_digest ~key_bytes:kb msg with
-                  | em ->
-                      let key = (pub.n, pub.e) in
-                      let cell =
-                        match Hashtbl.find_opt groups key with
-                        | Some c -> c
-                        | None ->
-                            let c = ref [] in
-                            Hashtbl.add groups key c;
-                            c
-                      in
-                      cell := (i, s, B.of_bytes_be em) :: !cell
-                  | exception Invalid_argument _ -> ()
-                end
-              end)
-        arr;
-      Hashtbl.iter
-        (fun (n, e) cell ->
-          let members = List.rev !cell in
-          let per_item () =
-            List.iter
-              (fun (i, _, _) ->
-                let pub, msg, signature = arr.(i) in
-                res.(i) <- verify pub ~msg ~signature)
-              members
-          in
-          match members with
-          | [] -> ()
-          | [ (i, _, _) ] ->
-              let pub, msg, signature = arr.(i) in
-              res.(i) <- verify pub ~msg ~signature
-          | _ ->
-              let prod f =
-                List.fold_left
-                  (fun acc m -> B.rem (B.mul acc (f m)) n)
-                  B.one members
-              in
-              let prod_s = prod (fun (_, s, _) -> s)
-              and prod_em = prod (fun (_, _, em) -> em) in
-              if B.equal (B.mod_pow ~base:prod_s ~exp:e ~modulus:n) prod_em
-              then begin
-                Pvr_obs.add obs_batch_screened (List.length members);
-                List.iter (fun (i, _, _) -> res.(i) <- true) members
-              end
-              else begin
-                Pvr_obs.incr obs_batch_fallback;
-                per_item ()
-              end)
-        groups;
-      List.iter (fun (i, j) -> res.(i) <- res.(j)) (List.rev !aliases);
-      Array.to_list res
-
 let fingerprint pub =
   Sha256.digest
     (Codec.encode_list [ B.to_bytes_be pub.n; B.to_bytes_be pub.e ])

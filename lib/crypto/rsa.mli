@@ -39,18 +39,8 @@ val sign_plain : private_key -> string -> string
     not as a hardened fallback. *)
 
 val verify : public_key -> msg:string -> signature:string -> bool
-
-val verify_batch : (public_key * string * string) list -> bool list
-(** [verify_batch [(pub, msg, signature); ...]] returns one verdict per
-    item, in order.  Same-key groups of two or more are screened with one
-    exponentiation over the signature and encoding products
-    (Bellare–Garay–Rabin); a failed screen falls back to per-item
-    {!verify}, so the returned mask marks exactly the forged items.
-    Identical triples are verified once.  The screen accepts everything a
-    per-item pass accepts; the only divergence an adversary could induce
-    is a batch of forgeries whose errors cancel inside the product, which
-    the fallback path never sees because honest inputs screen clean —
-    per-item {!verify} remains the oracle. *)
+(** Exact check of one signature: [signature] is one modulus width, below
+    the modulus, and raises to the PKCS#1 encoding of [msg]. *)
 
 val raw_apply_public : public_key -> Bigint.t -> Bigint.t
 (** The raw RSA permutation x -> x^e mod n, used by {!Ring_signature}. *)

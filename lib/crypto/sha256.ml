@@ -56,47 +56,86 @@ let copy ctx =
     w = Array.make 64 0;
   }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
-
 (* Callers guarantee [off + 64 <= String.length s]. *)
-let read_be32_unsafe (s : string) off =
+let[@inline] read_be32_unsafe (s : string) off =
   (Char.code (String.unsafe_get s off) lsl 24)
   lor (Char.code (String.unsafe_get s (off + 1)) lsl 16)
   lor (Char.code (String.unsafe_get s (off + 2)) lsl 8)
   lor Char.code (String.unsafe_get s (off + 3))
 
+(* Rotations of a 32-bit word [x] are read off its doubled word
+   [x lor (x lsl 32)]: bits n..n+31 of it are [x] rotated right by n, for
+   every n up to 31 (the doubled word's top bit falls off the 63-bit int,
+   and no rotation reaches it).  Each Σ then costs three shifts and one
+   mask. *)
+let[@inline] big_sigma0 x =
+  let x = x lor (x lsl 32) in
+  ((x lsr 2) lxor (x lsr 13) lxor (x lsr 22)) land mask32
+
+let[@inline] big_sigma1 x =
+  let x = x lor (x lsl 32) in
+  ((x lsr 6) lxor (x lsr 11) lxor (x lsr 25)) land mask32
+
+let[@inline] small_sigma0 x =
+  let d = x lor (x lsl 32) in
+  ((d lsr 7) lxor (d lsr 18)) land mask32 lxor (x lsr 3)
+
+let[@inline] small_sigma1 x =
+  let d = x lor (x lsl 32) in
+  ((d lsr 17) lxor (d lsr 19)) land mask32 lxor (x lsr 10)
+
+let[@inline] ch e f g = g lxor (e land (f lxor g))
+let[@inline] maj a b c = (a land b) lor (c land (a lor b))
+let[@inline] kw w t = Array.unsafe_get k t + Array.unsafe_get w t
+
 (* Compress one 64-byte block located at [off] in [src] into [h], using
-   [w] as schedule scratch. *)
+   [w] as schedule scratch.  The 64 rounds run eight at a time with the
+   working variables renamed instead of shifted: a round only writes the
+   new e into d's variable and the new a into h's, and the next round
+   reads the eight variables one place along.  After eight rounds every
+   variable is back in its own name.  Nothing here allocates. *)
 let compress_raw (h : int array) (w : int array) (src : string) off =
   for t = 0 to 15 do
-    w.(t) <- read_be32_unsafe src (off + 4 * t)
+    Array.unsafe_set w t (read_be32_unsafe src (off + (4 * t)))
   done;
   for t = 16 to 63 do
-    let s0 =
-      rotr w.(t - 15) 7 lxor rotr w.(t - 15) 18 lxor (w.(t - 15) lsr 3)
-    in
-    let s1 =
-      rotr w.(t - 2) 17 lxor rotr w.(t - 2) 19 lxor (w.(t - 2) lsr 10)
-    in
-    w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask32
+    Array.unsafe_set w t
+      ((Array.unsafe_get w (t - 16)
+       + small_sigma0 (Array.unsafe_get w (t - 15))
+       + Array.unsafe_get w (t - 7)
+       + small_sigma1 (Array.unsafe_get w (t - 2)))
+      land mask32)
   done;
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
-  for t = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + k.(t) + w.(t)) land mask32 in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask32 in
-    hh := !g;
-    g := !f;
-    f := !e;
-    e := (!d + t1) land mask32;
-    d := !c;
-    c := !b;
-    b := !a;
-    a := (t1 + t2) land mask32
+  let t = ref 0 in
+  while !t < 64 do
+    let i = !t in
+    let t1 = !hh + big_sigma1 !e + ch !e !f !g + kw w i in
+    d := (!d + t1) land mask32;
+    hh := (t1 + big_sigma0 !a + maj !a !b !c) land mask32;
+    let t1 = !g + big_sigma1 !d + ch !d !e !f + kw w (i + 1) in
+    c := (!c + t1) land mask32;
+    g := (t1 + big_sigma0 !hh + maj !hh !a !b) land mask32;
+    let t1 = !f + big_sigma1 !c + ch !c !d !e + kw w (i + 2) in
+    b := (!b + t1) land mask32;
+    f := (t1 + big_sigma0 !g + maj !g !hh !a) land mask32;
+    let t1 = !e + big_sigma1 !b + ch !b !c !d + kw w (i + 3) in
+    a := (!a + t1) land mask32;
+    e := (t1 + big_sigma0 !f + maj !f !g !hh) land mask32;
+    let t1 = !d + big_sigma1 !a + ch !a !b !c + kw w (i + 4) in
+    hh := (!hh + t1) land mask32;
+    d := (t1 + big_sigma0 !e + maj !e !f !g) land mask32;
+    let t1 = !c + big_sigma1 !hh + ch !hh !a !b + kw w (i + 5) in
+    g := (!g + t1) land mask32;
+    c := (t1 + big_sigma0 !d + maj !d !e !f) land mask32;
+    let t1 = !b + big_sigma1 !g + ch !g !hh !a + kw w (i + 6) in
+    f := (!f + t1) land mask32;
+    b := (t1 + big_sigma0 !c + maj !c !d !e) land mask32;
+    let t1 = !a + big_sigma1 !f + ch !f !g !hh + kw w (i + 7) in
+    e := (!e + t1) land mask32;
+    a := (t1 + big_sigma0 !b + maj !b !c !d) land mask32;
+    t := i + 8
   done;
   h.(0) <- (h.(0) + !a) land mask32;
   h.(1) <- (h.(1) + !b) land mask32;

@@ -439,9 +439,9 @@ let audit ledger plan (sn : snapshot) =
   ( L.Ledger.bits ledger,
     List.fold_left (fun n a -> n + a.L.au_excess_bits) 0 audits )
 
-let check_round t (sn : snapshot) plan link round =
+let check_round t ~verified (sn : snapshot) plan link round =
   let ledger = Pvr.Leakage.Ledger.create () in
-  let nr = Pvr.Runner.check ~ledger t.keyring link round in
+  let nr = Pvr.Runner.check ~ledger ~verified t.keyring link round in
   let base = nr.Pvr.Runner.base in
   let leaked, excess = audit ledger plan sn in
   let beneficiary = sn.sn_beneficiary in
@@ -494,11 +494,15 @@ let run_rounds t ~wire_epoch (work : (snapshot * vcache) array) =
       t.keyring
       (Array.map (fun (_, _, md) -> md) drafted)
   in
+  (* One table of verified signature roots for the epoch's check phase:
+     a beneficiary checks each signer's batch root once, however many of
+     the signer's statements it receives.  Dropped with the epoch. *)
+  let verified = Pvr.Wire.Verified.create () in
   Pool.run ~jobs:t.jobs
     (Array.mapi
        (fun i (sn, _) () ->
          let plan, link, _ = drafted.(i) in
-         check_round t sn plan link rounds.(i))
+         check_round t ~verified sn plan link rounds.(i))
        work)
 
 let report_line r =

@@ -554,6 +554,66 @@ let outcome_projection_golden () =
           "3a637e01f6f204298b6e464999cf9935acac1f99f18a00a9def3ba6360b7bd4b";
         ])
 
+(* ---- verified-root table --------------------------------------------------------- *)
+
+(* The salt-rotation shape: a 24-AS generated internet whose salt rotates
+   every epoch, so every live vertex re-runs its round each epoch. *)
+let rotate_params ~jobs ~epochs =
+  {
+    Pvr_serve.Workload.defaults with
+    Pvr_serve.Workload.p_seed = 1101;
+    p_ases = 24;
+    p_gen_seed = Some 1101;
+    p_salt_every = 1;
+    p_turnover = 0.0;
+    p_intern = true;
+    p_jobs = jobs;
+    p_epochs = epochs;
+  }
+
+(* Every epoch report of one quiet run; the run leaves interning off. *)
+let run_reports p =
+  let module W = Pvr_serve.Workload in
+  Fun.protect
+    ~finally:(fun () -> G.Intern.set_enabled false)
+    (fun () ->
+      let reports = ref [] in
+      match
+        W.engine_core ~quiet:true
+          ~on_report:(fun r -> reports := r :: !reports)
+          (W.build_world ~quiet:true p) p
+      with
+      | Ok _ -> List.rev !reports
+      | Error e -> Alcotest.fail e)
+
+(* A beneficiary checks each signer's batch root once per epoch: the
+   epoch's check phase pays fewer RSA verifications than it runs rounds,
+   where checking each export and its provenance alone costs two. *)
+let one_verify_per_round () =
+  let reports, d = counted (fun () -> run_reports (rotate_params ~jobs:1 ~epochs:3)) in
+  let rounds = delta d "engine.rounds" in
+  check_int "rounds = dirty vertices" (total (fun r -> r.E.ep_dirty) reports) rounds;
+  check_bool "every epoch recomputes" true (rounds > 0);
+  let verifies = delta d "crypto.rsa.verify.ops" in
+  check_bool
+    (Printf.sprintf "%d RSA verifies <= %d rounds" verifies rounds)
+    true (verifies <= rounds)
+
+(* Check tasks on two domains share the epoch's table: the verdicts and
+   the digest chain are those of one domain. *)
+let verified_table_jobs_equal () =
+  let outcomes jobs =
+    List.map
+      (fun r ->
+        ( r.E.ep_digest,
+          List.map
+            (fun (o : E.outcome) ->
+              (o.E.vx_line, o.E.vx_detected, o.E.vx_convicted, o.E.vx_kinds))
+            r.E.ep_outcomes ))
+      (run_reports { (rotate_params ~jobs ~epochs:2) with p_ases = 16 })
+  in
+  check_bool "jobs 1 = jobs 2" true (outcomes 1 = outcomes 2)
+
 (* ---- keyring memo --------------------------------------------------------------- *)
 
 let keyring_memo_serves_lookups () =
@@ -625,6 +685,10 @@ let suite =
       golden_digests;
     Alcotest.test_case "engine: outcome projection golden" `Quick
       outcome_projection_golden;
+    Alcotest.test_case "engine: at most one RSA verify per round on salt rotation"
+      `Quick one_verify_per_round;
+    Alcotest.test_case "engine: verified table, jobs 1 = 2" `Quick
+      verified_table_jobs_equal;
     Alcotest.test_case "keyring: memo serves hot-path lookups" `Quick
       keyring_memo_serves_lookups;
     Alcotest.test_case "churn: deterministic streams" `Quick

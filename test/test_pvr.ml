@@ -901,6 +901,125 @@ let judge_cancelling_forgery_not_guilty () =
   check_bool "forged pair not guilty" true
     (P.Judge.evaluate_offline kr (evidence commit' export') <> P.Judge.Guilty)
 
+(* ---- Verified-root table ------------------------------------------------------ *)
+
+let counted f =
+  Pvr_obs.set_enabled true;
+  let before = Pvr_obs.Snapshot.capture () in
+  let result = f () in
+  let d = Pvr_obs.Snapshot.diff ~before ~after:(Pvr_obs.Snapshot.capture ()) in
+  Pvr_obs.set_enabled false;
+  (result, d)
+
+let verify_ops d = Pvr_obs.Snapshot.counter_value d "crypto.rsa.verify.ops"
+
+(* Five statements under one root: every signature carries a 3-level
+   path. *)
+let table_batch =
+  lazy
+    (batch ~as_:a_as ~encode:P.Wire.encode_commit
+       (List.init 5 (fun i -> commit_payload [ Printf.sprintf "c%d" i ])))
+
+let check_commit = P.Wire.check ~encode:P.Wire.encode_commit
+
+(* A verifier that has verified a root must still reject every statement
+   whose own path does not lead to it: a flipped nonce or sibling byte, a
+   different leaf index, or different statement bytes. *)
+let table_rejects_altered_paths =
+  qtest ~count:60 "wire table rejects altered paths"
+    QCheck2.Gen.(triple (int_bound 4) (int_bound 3) (int_bound 10_000))
+    (fun (which, kind, pos) ->
+      let kr = Lazy.force keyring in
+      let sigs = Lazy.force table_batch in
+      let verified = (P.Wire.Verified.create (), b_as) in
+      let all_ok =
+        List.for_all Fun.id
+          (P.Wire.verify_batch ~verified kr (List.map check_commit sigs))
+      in
+      let s = List.nth sigs which in
+      let sg = Bytes.of_string s.P.Wire.signature in
+      let flip at = Bytes.set sg at (Char.chr (Char.code (Bytes.get sg at) lxor 1)) in
+      let payload =
+        match kind with
+        | 0 ->
+            flip (key_bytes + (pos mod 16));
+            s.P.Wire.payload
+        | 1 ->
+            flip (key_bytes + 20 + (pos mod (3 * 32)));
+            s.P.Wire.payload
+        | 2 ->
+            let index = C.Bytes_util.read_be32 s.P.Wire.signature (key_bytes + 16) in
+            Bytes.blit_string
+              (C.Bytes_util.be32 (index lxor (1 + (pos mod 15))))
+              0 sg (key_bytes + 16) 4;
+            s.P.Wire.payload
+        | _ -> commit_payload [ Printf.sprintf "c%d" (5 + pos) ]
+      in
+      let altered =
+        Option.get
+          (P.Wire.decode_signed ~decode:P.Wire.decode_commit
+             (C.Codec.encode_list
+                [
+                  P.Wire.encode_commit payload;
+                  C.Bytes_util.be32 (G.Asn.to_int a_as);
+                  Bytes.to_string sg;
+                ]))
+      in
+      all_ok
+      && P.Wire.verify_batch ~verified kr [ check_commit altered; check_commit s ]
+         = [ false; true ])
+
+(* Verdicts are kept per verifier: a second AS checking the same root pays
+   for it once, then nothing for the root's other statements. *)
+let table_pays_once_per_verifier () =
+  let kr = Lazy.force keyring in
+  let sigs = Lazy.force table_batch in
+  let table = P.Wire.Verified.create () in
+  let ops verifier statements =
+    let verdicts, d =
+      counted (fun () ->
+          P.Wire.verify_batch ~verified:(table, verifier) kr
+            (List.map check_commit statements))
+    in
+    check_bool "all verify" true (List.for_all Fun.id verdicts);
+    verify_ops d
+  in
+  let first = List.hd sigs and rest = List.tl sigs in
+  check_int "B: first statement" 1 (ops b_as [ first ]);
+  check_int "B: rest of the root" 0 (ops b_as rest);
+  check_int "second AS pays once" 1 (ops (asn 2) [ List.nth sigs 3 ]);
+  check_int "second AS: rest of the root" 0 (ops (asn 2) sigs);
+  check_int "no table: one call, one root" 1
+    (snd (counted (fun () -> P.Wire.verify_batch kr (List.map check_commit sigs)))
+    |> verify_ops)
+
+(* A beneficiary's warm table makes its own re-check free, while the judge,
+   given the evidence alone, verifies the signatures again. *)
+let table_judge_still_pays () =
+  let kr = Lazy.force keyring in
+  let out =
+    P.Runner.prove ~max_path_len:8 ~behaviour:P.Adversary.Export_nonminimal
+      (fresh_rng ()) kr ~prover:a_as ~beneficiary:b_as ~epoch:1 ~prefix:prefix0
+      ~inputs:[ announce (asn 10) 2; announce (asn 11) 4 ]
+  in
+  let verified = P.Wire.Verified.create () in
+  let check () =
+    P.Proto_min.check_beneficiary ~verified kr ~me:b_as
+      ~commit:(P.Runner.commit_for out b_as)
+      ~disclosure:(P.Runner.beneficiary_disclosure out)
+  in
+  let evidence, cold = counted check in
+  check_int "cold: export and provenance roots" 2 (verify_ops cold);
+  let again, warm = counted check in
+  check_int "warm: free" 0 (verify_ops warm);
+  check_bool "same evidence" true (evidence = again);
+  match evidence with
+  | [ (P.Evidence.Nonminimal_export _ as e) ] ->
+      let verdict, judged = counted (fun () -> P.Judge.evaluate_offline kr e) in
+      check_bool "guilty" true (verdict = P.Judge.Guilty);
+      check_bool "judge pays RSA" true (verify_ops judged >= 1)
+  | _ -> Alcotest.fail "one Nonminimal_export expected"
+
 let judge_convicts_each_selfcontained_kind () =
   (* Sanity: run each behaviour and verify the judged kinds match. *)
   let expect_kind beh pred =
@@ -1901,6 +2020,9 @@ let suite =
     ("judge rejects fabrications", `Quick, judge_rejects_fabrications);
     ("judge: cancelling forgery not guilty", `Quick,
      judge_cancelling_forgery_not_guilty);
+    table_rejects_altered_paths;
+    ("wire table pays once per verifier", `Quick, table_pays_once_per_verifier);
+    ("wire table: judge still pays RSA", `Quick, table_judge_still_pays);
     ("judge rejects cross-scheme confusion", `Quick, judge_rejects_cross_scheme_confusion);
     ("min tie between equal routes", `Quick, min_tie_between_equal_routes);
     ("judge convicts each evidence kind", `Slow, judge_convicts_each_selfcontained_kind);
