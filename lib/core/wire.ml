@@ -196,7 +196,7 @@ let sign keyring ~as_ ~encode payload =
 
 module Verified = struct
   type t = {
-    lock : Mutex.t option; (* [None]: a call-local table *)
+    lock : Mutex.t option; (* [None]: a call-local table, never shared *)
     seen : (int * int * string * string, unit) Hashtbl.t;
   }
 

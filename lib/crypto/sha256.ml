@@ -108,9 +108,8 @@ let compress_raw (h : int array) (w : int array) (src : string) off =
   done;
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
-  let t = ref 0 in
-  while !t < 64 do
-    let i = !t in
+  for j = 0 to 7 do
+    let i = 8 * j in
     let t1 = !hh + big_sigma1 !e + ch !e !f !g + kw w i in
     d := (!d + t1) land mask32;
     hh := (t1 + big_sigma0 !a + maj !a !b !c) land mask32;
@@ -134,8 +133,7 @@ let compress_raw (h : int array) (w : int array) (src : string) off =
     b := (t1 + big_sigma0 !c + maj !c !d !e) land mask32;
     let t1 = !a + big_sigma1 !f + ch !f !g !hh + kw w (i + 7) in
     e := (!e + t1) land mask32;
-    a := (t1 + big_sigma0 !b + maj !b !c !d) land mask32;
-    t := i + 8
+    a := (t1 + big_sigma0 !b + maj !b !c !d) land mask32
   done;
   h.(0) <- (h.(0) + !a) land mask32;
   h.(1) <- (h.(1) + !b) land mask32;
