@@ -233,7 +233,9 @@ let verify_batch ?verified keyring checks =
           match resolve pub (encode item.payload) item.signature with
           | None -> false
           | Some (msg, signature) ->
-              let key = (verifier, Bgp.Asn.to_int item.signer, msg, signature) in
+              let key =
+                (verifier, Bgp.Asn.to_int item.signer, msg, signature)
+              in
               Verified.mem table key
               ||
               let ok = C.Rsa.verify pub ~msg ~signature in
@@ -241,7 +243,8 @@ let verify_batch ?verified keyring checks =
               ok))
     checks
 
-let verify keyring ~encode s = verify_batch keyring [ check ~encode s ] = [ true ]
+let verify keyring ~encode s =
+  verify_batch keyring [ check ~encode s ] = [ true ]
 
 type announce = { ann_epoch : epoch; ann_to : Bgp.Asn.t; ann_route : Bgp.Route.t }
 

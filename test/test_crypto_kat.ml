@@ -2,13 +2,14 @@
 
    The fast paths introduced for the engine's per-epoch RSA/SHA-256 bill —
    Montgomery/fixed-window modular exponentiation, CRT signing,
-   precomputed-schedule and multi-buffer SHA-256, HMAC key midstates — must be byte-identical to the naive reference paths they
-   replaced.  This suite pins them three ways:
+   precomputed-schedule and multi-buffer SHA-256, HMAC key midstates —
+   must be byte-identical to the naive reference paths they replaced.
+   This suite pins them three ways:
 
    - FIPS 180-4 / RFC 4231 known answers, run against {e every} API
      variant (one-shot, reusable-ctx, multi-buffer, fixed-width template);
    - qcheck differential oracles against the retained naive paths
-     ([Bigint.mod_pow_naive], [Rsa.sign_plain], per-item [Rsa.verify],
+     ([Bigint.mod_pow_naive], [Rsa.sign_plain], per-item [Wire.verify],
      [Commitment.commit_derived]);
    - forged-batch tests: [Wire.verify_batch] must reject {e exactly} the
      forged items, whatever mix of flipped bits, wrong signers, wrong
@@ -435,8 +436,14 @@ let wire_batch_structural_rejects () =
             (* s >= n *)
             with_sig (String.make kb '\xff');
             (* index 2 needs depth 2, the path has one sibling *)
-            with_sig (good.P.Wire.signature ^ String.make 16 'n'
-                      ^ C.Bytes_util.be32 2 ^ String.make 32 's');
+            with_sig
+              (String.concat ""
+                 [
+                   good.P.Wire.signature;
+                   String.make 16 'n';
+                   C.Bytes_util.be32 2;
+                   String.make 32 's';
+                 ]);
           ]))
 
 (* ---- Commitment cache vs the uncached derived-commitment oracle --------- *)
@@ -560,7 +567,9 @@ let suite =
     ( "Wire.verify_batch cancelling forgery",
       `Quick,
       wire_batch_cancelling_forgery );
-    ("Wire.verify_batch structural rejects", `Quick, wire_batch_structural_rejects);
+    ( "Wire.verify_batch structural rejects",
+      `Quick,
+      wire_batch_structural_rejects );
     cache_matches_commit_derived;
     ("vector commit ≡ per-bit", `Quick, vector_matches_per_bit);
     ("vector hit accounting", `Quick, vector_hit_accounting);

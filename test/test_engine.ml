@@ -590,9 +590,13 @@ let run_reports p =
    epoch's check phase pays fewer RSA verifications than it runs rounds,
    where checking each export and its provenance alone costs two. *)
 let one_verify_per_round () =
-  let reports, d = counted (fun () -> run_reports (rotate_params ~jobs:1 ~epochs:3)) in
+  let reports, d =
+    counted (fun () -> run_reports (rotate_params ~jobs:1 ~epochs:3))
+  in
   let rounds = delta d "engine.rounds" in
-  check_int "rounds = dirty vertices" (total (fun r -> r.E.ep_dirty) reports) rounds;
+  check_int "rounds = dirty vertices"
+    (total (fun r -> r.E.ep_dirty) reports)
+    rounds;
   check_bool "every epoch recomputes" true (rounds > 0);
   let verifies = delta d "crypto.rsa.verify.ops" in
   check_bool
@@ -685,8 +689,9 @@ let suite =
       golden_digests;
     Alcotest.test_case "engine: outcome projection golden" `Quick
       outcome_projection_golden;
-    Alcotest.test_case "engine: at most one RSA verify per round on salt rotation"
-      `Quick one_verify_per_round;
+    Alcotest.test_case
+      "engine: at most one RSA verify per round on salt rotation" `Quick
+      one_verify_per_round;
     Alcotest.test_case "engine: verified table, jobs 1 = 2" `Quick
       verified_table_jobs_equal;
     Alcotest.test_case "keyring: memo serves hot-path lookups" `Quick

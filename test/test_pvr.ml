@@ -889,7 +889,11 @@ let judge_cancelling_forgery_not_guilty () =
     Option.get
       (P.Wire.decode_signed ~decode
          (C.Codec.encode_list
-            [ encode s.P.Wire.payload; C.Bytes_util.be32 (G.Asn.to_int a_as); signature ]))
+            [
+              encode s.P.Wire.payload;
+              C.Bytes_util.be32 (G.Asn.to_int a_as);
+              signature;
+            ]))
   in
   let commit' =
     resigned ~decode:P.Wire.decode_commit ~encode:P.Wire.encode_commit commit
@@ -938,7 +942,9 @@ let table_rejects_altered_paths =
       in
       let s = List.nth sigs which in
       let sg = Bytes.of_string s.P.Wire.signature in
-      let flip at = Bytes.set sg at (Char.chr (Char.code (Bytes.get sg at) lxor 1)) in
+      let flip at =
+        Bytes.set sg at (Char.chr (Char.code (Bytes.get sg at) lxor 1))
+      in
       let payload =
         match kind with
         | 0 ->
@@ -948,7 +954,9 @@ let table_rejects_altered_paths =
             flip (key_bytes + 20 + (pos mod (3 * 32)));
             s.P.Wire.payload
         | 2 ->
-            let index = C.Bytes_util.read_be32 s.P.Wire.signature (key_bytes + 16) in
+            let index =
+              C.Bytes_util.read_be32 s.P.Wire.signature (key_bytes + 16)
+            in
             Bytes.blit_string
               (C.Bytes_util.be32 (index lxor (1 + (pos mod 15))))
               0 sg (key_bytes + 16) 4;
@@ -966,7 +974,8 @@ let table_rejects_altered_paths =
                 ]))
       in
       all_ok
-      && P.Wire.verify_batch ~verified kr [ check_commit altered; check_commit s ]
+      && P.Wire.verify_batch ~verified kr
+           [ check_commit altered; check_commit s ]
          = [ false; true ])
 
 (* Verdicts are kept per verifier: a second AS checking the same root pays
@@ -990,8 +999,10 @@ let table_pays_once_per_verifier () =
   check_int "second AS pays once" 1 (ops (asn 2) [ List.nth sigs 3 ]);
   check_int "second AS: rest of the root" 0 (ops (asn 2) sigs);
   check_int "no table: one call, one root" 1
-    (snd (counted (fun () -> P.Wire.verify_batch kr (List.map check_commit sigs)))
-    |> verify_ops)
+    (verify_ops
+       (snd
+          (counted (fun () ->
+               P.Wire.verify_batch kr (List.map check_commit sigs)))))
 
 (* A beneficiary's warm table makes its own re-check free, while the judge,
    given the evidence alone, verifies the signatures again. *)
