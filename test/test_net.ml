@@ -622,6 +622,30 @@ let timeout_conviction_under_total_silence () =
   done;
   check_bool "found a total-silence schedule" true !witnessed
 
+(* The bytes of both CI soak configurations are pinned.  Their lines count
+   retries, timeouts and drops, and Pvr_net decides every fault in send
+   order, so a round that reorders, merges or splits its sends changes
+   these digests even when every verdict stays the same. *)
+let cli_soak_reproducible () =
+  let cli = "../bin/pvr_cli.exe" in
+  let pin args digest =
+    let file = "soak_pin.txt" in
+    check_int ("exit 0: soak " ^ args) 0
+      (Sys.command (Printf.sprintf "%s soak %s > %s 2>&1" cli args file));
+    let ic = open_in_bin file in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Sys.remove file;
+    Alcotest.(check string) ("stdout sha256: soak " ^ args) digest
+      (C.Sha256.digest_hex s)
+  in
+  pin
+    "--seed 1 --rounds 5 --bits 512 --drop 0.15 --duplicate 0.05 --delay 2 \
+     --reorder"
+    "d94f4e549b4df36e65976a8206438a243d15f2df95901fc7dae8a142b276b99c";
+  pin "--seed 4 --rounds 5 --bits 512 --drop 0.3 --budget 4"
+    "7a3a0084128cb1803ab75310270f645cb1c0211d56b087faab765f35b3391e98"
+
 let suite =
   [
     Alcotest.test_case "perfect net delivers in order" `Quick
@@ -653,4 +677,6 @@ let suite =
     Alcotest.test_case "same seed, same outcome" `Quick same_seed_same_outcome;
     Alcotest.test_case "timeout conviction under total silence" `Quick
       timeout_conviction_under_total_silence;
+    Alcotest.test_case "cli: soak output reproducible" `Quick
+      cli_soak_reproducible;
   ]
