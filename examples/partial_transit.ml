@@ -123,4 +123,8 @@ let () =
     "\nPVR graph round: detected=%b (honest A), %d messages, commitment %d bytes\n"
     report.P.Runner.detected report.P.Runner.messages
     report.P.Runner.commit_bytes;
+  if report.P.Runner.detected then begin
+    print_endline "An honest round raised evidence: the checks are broken.";
+    exit 1
+  end;
   print_endline "The promise held, and no neighbor learned another's routes."

@@ -56,6 +56,10 @@ let () =
       Printf.printf "  evidence: %s -> judge says %s\n" (P.Evidence.describe e)
         (P.Judge.verdict_to_string v))
     cheating.P.Runner.judged;
+  if honest.P.Runner.detected || not cheating.P.Runner.convicted then begin
+    print_endline "The round accused an honest A or let a cheat go.";
+    exit 1
+  end;
 
   (* 5. Confidentiality: B learned the bits b_1..b_k, but every one of them
      is derivable from the exported route + the promise — zero excess. *)

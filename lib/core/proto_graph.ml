@@ -99,19 +99,17 @@ and subtree = {
   sub_root : string;
 }
 
-type prover_state = {
-  ps_prover : Bgp.Asn.t;
-  ps_epoch : Wire.epoch;
-  ps_prefix : Bgp.Prefix.t;
-  ps_rfg : Rfg.t;
-  ps_valuation : Rfg.valuation;
-  ps_inputs : Wire.announce Wire.signed list;
-  ps_records : (Rfg.vertex_id * vertex_record) list;
-  ps_tree : Prefix_tree.t;
-  ps_root : string;
-  ps_commit : Wire.commit Wire.signed;
-  ps_keyring : Keyring.t;
-  ps_k : int;
+type committed = { rfg : Rfg.t; k : int; top : subtree }
+
+type draft = {
+  dr_prover : Bgp.Asn.t;
+  dr_beneficiary : Bgp.Asn.t;
+  dr_epoch : Wire.epoch;
+  dr_prefix : Bgp.Prefix.t;
+  dr_inputs : (Bgp.Asn.t * Bgp.Route.t) list;
+  dr_alpha : Access_control.t;
+  dr_committed : committed;
+  dr_export : Proto_min.export_plan option;
 }
 
 let commit_component rng raw =
@@ -187,164 +185,119 @@ let rec build_subtree rng ~k ~ns rfg valuation =
   in
   { sub_records = records; sub_tree = tree; sub_root = Prefix_tree.root tree }
 
-let prove ?(max_path_len = 32) rng keyring ~prover ~epoch ~prefix ~rfg ~inputs
-    =
-  Pvr_obs.with_span "proto_graph.prove" @@ fun () ->
-  let inputs =
-    List.filter
-      (Proto_common.valid_input keyring ~prover ~epoch ~prefix)
-      inputs
-  in
+let draft ?(max_path_len = Proto_min.default_max_path_len) rng ~prover
+    ~beneficiary ~epoch ~prefix ~rfg ~alpha ~inputs =
+  Pvr_obs.with_span "proto_graph.draft" @@ fun () ->
   (* Seed each input variable named after its neighbor. *)
   let seeded =
     List.filter_map
       (fun (id, asn) ->
-        let routes =
+        match
           List.filter_map
-            (fun (ann : Wire.announce Wire.signed) ->
-              if Bgp.Asn.equal ann.Wire.signer asn then
-                Some ann.Wire.payload.Wire.ann_route
-              else None)
+            (fun (n, route) -> if Bgp.Asn.equal n asn then Some route else None)
             inputs
-        in
-        if routes = [] then None else Some (id, routes))
+        with
+        | [] -> None
+        | routes -> Some (id, routes))
       (Rfg.input_vars rfg)
   in
   let valuation = Rfg.eval rfg ~inputs:seeded in
-  let k = max_path_len in
-  let top = build_subtree rng ~k ~ns:"" rfg valuation in
-  let records = top.sub_records in
-  let tree = top.sub_tree in
-  let root = top.sub_root in
-  let commit =
-    Wire.sign keyring ~as_:prover ~encode:Wire.encode_commit
-      {
-        Wire.cmt_epoch = epoch;
-        cmt_prefix = prefix;
-        cmt_scheme = scheme;
-        cmt_commitments = [ root ];
-      }
+  let top = build_subtree rng ~k:max_path_len ~ns:"" rfg valuation in
+  (* Operators only select routes, so B's output is an input's route and
+     that input is its provenance. *)
+  let export =
+    List.find_map
+      (fun (id, asn) ->
+        match Rfg.value valuation id with
+        | route :: _ when Bgp.Asn.equal asn beneficiary ->
+            Option.map
+              (fun (n, _) -> (route, Proto_min.Input n))
+              (List.find_opt (fun (_, r) -> Bgp.Route.equal r route) inputs)
+        | _ -> None)
+      (Rfg.output_vars rfg)
   in
   {
-    ps_prover = prover;
-    ps_epoch = epoch;
-    ps_prefix = prefix;
-    ps_rfg = rfg;
-    ps_valuation = valuation;
-    ps_inputs = inputs;
-    ps_records = records;
-    ps_tree = tree;
-    ps_root = root;
-    ps_commit = commit;
-    ps_keyring = keyring;
-    ps_k = k;
+    dr_prover = prover;
+    dr_beneficiary = beneficiary;
+    dr_epoch = epoch;
+    dr_prefix = prefix;
+    dr_inputs = inputs;
+    dr_alpha = alpha;
+    dr_committed = { rfg; k = max_path_len; top };
+    dr_export = export;
   }
 
-let commit_message ps = ps.ps_commit
-let root ps = ps.ps_root
-let valuation ps = ps.ps_valuation
-
-let exported ps ~beneficiary =
-  List.find_map
-    (fun (id, asn) ->
-      if not (Bgp.Asn.equal asn beneficiary) then None
-      else begin
-        match Rfg.value ps.ps_valuation id with
-        | [] -> None
-        | route :: _ ->
-            let provenance =
-              List.find_opt
-                (fun (ann : Wire.announce Wire.signed) ->
-                  Bgp.Route.equal ann.Wire.payload.Wire.ann_route route)
-                ps.ps_inputs
-            in
-            Some
-              (Wire.sign ps.ps_keyring ~as_:ps.ps_prover
-                 ~encode:Wire.encode_export
-                 {
-                   Wire.exp_epoch = ps.ps_epoch;
-                   exp_to = beneficiary;
-                   exp_route = route;
-                   exp_provenance = provenance;
-                 })
-      end)
-    (Rfg.output_vars ps.ps_rfg)
+let root d = d.dr_committed.top.sub_root
 
 (* Which evidence-bit indices a provider is entitled to for an operator it
    feeds: the bit at its own route length, offset into the branch that its
    variable occupies for [Shorter_of]. *)
-let provider_bit_indices ps op_id ~provider_var ~route_len =
-  match Rfg.operator_of ps.ps_rfg op_id with
+let provider_bit_indices c op_id ~provider_var ~route_len =
+  match Rfg.operator_of c.rfg op_id with
   | None -> []
   | Some Operator.Exists -> [ 1 ]
   | Some (Operator.Min_path_length | Operator.Within_hops_of_min _) ->
-      if route_len <= ps.ps_k then [ route_len ] else []
+      if route_len <= c.k then [ route_len ] else []
   | Some Operator.Shorter_of -> begin
-      let inputs = Rfg.inputs_of_op ps.ps_rfg op_id in
-      match inputs with
+      match Rfg.inputs_of_op c.rfg op_id with
       | [ first; _second ] ->
-          if route_len > ps.ps_k then []
+          if route_len > c.k then []
           else if String.equal first provider_var then [ route_len ]
-          else [ ps.ps_k + route_len ]
+          else [ c.k + route_len ]
       | _ -> []
     end
   | Some _ -> []
 
-let disclose ?role ps ~alpha ~viewer =
+(* Everything α lets [viewer] see of one tree level, authenticated
+   against its root; [bits] picks a visible operator's bit openings. *)
+let disclose_level sub ~alpha ~viewer ~bits =
   List.filter_map
     (fun (id, r) ->
       let want comp = Access_control.permits alpha ~viewer id comp in
       let preds_ok = want Access_control.Preds in
       let succs_ok = want Access_control.Succs in
       let payload_ok = want Access_control.Payload in
+      let comp ok raw opening = if ok then Some { raw; opening } else None in
       if not (preds_ok || succs_ok || payload_ok) then None
-      else begin
-        match Prefix_tree.prove ps.ps_tree (Bitstring.of_id id) with
-        | None -> None
-        | Some (leaf, proof) ->
-            let comp raw opening = Some { raw; opening } in
-            (* Evidence bits are disclosed by protocol role, not by α: the
-               beneficiary receives every bit of an operator it may see
-               (§3.3: "A also reveals all the bits b_i to B"), a provider
-               only the bit at its own route length. *)
-            let bit_openings =
-              if (not payload_ok) || Array.length r.vr_bits = 0 then []
-              else begin
-                match role with
-                | None | Some `Beneficiary ->
-                    Array.to_list
-                      (Array.mapi (fun i (_, o) -> (i + 1, o)) r.vr_bits)
-                | Some (`Provider route_len) ->
-                    List.filter_map
-                      (fun i ->
-                        if i >= 1 && i <= Array.length r.vr_bits then begin
-                          let _, o = r.vr_bits.(i - 1) in
-                          Some (i, o)
-                        end
-                        else None)
-                      (provider_bit_indices ps id
-                         ~provider_var:(Promise.input_var viewer)
-                         ~route_len)
-              end
-            in
-            Some
-              {
-                vertex = id;
-                leaf;
-                proof;
-                preds =
-                  (if preds_ok then comp r.vr_preds_raw r.vr_preds_open
-                   else None);
-                succs =
-                  (if succs_ok then comp r.vr_succs_raw r.vr_succs_open
-                   else None);
-                payload =
-                  (if payload_ok then comp r.vr_payload_raw r.vr_payload_open
-                   else None);
-                bit_openings;
-              }
-      end)
-    ps.ps_records
+      else
+        Option.map
+          (fun (leaf, proof) ->
+            {
+              vertex = id;
+              leaf;
+              proof;
+              preds = comp preds_ok r.vr_preds_raw r.vr_preds_open;
+              succs = comp succs_ok r.vr_succs_raw r.vr_succs_open;
+              payload = comp payload_ok r.vr_payload_raw r.vr_payload_open;
+              bit_openings =
+                (if payload_ok && Array.length r.vr_bits > 0 then bits id r
+                 else []);
+            })
+          (Prefix_tree.prove sub.sub_tree (Bitstring.of_id id)))
+    sub.sub_records
+
+let all_bits _ r =
+  Array.to_list (Array.mapi (fun i (_, o) -> (i + 1, o)) r.vr_bits)
+
+let disclose ?role d ~alpha ~viewer =
+  let c = d.dr_committed in
+  (* Evidence bits are disclosed by protocol role, not by α: the
+     beneficiary receives every bit of an operator it may see (§3.3: "A
+     also reveals all the bits b_i to B"), a provider only the bit at its
+     own route length. *)
+  let bits id r =
+    match role with
+    | None | Some `Beneficiary -> all_bits id r
+    | Some (`Provider route_len) ->
+        List.filter_map
+          (fun i ->
+            if i >= 1 && i <= Array.length r.vr_bits then
+              Some (i, snd r.vr_bits.(i - 1))
+            else None)
+          (provider_bit_indices c id ~provider_var:(Promise.input_var viewer)
+             ~route_len)
+  in
+  disclose_level c.top ~alpha ~viewer ~bits
 
 (* ---- Verification ------------------------------------------------------- *)
 
@@ -750,9 +703,6 @@ let replay_offence keyring ~commit ~disclosures offence =
       else begin
         match offence with
         | Evidence.Wrong_input_value { var; witness } -> begin
-            Proto_common.valid_input keyring ~prover:accused
-              ~epoch:cp.Wire.cmt_epoch ~prefix:cp.Wire.cmt_prefix witness
-            &&
             match find_disclosure ds var with
             | None -> false
             | Some d -> begin
@@ -771,9 +721,6 @@ let replay_offence keyring ~commit ~disclosures offence =
               end
           end
         | Evidence.False_evidence_bit { op; index; witness } -> begin
-            Proto_common.valid_input keyring ~prover:accused
-              ~epoch:cp.Wire.cmt_epoch ~prefix:cp.Wire.cmt_prefix witness
-            &&
             match find_disclosure ds op with
             | None -> false
             | Some od ->
@@ -833,54 +780,17 @@ let replay_offence keyring ~commit ~disclosures offence =
 
 (* ---- Composite operators (§4 structural privacy) ------------------------- *)
 
-let find_record ps id = List.assoc_opt id ps.ps_records
+let find_record d id = List.assoc_opt id d.dr_committed.top.sub_records
 
-let composite_inner_root ps ~composite =
-  Option.bind (find_record ps composite) (fun r ->
+let composite_inner_root d ~composite =
+  Option.bind (find_record d composite) (fun r ->
       Option.map (fun sub -> sub.sub_root) r.vr_inner)
 
-let disclose_subtree sub ~alpha ~viewer =
-  List.filter_map
-    (fun (nid, r) ->
-      let want comp = Access_control.permits alpha ~viewer nid comp in
-      let preds_ok = want Access_control.Preds in
-      let succs_ok = want Access_control.Succs in
-      let payload_ok = want Access_control.Payload in
-      if not (preds_ok || succs_ok || payload_ok) then None
-      else begin
-        match Prefix_tree.prove sub.sub_tree (Bitstring.of_id nid) with
-        | None -> None
-        | Some (leaf, proof) ->
-            let comp raw opening = Some { raw; opening } in
-            let bit_openings =
-              if payload_ok && Array.length r.vr_bits > 0 then
-                Array.to_list
-                  (Array.mapi (fun i (_, o) -> (i + 1, o)) r.vr_bits)
-              else []
-            in
-            Some
-              {
-                vertex = nid;
-                leaf;
-                proof;
-                preds =
-                  (if preds_ok then comp r.vr_preds_raw r.vr_preds_open
-                   else None);
-                succs =
-                  (if succs_ok then comp r.vr_succs_raw r.vr_succs_open
-                   else None);
-                payload =
-                  (if payload_ok then comp r.vr_payload_raw r.vr_payload_open
-                   else None);
-                bit_openings;
-              }
-      end)
-    sub.sub_records
-
-let disclose_composite ps ~alpha ~viewer ~composite =
-  Option.bind (find_record ps composite) (fun r ->
+let disclose_composite d ~alpha ~viewer ~composite =
+  Option.bind (find_record d composite) (fun r ->
       Option.map
-        (fun sub -> (sub.sub_root, disclose_subtree sub ~alpha ~viewer))
+        (fun sub ->
+          (sub.sub_root, disclose_level sub ~alpha ~viewer ~bits:all_bits))
         r.vr_inner)
 
 let check_composite ~outer_root ~composite_disclosure ~inner_root ~inner =

@@ -67,32 +67,51 @@ val decode_comp_payload : string -> string option
 val leaf_digests : string -> (string * string * string) option
 (** The leaf triple I(x): three 32-byte component digests. *)
 
-type prover_state
+(** {2 The prover's draft}
 
-val prove :
+    Everything an honest A sends in a graph round, before anything is
+    signed: {!Runner.sign} signs the commitment and the export in A's
+    per-signer batch. *)
+
+type committed
+(** The committed graph: every vertex's I(x) record and the prefix tree
+    over them. *)
+
+type draft = {
+  dr_prover : Bgp.Asn.t;
+  dr_beneficiary : Bgp.Asn.t;
+  dr_epoch : Wire.epoch;
+  dr_prefix : Bgp.Prefix.t;
+  dr_inputs : (Bgp.Asn.t * Bgp.Route.t) list;
+      (** the admitted inputs, in arrival order *)
+  dr_alpha : Access_control.t;  (** who may see which vertex components *)
+  dr_committed : committed;
+  dr_export : Proto_min.export_plan option;  (** the export B is sent *)
+}
+
+val draft :
   ?max_path_len:int ->
   C.Drbg.t ->
-  Keyring.t ->
   prover:Bgp.Asn.t ->
+  beneficiary:Bgp.Asn.t ->
   epoch:Wire.epoch ->
   prefix:Bgp.Prefix.t ->
   rfg:Rfg.t ->
-  inputs:Wire.announce Wire.signed list ->
-  prover_state
-(** Honest A: evaluate the graph on the (valid) inputs, build all vertex
-    commitments and the tree, sign the root. *)
+  alpha:Access_control.t ->
+  inputs:(Bgp.Asn.t * Bgp.Route.t) list ->
+  draft
+(** Honest A.  [inputs] must already be admitted (validly signed, at most
+    [max_path_len] hops, default {!Proto_min.default_max_path_len}).  A
+    evaluates the graph on them, commits every vertex with k =
+    [max_path_len] evidence bits per threshold operator, builds the tree,
+    and exports B's output route with its input as provenance. *)
 
-val commit_message : prover_state -> Wire.commit Wire.signed
-val root : prover_state -> string
-val valuation : prover_state -> Rfg.valuation
-
-val exported : prover_state -> beneficiary:Bgp.Asn.t -> Wire.export Wire.signed option
-(** The signed export for a beneficiary output variable of the graph (with
-    provenance when the exported route matches an input). *)
+val root : draft -> string
+(** The committed tree's root: the one commitment A signs. *)
 
 val disclose :
   ?role:[ `Beneficiary | `Provider of int ] ->
-  prover_state ->
+  draft ->
   alpha:Access_control.t ->
   viewer:Bgp.Asn.t ->
   disclosure list
@@ -141,11 +160,11 @@ val check_beneficiary :
     revealed to authorized neighbors".  Inner vertex ids are namespaced
     ["composite/inner"], and α is consulted on the namespaced ids. *)
 
-val composite_inner_root : prover_state -> composite:Rfg.vertex_id -> string option
+val composite_inner_root : draft -> composite:Rfg.vertex_id -> string option
 (** The nested tree's root, if the vertex is a composite. *)
 
 val disclose_composite :
-  prover_state ->
+  draft ->
   alpha:Access_control.t ->
   viewer:Bgp.Asn.t ->
   composite:Rfg.vertex_id ->
@@ -174,4 +193,6 @@ val replay_offence :
 (** Third-party replay of a {!Evidence.Graph_violation}: re-verify every
     disclosure against the committed root and re-derive the offence from
     scratch.  [true] = the offence is confirmed (the {!Judge} then returns
-    [Guilty]); [false] = the evidence does not support the accusation. *)
+    [Guilty]); [false] = the evidence does not support the accusation.
+    A witness announce is the caller's to validate: the {!Judge} checks it
+    is an input A had to admit. *)

@@ -110,8 +110,10 @@ let memo_signatures m =
   in
   add m.ann_memo (add m.cmt_memo (add m.exp_memo []))
 
+type draft = Min of Proto_min.draft | Graph of Proto_graph.draft
+
 type round = {
-  draft : Proto_min.draft;
+  draft : draft;
   announces : (Bgp.Asn.t * Wire.announce Wire.signed) list;
   commit : Wire.commit Wire.signed;
   commit_b : Wire.commit Wire.signed;
@@ -119,14 +121,27 @@ type round = {
   answer : Wire.export Wire.signed option;
 }
 
+(* What every operator's draft says about its round. *)
+let prover_of = function
+  | Min d -> d.Proto_min.dr_prover
+  | Graph d -> d.Proto_graph.dr_prover
+
+let beneficiary_of = function
+  | Min d -> d.Proto_min.dr_beneficiary
+  | Graph d -> d.Proto_graph.dr_beneficiary
+
+let min_draft r =
+  match r.draft with
+  | Min d -> d
+  | Graph _ -> invalid_arg "Runner: a graph round has no min disclosures"
+
 (* The disclosures are built from the draft when asked for, so a round
    waiting for its check holds no opening lists. *)
 let commit_for r who =
-  if Bgp.Asn.equal who r.draft.Proto_min.dr_beneficiary then r.commit_b
-  else r.commit
+  if Bgp.Asn.equal who (beneficiary_of r.draft) then r.commit_b else r.commit
 
 let neighbor_disclosures r =
-  let d = r.draft in
+  let d = min_draft r in
   List.map
     (fun (n, route) ->
       if List.exists (Bgp.Asn.equal n) d.Proto_min.dr_withheld then (n, None)
@@ -139,25 +154,52 @@ let neighbor_disclosures r =
 let beneficiary_disclosure r =
   {
     Proto_common.bd_openings =
-      Proto_min.openings r.draft.Proto_min.dr_committed_b;
+      Proto_min.openings (min_draft r).Proto_min.dr_committed_b;
     bd_export = r.export;
   }
 
+(* One party's disclosure, as the operator's checks take it. *)
+type disclosure =
+  | Min_opening of Proto_common.neighbor_disclosure  (* to a provider *)
+  | Min_openings of Proto_common.beneficiary_disclosure  (* to B *)
+  | Graph_view of {
+      vertices : Proto_graph.disclosure list;
+      export : Wire.export Wire.signed option;  (* B's only *)
+    }
+
+(* Every party's disclosure, the providers' in input order and then B's;
+   [None] = A withholds it. *)
+let disclosures r =
+  match r.draft with
+  | Min d ->
+      List.map
+        (fun (n, nd) -> (n, Option.map (fun nd -> Min_opening nd) nd))
+        (neighbor_disclosures r)
+      @ [ (d.Proto_min.dr_beneficiary,
+            Some (Min_openings (beneficiary_disclosure r))) ]
+  | Graph d ->
+      let view ~role ~export viewer =
+        let alpha = d.Proto_graph.dr_alpha in
+        let vertices = Proto_graph.disclose ~role d ~alpha ~viewer in
+        (viewer, Some (Graph_view { vertices; export }))
+      in
+      List.map
+        (fun (n, route) ->
+          view ~role:(`Provider (Bgp.Route.path_length route)) ~export:None n)
+        d.Proto_graph.dr_inputs
+      @ [ view ~role:`Beneficiary ~export:r.export d.Proto_graph.dr_beneficiary ]
+
 let respond r ~accused:_ challenge =
-  match (r.draft.Proto_min.dr_answer, challenge) with
-  | Proto_min.Stonewall, _ -> Judge.No_response
-  | Proto_min.Stand_by _, Judge.Produce_export _ -> begin
-      match r.answer with
-      | Some e -> Judge.Export_response e
-      | None -> Judge.No_response
-    end
-  | Proto_min.Stand_by _, Judge.Produce_opening { index; _ } -> begin
-      match
-        List.assoc_opt index (Proto_min.openings r.draft.Proto_min.dr_committed)
-      with
+  match (r.draft, challenge) with
+  | (Graph _ | Min { dr_answer = Proto_min.Stonewall; _ }), _ -> Judge.No_response
+  | Min _, Judge.Produce_export _ ->
+      Option.fold ~none:Judge.No_response
+        ~some:(fun e -> Judge.Export_response e)
+        r.answer
+  | Min d, Judge.Produce_opening { index; _ } -> (
+      match List.assoc_opt index (Proto_min.openings d.Proto_min.dr_committed) with
       | Some o -> Judge.Opening_response o
-      | None -> Judge.No_response
-    end
+      | None -> Judge.No_response)
 
 type pool = { run : 'a. (unit -> 'a) array -> 'a array }
 
@@ -211,7 +253,8 @@ let sign_batches pool keyring pendings =
 (* An export embeds its signed provenance announce, so it is drafted after
    the announces are signed.  Its memo key leaves the provenance out: it is
    (provenance signer, export encoding without provenance). *)
-let export_stmt memo (d : Proto_min.draft) announces (route, provenance) =
+let export_stmt memo ~prover ~beneficiary ~epoch announces (route, provenance)
+    =
   let provenance =
     match provenance with
     | Proto_min.Input n -> List.assoc n announces
@@ -219,8 +262,8 @@ let export_stmt memo (d : Proto_min.draft) announces (route, provenance) =
   in
   let payload =
     {
-      Wire.exp_epoch = d.Proto_min.dr_epoch;
-      exp_to = d.Proto_min.dr_beneficiary;
+      Wire.exp_epoch = epoch;
+      exp_to = beneficiary;
       exp_route = route;
       exp_provenance = Some provenance;
     }
@@ -228,65 +271,83 @@ let export_stmt memo (d : Proto_min.draft) announces (route, provenance) =
   lookup memo memo.exp_memo
     ( provenance.Wire.signer,
       Wire.encode_export { payload with Wire.exp_provenance = None } )
-    (fun () ->
-      Wire.draft ~as_:d.Proto_min.dr_prover ~encode:Wire.encode_export payload)
+    (fun () -> Wire.draft ~as_:prover ~encode:Wire.encode_export payload)
 
 let sign ?(pool = inline) keyring drafts =
   let per_draft f =
     pool.run (Array.mapi (fun i (memo, d) () -> f i memo d) drafts)
   in
+  let header = function
+    | Min d ->
+        ( d.Proto_min.dr_epoch, d.Proto_min.dr_prefix, Proto_min.scheme,
+          d.Proto_min.dr_inputs )
+    | Graph d ->
+        ( d.Proto_graph.dr_epoch, d.Proto_graph.dr_prefix, Proto_graph.scheme,
+          d.Proto_graph.dr_inputs )
+  in
   let announces =
-    per_draft (fun _ memo (d : Proto_min.draft) ->
+    per_draft (fun _ memo d ->
+        let epoch, _, _, inputs = header d in
         List.map
           (fun (n, r) ->
             ( n,
               lookup_signed memo memo.ann_memo ~as_:n
                 ~encode:Wire.encode_announce
-                {
-                  Wire.ann_epoch = d.Proto_min.dr_epoch;
-                  ann_to = d.Proto_min.dr_prover;
-                  ann_route = r;
-                } ))
-          d.Proto_min.dr_inputs)
+                { Wire.ann_epoch = epoch; ann_to = prover_of d; ann_route = r }
+            ))
+          inputs)
   in
   sign_batches pool keyring
     (Array.map (List.concat_map (fun (n, st) -> pending n st)) announces);
   let stmts =
-    per_draft (fun i memo (d : Proto_min.draft) ->
+    per_draft (fun i memo d ->
+        let epoch, prefix, scheme, _ = header d in
+        let prover = prover_of d in
         let announces =
           List.map (fun (n, st) -> (n, settle st)) announces.(i)
         in
-        let commit committed =
-          lookup_signed memo memo.cmt_memo ~as_:d.Proto_min.dr_prover
+        let commit cmt_commitments =
+          lookup_signed memo memo.cmt_memo ~as_:prover
             ~encode:Wire.encode_commit
             {
-              Wire.cmt_epoch = d.Proto_min.dr_epoch;
-              cmt_prefix = d.Proto_min.dr_prefix;
-              cmt_scheme = Proto_min.scheme;
-              cmt_commitments =
-                List.map
-                  (fun ((c : C.Commitment.commitment), _) -> (c :> string))
-                  committed;
+              Wire.cmt_epoch = epoch;
+              cmt_prefix = prefix;
+              cmt_scheme = scheme;
+              cmt_commitments;
             }
         in
-        let c = commit d.Proto_min.dr_committed in
-        let c_b =
-          if d.Proto_min.dr_committed_b == d.Proto_min.dr_committed then c
-          else commit d.Proto_min.dr_committed_b
+        let export =
+          Option.map
+            (export_stmt memo ~prover ~beneficiary:(beneficiary_of d) ~epoch
+               announces)
         in
-        let export = Option.map (export_stmt memo d announces) in
-        let e = export d.Proto_min.dr_export in
-        let answer =
-          match d.Proto_min.dr_answer with
-          | Proto_min.Stand_by x when x != d.Proto_min.dr_export -> export x
-          | _ -> e
-        in
-        (announces, c, c_b, e, answer))
+        match d with
+        | Graph d ->
+            let c = commit [ Proto_graph.root d ] in
+            let e = export d.Proto_graph.dr_export in
+            (announces, c, c, e, e)
+        | Min d ->
+            let open Proto_min in
+            let digests =
+              List.map (fun ((c : C.Commitment.commitment), _) -> (c :> string))
+            in
+            let c = commit (digests d.dr_committed) in
+            let c_b =
+              if d.dr_committed_b == d.dr_committed then c
+              else commit (digests d.dr_committed_b)
+            in
+            let e = export d.dr_export in
+            let answer =
+              match d.dr_answer with
+              | Stand_by x when x != d.dr_export -> export x
+              | _ -> e
+            in
+            (announces, c, c_b, e, answer))
   in
   sign_batches pool keyring
     (Array.mapi
        (fun i (_, c, c_b, e, answer) ->
-         let prover = (snd drafts.(i)).Proto_min.dr_prover in
+         let prover = prover_of (snd drafts.(i)) in
          let opt = Option.fold ~none:[] ~some:(pending prover) in
          pending prover c @ pending prover c_b @ opt e @ opt answer)
        stmts);
@@ -316,8 +377,7 @@ type transport = Direct | Net of fault_profile
 type net_msg =
   | Net_announce
   | Net_commit of Wire.commit Wire.signed
-  | Net_neighbor_disclosure of Proto_common.neighbor_disclosure
-  | Net_beneficiary_disclosure of Proto_common.beneficiary_disclosure
+  | Net_disclosure of disclosure
   | Net_disclosure_request
 
 type net = {
@@ -370,11 +430,9 @@ let connect transport rng ~prover items =
   ({ channel; providers; arrived = List.map fst arrived }, arrived)
 
 let check ?(gossip = `Clique) ?ledger ?verified keyring link r =
-  let d = r.draft in
-  let nds = neighbor_disclosures r and bd = beneficiary_disclosure r in
+  let ds = disclosures r in
   let announces = Hashtbl.of_seq (List.to_seq r.announces) in
-  let prover = d.Proto_min.dr_prover
-  and beneficiary = d.Proto_min.dr_beneficiary in
+  let prover = prover_of r.draft and beneficiary = beneficiary_of r.draft in
   let providers = link.providers in
   let participants = providers @ [ beneficiary ] in
   let tally = Obs.Tally.create () in
@@ -382,7 +440,7 @@ let check ?(gossip = `Clique) ?ledger ?verified keyring link r =
   let raised = ref [] in
   let raise_ who e = raised := (who, e) :: !raised in
   (* Receiver state: first-wins, so duplicate deliveries are idempotent. *)
-  let got_nd = Hashtbl.create 8 and got_bd = ref None in
+  let got = Hashtbl.create 8 in
   let direct_commit = Hashtbl.create 8 in
   let receive_commit who commit =
     Hashtbl.replace direct_commit who ();
@@ -390,9 +448,7 @@ let check ?(gossip = `Clique) ?ledger ?verified keyring link r =
       (raise_ Adversary.Gossip)
       (Gossip.receive g ~holder:who commit)
   in
-  let receive_nd who nd =
-    if not (Hashtbl.mem got_nd who) then Hashtbl.replace got_nd who nd
-  in
+  let receive who d = if not (Hashtbl.mem got who) then Hashtbl.replace got who d in
   let gossip_round ?net () =
     let edges =
       match gossip with
@@ -414,10 +470,10 @@ let check ?(gossip = `Clique) ?ledger ?verified keyring link r =
     match link.channel with
     | None -> ((fun who -> Some (commit_for r who)), (fun _ -> true), Fun.id)
     | Some n ->
+        let c = r.commit.Wire.payload in
         ( (fun who ->
-            Gossip.view g ~holder:who ~signer:prover
-              ~epoch:d.Proto_min.dr_epoch ~prefix:d.Proto_min.dr_prefix
-              ~scheme:Proto_min.scheme),
+            Gossip.view g ~holder:who ~signer:prover ~epoch:c.Wire.cmt_epoch
+              ~prefix:c.Wire.cmt_prefix ~scheme:c.Wire.cmt_scheme),
           (fun p -> Pvr_net.Reliable.acked n.conn ~src:p ~dst:prover Net_announce),
           fun claim ->
             Evidence.Timeout { claim; retries = n.faults.fp_retry_budget } )
@@ -431,27 +487,19 @@ let check ?(gossip = `Clique) ?ledger ?verified keyring link r =
         List.iter (fun w -> receive_commit w (commit_for r w)) participants;
         gossip_round ()
       end;
-      List.iter (fun (p, nd) -> Option.iter (receive_nd p) nd) nds;
-      got_bd := Some bd
+      List.iter (fun (who, d) -> Option.iter (receive who) d) ds
   | Some n ->
       let send ~dst msg = Pvr_net.Reliable.send n.conn ~src:prover ~dst msg in
       let handler ~src ~dst = function
         | Net_commit commit -> receive_commit dst commit
-        | Net_neighbor_disclosure nd when not (Bgp.Asn.equal dst prover) ->
-            receive_nd dst nd
-        | Net_beneficiary_disclosure bd when Bgp.Asn.equal dst beneficiary ->
-            if !got_bd = None then got_bd := Some bd
-        | Net_disclosure_request when Bgp.Asn.equal dst prover -> begin
+        | Net_disclosure d when not (Bgp.Asn.equal dst prover) -> receive dst d
+        | Net_disclosure_request when Bgp.Asn.equal dst prover ->
             (* The prover answers re-requests according to its behaviour: a
                withheld opening stays withheld (stonewalling), anything it
                was willing to send it sends again. *)
-            if Bgp.Asn.equal src beneficiary then
-              send ~dst:beneficiary (Net_beneficiary_disclosure bd)
-            else
-              match List.assoc_opt src nds with
-              | Some (Some nd) -> send ~dst:src (Net_neighbor_disclosure nd)
-              | Some None | None -> ()
-          end
+            Option.iter
+              (fun d -> send ~dst:src (Net_disclosure d))
+              (Option.join (List.assoc_opt src ds))
         | _ -> ()
       in
       (* A broadcasts its (per-recipient) commitment. *)
@@ -469,33 +517,30 @@ let check ?(gossip = `Clique) ?ledger ?verified keyring link r =
       done;
       (* A pushes disclosures to everyone it is willing to serve. *)
       List.iter
-        (fun (p, nd) ->
-          Option.iter (fun nd -> send ~dst:p (Net_neighbor_disclosure nd)) nd)
-        nds;
-      send ~dst:beneficiary (Net_beneficiary_disclosure bd);
+        (fun (who, d) ->
+          Option.iter (fun d -> send ~dst:who (Net_disclosure d)) d)
+        ds;
       quiesce n handler;
       (* Parties still owed a disclosure chase it with bounded re-requests
-         before accusing. *)
+         before accusing: B once it holds a commitment, a provider once its
+         announce was acknowledged too. *)
       let rec chase attempt =
-        if attempt <= n.faults.fp_retry_budget then begin
-          let want_nd =
-            List.filter
-              (fun p -> view p <> None && acked p && not (Hashtbl.mem got_nd p))
-              providers
-          in
-          let want_bd = view beneficiary <> None && !got_bd = None in
-          if want_nd <> [] || want_bd then begin
-            List.iter
-              (fun p ->
-                Pvr_net.Reliable.send n.conn ~src:p ~dst:prover
-                  Net_disclosure_request)
-              want_nd;
-            if want_bd then
-              Pvr_net.Reliable.send n.conn ~src:beneficiary ~dst:prover
-                Net_disclosure_request;
-            quiesce n handler;
-            chase (attempt + 1)
-          end
+        let want =
+          List.filter
+            (fun who ->
+              view who <> None
+              && (Bgp.Asn.equal who beneficiary || acked who)
+              && not (Hashtbl.mem got who))
+            participants
+        in
+        if attempt <= n.faults.fp_retry_budget && want <> [] then begin
+          List.iter
+            (fun who ->
+              Pvr_net.Reliable.send n.conn ~src:who ~dst:prover
+                Net_disclosure_request)
+            want;
+          quiesce n handler;
+          chase (attempt + 1)
         end
       in
       chase 1;
@@ -507,74 +552,75 @@ let check ?(gossip = `Clique) ?ledger ?verified keyring link r =
         + (Pvr_net.stats n.gnet).Pvr_net.sends));
   (* The ledger accounts each opening a party received as the bit it opens
      against the commitment that party was sent.  A check of that same
-     commitment reports the bits it opens, so none is opened twice. *)
-  let record who index value =
-    Option.iter
-      (fun l ->
-        Leakage.Ledger.record l ~viewer:who
-          (Leakage.Knows_bit { index; value }))
-      ledger
+     commitment reports the bits it opens, so none is opened twice.  Graph
+     disclosures are not accounted yet. *)
+  let record who fact =
+    Option.iter (fun l -> Leakage.Ledger.record l ~viewer:who fact) ledger
   in
+  let bit who index value = record who (Leakage.Knows_bit { index; value }) in
   let sent who commit = commit == commit_for r who in
   let on_bit who commit =
-    if ledger <> None && sent who commit then Some (record who) else None
+    if ledger <> None && sent who commit then Some (bit who) else None
   in
-  let account who openings =
-    match (ledger, view who) with
-    | None, _ -> ()
-    | Some _, Some commit when sent who commit -> ()
-    | Some _, _ ->
-        List.iter
-          (fun (index, o) ->
-            Option.iter (record who index)
+  let account who d =
+    let openings =
+      List.iter (fun (index, o) ->
+          if ledger <> None && not (Option.fold ~none:false ~some:(sent who) (view who))
+          then
+            Option.iter (bit who index)
               (Proto_common.opening_bit_at (commit_for r who) ~index o))
-          openings
+    in
+    match d with
+    | Min_opening { nd_index; nd_opening } -> openings [ (nd_index, nd_opening) ]
+    | Min_openings { bd_openings; bd_export } ->
+        openings bd_openings;
+        Option.iter
+          (fun e ->
+            let route = e.Wire.payload.Wire.exp_route in
+            record who
+              (Leakage.Knows_route { provider = route.Bgp.Route.next_hop; route }))
+          bd_export
+    | Graph_view _ -> ()
   in
+  (* Every party checks what it received with its operator's checks, or
+     accuses A over its silence. *)
   List.iter
-    (fun p ->
-      let nd = Hashtbl.find_opt got_nd p in
-      (match (view p, Hashtbl.find_opt announces p, nd) with
-      | Some commit, Some ann, Some nd ->
-          List.iter
-            (raise_ (Adversary.Provider p))
-            (Proto_min.check_neighbor ?on_bit:(on_bit p commit) keyring ~me:p
-               ~my_announce:ann ~commit ~disclosure:(Some nd))
-      | Some commit, Some ann, None when acked p ->
-          raise_ (Adversary.Provider p)
-            (omission
-               (Evidence.Missing_disclosure_claim
-                  { commit; announce = ann; claimant = p }))
-      | _ -> ());
-      Option.iter
-        (fun nd ->
-          account p [ (nd.Proto_common.nd_index, nd.Proto_common.nd_opening) ])
-        nd)
-    providers;
-  (match (view beneficiary, !got_bd) with
-  | Some commit, Some bd ->
+    (fun who ->
+      let is_b = Bgp.Asn.equal who beneficiary in
+      let d = Hashtbl.find_opt got who in
+      let on_bit commit = on_bit who commit in
       List.iter
-        (raise_ Adversary.Beneficiary)
-        (Proto_min.check_beneficiary
-           ?on_bit:(on_bit beneficiary commit)
-           ?verified keyring ~me:beneficiary ~commit ~disclosure:bd)
-  | Some commit, None ->
-      (* Total silence: B holds a commitment but never received the opening
-         set.  The judge settles whether anything was owed. *)
-      raise_ Adversary.Beneficiary
-        (omission
-           (Evidence.Missing_export_claim
-              { commit; openings = []; claimant = beneficiary }))
-  | None, _ -> ());
-  Option.iter
-    (fun bd ->
-      account beneficiary bd.Proto_common.bd_openings;
-      match (ledger, bd.Proto_common.bd_export) with
-      | Some l, Some e ->
-          let route = e.Wire.payload.Wire.exp_route in
-          Leakage.Ledger.record l ~viewer:beneficiary
-            (Leakage.Knows_route { provider = route.Bgp.Route.next_hop; route })
-      | _ -> ())
-    !got_bd;
+        (raise_ (if is_b then Adversary.Beneficiary else Adversary.Provider who))
+        (match (view who, d, Hashtbl.find_opt announces who) with
+        | Some commit, Some (Min_openings disclosure), _ ->
+            Proto_min.check_beneficiary ?on_bit:(on_bit commit) ?verified
+              keyring ~me:who ~commit ~disclosure
+        | Some commit, Some (Min_opening nd), Some my_announce ->
+            Proto_min.check_neighbor ?on_bit:(on_bit commit) keyring ~me:who
+              ~my_announce ~commit ~disclosure:(Some nd)
+        | Some commit, Some (Graph_view { vertices; export }), _ when is_b ->
+            Proto_graph.check_beneficiary keyring ~me:who ~commit
+              ~disclosures:vertices ~export
+        | Some commit, Some (Graph_view { vertices; _ }), Some my_announce ->
+            Proto_graph.check_provider keyring ~me:who ~my_announce ~commit
+              ~disclosures:vertices
+        | Some commit, None, _ when is_b ->
+            (* Total silence: B holds a commitment but never received the
+               opening set.  The judge settles whether anything was owed. *)
+            [
+              omission
+                (Evidence.Missing_export_claim
+                   { commit; openings = []; claimant = who });
+            ]
+        | Some commit, None, Some announce when acked who ->
+            [
+              omission
+                (Evidence.Missing_disclosure_claim
+                   { commit; announce; claimant = who });
+            ]
+        | _ -> []);
+      Option.iter (account who) d)
+    participants;
   let base =
     finish ?ledger keyring ~respond:(respond r) (List.rev !raised) ~tally
   in
@@ -589,8 +635,8 @@ let check ?(gossip = `Clique) ?ledger ?verified keyring link r =
     direct_commits =
       (if Option.is_none link.channel then participants
        else List.filter (Hashtbl.mem direct_commit) participants);
-    disclosed_to = List.filter (Hashtbl.mem got_nd) providers;
-    beneficiary_disclosed = !got_bd <> None;
+    disclosed_to = List.filter (Hashtbl.mem got) providers;
+    beneficiary_disclosed = Hashtbl.mem got beneficiary;
     net_sends = stat (fun n -> sends (Pvr_net.stats n.net));
     net_drops = stat (fun n -> drops (Pvr_net.stats n.net));
     net_retries = stat (fun n -> Pvr_net.Reliable.retries n.conn);
@@ -602,45 +648,48 @@ let check ?(gossip = `Clique) ?ledger ?verified keyring link r =
 
 (* ---- one standalone round ------------------------------------------------ *)
 
-let prove ?(max_path_len = Proto_min.default_max_path_len) ?(comply = false)
-    ?(behaviour = Adversary.Honest) rng keyring ~prover ~beneficiary ~epoch
-    ~prefix ~inputs =
-  (* Admission: input-signature checks are the per-round RSA bill; batch
-     them. *)
+(* The round's one admission path, then the draft over the admitted
+   (provider, route) inputs, signed.  Input-signature checks are the
+   per-round RSA bill; they are batched.  The memo holds the admitted
+   announces, so the sign phase does not sign them again. *)
+let admit_and_sign keyring ~max_path_len ~prover ~epoch ~prefix inputs draft =
+  let memo = memo () in
   let inputs =
     List.combine inputs
       (Proto_common.valid_inputs keyring ~prover ~epoch ~prefix inputs)
-    |> List.filter_map (fun ((ann : Wire.announce Wire.signed), ok) ->
-           let len = Bgp.Route.path_length ann.Wire.payload.Wire.ann_route in
-           if ok && len <= max_path_len then Some ann else None)
+    |> List.filter_map (fun ((a : Wire.announce Wire.signed), ok) ->
+           let route = a.Wire.payload.Wire.ann_route in
+           if ok && Bgp.Route.path_length route <= max_path_len then begin
+             Hashtbl.replace memo.ann_memo
+               (a.Wire.signer, Wire.encode_announce a.Wire.payload)
+               a;
+             Some (a.Wire.signer, route)
+           end
+           else None)
   in
-  (* The providers signed their own announces: the sign phase finds them
-     here instead of signing them again. *)
-  let memo = memo () in
-  List.iter
-    (fun (a : Wire.announce Wire.signed) ->
-      Hashtbl.replace memo.ann_memo
-        (a.Wire.signer, Wire.encode_announce a.Wire.payload)
-        a)
-    inputs;
-  let d =
-    Proto_min.draft ~max_path_len keyring
-      ~committer:(fun ~tag:_ -> List.map (C.Commitment.commit_bit rng))
-      ~prover ~beneficiary ~epoch ~prefix
-      ~inputs:
-        (List.map
-           (fun (a : Wire.announce Wire.signed) ->
-             (a.Wire.signer, a.Wire.payload.Wire.ann_route))
-           inputs)
-  in
-  let plan =
-    { Adversary.rp_behaviour = behaviour; rp_comply = comply; rp_coalition = 1 }
-  in
-  (sign keyring [| (memo, Adversary.perturb plan d) |]).(0)
+  (sign keyring [| (memo, draft inputs) |]).(0)
 
-let min_round_faulty ?gossip ?max_path_len ?(faults = perfect_faults) ?ledger
-    ?comply behaviour rng keyring ~prover ~beneficiary ~epoch ~prefix ~routes =
-  Obs.with_span "runner.min_round" @@ fun () ->
+let prove ?(max_path_len = Proto_min.default_max_path_len) ?(comply = false)
+    ?(behaviour = Adversary.Honest) rng keyring ~prover ~beneficiary ~epoch
+    ~prefix ~inputs =
+  admit_and_sign keyring ~max_path_len ~prover ~epoch ~prefix inputs
+    (fun inputs ->
+      let plan =
+        { Adversary.rp_behaviour = behaviour; rp_comply = comply;
+          rp_coalition = 1 }
+      in
+      Min
+        (Adversary.perturb plan
+           (Proto_min.draft ~max_path_len keyring
+              ~committer:(fun ~tag:_ -> List.map (C.Commitment.commit_bit rng))
+              ~prover ~beneficiary ~epoch ~prefix ~inputs)))
+
+(* One standalone round over [Net faults]: the providers sign and send
+   their announces, [prove] drafts and signs A's round over the ones that
+   arrived, then every party checks.  [connect] splits the channel
+   generators off [rng] before [prove] draws from it. *)
+let standalone ?gossip ?ledger ~faults rng keyring ~prover ~epoch ~routes prove
+    =
   let announces =
     List.map
       (fun (provider, route) ->
@@ -648,14 +697,35 @@ let min_round_faulty ?gossip ?max_path_len ?(faults = perfect_faults) ?ledger
       routes
   in
   let link, arrived = connect (Net faults) (lazy rng) ~prover announces in
-  check ?gossip ?ledger keyring link
-    (prove ?max_path_len ?comply ~behaviour rng keyring ~prover ~beneficiary
-       ~epoch ~prefix ~inputs:(List.map snd arrived))
+  check ?gossip ?ledger keyring link (prove (List.map snd arrived))
+
+let min_round_faulty ?gossip ?max_path_len ?(faults = perfect_faults) ?ledger
+    ?comply behaviour rng keyring ~prover ~beneficiary ~epoch ~prefix ~routes =
+  Obs.with_span "runner.min_round" @@ fun () ->
+  standalone ?gossip ?ledger ~faults rng keyring ~prover ~epoch ~routes
+    (fun inputs ->
+      prove ?max_path_len ?comply ~behaviour rng keyring ~prover ~beneficiary
+        ~epoch ~prefix ~inputs)
 
 let min_round ?gossip ?max_path_len behaviour rng keyring ~prover ~beneficiary
     ~epoch ~prefix ~routes =
   (min_round_faulty ?gossip ?max_path_len behaviour rng keyring ~prover
      ~beneficiary ~epoch ~prefix ~routes)
+    .base
+
+let graph_round ?(max_path_len = Proto_min.default_max_path_len) rng keyring
+    ~prover ~beneficiary ~epoch ~prefix ~promise ~routes =
+  Obs.with_span "runner.graph_round" @@ fun () ->
+  let neighbors = List.map fst routes in
+  let rfg = Pvr_rfg.Promise.reference_rfg promise ~beneficiary ~neighbors in
+  let alpha = Access_control.for_promise promise ~beneficiary ~neighbors in
+  (standalone ~faults:perfect_faults rng keyring ~prover ~epoch ~routes
+     (fun inputs ->
+       admit_and_sign keyring ~max_path_len ~prover ~epoch ~prefix inputs
+         (fun inputs ->
+           Graph
+             (Proto_graph.draft ~max_path_len rng ~prover ~beneficiary ~epoch
+                ~prefix ~rfg ~alpha ~inputs))))
     .base
 
 (* Whether the fault schedule left the behaviour's witnessing messages
@@ -696,81 +766,3 @@ let detection_expected behaviour ~beneficiary ~routes (r : net_report) =
         && List.exists (fun (p, _) -> mem p r.direct_commits) inputs
   in
   List.exists witnessed dets
-
-let graph_round ?max_path_len rng keyring ~prover ~beneficiary ~epoch ~prefix
-    ~promise ~routes =
-  Obs.with_span "runner.graph_round" @@ fun () ->
-  let tally = Obs.Tally.create () in
-  let announces =
-    List.map
-      (fun (provider, route) ->
-        (provider, announce_of_route keyring ~provider ~prover ~epoch route))
-      routes
-  in
-  let inputs = List.map snd announces in
-  let providers = List.map fst announces in
-  let rfg =
-    Pvr_rfg.Promise.reference_rfg promise ~beneficiary ~neighbors:providers
-  in
-  let alpha =
-    Access_control.for_promise promise ~beneficiary ~neighbors:providers
-  in
-  let ps =
-    Proto_graph.prove ?max_path_len rng keyring ~prover ~epoch ~prefix ~rfg
-      ~inputs
-  in
-  let commit = Proto_graph.commit_message ps in
-  let export = Proto_graph.exported ps ~beneficiary in
-  Obs.Tally.add tally k_messages (List.length announces + 1);
-  Obs.Tally.max_ tally k_commit_bytes
-    (String.length (Wire.encode_commit commit.Wire.payload));
-  let raised = ref [] in
-  (* Broadcast + gossip of the single root commitment, over a perfect
-     channel (graph rounds are not fault-injected yet). *)
-  let g = Gossip.create keyring in
-  let cnet = Pvr_net.create ~rng:(C.Drbg.of_int_seed 0) () in
-  List.iter
-    (fun who -> Pvr_net.send cnet ~src:prover ~dst:who [ commit ])
-    (providers @ [ beneficiary ]);
-  let (_ : int) =
-    Pvr_net.run cnet
-      ~handler:(fun ~src:_ ~dst digest ->
-        List.iter
-          (fun c ->
-            match Gossip.receive g ~holder:dst c with
-            | Some e -> raised := (Adversary.Gossip, e) :: !raised
-            | None -> ())
-          digest)
-      ()
-  in
-  List.iter
-    (fun e -> raised := (Adversary.Gossip, e) :: !raised)
-    (Gossip.run_round ~net:cnet g
-       ~edges:(Gossip.clique_edges (providers @ [ beneficiary ])));
-  (* Provider checks. *)
-  List.iter
-    (fun (provider, ann) ->
-      let len = Bgp.Route.path_length ann.Wire.payload.Wire.ann_route in
-      let ds =
-        Proto_graph.disclose ~role:(`Provider len) ps ~alpha ~viewer:provider
-      in
-      Obs.Tally.incr tally k_messages;
-      let evs =
-        Proto_graph.check_provider keyring ~me:provider ~my_announce:ann
-          ~commit ~disclosures:ds
-      in
-      List.iter
-        (fun e -> raised := (Adversary.Provider provider, e) :: !raised)
-        evs)
-    announces;
-  (* Beneficiary checks. *)
-  let ds_b = Proto_graph.disclose ~role:`Beneficiary ps ~alpha ~viewer:beneficiary in
-  Obs.Tally.incr tally k_messages;
-  let evs =
-    Proto_graph.check_beneficiary keyring ~me:beneficiary ~commit
-      ~disclosures:ds_b ~export
-  in
-  List.iter (fun e -> raised := (Adversary.Beneficiary, e) :: !raised) evs;
-  finish keyring
-    ~respond:(fun ~accused:_ _ -> Judge.No_response)
-    (List.rev !raised) ~tally

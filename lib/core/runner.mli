@@ -1,12 +1,13 @@
-(** The §3.3 verification round every vertex runs, in three phases (§3.4:
-    commit, disclose selectively, verify): {b draft} ({!Proto_min.draft},
-    then {!Adversary.perturb} for a Byzantine A), {b sign} ({!sign}, one
+(** The one verification round, for the §3.3 minimum and the §3.5–3.7
+    graph operators alike, in three phases (§3.4: commit, disclose
+    selectively, verify): {b draft} ({!Proto_min.draft} and
+    {!Adversary.perturb}, or {!Proto_graph.draft}), {b sign} ({!sign}, one
     {!Wire.sign_batch} per signer across all drafts) and {b check}
     ({!check}: delivery over a {!transport}, every party's checks, gossip
     and the {!Judge}).  The engine runs the phases over its dirty set;
-    {!min_round} and {!min_round_faulty} run them for one vertex.
-    Experiment E8 sweeps this over behaviours and topologies; the test
-    suite asserts the §2.3 properties on the reports. *)
+    {!min_round}, {!min_round_faulty} and {!graph_round} run them for one
+    vertex.  Experiment E8 sweeps this over behaviours and topologies; the
+    test suite asserts the §2.3 properties on the reports. *)
 
 module Bgp = Pvr_bgp
 
@@ -82,8 +83,11 @@ val clear_memo : memo -> unit
 val memo_signatures : memo -> (string * string) list
 (** Every statement held, as (["signer|encoding"] key, signature). *)
 
+type draft = Min of Proto_min.draft | Graph of Proto_graph.draft
+(** Either operator's draft: everything A will send, unsigned. *)
+
 type round = {
-  draft : Proto_min.draft;
+  draft : draft;
   announces : (Bgp.Asn.t * Wire.announce Wire.signed) list;
       (** the admitted inputs' signed announces *)
   commit : Wire.commit Wire.signed;  (** sent to the providers *)
@@ -99,18 +103,18 @@ val commit_for : round -> Bgp.Asn.t -> Wire.commit Wire.signed
 
 val neighbor_disclosures :
   round -> (Bgp.Asn.t * Proto_common.neighbor_disclosure option) list
-(** Each admitted provider's opening; [None] = A withholds it. *)
+(** Each admitted provider's opening; [None] = A withholds it.  This and
+    {!beneficiary_disclosure} raise [Invalid_argument] on a [Graph] round. *)
 
 val beneficiary_disclosure : round -> Proto_common.beneficiary_disclosure
 
 val respond : round -> accused:Bgp.Asn.t -> Judge.challenge -> Judge.response
-(** How A answers a judge: as its draft's [dr_answer] says. *)
+(** How A answers a judge: as its draft's [dr_answer] says (graph: never). *)
 
 type pool = { run : 'a. (unit -> 'a) array -> 'a array }
 (** Runs independent tasks, returning results in task order. *)
 
-val sign :
-  ?pool:pool -> Keyring.t -> (memo * Proto_min.draft) array -> round array
+val sign : ?pool:pool -> Keyring.t -> (memo * draft) array -> round array
 (** Sign the statements missing from each draft's memo (which they then
     enter), one batch per signer: the announces first, then commitments
     and exports, since an export embeds its signed provenance announce.
@@ -160,11 +164,13 @@ val check :
   round ->
   net_report
 (** Deliver the round and run every party's checks, gossip (default:
-    clique) and the judge.  A party still owed a disclosure re-requests it
+    clique) and the judge, each party with its operator's checks.  A party
+    still owed a disclosure re-requests it
     up to [fp_retry_budget] times, then raises {!Evidence.Timeout} around
     its omission claim ([Direct]: the bare claim).  [ledger] accounts every
     bit disclosed to each party (openings, the export, judge challenges),
-    reusing the bits the checks opened.  [verified] is the caller's table
+    reusing the bits the checks opened; not yet a graph round's.
+    [verified] is the caller's table
     of signature roots already verified, consulted for the beneficiary's
     export check under the beneficiary's name ({!Wire.verify_batch}); the
     judge never sees it.  A [Direct] report shows full delivery and no
@@ -230,7 +236,7 @@ val announce_of_route :
   epoch:Wire.epoch ->
   Bgp.Route.t ->
   Wire.announce Wire.signed
-(** Helper shared with the graph runner and the examples. *)
+(** Helper shared with the standalone rounds and the examples. *)
 
 val graph_round :
   ?max_path_len:int ->
@@ -243,6 +249,6 @@ val graph_round :
   promise:Pvr_rfg.Promise.t ->
   routes:(Bgp.Asn.t * Bgp.Route.t) list ->
   report
-(** Run one honest generalized round (§3.5–3.7): build the reference
-    route-flow graph for [promise], commit, disclose under the promise's
-    minimal α, and run every party's checks.  Used by E3. *)
+(** One honest generalized round (§3.5–3.7), run as {!min_round} runs
+    the §3.3 one: A drafts [promise]'s reference route-flow graph under its
+    minimal α ({!Proto_graph.draft}).  Used by E3. *)

@@ -387,7 +387,7 @@ let draft_round t ~wire_epoch ((sn : snapshot), vc) =
       ~prover ~beneficiary:sn.sn_beneficiary ~epoch:wire_epoch
       ~prefix:sn.sn_vertex.vprefix ~inputs
   in
-  (plan, link, (vc.memo, Pvr.Adversary.perturb plan d))
+  (plan, link, (vc.memo, Pvr.Runner.Min (Pvr.Adversary.perturb plan d)))
 
 (* (leaked, excess) bits: every party's view audited against its plain-BGP
    baseline under the Figure-1 α — each provider, the beneficiary, and the

@@ -1093,6 +1093,21 @@ let graph_round promise routes =
   P.Runner.graph_round ~max_path_len:8 rng kr ~prover:a_as ~beneficiary:b_as
     ~epoch:1 ~prefix:prefix0 ~promise ~routes
 
+(* An honest graph draft over [routes]: [promise]'s reference graph and
+   minimal α over [neighbors] (default: the routes' providers). *)
+let graph_draft ?neighbors promise routes =
+  let neighbors = Option.value neighbors ~default:(List.map fst routes) in
+  P.Proto_graph.draft ~max_path_len:8 (fresh_rng ()) ~prover:a_as ~beneficiary:b_as
+    ~epoch:1 ~prefix:prefix0
+    ~rfg:(R.Promise.reference_rfg promise ~beneficiary:b_as ~neighbors)
+    ~alpha:(P.Access_control.for_promise promise ~beneficiary:b_as ~neighbors)
+    ~inputs:routes
+
+(* A graph draft signed by the shared round's sign phase. *)
+let graph_sign d =
+  (P.Runner.sign (Lazy.force keyring)
+     [| (P.Runner.memo (), P.Runner.Graph d) |]).(0)
+
 let graph_honest_min_clean () =
   let routes = List.mapi (fun i n -> (n, mk_route n (i + 1))) providers in
   let r = graph_round (R.Promise.Shortest_from providers) routes in
@@ -1151,25 +1166,15 @@ let graph_within_hops_window_enforced () =
      with a strict operator payload — simplest construction: check that B
      flags an export outside [m, m+n] by handing it a longer export). *)
   let kr = Lazy.force keyring in
-  let rng = fresh_rng () in
-  let inputs =
-    [ announce (asn 10) 2; announce (asn 11) 6 ]
+  let inputs = [ announce (asn 10) 2; announce (asn 11) 6 ] in
+  let d =
+    graph_draft (R.Promise.Within_hops 2)
+      [ (asn 10, mk_route (asn 10) 2); (asn 11, mk_route (asn 11) 6) ]
   in
-  let promise = R.Promise.Within_hops 2 in
-  let rfg =
-    R.Promise.reference_rfg promise ~beneficiary:b_as
-      ~neighbors:[ asn 10; asn 11 ]
+  let commit = (graph_sign d).P.Runner.commit in
+  let ds =
+    P.Proto_graph.disclose ~role:`Beneficiary d ~alpha:d.dr_alpha ~viewer:b_as
   in
-  let alpha =
-    P.Access_control.for_promise promise ~beneficiary:b_as
-      ~neighbors:[ asn 10; asn 11 ]
-  in
-  let ps =
-    P.Proto_graph.prove ~max_path_len:8 rng kr ~prover:a_as ~epoch:1
-      ~prefix:prefix0 ~rfg ~inputs
-  in
-  let commit = P.Proto_graph.commit_message ps in
-  let ds = P.Proto_graph.disclose ~role:`Beneficiary ps ~alpha ~viewer:b_as in
   (* The long (length-6) input is outside the window [2, 4]; A exports it
      anyway with a freshly signed export. *)
   let long = List.nth inputs 1 in
@@ -1188,19 +1193,51 @@ let graph_within_hops_window_enforced () =
   in
   check_bool "window violation caught" true (evs <> [])
 
-let graph_disclosure_integrity () =
+(* The case above through the shared round: A swaps its honest export for
+   the longer admitted input, and the round signs and checks the draft like
+   any other.  B must raise graph evidence that the judge replays. *)
+let graph_dishonest_round_convicted () =
   let kr = Lazy.force keyring in
-  let rng = fresh_rng () in
-  let inputs = List.mapi (fun i n -> announce n (i + 1)) providers in
-  let promise = R.Promise.Shortest_from providers in
-  let rfg = R.Promise.reference_rfg promise ~beneficiary:b_as ~neighbors:providers in
-  let alpha = P.Access_control.for_promise promise ~beneficiary:b_as ~neighbors:providers in
-  let ps =
-    P.Proto_graph.prove ~max_path_len:8 rng kr ~prover:a_as ~epoch:1
-      ~prefix:prefix0 ~rfg ~inputs
+  let routes =
+    [ (asn 10, mk_route (asn 10) 2); (asn 11, mk_route (asn 11) 6) ]
   in
+  let honest = graph_draft (R.Promise.Within_hops 2) routes in
+  let d =
+    {
+      honest with
+      P.Proto_graph.dr_export =
+        Some (List.assoc (asn 11) routes, P.Proto_min.Input (asn 11));
+    }
+  in
+  List.iter
+    (fun (name, transport) ->
+      let link, _ =
+        P.Runner.connect transport (lazy (fresh_rng ())) ~prover:a_as routes
+      in
+      let r = (P.Runner.check kr link (graph_sign d)).P.Runner.base in
+      check_bool (name ^ ": detected") true r.P.Runner.detected;
+      check_bool (name ^ ": convicted") true r.P.Runner.convicted;
+      check_bool (name ^ ": B's graph violation judged guilty") true
+        (List.exists
+           (function
+             | ( P.Adversary.Beneficiary,
+                 P.Evidence.Graph_violation _,
+                 P.Judge.Guilty ) ->
+                 true
+             | _ -> false)
+           r.P.Runner.judged))
+    [ ("direct", P.Runner.Direct); ("net", P.Runner.Net P.Runner.perfect_faults) ]
+
+(* Every provider's route, provider i at length i + 1. *)
+let graph_routes () = List.mapi (fun i n -> (n, mk_route n (i + 1))) providers
+
+let graph_disclosure_integrity () =
+  let ps = graph_draft (R.Promise.Shortest_from providers) (graph_routes ()) in
   let root = P.Proto_graph.root ps in
-  let ds = P.Proto_graph.disclose ~role:`Beneficiary ps ~alpha ~viewer:b_as in
+  let ds =
+    P.Proto_graph.disclose ~role:`Beneficiary ps ~alpha:ps.dr_alpha
+      ~viewer:b_as
+  in
   check_bool "has disclosures" true (ds <> []);
   List.iter
     (fun d ->
@@ -1213,18 +1250,11 @@ let graph_disclosure_integrity () =
 
 let graph_alpha_confidentiality () =
   (* A provider must never receive another provider's input payload. *)
-  let kr = Lazy.force keyring in
-  let rng = fresh_rng () in
-  let inputs = List.mapi (fun i n -> announce n (i + 1)) providers in
-  let promise = R.Promise.Shortest_from providers in
-  let rfg = R.Promise.reference_rfg promise ~beneficiary:b_as ~neighbors:providers in
-  let alpha = P.Access_control.for_promise promise ~beneficiary:b_as ~neighbors:providers in
-  let ps =
-    P.Proto_graph.prove ~max_path_len:8 rng kr ~prover:a_as ~epoch:1
-      ~prefix:prefix0 ~rfg ~inputs
-  in
+  let ps = graph_draft (R.Promise.Shortest_from providers) (graph_routes ()) in
   let n1 = List.hd providers and n2 = List.nth providers 1 in
-  let ds = P.Proto_graph.disclose ~role:(`Provider 1) ps ~alpha ~viewer:n1 in
+  let ds =
+    P.Proto_graph.disclose ~role:(`Provider 1) ps ~alpha:ps.dr_alpha ~viewer:n1
+  in
   check_bool "own var payload present" true
     (List.exists
        (fun (d : P.Proto_graph.disclosure) ->
@@ -1242,19 +1272,12 @@ let graph_alpha_confidentiality () =
           ds))
 
 let graph_provider_gets_only_own_bit () =
-  let kr = Lazy.force keyring in
-  let rng = fresh_rng () in
-  let inputs = List.mapi (fun i n -> announce n (i + 1)) providers in
-  let promise = R.Promise.Shortest_from providers in
-  let rfg = R.Promise.reference_rfg promise ~beneficiary:b_as ~neighbors:providers in
-  let alpha = P.Access_control.for_promise promise ~beneficiary:b_as ~neighbors:providers in
-  let ps =
-    P.Proto_graph.prove ~max_path_len:8 rng kr ~prover:a_as ~epoch:1
-      ~prefix:prefix0 ~rfg ~inputs
-  in
+  let ps = graph_draft (R.Promise.Shortest_from providers) (graph_routes ()) in
   let n3 = List.nth providers 2 in
   (* n3's route has length 3. *)
-  let ds = P.Proto_graph.disclose ~role:(`Provider 3) ps ~alpha ~viewer:n3 in
+  let ds =
+    P.Proto_graph.disclose ~role:(`Provider 3) ps ~alpha:ps.dr_alpha ~viewer:n3
+  in
   let op_d =
     List.find
       (fun (d : P.Proto_graph.disclosure) -> d.vertex = "op:min")
@@ -1266,19 +1289,17 @@ let graph_provider_gets_only_own_bit () =
 let graph_wrong_input_detected () =
   (* A commits a different route than AS10 announced: AS10 must detect. *)
   let kr = Lazy.force keyring in
-  let rng = fresh_rng () in
   let real = announce (asn 10) 2 in
-  let fake = announce (asn 10) 4 in
-  let promise = R.Promise.Shortest_from providers in
-  let rfg = R.Promise.reference_rfg promise ~beneficiary:b_as ~neighbors:providers in
-  let alpha = P.Access_control.for_promise promise ~beneficiary:b_as ~neighbors:providers in
-  (* Prover ran on the fake announcement... *)
+  (* Prover ran on a fake (length-4) route from AS10... *)
   let ps =
-    P.Proto_graph.prove ~max_path_len:8 rng kr ~prover:a_as ~epoch:1
-      ~prefix:prefix0 ~rfg ~inputs:[ fake ]
+    graph_draft ~neighbors:providers (R.Promise.Shortest_from providers)
+      [ (asn 10, mk_route (asn 10) 4) ]
   in
-  let commit = P.Proto_graph.commit_message ps in
-  let ds = P.Proto_graph.disclose ~role:(`Provider 2) ps ~alpha ~viewer:(asn 10) in
+  let commit = (graph_sign ps).P.Runner.commit in
+  let ds =
+    P.Proto_graph.disclose ~role:(`Provider 2) ps ~alpha:ps.dr_alpha
+      ~viewer:(asn 10)
+  in
   (* ...but AS10 checks against what it actually sent. *)
   let evs =
     P.Proto_graph.check_provider kr ~me:(asn 10) ~my_announce:real ~commit
@@ -1400,18 +1421,16 @@ let evidence_codec_roundtrip_all_kinds () =
 
 let evidence_codec_roundtrip_graph () =
   let kr = Lazy.force keyring in
-  let rng = fresh_rng () in
   let real = announce (asn 10) 2 in
-  let fake = announce (asn 10) 4 in
-  let promise = R.Promise.Shortest_from providers in
-  let rfg = R.Promise.reference_rfg promise ~beneficiary:b_as ~neighbors:providers in
-  let alpha = P.Access_control.for_promise promise ~beneficiary:b_as ~neighbors:providers in
   let ps =
-    P.Proto_graph.prove ~max_path_len:8 rng kr ~prover:a_as ~epoch:1
-      ~prefix:prefix0 ~rfg ~inputs:[ fake ]
+    graph_draft ~neighbors:providers (R.Promise.Shortest_from providers)
+      [ (asn 10, mk_route (asn 10) 4) ]
   in
-  let commit = P.Proto_graph.commit_message ps in
-  let ds = P.Proto_graph.disclose ~role:(`Provider 2) ps ~alpha ~viewer:(asn 10) in
+  let commit = (graph_sign ps).P.Runner.commit in
+  let ds =
+    P.Proto_graph.disclose ~role:(`Provider 2) ps ~alpha:ps.dr_alpha
+      ~viewer:(asn 10)
+  in
   let evs =
     P.Proto_graph.check_provider kr ~me:(asn 10) ~my_announce:real ~commit
       ~disclosures:ds
@@ -1761,11 +1780,10 @@ let composite_rfg () =
     ~output:(R.Promise.output_var b_as)
 
 let composite_prove () =
-  let kr = Lazy.force keyring in
-  let rng = fresh_rng () in
-  let inputs = [ announce (asn 10) 3; announce (asn 11) 2 ] in
-  P.Proto_graph.prove ~max_path_len:8 rng kr ~prover:a_as ~epoch:1
-    ~prefix:prefix0 ~rfg:(composite_rfg ()) ~inputs
+  P.Proto_graph.draft ~max_path_len:8 (fresh_rng ()) ~prover:a_as
+    ~beneficiary:b_as ~epoch:1 ~prefix:prefix0 ~rfg:(composite_rfg ())
+    ~alpha:P.Access_control.deny_all
+    ~inputs:[ (asn 10, mk_route (asn 10) 3); (asn 11, mk_route (asn 11) 2) ]
 
 let graph_composite_structural_privacy () =
   let ps = composite_prove () in
@@ -1821,10 +1839,9 @@ let graph_composite_authorized_inspection () =
 
 let graph_composite_evaluates () =
   let ps = composite_prove () in
-  match P.Proto_graph.exported ps ~beneficiary:b_as with
-  | Some e ->
-      check_int "composite computed the min" 2
-        (G.Route.path_length e.P.Wire.payload.P.Wire.exp_route)
+  match ps.dr_export with
+  | Some (route, _) ->
+      check_int "composite computed the min" 2 (G.Route.path_length route)
   | None -> Alcotest.fail "expected export"
 
 (* ---- Proto_no_shorter (§2 promise 4) --------------------------------------------- *)
@@ -2044,6 +2061,8 @@ let suite =
     ("graph honest within-hops clean", `Quick, graph_honest_within_hops_clean);
     graph_honest_property;
     ("graph within-hops window enforced", `Quick, graph_within_hops_window_enforced);
+    ("graph dishonest round convicted", `Quick,
+     graph_dishonest_round_convicted);
     ("graph disclosure integrity", `Quick, graph_disclosure_integrity);
     ("graph alpha confidentiality", `Quick, graph_alpha_confidentiality);
     ("graph provider gets only own bit", `Quick, graph_provider_gets_only_own_bit);
