@@ -185,8 +185,8 @@ let rec build_subtree rng ~k ~ns rfg valuation =
   in
   { sub_records = records; sub_tree = tree; sub_root = Prefix_tree.root tree }
 
-let draft ?(max_path_len = Proto_min.default_max_path_len) rng ~prover
-    ~beneficiary ~epoch ~prefix ~rfg ~alpha ~inputs =
+let draft ~max_path_len rng ~prover ~beneficiary ~epoch ~prefix ~rfg ~alpha
+    ~inputs =
   Pvr_obs.with_span "proto_graph.draft" @@ fun () ->
   (* Seed each input variable named after its neighbor. *)
   let seeded =

@@ -90,7 +90,7 @@ type draft = {
 }
 
 val draft :
-  ?max_path_len:int ->
+  max_path_len:int ->
   C.Drbg.t ->
   prover:Bgp.Asn.t ->
   beneficiary:Bgp.Asn.t ->
@@ -101,10 +101,10 @@ val draft :
   inputs:(Bgp.Asn.t * Bgp.Route.t) list ->
   draft
 (** Honest A.  [inputs] must already be admitted (validly signed, at most
-    [max_path_len] hops, default {!Proto_min.default_max_path_len}).  A
-    evaluates the graph on them, commits every vertex with k =
-    [max_path_len] evidence bits per threshold operator, builds the tree,
-    and exports B's output route with its input as provenance. *)
+    [max_path_len] hops).  A evaluates the graph on them, commits every
+    vertex with k = [max_path_len] evidence bits per threshold operator,
+    builds the tree, and exports B's output route with its input as
+    provenance. *)
 
 val root : draft -> string
 (** The committed tree's root: the one commitment A signs. *)

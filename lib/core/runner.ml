@@ -25,24 +25,6 @@ let announce_of_route keyring ~provider ~prover ~epoch route =
   Wire.sign keyring ~as_:provider ~encode:Wire.encode_announce
     { Wire.ann_epoch = epoch; ann_to = prover; ann_route = route }
 
-let finish ?ledger keyring ~respond raised ~tally =
-  Obs.incr obs_rounds;
-  Obs.Tally.publish tally;
-  let judged =
-    List.map
-      (fun (who, e) -> (who, e, Judge.evaluate ?ledger keyring ~respond e))
-      raised
-  in
-  {
-    raised;
-    judged;
-    detected = raised <> [];
-    convicted = List.exists (fun (_, _, v) -> v = Judge.Guilty) judged;
-    exonerated = List.exists (fun (_, _, v) -> v = Judge.Exonerated) judged;
-    messages = Obs.Tally.get tally k_messages;
-    commit_bytes = Obs.Tally.get tally k_commit_bytes;
-  }
-
 type fault_profile = {
   fp_policy : Pvr_net.policy;
   fp_links : ((Bgp.Asn.t * Bgp.Asn.t) * Pvr_net.policy) list;
@@ -121,7 +103,6 @@ type round = {
   answer : Wire.export Wire.signed option;
 }
 
-(* What every operator's draft says about its round. *)
 let prover_of = function
   | Min d -> d.Proto_min.dr_prover
   | Graph d -> d.Proto_graph.dr_prover
@@ -178,28 +159,26 @@ let disclosures r =
       @ [ (d.Proto_min.dr_beneficiary,
             Some (Min_openings (beneficiary_disclosure r))) ]
   | Graph d ->
+      let open Proto_graph in
       let view ~role ~export viewer =
-        let alpha = d.Proto_graph.dr_alpha in
-        let vertices = Proto_graph.disclose ~role d ~alpha ~viewer in
+        let vertices = disclose ~role d ~alpha:d.dr_alpha ~viewer in
         (viewer, Some (Graph_view { vertices; export }))
       in
-      List.map
-        (fun (n, route) ->
-          view ~role:(`Provider (Bgp.Route.path_length route)) ~export:None n)
-        d.Proto_graph.dr_inputs
-      @ [ view ~role:`Beneficiary ~export:r.export d.Proto_graph.dr_beneficiary ]
+      let len route = `Provider (Bgp.Route.path_length route) in
+      List.map (fun (n, r) -> view ~role:(len r) ~export:None n) d.dr_inputs
+      @ [ view ~role:`Beneficiary ~export:r.export d.dr_beneficiary ]
 
 let respond r ~accused:_ challenge =
+  let answer f = Option.fold ~none:Judge.No_response ~some:f in
   match (r.draft, challenge) with
-  | (Graph _ | Min { dr_answer = Proto_min.Stonewall; _ }), _ -> Judge.No_response
+  | (Graph _ | Min { dr_answer = Proto_min.Stonewall; _ }), _ ->
+      Judge.No_response
   | Min _, Judge.Produce_export _ ->
-      Option.fold ~none:Judge.No_response
-        ~some:(fun e -> Judge.Export_response e)
-        r.answer
-  | Min d, Judge.Produce_opening { index; _ } -> (
-      match List.assoc_opt index (Proto_min.openings d.Proto_min.dr_committed) with
-      | Some o -> Judge.Opening_response o
-      | None -> Judge.No_response)
+      answer (fun e -> Judge.Export_response e) r.answer
+  | Min d, Judge.Produce_opening { index; _ } ->
+      answer
+        (fun o -> Judge.Opening_response o)
+        (List.assoc_opt index (Proto_min.openings d.Proto_min.dr_committed))
 
 type pool = { run : 'a. (unit -> 'a) array -> 'a array }
 
@@ -448,7 +427,7 @@ let check ?(gossip = `Clique) ?ledger ?verified keyring link r =
       (raise_ Adversary.Gossip)
       (Gossip.receive g ~holder:who commit)
   in
-  let receive who d = if not (Hashtbl.mem got who) then Hashtbl.replace got who d in
+  let receive who d = if not (Hashtbl.mem got who) then Hashtbl.add got who d in
   let gossip_round ?net () =
     let edges =
       match gossip with
@@ -563,22 +542,26 @@ let check ?(gossip = `Clique) ?ledger ?verified keyring link r =
     if ledger <> None && sent who commit then Some (bit who) else None
   in
   let account who d =
+    let unchecked =
+      ledger <> None
+      && Option.fold ~none:true ~some:(fun c -> not (sent who c)) (view who)
+    in
     let openings =
       List.iter (fun (index, o) ->
-          if ledger <> None && not (Option.fold ~none:false ~some:(sent who) (view who))
-          then
+          if unchecked then
             Option.iter (bit who index)
               (Proto_common.opening_bit_at (commit_for r who) ~index o))
     in
     match d with
-    | Min_opening { nd_index; nd_opening } -> openings [ (nd_index, nd_opening) ]
+    | Min_opening { nd_index; nd_opening } ->
+        openings [ (nd_index, nd_opening) ]
     | Min_openings { bd_openings; bd_export } ->
         openings bd_openings;
         Option.iter
           (fun e ->
             let route = e.Wire.payload.Wire.exp_route in
-            record who
-              (Leakage.Knows_route { provider = route.Bgp.Route.next_hop; route }))
+            let provider = route.Bgp.Route.next_hop in
+            record who (Leakage.Knows_route { provider; route }))
           bd_export
     | Graph_view _ -> ()
   in
@@ -589,8 +572,10 @@ let check ?(gossip = `Clique) ?ledger ?verified keyring link r =
       let is_b = Bgp.Asn.equal who beneficiary in
       let d = Hashtbl.find_opt got who in
       let on_bit commit = on_bit who commit in
-      List.iter
-        (raise_ (if is_b then Adversary.Beneficiary else Adversary.Provider who))
+      let detector =
+        if is_b then Adversary.Beneficiary else Adversary.Provider who
+      in
+      List.iter (raise_ detector)
         (match (view who, d, Hashtbl.find_opt announces who) with
         | Some commit, Some (Min_openings disclosure), _ ->
             Proto_min.check_beneficiary ?on_bit:(on_bit commit) ?verified
@@ -621,14 +606,30 @@ let check ?(gossip = `Clique) ?ledger ?verified keyring link r =
         | _ -> []);
       Option.iter (account who) d)
     participants;
-  let base =
-    finish ?ledger keyring ~respond:(respond r) (List.rev !raised) ~tally
+  Obs.incr obs_rounds;
+  Obs.Tally.publish tally;
+  let raised = List.rev !raised in
+  let judged =
+    List.map
+      (fun (who, e) ->
+        (who, e, Judge.evaluate ?ledger keyring ~respond:(respond r) e))
+      raised
   in
+  let verdict v = List.exists (fun (_, _, v') -> v' = v) judged in
   let stat f = match link.channel with None -> 0 | Some n -> f n in
   let sends st = st.Pvr_net.sends in
   let drops st = st.Pvr_net.drops + st.Pvr_net.partition_drops in
   {
-    base;
+    base =
+      {
+        raised;
+        judged;
+        detected = raised <> [];
+        convicted = verdict Judge.Guilty;
+        exonerated = verdict Judge.Exonerated;
+        messages = Obs.Tally.get tally k_messages;
+        commit_bytes = Obs.Tally.get tally k_commit_bytes;
+      };
     delivered_announces = link.arrived;
     acked_announces = List.filter acked providers;
     commit_holders = List.filter (fun who -> view who <> None) participants;
@@ -659,12 +660,10 @@ let admit_and_sign keyring ~max_path_len ~prover ~epoch ~prefix inputs draft =
       (Proto_common.valid_inputs keyring ~prover ~epoch ~prefix inputs)
     |> List.filter_map (fun ((a : Wire.announce Wire.signed), ok) ->
            let route = a.Wire.payload.Wire.ann_route in
-           if ok && Bgp.Route.path_length route <= max_path_len then begin
-             Hashtbl.replace memo.ann_memo
-               (a.Wire.signer, Wire.encode_announce a.Wire.payload)
-               a;
-             Some (a.Wire.signer, route)
-           end
+           if ok && Bgp.Route.path_length route <= max_path_len then (
+             let key = (a.Wire.signer, Wire.encode_announce a.Wire.payload) in
+             Hashtbl.replace memo.ann_memo key a;
+             Some (a.Wire.signer, route))
            else None)
   in
   (sign keyring [| (memo, draft inputs) |]).(0)

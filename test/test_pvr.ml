@@ -1097,8 +1097,8 @@ let graph_round promise routes =
    minimal α over [neighbors] (default: the routes' providers). *)
 let graph_draft ?neighbors promise routes =
   let neighbors = Option.value neighbors ~default:(List.map fst routes) in
-  P.Proto_graph.draft ~max_path_len:8 (fresh_rng ()) ~prover:a_as ~beneficiary:b_as
-    ~epoch:1 ~prefix:prefix0
+  P.Proto_graph.draft ~max_path_len:8 (fresh_rng ()) ~prover:a_as
+    ~beneficiary:b_as ~epoch:1 ~prefix:prefix0
     ~rfg:(R.Promise.reference_rfg promise ~beneficiary:b_as ~neighbors)
     ~alpha:(P.Access_control.for_promise promise ~beneficiary:b_as ~neighbors)
     ~inputs:routes
@@ -1226,7 +1226,10 @@ let graph_dishonest_round_convicted () =
                  true
              | _ -> false)
            r.P.Runner.judged))
-    [ ("direct", P.Runner.Direct); ("net", P.Runner.Net P.Runner.perfect_faults) ]
+    [
+      ("direct", P.Runner.Direct);
+      ("net", P.Runner.Net P.Runner.perfect_faults);
+    ]
 
 (* Every provider's route, provider i at length i + 1. *)
 let graph_routes () = List.mapi (fun i n -> (n, mk_route n (i + 1))) providers
