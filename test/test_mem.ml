@@ -13,6 +13,7 @@ module N = Pvr_net
 module S = Pvr_store.Store
 module Frame = Pvr_query.Frame
 module RD = G.Rib_delta
+module W = Pvr_serve.Workload
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -233,6 +234,40 @@ let page_read_failure_recomputes () =
   check_bool "failures counted" true
     (delta d "engine.mem.page_read_failures" > 0)
 
+(* ---- the journal of a paging run -------------------------------------------------- *)
+
+(* A checkpointed run under a 1-word ceiling spills vertex state into its
+   own journal through [Persist.pager].  Those spill pages are the only
+   page frames the journal may hold: every other frame is evidence rows,
+   an index checkpoint or an epoch record, each of which something reads
+   back. *)
+let paging_journal_holds_only_spills () =
+  with_dir (fun dir ->
+      let p =
+        { W.defaults with W.p_seed = 311; p_epochs = 4; p_mem_ceiling = 1 }
+      in
+      let world = W.build_world ~quiet:true p in
+      let res, d =
+        counted (fun () ->
+            W.engine_core ~quiet:true ~checkpoint_dir:dir ~fsync:false world p)
+      in
+      (match res with Ok _ -> () | Error e -> Alcotest.fail e);
+      let frames =
+        List.map
+          (fun payload ->
+            match Frame.decode payload with
+            | Ok f -> f
+            | Error e -> Alcotest.fail e)
+          (S.recover ~quiet:true ~dir ()).S.rc_frames
+      in
+      let pages =
+        List.length
+          (List.filter (function Frame.Page _ -> true | _ -> false) frames)
+      in
+      let spills = delta d "engine.mem.spills" in
+      check_bool "spill engaged" true (spills > 0);
+      check_int "page frames = spills" spills pages)
+
 (* ---- page frames and random-access journal reads -------------------------------- *)
 
 let frame_page_roundtrip =
@@ -355,6 +390,8 @@ let suite =
     ("governor: shedding stages and counters", `Quick, governor_stages);
     ("governor: failed page reads recompute", `Quick,
      page_read_failure_recomputes);
+    ("journal: a paging run pages only spills", `Quick,
+     paging_journal_holds_only_spills);
     frame_page_roundtrip;
     ("store: random-access frame reads", `Quick, read_frame_at_random_access);
     ("topology: 10k-AS generation histogram", `Quick, topology_10k_histogram);

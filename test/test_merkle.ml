@@ -236,6 +236,31 @@ let prefix_tree_proof_encoding_roundtrip () =
     end
   | None -> Alcotest.fail "expected proof"
 
+(* The commitment bytes a prover signs and discloses, pinned for a fixed
+   tree: the root (hex), the SHA-256 of one encoded disclosure proof, and
+   the root of the empty tree (a bare blinded digest).  Any change to how
+   the tree is hashed must leave all three where they are. *)
+let prefix_tree_commitment_pinned () =
+  let hex s =
+    String.concat ""
+      (List.init (String.length s) (fun i ->
+           Printf.sprintf "%02x" (Char.code s.[i])))
+  in
+  let es = entries 9 in
+  let t = M.Prefix_tree.build ~seed:"pin" es in
+  Alcotest.(check string) "root"
+    "fab2da2cc226050c4f76a5c58d5676ea97f197d46454899c0585cce23ad9f6ce"
+    (hex (M.Prefix_tree.root t));
+  (match M.Prefix_tree.prove t (fst (List.nth es 4)) with
+  | Some (_, proof) ->
+      Alcotest.(check string) "proof bytes"
+        "dbc62dc1b810c725639e43f38bbe0046c35bdfa04945e307f8ae1119136b2c25"
+        (C.Sha256.digest_hex (M.Prefix_tree.encode_proof proof))
+  | None -> Alcotest.fail "expected proof");
+  Alcotest.(check string) "empty root"
+    "8107ff0c69e4626c67c7514dde5a7c068f2c6fefe0664a0a871ab500431ead94"
+    (hex (M.Prefix_tree.root (M.Prefix_tree.build ~seed:"pin" [])))
+
 let prefix_tree_random_population =
   qtest "random populations all provable" ~count:25
     QCheck2.Gen.(pair (int_range 1 40) (int_range 0 1_000_000))
@@ -282,4 +307,5 @@ let suite =
     ("prefix tree blinding seed", `Quick, prefix_tree_blinding_seed_changes_root);
     ("prefix tree proof encoding roundtrip", `Quick, prefix_tree_proof_encoding_roundtrip);
     prefix_tree_random_population;
+    ("prefix tree commitment pinned", `Quick, prefix_tree_commitment_pinned);
   ]
