@@ -74,7 +74,7 @@ let in_neighbors t prefix =
    across all three tables.  Map iteration is ASN-sorted and
    [Intern.encode] is representation-independent, so the string is a pure
    function of RIB contents — [""] when the prefix is absent everywhere.
-   This is the unit the delta RIB tracker ({!Rib_delta}) digests. *)
+   This is the unit the incremental RIB tracker ({!Rib_delta}) digests. *)
 let prefix_entry t prefix =
   let buf = Buffer.create 128 in
   (match Prefix.Map.find_opt prefix t.loc with

@@ -1,50 +1,24 @@
-(** Delta-compressed, digest-level tracker of the world's RIB state.
+(** Incremental, digest-level tracker of the world's RIB state.
 
     The engine's global RIB digest used to be an O(world) walk over every
     AS's three tables each time it was needed.  This tracker keeps one
     SHA-256 entry digest per (AS, prefix) pair — fed from the simulator's
     dirty-pair set via {!Rib.prefix_entry} — and a per-AS digest cache,
     so refreshing the global digest costs O(dirty pairs + dirty ASes).
-
-    Serialization is two-level, mirroring the store's snapshot/journal
-    split: {!encode_full} captures the complete pair→digest map (snapshot
-    cadence), {!encode_delta} only the pairs changed since the last
-    emission.  Replaying a full blob plus subsequent deltas must
-    reproduce the live tracker's {!digest} byte-for-byte — the test
-    suite's differential oracle pins this against a from-scratch rebuild
-    of the resident representation. *)
+    It has no serialized form: the digest it yields is stored in every
+    epoch record and checkpoint, and resume rebuilds the tracker by
+    replaying the churn stream. *)
 
 type t
-
-type change = {
-  rd_asn : Asn.t;
-  rd_prefix : Prefix.t;
-  rd_digest : string;  (** raw 32-byte entry digest; [""] = pair removed *)
-}
 
 val create : unit -> t
 
 val update : t -> asn:Asn.t -> prefix:Prefix.t -> entry:string -> bool
 (** Install the canonical entry string ({!Rib.prefix_entry}) for a pair;
     [entry = ""] removes it.  Returns whether the stored digest actually
-    changed; real changes are queued for {!drain_changes}. *)
+    changed. *)
 
 val digest : t -> string
 (** Global digest: SHA-256 over per-AS digests in ASN order, each per-AS
     digest covering its prefix→digest map in prefix order.  Pure function
     of tracker contents; stale per-AS caches are refreshed lazily. *)
-
-val pairs : t -> int
-(** Number of (AS, prefix) pairs currently tracked. *)
-
-val drain_changes : t -> change list
-(** Changes accumulated by {!update} since the last drain, oldest first.
-    The engine emits these as a delta blob each journaled epoch. *)
-
-val encode_full : t -> string
-val decode_full : string -> (t, string) result
-val encode_delta : change list -> string
-val decode_delta : string -> (change list, string) result
-
-val apply : t -> change list -> unit
-(** Replay decoded delta changes onto a tracker (latest wins). *)

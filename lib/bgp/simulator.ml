@@ -54,7 +54,7 @@ let create topo =
     queue = Queue.create ();
     gao_rexford = true;
     log = [];
-    log_enabled = true;
+    log_enabled = false;
     dirty = Hashtbl.create 256;
   }
 

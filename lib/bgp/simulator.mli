@@ -52,18 +52,17 @@ val exported_route : t -> asn:Asn.t -> neighbor:Asn.t -> Prefix.t -> Route.t opt
 (** What [asn] last sent [neighbor] (PVR's output variable r_o). *)
 
 val message_log : t -> update list
-(** All processed updates, oldest first (workload for E5 batching).
-    Empty when logging is disabled. *)
+(** Every update processed while logging was enabled, oldest first.
+    Empty unless {!set_log_enabled} turned logging on. *)
 
 val set_log_enabled : t -> bool -> unit
-(** Keep (default) or drop the full message log.  The continuous engine
-    disables it: at 100k-AS scale the log is an unbounded heap leak and
-    nothing in the epoch loop reads it.  Disabling clears any log already
-    accumulated. *)
+(** Keep or drop (default) the full message log.  It is off unless asked
+    for: at 100k-AS scale the log is an unbounded heap leak, and no run
+    reads it.  Disabling clears any log already accumulated. *)
 
 val drain_dirty : t -> (Asn.t * Prefix.t) list
 (** The (AS, prefix) pairs whose RIB state may have changed since the
     last drain, sorted by (ASN, prefix) and deduplicated; clears the set.
     Every RIB mutation passes through the decision/export step, which
-    marks here — this feeds the engine's delta RIB tracker so the global
-    RIB digest is maintained in O(dirty pairs) per epoch. *)
+    marks here — this feeds the engine's incremental RIB tracker so the
+    global RIB digest is maintained in O(dirty pairs) per epoch. *)

@@ -918,14 +918,6 @@ let rib_digest t =
   sync_rib t;
   Bgp.Rib_delta.digest t.rtracker
 
-let rib_changes t =
-  sync_rib t;
-  Bgp.Rib_delta.drain_changes t.rtracker
-
-let rib_full t =
-  sync_rib t;
-  Bgp.Rib_delta.encode_full t.rtracker
-
 let rib_digest_full t =
   let tr = Bgp.Rib_delta.create () in
   List.iter

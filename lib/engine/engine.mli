@@ -226,14 +226,6 @@ val rib_digest_full : t -> string
     scratch over every AS's RIB.  Must always equal {!rib_digest} — the
     differential-oracle suite asserts it. *)
 
-val rib_changes : t -> Bgp.Rib_delta.change list
-(** Drain the tracker's accumulated pair changes (syncing it first).
-    {!Persist} journals these as a delta page each recorded epoch. *)
-
-val rib_full : t -> string
-(** The tracker's full serialized state ({!Bgp.Rib_delta.encode_full}),
-    synced first.  {!Persist} journals one on the snapshot cadence. *)
-
 module Checkpoint : sig
   type info = {
     ck_epoch : int;

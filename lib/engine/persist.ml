@@ -1,5 +1,4 @@
 module Store = Pvr_store.Store
-module Bgp = Pvr_bgp
 module Frame = Pvr_query.Frame
 module Evidence_index = Pvr_query.Evidence_index
 
@@ -25,15 +24,13 @@ type session = {
   store : Store.t;
   snapshot_every : int;
   dir : string;
-  page : bool;
   mutable index : Evidence_index.t option;
       (* live mirror of the journaled evidence plane; rebuilt from the
          store on the first record after a resume *)
 }
 
-let start ?(fsync = true) ?(snapshot_every = 1) ?(page = false) ~dir () =
-  { store = Store.open_ ~fsync ~dir (); snapshot_every; dir; page;
-    index = None }
+let start ?(fsync = true) ?(snapshot_every = 1) ~dir () =
+  { store = Store.open_ ~fsync ~dir (); snapshot_every; dir; index = None }
 
 (* Wire the engine's spill layer to this session's WAL: pages are tag-4
    journal frames addressed by the byte offset [Store.append'] returns,
@@ -81,27 +78,6 @@ let record s eng (r : Engine.epoch_report) =
   let epoch = r.Engine.ep_epoch in
   let idx = live_index s ~run_id ~epoch in
   let rows = List.map (Engine.row_of_outcome ~epoch) r.Engine.ep_outcomes in
-  (* On paging sessions, journal the delta RIB tracker's view first: one
-     delta page per epoch, plus a full page on the snapshot cadence.
-     Pages ride before the epoch record, so the commit mark covers them;
-     a crash in between leaves ignorable orphans, same as rows. *)
-  if s.page then begin
-    Store.append s.store
-      (Frame.encode_page
-         {
-           Frame.pf_run_id = run_id;
-           pf_key = Printf.sprintf "rib:delta:%d" epoch;
-           pf_blob = Bgp.Rib_delta.encode_delta (Engine.rib_changes eng);
-         });
-    if s.snapshot_every > 0 && epoch mod s.snapshot_every = 0 then
-      Store.append s.store
-        (Frame.encode_page
-           {
-             Frame.pf_run_id = run_id;
-             pf_key = Printf.sprintf "rib:full:%d" epoch;
-             pf_blob = Engine.rib_full eng;
-           })
-  end;
   (* Rows first, then the epoch record: the epoch record is the commit
      mark, so a crash between the two leaves an ignorable orphan. *)
   Store.append s.store

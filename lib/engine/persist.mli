@@ -6,6 +6,8 @@
     period, batch size, convergence messages, vertex/outcome tallies, the
     post-epoch hash-chain digest, the simulator RIB digest and the run
     id).  The epoch record is the commit mark for the rows before it.
+    A paging run ({!pager}) also appends the governor's spill pages; they
+    are the journal's only page frames.
     Every [snapshot_every] epochs the session also appends an
     {!Pvr_query.Evidence_index} checkpoint frame and atomically rewrites
     a full {!Engine.Checkpoint} snapshot.  Journal frames are written
@@ -43,17 +45,10 @@ val decode_epoch : string -> (epoch_record, string) result
 
 type session
 
-val start :
-  ?fsync:bool -> ?snapshot_every:int -> ?page:bool -> dir:string -> unit ->
-  session
+val start : ?fsync:bool -> ?snapshot_every:int -> dir:string -> unit -> session
 (** Open [dir] for appending.  [snapshot_every] (default 1) epochs per
     full snapshot; [0] disables snapshots (journal-only, resume then
-    replays from epoch 1).  [page] (default [false]) additionally journals
-    the delta-RIB plane: one {!Pvr_query.Frame.Page} frame of
-    {!Engine.rib_changes} per recorded epoch (key ["rib:delta:<epoch>"])
-    and one full tracker image ({!Engine.rib_full}, key
-    ["rib:full:<epoch>"]) on the snapshot cadence — both appended before
-    the epoch record so the commit mark covers them. *)
+    replays from epoch 1). *)
 
 val pager : session -> run_id:string -> Engine.pager
 (** The session's WAL as an {!Engine.pager}: appended pages become tag-4

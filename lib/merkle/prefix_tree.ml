@@ -2,11 +2,13 @@ module H = Pvr_crypto.Sha256
 module BU = Pvr_crypto.Bytes_util
 module Codec = Pvr_crypto.Codec
 
+(* [build] hashes every node once, blinded children included, so [root]
+   and [prove] only read digests. *)
 type node =
-  | Leaf of string                     (* committed value *)
-  | Inner of node option * node option (* children for bit 0 / bit 1 *)
+  | Sealed of string               (* digest of a leaf or a blinded subtree *)
+  | Branch of string * node * node (* digest, children for bit 0 / bit 1 *)
 
-type t = { seed : string; entries : (Bitstring.t * string) list; top : node option }
+type t = { entries : (Bitstring.t * string) list; top : node }
 
 let leaf_hash v = H.digest ("pt-leaf:" ^ v)
 let node_hash l r = H.digest ("pt-node:" ^ l ^ r)
@@ -17,46 +19,29 @@ let node_hash l r = H.digest ("pt-node:" ^ l ^ r)
 let blind_hash seed path =
   H.digest ("pt-blind:" ^ Codec.encode_list [ seed; Bitstring.to_string path ])
 
-let insert top path value =
-  let n = Bitstring.length path in
-  let rec go node i =
-    if i = n then begin
-      match node with
-      | None -> Leaf value
-      | Some (Leaf _) -> invalid_arg "Prefix_tree.build: duplicate path"
-      | Some (Inner _) -> invalid_arg "Prefix_tree.build: not prefix-free"
-    end
-    else begin
-      let zero, one =
-        match node with
-        | None -> (None, None)
-        | Some (Inner (z, o)) -> (z, o)
-        | Some (Leaf _) -> invalid_arg "Prefix_tree.build: not prefix-free"
+let digest = function Sealed d | Branch (d, _, _) -> d
+
+(* Commit to the subtree at [path] (depth [d]) holding [entries], whose
+   paths all extend [path].  The paths are prefix-free, so a subtree with
+   several entries is always an inner node, and a leaf is a lone entry
+   ending at [d]. *)
+let rec seal seed path d = function
+  | [] -> Sealed (blind_hash seed path)
+  | [ (p, v) ] when Bitstring.length p = d -> Sealed (leaf_hash v)
+  | entries ->
+      let one, zero =
+        List.partition (fun (p, _) -> Bitstring.get p d) entries
       in
-      if Bitstring.get path i then Inner (zero, Some (go one (i + 1)))
-      else Inner (Some (go zero (i + 1)), one)
-    end
-  in
-  Some (go top 0)
+      let z = seal seed (Bitstring.append_bit path false) (d + 1) zero in
+      let o = seal seed (Bitstring.append_bit path true) (d + 1) one in
+      Branch (node_hash (digest z) (digest o), z, o)
 
 let build ~seed entries =
-  let paths = List.map fst entries in
-  if not (Bitstring.prefix_free paths) then
+  if not (Bitstring.prefix_free (List.map fst entries)) then
     invalid_arg "Prefix_tree.build: paths are not prefix-free";
-  let top =
-    List.fold_left (fun acc (p, v) -> insert acc p v) None entries
-  in
-  { seed; entries; top }
+  { entries; top = seal seed Bitstring.empty 0 entries }
 
-let rec hash_node seed path = function
-  | None -> blind_hash seed path
-  | Some (Leaf v) -> leaf_hash v
-  | Some (Inner (z, o)) ->
-      node_hash
-        (hash_node seed (Bitstring.append_bit path false) z)
-        (hash_node seed (Bitstring.append_bit path true) o)
-
-let root t = hash_node t.seed Bitstring.empty t.top
+let root t = digest t.top
 
 let cardinal t = List.length t.entries
 
@@ -75,22 +60,17 @@ let prove t path =
   | None -> None
   | Some value ->
       let n = Bitstring.length path in
-      let rec walk node prefix i acc =
+      let rec walk node i acc =
         if i = n then List.rev acc
         else begin
           match node with
-          | Some (Inner (z, o)) ->
-              let bit = Bitstring.get path i in
-              let child = if bit then o else z in
-              let sib = if bit then z else o in
-              let sib_path = Bitstring.append_bit prefix (not bit) in
-              let sib_hash = hash_node t.seed sib_path sib in
-              walk child (Bitstring.append_bit prefix bit) (i + 1)
-                (sib_hash :: acc)
-          | _ -> assert false (* [find] guaranteed the path exists *)
+          | Branch (_, z, o) ->
+              if Bitstring.get path i then walk o (i + 1) (digest z :: acc)
+              else walk z (i + 1) (digest o :: acc)
+          | Sealed _ -> assert false (* [find] guaranteed the path exists *)
         end
       in
-      Some (value, walk t.top Bitstring.empty 0 [])
+      Some (value, walk t.top 0 [])
 
 let verify ~root:expected ~path ~value proof =
   let n = Bitstring.length path in

@@ -175,9 +175,6 @@ let engine_core ?(quiet = false) ?(on_phase = fun ~epoch:_ (_ : string) -> ())
     ?checkpoint_dir ?(resume = false) ?(checkpoint_every = 1) ?(fsync = true)
     world p =
   let sim = G.Simulator.create world.w_topo in
-  (* The engine never reads the simulator's message log, and at 10k+ ASes
-     it is the single largest allocation of a run — keep it off. *)
-  G.Simulator.set_log_enabled sim false;
   let faults =
     if p.p_drop > 0.0 then
       Some
@@ -226,7 +223,7 @@ let engine_core ?(quiet = false) ?(on_phase = fun ~epoch:_ (_ : string) -> ())
         Option.map
           (fun dir ->
             Pvr_engine.Persist.start ~fsync ~snapshot_every:checkpoint_every
-              ~page:spill ~dir ())
+              ~dir ())
           checkpoint_dir
       in
       (* Spilling without a checkpoint dir still needs a WAL to page into:

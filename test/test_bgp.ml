@@ -552,6 +552,7 @@ let sim_good_gadget_converges () =
 let sim_message_log_grows () =
   let ases = List.init 4 (fun i -> asn (i + 1)) in
   let sim = G.Simulator.create (G.Topology.chain ases) in
+  G.Simulator.set_log_enabled sim true;
   G.Simulator.originate sim ~asn:(asn 4) prefix0;
   let n = G.Simulator.run sim in
   check_int "log matches count" n (List.length (G.Simulator.message_log sim))

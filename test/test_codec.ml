@@ -18,7 +18,6 @@ module Row = Pvr_query.Row
 module Frame = Pvr_query.Frame
 module Index = Pvr_query.Evidence_index
 module Protocol = Pvr_serve.Protocol
-module RD = G.Rib_delta
 module Gen = QCheck2.Gen
 
 let qtest ?(count = 100) name gen prop =
@@ -671,8 +670,6 @@ let encode_with f x =
   f buf x;
   Buffer.contents buf
 
-let tracker = Gen.map (fun seed -> Test_mem.tracker_of_seed (seed + 1) 30) (Gen.int_range 0 100_000)
-
 let store_rows =
   [
     row "Row.read" row_value ~encode:(encode_with Row.encode)
@@ -689,12 +686,6 @@ let store_rows =
     row "Evidence_index.load" evidence_index ~encode:Index.save
       ~decode:(of_result Index.load)
       ~equal:(fun a b -> Index.save a = Index.save b);
-    row ~count:60 "Rib_delta.decode_full" tracker ~encode:RD.encode_full
-      ~decode:(of_result RD.decode_full)
-      ~equal:(fun a b -> RD.digest a = RD.digest b && RD.pairs a = RD.pairs b);
-    row ~count:60 "Rib_delta.decode_delta"
-      (Gen.map RD.drain_changes tracker)
-      ~encode:RD.encode_delta ~decode:(of_result RD.decode_delta);
     row "Protocol.decode_request" request ~encode:Protocol.encode_request
       ~decode:(of_result Protocol.decode_request);
     row "Protocol.decode_response" response ~encode:Protocol.encode_response

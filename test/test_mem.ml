@@ -1,10 +1,10 @@
-(* Memory-governor and delta-RIB tests: Rib_delta blob round-trips and
-   full+delta replay, the incremental-vs-oracle RIB digest equivalence,
-   the spill layer's digest invariance across
+(* Memory-governor tests: the incremental-vs-oracle RIB digest
+   equivalence, the spill layer's digest invariance across
    ceiling x jobs x cache (including a pager that always fails reads),
-   governor staging counters, tag-4 page frames, random-access journal
-   reads, the 10k-AS generated-topology tier histogram, and the CLI's
-   --mem-ceiling and crashsoak spill kill-point contracts. *)
+   governor staging counters, a paging run's journal holding only spill
+   pages, tag-4 page frames, random-access journal reads, the 10k-AS
+   generated-topology tier histogram, and the CLI's --mem-ceiling and
+   crashsoak spill kill-point contracts. *)
 
 module E = Pvr_engine.Engine
 module G = Pvr_bgp
@@ -12,7 +12,6 @@ module C = Pvr_crypto
 module N = Pvr_net
 module S = Pvr_store.Store
 module Frame = Pvr_query.Frame
-module RD = G.Rib_delta
 module W = Pvr_serve.Workload
 
 let check_bool = Alcotest.(check bool)
@@ -47,75 +46,6 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let write_file path s =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
-
-(* ---- Rib_delta tracker ---------------------------------------------------------- *)
-
-let asn = G.Asn.of_int
-let pfx i = G.Prefix.make ~addr:((10 lsl 24) lor (i lsl 8)) ~len:24
-
-(* Seeded random tracker mutations: inserts, overwrites and removals over a
-   small (AS, prefix) universe so collisions and deletions are common. *)
-let mutate rng t n =
-  for _ = 1 to n do
-    let a = asn (1 + C.Drbg.uniform_int rng 20) in
-    let p = pfx (C.Drbg.uniform_int rng 40) in
-    let entry =
-      if C.Drbg.uniform_int rng 4 = 0 then ""
-      else Printf.sprintf "entry-%d" (C.Drbg.uniform_int rng 8)
-    in
-    ignore (RD.update t ~asn:a ~prefix:p ~entry : bool)
-  done
-
-let tracker_of_seed seed n =
-  let t = RD.create () in
-  mutate (C.Drbg.of_int_seed seed) t n;
-  t
-
-let rib_delta_full_roundtrip =
-  qtest "rib_delta: full blob round-trips"
-    QCheck2.Gen.(int_range 0 10_000)
-    (fun seed ->
-      let t = tracker_of_seed seed 60 in
-      match RD.decode_full (RD.encode_full t) with
-      | Error _ -> false
-      | Ok t' -> RD.digest t' = RD.digest t && RD.pairs t' = RD.pairs t)
-
-let rib_delta_delta_roundtrip =
-  qtest "rib_delta: delta blob round-trips"
-    QCheck2.Gen.(int_range 0 10_000)
-    (fun seed ->
-      let t = tracker_of_seed seed 60 in
-      let changes = RD.drain_changes t in
-      match RD.decode_delta (RD.encode_delta changes) with
-      | Ok changes' -> changes' = changes
-      | Error _ -> false)
-
-let rib_delta_replay_reconstructs () =
-  (* The journal shape: one full blob, then a stream of deltas.  Replaying
-     them onto a fresh tracker must land on the live tracker's digest. *)
-  let rng = C.Drbg.of_int_seed 9917 in
-  let live = RD.create () in
-  mutate rng live 80;
-  let full = RD.encode_full live in
-  ignore (RD.drain_changes live : RD.change list);
-  let deltas =
-    List.init 4 (fun _ ->
-        mutate rng live 40;
-        RD.encode_delta (RD.drain_changes live))
-  in
-  let rebuilt =
-    match RD.decode_full full with
-    | Ok t -> t
-    | Error e -> Alcotest.fail e
-  in
-  List.iter
-    (fun blob ->
-      match RD.decode_delta blob with
-      | Ok cs -> RD.apply rebuilt cs
-      | Error e -> Alcotest.fail e)
-    deltas;
-  check_string "replayed digest" (RD.digest live) (RD.digest rebuilt);
-  check_int "replayed pairs" (RD.pairs live) (RD.pairs rebuilt)
 
 (* ---- engine world with governor knobs -------------------------------------------- *)
 
@@ -234,7 +164,7 @@ let page_read_failure_recomputes () =
   check_bool "failures counted" true
     (delta d "engine.mem.page_read_failures" > 0)
 
-(* ---- the journal of a paging run -------------------------------------------------- *)
+(* ---- the journal of a paging run ------------------------------------------------- *)
 
 (* A checkpointed run under a 1-word ceiling spills vertex state into its
    own journal through [Persist.pager].  Those spill pages are the only
@@ -381,10 +311,6 @@ let cli_crashsoak_spill () =
 
 let suite =
   [
-    rib_delta_full_roundtrip;
-    rib_delta_delta_roundtrip;
-    ("rib_delta: full+delta replay reconstructs", `Quick,
-     rib_delta_replay_reconstructs);
     ("rib digest: incremental equals oracle", `Quick, rib_digest_matches_oracle);
     ("spill differential: ceiling x jobs x cache", `Quick, spill_differential);
     ("governor: shedding stages and counters", `Quick, governor_stages);

@@ -261,6 +261,22 @@ let prefix_tree_commitment_pinned () =
     "8107ff0c69e4626c67c7514dde5a7c068f2c6fefe0664a0a871ab500431ead94"
     (hex (M.Prefix_tree.root (M.Prefix_tree.build ~seed:"pin" [])))
 
+(* [build] hashes every node once; disclosing a path then only reads
+   the sibling digests it stored. *)
+let prefix_tree_prove_hashes_nothing () =
+  let es = entries 12 in
+  let t = M.Prefix_tree.build ~seed:"s" es in
+  Pvr_obs.set_enabled true;
+  let before = Pvr_obs.Snapshot.capture () in
+  List.iter (fun (path, _) -> ignore (M.Prefix_tree.prove t path)) es;
+  ignore (M.Prefix_tree.root t);
+  let d =
+    Pvr_obs.Snapshot.diff ~before ~after:(Pvr_obs.Snapshot.capture ())
+  in
+  Pvr_obs.set_enabled false;
+  check_int "sha256 ops" 0
+    (Pvr_obs.Snapshot.counter_value d "crypto.sha256.ops")
+
 let prefix_tree_random_population =
   qtest "random populations all provable" ~count:25
     QCheck2.Gen.(pair (int_range 1 40) (int_range 0 1_000_000))
@@ -308,4 +324,6 @@ let suite =
     ("prefix tree proof encoding roundtrip", `Quick, prefix_tree_proof_encoding_roundtrip);
     prefix_tree_random_population;
     ("prefix tree commitment pinned", `Quick, prefix_tree_commitment_pinned);
+    ("prefix tree prove hashes nothing", `Quick,
+     prefix_tree_prove_hashes_nothing);
   ]
