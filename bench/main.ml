@@ -134,49 +134,50 @@ let e1 () =
 
 let e2 () =
   header "E2  existential operator (§3.2) + ring-signature variant";
-  Printf.printf "%4s  %12s  %14s  %14s\n" "k" "exists ms" "ring sign ms"
+  Printf.printf "%4s  %12s  %14s  %14s\n" "k" "round ms" "ring sign ms"
     "ring verify ms";
   let rows =
   List.map
     (fun k ->
       let rng = C.Drbg.of_int_seed (200 + k) in
-      let inputs =
-        List.map
-          (fun (n, r) ->
-            P.Runner.announce_of_route keyring ~provider:n ~prover:a_as
-              ~epoch:1 r)
-          (routes_for k)
-      in
-      let exists_ms =
+      let routes = routes_for k in
+      let ring = List.map fst routes in
+      (* The whole §3.2 round, every party included: the graph round of
+         export-if-any ([op:exists]).  Every honest round must be clean. *)
+      let round_ms =
         time_ms (fun () ->
-            let out =
-              P.Proto_exists.prove rng keyring ~prover:a_as ~beneficiary:b_as
-                ~epoch:1 ~prefix:prefix0 ~inputs
+            let r =
+              P.Runner.graph_round rng keyring ~prover:a_as ~beneficiary:b_as
+                ~epoch:1 ~prefix:prefix0
+                ~promise:(R.Promise.Export_if_any ring) ~routes
             in
-            P.Proto_exists.check_beneficiary keyring ~me:b_as
-              ~commit:out.commit ~disclosure:out.beneficiary_disclosure)
+            assert (not r.P.Runner.detected))
       in
-      let ring = List.map fst (routes_for k) in
       let signer = List.hd ring in
       let sig_ms =
         time_ms ~min_time:0.1 (fun () ->
-            P.Proto_exists.ring_announce rng keyring ~ring ~signer ~epoch:1
+            P.Proto_common.ring_announce rng keyring ~ring ~signer ~epoch:1
               ~prefix:prefix0)
       in
       let rs =
-        P.Proto_exists.ring_announce rng keyring ~ring ~signer ~epoch:1
+        P.Proto_common.ring_announce rng keyring ~ring ~signer ~epoch:1
           ~prefix:prefix0
       in
       let verify_ms =
         time_ms ~min_time:0.1 (fun () ->
-            P.Proto_exists.ring_check keyring ~ring ~epoch:1 ~prefix:prefix0 rs)
+            assert
+              (P.Proto_common.ring_check keyring ~ring ~epoch:1
+                 ~prefix:prefix0 rs))
       in
-      Printf.printf "%4d  %12.2f  %14.2f  %14.2f\n%!" k exists_ms sig_ms
+      assert
+        (not
+           (P.Proto_common.ring_check keyring ~ring ~epoch:2 ~prefix:prefix0 rs));
+      Printf.printf "%4d  %12.2f  %14.2f  %14.2f\n%!" k round_ms sig_ms
         verify_ms;
       J.Obj
         [
           ("k", J.Int k);
-          ("exists_ms", J.Float exists_ms);
+          ("round_ms", J.Float round_ms);
           ("ring_sign_ms", J.Float sig_ms);
           ("ring_verify_ms", J.Float verify_ms);
         ])
@@ -1606,23 +1607,12 @@ let e17 () =
 let bechamel_tests () =
   let open Bechamel in
   let key = P.Keyring.private_key keyring a_as in
-  let inputs8 =
-    List.map
-      (fun (n, r) ->
-        P.Runner.announce_of_route keyring ~provider:n ~prover:a_as ~epoch:1 r)
-      (routes_for 8)
-  in
   let graph_promise = R.Promise.Shortest_from (List.map fst (routes_for 4)) in
   let smc_circuit = Smc.Circuit.minimum ~bits:8 ~k:4 in
   let smc_inputs = Array.init 32 (fun i -> i mod 2 = 0) in
   [
     Test.make ~name:"e1/min-round-k8"
       (Staged.stage (fun () -> ignore (min_round_once 8)));
-    Test.make ~name:"e2/exists-prove-k8"
-      (Staged.stage (fun () ->
-           ignore
-             (P.Proto_exists.prove (C.Drbg.of_int_seed 1) keyring ~prover:a_as
-                ~beneficiary:b_as ~epoch:1 ~prefix:prefix0 ~inputs:inputs8)));
     Test.make ~name:"e3/graph-round-k4"
       (Staged.stage (fun () ->
            ignore

@@ -25,18 +25,18 @@ let () =
      existence statement anonymously. *)
   let secret_signer = List.nth providers 3 in
   let signature =
-    P.Proto_exists.ring_announce rng keyring ~ring:providers
+    P.Proto_common.ring_announce rng keyring ~ring:providers
       ~signer:secret_signer ~epoch:1 ~prefix
   in
   Printf.printf "Statement: %S\n"
-    (P.Proto_exists.ring_statement ~epoch:1 ~prefix);
+    (P.Proto_common.ring_statement ~epoch:1 ~prefix);
   Printf.printf "Signature size: %d bytes (ring of %d)\n"
     (String.length (C.Ring_signature.encode signature))
     (C.Ring_signature.ring_size signature);
 
   (* B can check that SOME ring member signed... *)
   Printf.printf "B verifies 'some N_i has a route': %b\n"
-    (P.Proto_exists.ring_check keyring ~ring:providers ~epoch:1 ~prefix
+    (P.Proto_common.ring_check keyring ~ring:providers ~epoch:1 ~prefix
        signature);
 
   (* ...but the signature is symmetric in the ring members: there is no
@@ -45,7 +45,7 @@ let () =
      same check passes regardless of which member we *guess* signed (there
      is simply no per-member check to run), and that tampering breaks it. *)
   Printf.printf "B verifies under wrong epoch (must fail): %b\n"
-    (P.Proto_exists.ring_check keyring ~ring:providers ~epoch:9 ~prefix
+    (P.Proto_common.ring_check keyring ~ring:providers ~epoch:9 ~prefix
        signature);
 
   (* Every ring member could have produced an indistinguishable signature. *)
@@ -53,10 +53,10 @@ let () =
   List.iter
     (fun signer ->
       let s =
-        P.Proto_exists.ring_announce rng keyring ~ring:providers ~signer
+        P.Proto_common.ring_announce rng keyring ~ring:providers ~signer
           ~epoch:1 ~prefix
       in
       Printf.printf "  signer %s -> verifies %b\n" (G.Asn.to_string signer)
-        (P.Proto_exists.ring_check keyring ~ring:providers ~epoch:1 ~prefix s))
+        (P.Proto_common.ring_check keyring ~ring:providers ~epoch:1 ~prefix s))
     providers;
   print_endline "B learns that a route exists, and nothing about whose it is."

@@ -175,11 +175,8 @@ let rec eval keyring ~respond evidence =
         && bit_at commit ~index opening = Some false
         && Proto_common.valid_input keyring ~prover:accused
              ~epoch:cp.Wire.cmt_epoch ~prefix:cp.Wire.cmt_prefix witness
-        &&
-        match cp.Wire.cmt_scheme with
-        | "exists" -> index = 1
-        | "min" -> witness_len <= index
-        | _ -> false)
+        && cp.Wire.cmt_scheme = "min"
+        && witness_len <= index)
   | Evidence.Non_monotonic_bits
       { commit; set_index; set_opening; unset_index; unset_opening } ->
       verdict_of_bool
@@ -241,7 +238,7 @@ let rec eval keyring ~respond evidence =
         let m = min_set_index commit openings in
         let bit_says_route =
           match cp.Wire.cmt_scheme with
-          | "exists" | "min" -> m < max_int
+          | "min" -> m < max_int
           | "graph" -> true (* bits live inside the tree; challenge anyway *)
           | "noshorter" -> begin
               (* Some opening in the claimant's own block must show 1. *)
@@ -309,11 +306,9 @@ let rec eval keyring ~respond evidence =
       then Rejected
       else begin
         let index =
-          match cp.Wire.cmt_scheme with
-          | "exists" -> 1
-          | "min" ->
-              Bgp.Route.path_length announce.Wire.payload.Wire.ann_route
-          | _ -> 0
+          if cp.Wire.cmt_scheme = "min" then
+            Bgp.Route.path_length announce.Wire.payload.Wire.ann_route
+          else 0
         in
         if index = 0 || index > List.length cp.Wire.cmt_commitments then
           (* Graph-scheme omissions carry no commitment index the judge can

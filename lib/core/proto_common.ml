@@ -92,3 +92,31 @@ let check_export_provenance ?verified keyring ~commit ~beneficiary
         then Ok ann
         else bad ()
   end
+
+(* The §3.2 link-state variant: providers ring-sign "a route exists". *)
+
+let ring_statement ~epoch ~prefix =
+  Printf.sprintf "pvr-ring:a route to %s exists in epoch %d"
+    (Bgp.Prefix.to_string prefix)
+    epoch
+
+let ring_of keyring ring = Array.of_list (List.map (Keyring.public_key keyring) ring)
+
+let index_of ring signer =
+  let rec go i = function
+    | [] -> invalid_arg "Proto_common.ring_announce: signer not in ring"
+    | x :: rest -> if Bgp.Asn.equal x signer then i else go (i + 1) rest
+  in
+  go 0 ring
+
+let ring_announce rng keyring ~ring ~signer ~epoch ~prefix =
+  let pubs = ring_of keyring ring in
+  let idx = index_of ring signer in
+  C.Ring_signature.sign rng ~ring:pubs ~signer:idx
+    ~key:(Keyring.private_key keyring signer)
+    (ring_statement ~epoch ~prefix)
+
+let ring_check keyring ~ring ~epoch ~prefix signature =
+  C.Ring_signature.verify ~ring:(ring_of keyring ring)
+    ~msg:(ring_statement ~epoch ~prefix)
+    signature

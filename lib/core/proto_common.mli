@@ -1,4 +1,5 @@
-(** Pieces shared by the existential (§3.2) and minimum (§3.3) protocols.
+(** Pieces shared by the minimum (§3.3), promise-4 and route-flow-graph
+    (§3.5–3.7) protocols, plus the ring-signature variant of §3.2.
 
     Conventions used throughout:
     - An "input" is a {!Wire.announce} signed by the providing neighbor N_i
@@ -10,7 +11,7 @@
       input route has AS-path length ≤ i. *)
 
 type neighbor_disclosure = {
-  nd_index : int;  (** which commitment is being opened (1 for ["exists"]) *)
+  nd_index : int;  (** which commitment is being opened (1-based) *)
   nd_opening : Pvr_crypto.Commitment.opening;
 }
 (** What A reveals to a providing neighbor. *)
@@ -64,3 +65,33 @@ val check_export_provenance :
     route equals the exported route).  On success, returns the provenance
     announcement.  [verified] is the beneficiary's table of roots it has
     already verified ({!Wire.verify_batch}); a judge never passes one. *)
+
+(** {2 Link-state variant of §3.2 (ring signatures)}
+
+    The paper's link-state remark: the providers sign "a route exists"
+    with a ring signature, so B learns that {e some} ring member provided
+    a route without learning which.  The route-flow graph round carries
+    the existential operator itself ([op:exists]); this variant has no
+    graph counterpart. *)
+
+val ring_statement : epoch:Wire.epoch -> prefix:Pvr_bgp.Prefix.t -> string
+(** The statement "a route to [prefix] exists in epoch [epoch]". *)
+
+val ring_announce :
+  Pvr_crypto.Drbg.t ->
+  Keyring.t ->
+  ring:Pvr_bgp.Asn.t list ->
+  signer:Pvr_bgp.Asn.t ->
+  epoch:Wire.epoch ->
+  prefix:Pvr_bgp.Prefix.t ->
+  Pvr_crypto.Ring_signature.t
+(** A provider signs the existence statement anonymously within the ring. *)
+
+val ring_check :
+  Keyring.t ->
+  ring:Pvr_bgp.Asn.t list ->
+  epoch:Wire.epoch ->
+  prefix:Pvr_bgp.Prefix.t ->
+  Pvr_crypto.Ring_signature.t ->
+  bool
+(** B's check: some ring member signed the statement. *)

@@ -251,4 +251,4 @@ val graph_round :
   report
 (** One honest generalized round (§3.5–3.7), run as {!min_round} runs
     the §3.3 one: A drafts [promise]'s reference route-flow graph under its
-    minimal α ({!Proto_graph.draft}).  Used by E3. *)
+    minimal α ({!Proto_graph.draft}).  Used by E2 and E3. *)

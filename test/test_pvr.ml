@@ -1,5 +1,6 @@
 (* Tests for the pvr core: wire signatures, access control, gossip, the
-   §3.2 and §3.3 protocols, the generalized graph protocol, the judge, the
+   §3.3 protocol, the §3.2 ring-signature variant, the generalized graph
+   protocol (which runs §3.2's existential operator), the judge, the
    adversary matrix (Detection / Evidence / Accuracy) and the leakage audit
    (Confidentiality). *)
 
@@ -490,97 +491,22 @@ let gossip_invalid_signature_ignored () =
        ~scheme:"min"
     = None)
 
-(* ---- Proto_exists ----------------------------------------------------------------- *)
-
-let exists_honest_with_routes () =
-  let kr = Lazy.force keyring in
-  let rng = fresh_rng () in
-  let inputs = [ announce (asn 10) 2; announce (asn 11) 3 ] in
-  let out =
-    P.Proto_exists.prove rng kr ~prover:a_as ~beneficiary:b_as ~epoch:1
-      ~prefix:prefix0 ~inputs
-  in
-  check_int "B clean" 0
-    (List.length
-       (P.Proto_exists.check_beneficiary kr ~me:b_as ~commit:out.commit
-          ~disclosure:out.beneficiary_disclosure));
-  List.iter
-    (fun (ann : P.Wire.announce P.Wire.signed) ->
-      let d = List.assoc_opt ann.P.Wire.signer out.neighbor_disclosures in
-      check_int "Ni clean" 0
-        (List.length
-           (P.Proto_exists.check_neighbor kr ~me:ann.P.Wire.signer
-              ~my_announce:ann ~commit:out.commit ~disclosure:d)))
-    inputs;
-  check_bool "exported" true (out.beneficiary_disclosure.bd_export <> None)
-
-let exists_honest_no_routes () =
-  let kr = Lazy.force keyring in
-  let rng = fresh_rng () in
-  let out =
-    P.Proto_exists.prove rng kr ~prover:a_as ~beneficiary:b_as ~epoch:1
-      ~prefix:prefix0 ~inputs:[]
-  in
-  check_bool "no export" true (out.beneficiary_disclosure.bd_export = None);
-  check_int "B clean" 0
-    (List.length
-       (P.Proto_exists.check_beneficiary kr ~me:b_as ~commit:out.commit
-          ~disclosure:out.beneficiary_disclosure))
-
-let exists_detects_suppression () =
-  let kr = Lazy.force keyring in
-  let rng = fresh_rng () in
-  let inputs = [ announce (asn 10) 2 ] in
-  let out =
-    P.Proto_exists.prove rng kr ~prover:a_as ~beneficiary:b_as ~epoch:1
-      ~prefix:prefix0 ~inputs
-  in
-  let evs =
-    P.Proto_exists.check_beneficiary kr ~me:b_as ~commit:out.commit
-      ~disclosure:{ out.beneficiary_disclosure with bd_export = None }
-  in
-  check_bool "missing export claimed" true
-    (List.exists
-       (function P.Evidence.Missing_export_claim _ -> true | _ -> false)
-       evs)
-
-let exists_detects_false_bit () =
-  (* A claims b = 0 although AS10 provided a route. *)
-  let kr = Lazy.force keyring in
-  let rng = fresh_rng () in
-  let ann = announce (asn 10) 2 in
-  (* Honest prove with no inputs gives a b=0 commitment and opening. *)
-  let out =
-    P.Proto_exists.prove rng kr ~prover:a_as ~beneficiary:b_as ~epoch:1
-      ~prefix:prefix0 ~inputs:[]
-  in
-  let opening =
-    match out.beneficiary_disclosure.bd_openings with
-    | [ (1, o) ] -> o
-    | _ -> Alcotest.fail "expected one opening"
-  in
-  let evs =
-    P.Proto_exists.check_neighbor kr ~me:(asn 10) ~my_announce:ann
-      ~commit:out.commit
-      ~disclosure:(Some { nd_index = 1; nd_opening = opening })
-  in
-  check_bool "false bit" true
-    (List.exists (function P.Evidence.False_bit _ -> true | _ -> false) evs)
+(* ---- §3.2 link-state variant ------------------------------------------------------- *)
 
 let exists_ring_variant () =
   let kr = Lazy.force keyring in
   let rng = fresh_rng () in
   let ring = providers in
   let s =
-    P.Proto_exists.ring_announce rng kr ~ring ~signer:(List.nth providers 2)
+    P.Proto_common.ring_announce rng kr ~ring ~signer:(List.nth providers 2)
       ~epoch:1 ~prefix:prefix0
   in
   check_bool "ring verifies" true
-    (P.Proto_exists.ring_check kr ~ring ~epoch:1 ~prefix:prefix0 s);
+    (P.Proto_common.ring_check kr ~ring ~epoch:1 ~prefix:prefix0 s);
   check_bool "wrong epoch" false
-    (P.Proto_exists.ring_check kr ~ring ~epoch:2 ~prefix:prefix0 s);
+    (P.Proto_common.ring_check kr ~ring ~epoch:2 ~prefix:prefix0 s);
   check_bool "wrong ring" false
-    (P.Proto_exists.ring_check kr ~ring:(b_as :: List.tl ring) ~epoch:1
+    (P.Proto_common.ring_check kr ~ring:(b_as :: List.tl ring) ~epoch:1
        ~prefix:prefix0 s)
 
 (* ---- Proto_min -------------------------------------------------------------------- *)
@@ -782,8 +708,8 @@ let matrix_stubborn_omission_guilty () =
     (P.Judge.evaluate_offline kr claim = P.Judge.Guilty)
 
 let judge_rejects_cross_scheme_confusion () =
-  (* A False_bit framed against an "exists" commitment with index > 1 (or a
-     min commitment with a too-long witness) must be Rejected: the judge
+  (* A False_bit framed against a min commitment with a too-long witness, or
+     against a retired "exists" commitment, must be Rejected: the judge
      never convicts outside the scheme's semantics. *)
   let kr = Lazy.force keyring in
   let rng = fresh_rng () in
@@ -801,7 +727,30 @@ let judge_rejects_cross_scheme_confusion () =
       { commit = P.Runner.commit_for out b_as; index = 1; opening = o1; witness = long }
   in
   check_bool "long witness cannot frame a low bit" true
-    (P.Judge.evaluate_offline kr bogus = P.Judge.Rejected)
+    (P.Judge.evaluate_offline kr bogus = P.Judge.Rejected);
+  (* No round commits under "exists" (§3.2 runs as a graph round), so a
+     validly signed "exists" commit whose one bit opens to 0 convicts
+     nobody, whatever the witness. *)
+  let c, o = C.Commitment.commit_bit rng false in
+  let exists_commit =
+    P.Wire.sign kr ~as_:a_as ~encode:P.Wire.encode_commit
+      {
+        P.Wire.cmt_epoch = 1;
+        cmt_prefix = prefix0;
+        cmt_scheme = "exists";
+        cmt_commitments = [ (c :> string) ];
+      }
+  in
+  check_bool "exists false bit rejected" true
+    (P.Judge.evaluate_offline kr
+       (P.Evidence.False_bit
+          { commit = exists_commit; index = 1; opening = o; witness = short })
+    = P.Judge.Rejected);
+  check_bool "exists missing disclosure rejected" true
+    (P.Judge.evaluate_offline kr
+       (P.Evidence.Missing_disclosure_claim
+          { commit = exists_commit; announce = short; claimant = asn 10 })
+    = P.Judge.Rejected)
 
 let min_tie_between_equal_routes () =
   (* Two providers announce equal-length routes: the export must be one of
@@ -1122,10 +1071,19 @@ let graph_honest_fig2_clean () =
   let r = graph_round promise routes in
   check_bool "clean" false r.detected
 
-let graph_honest_exists_clean () =
-  let routes = [ (List.hd providers, mk_route (List.hd providers) 3) ] in
-  let r = graph_round (R.Promise.Export_if_any providers) routes in
-  check_bool "clean" false r.detected
+(* §3.2's existential operator as a graph round: clean, and A exports
+   exactly when some provider offered a route. *)
+let graph_exists_clean routes () =
+  let promise = R.Promise.Export_if_any providers in
+  let r = graph_round promise routes in
+  check_bool "clean" false r.detected;
+  check_bool "export iff a route" (routes <> [])
+    ((graph_draft promise routes).dr_export <> None)
+
+let graph_honest_exists_clean =
+  graph_exists_clean [ (List.hd providers, mk_route (List.hd providers) 3) ]
+
+let exists_honest_no_routes = graph_exists_clean []
 
 (* Property: honest graph rounds are clean for every promise shape over
    random scenarios. *)
@@ -1193,21 +1151,14 @@ let graph_within_hops_window_enforced () =
   in
   check_bool "window violation caught" true (evs <> [])
 
-(* The case above through the shared round: A swaps its honest export for
-   the longer admitted input, and the round signs and checks the draft like
-   any other.  B must raise graph evidence that the judge replays. *)
-let graph_dishonest_round_convicted () =
+(* A dishonest draft through the shared round, which signs and checks it
+   like any other: the draft owes B [export] instead of its honest one.  B's
+   evidence must satisfy [expected] and be judged guilty over both
+   transports. *)
+let graph_dishonest_convicted promise routes export expected () =
   let kr = Lazy.force keyring in
-  let routes =
-    [ (asn 10, mk_route (asn 10) 2); (asn 11, mk_route (asn 11) 6) ]
-  in
-  let honest = graph_draft (R.Promise.Within_hops 2) routes in
   let d =
-    {
-      honest with
-      P.Proto_graph.dr_export =
-        Some (List.assoc (asn 11) routes, P.Proto_min.Input (asn 11));
-    }
+    { (graph_draft promise routes) with P.Proto_graph.dr_export = export }
   in
   List.iter
     (fun (name, transport) ->
@@ -1217,19 +1168,34 @@ let graph_dishonest_round_convicted () =
       let r = (P.Runner.check kr link (graph_sign d)).P.Runner.base in
       check_bool (name ^ ": detected") true r.P.Runner.detected;
       check_bool (name ^ ": convicted") true r.P.Runner.convicted;
-      check_bool (name ^ ": B's graph violation judged guilty") true
+      check_bool (name ^ ": B's evidence judged guilty") true
         (List.exists
            (function
-             | ( P.Adversary.Beneficiary,
-                 P.Evidence.Graph_violation _,
-                 P.Judge.Guilty ) ->
-                 true
+             | P.Adversary.Beneficiary, e, P.Judge.Guilty -> expected e
              | _ -> false)
            r.P.Runner.judged))
     [
       ("direct", P.Runner.Direct);
       ("net", P.Runner.Net P.Runner.perfect_faults);
     ]
+
+(* The case above: A swaps its honest export for the longer admitted
+   input. *)
+let graph_dishonest_round_convicted =
+  let routes =
+    [ (asn 10, mk_route (asn 10) 2); (asn 11, mk_route (asn 11) 6) ]
+  in
+  graph_dishonest_convicted (R.Promise.Within_hops 2) routes
+    (Some (List.assoc (asn 11) routes, P.Proto_min.Input (asn 11)))
+    (function P.Evidence.Graph_violation _ -> true | _ -> false)
+
+(* Export-if-any: A suppresses the export its committed bit owes B. *)
+let exists_detects_suppression =
+  graph_dishonest_convicted
+    (R.Promise.Export_if_any [ asn 10 ])
+    [ (asn 10, mk_route (asn 10) 2) ]
+    None
+    (function P.Evidence.Missing_export_claim _ -> true | _ -> false)
 
 (* Every provider's route, provider i at length i + 1. *)
 let graph_routes () = List.mapi (fun i n -> (n, mk_route n (i + 1))) providers
@@ -1289,21 +1255,18 @@ let graph_provider_gets_only_own_bit () =
   check_bool "exactly the one bit" true
     (List.map fst op_d.bit_openings = [ 3 ])
 
-let graph_wrong_input_detected () =
-  (* A commits a different route than AS10 announced: AS10 must detect. *)
+(* A commits [inputs] although AS10 announced a length-2 route.  AS10 must
+   detect, and the judge must confirm from the evidence alone. *)
+let graph_wrong_input promise inputs () =
   let kr = Lazy.force keyring in
   let real = announce (asn 10) 2 in
-  (* Prover ran on a fake (length-4) route from AS10... *)
-  let ps =
-    graph_draft ~neighbors:providers (R.Promise.Shortest_from providers)
-      [ (asn 10, mk_route (asn 10) 4) ]
-  in
+  let ps = graph_draft ~neighbors:providers promise inputs in
   let commit = (graph_sign ps).P.Runner.commit in
   let ds =
     P.Proto_graph.disclose ~role:(`Provider 2) ps ~alpha:ps.dr_alpha
       ~viewer:(asn 10)
   in
-  (* ...but AS10 checks against what it actually sent. *)
+  (* AS10 checks against what it actually sent. *)
   let evs =
     P.Proto_graph.check_provider kr ~me:(asn 10) ~my_announce:real ~commit
       ~disclosures:ds
@@ -1316,7 +1279,6 @@ let graph_wrong_input_detected () =
              true
          | _ -> false)
        evs);
-  (* And the judge confirms it from the evidence alone. *)
   List.iter
     (fun e ->
       match e with
@@ -1325,6 +1287,16 @@ let graph_wrong_input_detected () =
             (P.Judge.evaluate_offline kr e = P.Judge.Guilty)
       | _ -> ())
     evs
+
+(* A fake (length-4) route from AS10 under shortest-from. *)
+let graph_wrong_input_detected =
+  graph_wrong_input (R.Promise.Shortest_from providers)
+    [ (asn 10, mk_route (asn 10) 4) ]
+
+(* No route from AS10 at all under export-if-any: the false bit of §3.2. *)
+let exists_detects_false_bit =
+  graph_wrong_input (R.Promise.Export_if_any providers)
+    [ (asn 11, mk_route (asn 11) 3) ]
 
 (* ---- Threat-model boundary ------------------------------------------------------------- *)
 
@@ -2033,7 +2005,6 @@ let suite =
     ("gossip distinct epochs fine", `Quick, gossip_different_epochs_no_conflict);
     ("gossip ring eventually detects", `Quick, gossip_ring_misses_pairwise_split);
     ("gossip ignores invalid signatures", `Quick, gossip_invalid_signature_ignored);
-    ("exists honest with routes", `Quick, exists_honest_with_routes);
     ("exists honest without routes", `Quick, exists_honest_no_routes);
     ("exists detects suppression", `Quick, exists_detects_suppression);
     ("exists detects false bit", `Quick, exists_detects_false_bit);
