@@ -772,6 +772,134 @@ let min_tie_between_equal_routes () =
         (G.Route.path_length e.P.Wire.payload.P.Wire.exp_route)
   | None -> Alcotest.fail "expected export"
 
+(* ---- Graph round helpers ---------------------------------------------------- *)
+
+let graph_round promise routes =
+  let kr = Lazy.force keyring in
+  let rng = fresh_rng () in
+  P.Runner.graph_round ~max_path_len:8 rng kr ~prover:a_as ~beneficiary:b_as
+    ~epoch:1 ~prefix:prefix0 ~promise ~routes
+
+(* An honest graph draft over [routes]: [promise]'s reference graph and
+   minimal α over [neighbors] (default: the routes' providers). *)
+let graph_draft ?neighbors ?(beneficiary = b_as) ?(prefix = prefix0) promise
+    routes =
+  let neighbors = Option.value neighbors ~default:(List.map fst routes) in
+  P.Proto_graph.draft ~max_path_len:8 (fresh_rng ()) ~prover:a_as
+    ~beneficiary ~epoch:1 ~prefix
+    ~rfg:(R.Promise.reference_rfg promise ~beneficiary ~neighbors)
+    ~alpha:(P.Access_control.for_promise promise ~beneficiary ~neighbors)
+    ~inputs:routes
+
+(* A graph draft signed by the shared round's sign phase. *)
+let graph_sign d =
+  (P.Runner.sign (Lazy.force keyring)
+     [| (P.Runner.memo (), P.Runner.Graph d) |]).(0)
+
+let to_evidence (d : P.Proto_graph.disclosure) =
+  let comp =
+    Option.map (fun (c : P.Proto_graph.component_opening) ->
+        { P.Evidence.gc_raw = c.raw; gc_opening = c.opening })
+  in
+  {
+    P.Evidence.gd_vertex = d.vertex;
+    gd_leaf = d.leaf;
+    gd_proof = d.proof;
+    gd_preds = comp d.preds;
+    gd_succs = comp d.succs;
+    gd_payload = comp d.payload;
+    gd_bits = d.bit_openings;
+  }
+
+(* Four accusations against an honest A, each from one or two neighbours
+   holding only what honest signed rounds sent them. *)
+let graph_framings () =
+  let route n len = (n, mk_route n len) in
+  let signed ?beneficiary ?prefix promise routes =
+    let d = graph_draft ?beneficiary ?prefix promise routes in
+    (d, graph_sign d)
+  in
+  let view ?role d viewer =
+    P.Proto_graph.disclose ?role d ~alpha:d.P.Proto_graph.dr_alpha ~viewer
+  in
+  let violation (r : P.Runner.round) ds offence =
+    P.Evidence.Graph_violation
+      { commit = r.commit; disclosures = List.map to_evidence ds; offence }
+  in
+  let announce_of (r : P.Runner.round) n = List.assoc n r.announces in
+  let from_10_11 = R.Promise.Shortest_from [ asn 10; asn 11 ] in
+  let fig2 =
+    R.Promise.Prefer_unless_shorter
+      { fallback = [ asn 11; asn 12 ]; override = asn 10 }
+  in
+  let d, r = signed from_10_11 [ route (asn 10) 2; route (asn 11) 3 ] in
+  let wrong_var =
+    violation r
+      (view ~role:(`Provider 3) d (asn 11))
+      (P.Evidence.Wrong_input_value
+         { var = R.Promise.input_var (asn 11); witness = announce_of r (asn 10) })
+  in
+  let b_view = view d b_as in
+  let not_committed export =
+    violation r b_view
+      (P.Evidence.Export_not_committed
+         { out_var = R.Promise.output_var b_as; export })
+  in
+  (* B withholds some of op:min's bit openings, so the bits left seem to
+     promise no route, or a longer one than the committed output. *)
+  let withheld keep =
+    violation r
+      (List.map
+         (fun (v : P.Proto_graph.disclosure) ->
+           if v.vertex = "op:min" then
+             {
+               v with
+               bit_openings = List.filter (fun (i, _) -> keep i) v.bit_openings;
+             }
+           else v)
+         b_view)
+      (P.Evidence.Output_evidence_mismatch
+         { out_var = R.Promise.output_var b_as; op = "op:min"; detail = "" })
+  in
+  let prefix1 = G.Prefix.of_string "11.0.0.0/8" in
+  let export_of (_, (r : P.Runner.round)) = Option.get r.export in
+  let other_prefix =
+    export_of
+      (signed ~prefix:prefix1 from_10_11
+         [ (asn 10, { (mk_route (asn 10) 2) with G.Route.prefix = prefix1 }) ])
+  in
+  let other_neighbour =
+    export_of (signed ~beneficiary:(asn 2) from_10_11 [ route (asn 11) 3 ])
+  in
+  let d, r =
+    signed fig2 [ route (asn 10) 2; route (asn 11) 3; route (asn 12) 4 ]
+  in
+  let unconsumed_bit =
+    violation r
+      (view ~role:(`Provider 2) d (asn 10))
+      (P.Evidence.False_evidence_bit
+         { op = "op:min"; index = 2; witness = announce_of r (asn 10) })
+  in
+  let d, r = signed fig2 [ route (asn 10) 2 ] in
+  let foreign_producer =
+    violation r (view d b_as)
+      (P.Evidence.Output_evidence_mismatch
+         {
+           out_var = R.Promise.output_var b_as;
+           op = "op:min";
+           detail = "evidence says no route, output is non-empty";
+         })
+  in
+  [
+    ("another provider's witness rejected", wrong_var);
+    ("bit of an operator the witness does not feed rejected", unconsumed_bit);
+    ("operator that does not produce the output rejected", foreign_producer);
+    ("export for another prefix rejected", not_committed other_prefix);
+    ("export to another neighbour rejected", not_committed other_neighbour);
+    ("set bits withheld rejected", withheld (fun i -> i = 1));
+    ("shortest set bit withheld rejected", withheld (fun i -> i <> 2));
+  ]
+
 let judge_rejects_fabrications () =
   (* Evidence whose internals do not hold up must be Rejected, protecting an
      innocent A (Accuracy). *)
@@ -799,7 +927,14 @@ let judge_rejects_fabrications () =
   let commit = P.Runner.commit_for out b_as in
   let dup = P.Evidence.Equivocation { first = commit; second = commit } in
   check_bool "duplicate commit rejected" true
-    (P.Judge.evaluate_offline kr dup = P.Judge.Rejected)
+    (P.Judge.evaluate_offline kr dup = P.Judge.Rejected);
+  (* Graph evidence a Byzantine neighbour assembles from the bytes of
+     honest signed rounds: genuine statements paired with ones the offence
+     does not name. *)
+  List.iter
+    (fun (name, e) ->
+      check_bool name true (P.Judge.evaluate_offline kr e = P.Judge.Rejected))
+    (graph_framings ())
 
 (* Evidence whose two signatures by the accused are genuine ones multiplied
    by 2 and 2^-1 mod n.  Neither verifies alone, while their product equals
@@ -1036,27 +1171,6 @@ let matrix_property_random_lengths =
 
 (* ---- Graph protocol ----------------------------------------------------------------- *)
 
-let graph_round promise routes =
-  let kr = Lazy.force keyring in
-  let rng = fresh_rng () in
-  P.Runner.graph_round ~max_path_len:8 rng kr ~prover:a_as ~beneficiary:b_as
-    ~epoch:1 ~prefix:prefix0 ~promise ~routes
-
-(* An honest graph draft over [routes]: [promise]'s reference graph and
-   minimal α over [neighbors] (default: the routes' providers). *)
-let graph_draft ?neighbors promise routes =
-  let neighbors = Option.value neighbors ~default:(List.map fst routes) in
-  P.Proto_graph.draft ~max_path_len:8 (fresh_rng ()) ~prover:a_as
-    ~beneficiary:b_as ~epoch:1 ~prefix:prefix0
-    ~rfg:(R.Promise.reference_rfg promise ~beneficiary:b_as ~neighbors)
-    ~alpha:(P.Access_control.for_promise promise ~beneficiary:b_as ~neighbors)
-    ~inputs:routes
-
-(* A graph draft signed by the shared round's sign phase. *)
-let graph_sign d =
-  (P.Runner.sign (Lazy.force keyring)
-     [| (P.Runner.memo (), P.Runner.Graph d) |]).(0)
-
 let graph_honest_min_clean () =
   let routes = List.mapi (fun i n -> (n, mk_route n (i + 1))) providers in
   let r = graph_round (R.Promise.Shortest_from providers) routes in
@@ -1149,7 +1263,171 @@ let graph_within_hops_window_enforced () =
     P.Proto_graph.check_beneficiary kr ~me:b_as ~commit ~disclosures:ds
       ~export:(Some bad_export)
   in
-  check_bool "window violation caught" true (evs <> [])
+  check_bool "window violation caught" true (evs <> []);
+  List.iter
+    (fun e ->
+      check_bool "judged guilty" true
+        (P.Judge.evaluate_offline kr e = P.Judge.Guilty))
+    evs
+
+(* A's graph commitment built from its public parts: every input variable
+   holds its route and each operator its honest threshold bits over the
+   shortest input, but B's output variable holds [out_routes].  Returns the
+   signed commit and every vertex disclosed in full. *)
+let forged_graph_commit promise routes ~out_routes =
+  let kr = Lazy.force keyring in
+  let rng = fresh_rng () in
+  let rfg =
+    R.Promise.reference_rfg promise ~beneficiary:b_as
+      ~neighbors:(List.map fst routes)
+  in
+  let shortest =
+    List.fold_left (fun m (_, r) -> min m (G.Route.path_length r)) max_int
+      routes
+  in
+  let opened raw =
+    let c, opening = C.Commitment.commit rng raw in
+    ((c :> string), { P.Proto_graph.raw; opening })
+  in
+  let vertices =
+    List.map
+      (fun id ->
+        let payload, bits =
+          match R.Rfg.operator_of rfg id with
+          | Some op ->
+              let bits =
+                List.init 8 (fun i ->
+                    C.Commitment.commit_bit rng (shortest <= i + 1))
+              in
+              ( P.Proto_graph.encode_op_payload op
+                  (List.map
+                     (fun ((c : C.Commitment.commitment), _) -> (c :> string))
+                     bits),
+                List.mapi (fun i (_, o) -> (i + 1, o)) bits )
+          | None ->
+              ( P.Proto_graph.encode_var_payload
+                  (if id = R.Promise.output_var b_as then out_routes
+                   else
+                     List.filter_map
+                       (fun (n, r) ->
+                         if id = R.Promise.input_var n then Some r else None)
+                       routes),
+                [] )
+        in
+        let comps =
+          List.map opened
+            [
+              C.Codec.encode_list (R.Rfg.predecessors rfg id);
+              C.Codec.encode_list (R.Rfg.successors rfg id);
+              payload;
+            ]
+        in
+        (id, C.Codec.encode_list (List.map fst comps), List.map snd comps, bits))
+      (R.Rfg.vertex_ids rfg)
+  in
+  let tree =
+    Pvr_merkle.Prefix_tree.build ~seed:(C.Drbg.generate rng 32)
+      (List.map
+         (fun (id, leaf, _, _) -> (Pvr_merkle.Bitstring.of_id id, leaf))
+         vertices)
+  in
+  let commit =
+    P.Wire.sign kr ~as_:a_as ~encode:P.Wire.encode_commit
+      {
+        P.Wire.cmt_epoch = 1;
+        cmt_prefix = prefix0;
+        cmt_scheme = "graph";
+        cmt_commitments = [ Pvr_merkle.Prefix_tree.root tree ];
+      }
+  in
+  let disclose (id, _, comps, bit_openings) =
+    let leaf, proof =
+      Option.get
+        (Pvr_merkle.Prefix_tree.prove tree (Pvr_merkle.Bitstring.of_id id))
+    in
+    match comps with
+    | [ preds; succs; payload ] ->
+        {
+          P.Proto_graph.vertex = id;
+          leaf;
+          proof;
+          preds = Some preds;
+          succs = Some succs;
+          payload = Some payload;
+          bit_openings;
+        }
+    | _ -> assert false
+  in
+  (commit, List.map disclose vertices)
+
+(* A commits B's output variable to the 6-hop route it exports although
+   its bits show a 2-hop input: the export is committed, yet the committed
+   output contradicts the evidence.  B's accusation must convict. *)
+let graph_output_length_convicts () =
+  let kr = Lazy.force keyring in
+  let routes = [ (asn 10, mk_route (asn 10) 2); (asn 11, mk_route (asn 11) 6) ] in
+  let long = announce (asn 11) 6 in
+  let export =
+    P.Wire.sign kr ~as_:a_as ~encode:P.Wire.encode_export
+      {
+        P.Wire.exp_epoch = 1;
+        exp_to = b_as;
+        exp_route = long.P.Wire.payload.P.Wire.ann_route;
+        exp_provenance = Some long;
+      }
+  in
+  List.iter
+    (fun promise ->
+      let commit, disclosures =
+        forged_graph_commit promise routes
+          ~out_routes:[ long.P.Wire.payload.P.Wire.ann_route ]
+      in
+      let mismatches =
+        List.filter
+          (function
+            | P.Evidence.Graph_violation
+                { offence = P.Evidence.Output_evidence_mismatch _; _ } ->
+                true
+            | _ -> false)
+          (P.Proto_graph.check_beneficiary kr ~me:b_as ~commit ~disclosures
+             ~export:(Some export))
+      in
+      check_bool "B raises an output mismatch" true (mismatches <> []);
+      List.iter
+        (fun e ->
+          check_bool "judged guilty" true
+            (P.Judge.evaluate_offline kr e = P.Judge.Guilty))
+        mismatches)
+    [ R.Promise.Shortest_from [ asn 10; asn 11 ]; R.Promise.Within_hops 2 ]
+
+(* B cut off from A holds A's commitment only through gossip and accuses
+   A of silence.  The judge asks A for B's export: an honest A produces
+   it, an A that withholds the export it owes cannot. *)
+let graph_partitioned_beneficiary () =
+  let kr = Lazy.force keyring in
+  let faults =
+    {
+      P.Runner.perfect_faults with
+      fp_links = [ ((a_as, b_as), Pvr_net.faulty ~partition:true ()) ];
+    }
+  in
+  let routes = [ (asn 10, mk_route (asn 10) 2); (asn 11, mk_route (asn 11) 3) ] in
+  let run d =
+    let link, _ =
+      P.Runner.connect (P.Runner.Net faults) (lazy (fresh_rng ()))
+        ~prover:a_as routes
+    in
+    (P.Runner.check kr link (graph_sign d)).P.Runner.base
+  in
+  List.iter
+    (fun promise ->
+      let d = graph_draft promise routes in
+      let honest = run d in
+      check_bool "B accuses" true honest.P.Runner.detected;
+      check_bool "honest A not convicted" false honest.P.Runner.convicted;
+      check_bool "withheld export convicted" true
+        (run { d with P.Proto_graph.dr_export = None }).P.Runner.convicted)
+    [ R.Promise.Shortest_from [ asn 10; asn 11 ]; R.Promise.Export_if_any [ asn 10; asn 11 ] ]
 
 (* A dishonest draft through the shared round, which signs and checks it
    like any other: the draft owes B [export] instead of its honest one.  B's
@@ -2035,6 +2313,10 @@ let suite =
     ("graph honest within-hops clean", `Quick, graph_honest_within_hops_clean);
     graph_honest_property;
     ("graph within-hops window enforced", `Quick, graph_within_hops_window_enforced);
+    ("graph: B's output-length evidence convicts", `Quick,
+     graph_output_length_convicts);
+    ("graph: partitioned B judged by export challenge", `Quick,
+     graph_partitioned_beneficiary);
     ("graph dishonest round convicted", `Quick,
      graph_dishonest_round_convicted);
     ("graph disclosure integrity", `Quick, graph_disclosure_integrity);
