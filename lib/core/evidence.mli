@@ -70,6 +70,7 @@ type t =
       disclosures : graph_disclosure list;
           (** authenticated vertex components against the committed root *)
       offence : graph_offence;
+          (** proven when {!Proto_graph.offence_holds} *)
     }
   | Cross_shorter_export of {
       commit : Wire.commit Wire.signed;  (** scheme ["noshorter"] *)

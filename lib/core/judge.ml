@@ -334,20 +334,10 @@ let rec eval keyring ~respond evidence =
         end
       end
   | Evidence.Graph_violation { commit; disclosures; offence } ->
-      let cp = commit.Wire.payload in
-      let witness_valid =
-        match offence with
-        | Evidence.Wrong_input_value { witness; _ }
-        | Evidence.False_evidence_bit { witness; _ } ->
-            Proto_common.valid_input keyring ~prover:accused
-              ~epoch:cp.Wire.cmt_epoch ~prefix:cp.Wire.cmt_prefix witness
-        | Evidence.Output_evidence_mismatch _ | Evidence.Export_not_committed _
-          ->
-            true
-      in
       verdict_of_bool
-        (witness_valid
-        && Proto_graph.replay_offence keyring ~commit ~disclosures offence)
+        (commit_valid keyring commit
+        && Proto_graph.authenticated ~commit disclosures
+        && Proto_graph.offence_holds keyring ~commit ~disclosures offence)
   | Evidence.Cross_shorter_export { commit; my_export; other_block; opening }
     -> begin
       match noshorter_context keyring commit my_export with

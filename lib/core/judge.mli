@@ -6,7 +6,9 @@
     against it."
 
     Self-contained evidence (conflicting signatures, bad openings, bit
-    contradictions) is replayed directly.  Omission claims
+    contradictions) is replayed directly; a graph violation holds when
+    {!Proto_graph.offence_holds}, the predicate the parties raise it by,
+    holds over its authenticated disclosures.  Omission claims
     ([Missing_export_claim], [Missing_disclosure_claim]) cannot be proven by
     the accuser, so the judge {e challenges} the accused to produce the item
     it allegedly withheld; an honest AS always can, a stubborn or lying one

@@ -9,17 +9,8 @@ module Prefix_tree = Pvr_merkle.Prefix_tree
 
 let scheme = "graph"
 
-type component_opening = { raw : string; opening : C.Commitment.opening }
-
-type disclosure = {
-  vertex : Rfg.vertex_id;
-  leaf : string;
-  proof : Prefix_tree.proof;
-  preds : component_opening option;
-  succs : component_opening option;
-  payload : component_opening option;
-  bit_openings : (int * C.Commitment.opening) list;
-}
+type component = Evidence.graph_component
+type disclosure = Evidence.graph_disclosure
 
 (* ---- Payload encodings -------------------------------------------------- *)
 
@@ -257,19 +248,21 @@ let disclose_level sub ~alpha ~viewer ~bits =
       let preds_ok = want Access_control.Preds in
       let succs_ok = want Access_control.Succs in
       let payload_ok = want Access_control.Payload in
-      let comp ok raw opening = if ok then Some { raw; opening } else None in
+      let comp ok gc_raw gc_opening =
+        if ok then Some { Evidence.gc_raw; gc_opening } else None
+      in
       if not (preds_ok || succs_ok || payload_ok) then None
       else
         Option.map
-          (fun (leaf, proof) ->
+          (fun (gd_leaf, gd_proof) ->
             {
-              vertex = id;
-              leaf;
-              proof;
-              preds = comp preds_ok r.vr_preds_raw r.vr_preds_open;
-              succs = comp succs_ok r.vr_succs_raw r.vr_succs_open;
-              payload = comp payload_ok r.vr_payload_raw r.vr_payload_open;
-              bit_openings =
+              Evidence.gd_vertex = id;
+              gd_leaf;
+              gd_proof;
+              gd_preds = comp preds_ok r.vr_preds_raw r.vr_preds_open;
+              gd_succs = comp succs_ok r.vr_succs_raw r.vr_succs_open;
+              gd_payload = comp payload_ok r.vr_payload_raw r.vr_payload_open;
+              gd_bits =
                 (if payload_ok && Array.length r.vr_bits > 0 then bits id r
                  else []);
             })
@@ -310,32 +303,28 @@ let leaf_digests leaf =
         (c_preds, c_succs, c_payload)
     | _ -> Codec.malformed "leaf digests")
 
-let component_valid digest (c : component_opening) =
+let component_valid digest (c : component) =
   String.length digest = 32
-  && C.Commitment.verify (C.Commitment.of_raw digest) c.opening
-  && String.equal c.opening.C.Commitment.value c.raw
+  && C.Commitment.verify (C.Commitment.of_raw digest) c.gc_opening
+  && String.equal c.gc_opening.C.Commitment.value c.gc_raw
 
-let check_disclosure_integrity ~root d =
-  Prefix_tree.verify ~root ~path:(Bitstring.of_id d.vertex) ~value:d.leaf
-    d.proof
+let check_disclosure_integrity ~root (d : disclosure) =
+  Prefix_tree.verify ~root ~path:(Bitstring.of_id d.gd_vertex) ~value:d.gd_leaf
+    d.gd_proof
   &&
-  match leaf_digests d.leaf with
+  match leaf_digests d.gd_leaf with
   | None -> false
   | Some (c_preds, c_succs, c_payload) ->
-      (match d.preds with
-      | None -> true
-      | Some c -> component_valid c_preds c)
-      && (match d.succs with
-         | None -> true
-         | Some c -> component_valid c_succs c)
-      && (match d.payload with
-         | None -> true
-         | Some c -> component_valid c_payload c)
+      let opened digest =
+        Option.fold ~none:true ~some:(component_valid digest)
+      in
+      opened c_preds d.gd_preds && opened c_succs d.gd_succs
+      && opened c_payload d.gd_payload
       &&
       (* Bit openings check against digests embedded in the payload. *)
-      (match d.payload with
-      | Some c when d.bit_openings <> [] -> begin
-          match decode_op_payload c.raw with
+      (match d.gd_payload with
+      | Some c when d.gd_bits <> [] -> begin
+          match decode_op_payload c.gc_raw with
           | None -> false
           | Some (_, digests) ->
               List.for_all
@@ -345,41 +334,42 @@ let check_disclosure_integrity ~root d =
                   && C.Commitment.verify
                        (C.Commitment.of_raw (List.nth digests (i - 1)))
                        o)
-                d.bit_openings
+                d.gd_bits
         end
-      | _ -> d.bit_openings = [])
+      | _ -> d.gd_bits = [])
 
-let to_evidence_disclosure d =
-  let comp = Option.map (fun c -> { Evidence.gc_raw = c.raw; gc_opening = c.opening }) in
-  {
-    Evidence.gd_vertex = d.vertex;
-    gd_leaf = d.leaf;
-    gd_proof = d.proof;
-    gd_preds = comp d.preds;
-    gd_succs = comp d.succs;
-    gd_payload = comp d.payload;
-    gd_bits = d.bit_openings;
-  }
+let authenticated ~commit ds =
+  let cp = commit.Wire.payload in
+  match cp.Wire.cmt_commitments with
+  | [ root ] when cp.Wire.cmt_scheme = scheme ->
+      List.for_all (check_disclosure_integrity ~root) ds
+  | _ -> false
 
-let graph_violation commit ds offence =
-  Evidence.Graph_violation
-    { commit; disclosures = List.map to_evidence_disclosure ds; offence }
+let find_disclosure ds id =
+  List.find_opt (fun (d : disclosure) -> d.gd_vertex = id) ds
 
-let bit_value d i =
-  match List.assoc_opt i d.bit_openings with
-  | None -> None
-  | Some o -> C.Commitment.opening_bit o
+let payload decode (d : disclosure) =
+  Option.bind d.gd_payload (fun c -> decode c.gc_raw)
 
-let find_disclosure ds id = List.find_opt (fun d -> d.vertex = id) ds
+(* A disclosed predecessor or successor id list. *)
+let ids (c : component option) =
+  Option.bind c (fun c -> Codec.decode_list c.gc_raw Fun.id)
 
-(* First index in [lo..hi] whose bit opens to 1. *)
+let bit_value (d : disclosure) i =
+  Option.bind (List.assoc_opt i d.gd_bits) C.Commitment.opening_bit
+
+(* What the bits [lo..hi] attest: [`Len l] when bit [lo + l - 1] opens to
+   1 and every bit before it to 0, [`No_route] when all open to 0, and
+   [`Unknown] when an opening on the way is missing — a viewer who
+   withholds openings makes the bits attest nothing. *)
 let first_set_bit d ~lo ~hi =
   let rec go i =
-    if i > hi then None
+    if i > hi then `No_route
     else
-      match bit_value d (i) with
-      | Some true -> Some (i - lo + 1)
-      | _ -> go (i + 1)
+      match bit_value d i with
+      | Some true -> `Len (i - lo + 1)
+      | Some false -> go (i + 1)
+      | None -> `Unknown
   in
   go lo
 
@@ -387,396 +377,221 @@ let first_set_bit d ~lo ~hi =
    forces to 1 for the operator disclosed as [od].  Mirrors
    [provider_bit_indices], but derived purely from disclosed data. *)
 let forced_bit_indices od ~var ~len =
-  match od.payload with
+  match payload decode_op_payload od with
   | None -> []
-  | Some pc -> begin
-      match decode_op_payload pc.raw with
-      | None -> []
-      | Some (op_enc, digests) -> begin
-          let k2 = List.length digests in
-          match Operator.decode op_enc with
-          | Some Operator.Exists -> [ 1 ]
-          | Some (Operator.Min_path_length | Operator.Within_hops_of_min _) ->
-              if len <= k2 then [ len ] else []
-          | Some Operator.Shorter_of -> begin
-              let k = k2 / 2 in
-              let branch =
-                match od.preds with
-                | Some c -> begin
-                    match Codec.decode_list c.raw Fun.id with
-                    | Some [ first; _ ] when first = var -> 0
-                    | Some [ _; second ] when second = var -> 1
-                    | _ -> -1
-                  end
-                | None -> -1
-              in
-              if branch >= 0 && len <= k then [ (branch * k) + len ] else []
-            end
-          | _ -> []
+  | Some (op_enc, digests) -> begin
+      let k2 = List.length digests in
+      match Operator.decode op_enc with
+      | Some Operator.Exists -> [ 1 ]
+      | Some (Operator.Min_path_length | Operator.Within_hops_of_min _) ->
+          if len <= k2 then [ len ] else []
+      | Some Operator.Shorter_of -> begin
+          let k = k2 / 2 in
+          let branch =
+            match ids od.gd_preds with
+            | Some [ first; _ ] when first = var -> 0
+            | Some [ _; second ] when second = var -> 1
+            | _ -> -1
+          in
+          if branch >= 0 && len <= k then [ (branch * k) + len ] else []
         end
+      | _ -> []
     end
 
+(* What an operator's opened evidence bits attest of its output: no
+   route, or a non-empty output whose every route is [lo..hi] hops long. *)
+let attested_output od =
+  match payload decode_op_payload od with
+  | None -> `Unknown
+  | Some (op_enc, digests) -> begin
+      let nbits = List.length digests in
+      let window ~slack = function
+        | `Len l -> `Routes (l, l + slack)
+        | (`No_route | `Unknown) as v -> v
+      in
+      match Operator.decode op_enc with
+      | Some Operator.Exists -> begin
+          match bit_value od 1 with
+          | Some true -> `Routes (0, max_int)
+          | Some false -> `No_route
+          | None -> `Unknown
+        end
+      | Some Operator.Min_path_length ->
+          window ~slack:0 (first_set_bit od ~lo:1 ~hi:nbits)
+      | Some (Operator.Within_hops_of_min n) ->
+          (* Promise 3: the exported route may be up to n hops beyond the
+             committed minimum. *)
+          window ~slack:n (first_set_bit od ~lo:1 ~hi:nbits)
+      | Some Operator.Shorter_of ->
+          let k = nbits / 2 in
+          window ~slack:0
+            (match
+               (first_set_bit od ~lo:1 ~hi:k,
+                first_set_bit od ~lo:(k + 1) ~hi:(2 * k))
+             with
+            | `Len l1, `Len l2 -> `Len (min l1 l2)
+            | `Len l, `No_route | `No_route, `Len l -> `Len l
+            | `No_route, `No_route -> `No_route
+            | `Unknown, _ | _, `Unknown -> `Unknown)
+      | _ -> `Unknown
+    end
+
+(* How the committed output [routes] (route encodings) contradict the
+   operator's attested output, if they do. *)
+let output_fault od routes =
+  match attested_output od with
+  | `Unknown -> None
+  | `No_route ->
+      if routes = [] then None
+      else Some "evidence says no route, output is non-empty"
+  | `Routes _ when routes = [] ->
+      Some "evidence says a route exists, output is empty"
+  | `Routes (lo, hi) ->
+      List.find_map
+        (fun enc ->
+          match Option.map Bgp.Route.path_length (Wire.decode_route enc) with
+          | Some len when lo <= len && len <= hi -> None
+          | Some len ->
+              Some
+                (Printf.sprintf
+                   "committed route length %d is outside the evidence's \
+                    [%d, %d]"
+                   len lo hi)
+          | None -> Some "a committed route does not decode")
+        routes
+
+let offence_holds keyring ~commit ~disclosures offence =
+  let cp = commit.Wire.payload in
+  let find = find_disclosure disclosures in
+  let lacks var route =
+    match Option.bind (find var) (payload decode_var_payload) with
+    | Some encs -> not (List.mem (Bgp.Route.encode route) encs)
+    | None -> false
+  in
+  (* Signatures last: a party proposes offences its honest rounds refute
+     before any signature needs checking. *)
+  let admitted witness =
+    Proto_common.valid_input keyring ~prover:commit.Wire.signer
+      ~epoch:cp.Wire.cmt_epoch ~prefix:cp.Wire.cmt_prefix witness
+  in
+  match offence with
+  | Evidence.Wrong_input_value { var; witness } ->
+      var = Promise.input_var witness.Wire.signer
+      && lacks var witness.Wire.payload.Wire.ann_route
+      && admitted witness
+  | Evidence.False_evidence_bit { op; index; witness } -> begin
+      let var = Promise.input_var witness.Wire.signer in
+      let len = Bgp.Route.path_length witness.Wire.payload.Wire.ann_route in
+      match (find var, find op) with
+      | Some vd, Some od ->
+          Option.fold ~none:false ~some:(List.mem op) (ids vd.gd_succs)
+          && List.mem index (forced_bit_indices od ~var ~len)
+          && bit_value od index = Some false
+          && admitted witness
+      | _ -> false
+    end
+  | Evidence.Output_evidence_mismatch { out_var; op; detail = _ } -> begin
+      match (find out_var, find op) with
+      | Some out_d, Some od ->
+          ids out_d.gd_preds = Some [ op ]
+          && Option.fold ~none:false
+               ~some:(fun routes -> output_fault od routes <> None)
+               (payload decode_var_payload out_d)
+      | _ -> false
+    end
+  | Evidence.Export_not_committed { out_var; export } ->
+      let ep = export.Wire.payload in
+      out_var = Promise.output_var ep.Wire.exp_to
+      && lacks out_var ep.Wire.exp_route
+      && Result.is_ok
+           (Proto_common.check_export_provenance keyring ~commit
+              ~beneficiary:ep.Wire.exp_to export)
+
+(* A party's accusation: the offence, if it holds over [ds]. *)
+let confirmed keyring ~commit ds offence =
+  if offence_holds keyring ~commit ~disclosures:ds offence then
+    [ Evidence.Graph_violation { commit; disclosures = ds; offence } ]
+  else []
+
 let check_provider keyring ~me ~my_announce ~commit ~disclosures =
-  ignore keyring;
-  let root =
-    match commit.Wire.payload.Wire.cmt_commitments with
-    | [ r ] -> r
-    | _ -> ""
-  in
-  let bad_integrity =
-    List.exists
-      (fun d -> not (check_disclosure_integrity ~root d))
-      disclosures
-  in
-  let claim () =
+  let claim =
     [
       Evidence.Missing_disclosure_claim
         { commit; announce = my_announce; claimant = me };
     ]
   in
-  if bad_integrity then claim ()
-  else begin
-    let my_var = Promise.input_var me in
-    let my_route = my_announce.Wire.payload.Wire.ann_route in
-    match find_disclosure disclosures my_var with
-    | None -> claim ()
-    | Some d -> begin
-        match d.payload with
-        | None -> claim ()
-        | Some c -> begin
-            match decode_var_payload c.raw with
-            | None -> claim ()
-            | Some encs ->
-                if not (List.mem (Bgp.Route.encode my_route) encs) then
-                  [
-                    graph_violation commit [ d ]
-                      (Evidence.Wrong_input_value
-                         { var = my_var; witness = my_announce });
-                  ]
-                else begin
-                  (* Follow succs to the consuming operators and check their
-                     evidence bits at my route length. *)
-                  let consumers =
-                    match d.succs with
-                    | None -> []
-                    | Some c ->
-                        Option.value (Codec.decode_list c.raw Fun.id) ~default:[]
-                  in
-                  let len = Bgp.Route.path_length my_route in
+  let confirmed = confirmed keyring ~commit in
+  let my_var = Promise.input_var me in
+  match find_disclosure disclosures my_var with
+  | Some d
+    when authenticated ~commit disclosures
+         && payload decode_var_payload d <> None -> begin
+      match
+        confirmed [ d ]
+          (Evidence.Wrong_input_value { var = my_var; witness = my_announce })
+      with
+      | _ :: _ as wrong_input -> wrong_input
+      | [] ->
+          (* Follow succs to the consuming operators and check their
+             evidence bits at my route length. *)
+          let len =
+            Bgp.Route.path_length my_announce.Wire.payload.Wire.ann_route
+          in
+          List.concat_map
+            (fun op ->
+              match find_disclosure disclosures op with
+              | Some od when payload decode_op_payload od <> None ->
                   List.concat_map
-                    (fun op_id ->
-                      match find_disclosure disclosures op_id with
-                      | None -> claim ()
-                      | Some od -> begin
-                          match od.payload with
-                          | None -> claim ()
-                          | Some pc -> begin
-                              match decode_op_payload pc.raw with
-                              | None -> claim ()
-                              | Some (_op_enc, _digests) ->
-                                  let indices =
-                                    forced_bit_indices od ~var:my_var ~len
-                                  in
-                                  List.concat_map
-                                    (fun i ->
-                                      match bit_value od i with
-                                      | Some true -> []
-                                      | Some false ->
-                                          [
-                                            graph_violation commit [ od ]
-                                              (Evidence.False_evidence_bit
-                                                 {
-                                                   op = op_id;
-                                                   index = i;
-                                                   witness = my_announce;
-                                                 });
-                                          ]
-                                      | None -> claim ())
-                                    indices
-                            end
-                        end)
-                    consumers
-                end
-          end
-      end
-  end
-
-(* Expected output length for an operator given its disclosed evidence
-   bits: [None] = no route expected. *)
-let expected_output_len op_enc ~nbits d =
-  match Operator.decode op_enc with
-  | Some Operator.Exists -> begin
-      match bit_value d 1 with
-      | Some true -> `Some_route
-      | Some false -> `No_route
-      | None -> `Unknown
+                    (fun index ->
+                      if bit_value od index = None then claim
+                      else
+                        confirmed [ d; od ]
+                          (Evidence.False_evidence_bit
+                             { op; index; witness = my_announce }))
+                    (forced_bit_indices od ~var:my_var ~len)
+              | _ -> claim)
+            (Option.value (ids d.gd_succs) ~default:[])
     end
-  | Some Operator.Min_path_length -> begin
-      match first_set_bit d ~lo:1 ~hi:nbits with
-      | Some l -> `Len l
-      | None -> `No_route
-    end
-  | Some (Operator.Within_hops_of_min n) -> begin
-      (* Promise 3: the exported route may be up to n hops beyond the
-         committed minimum. *)
-      match first_set_bit d ~lo:1 ~hi:nbits with
-      | Some l -> `Len_between (l, l + n)
-      | None -> `No_route
-    end
-  | Some Operator.Shorter_of -> begin
-      let k = nbits / 2 in
-      let m1 = first_set_bit d ~lo:1 ~hi:k in
-      let m2 = first_set_bit d ~lo:(k + 1) ~hi:(2 * k) in
-      match (m1, m2) with
-      | None, None -> `No_route
-      | Some l, None -> `Len l
-      | None, Some l -> `Len l
-      | Some l1, Some l2 -> `Len (if l1 < l2 then l1 else l2)
-    end
-  | _ -> `Unknown
+  | _ -> claim
 
 let check_beneficiary keyring ~me ~commit ~disclosures ~export =
-  let root =
-    match commit.Wire.payload.Wire.cmt_commitments with
-    | [ r ] -> r
-    | _ -> ""
+  let claim =
+    [ Evidence.Missing_export_claim { commit; openings = []; claimant = me } ]
   in
-  let claim () =
-    [
-      Evidence.Missing_export_claim { commit; openings = []; claimant = me };
-    ]
+  let confirmed = confirmed keyring ~commit in
+  let out_var = Promise.output_var me in
+  let out_d = find_disclosure disclosures out_var in
+  let producer =
+    Option.bind out_d (fun d ->
+        match ids d.gd_preds with
+        | Some [ op ] -> find_disclosure disclosures op
+        | _ -> None)
   in
-  if
-    List.exists
-      (fun d -> not (check_disclosure_integrity ~root d))
-      disclosures
-  then claim ()
-  else begin
-    let out_var = Promise.output_var me in
-    match find_disclosure disclosures out_var with
-    | None -> claim ()
-    | Some out_d -> begin
-        let out_routes =
-          match out_d.payload with
-          | None -> None
-          | Some c -> decode_var_payload c.raw
-        in
-        let producer =
-          match out_d.preds with
-          | None -> None
-          | Some c -> begin
-              match Codec.decode_list c.raw Fun.id with
-              | Some [ op_id ] -> find_disclosure disclosures op_id
-              | _ -> None
+  match (out_d, Option.bind out_d (payload decode_var_payload), producer) with
+  | Some out_d, Some routes, Some op_d
+    when authenticated ~commit disclosures
+         && payload decode_op_payload op_d <> None ->
+      (match output_fault op_d routes with
+      | Some detail ->
+          confirmed [ out_d; op_d ]
+            (Evidence.Output_evidence_mismatch
+               { out_var; op = op_d.gd_vertex; detail })
+      | None -> [])
+      @ begin
+          match export with
+          | None -> if routes <> [] then claim else []
+          | Some export -> begin
+              match
+                Proto_common.check_export_provenance keyring ~commit
+                  ~beneficiary:me export
+              with
+              | Error e -> [ e ]
+              | Ok _ ->
+                  confirmed [ out_d ]
+                    (Evidence.Export_not_committed { out_var; export })
             end
-        in
-        match (out_routes, producer) with
-        | None, _ | _, None -> claim ()
-        | Some routes, Some op_d -> begin
-            match op_d.payload with
-            | None -> claim ()
-            | Some pc -> begin
-                match decode_op_payload pc.raw with
-                | None -> claim ()
-                | Some (op_enc, digests) -> begin
-                    let issues = ref [] in
-                    let violation ds offence =
-                      issues := graph_violation commit ds offence :: !issues
-                    in
-                    let mismatch ds detail =
-                      violation ds
-                        (Evidence.Output_evidence_mismatch
-                           { out_var; op = op_d.vertex; detail })
-                    in
-                    (* 1. Output value vs operator evidence. *)
-                    (match
-                       expected_output_len op_enc ~nbits:(List.length digests)
-                         op_d
-                     with
-                    | `Unknown -> ()
-                    | `No_route ->
-                        if routes <> [] then
-                          mismatch [ out_d; op_d ]
-                            "evidence says no route, output is non-empty"
-                    | `Some_route ->
-                        if routes = [] then
-                          mismatch [ out_d; op_d ]
-                            "evidence says a route exists, output is empty"
-                    | `Len l | `Len_between (l, _) ->
-                        if routes = [] then
-                          mismatch [ out_d; op_d ]
-                            (Printf.sprintf
-                               "evidence promises a route of length >= %d, \
-                                output is empty"
-                               l));
-                    (* 2. Export consistency: the exported route must be the
-                       (sole) committed output value. *)
-                    (match export with
-                    | None ->
-                        if routes <> [] then issues := claim () @ !issues
-                    | Some export -> begin
-                        match
-                          Proto_common.check_export_provenance keyring ~commit
-                            ~beneficiary:me export
-                        with
-                        | Error e -> issues := e :: !issues
-                        | Ok _ ->
-                            let enc =
-                              Bgp.Route.encode
-                                export.Wire.payload.Wire.exp_route
-                            in
-                            if not (List.mem enc routes) then
-                              violation [ out_d ]
-                                (Evidence.Export_not_committed
-                                   { out_var; export })
-                            else begin
-                              (* Length check against evidence. *)
-                              match
-                                expected_output_len op_enc
-                                  ~nbits:(List.length digests) op_d
-                              with
-                              | `Len l ->
-                                  if
-                                    Bgp.Route.path_length
-                                      export.Wire.payload.Wire.exp_route
-                                    <> l
-                                  then
-                                    mismatch [ out_d; op_d ]
-                                      (Printf.sprintf
-                                         "exported route length %d does not \
-                                          match evidence length %d"
-                                         (Bgp.Route.path_length
-                                            export.Wire.payload.Wire.exp_route)
-                                         l)
-                              | `Len_between (lo, hi) ->
-                                  let len =
-                                    Bgp.Route.path_length
-                                      export.Wire.payload.Wire.exp_route
-                                  in
-                                  if len < lo || len > hi then
-                                    mismatch [ out_d; op_d ]
-                                      (Printf.sprintf
-                                         "exported route length %d outside \
-                                          the promised window [%d, %d]"
-                                         len lo hi)
-                              | _ -> ()
-                            end
-                      end);
-                    List.rev !issues
-                  end
-              end
-          end
-      end
-  end
-
-(* ---- Third-party replay (used by Judge) --------------------------------- *)
-
-let of_evidence_disclosure (gd : Evidence.graph_disclosure) =
-  let comp =
-    Option.map (fun (c : Evidence.graph_component) ->
-        { raw = c.Evidence.gc_raw; opening = c.Evidence.gc_opening })
-  in
-  {
-    vertex = gd.Evidence.gd_vertex;
-    leaf = gd.Evidence.gd_leaf;
-    proof = gd.Evidence.gd_proof;
-    preds = comp gd.Evidence.gd_preds;
-    succs = comp gd.Evidence.gd_succs;
-    payload = comp gd.Evidence.gd_payload;
-    bit_openings = gd.Evidence.gd_bits;
-  }
-
-let replay_offence keyring ~commit ~disclosures offence =
-  let ds = List.map of_evidence_disclosure disclosures in
-  let accused = commit.Wire.signer in
-  let cp = commit.Wire.payload in
-  let commit_ok =
-    Wire.verify keyring ~encode:Wire.encode_commit commit
-    && cp.Wire.cmt_scheme = scheme
-  in
-  match cp.Wire.cmt_commitments with
-  | [ root ] when commit_ok ->
-      let all_valid =
-        List.for_all (check_disclosure_integrity ~root) ds
-      in
-      if not all_valid then false
-      else begin
-        match offence with
-        | Evidence.Wrong_input_value { var; witness } -> begin
-            match find_disclosure ds var with
-            | None -> false
-            | Some d -> begin
-                match d.payload with
-                | None -> false
-                | Some c -> begin
-                    match decode_var_payload c.raw with
-                    | None -> false
-                    | Some encs ->
-                        not
-                          (List.mem
-                             (Bgp.Route.encode
-                                witness.Wire.payload.Wire.ann_route)
-                             encs)
-                  end
-              end
-          end
-        | Evidence.False_evidence_bit { op; index; witness } -> begin
-            match find_disclosure ds op with
-            | None -> false
-            | Some od ->
-                let len =
-                  Bgp.Route.path_length witness.Wire.payload.Wire.ann_route
-                in
-                let var = Promise.input_var witness.Wire.signer in
-                List.mem index (forced_bit_indices od ~var ~len)
-                && bit_value od index = Some false
-          end
-        | Evidence.Output_evidence_mismatch { out_var; op; detail = _ } -> begin
-            match (find_disclosure ds out_var, find_disclosure ds op) with
-            | Some out_d, Some od -> begin
-                match (out_d.payload, od.payload) with
-                | Some oc, Some pc -> begin
-                    match (decode_var_payload oc.raw, decode_op_payload pc.raw)
-                    with
-                    | Some routes, Some (op_enc, digests) -> begin
-                        match
-                          expected_output_len op_enc
-                            ~nbits:(List.length digests) od
-                        with
-                        | `Unknown -> false
-                        | `No_route -> routes <> []
-                        | `Some_route | `Len _ | `Len_between _ -> routes = []
-                      end
-                    | _ -> false
-                  end
-                | _ -> false
-              end
-            | _ -> false
-          end
-        | Evidence.Export_not_committed { out_var; export } -> begin
-            Wire.verify keyring ~encode:Wire.encode_export export
-            && Bgp.Asn.equal export.Wire.signer accused
-            && export.Wire.payload.Wire.exp_epoch = cp.Wire.cmt_epoch
-            &&
-            match find_disclosure ds out_var with
-            | None -> false
-            | Some d -> begin
-                match d.payload with
-                | None -> false
-                | Some c -> begin
-                    match decode_var_payload c.raw with
-                    | None -> false
-                    | Some routes ->
-                        not
-                          (List.mem
-                             (Bgp.Route.encode
-                                export.Wire.payload.Wire.exp_route)
-                             routes)
-                  end
-              end
-          end
-      end
-  | _ -> false
+        end
+  | _ -> claim
 
 (* ---- Composite operators (§4 structural privacy) ------------------------- *)
 
@@ -797,8 +612,6 @@ let check_composite ~outer_root ~composite_disclosure ~inner_root ~inner =
   (* 1. The composite vertex itself authenticates against the outer tree and
      its payload commits to exactly [inner_root]. *)
   check_disclosure_integrity ~root:outer_root composite_disclosure
-  && (match composite_disclosure.payload with
-     | Some c -> decode_comp_payload c.raw = Some inner_root
-     | None -> false)
+  && payload decode_comp_payload composite_disclosure = Some inner_root
   (* 2. Every inner disclosure authenticates against the inner root. *)
   && List.for_all (check_disclosure_integrity ~root:inner_root) inner

@@ -29,22 +29,15 @@ module Rfg = Pvr_rfg.Rfg
 val scheme : string
 (** ["graph"]. *)
 
-type component_opening = { raw : string; opening : C.Commitment.opening }
-(** An opened component: [raw] is the committed byte string (which the
-    opening re-proves), already decoded from the opening value. *)
+type component = Evidence.graph_component
+(** An opened component: the committed byte string and its opening. *)
 
-type disclosure = {
-  vertex : Rfg.vertex_id;
-  leaf : string;                       (** the committed I(x) triple *)
-  proof : Pvr_merkle.Prefix_tree.proof;
-  preds : component_opening option;    (** encoded predecessor id list *)
-  succs : component_opening option;    (** encoded successor id list *)
-  payload : component_opening option;
-  bit_openings : (int * C.Commitment.opening) list;
-      (** for operator vertices: openings of the evidence bits this viewer
-          is entitled to (all bits for the beneficiary, the bit at the
-          viewer's own route length for a provider) *)
-}
+type disclosure = Evidence.graph_disclosure
+(** One vertex as a viewer receives it: its committed I(x) triple and
+    Merkle proof, each component α lets the viewer open, and, for an
+    operator, the evidence-bit openings its role entitles it to (all bits
+    for the beneficiary, the bit at its own route length for a provider).
+    These are the bytes evidence carries. *)
 
 (** {2 Payload codecs}
 
@@ -121,13 +114,53 @@ val disclose :
     reveals all the bits b_i to B"); [`Provider len] receives only the bit
     at its own route length.  Default: beneficiary. *)
 
-(** {2 Verification} *)
+(** {2 Verification}
+
+    Each {!Evidence.graph_offence} has one definition, {!offence_holds},
+    over a signed graph commit and the disclosures the evidence carries.
+    The parties raise a {!Evidence.Graph_violation} only when it holds,
+    and the {!Judge} convicts when the commit verifies, the disclosures
+    are {!authenticated} and it holds.  Each offence is bound to the
+    statements it names:
+
+    - [Wrong_input_value {var; witness}]: [var] is the witness signer's
+      input variable, its committed routes lack the witness's route, and
+      the witness is an input A had to admit ({!Proto_common.valid_input}).
+    - [False_evidence_bit {op; index; witness}]: the witness signer's input
+      variable lists [op] among its successors, the witness's route length
+      forces bit [index] of [op] to 1, the bit opens to 0, and the witness
+      is admissible.
+    - [Output_evidence_mismatch {out_var; op; _}]: [op] is [out_var]'s
+      sole predecessor, and [out_var]'s committed routes contradict what
+      [op]'s opened bits attest: a route or none, and each route's length
+      (the minimum m for [Min_path_length] and [Shorter_of], m to m + n
+      hops for [Within_hops_of_min n]).  Bits attest nothing
+      when an opening they depend on is withheld.
+    - [Export_not_committed {out_var; export}]: the export passes
+      {!Proto_common.check_export_provenance} against the commit for its
+      own recipient, [out_var] is that recipient's output variable, and
+      its committed routes lack the exported route. *)
 
 val check_disclosure_integrity :
   root:string -> disclosure -> bool
 (** Structural validity: Merkle proof against the root and every opened
-    component against its digest in the leaf triple.  Any viewer runs this
-    on everything it receives before semantic checks. *)
+    component against its digest in the leaf triple. *)
+
+val authenticated : commit:Wire.commit Wire.signed -> disclosure list -> bool
+(** The commit is a ["graph"] commit of one root and every disclosure
+    passes {!check_disclosure_integrity} against it.  Any viewer runs this
+    on everything it receives before semantic checks; the commit's
+    signature is the caller's to verify. *)
+
+val offence_holds :
+  Keyring.t ->
+  commit:Wire.commit Wire.signed ->
+  disclosures:disclosure list ->
+  Evidence.graph_offence ->
+  bool
+(** Whether the {!authenticated} [disclosures] prove the offence against
+    the commit's signer, as defined above.  Signatures are checked last,
+    so an offence that the disclosures refute costs no RSA operation. *)
 
 val check_provider :
   Keyring.t ->
@@ -137,8 +170,9 @@ val check_provider :
   disclosures:disclosure list ->
   Evidence.t list
 (** A providing neighbor N_i: its input variable must be committed with
-    exactly the route it announced, and every operator consuming that
-    variable must have its evidence bit at |r_i| set. *)
+    the route it announced, and every operator its variable feeds must
+    have its evidence bit at |r_i| set.  A missing or unauthenticated
+    disclosure is a {!Evidence.Missing_disclosure_claim}. *)
 
 val check_beneficiary :
   Keyring.t ->
@@ -148,8 +182,10 @@ val check_beneficiary :
   export:Wire.export Wire.signed option ->
   Evidence.t list
 (** The beneficiary B: navigate from its output variable to the producing
-    operator, check the output value against the operator type and its
-    committed bit evidence, and check export/provenance consistency. *)
+    operator, check the committed output against the operator's bit
+    evidence, and check the export's provenance and that it is committed.
+    A missing disclosure, or a missing export while the output is
+    non-empty, is a {!Evidence.Missing_export_claim}. *)
 
 (** {2 Composite operators (§4 structural privacy)}
 
@@ -180,19 +216,3 @@ val check_composite :
 (** Authenticate a composite's internals: the composite vertex must verify
     against the outer root with a payload committing to [inner_root], and
     every inner disclosure must verify against [inner_root]. *)
-
-val of_evidence_disclosure : Evidence.graph_disclosure -> disclosure
-(** Convert back from the self-contained form evidence carries. *)
-
-val replay_offence :
-  Keyring.t ->
-  commit:Wire.commit Wire.signed ->
-  disclosures:Evidence.graph_disclosure list ->
-  Evidence.graph_offence ->
-  bool
-(** Third-party replay of a {!Evidence.Graph_violation}: re-verify every
-    disclosure against the committed root and re-derive the offence from
-    scratch.  [true] = the offence is confirmed (the {!Judge} then returns
-    [Guilty]); [false] = the evidence does not support the accusation.
-    A witness announce is the caller's to validate: the {!Judge} checks it
-    is an input A had to admit. *)

@@ -171,9 +171,10 @@ let disclosures r =
 let respond r ~accused:_ challenge =
   let answer f = Option.fold ~none:Judge.No_response ~some:f in
   match (r.draft, challenge) with
-  | (Graph _ | Min { dr_answer = Proto_min.Stonewall; _ }), _ ->
+  | Min { dr_answer = Proto_min.Stonewall; _ }, _
+  | Graph _, Judge.Produce_opening _ ->
       Judge.No_response
-  | Min _, Judge.Produce_export _ ->
+  | _, Judge.Produce_export _ ->
       answer (fun e -> Judge.Export_response e) r.answer
   | Min d, Judge.Produce_opening { index; _ } ->
       answer

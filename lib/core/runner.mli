@@ -109,7 +109,8 @@ val neighbor_disclosures :
 val beneficiary_disclosure : round -> Proto_common.beneficiary_disclosure
 
 val respond : round -> accused:Bgp.Asn.t -> Judge.challenge -> Judge.response
-(** How A answers a judge: as its draft's [dr_answer] says (graph: never). *)
+(** How A answers a judge: as its draft's [dr_answer] says.  A graph A
+    produces its export, and has no opening to give. *)
 
 type pool = { run : 'a. (unit -> 'a) array -> 'a array }
 (** Runs independent tasks, returning results in task order. *)

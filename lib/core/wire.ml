@@ -331,8 +331,7 @@ let community_of s =
   (BU.read_be32 s 0, BU.read_be32 s 4)
 
 (* Route decoding mirrors [Bgp.Route.encode]. *)
-let route_of s =
-  match Codec.list s with
+let route_items = function
   | [ prefix; path; next_hop; local_pref; med; origin; communities ] ->
       {
         Bgp.Route.prefix = prefix_of prefix;
@@ -344,6 +343,9 @@ let route_of s =
         communities = List.map community_of (Codec.list communities);
       }
   | _ -> Codec.malformed "route"
+
+let route_of s = route_items (Codec.list s)
+let decode_route s = Codec.decode_list s route_items
 
 let signed_of ~decode = function
   | [ payload; signer; signature ] -> (

@@ -146,6 +146,9 @@ val decode_announce : string -> announce option
 val decode_commit : string -> commit option
 val decode_export : string -> export option
 
+val decode_route : string -> Bgp.Route.t option
+(** Inverse of {!Pvr_bgp.Route.encode}. *)
+
 val decode_signed :
   decode:(string -> 'a option) -> string -> 'a signed option
 (** Inverse of {!encode_signed}. *)

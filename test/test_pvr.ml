@@ -796,21 +796,6 @@ let graph_sign d =
   (P.Runner.sign (Lazy.force keyring)
      [| (P.Runner.memo (), P.Runner.Graph d) |]).(0)
 
-let to_evidence (d : P.Proto_graph.disclosure) =
-  let comp =
-    Option.map (fun (c : P.Proto_graph.component_opening) ->
-        { P.Evidence.gc_raw = c.raw; gc_opening = c.opening })
-  in
-  {
-    P.Evidence.gd_vertex = d.vertex;
-    gd_leaf = d.leaf;
-    gd_proof = d.proof;
-    gd_preds = comp d.preds;
-    gd_succs = comp d.succs;
-    gd_payload = comp d.payload;
-    gd_bits = d.bit_openings;
-  }
-
 (* Four accusations against an honest A, each from one or two neighbours
    holding only what honest signed rounds sent them. *)
 let graph_framings () =
@@ -824,7 +809,7 @@ let graph_framings () =
   in
   let violation (r : P.Runner.round) ds offence =
     P.Evidence.Graph_violation
-      { commit = r.commit; disclosures = List.map to_evidence ds; offence }
+      { commit = r.commit; disclosures = ds; offence }
   in
   let announce_of (r : P.Runner.round) n = List.assoc n r.announces in
   let from_10_11 = R.Promise.Shortest_from [ asn 10; asn 11 ] in
@@ -840,6 +825,28 @@ let graph_framings () =
          { var = R.Promise.input_var (asn 11); witness = announce_of r (asn 10) })
   in
   let b_view = view d b_as in
+  (* AS10 and B collude with AS10's genuine announces of another epoch,
+     which A never had to admit in this one. *)
+  let only id =
+    List.filter (fun (v : P.Proto_graph.disclosure) -> v.gd_vertex = id)
+  in
+  let as10_var =
+    only (R.Promise.input_var (asn 10)) (view ~role:(`Provider 2) d (asn 10))
+  in
+  let stale_input =
+    violation r as10_var
+      (P.Evidence.Wrong_input_value
+         {
+           var = R.Promise.input_var (asn 10);
+           witness = announce ~epoch:2 (asn 10) 3;
+         })
+  in
+  let stale_bit =
+    violation r
+      (as10_var @ only "op:min" b_view)
+      (P.Evidence.False_evidence_bit
+         { op = "op:min"; index = 1; witness = announce ~epoch:2 (asn 10) 1 })
+  in
   let not_committed export =
     violation r b_view
       (P.Evidence.Export_not_committed
@@ -851,11 +858,8 @@ let graph_framings () =
     violation r
       (List.map
          (fun (v : P.Proto_graph.disclosure) ->
-           if v.vertex = "op:min" then
-             {
-               v with
-               bit_openings = List.filter (fun (i, _) -> keep i) v.bit_openings;
-             }
+           if v.gd_vertex = "op:min" then
+             { v with gd_bits = List.filter (fun (i, _) -> keep i) v.gd_bits }
            else v)
          b_view)
       (P.Evidence.Output_evidence_mismatch
@@ -898,6 +902,8 @@ let graph_framings () =
     ("export to another neighbour rejected", not_committed other_neighbour);
     ("set bits withheld rejected", withheld (fun i -> i = 1));
     ("shortest set bit withheld rejected", withheld (fun i -> i <> 2));
+    ("input of another epoch rejected", stale_input);
+    ("bit forced by another epoch's input rejected", stale_bit);
   ]
 
 let judge_rejects_fabrications () =
@@ -1286,8 +1292,8 @@ let forged_graph_commit promise routes ~out_routes =
       routes
   in
   let opened raw =
-    let c, opening = C.Commitment.commit rng raw in
-    ((c :> string), { P.Proto_graph.raw; opening })
+    let c, gc_opening = C.Commitment.commit rng raw in
+    ((c :> string), { P.Evidence.gc_raw = raw; gc_opening })
   in
   let vertices =
     List.map
@@ -1340,21 +1346,22 @@ let forged_graph_commit promise routes ~out_routes =
         cmt_commitments = [ Pvr_merkle.Prefix_tree.root tree ];
       }
   in
-  let disclose (id, _, comps, bit_openings) =
+  let disclose (gd_vertex, _, comps, gd_bits) =
     let leaf, proof =
       Option.get
-        (Pvr_merkle.Prefix_tree.prove tree (Pvr_merkle.Bitstring.of_id id))
+        (Pvr_merkle.Prefix_tree.prove tree
+           (Pvr_merkle.Bitstring.of_id gd_vertex))
     in
     match comps with
     | [ preds; succs; payload ] ->
         {
-          P.Proto_graph.vertex = id;
-          leaf;
-          proof;
-          preds = Some preds;
-          succs = Some succs;
-          payload = Some payload;
-          bit_openings;
+          P.Evidence.gd_vertex;
+          gd_leaf = leaf;
+          gd_proof = proof;
+          gd_preds = Some preds;
+          gd_succs = Some succs;
+          gd_payload = Some payload;
+          gd_bits;
         }
     | _ -> assert false
   in
@@ -1505,17 +1512,17 @@ let graph_alpha_confidentiality () =
   check_bool "own var payload present" true
     (List.exists
        (fun (d : P.Proto_graph.disclosure) ->
-         d.vertex = R.Promise.input_var n1 && d.payload <> None)
+         d.gd_vertex = R.Promise.input_var n1 && d.gd_payload <> None)
        ds);
   check_bool "other var absent entirely" true
     (not
        (List.exists
-          (fun (d : P.Proto_graph.disclosure) -> d.vertex = R.Promise.input_var n2)
+          (fun (d : P.Proto_graph.disclosure) -> d.gd_vertex = R.Promise.input_var n2)
           ds));
   check_bool "output var not disclosed to provider" true
     (not
        (List.exists
-          (fun (d : P.Proto_graph.disclosure) -> d.vertex = R.Promise.output_var b_as)
+          (fun (d : P.Proto_graph.disclosure) -> d.gd_vertex = R.Promise.output_var b_as)
           ds))
 
 let graph_provider_gets_only_own_bit () =
@@ -1527,11 +1534,11 @@ let graph_provider_gets_only_own_bit () =
   in
   let op_d =
     List.find
-      (fun (d : P.Proto_graph.disclosure) -> d.vertex = "op:min")
+      (fun (d : P.Proto_graph.disclosure) -> d.gd_vertex = "op:min")
       ds
   in
   check_bool "exactly the one bit" true
-    (List.map fst op_d.bit_openings = [ 3 ])
+    (List.map fst op_d.gd_bits = [ 3 ])
 
 (* A commits [inputs] although AS10 announced a length-2 route.  AS10 must
    detect, and the judge must confirm from the evidence alone. *)
@@ -2046,12 +2053,12 @@ let graph_composite_structural_privacy () =
   in
   let ds = P.Proto_graph.disclose ~role:`Beneficiary ps ~alpha ~viewer:b_as in
   let comp_d =
-    List.find (fun (d : P.Proto_graph.disclosure) -> d.vertex = "comp") ds
+    List.find (fun (d : P.Proto_graph.disclosure) -> d.gd_vertex = "comp") ds
   in
   (* The payload reveals only "comp" + a 32-byte root — no operator type,
      no vertex count, nothing about the internals. *)
-  (match comp_d.payload with
-  | Some c -> check_bool "payload is opaque" true (String.length c.raw < 64)
+  (match comp_d.gd_payload with
+  | Some c -> check_bool "payload is opaque" true (String.length c.gc_raw < 64)
   | None -> Alcotest.fail "payload expected");
   check_bool "no internals disclosed under restrictive alpha" true
     (P.Proto_graph.disclose_composite ps ~alpha ~viewer:b_as ~composite:"comp"
@@ -2069,7 +2076,7 @@ let graph_composite_authorized_inspection () =
   in
   let ds = P.Proto_graph.disclose ~role:`Beneficiary ps ~alpha ~viewer:b_as in
   let comp_d =
-    List.find (fun (d : P.Proto_graph.disclosure) -> d.vertex = "comp") ds
+    List.find (fun (d : P.Proto_graph.disclosure) -> d.gd_vertex = "comp") ds
   in
   match P.Proto_graph.disclose_composite ps ~alpha ~viewer:b_as ~composite:"comp" with
   | None -> Alcotest.fail "expected composite internals"
@@ -2085,10 +2092,10 @@ let graph_composite_authorized_inspection () =
       (* The inner min operator's evidence bits work like any other's. *)
       let min_d =
         List.find
-          (fun (d : P.Proto_graph.disclosure) -> d.vertex = "comp/secret-min")
+          (fun (d : P.Proto_graph.disclosure) -> d.gd_vertex = "comp/secret-min")
           inner
       in
-      check_bool "inner op has bit openings" true (min_d.bit_openings <> [])
+      check_bool "inner op has bit openings" true (min_d.gd_bits <> [])
 
 let graph_composite_evaluates () =
   let ps = composite_prove () in
