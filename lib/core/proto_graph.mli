@@ -134,8 +134,8 @@ val disclose :
       sole predecessor, and [out_var]'s committed routes contradict what
       [op]'s opened bits attest: a route or none, and each route's length
       (the minimum m for [Min_path_length] and [Shorter_of], m to m + n
-      hops for [Within_hops_of_min n]).  Bits attest nothing
-      when an opening they depend on is withheld.
+      hops for [Within_hops_of_min n]).  Bits attest nothing when an
+      opening they depend on is withheld.
     - [Export_not_committed {out_var; export}]: the export passes
       {!Proto_common.check_export_provenance} against the commit for its
       own recipient, [out_var] is that recipient's output variable, and

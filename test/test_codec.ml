@@ -594,6 +594,8 @@ let wire_rows =
       ~decode:P.Wire.decode_commit;
     row ~seeds "Wire.decode_export" export ~encode:P.Wire.encode_export
       ~decode:P.Wire.decode_export;
+    row "Wire.decode_route" route ~encode:G.Route.encode
+      ~decode:P.Wire.decode_route;
     signed_row "announce" signed_announce ~encode:P.Wire.encode_announce
       ~decode:P.Wire.decode_announce;
     signed_row "commit" signed_commit ~encode:P.Wire.encode_commit

@@ -796,8 +796,8 @@ let graph_sign d =
   (P.Runner.sign (Lazy.force keyring)
      [| (P.Runner.memo (), P.Runner.Graph d) |]).(0)
 
-(* Four accusations against an honest A, each from one or two neighbours
-   holding only what honest signed rounds sent them. *)
+(* Accusations against an honest A, each by one or two neighbours holding
+   only what honest signed rounds sent them. *)
 let graph_framings () =
   let route n len = (n, mk_route n len) in
   let signed ?beneficiary ?prefix promise routes =
@@ -808,8 +808,7 @@ let graph_framings () =
     P.Proto_graph.disclose ?role d ~alpha:d.P.Proto_graph.dr_alpha ~viewer
   in
   let violation (r : P.Runner.round) ds offence =
-    P.Evidence.Graph_violation
-      { commit = r.commit; disclosures = ds; offence }
+    P.Evidence.Graph_violation { commit = r.commit; disclosures = ds; offence }
   in
   let announce_of (r : P.Runner.round) n = List.assoc n r.announces in
   let from_10_11 = R.Promise.Shortest_from [ asn 10; asn 11 ] in
