@@ -905,6 +905,35 @@ let graph_framings () =
     ("bit forced by another epoch's input rejected", stale_bit);
   ]
 
+(* ---- Proto_no_shorter (§2 promise 4) helpers ---------------------------------- *)
+
+let beneficiaries3 = [ b_as; asn 2; List.hd providers ]
+
+let noshorter_run lens =
+  (* [lens]: optional export length per beneficiary, in beneficiaries3
+     order. *)
+  let kr = Lazy.force keyring in
+  let rng = fresh_rng () in
+  let exports =
+    List.concat
+      (List.map2
+         (fun m len ->
+           match len with
+           | None -> []
+           | Some l ->
+               (* The input route A chose for m, announced by provider N1. *)
+               [ (m, announce (List.nth providers (1 + (l mod 2))) l) ])
+         beneficiaries3 lens)
+  in
+  P.Proto_no_shorter.prove ~max_path_len:6 rng kr ~prover:a_as
+    ~beneficiaries:beneficiaries3 ~epoch:1 ~prefix:prefix0 ~exports
+
+let noshorter_check out m =
+  let kr = Lazy.force keyring in
+  P.Proto_no_shorter.check_beneficiary ~max_path_len:6 kr ~me:m
+    ~beneficiaries:beneficiaries3 ~commit:out.P.Proto_no_shorter.commit
+    ~disclosure:(List.assoc m out.P.Proto_no_shorter.per_beneficiary)
+
 let judge_rejects_fabrications () =
   (* Evidence whose internals do not hold up must be Rejected, protecting an
      innocent A (Accuracy). *)
@@ -939,7 +968,20 @@ let judge_rejects_fabrications () =
   List.iter
     (fun (name, e) ->
       check_bool name true (P.Judge.evaluate_offline kr e = P.Judge.Rejected))
-    (graph_framings ())
+    (graph_framings ());
+  (* Promise 4 owes no beneficiary an export: an omission claim against a
+     "noshorter" commit convicts nobody, bare or timed out. *)
+  let p4 = noshorter_run [ Some 3; None; Some 3 ] in
+  let unexported =
+    P.Evidence.Missing_export_claim
+      { commit = p4.P.Proto_no_shorter.commit; openings = []; claimant = asn 2 }
+  in
+  check_bool "promise-4 omission claim rejected" true
+    (P.Judge.evaluate_offline kr unexported = P.Judge.Rejected);
+  check_bool "promise-4 timed-out omission claim rejected" true
+    (P.Judge.evaluate_offline kr
+       (P.Evidence.Timeout { claim = unexported; retries = 1 })
+    = P.Judge.Rejected)
 
 (* Evidence whose two signatures by the accused are genuine ones multiplied
    by 2 and 2^-1 mod n.  Neither verifies alone, while their product equals
@@ -2104,33 +2146,6 @@ let graph_composite_evaluates () =
   | None -> Alcotest.fail "expected export"
 
 (* ---- Proto_no_shorter (§2 promise 4) --------------------------------------------- *)
-
-let beneficiaries3 = [ b_as; asn 2; List.hd providers ]
-
-let noshorter_run lens =
-  (* [lens]: optional export length per beneficiary, in beneficiaries3
-     order. *)
-  let kr = Lazy.force keyring in
-  let rng = fresh_rng () in
-  let exports =
-    List.concat
-      (List.map2
-         (fun m len ->
-           match len with
-           | None -> []
-           | Some l ->
-               (* The input route A chose for m, announced by provider N1. *)
-               [ (m, announce (List.nth providers (1 + (l mod 2))) l) ])
-         beneficiaries3 lens)
-  in
-  P.Proto_no_shorter.prove ~max_path_len:6 rng kr ~prover:a_as
-    ~beneficiaries:beneficiaries3 ~epoch:1 ~prefix:prefix0 ~exports
-
-let noshorter_check out m =
-  let kr = Lazy.force keyring in
-  P.Proto_no_shorter.check_beneficiary ~max_path_len:6 kr ~me:m
-    ~beneficiaries:beneficiaries3 ~commit:out.P.Proto_no_shorter.commit
-    ~disclosure:(List.assoc m out.P.Proto_no_shorter.per_beneficiary)
 
 let noshorter_equal_exports_clean () =
   let out = noshorter_run [ Some 3; Some 3; Some 3 ] in
