@@ -1,9 +1,10 @@
 (* Promise 4 (§2): "The route you get is no longer than what I tell anybody
-   else."  The paper lists this promise without a mechanism; this library
-   extends the §3.3 threshold-bit technique across beneficiaries
+   else."  The paper lists this promise without a mechanism; this
+   library has A commit to one §3.3 threshold vector over its exports
    (Pvr.Proto_no_shorter).  Here AS1 serves three customers and secretly
    plays favourites — the disadvantaged customers catch it with
-   self-contained evidence.
+   self-contained evidence.  Exits 1 unless the fair round is clean and
+   both disadvantaged customers get A convicted.
 
      dune exec examples/promise_four.exe *)
 
@@ -28,41 +29,60 @@ let () =
     P.Runner.announce_of_route keyring ~provider ~prover:a ~epoch:1 route
   in
 
+  (* Each customer's verdicts, one per piece of evidence it raised. *)
   let run description exports =
     Printf.printf "--- %s ---\n" description;
     let out =
       P.Proto_no_shorter.prove ~max_path_len:8 rng keyring ~prover:a
         ~beneficiaries:customers ~epoch:1 ~prefix ~exports
     in
-    List.iter
+    List.map
       (fun m ->
         let evs =
-          P.Proto_no_shorter.check_beneficiary ~max_path_len:8 keyring ~me:m
-            ~beneficiaries:customers ~commit:out.P.Proto_no_shorter.commit
+          P.Proto_no_shorter.check_beneficiary keyring ~me:m
+            ~commit:out.P.Proto_no_shorter.commit
             ~disclosure:(List.assoc m out.P.Proto_no_shorter.per_beneficiary)
         in
         if evs = [] then
-          Printf.printf "  %s: satisfied\n" (G.Asn.to_string m)
-        else
-          List.iter
+          Printf.printf "  %s: satisfied\n" (G.Asn.to_string m);
+        ( m,
+          List.map
             (fun e ->
+              let v = P.Judge.evaluate_offline keyring e in
               Printf.printf "  %s: VIOLATION - %s [judge: %s]\n"
                 (G.Asn.to_string m) (P.Evidence.describe e)
-                (P.Judge.verdict_to_string
-                   (P.Judge.evaluate_offline keyring e)))
-            evs)
-      customers;
-    print_newline ()
+                (P.Judge.verdict_to_string v);
+              v)
+            evs ))
+      customers
   in
 
   (* Fair service: everyone gets a route of length 3. *)
-  run "A treats all three customers equally (length 3)"
-    (List.map (fun m -> (m, input 3)) customers);
+  let fair =
+    run "A treats all three customers equally (length 3)"
+      (List.map (fun m -> (m, input 3)) customers)
+  in
+  print_newline ();
 
   (* Favouritism: AS200 gets a length-2 route, the others length 4. *)
-  run "A gives AS200 a strictly shorter route"
-    [ (asn 100, input 4); (asn 200, input 2); (asn 300, input 4) ];
+  let unfair =
+    run "A gives AS200 a strictly shorter route"
+      [ (asn 100, input 4); (asn 200, input 2); (asn 300, input 4) ]
+  in
+  print_newline ();
 
   print_endline
-    "Each bit a customer sees about another's export is implied by the\n\
-     promise itself, so nothing about the actual routes leaks."
+    "Each bit a customer sees is implied by the promise and its own route,\n\
+     so nothing about the other customers' routes leaks.";
+  let clean round m = List.assoc m round = [] in
+  let guilty round m = List.mem P.Judge.Guilty (List.assoc m round) in
+  if
+    not
+      (List.for_all (clean fair) customers
+      && guilty unfair (asn 100)
+      && guilty unfair (asn 300)
+      && clean unfair (asn 200))
+  then begin
+    print_endline "The round accused a fair A or let favouritism go.";
+    exit 1
+  end

@@ -46,12 +46,6 @@ type t =
       disclosures : graph_disclosure list;
       offence : graph_offence;
     }
-  | Cross_shorter_export of {
-      commit : Wire.commit Wire.signed;
-      my_export : Wire.export Wire.signed;
-      other_block : int;
-      opening : C.Commitment.opening;
-    }
   | Own_vector_mismatch of {
       commit : Wire.commit Wire.signed;
       my_export : Wire.export Wire.signed;
@@ -95,7 +89,6 @@ let rec accused = function
   | Missing_export_claim { commit; _ }
   | Missing_disclosure_claim { commit; _ }
   | Graph_violation { commit; _ }
-  | Cross_shorter_export { commit; _ }
   | Own_vector_mismatch { commit; _ } ->
       commit.Wire.signer
   | Bad_provenance { export } -> export.Wire.signer
@@ -144,13 +137,10 @@ let rec describe t =
           Printf.sprintf "%s exported a route that is not the committed %s" who
             out_var
     end
-  | Cross_shorter_export { other_block; _ } ->
-      Printf.sprintf
-        "%s promised beneficiary #%d a strictly shorter route (promise 4)" who
-        other_block
   | Own_vector_mismatch { bit_index; _ } ->
       Printf.sprintf
-        "%s committed bit %d of its export vector inconsistently" who bit_index
+        "%s committed b_%d = 0 despite exporting a %d-hop route (promise 4)"
+        who bit_index bit_index
 
 (* Canonical evidence-kind tags: the queryable vocabulary of the audit
    plane.  A [Timeout] reports the omission it substantiates — the query
@@ -165,7 +155,6 @@ let rec kind = function
   | Missing_export_claim _ -> "missing-export"
   | Missing_disclosure_claim _ -> "missing-disclosure"
   | Graph_violation _ -> "graph-violation"
-  | Cross_shorter_export _ -> "cross-shorter-export"
   | Own_vector_mismatch _ -> "own-vector-mismatch"
   | Timeout { claim; _ } -> kind claim
 
@@ -180,6 +169,5 @@ let all_kinds =
     "missing-export";
     "missing-disclosure";
     "graph-violation";
-    "cross-shorter-export";
     "own-vector-mismatch";
   ]

@@ -42,7 +42,8 @@ type t =
       opening : C.Commitment.opening;   (** ... whose bit opens to 1 *)
     }
       (** A exported a route although it committed that a strictly shorter
-          input existed. *)
+          input existed (under promise 4: that it exported a strictly
+          shorter route to someone). *)
   | Unsupported_export of {
       commit : Wire.commit Wire.signed;
       export : Wire.export Wire.signed;
@@ -72,21 +73,14 @@ type t =
       offence : graph_offence;
           (** proven when {!Proto_graph.offence_holds} *)
     }
-  | Cross_shorter_export of {
-      commit : Wire.commit Wire.signed;  (** scheme ["noshorter"] *)
-      my_export : Wire.export Wire.signed;
-          (** A's signed export to the claimant, length L *)
-      other_block : int;  (** 0-based block of the other beneficiary *)
-      opening : C.Commitment.opening;
-          (** opens that beneficiary's bit b_{L-1} to 1: it was promised a
-              strictly shorter route (§2 promise 4 violation) *)
-    }
   | Own_vector_mismatch of {
       commit : Wire.commit Wire.signed;  (** scheme ["noshorter"] *)
       my_export : Wire.export Wire.signed;
-      bit_index : int;  (** 1..k within the claimant's own vector *)
+          (** A's signed export to the claimant, length L *)
+      bit_index : int;  (** L *)
       opening : C.Commitment.opening;
-          (** opens inconsistently with the exported route's length *)
+          (** opens b_L to 0, although A exported L hops: its vector over
+              the shortest export lies (§2 promise 4) *)
     }
   | Timeout of {
       claim : t;

@@ -177,13 +177,6 @@ let rec encode (e : Evidence.t) =
           enc_list (List.map enc_disclosure disclosures);
           enc_offence offence;
         ]
-  | Evidence.Cross_shorter_export { commit; my_export; other_block; opening } ->
-      enc_list
-        [
-          "cross-shorter"; enc_signed_commit commit;
-          enc_signed_export my_export; enc_int other_block;
-          enc_opening opening;
-        ]
   | Evidence.Own_vector_mismatch { commit; my_export; bit_index; opening } ->
       enc_list
         [
@@ -258,14 +251,6 @@ let rec dec_evidence parts =
           commit = dec_signed_commit commit;
           disclosures = List.map dec_disclosure (Codec.list disclosures);
           offence = dec_offence offence;
-        }
-  | [ "cross-shorter"; commit; export; block; opening ] ->
-      Evidence.Cross_shorter_export
-        {
-          commit = dec_signed_commit commit;
-          my_export = dec_signed_export export;
-          other_block = dec_int block;
-          opening = dec_opening opening;
         }
   | [ "own-vector"; commit; export; bit_index; opening ] ->
       Evidence.Own_vector_mismatch

@@ -31,21 +31,6 @@ let commit_valid keyring c = Wire.verify keyring ~encode:Wire.encode_commit c
 let export_valid keyring (e : Wire.export Wire.signed) =
   Wire.verify keyring ~encode:Wire.encode_export e
 
-(* Evidence almost always pairs a commit and an export signed by the same
-   accused prover, often under one batch root: one call verifies that root
-   once.  No caller's table is passed — evidence must convince a third
-   party on its own. *)
-let commit_export_valid keyring commit (e : Wire.export Wire.signed) =
-  match
-    Wire.verify_batch keyring
-      [
-        Wire.check ~encode:Wire.encode_commit commit;
-        Wire.check ~encode:Wire.encode_export e;
-      ]
-  with
-  | [ a; b ] -> a && b
-  | _ -> false
-
 (* Same slot: the gossip identity key for commitments. *)
 let same_slot (a : Wire.commit Wire.signed) (b : Wire.commit Wire.signed) =
   Bgp.Asn.equal a.Wire.signer b.Wire.signer
@@ -67,38 +52,25 @@ let min_set_index commit openings =
 
 let verdict_of_bool b = if b then Guilty else Rejected
 
-(* Common validation for promise-4 evidence: a well-formed "noshorter"
-   commit plus a valid export by the accused to a listed beneficiary.
-   Returns (k, beneficiary order, claimant's block, exported length). *)
-let noshorter_context keyring (commit : Wire.commit Wire.signed)
-    (my_export : Wire.export Wire.signed) =
-  let cp = commit.Wire.payload in
-  if
-    not
-      (cp.Wire.cmt_scheme = Proto_no_shorter.scheme
-      && commit_export_valid keyring commit my_export
-      && Bgp.Asn.equal my_export.Wire.signer commit.Wire.signer
-      && my_export.Wire.payload.Wire.exp_epoch = cp.Wire.cmt_epoch
-      && Bgp.Prefix.equal
-           my_export.Wire.payload.Wire.exp_route.Bgp.Route.prefix
-           cp.Wire.cmt_prefix)
-  then None
-  else
-    match Proto_no_shorter.header_of_commit commit with
-    | None -> None
-    | Some (k, order) ->
-        let me = my_export.Wire.payload.Wire.exp_to in
-        let rec block j = function
-          | [] -> None
-          | x :: rest -> if Bgp.Asn.equal x me then Some j else block (j + 1) rest
-        in
-        Option.map
-          (fun my_block ->
-            ( k,
-              order,
-              my_block,
-              Bgp.Route.path_length my_export.Wire.payload.Wire.exp_route ))
-          (block 0 order)
+(* The export is the accused's own, for the commitment's epoch and prefix.
+   The commit and export are almost always signed under one batch root:
+   one call verifies that root once.  No caller's table is passed —
+   evidence must convince a third party on its own. *)
+let export_binds keyring ~accused commit (export : Wire.export Wire.signed) =
+  let cp = commit.Wire.payload and ep = export.Wire.payload in
+  Bgp.Asn.equal export.Wire.signer accused
+  && ep.Wire.exp_epoch = cp.Wire.cmt_epoch
+  && Bgp.Prefix.equal ep.Wire.exp_route.Bgp.Route.prefix cp.Wire.cmt_prefix
+  &&
+  match
+    Wire.verify_batch keyring
+      [
+        Wire.check ~encode:Wire.encode_commit commit;
+        Wire.check ~encode:Wire.encode_export export;
+      ]
+  with
+  | [ a; b ] -> a && b
+  | _ -> false
 
 let rec eval keyring ~respond evidence =
   let accused = Evidence.accused evidence in
@@ -110,12 +82,14 @@ let rec eval keyring ~respond evidence =
       match claim with
       | _ when retries < 1 -> Rejected
       | Evidence.Timeout _ -> Rejected
-      | Evidence.Missing_export_claim { commit; openings = []; claimant } ->
+      | Evidence.Missing_export_claim { commit; openings = []; claimant }
+        when commit.Wire.payload.Wire.cmt_scheme <> "noshorter" ->
           (* Total silence: the claimant never even received the opening
              set, so it cannot show a bit = 1.  The judge first asks for
              the export; an accused with nothing to export may instead
              open its top bit to 0, which (bits are monotone) proves no
-             admissible input existed and nothing was owed. *)
+             admissible input existed and nothing was owed.  A promise-4
+             claim falls through to the bare arm, which rejects it. *)
           if not (commit_valid keyring commit) then Rejected
           else begin
             let cp = commit.Wire.payload in
@@ -185,20 +159,12 @@ let rec eval keyring ~respond evidence =
         && bit_at commit ~index:set_index set_opening = Some true
         && bit_at commit ~index:unset_index unset_opening = Some false)
   | Evidence.Nonminimal_export { commit; export; index; opening } ->
-      let cp = commit.Wire.payload in
-      let ep = export.Wire.payload in
       verdict_of_bool
-        (commit_export_valid keyring commit export
-        && Bgp.Asn.equal export.Wire.signer accused
-        && ep.Wire.exp_epoch = cp.Wire.cmt_epoch
-        && Bgp.Prefix.equal ep.Wire.exp_route.Bgp.Route.prefix
-             cp.Wire.cmt_prefix
-        && index < Bgp.Route.path_length ep.Wire.exp_route
+        (export_binds keyring ~accused commit export
+        && index < Bgp.Route.path_length export.Wire.payload.Wire.exp_route
         && bit_at commit ~index opening = Some true)
   | Evidence.Unsupported_export { commit; export; openings } ->
-      let cp = commit.Wire.payload in
-      let ep = export.Wire.payload in
-      let k = List.length cp.Wire.cmt_commitments in
+      let k = List.length commit.Wire.payload.Wire.cmt_commitments in
       let all_zero =
         List.length openings = k
         && List.for_all
@@ -207,13 +173,7 @@ let rec eval keyring ~respond evidence =
         && List.sort_uniq Int.compare (List.map fst openings)
            = List.init k (fun i -> i + 1)
       in
-      verdict_of_bool
-        (commit_export_valid keyring commit export
-        && Bgp.Asn.equal export.Wire.signer accused
-        && ep.Wire.exp_epoch = cp.Wire.cmt_epoch
-        && Bgp.Prefix.equal ep.Wire.exp_route.Bgp.Route.prefix
-             cp.Wire.cmt_prefix
-        && all_zero)
+      verdict_of_bool (export_binds keyring ~accused commit export && all_zero)
   | Evidence.Bad_provenance { export } ->
       if not (export_valid keyring export) then Rejected
       else begin
@@ -240,30 +200,7 @@ let rec eval keyring ~respond evidence =
           match cp.Wire.cmt_scheme with
           | "min" -> m < max_int
           | "graph" -> true (* bits live inside the tree; challenge anyway *)
-          | "noshorter" -> begin
-              (* Some opening in the claimant's own block must show 1. *)
-              match Proto_no_shorter.header_of_commit commit with
-              | None -> false
-              | Some (k, order) -> begin
-                  let rec block j = function
-                    | [] -> None
-                    | x :: rest ->
-                        if Bgp.Asn.equal x claimant then Some j
-                        else block (j + 1) rest
-                  in
-                  match block 0 order with
-                  | None -> false
-                  | Some j ->
-                      List.exists
-                        (fun (g, o) ->
-                          g > j * k
-                          && g <= (j + 1) * k
-                          && Proto_no_shorter.bit_at commit ~global:g o
-                             = Some true)
-                        openings
-                end
-            end
-          | _ -> false
+          | _ -> false (* "noshorter": promise 4 owes nobody an export *)
         in
         if not bit_says_route then Rejected
         else begin
@@ -288,8 +225,8 @@ let rec eval keyring ~respond evidence =
                     Bgp.Route.path_length export.Wire.payload.Wire.exp_route
                   in
                   (* Under the min scheme the produced export must also be
-                     minimal w.r.t. the opened bits; promise 4 and the graph
-                     scheme only require *an* export. *)
+                     minimal w.r.t. the opened bits; the graph scheme only
+                     requires *an* export. *)
                   if cp.Wire.cmt_scheme = "min" && len > m then Guilty
                   else Exonerated
             end
@@ -338,36 +275,13 @@ let rec eval keyring ~respond evidence =
         (commit_valid keyring commit
         && Proto_graph.authenticated ~commit disclosures
         && Proto_graph.offence_holds keyring ~commit ~disclosures offence)
-  | Evidence.Cross_shorter_export { commit; my_export; other_block; opening }
-    -> begin
-      match noshorter_context keyring commit my_export with
-      | None -> Rejected
-      | Some (k, _order, my_block, l) ->
-          verdict_of_bool
-            (l >= 2 && l <= k
-            && other_block >= 0
-            && other_block <> my_block
-            && Proto_no_shorter.bit_at commit
-                 ~global:((other_block * k) + (l - 1))
-                 opening
-               = Some true)
-    end
   | Evidence.Own_vector_mismatch { commit; my_export; bit_index; opening } ->
-    begin
-      match noshorter_context keyring commit my_export with
-      | None -> Rejected
-      | Some (k, _order, my_block, l) ->
-          verdict_of_bool
-            (bit_index >= 1 && bit_index <= k && l <= k
-            &&
-            match
-              Proto_no_shorter.bit_at commit
-                ~global:((my_block * k) + bit_index)
-                opening
-            with
-            | Some v -> v <> (l <= bit_index)
-            | None -> false)
-    end
+      verdict_of_bool
+        (commit.Wire.payload.Wire.cmt_scheme = "noshorter"
+        && export_binds keyring ~accused commit my_export
+        && bit_index
+           = Bgp.Route.path_length my_export.Wire.payload.Wire.exp_route
+        && bit_at commit ~index:bit_index opening = Some false)
 
 (* The commitment a challenge's opening responses decode against. *)
 let rec commit_of_evidence = function
@@ -380,7 +294,6 @@ let rec commit_of_evidence = function
   | Evidence.Missing_export_claim { commit; _ }
   | Evidence.Missing_disclosure_claim { commit; _ }
   | Evidence.Graph_violation { commit; _ }
-  | Evidence.Cross_shorter_export { commit; _ }
   | Evidence.Own_vector_mismatch { commit; _ } -> Some commit
   | Evidence.Bad_provenance _ -> None
 

@@ -12,7 +12,8 @@
     ([Missing_export_claim], [Missing_disclosure_claim]) cannot be proven by
     the accuser, so the judge {e challenges} the accused to produce the item
     it allegedly withheld; an honest AS always can, a stubborn or lying one
-    is found guilty. *)
+    is found guilty.  Promise 4 (["noshorter"]) owes no beneficiary an
+    export, so an omission claim against its commit is [Rejected]. *)
 
 type verdict =
   | Guilty      (** the evidence convinces the judge *)

@@ -1,41 +1,42 @@
 (** A protocol for §2's promise 4: "The route you get is no longer than what
     I tell anybody else."
 
-    The paper lists this promise but sketches no mechanism for it; this
-    module extends the §3.3 bit technique across {e beneficiaries} instead
-    of inputs.  For every neighbor m it exports to, A commits to a threshold
-    bit vector b^m_1..b^m_k with b^m_i = 1 iff the route exported to m has
-    path length ≤ i (all-zero = nothing exported to m).  All the vectors
-    ride in one signed, gossiped commit message, ordered by the public
-    neighbor list.
+    The paper lists this promise but sketches no mechanism for it.  Under
+    the promise every exported route has the same length, so one §3.3
+    threshold vector over A's {e exports} decides it: A commits to
+    b_1..b_k with b_i = 1 iff the shortest route it exports to any
+    beneficiary has at most i hops ({!Proto_min.commit_claim}, k digests in
+    the min scheme's 1-based layout, scheme ["noshorter"]).  The commit and
+    every export are signed as one batch.  Each beneficiary that got a
+    route is opened all k bits, exactly as §3.3's B; the others get
+    nothing, because the promise owes nobody an export.
 
-    A beneficiary B that received a route of length L verifies:
-    + its own vector opens consistently (b^B_L = 1, b^B_{L-1} = 0 — its
-      vector must encode exactly L);
-    + for every other neighbor m, the single bit b^m_{L-1} opens to 0 —
-      nobody was told a strictly shorter route.
+    A beneficiary B that received a route of length L runs
+    {!Proto_min.check_beneficiary}:
+    - a set bit below L means someone was told a strictly shorter route:
+      {!Evidence.Nonminimal_export};
+    - b_L = 0 means A's vector lies about B's own export:
+      {!Evidence.Own_vector_mismatch}.  (The min scheme's [False_bit] needs
+      an admitted input as witness, and an input A never exported proves
+      nothing under promise 4.)
 
-    Confidentiality: B learns, about each other export, only "not shorter
-    than mine" — exactly the promise, nothing more.  The disclosed bit is
-    implied by the promise + B's own route, so the {!Leakage} closure counts
-    zero excess facts.
+    Detection: if A favours some m and commits truthfully, every
+    longer-served beneficiary sees a set bit below its own length; if A
+    lies in the vector, the bit at some beneficiary's own length opens
+    to 0.
 
-    Detection: if A exports to some m a route shorter than B's and commits
-    truthfully, B sees b^m_{L-1} = 1 (self-contained
-    {!Evidence.Nonminimal_export}-style proof, reusing [False_bit] with the
-    export as witness is not possible here, so we add a dedicated check);
-    if A lies in m's vector, then m — running the same protocol — finds its
-    own vector inconsistent with the route it received. *)
+    Confidentiality: under the promise the vector encodes B's own length,
+    which B already knows, so the {!Leakage} closure counts zero excess
+    facts. *)
 
 open Proto_common
 
 type prover_output = {
   commit : Wire.commit Wire.signed;
-      (** scheme ["noshorter"]; commitments = the concatenation of one k-bit
-          vector per neighbor, in [beneficiaries] order *)
+      (** scheme ["noshorter"]; commitments = the k bit digests *)
   per_beneficiary : (Pvr_bgp.Asn.t * beneficiary_disclosure) list;
-      (** for each beneficiary: its own full vector opened, the cross bits
-          of the others at the right index, and its signed export *)
+      (** in [beneficiaries] order: every opening and the signed export for
+          an exported beneficiary, an empty disclosure for the others *)
 }
 
 val scheme : string
@@ -52,36 +53,14 @@ val prove :
   exports:(Pvr_bgp.Asn.t * Wire.announce Wire.signed) list ->
   prover_output
 (** [exports] maps each beneficiary to the input route A chose for it (the
-    provenance announcement); beneficiaries without an entry get nothing.
-    The published neighbor order is [beneficiaries]. *)
-
-val vector_of : beneficiaries:Pvr_bgp.Asn.t list -> k:int -> me:Pvr_bgp.Asn.t -> int -> int
-(** [vector_of ~beneficiaries ~k ~me i] is the global commitment index
-    (1-based) of bit i in [me]'s vector — exposed for tests and evidence
-    checking. *)
-
-val header_of_commit :
-  Wire.commit Wire.signed -> (int * Pvr_bgp.Asn.t list) option
-(** Decode the (k, beneficiary order) header from a ["noshorter"] commit —
-    used by the {!Judge} to replay evidence. *)
-
-val bit_at :
-  Wire.commit Wire.signed ->
-  global:int ->
-  Pvr_crypto.Commitment.opening ->
-  bool option
-(** Check an opening against digest-region position [global] (1-based, past
-    the header). *)
+    provenance announcement); beneficiaries without an admitted entry get
+    nothing.  k = [max_path_len].  One RSA signature covers the commit and
+    every export. *)
 
 val check_beneficiary :
-  ?max_path_len:int ->
   Keyring.t ->
   me:Pvr_bgp.Asn.t ->
-  beneficiaries:Pvr_bgp.Asn.t list ->
   commit:Wire.commit Wire.signed ->
   disclosure:beneficiary_disclosure ->
   Evidence.t list
-(** The two checks above.  Cross-vector violations surface as
-    {!Evidence.Non_monotonic_bits}-style self-contained evidence
-    ([False_bit] with the beneficiary's own provenance as witness for its
-    own vector, [Nonminimal_export] carrying the offending cross bit). *)
+(** B's check above; [[]] on an empty disclosure. *)

@@ -105,10 +105,12 @@ type announce = {
 type commit = {
   cmt_epoch : epoch;
   cmt_prefix : Bgp.Prefix.t;
-  cmt_scheme : string;  (** ["min"], ["noshorter"] or ["graph"] *)
+  cmt_scheme : string;
+      (** ["min"] (§3.3), ["noshorter"] (promise 4) or ["graph"] (§3.6) *)
   cmt_commitments : string list;
-      (** the published digests: [c_1..c_k] (§3.3), the per-beneficiary
-          bit vectors (promise 4), or the vertex-MHT root (§3.6) *)
+      (** the published digests: [c_1..c_k] over the shortest input (§3.3)
+          or over the shortest export (promise 4, same layout), or the
+          vertex-MHT root (§3.6) *)
 }
 (** A's commitment message, broadcast to all neighbors and gossiped. *)
 

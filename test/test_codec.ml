@@ -243,11 +243,6 @@ let evidence =
        P.Evidence.Graph_violation { commit; disclosures; offence });
       (let+ commit = sc
        and+ my_export = se
-       and+ other_block = small
-       and+ opening = opening in
-       P.Evidence.Cross_shorter_export { commit; my_export; other_block; opening });
-      (let+ commit = sc
-       and+ my_export = se
        and+ bit_index = small
        and+ opening = opening in
        P.Evidence.Own_vector_mismatch { commit; my_export; bit_index; opening });
@@ -314,22 +309,6 @@ let ring_signature =
   Option.get
     (C.Ring_signature.decode
        (Codec.encode_list (C.Bytes_util.be32 domain :: glue :: xs)))
-
-(* A noshorter commit carries its (k, beneficiary order) header as the
-   first commitment: u32 items in the list format. *)
-let noshorter_commit header =
-  signed_of ~encode:P.Wire.encode_commit ~decode:P.Wire.decode_commit
-    {
-      P.Wire.cmt_epoch = 1;
-      cmt_prefix = G.Prefix.of_string "10.0.0.0/8";
-      cmt_scheme = P.Proto_no_shorter.scheme;
-      cmt_commitments = [ header ];
-    }
-    (G.Asn.of_int 1) ""
-
-let encode_header (k, asns) =
-  Codec.encode_list
-    (List.map C.Bytes_util.be32 (k :: List.map G.Asn.to_int asns))
 
 let row_value =
   let open Gen in
@@ -580,6 +559,23 @@ let net_corpus =
      ]
      @ List.map P.Evidence_codec.encode (Test_net.sample_evidence ()))
 
+(* Well-framed evidence under a retired tag: promise 4's cross-vector
+   evidence, gone since promise 4 commits one vector over all exports. *)
+let retired_tags =
+  lazy
+    [
+      Codec.encode_list
+        [
+          "cross-shorter";
+          P.Wire.encode_signed ~encode:P.Wire.encode_commit
+            (Test_net.sample_commit ());
+          P.Wire.encode_signed ~encode:P.Wire.encode_export
+            (Test_net.sample_export ());
+          C.Bytes_util.be32 0;
+          Codec.encode_list [ "\001"; String.make 16 'n' ];
+        ];
+    ]
+
 let wire_rows =
   let seeds = net_corpus in
   let signed_row name gen ~encode ~decode =
@@ -603,7 +599,7 @@ let wire_rows =
     signed_row "export" signed_export ~encode:P.Wire.encode_export
       ~decode:P.Wire.decode_export;
     row ~seeds "Evidence_codec.decode" evidence ~encode:P.Evidence_codec.encode
-      ~decode:P.Evidence_codec.decode;
+      ~decode:P.Evidence_codec.decode ~rejects:retired_tags;
     row ~seeds "Evidence_codec.of_hex" evidence ~encode:P.Evidence_codec.to_hex
       ~decode:P.Evidence_codec.of_hex;
   ]
@@ -642,10 +638,6 @@ let proof_rows =
     row "Proto_graph.leaf_digests" (Gen.triple digest digest digest)
       ~encode:(fun (a, b, c) -> Codec.encode_list [ a; b; c ])
       ~decode:PG.leaf_digests;
-    row "Proto_no_shorter.header_of_commit"
-      (Gen.pair (Gen.int_range 1 20) (items asn))
-      ~encode:encode_header
-      ~decode:(fun s -> P.Proto_no_shorter.header_of_commit (noshorter_commit s));
     row "Merkle_tree.decode_proof" merkle_proof
       ~encode:Pvr_merkle.Merkle_tree.encode_proof
       ~decode:Pvr_merkle.Merkle_tree.decode_proof;

@@ -905,34 +905,103 @@ let graph_framings () =
     ("bit forced by another epoch's input rejected", stale_bit);
   ]
 
-(* ---- Proto_no_shorter (§2 promise 4) helpers ---------------------------------- *)
+(* ---- Proto_no_shorter (§2 promise 4) helpers ------------------------------ *)
 
 let beneficiaries3 = [ b_as; asn 2; List.hd providers ]
 
-let noshorter_run lens =
-  (* [lens]: optional export length per beneficiary, in beneficiaries3
-     order. *)
-  let kr = Lazy.force keyring in
-  let rng = fresh_rng () in
-  let exports =
-    List.concat
-      (List.map2
-         (fun m len ->
-           match len with
-           | None -> []
-           | Some l ->
-               (* The input route A chose for m, announced by provider N1. *)
-               [ (m, announce (List.nth providers (1 + (l mod 2))) l) ])
-         beneficiaries3 lens)
-  in
-  P.Proto_no_shorter.prove ~max_path_len:6 rng kr ~prover:a_as
-    ~beneficiaries:beneficiaries3 ~epoch:1 ~prefix:prefix0 ~exports
+(* [lens]: optional export length per beneficiary, in beneficiaries3 order.
+   The input route A chose for each is announced by provider N1 or N2. *)
+let noshorter_exports ?(epoch = 1) ?(prefix = prefix0) lens =
+  List.concat
+    (List.map2
+       (fun m len ->
+         match len with
+         | None -> []
+         | Some l ->
+             let n = List.nth providers (1 + (l mod 2)) in
+             [
+               ( m,
+                 P.Runner.announce_of_route (Lazy.force keyring) ~provider:n
+                   ~prover:a_as ~epoch
+                   { (mk_route n l) with G.Route.prefix } );
+             ])
+       beneficiaries3 lens)
+
+let noshorter_prove ?(epoch = 1) ?(prefix = prefix0) exports =
+  P.Proto_no_shorter.prove ~max_path_len:6 (fresh_rng ()) (Lazy.force keyring)
+    ~prover:a_as ~beneficiaries:beneficiaries3 ~epoch ~prefix ~exports
+
+let noshorter_run ?epoch ?prefix lens =
+  noshorter_prove ?epoch ?prefix (noshorter_exports ?epoch ?prefix lens)
 
 let noshorter_check out m =
-  let kr = Lazy.force keyring in
-  P.Proto_no_shorter.check_beneficiary ~max_path_len:6 kr ~me:m
-    ~beneficiaries:beneficiaries3 ~commit:out.P.Proto_no_shorter.commit
+  P.Proto_no_shorter.check_beneficiary (Lazy.force keyring) ~me:m
+    ~commit:out.P.Proto_no_shorter.commit
     ~disclosure:(List.assoc m out.P.Proto_no_shorter.per_beneficiary)
+
+(* Promise-4 evidence a Byzantine neighbour assembles from honest signed
+   promise-4 rounds: genuine openings paired with statements the offence
+   does not name. *)
+let noshorter_framings () =
+  let to_b (out : P.Proto_no_shorter.prover_output) =
+    List.assoc b_as out.per_beneficiary
+  in
+  let opening out i = List.assoc i (to_b out).bd_openings in
+  let export out = Option.get (to_b out).bd_export in
+  let three = noshorter_run [ Some 3; Some 3; None ] in
+  let unexported_input =
+    P.Evidence.False_bit
+      {
+        commit = three.commit;
+        index = 1;
+        opening = opening three 1;
+        witness = announce (asn 11) 1;
+      }
+  in
+  (* Honest two-hop rounds of another epoch and of another prefix. *)
+  let others =
+    [
+      ("epoch", noshorter_run ~epoch:2 [ Some 2; Some 2; None ]);
+      ( "prefix",
+        noshorter_run ~prefix:(G.Prefix.of_string "11.0.0.0/8")
+          [ Some 2; Some 2; None ] );
+    ]
+  in
+  let below_own_length =
+    P.Evidence.Own_vector_mismatch
+      {
+        commit = three.commit;
+        my_export = export three;
+        bit_index = 2;
+        opening = opening three 2;
+      }
+  in
+  ("admitted input A never exported rejected as a false-bit witness",
+   unexported_input)
+  :: ("b_2 = 0 against A's own 3-hop export rejected", below_own_length)
+  :: List.concat_map
+       (fun (other_what, other) ->
+         [
+           ( "b_2 = 0 against a 2-hop export of another " ^ other_what
+             ^ " rejected",
+             P.Evidence.Own_vector_mismatch
+               {
+                 commit = three.commit;
+                 my_export = export other;
+                 bit_index = 2;
+                 opening = opening three 2;
+               } );
+           ( "b_2 = 1 of another " ^ other_what
+             ^ " against a 3-hop export rejected",
+             P.Evidence.Nonminimal_export
+               {
+                 commit = other.commit;
+                 export = export three;
+                 index = 2;
+                 opening = opening other 2;
+               } );
+         ])
+       others
 
 let judge_rejects_fabrications () =
   (* Evidence whose internals do not hold up must be Rejected, protecting an
@@ -981,7 +1050,37 @@ let judge_rejects_fabrications () =
   check_bool "promise-4 timed-out omission claim rejected" true
     (P.Judge.evaluate_offline kr
        (P.Evidence.Timeout { claim = unexported; retries = 1 })
-    = P.Judge.Rejected)
+    = P.Judge.Rejected);
+  List.iter
+    (fun (name, e) ->
+      check_bool name true (P.Judge.evaluate_offline kr e = P.Judge.Rejected))
+    (noshorter_framings ());
+  (* A known gap, pinned so that closing it flips this check: the judge
+     binds no export to a scheme or a beneficiary.  A keeps §3.3 towards
+     peer B (inputs of 2 and 3 hops, so b_2 = 1) and promise 4 among its
+     customers (3 hops each); B's b_2 opening against AS2's promise-4
+     export for the same epoch and prefix convicts.  Binding them needs a
+     wire change. *)
+  let min_round =
+    P.Runner.prove ~max_path_len:6 rng kr ~prover:a_as ~beneficiary:b_as
+      ~epoch:1 ~prefix:prefix0
+      ~inputs:[ announce (asn 11) 2; announce (asn 12) 3 ]
+  in
+  let customers = noshorter_run [ None; Some 3; Some 3 ] in
+  check_bool "probe: min commit against a promise-4 export convicts" true
+    (P.Judge.evaluate_offline kr
+       (P.Evidence.Nonminimal_export
+          {
+            commit = P.Runner.commit_for min_round b_as;
+            export =
+              Option.get
+                (List.assoc (asn 2) customers.per_beneficiary).bd_export;
+            index = 2;
+            opening =
+              List.assoc 2
+                (P.Runner.beneficiary_disclosure min_round).bd_openings;
+          })
+    = P.Judge.Guilty)
 
 (* Evidence whose two signatures by the accused are genuine ones multiplied
    by 2 and 2^-1 mod n.  Neither verifies alone, while their product equals
@@ -2164,9 +2263,9 @@ let noshorter_detects_favouritism () =
   (* AS2 gets a strictly shorter route than B: B must detect, AS2 is fine. *)
   let out = noshorter_run [ Some 4; Some 2; Some 4 ] in
   let evs_b = noshorter_check out b_as in
-  check_bool "B detects cross-shorter" true
+  check_bool "B detects a shorter export" true
     (List.exists
-       (function P.Evidence.Cross_shorter_export _ -> true | _ -> false)
+       (function P.Evidence.Nonminimal_export _ -> true | _ -> false)
        evs_b);
   check_int "the favoured one is clean" 0
     (List.length (noshorter_check out (asn 2)));
@@ -2175,7 +2274,7 @@ let noshorter_detects_favouritism () =
   List.iter
     (fun e ->
       match e with
-      | P.Evidence.Cross_shorter_export _ ->
+      | P.Evidence.Nonminimal_export _ ->
           check_bool "judge convicts" true
             (P.Judge.evaluate_offline kr e = P.Judge.Guilty)
       | _ -> ())
@@ -2198,8 +2297,8 @@ let noshorter_own_vector_mismatch () =
   in
   let original = List.assoc b_as out.P.Proto_no_shorter.per_beneficiary in
   let evs =
-    P.Proto_no_shorter.check_beneficiary ~max_path_len:6 kr ~me:b_as
-      ~beneficiaries:beneficiaries3 ~commit:out.P.Proto_no_shorter.commit
+    P.Proto_no_shorter.check_beneficiary kr ~me:b_as
+      ~commit:out.P.Proto_no_shorter.commit
       ~disclosure:{ original with bd_export = Some sneaky_export }
   in
   check_bool "own-vector mismatch raised" true
@@ -2224,14 +2323,56 @@ let noshorter_property =
       List.for_all2
         (fun m l ->
           let evs = noshorter_check out m in
-          let has_cross =
+          let has_shorter =
             List.exists
               (function
-                | P.Evidence.Cross_shorter_export _ -> true | _ -> false)
+                | P.Evidence.Nonminimal_export _ -> true | _ -> false)
               evs
           in
-          if l > minimum then has_cross else evs = [])
+          if l > minimum then has_shorter else evs = [])
         beneficiaries3 lens)
+
+(* Zero excess: an exported beneficiary's opened bits are the threshold
+   vector of its own route's length, whoever else got the same length or
+   nothing. *)
+let noshorter_bits_are_own_length =
+  qtest "promise 4: opened bits depend on the own route only" ~count:15
+    QCheck2.Gen.(pair (int_range 1 6) (list_repeat 3 bool))
+    (fun (l, exported) ->
+      let out =
+        noshorter_run
+          (List.map (fun e -> if e then Some l else None) exported)
+      in
+      List.for_all2
+        (fun m e ->
+          let d = List.assoc m out.P.Proto_no_shorter.per_beneficiary in
+          let bits =
+            List.map
+              (fun (i, o) ->
+                (i, P.Proto_common.opening_bit_at out.commit ~index:i o))
+              d.bd_openings
+          in
+          if e then bits = List.init 6 (fun i -> (i + 1, Some (l <= i + 1)))
+          else bits = [] && d.bd_export = None)
+        beneficiaries3 exported)
+
+(* §3.8: the commit and every export share one RSA signature, and the
+   commit is exactly k digests. *)
+let noshorter_one_sign () =
+  List.iter
+    (fun n ->
+      let exports =
+        noshorter_exports
+          (List.init 3 (fun i -> if i < n then Some 3 else None))
+      in
+      let out, d = counted (fun () -> noshorter_prove exports) in
+      check_int
+        (Printf.sprintf "%d exports: one RSA sign" n)
+        1
+        (Pvr_obs.Snapshot.counter_value d "crypto.rsa.sign.ops");
+      check_int "k digests" 6
+        (List.length out.commit.payload.cmt_commitments))
+    [ 1; 2; 3 ]
 
 (* ---- Leakage (Confidentiality) -------------------------------------------------------- *)
 
@@ -2374,6 +2515,8 @@ let suite =
     ("noshorter: detects favouritism", `Quick, noshorter_detects_favouritism);
     ("noshorter: own vector mismatch", `Quick, noshorter_own_vector_mismatch);
     noshorter_property;
+    noshorter_bits_are_own_length;
+    ("noshorter: one RSA sign per round", `Quick, noshorter_one_sign);
     ("leakage: PVR beneficiary zero excess", `Quick, leakage_pvr_beneficiary_zero_excess);
     ("leakage: PVR provider zero excess", `Quick, leakage_pvr_provider_zero_excess);
     ("leakage: NetReview leaks", `Quick, leakage_netreview_leaks);
