@@ -772,6 +772,56 @@ let min_tie_between_equal_routes () =
         (G.Route.path_length e.P.Wire.payload.P.Wire.exp_route)
   | None -> Alcotest.fail "expected export"
 
+(* An honest k = 4 round over one 2-hop input, and B's check of an export
+   A signed in place of its honest one. *)
+let min_round_k4 () =
+  P.Runner.prove ~max_path_len:4 (fresh_rng ()) (Lazy.force keyring)
+    ~prover:a_as ~beneficiary:b_as ~epoch:1 ~prefix:prefix0
+    ~inputs:[ announce (asn 10) 2 ]
+
+let check_resigned_export (out : P.Runner.round) f =
+  let kr = Lazy.force keyring in
+  let export =
+    P.Wire.sign kr ~as_:a_as ~encode:P.Wire.encode_export
+      (f (Option.get out.export).P.Wire.payload)
+  in
+  P.Proto_min.check_beneficiary kr ~me:b_as
+    ~commit:(P.Runner.commit_for out b_as)
+    ~disclosure:
+      { (P.Runner.beneficiary_disclosure out) with bd_export = Some export }
+
+(* A route longer than k, with valid provenance, under a set b_2: the bits
+   cannot express its length, but b_2 = 1 already refutes it. *)
+let min_export_beyond_k_nonminimal () =
+  let out = min_round_k4 () in
+  let long = announce (asn 11) 6 in
+  match
+    check_resigned_export out (fun p ->
+        {
+          p with
+          P.Wire.exp_route = long.P.Wire.payload.P.Wire.ann_route;
+          exp_provenance = Some long;
+        })
+  with
+  | [ (P.Evidence.Nonminimal_export { index = 2; _ } as e) ] ->
+      check_bool "guilty" true
+        (P.Judge.evaluate_offline (Lazy.force keyring) e = P.Judge.Guilty)
+  | _ -> Alcotest.fail "one Nonminimal_export at b_2 expected"
+
+(* An export addressed to another AS is no export to B: B claims the
+   omission, which A's silence convicts and its real export answers. *)
+let min_misdirected_export_claimed () =
+  let kr = Lazy.force keyring in
+  let out = min_round_k4 () in
+  match check_resigned_export out (fun p -> { p with P.Wire.exp_to = asn 2 }) with
+  | [ (P.Evidence.Missing_export_claim _ as claim) ] ->
+      check_bool "silence guilty" true
+        (P.Judge.evaluate_offline kr claim = P.Judge.Guilty);
+      check_bool "real export exonerates" true
+        (P.Judge.evaluate kr ~respond:(P.Runner.respond out) claim
+        = P.Judge.Exonerated)
+  | _ -> Alcotest.fail "one Missing_export_claim expected"
+
 (* ---- Graph round helpers ---------------------------------------------------- *)
 
 let graph_round promise routes =
@@ -1575,6 +1625,30 @@ let graph_partitioned_beneficiary () =
       check_bool "withheld export convicted" true
         (run { d with P.Proto_graph.dr_export = None }).P.Runner.convicted)
     [ R.Promise.Shortest_from [ asn 10; asn 11 ]; R.Promise.Export_if_any [ asn 10; asn 11 ] ]
+
+(* A graph round's export addressed to another AS is no export to B. *)
+let graph_misdirected_export_claimed () =
+  let kr = Lazy.force keyring in
+  let routes = [ (asn 10, mk_route (asn 10) 2); (asn 11, mk_route (asn 11) 3) ] in
+  let d = graph_draft (R.Promise.Shortest_from [ asn 10; asn 11 ]) routes in
+  let r = graph_sign d in
+  let misdirected =
+    P.Wire.sign kr ~as_:a_as ~encode:P.Wire.encode_export
+      { (Option.get r.export).P.Wire.payload with P.Wire.exp_to = asn 2 }
+  in
+  match
+    P.Proto_graph.check_beneficiary kr ~me:b_as ~commit:r.commit
+      ~disclosures:
+        (P.Proto_graph.disclose d ~alpha:d.P.Proto_graph.dr_alpha ~viewer:b_as)
+      ~export:(Some misdirected)
+  with
+  | [ (P.Evidence.Missing_export_claim _ as claim) ] ->
+      check_bool "silence guilty" true
+        (P.Judge.evaluate_offline kr claim = P.Judge.Guilty);
+      check_bool "real export exonerates" true
+        (P.Judge.evaluate kr ~respond:(P.Runner.respond r) claim
+        = P.Judge.Exonerated)
+  | _ -> Alcotest.fail "one Missing_export_claim expected"
 
 (* A dishonest draft through the shared round, which signs and checks it
    like any other: the draft owes B [export] instead of its honest one.  B's
@@ -2467,6 +2541,10 @@ let suite =
     ("wire table: judge still pays RSA", `Quick, table_judge_still_pays);
     ("judge rejects cross-scheme confusion", `Quick, judge_rejects_cross_scheme_confusion);
     ("min tie between equal routes", `Quick, min_tie_between_equal_routes);
+    ("min: export beyond k convicts as nonminimal", `Quick,
+     min_export_beyond_k_nonminimal);
+    ("min: misdirected export judged by export challenge", `Quick,
+     min_misdirected_export_claimed);
     ("judge convicts each evidence kind", `Slow, judge_convicts_each_selfcontained_kind);
     matrix_property_random_lengths;
     ("graph honest min clean", `Quick, graph_honest_min_clean);
@@ -2479,6 +2557,8 @@ let suite =
      graph_output_length_convicts);
     ("graph: partitioned B judged by export challenge", `Quick,
      graph_partitioned_beneficiary);
+    ("graph: misdirected export judged by export challenge", `Quick,
+     graph_misdirected_export_claimed);
     ("graph dishonest round convicted", `Quick,
      graph_dishonest_round_convicted);
     ("graph disclosure integrity", `Quick, graph_disclosure_integrity);
