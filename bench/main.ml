@@ -634,6 +634,11 @@ let e8 () =
           r.P.Runner.detected r.P.Runner.convicted
           (List.length r.P.Runner.raised)
           first;
+        (* Accuracy for the honest prover; Detection and Evidence for every
+           cheat. *)
+        if beh = P.Adversary.Honest then
+          assert (r.P.Runner.raised = [] && not r.P.Runner.convicted)
+        else assert (r.P.Runner.detected && r.P.Runner.convicted);
         J.Obj
           [
             ("behaviour", J.String (P.Adversary.to_string beh));
@@ -662,12 +667,20 @@ let e8 () =
             r.P.Runner.raised
         in
         Printf.printf "%s=%b " label caught;
-        (label, J.Bool caught))
+        (label, caught))
       [ ("clique", `Clique); ("ring", `Ring); ("none", `None) ]
   in
+  (* Gossip is what exposes a split view: one clique round catches it,
+     and without gossip nothing does. *)
+  assert (List.assoc "clique" ablation && not (List.assoc "none" ablation));
   print_newline ();
   J.Obj
-    [ ("rows", J.List rows); ("gossip_ablation", J.Obj ablation) ]
+    [
+      ("rows", J.List rows);
+      ( "gossip_ablation",
+        J.Obj (List.map (fun (label, caught) -> (label, J.Bool caught)) ablation)
+      );
+    ]
 
 (* ---- E9: continuous verification throughput -------------------------------------- *)
 

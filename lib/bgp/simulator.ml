@@ -19,8 +19,6 @@ type t = {
   nodes : node Asn.Map.t;
   queue : update Queue.t;
   mutable gao_rexford : bool;
-  mutable log : update list; (* newest first *)
-  mutable log_enabled : bool;
   dirty : (Asn.t * Prefix.t, unit) Hashtbl.t;
       (* (AS, prefix) pairs whose RIB state may have changed since the
          last [drain_dirty] — every mutation funnels through [reselect],
@@ -53,8 +51,6 @@ let create topo =
     nodes;
     queue = Queue.create ();
     gao_rexford = true;
-    log = [];
-    log_enabled = false;
     dirty = Hashtbl.create 256;
   }
 
@@ -177,7 +173,6 @@ let run ?(max_messages = 1_000_000) t =
         if !processed >= max_messages then
           failwith "Simulator.run: no convergence (policy dispute?)";
         let u = Queue.pop t.queue in
-        if t.log_enabled then t.log <- u :: t.log;
         incr processed;
         deliver t u
       done;
@@ -193,11 +188,7 @@ let received_routes t ~asn prefix = Rib.candidates (node t asn).rib prefix
 let exported_route t ~asn ~neighbor prefix =
   Rib.get_out (node t asn).rib ~neighbor prefix
 
-let message_log t = List.rev t.log
-
-let set_log_enabled t b =
-  t.log_enabled <- b;
-  if not b then t.log <- []
+let set_log_enabled _ _ = ()
 
 let drain_dirty t =
   let pairs = Hashtbl.fold (fun k () acc -> k :: acc) t.dirty [] in

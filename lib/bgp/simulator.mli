@@ -51,14 +51,9 @@ val received_routes : t -> asn:Asn.t -> Prefix.t -> Route.t list
 val exported_route : t -> asn:Asn.t -> neighbor:Asn.t -> Prefix.t -> Route.t option
 (** What [asn] last sent [neighbor] (PVR's output variable r_o). *)
 
-val message_log : t -> update list
-(** Every update processed while logging was enabled, oldest first.
-    Empty unless {!set_log_enabled} turned logging on. *)
-
 val set_log_enabled : t -> bool -> unit
-(** Keep or drop (default) the full message log.  It is off unless asked
-    for: at 100k-AS scale the log is an unbounded heap leak, and no run
-    reads it.  Disabling clears any log already accumulated. *)
+(** Does nothing: the simulator keeps no message log.  Kept only because
+    [perfbench/pvrbench.ml] still switches the log off. *)
 
 val drain_dirty : t -> (Asn.t * Prefix.t) list
 (** The (AS, prefix) pairs whose RIB state may have changed since the

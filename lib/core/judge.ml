@@ -26,10 +26,8 @@ type response =
   | Opening_response of C.Commitment.opening
   | No_response
 
-let commit_valid keyring c = Wire.verify keyring ~encode:Wire.encode_commit c
-
-let export_valid keyring (e : Wire.export Wire.signed) =
-  Wire.verify keyring ~encode:Wire.encode_export e
+let commit_valid ?verified keyring c =
+  Wire.verify ?verified keyring ~encode:Wire.encode_commit c
 
 (* Same slot: the gossip identity key for commitments. *)
 let same_slot (a : Wire.commit Wire.signed) (b : Wire.commit Wire.signed) =
@@ -39,38 +37,52 @@ let same_slot (a : Wire.commit Wire.signed) (b : Wire.commit Wire.signed) =
        b.Wire.payload.Wire.cmt_prefix
   && String.equal a.Wire.payload.Wire.cmt_scheme b.Wire.payload.Wire.cmt_scheme
 
-let bit_at commit ~index opening = Proto_common.opening_bit_at commit ~index opening
-
 (* The lowest index whose opening is a valid bit set to 1. *)
 let min_set_index commit openings =
   List.fold_left
     (fun acc (i, o) ->
-      match bit_at commit ~index:i o with
+      match Proto_common.opening_bit_at commit ~index:i o with
       | Some true -> min acc i
       | _ -> acc)
     max_int openings
 
 let verdict_of_bool b = if b then Guilty else Rejected
 
-(* The export is the accused's own, for the commitment's epoch and prefix.
-   The commit and export are almost always signed under one batch root:
-   one call verifies that root once.  No caller's table is passed —
-   evidence must convince a third party on its own. *)
-let export_binds keyring ~accused commit (export : Wire.export Wire.signed) =
-  let cp = commit.Wire.payload and ep = export.Wire.payload in
-  Bgp.Asn.equal export.Wire.signer accused
-  && ep.Wire.exp_epoch = cp.Wire.cmt_epoch
-  && Bgp.Prefix.equal ep.Wire.exp_route.Bgp.Route.prefix cp.Wire.cmt_prefix
-  &&
+(* The commitment the evidence accuses by: the one a challenge's opening
+   responses decode against, whose signature a min-family arm checks. *)
+let rec commit_of_evidence = function
+  | Evidence.Timeout { claim; _ } -> commit_of_evidence claim
+  | Evidence.Equivocation { first; _ } -> Some first
+  | Evidence.False_bit { commit; _ }
+  | Evidence.Non_monotonic_bits { commit; _ }
+  | Evidence.Nonminimal_export { commit; _ }
+  | Evidence.Unsupported_export { commit; _ }
+  | Evidence.Missing_export_claim { commit; _ }
+  | Evidence.Missing_disclosure_claim { commit; _ }
+  | Evidence.Graph_violation { commit; _ }
+  | Evidence.Own_vector_mismatch { commit; _ } -> Some commit
+  | Evidence.Bad_provenance _ -> None
+
+(* Challenged for the claimant's export, the accused produces one that
+   binds to the commit and the claimant, with provenance, and under the
+   min scheme no longer than [m], the lowest bit the claimant saw set. *)
+let produces_export keyring ~respond ~accused ~commit ~claimant ~m =
+  let cp = commit.Wire.payload in
   match
-    Wire.verify_batch keyring
-      [
-        Wire.check ~encode:Wire.encode_commit commit;
-        Wire.check ~encode:Wire.encode_export export;
-      ]
+    respond ~accused
+      (Produce_export
+         {
+           epoch = cp.Wire.cmt_epoch;
+           prefix = cp.Wire.cmt_prefix;
+           beneficiary = claimant;
+         })
   with
-  | [ a; b ] -> a && b
-  | _ -> false
+  | Export_response export ->
+      Proto_common.export_binds keyring ~commit ~beneficiary:claimant export
+      && Proto_common.export_provenance keyring export <> None
+      && (cp.Wire.cmt_scheme <> Proto_min.scheme
+         || Bgp.Route.path_length export.Wire.payload.Wire.exp_route <= m)
+  | No_response | Opening_response _ -> false
 
 let rec eval keyring ~respond evidence =
   let accused = Evidence.accused evidence in
@@ -91,42 +103,28 @@ let rec eval keyring ~respond evidence =
              admissible input existed and nothing was owed.  A promise-4
              claim falls through to the bare arm, which rejects it. *)
           if not (commit_valid keyring commit) then Rejected
+          else if
+            produces_export keyring ~respond ~accused ~commit ~claimant
+              ~m:max_int
+          then Exonerated
           else begin
             let cp = commit.Wire.payload in
-            let exonerated_by_export =
-              match
-                respond ~accused
-                  (Produce_export
-                     {
-                       epoch = cp.Wire.cmt_epoch;
-                       prefix = cp.Wire.cmt_prefix;
-                       beneficiary = claimant;
-                     })
-              with
-              | Export_response export ->
-                  Result.is_ok
-                    (Proto_common.check_export_provenance keyring ~commit
-                       ~beneficiary:claimant export)
-              | No_response | Opening_response _ -> false
-            in
-            if exonerated_by_export then Exonerated
-            else begin
-              let k = List.length cp.Wire.cmt_commitments in
-              match
-                respond ~accused
-                  (Produce_opening
-                     {
-                       epoch = cp.Wire.cmt_epoch;
-                       prefix = cp.Wire.cmt_prefix;
-                       scheme = cp.Wire.cmt_scheme;
-                       index = k;
-                     })
-              with
-              | Opening_response o when bit_at commit ~index:k o = Some false
-                ->
-                  Exonerated
-              | _ -> Guilty
-            end
+            let k = List.length cp.Wire.cmt_commitments in
+            match
+              respond ~accused
+                (Produce_opening
+                   {
+                     epoch = cp.Wire.cmt_epoch;
+                     prefix = cp.Wire.cmt_prefix;
+                     scheme = cp.Wire.cmt_scheme;
+                     index = k;
+                   })
+            with
+            | Opening_response o
+              when Proto_common.opening_bit_at commit ~index:k o = Some false
+              ->
+                Exonerated
+            | _ -> Guilty
           end
       | (Evidence.Missing_export_claim _ | Evidence.Missing_disclosure_claim _)
         as claim ->
@@ -139,99 +137,29 @@ let rec eval keyring ~respond evidence =
         && commit_valid keyring second
         && same_slot first second
         && not (Wire.equal_commit first second))
-  | Evidence.False_bit { commit; index; opening; witness } ->
-      let cp = commit.Wire.payload in
-      let witness_len =
-        Bgp.Route.path_length witness.Wire.payload.Wire.ann_route
-      in
+  | Evidence.False_bit _ | Evidence.Non_monotonic_bits _
+  | Evidence.Nonminimal_export _ | Evidence.Unsupported_export _
+  | Evidence.Own_vector_mismatch _ | Evidence.Bad_provenance _ ->
+      (* A fresh table, never a party's: a commit and an export under one
+         batch root cost one RSA verify. *)
+      let verified = (Wire.Verified.create (), accused) in
       verdict_of_bool
-        (commit_valid keyring commit
-        && bit_at commit ~index opening = Some false
-        && Proto_common.valid_input keyring ~prover:accused
-             ~epoch:cp.Wire.cmt_epoch ~prefix:cp.Wire.cmt_prefix witness
-        && cp.Wire.cmt_scheme = "min"
-        && witness_len <= index)
-  | Evidence.Non_monotonic_bits
-      { commit; set_index; set_opening; unset_index; unset_opening } ->
-      verdict_of_bool
-        (commit_valid keyring commit
-        && set_index < unset_index
-        && bit_at commit ~index:set_index set_opening = Some true
-        && bit_at commit ~index:unset_index unset_opening = Some false)
-  | Evidence.Nonminimal_export { commit; export; index; opening } ->
-      verdict_of_bool
-        (export_binds keyring ~accused commit export
-        && index < Bgp.Route.path_length export.Wire.payload.Wire.exp_route
-        && bit_at commit ~index opening = Some true)
-  | Evidence.Unsupported_export { commit; export; openings } ->
-      let k = List.length commit.Wire.payload.Wire.cmt_commitments in
-      let all_zero =
-        List.length openings = k
-        && List.for_all
-             (fun (i, o) -> bit_at commit ~index:i o = Some false)
-             openings
-        && List.sort_uniq Int.compare (List.map fst openings)
-           = List.init k (fun i -> i + 1)
-      in
-      verdict_of_bool (export_binds keyring ~accused commit export && all_zero)
-  | Evidence.Bad_provenance { export } ->
-      if not (export_valid keyring export) then Rejected
-      else begin
-        (* Re-run the provenance check the beneficiary ran. *)
-        let ep = export.Wire.payload in
-        let ok =
-          match ep.Wire.exp_provenance with
-          | None -> false
-          | Some ann ->
-              Proto_common.valid_input keyring ~prover:export.Wire.signer
-                ~epoch:ep.Wire.exp_epoch
-                ~prefix:ep.Wire.exp_route.Bgp.Route.prefix ann
-              && Bgp.Route.equal ann.Wire.payload.Wire.ann_route
-                   ep.Wire.exp_route
-        in
-        if ok then Rejected (* provenance is actually fine *) else Guilty
-      end
+        (Proto_min.offence_holds ~verified keyring evidence
+        && Option.fold ~none:true
+             ~some:(commit_valid ~verified keyring)
+             (commit_of_evidence evidence))
   | Evidence.Missing_export_claim { commit; openings; claimant } ->
-      if not (commit_valid keyring commit) then Rejected
-      else begin
-        let cp = commit.Wire.payload in
-        let m = min_set_index commit openings in
-        let bit_says_route =
-          match cp.Wire.cmt_scheme with
-          | "min" -> m < max_int
-          | "graph" -> true (* bits live inside the tree; challenge anyway *)
-          | _ -> false (* "noshorter": promise 4 owes nobody an export *)
-        in
-        if not bit_says_route then Rejected
-        else begin
-          match
-            respond ~accused
-              (Produce_export
-                 {
-                   epoch = cp.Wire.cmt_epoch;
-                   prefix = cp.Wire.cmt_prefix;
-                   beneficiary = claimant;
-                 })
-          with
-          | No_response | Opening_response _ -> Guilty
-          | Export_response export -> begin
-              match
-                Proto_common.check_export_provenance keyring ~commit
-                  ~beneficiary:claimant export
-              with
-              | Error _ -> Guilty
-              | Ok _ ->
-                  let len =
-                    Bgp.Route.path_length export.Wire.payload.Wire.exp_route
-                  in
-                  (* Under the min scheme the produced export must also be
-                     minimal w.r.t. the opened bits; the graph scheme only
-                     requires *an* export. *)
-                  if cp.Wire.cmt_scheme = "min" && len > m then Guilty
-                  else Exonerated
-            end
-        end
-      end
+      let m = min_set_index commit openings in
+      let bit_says_route =
+        match commit.Wire.payload.Wire.cmt_scheme with
+        | "min" -> m < max_int
+        | "graph" -> true (* bits live inside the tree; challenge anyway *)
+        | _ -> false (* "noshorter": promise 4 owes nobody an export *)
+      in
+      if not (bit_says_route && commit_valid keyring commit) then Rejected
+      else if produces_export keyring ~respond ~accused ~commit ~claimant ~m
+      then Exonerated
+      else Guilty
   | Evidence.Missing_disclosure_claim { commit; announce; claimant } ->
       let cp = commit.Wire.payload in
       if
@@ -243,7 +171,7 @@ let rec eval keyring ~respond evidence =
       then Rejected
       else begin
         let index =
-          if cp.Wire.cmt_scheme = "min" then
+          if cp.Wire.cmt_scheme = Proto_min.scheme then
             Bgp.Route.path_length announce.Wire.payload.Wire.ann_route
           else 0
         in
@@ -264,7 +192,7 @@ let rec eval keyring ~respond evidence =
           with
           | No_response | Export_response _ -> Guilty
           | Opening_response opening -> begin
-              match bit_at commit ~index opening with
+              match Proto_common.opening_bit_at commit ~index opening with
               | Some true -> Exonerated
               | Some false | None -> Guilty
             end
@@ -275,27 +203,6 @@ let rec eval keyring ~respond evidence =
         (commit_valid keyring commit
         && Proto_graph.authenticated ~commit disclosures
         && Proto_graph.offence_holds keyring ~commit ~disclosures offence)
-  | Evidence.Own_vector_mismatch { commit; my_export; bit_index; opening } ->
-      verdict_of_bool
-        (commit.Wire.payload.Wire.cmt_scheme = "noshorter"
-        && export_binds keyring ~accused commit my_export
-        && bit_index
-           = Bgp.Route.path_length my_export.Wire.payload.Wire.exp_route
-        && bit_at commit ~index:bit_index opening = Some false)
-
-(* The commitment a challenge's opening responses decode against. *)
-let rec commit_of_evidence = function
-  | Evidence.Timeout { claim; _ } -> commit_of_evidence claim
-  | Evidence.Equivocation { first; _ } -> Some first
-  | Evidence.False_bit { commit; _ }
-  | Evidence.Non_monotonic_bits { commit; _ }
-  | Evidence.Nonminimal_export { commit; _ }
-  | Evidence.Unsupported_export { commit; _ }
-  | Evidence.Missing_export_claim { commit; _ }
-  | Evidence.Missing_disclosure_claim { commit; _ }
-  | Evidence.Graph_violation { commit; _ }
-  | Evidence.Own_vector_mismatch { commit; _ } -> Some commit
-  | Evidence.Bad_provenance _ -> None
 
 let evaluate ?ledger keyring ~respond evidence =
   let respond =
@@ -312,7 +219,7 @@ let evaluate ?ledger keyring ~respond evidence =
             | Produce_opening { index; _ }, Opening_response o -> begin
                 match
                   Option.bind (commit_of_evidence evidence) (fun commit ->
-                      bit_at commit ~index o)
+                      Proto_common.opening_bit_at commit ~index o)
                 with
                 | Some value ->
                     Leakage.Ledger.record l ~viewer:Leakage.court

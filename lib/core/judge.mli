@@ -5,15 +5,26 @@
     dually (Accuracy) "A can disprove any evidence that is presented
     against it."
 
-    Self-contained evidence (conflicting signatures, bad openings, bit
-    contradictions) is replayed directly; a graph violation holds when
-    {!Proto_graph.offence_holds}, the predicate the parties raise it by,
-    holds over its authenticated disclosures.  Omission claims
-    ([Missing_export_claim], [Missing_disclosure_claim]) cannot be proven by
-    the accuser, so the judge {e challenges} the accused to produce the item
-    it allegedly withheld; an honest AS always can, a stubborn or lying one
-    is found guilty.  Promise 4 (["noshorter"]) owes no beneficiary an
-    export, so an omission claim against its commit is [Rejected]. *)
+    The judge defines no offence of its own: it convicts by the predicate
+    the parties raise evidence by.  Equivocation is two valid, conflicting
+    commits for one slot.  The §3.3 and promise-4 offences ([False_bit],
+    [Non_monotonic_bits], [Nonminimal_export], [Unsupported_export],
+    [Own_vector_mismatch], [Bad_provenance]) hold when the commit's
+    signature verifies and {!Proto_min.offence_holds} holds, both under
+    one fresh table of verified roots, so a commit and an export under one
+    batch root cost one RSA verify.  A graph violation holds when
+    {!Proto_graph.offence_holds} holds over its authenticated
+    disclosures.
+
+    Omission claims ([Missing_export_claim], [Missing_disclosure_claim])
+    cannot be proven by the accuser, so the judge {e challenges} the
+    accused to produce the item it allegedly withheld; an honest AS always
+    can, a stubborn or lying one is found guilty.  A produced export
+    answers a claim when it binds to the commit and the claimant
+    ({!Proto_common.export_binds}), carries valid provenance and, under
+    the min scheme, is no longer than the lowest bit the claimant saw set.
+    Promise 4 (["noshorter"]) owes no beneficiary an export, so an
+    omission claim against its commit is [Rejected]. *)
 
 type verdict =
   | Guilty      (** the evidence convinces the judge *)

@@ -22,10 +22,10 @@ let valid_input_structural ~prover ~epoch ~prefix
   | first :: _ -> Bgp.Asn.equal first ann.Wire.signer
   | [] -> false
 
-let valid_input keyring ~prover ~epoch ~prefix (ann : Wire.announce Wire.signed)
-    =
-  Wire.verify keyring ~encode:Wire.encode_announce ann
-  && valid_input_structural ~prover ~epoch ~prefix ann
+let valid_input ?verified keyring ~prover ~epoch ~prefix
+    (ann : Wire.announce Wire.signed) =
+  valid_input_structural ~prover ~epoch ~prefix ann
+  && Wire.verify ?verified keyring ~encode:Wire.encode_announce ann
 
 (* Batch form: one verdict per announce, signature checks through one
    {!Wire.verify_batch} call (duplicate announces — gossip re-delivery,
@@ -49,49 +49,26 @@ let opening_bit_at (commit : Wire.commit Wire.signed) ~index opening =
     else None
   end
 
-let check_export_provenance ?verified keyring ~commit ~beneficiary
+(* Signatures last: an export that names another round costs no RSA. *)
+let export_binds ?verified keyring ~commit ~beneficiary
     (export : Wire.export Wire.signed) =
-  let bad () = Error (Evidence.Bad_provenance { export }) in
-  let cp = commit.Wire.payload in
+  let cp = commit.Wire.payload and ep = export.Wire.payload in
+  Bgp.Asn.equal export.Wire.signer commit.Wire.signer
+  && ep.Wire.exp_epoch = cp.Wire.cmt_epoch
+  && Bgp.Prefix.equal ep.Wire.exp_route.Bgp.Route.prefix cp.Wire.cmt_prefix
+  && Bgp.Asn.equal ep.Wire.exp_to beneficiary
+  && Wire.verify ?verified keyring ~encode:Wire.encode_export export
+
+let export_provenance ?verified keyring (export : Wire.export Wire.signed) =
   let ep = export.Wire.payload in
-  (* Both signatures (the export and its nested provenance announce) go
-     through one batch call, under the beneficiary's table when it has
-     one: each sits under its signer's batch root, which B checks once
-     per epoch. *)
-  let export_sig, ann_sig =
-    match
-      Wire.verify_batch
-        ?verified:(Option.map (fun t -> (t, beneficiary)) verified)
-        keyring
-        (Wire.check ~encode:Wire.encode_export export
-        :: Option.to_list
-             (Option.map
-                (Wire.check ~encode:Wire.encode_announce)
-                ep.Wire.exp_provenance))
-    with
-    | [ e; a ] -> (e, a)
-    | [ e ] -> (e, false)
-    | _ -> (false, false)
-  in
-  if not export_sig then bad ()
-  else if not (Bgp.Asn.equal export.Wire.signer commit.Wire.signer) then bad ()
-  else if ep.Wire.exp_epoch <> cp.Wire.cmt_epoch then bad ()
-  else if not (Bgp.Asn.equal ep.Wire.exp_to beneficiary) then bad ()
-  else if
-    not (Bgp.Prefix.equal ep.Wire.exp_route.Bgp.Route.prefix cp.Wire.cmt_prefix)
-  then bad ()
-  else begin
-    match ep.Wire.exp_provenance with
-    | None -> bad ()
-    | Some ann ->
-        if
-          ann_sig
-          && valid_input_structural ~prover:commit.Wire.signer
-               ~epoch:cp.Wire.cmt_epoch ~prefix:cp.Wire.cmt_prefix ann
-          && Bgp.Route.equal ann.Wire.payload.Wire.ann_route ep.Wire.exp_route
-        then Ok ann
-        else bad ()
-  end
+  Option.bind ep.Wire.exp_provenance (fun ann ->
+      if
+        Bgp.Route.equal ann.Wire.payload.Wire.ann_route ep.Wire.exp_route
+        && valid_input ?verified keyring ~prover:export.Wire.signer
+             ~epoch:ep.Wire.exp_epoch ~prefix:ep.Wire.exp_route.Bgp.Route.prefix
+             ann
+      then Some ann
+      else None)
 
 (* The §3.2 link-state variant: providers ring-sign "a route exists". *)
 

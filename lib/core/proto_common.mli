@@ -23,15 +23,17 @@ type beneficiary_disclosure = {
 (** What A reveals to the beneficiary B. *)
 
 val valid_input :
+  ?verified:Wire.Verified.t * Pvr_bgp.Asn.t ->
   Keyring.t ->
   prover:Pvr_bgp.Asn.t ->
   epoch:Wire.epoch ->
   prefix:Pvr_bgp.Prefix.t ->
   Wire.announce Wire.signed ->
   bool
-(** Is this announcement admissible as an input for the round: valid
-    signature, addressed to the prover, right epoch and prefix, and the
-    announcing neighbor is the first AS on the route's path? *)
+(** Is this announcement admissible as an input for the round: addressed
+    to the prover, right epoch and prefix, the announcing neighbor is the
+    first AS on the route's path, and a valid signature (checked last,
+    through [verified] when given: {!Wire.verify_batch})? *)
 
 val valid_inputs :
   Keyring.t ->
@@ -53,18 +55,29 @@ val opening_bit_at :
     message; [Some b] if it verifies and encodes bit [b], [None]
     otherwise. *)
 
-val check_export_provenance :
-  ?verified:Wire.Verified.t ->
+val export_binds :
+  ?verified:Wire.Verified.t * Pvr_bgp.Asn.t ->
   Keyring.t ->
   commit:Wire.commit Wire.signed ->
   beneficiary:Pvr_bgp.Asn.t ->
   Wire.export Wire.signed ->
-  (Wire.announce Wire.signed, Evidence.t) result
-(** Validate an export received by B: A's signature, epoch/prefix/recipient
-    consistency, and the embedded provenance (a validly-signed input whose
-    route equals the exported route).  On success, returns the provenance
-    announcement.  [verified] is the beneficiary's table of roots it has
-    already verified ({!Wire.verify_batch}); a judge never passes one. *)
+  bool
+(** The export belongs to the commit's round and is addressed to
+    [beneficiary]: signed by the commit's signer (signature checked last),
+    for the commit's epoch and prefix.  An export that does not bind is no
+    export to [beneficiary].  [verified] is a table of roots already
+    verified and the verifying AS ({!Wire.verify_batch}); a judge uses a
+    fresh one. *)
+
+val export_provenance :
+  ?verified:Wire.Verified.t * Pvr_bgp.Asn.t ->
+  Keyring.t ->
+  Wire.export Wire.signed ->
+  Wire.announce Wire.signed option
+(** The export's embedded provenance, when it is an input its signer had
+    to admit ({!valid_input} for the export's epoch and prefix) whose
+    route is the exported route; [None] otherwise.  The export's own
+    signature is {!export_binds}'s to check. *)
 
 (** {2 Link-state variant of §3.2 (ring signatures)}
 

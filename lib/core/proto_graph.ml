@@ -503,9 +503,9 @@ let offence_holds keyring ~commit ~disclosures offence =
       let ep = export.Wire.payload in
       out_var = Promise.output_var ep.Wire.exp_to
       && lacks out_var ep.Wire.exp_route
-      && Result.is_ok
-           (Proto_common.check_export_provenance keyring ~commit
-              ~beneficiary:ep.Wire.exp_to export)
+      && Proto_common.export_binds keyring ~commit ~beneficiary:ep.Wire.exp_to
+           export
+      && Proto_common.export_provenance keyring export <> None
 
 (* A party's accusation: the offence, if it holds over [ds]. *)
 let confirmed keyring ~commit ds offence =
@@ -578,18 +578,19 @@ let check_beneficiary keyring ~me ~commit ~disclosures ~export =
                { out_var; op = op_d.gd_vertex; detail })
       | None -> [])
       @ begin
+          (* An export for another round or another AS is no export to B. *)
           match export with
-          | None -> if routes <> [] then claim else []
-          | Some export -> begin
-              match
-                Proto_common.check_export_provenance keyring ~commit
-                  ~beneficiary:me export
-              with
-              | Error e -> [ e ]
-              | Ok _ ->
-                  confirmed [ out_d ]
-                    (Evidence.Export_not_committed { out_var; export })
-            end
+          | Some export
+            when Proto_common.export_binds keyring ~commit ~beneficiary:me
+                   export ->
+              if Proto_common.export_provenance keyring export = None then
+                List.filter
+                  (Proto_min.offence_holds keyring)
+                  [ Evidence.Bad_provenance { export } ]
+              else
+                confirmed [ out_d ]
+                  (Evidence.Export_not_committed { out_var; export })
+          | _ -> if routes <> [] then claim else []
         end
   | _ -> claim
 

@@ -136,10 +136,11 @@ val disclose :
       (the minimum m for [Min_path_length] and [Shorter_of], m to m + n
       hops for [Within_hops_of_min n]).  Bits attest nothing when an
       opening they depend on is withheld.
-    - [Export_not_committed {out_var; export}]: the export passes
-      {!Proto_common.check_export_provenance} against the commit for its
-      own recipient, [out_var] is that recipient's output variable, and
-      its committed routes lack the exported route. *)
+    - [Export_not_committed {out_var; export}]: the export binds to the
+      commit for its own recipient ({!Proto_common.export_binds}) with
+      valid {!Proto_common.export_provenance}, [out_var] is that
+      recipient's output variable, and its committed routes lack the
+      exported route. *)
 
 val check_disclosure_integrity :
   root:string -> disclosure -> bool
@@ -184,8 +185,9 @@ val check_beneficiary :
 (** The beneficiary B: navigate from its output variable to the producing
     operator, check the committed output against the operator's bit
     evidence, and check the export's provenance and that it is committed.
-    A missing disclosure, or a missing export while the output is
-    non-empty, is a {!Evidence.Missing_export_claim}. *)
+    An export that does not {!Proto_common.export_binds} to the commit and
+    B is no export.  A missing disclosure, or a missing export while the
+    output is non-empty, is a {!Evidence.Missing_export_claim}. *)
 
 (** {2 Composite operators (§4 structural privacy)}
 

@@ -67,7 +67,57 @@ let draft ?(max_path_len = default_max_path_len) ?export keyring ~committer
     dr_answer = Stand_by export;
   }
 
-let check_neighbor ?(on_bit = fun _ _ -> ()) _keyring ~me ~my_announce ~commit
+let path_len (e : Wire.export Wire.signed) =
+  Bgp.Route.path_length e.Wire.payload.Wire.exp_route
+
+let offence_holds ?verified keyring evidence =
+  let bit commit index opening = opening_bit_at commit ~index opening in
+  let binds commit (export : Wire.export Wire.signed) =
+    export_binds ?verified keyring ~commit
+      ~beneficiary:export.Wire.payload.Wire.exp_to export
+  in
+  match evidence with
+  | Evidence.False_bit { commit; index; opening; witness } ->
+      let cp = commit.Wire.payload in
+      cp.Wire.cmt_scheme = scheme
+      && Bgp.Route.path_length witness.Wire.payload.Wire.ann_route <= index
+      && bit commit index opening = Some false
+      && valid_input ?verified keyring ~prover:commit.Wire.signer
+           ~epoch:cp.Wire.cmt_epoch ~prefix:cp.Wire.cmt_prefix witness
+  | Evidence.Non_monotonic_bits
+      { commit; set_index; set_opening; unset_index; unset_opening } ->
+      set_index < unset_index
+      && bit commit set_index set_opening = Some true
+      && bit commit unset_index unset_opening = Some false
+  | Evidence.Nonminimal_export { commit; export; index; opening } ->
+      index < path_len export
+      && bit commit index opening = Some true
+      && binds commit export
+  | Evidence.Unsupported_export { commit; export; openings } ->
+      let k = List.length commit.Wire.payload.Wire.cmt_commitments in
+      List.length openings = k
+      && List.sort_uniq Int.compare (List.map fst openings)
+         = List.init k (fun i -> i + 1)
+      && List.for_all (fun (i, o) -> bit commit i o = Some false) openings
+      && binds commit export
+  | Evidence.Own_vector_mismatch { commit; my_export; bit_index; opening } ->
+      commit.Wire.payload.Wire.cmt_scheme = "noshorter"
+      && bit_index = path_len my_export
+      && bit commit bit_index opening = Some false
+      && binds commit my_export
+  | Evidence.Bad_provenance { export } ->
+      export_provenance ?verified keyring export = None
+      && Wire.verify ?verified keyring ~encode:Wire.encode_export export
+  | Evidence.Equivocation _ | Evidence.Missing_export_claim _
+  | Evidence.Missing_disclosure_claim _ | Evidence.Graph_violation _
+  | Evidence.Timeout _ ->
+      false
+
+(* A party's accusation: the first candidate that holds. *)
+let confirmed ?verified keyring candidates =
+  Option.to_list (List.find_opt (offence_holds ?verified keyring) candidates)
+
+let check_neighbor ?(on_bit = fun _ _ -> ()) keyring ~me ~my_announce ~commit
     ~disclosure =
   let missing =
     Evidence.Missing_disclosure_claim
@@ -86,19 +136,25 @@ let check_neighbor ?(on_bit = fun _ _ -> ()) _keyring ~me ~my_announce ~commit
           if nd_index <> my_len then [ missing ]
           else if bit then []
           else
-            [
-              Evidence.False_bit
-                {
-                  commit;
-                  index = nd_index;
-                  opening = nd_opening;
-                  witness = my_announce;
-                };
-            ]
+            confirmed keyring
+              [
+                Evidence.False_bit
+                  {
+                    commit;
+                    index = nd_index;
+                    opening = nd_opening;
+                    witness = my_announce;
+                  };
+              ]
     end
 
 let check_beneficiary ?(on_bit = fun _ _ -> ()) ?verified keyring ~me ~commit
     ~disclosure =
+  (* B's own table, so that confirming an offence re-verifies nothing. *)
+  let verified =
+    (Option.value verified ~default:(Wire.Verified.create ()), me)
+  in
+  let confirmed = confirmed ~verified keyring in
   let k = List.length commit.Wire.payload.Wire.cmt_commitments in
   let claim_missing () =
     [
@@ -121,10 +177,6 @@ let check_beneficiary ?(on_bit = fun _ _ -> ()) ?verified keyring ~me ~commit
   if List.sort_uniq Int.compare indices <> List.init k (fun i -> i + 1) then
     claim_missing ()
   else begin
-    let bit_at i =
-      let _, b, o = List.find (fun (j, _, _) -> j = i) bits in
-      (b, o)
-    in
     (* Monotonicity: find i < j with b_i = 1, b_j = 0. *)
     let monotonicity_violation =
       List.concat_map
@@ -148,73 +200,67 @@ let check_beneficiary ?(on_bit = fun _ _ -> ()) ?verified keyring ~me ~commit
         bits
     in
     match monotonicity_violation with
-    | e :: _ -> [ e ] (* one self-contained proof is enough *)
+    | _ :: _ -> confirmed monotonicity_violation
     | [] -> begin
         let any_set = List.exists (fun (_, b, _) -> b) bits in
-        match (any_set, disclosure.bd_export) with
+        (* An export for another round or another AS is no export to B. *)
+        let export =
+          match disclosure.bd_export with
+          | Some e when export_binds ~verified keyring ~commit ~beneficiary:me e
+            ->
+              Some e
+          | _ -> None
+        in
+        match (any_set, export) with
         | false, None -> []
-        | false, Some export -> begin
-            match
-              check_export_provenance ?verified keyring ~commit ~beneficiary:me
-                export
-            with
-            | Ok _ ->
-                [
-                  Evidence.Unsupported_export
-                    {
-                      commit;
-                      export;
-                      openings = List.map (fun (i, _, o) -> (i, o)) bits;
-                    };
-                ]
-            | Error e -> [ e ]
-          end
         | true, None -> claim_missing ()
-        | true, Some export -> begin
-            match
-              check_export_provenance ?verified keyring ~commit ~beneficiary:me
-                export
-            with
-            | Error e -> [ e ]
-            | Ok provenance -> begin
-                let len =
-                  Bgp.Route.path_length
-                    export.Wire.payload.Wire.exp_route
-                in
-                if len > k then
-                  (* The committed bit vector cannot even express this
-                     length: treat as provenance abuse. *)
-                  [ Evidence.Bad_provenance { export } ]
-                else begin
-                  (* Minimality: no bit below the exported length may be
-                     set; the bit at the exported length must be set. *)
-                  let shorter_set =
-                    List.filter_map
-                      (fun (i, b, o) ->
-                        if i < len && b then
-                          Some
-                            (Evidence.Nonminimal_export
-                               { commit; export; index = i; opening = o })
-                        else None)
-                      bits
-                  in
-                  match shorter_set with
-                  | e :: _ -> [ e ]
-                  | [] ->
-                      let b_len, o_len = bit_at len in
-                      if b_len then []
-                      else
+        | _, Some export -> begin
+            match export_provenance ~verified keyring export with
+            | None -> confirmed [ Evidence.Bad_provenance { export } ]
+            | Some _ when not any_set ->
+                confirmed
+                  [
+                    Evidence.Unsupported_export
+                      {
+                        commit;
+                        export;
+                        openings = List.map (fun (i, _, o) -> (i, o)) bits;
+                      };
+                  ]
+            | Some witness ->
+                (* Minimality: no bit below the exported length may be set;
+                   the bit at the exported length must be set.  §3.3's
+                   witness for that bit is the provenance, promise 4's is
+                   A's own export. *)
+                let len = path_len export in
+                let below =
+                  List.filter_map
+                    (fun (i, b, opening) ->
+                      if i < len && b then
+                        Some
+                          (Evidence.Nonminimal_export
+                             { commit; export; index = i; opening })
+                      else None)
+                    bits
+                and at_len =
+                  List.concat_map
+                    (fun (i, b, opening) ->
+                      if i = len && not b then
                         [
                           Evidence.False_bit
+                            { commit; index = i; opening; witness };
+                          Evidence.Own_vector_mismatch
                             {
                               commit;
-                              index = len;
-                              opening = o_len;
-                              witness = provenance;
+                              my_export = export;
+                              bit_index = i;
+                              opening;
                             };
                         ]
-                end
-              end
+                      else [])
+                    bits
+                in
+                confirmed (below @ at_len)
           end
       end
   end

@@ -17,7 +17,12 @@
     the exported route's length L satisfies b_L = 1 and b_i = 0 for every
     i < L.  A violation of (c) with b_i = 1 yields self-contained
     {!Evidence.Nonminimal_export} evidence; b_L = 0 yields
-    {!Evidence.False_bit} with the provenance announcement as witness. *)
+    {!Evidence.False_bit} with the provenance announcement as witness.
+
+    Each offence of this family, promise 4's included, has one definition,
+    {!offence_holds}: the parties raise one only when it holds, and the
+    {!Judge} convicts when the commit's signature verifies and it
+    holds. *)
 
 open Proto_common
 
@@ -98,6 +103,26 @@ val commit_claim :
 val openings : committed -> (int * Pvr_crypto.Commitment.opening) list
 (** The openings, indexed from 1. *)
 
+val offence_holds :
+  ?verified:Wire.Verified.t * Pvr_bgp.Asn.t -> Keyring.t -> Evidence.t -> bool
+(** Whether the evidence proves its offence against the accused, the
+    commit's signature aside (the caller's to verify).  Exports must
+    {!Proto_common.export_binds} to the commit for their own recipient;
+    signatures are checked last, through [verified] when given.
+
+    - [False_bit]: a ["min"] commit's bit [index] opens to 0 although the
+      witness is an input A had to admit ({!Proto_common.valid_input}) of
+      at most [index] hops.
+    - [Non_monotonic_bits]: b_i opens to 1 and b_j to 0 with i < j.
+    - [Nonminimal_export]: a bit below the export's length opens to 1.
+    - [Unsupported_export]: all k bits open to 0, yet A exported.
+    - [Own_vector_mismatch]: a ["noshorter"] commit's bit at the length of
+      A's own export opens to 0.
+    - [Bad_provenance]: A signed the export, whose
+      {!Proto_common.export_provenance} fails.
+
+    Any other evidence: [false]. *)
+
 val check_neighbor :
   ?on_bit:(int -> bool -> unit) ->
   Keyring.t ->
@@ -119,6 +144,8 @@ val check_beneficiary :
   disclosure:beneficiary_disclosure ->
   Evidence.t list
 (** B: all k openings, bit monotonicity, and a minimal, properly signed
-    export.  [on_bit] sees every opening that verifies; [verified] is B's
-    table of verified signature roots
-    ({!Proto_common.check_export_provenance}). *)
+    export; an export that does not {!Proto_common.export_binds} to the
+    commit and B counts as none.  At the export's length a 0 bit is a
+    [False_bit] under ["min"] and an [Own_vector_mismatch] under
+    ["noshorter"].  [on_bit] sees every opening that verifies; [verified]
+    is B's table of verified signature roots ({!Wire.verify_batch}). *)

@@ -76,13 +76,4 @@ let prove ?(max_path_len = Proto_min.default_max_path_len) rng keyring ~prover
 let check_beneficiary keyring ~me ~commit ~disclosure =
   match disclosure with
   | { bd_openings = []; bd_export = None } -> []
-  | { bd_export; _ } ->
-      (* §3.3 raises [False_bit] only at the export's own length. *)
-      List.map
-        (fun e ->
-          match (e, bd_export) with
-          | Evidence.False_bit { commit; index; opening; _ }, Some my_export ->
-              Evidence.Own_vector_mismatch
-                { commit; my_export; bit_index = index; opening }
-          | e, _ -> e)
-        (Proto_min.check_beneficiary keyring ~me ~commit ~disclosure)
+  | _ -> Proto_min.check_beneficiary keyring ~me ~commit ~disclosure

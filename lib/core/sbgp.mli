@@ -11,7 +11,7 @@
     end.
 
     The single-hop provenance inside {!Wire.export} is the degenerate chain
-    of length one; {!Proto_common.check_export_provenance} can be hardened
+    of length one; {!Proto_common.export_provenance} can be hardened
     with {!verify} where full chains are available. *)
 
 module Bgp = Pvr_bgp

@@ -243,8 +243,8 @@ let verify_batch ?verified keyring checks =
               ok))
     checks
 
-let verify keyring ~encode s =
-  verify_batch keyring [ check ~encode s ] = [ true ]
+let verify ?verified keyring ~encode s =
+  verify_batch ?verified keyring [ check ~encode s ] = [ true ]
 
 type announce = { ann_epoch : epoch; ann_to : Bgp.Asn.t; ann_route : Bgp.Route.t }
 

@@ -56,12 +56,6 @@ val sign_with :
 (** Sign with an explicit key — used by the forgery adversary, whose key
     does {e not} match its claimed identity. *)
 
-val verify : Keyring.t -> encode:('a -> string) -> 'a signed -> bool
-(** Check the signature, plain or batched, against the signer's public key
-    in the keyring: {!verify_batch} over one check.  Returns [false] (never
-    raises) for unknown signers and for signature bytes of neither
-    shape. *)
-
 type check
 (** One member of a {!verify_batch} call, payload type packed away so a
     batch can mix statement kinds. *)
@@ -91,6 +85,17 @@ val verify_batch :
     its own, so identical statements within one call (gossip fan-out) cost
     one verification.  Evidence for a third party must be checked without
     a caller's table. *)
+
+val verify :
+  ?verified:Verified.t * Bgp.Asn.t ->
+  Keyring.t ->
+  encode:('a -> string) ->
+  'a signed ->
+  bool
+(** Check the signature, plain or batched, against the signer's public key
+    in the keyring: {!verify_batch} over one check.  Returns [false] (never
+    raises) for unknown signers and for signature bytes of neither
+    shape. *)
 
 (** {2 Statements} *)
 

@@ -549,14 +549,6 @@ let sim_good_gadget_converges () =
         (G.Simulator.best_route sim ~asn:a prefix0 <> None))
     ring
 
-let sim_message_log_grows () =
-  let ases = List.init 4 (fun i -> asn (i + 1)) in
-  let sim = G.Simulator.create (G.Topology.chain ases) in
-  G.Simulator.set_log_enabled sim true;
-  G.Simulator.originate sim ~asn:(asn 4) prefix0;
-  let n = G.Simulator.run sim in
-  check_int "log matches count" n (List.length (G.Simulator.message_log sim))
-
 (* ---- Update generator ------------------------------------------------------------------ *)
 
 let update_gen_sorted_and_bursty () =
@@ -752,7 +744,6 @@ let suite =
     ("sim export policy filters", `Quick, sim_export_policy_filters);
     ("sim byzantine decision override", `Quick, sim_decision_override);
     ("sim hierarchy full reachability", `Quick, sim_hierarchy_full_reachability);
-    ("sim message log", `Quick, sim_message_log_grows);
     ("sim BAD GADGET diverges", `Quick, sim_bad_gadget_diverges);
     ("sim GOOD GADGET converges", `Quick, sim_good_gadget_converges);
     ("update gen sorted and bursty", `Quick, update_gen_sorted_and_bursty);

@@ -819,7 +819,33 @@ let min_misdirected_export_claimed () =
         (P.Judge.evaluate_offline kr claim = P.Judge.Guilty);
       check_bool "real export exonerates" true
         (P.Judge.evaluate kr ~respond:(P.Runner.respond out) claim
-        = P.Judge.Exonerated)
+        = P.Judge.Exonerated);
+      let real = Option.get out.export in
+      let unproven =
+        P.Wire.sign kr ~as_:a_as ~encode:P.Wire.encode_export
+          { real.P.Wire.payload with exp_provenance = None }
+      in
+      check_bool "export without provenance guilty" true
+        (P.Judge.evaluate kr
+           ~respond:(fun ~accused:_ _ -> P.Judge.Export_response unproven)
+           claim
+        = P.Judge.Guilty);
+      (* B saw b_2 = 1: a 6-hop export does not answer the claim. *)
+      let long = announce (asn 11) 6 in
+      let longer =
+        P.Wire.sign kr ~as_:a_as ~encode:P.Wire.encode_export
+          {
+            P.Wire.exp_epoch = 1;
+            exp_to = b_as;
+            exp_route = long.P.Wire.payload.P.Wire.ann_route;
+            exp_provenance = Some long;
+          }
+      in
+      check_bool "longer export guilty" true
+        (P.Judge.evaluate kr
+           ~respond:(fun ~accused:_ _ -> P.Judge.Export_response longer)
+           claim
+        = P.Judge.Guilty)
   | _ -> Alcotest.fail "one Missing_export_claim expected"
 
 (* ---- Graph round helpers ---------------------------------------------------- *)
@@ -1105,6 +1131,95 @@ let judge_rejects_fabrications () =
     (fun (name, e) ->
       check_bool name true (P.Judge.evaluate_offline kr e = P.Judge.Rejected))
     (noshorter_framings ());
+  (* A set bit at the export's own length proves nothing against it. *)
+  let honest_export = Option.get (P.Runner.beneficiary_disclosure out).bd_export in
+  check_bool "set bit at the export's length rejected" true
+    (P.Judge.evaluate_offline kr
+       (P.Evidence.Nonminimal_export
+          { commit; export = honest_export; index = 2; opening = some_opening })
+    = P.Judge.Rejected);
+  (* B's own key signing a commit in A's name: its bits contradict, but A
+     never signed them. *)
+  let set, set_o = C.Commitment.commit_bit rng true in
+  let unset, unset_o = C.Commitment.commit_bit rng false in
+  let forged =
+    P.Wire.sign_with (P.Keyring.private_key kr b_as) ~as_:a_as
+      ~encode:P.Wire.encode_commit
+      {
+        P.Wire.cmt_epoch = 1;
+        cmt_prefix = prefix0;
+        cmt_scheme = "min";
+        cmt_commitments = [ (set :> string); (unset :> string) ];
+      }
+  in
+  check_bool "commit forged in A's name rejected" true
+    (P.Judge.evaluate_offline kr
+       (P.Evidence.Non_monotonic_bits
+          {
+            commit = forged;
+            set_index = 1;
+            set_opening = set_o;
+            unset_index = 2;
+            unset_opening = unset_o;
+          })
+    = P.Judge.Rejected);
+  (* A keeps §3.3 towards B over a shortest input of 3 hops (b_2 = 0) and
+     exports 2 hops to AS2 under promise 4: only a promise-4 commit is
+     bound to A's own exports. *)
+  let min3 =
+    P.Runner.prove ~max_path_len:6 rng kr ~prover:a_as ~beneficiary:b_as
+      ~epoch:1 ~prefix:prefix0 ~inputs:[ announce (asn 11) 3 ]
+  in
+  let p4_two = noshorter_run [ None; Some 2; Some 2 ] in
+  check_bool "min commit's b_2 = 0 against a 2-hop promise-4 export rejected"
+    true
+    (P.Judge.evaluate_offline kr
+       (P.Evidence.Own_vector_mismatch
+          {
+            commit = P.Runner.commit_for min3 b_as;
+            my_export =
+              Option.get (List.assoc (asn 2) p4_two.per_beneficiary).bd_export;
+            bit_index = 2;
+            opening =
+              List.assoc 2 (P.Runner.beneficiary_disclosure min3).bd_openings;
+          })
+    = P.Judge.Rejected);
+  check_bool "input of another epoch as false-bit witness rejected" true
+    (P.Judge.evaluate_offline kr
+       (P.Evidence.False_bit
+          {
+            commit;
+            index = 1;
+            opening =
+              List.assoc 1 (P.Runner.beneficiary_disclosure out).bd_openings;
+            witness = announce ~epoch:2 (asn 10) 1;
+          })
+    = P.Judge.Rejected);
+  check_bool "export forged in A's name rejected" true
+    (P.Judge.evaluate_offline kr
+       (P.Evidence.Bad_provenance
+          {
+            export =
+              P.Wire.sign_with (P.Keyring.private_key kr b_as) ~as_:a_as
+                ~encode:P.Wire.encode_export
+                { honest_export.P.Wire.payload with exp_provenance = None };
+          })
+    = P.Judge.Rejected);
+  (* A round with no input opens every bit to 0; A's export of another
+     epoch is no export of this round. *)
+  let empty =
+    P.Runner.prove ~max_path_len:8 rng kr ~prover:a_as ~beneficiary:b_as
+      ~epoch:2 ~prefix:prefix0 ~inputs:[]
+  in
+  check_bool "all-zero bits against an export of another epoch rejected" true
+    (P.Judge.evaluate_offline kr
+       (P.Evidence.Unsupported_export
+          {
+            commit = P.Runner.commit_for empty b_as;
+            export = honest_export;
+            openings = (P.Runner.beneficiary_disclosure empty).bd_openings;
+          })
+    = P.Judge.Rejected);
   (* A known gap, pinned so that closing it flips this check: the judge
      binds no export to a scheme or a beneficiary.  A keeps §3.3 towards
      peer B (inputs of 2 and 3 hops, so b_2 = 1) and promise 4 among its
@@ -1308,7 +1423,8 @@ let table_judge_still_pays () =
   | [ (P.Evidence.Nonminimal_export _ as e) ] ->
       let verdict, judged = counted (fun () -> P.Judge.evaluate_offline kr e) in
       check_bool "guilty" true (verdict = P.Judge.Guilty);
-      check_bool "judge pays RSA" true (verify_ops judged >= 1)
+      (* Commit and export share A's batch root: one verify, not two. *)
+      check_int "judge pays one RSA verify" 1 (verify_ops judged)
   | _ -> Alcotest.fail "one Nonminimal_export expected"
 
 let judge_convicts_each_selfcontained_kind () =
@@ -1360,7 +1476,17 @@ let matrix_property_random_lengths =
               ~beneficiary:b_as ~epoch:1 ~prefix:prefix0 ~routes
           in
           let expected = P.Adversary.expected_detectors beh ~inputs in
-          if beh = P.Adversary.Honest then (not r.detected) && not r.convicted
+          (* Every self-contained accusation convicts on its own. *)
+          List.for_all
+            (fun (_, e) ->
+              match e with
+              | P.Evidence.Missing_export_claim _
+              | P.Evidence.Missing_disclosure_claim _ | P.Evidence.Timeout _ ->
+                  true
+              | _ -> P.Judge.evaluate_offline kr e = P.Judge.Guilty)
+            r.raised
+          &&
+          if beh = P.Adversary.Honest then r.raised = [] && not r.convicted
           else if expected = [] then true (* undetectable instance *)
           else r.detected && r.convicted)
         P.Adversary.all)
