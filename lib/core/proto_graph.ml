@@ -583,10 +583,10 @@ let check_beneficiary keyring ~me ~commit ~disclosures ~export =
           | Some export
             when Proto_common.export_binds keyring ~commit ~beneficiary:me
                    export ->
+              (* A signed a bound export whose provenance fails: this is
+                 [Proto_min.offence_holds]'s [Bad_provenance] test. *)
               if Proto_common.export_provenance keyring export = None then
-                List.filter
-                  (Proto_min.offence_holds keyring)
-                  [ Evidence.Bad_provenance { export } ]
+                [ Evidence.Bad_provenance { export } ]
               else
                 confirmed [ out_d ]
                   (Evidence.Export_not_committed { out_var; export })
