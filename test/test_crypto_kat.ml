@@ -512,6 +512,25 @@ let vector_hit_accounting () =
         (C.Commitment.to_hex c1 = C.Commitment.to_hex c2))
     first other
 
+(* Hiding across epochs: within one salt period a provider sees the
+   commitments of every vector A commits at a vertex.  Two vectors one bit
+   apart must share no commitment, or comparing them shows which
+   thresholds moved. *)
+let one_bit_apart_share_nothing () =
+  let cache = C.Commitment.Cache.create ~key:"hide-salt" () in
+  let commit bits =
+    List.map
+      (fun (c, _) -> C.Commitment.to_hex c)
+      (C.Commitment.Cache.commit_bit_vector cache ~vertex:"p|q"
+         ~context:(fun i -> Printf.sprintf "p|q|0|%d" (i + 1))
+         bits)
+  in
+  let before = List.init 32 (fun i -> i >= 5) in
+  let after = List.init 32 (fun i -> i >= 4) in
+  let a = commit before and b = commit after in
+  let shared = List.length (List.filter (fun c -> List.mem c b) a) in
+  check_int "commitments shared by vectors one bit apart" 0 shared
+
 let rotation_invalidates () =
   let cache = C.Commitment.Cache.create ~period:3 ~key:"salt-3" () in
   check_int "period" 3 (C.Commitment.Cache.period cache);
@@ -574,4 +593,7 @@ let suite =
     ("vector commit ≡ per-bit", `Quick, vector_matches_per_bit);
     ("vector hit accounting", `Quick, vector_hit_accounting);
     ("salt rotation invalidates cache", `Quick, rotation_invalidates);
+    ( "vectors one bit apart share no commitment",
+      `Quick,
+      one_bit_apart_share_nothing );
   ]
