@@ -12,50 +12,52 @@ let quarter_round st a b c d =
   st.(c) <- (st.(c) + st.(d)) land mask32;
   st.(b) <- rotl (st.(b) lxor st.(c)) 7
 
-let block ~key ~counter ~nonce =
+(* [len] keystream bytes from block [counter] on, written into one buffer:
+   the initial state and the working state are allocated once and reused
+   for every block. *)
+let stream ~key ~nonce ~counter len =
   if String.length key <> 32 then invalid_arg "Chacha20: key must be 32 bytes";
   if String.length nonce <> 12 then
     invalid_arg "Chacha20: nonce must be 12 bytes";
-  let st = Array.make 16 0 in
-  st.(0) <- 0x61707865;
-  st.(1) <- 0x3320646e;
-  st.(2) <- 0x79622d32;
-  st.(3) <- 0x6b206574;
+  let init = Array.make 16 0 in
+  init.(0) <- 0x61707865;
+  init.(1) <- 0x3320646e;
+  init.(2) <- 0x79622d32;
+  init.(3) <- 0x6b206574;
   for i = 0 to 7 do
-    st.(4 + i) <- Bytes_util.read_le32 key (4 * i)
+    init.(4 + i) <- Bytes_util.read_le32 key (4 * i)
   done;
-  st.(12) <- counter land mask32;
   for i = 0 to 2 do
-    st.(13 + i) <- Bytes_util.read_le32 nonce (4 * i)
+    init.(13 + i) <- Bytes_util.read_le32 nonce (4 * i)
   done;
-  let init = Array.copy st in
-  for _ = 1 to 10 do
-    quarter_round st 0 4 8 12;
-    quarter_round st 1 5 9 13;
-    quarter_round st 2 6 10 14;
-    quarter_round st 3 7 11 15;
-    quarter_round st 0 5 10 15;
-    quarter_round st 1 6 11 12;
-    quarter_round st 2 7 8 13;
-    quarter_round st 3 4 9 14
-  done;
-  let out = Buffer.create 64 in
-  for i = 0 to 15 do
-    Buffer.add_string out (Bytes_util.le32 ((st.(i) + init.(i)) land mask32))
-  done;
-  Buffer.contents out
-
-let encrypt ~key ~nonce ?(counter = 0) msg =
-  let len = String.length msg in
-  let out = Bytes.create len in
+  let st = Array.make 16 0 in
   let nblocks = (len + 63) / 64 in
+  let out = Bytes.create (64 * nblocks) in
   for b = 0 to nblocks - 1 do
-    let ks = block ~key ~counter:(counter + b) ~nonce in
-    let off = 64 * b in
-    let n = min 64 (len - off) in
-    for i = 0 to n - 1 do
-      Bytes.set out (off + i)
-        (Char.chr (Char.code msg.[off + i] lxor Char.code ks.[i]))
+    init.(12) <- (counter + b) land mask32;
+    Array.blit init 0 st 0 16;
+    for _ = 1 to 10 do
+      quarter_round st 0 4 8 12;
+      quarter_round st 1 5 9 13;
+      quarter_round st 2 6 10 14;
+      quarter_round st 3 7 11 15;
+      quarter_round st 0 5 10 15;
+      quarter_round st 1 6 11 12;
+      quarter_round st 2 7 8 13;
+      quarter_round st 3 4 9 14
+    done;
+    for i = 0 to 15 do
+      Bytes.set_int32_le out
+        ((64 * b) + (4 * i))
+        (Int32.of_int ((st.(i) + init.(i)) land mask32))
     done
   done;
-  Bytes.unsafe_to_string out
+  if Bytes.length out = len then Bytes.unsafe_to_string out
+  else Bytes.sub_string out 0 len
+
+let block ~key ~counter ~nonce = stream ~key ~nonce ~counter 64
+let keystream ~key ~nonce len = stream ~key ~nonce ~counter:0 len
+
+let encrypt ~key ~nonce ?(counter = 0) msg =
+  let ks = stream ~key ~nonce ~counter (String.length msg) in
+  String.mapi (fun i c -> Char.chr (Char.code c lxor Char.code ks.[i])) msg

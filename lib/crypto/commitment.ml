@@ -18,15 +18,6 @@ let bit_string b = if b then "1" else "0"
 
 let commit_bit rng b = commit rng (bit_string b)
 
-let nonce_tag = "pvr-commit-nonce-v1"
-
-let derived_nonce ~key ~context value =
-  Hmac.mac ~key (Codec.encode_list [ nonce_tag; context; value ])
-
-let commit_derived ~key ~context value =
-  let nonce = derived_nonce ~key ~context value in
-  (commit_with_nonce ~nonce value, { value; nonce })
-
 (* Fast path for single-bit commitments: the preimage
    [tag ^ encode_list [bit; nonce]] always has the same 59-byte layout
    (14-byte tag, list header, 1-byte value, 32-byte nonce), so the template
@@ -56,19 +47,15 @@ module Bit_fast = struct
 end
 
 module Cache = struct
-  (* Two memo levels.  [tbl] is the original per-(context, value) table.
-     [vtbl] memoizes whole bit vectors per vertex: the engine's hot loop
-     commits the same monotone vector for every quiet vertex each epoch, and
-     a vector hit answers all k bits with one lookup — without even building
-     the k per-bit context strings.  The per-bit nonce derivation is
-     unchanged (the bit index stays in the HMAC context: dropping it would
-     make equal-bit commitments collide across positions and leak the
-     threshold), so commitment bytes are identical to the uncached path. *)
+  (* One memo level: whole bit vectors per (context, pattern).  The engine's
+     hot loop commits the same monotone vector for every quiet vertex each
+     epoch, and a hit answers all k bits with one lookup.  A miss keys one
+     ChaCha20 stream with an HMAC over the whole pattern and reads bit i's
+     nonce at stream offset 32i. *)
   type t = {
     mutable key : string;
     mutable hkey : Hmac.Key.t; (* precomputed HMAC midstates for [key] *)
     mutable period : int;
-    tbl : (string * string, commitment * opening) Hashtbl.t;
     vtbl : (string * string, (commitment * opening) list) Hashtbl.t;
     bit_fast : Bit_fast.t;
   }
@@ -82,68 +69,50 @@ module Cache = struct
       key;
       hkey = Hmac.Key.create key;
       period;
-      tbl = Hashtbl.create 256;
       vtbl = Hashtbl.create 64;
       bit_fast = Bit_fast.create ();
     }
 
   let period t = t.period
 
-  let clear t =
-    Hashtbl.reset t.tbl;
-    Hashtbl.reset t.vtbl
-
   let rotate t ~period ~key =
     if period <> t.period || not (String.equal key t.key) then begin
-      clear t;
+      Hashtbl.reset t.vtbl;
       t.period <- period;
       t.key <- key;
       t.hkey <- Hmac.Key.create key
     end
 
-  let derived_nonce_fast t ~context value =
-    Hmac.mac_with t.hkey
-      (Codec.encode_list [ nonce_tag; context; value ])
+  let stream_tag = "pvr-commit-stream-v2"
+  let stream_nonce = String.make 12 '\x00'
 
-  let commit t ~context value =
-    match Hashtbl.find_opt t.tbl (context, value) with
-    | Some r ->
-        Pvr_obs.incr hits;
-        r
-    | None ->
-        Pvr_obs.incr misses;
-        let nonce = derived_nonce_fast t ~context value in
-        let c =
-          if String.length value = 1 then
-            Bit_fast.commit t.bit_fast ~nonce value.[0]
-          else commit_with_nonce ~nonce value
-        in
-        let r = (c, { value; nonce }) in
-        Hashtbl.add t.tbl (context, value) r;
-        r
-
-  let commit_bit t ~context b = commit t ~context (bit_string b)
-
-  (* Whole-vector memo: [vertex] must identify the committing position
-     (prover | prefix) and [context] must be the same pure function of the
-     bit index the per-bit path would use.  A hit counts as one hit per
-     bit, so the hit/miss counters stay comparable with the per-bit
-     accounting. *)
-  let commit_bit_vector t ~vertex ~context bits =
-    let shape = String.concat "" (List.map bit_string bits) in
-    match Hashtbl.find_opt t.vtbl (vertex, shape) with
+  (* Hits and misses count one per bit, so the hit ratio is a share of
+     committed bits whatever the vector length. *)
+  let commit_bit_vector t ~context bits =
+    let pattern = String.concat "" (List.map bit_string bits) in
+    let k = String.length pattern in
+    match Hashtbl.find_opt t.vtbl (context, pattern) with
     | Some rs ->
-        Pvr_obs.add hits (List.length rs);
+        Pvr_obs.add hits k;
         Pvr_obs.incr vhits;
         rs
     | None ->
-        let rs =
-          List.mapi (fun i b -> commit_bit t ~context:(context i) b) bits
+        Pvr_obs.add misses k;
+        let key =
+          Hmac.mac_with t.hkey
+            (Codec.encode_list [ stream_tag; context; pattern ])
         in
-        Hashtbl.replace t.vtbl (vertex, shape) rs;
+        let stream = Chacha20.keystream ~key ~nonce:stream_nonce (32 * k) in
+        let rs =
+          List.mapi
+            (fun i b ->
+              let value = bit_string b in
+              let nonce = String.sub stream (32 * i) 32 in
+              (Bit_fast.commit t.bit_fast ~nonce value.[0], { value; nonce }))
+            bits
+        in
+        Hashtbl.replace t.vtbl (context, pattern) rs;
         rs
-
-  let size t = Hashtbl.length t.tbl
 end
 
 let opening_bit o =

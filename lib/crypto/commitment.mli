@@ -30,39 +30,35 @@ val commit_bit : Drbg.t -> bool -> commitment * opening
 val opening_bit : opening -> bool option
 (** Interpret an opening's value as a bit; [None] if it is not ["0"]/["1"]. *)
 
-val commit_derived :
-  key:string -> context:string -> string -> commitment * opening
-(** Deterministic commitment with a {e derived} nonce:
-    [nonce = HMAC(key, tag || context || value)].  Given a secret [key]
-    (e.g. an epoch salt known only to the committer) the nonce is
-    pseudorandom to everyone else, so hiding is preserved, yet the whole
-    commitment is a pure function of [(key, context, value)] — recommitting
-    to an unchanged value reproduces the byte-identical digest.  This is
-    what makes commitments cacheable across verification epochs.  The
-    [context] must make the position unique (prover, prefix, bit index):
-    reusing a [(key, context)] pair for two different values is safe
-    (different values give different nonces), but a context collision leaks
-    value equality across positions. *)
+(** Memo table of derived bit-vector commitments for the engine's
+    incremental verification: one cache per prover, scoped to an epoch-salt
+    period whose salt is the cache's key.
 
-(** Memo table over {!commit_derived} for the engine's incremental
-    verification: one cache per prover, scoped to an epoch-salt period.
-    Two levels — per-[(context, value)] entries plus a whole-bit-vector
-    memo keyed by [(vertex id, bit pattern)], so a quiet vertex answers
-    all k of its commitments with one lookup and zero context-string
-    construction.  Derived-nonce misses run over a precomputed HMAC key
-    and a fixed-width SHA-256 template, but produce byte-identical
-    commitments to the uncached {!commit_derived} path; the per-bit index
-    always stays in the nonce context (collapsing equal bits across
-    positions would leak the committed threshold).  Hits and misses are
-    exported through {!Pvr_obs} as ["crypto.commitment.cache.hits"] /
-    [".misses"] (a vector hit counts one hit per bit, plus
-    [".vector.hits"]); a hit performs no SHA-256 work at all. *)
+    A miss derives all k nonces of a vector from one stream:
+    [stream_key = HMAC(salt, "pvr-commit-stream-v2" || context || pattern)]
+    (the three fields length-framed by {!Codec.encode_list}), and nonce i
+    is bytes \[32i, 32i+32) of the ChaCha20 keystream under [stream_key]
+    (nonce 0, counter 0).  Given the secret salt, the stream key is
+    pseudorandom to everyone else and so are the nonces, so each commitment
+    hides its bit.  The bit index is the stream offset, so no two positions
+    share a nonce and equal bits at different positions do not collide.
+    The pattern is in the key, so two different vectors at one context are
+    committed under unrelated streams: they share no nonce and no
+    commitment, a changed bit never reuses a disclosed nonce, and a provider
+    comparing two epochs' commitments cannot tell which bits stayed
+    unchanged.  Equal (salt, context, pattern) reproduce byte-identical
+    commitments, which is what makes them cacheable across verification
+    epochs.
+
+    Hits and misses are exported through {!Pvr_obs} as
+    ["crypto.commitment.cache.hits"] / [".misses"], one per bit, plus
+    [".vector.hits"]; a hit performs no SHA-256 work at all. *)
 module Cache : sig
   type t
 
   val create : ?period:int -> key:string -> unit -> t
-  (** [key] is the derived-nonce HMAC key (the epoch salt); [period]
-      (default 0) is the salt period the key belongs to. *)
+  (** [key] is the secret salt; [period] (default 0) is the salt period
+      the key belongs to. *)
 
   val period : t -> int
 
@@ -71,24 +67,11 @@ module Cache : sig
       current one, drop every entry and re-key; otherwise a no-op.  Lets
       long-lived caches survive rotation without reallocating. *)
 
-  val commit : t -> context:string -> string -> commitment * opening
-  val commit_bit : t -> context:string -> bool -> commitment * opening
-
   val commit_bit_vector :
-    t ->
-    vertex:string ->
-    context:(int -> string) ->
-    bool list ->
-    (commitment * opening) list
-  (** Commit a whole bit vector through the vector memo.  [vertex] must
-      uniquely identify the committing position (e.g. ["prover|prefix"]);
-      [context i] must be the exact per-bit context the per-bit path would
-      use for 0-based index [i] (it is only called on a vector miss). *)
-
-  val clear : t -> unit
-  (** Drop every entry (either memo level). *)
-
-  val size : t -> int
+    t -> context:string -> bool list -> (commitment * opening) list
+  (** Commit a whole bit vector.  [context] must uniquely identify the
+      committing position (e.g. ["prover|prefix|wire epoch"]): two
+      positions sharing a context and a pattern share their commitments. *)
 end
 
 val to_hex : commitment -> string

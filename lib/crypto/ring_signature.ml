@@ -10,7 +10,7 @@ type t = { glue : string; xs : B.t array; domain_bytes : int }
 let round_function ~key ~round ~width half =
   let seed = Hmac.mac ~key (Bytes_util.be32 round ^ half) in
   let nonce = String.sub (Sha256.digest ("rf-nonce" ^ Bytes_util.be32 round)) 0 12 in
-  Chacha20.encrypt ~key:seed ~nonce (String.make width '\x00')
+  Chacha20.keystream ~key:seed ~nonce width
 
 let feistel ~key ~decrypt ~width_l ~width_r s =
   let l = ref (String.sub s 0 width_l)

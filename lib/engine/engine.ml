@@ -354,18 +354,11 @@ let round_rng t ~wire_epoch (sn : snapshot) =
 
 (* Derived nonces: a quiet vertex recommitting to the same bit pattern
    within a salt period pays zero hash work (the vector memo).  The context
-   embeds the wire epoch, which is constant within a period, so vector hits
-   return the very commitments a per-bit recomputation would produce. *)
+   embeds the wire epoch, which is constant within a period. *)
 let committer vc ~wire_epoch (sn : snapshot) ~tag bits =
-  let ctx i =
-    Printf.sprintf "%s|%s|%d|%d%s"
-      (Bgp.Asn.to_string sn.sn_vertex.vprover)
-      (Bgp.Prefix.to_string sn.sn_vertex.vprefix)
-      wire_epoch (i + 1) tag
-  in
   C.Commitment.Cache.commit_bit_vector vc.ccache
-    ~vertex:(vertex_key sn.sn_vertex ^ tag)
-    ~context:ctx bits
+    ~context:(Printf.sprintf "%s|%d%s" (vertex_key sn.sn_vertex) wire_epoch tag)
+    bits
 
 let draft_round t ~wire_epoch ((sn : snapshot), vc) =
   let prover = sn.sn_vertex.vprover in

@@ -14,9 +14,9 @@
 
     Every recomputed vertex runs the one round of {!Pvr.Runner} — draft,
     sign, check — whatever its plan and transport, and keeps a disclosure
-    ledger.  Recomputed rounds draw no fresh randomness: commitment nonces are
-    {e derived} ({!Pvr_crypto.Commitment.commit_derived}) from an epoch
-    salt, itself derived from the engine's master seed and rotated every
+    ledger.  Recomputed rounds draw no fresh randomness: commitment nonces
+    are {e derived} ({!Pvr_crypto.Commitment.Cache}) from an epoch salt,
+    itself derived from the engine's master seed and rotated every
     [salt_every] epochs (the wire epoch is the salt-period index, so
     commitments from different periods never mix).  Within a period an
     unchanged route therefore reproduces byte-identical announces,

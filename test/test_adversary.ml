@@ -368,7 +368,7 @@ let cli_matrix_reproducible () =
   (* Pinned bytes: the CLI is the only implementation of the zoo tally
      and its §2.3 violation rules, so any drift in them shows here. *)
   Alcotest.(check string) "pinned output sha256"
-    "2ba03a33cdb1919402a9671989a544134b4627ed5ba3c165924baa8b42eab65a"
+    "048a1d55c7ca325d21f8d4dd9ed84680d6353b4c560cf4f9ad534ce991cf3224"
     (C.Sha256.digest_hex s1);
   let contains needle =
     let nl = String.length needle and hl = String.length s1 in

@@ -10,7 +10,8 @@
      variant (one-shot, reusable-ctx, multi-buffer, fixed-width template);
    - qcheck differential oracles against the retained naive paths
      ([Bigint.mod_pow_naive], [Rsa.sign_plain], per-item [Wire.verify],
-     [Commitment.commit_derived]);
+     [Hmac.mac] and [Chacha20.encrypt] under the commitment cache's
+     keyed stream);
    - forged-batch tests: [Wire.verify_batch] must reject {e exactly} the
      forged items, whatever mix of flipped bits, wrong signers, wrong
      messages, cancelling signature pairs and misshapen bytes. *)
@@ -446,66 +447,109 @@ let wire_batch_structural_rejects () =
                  ]);
           ]))
 
-(* ---- Commitment cache vs the uncached derived-commitment oracle --------- *)
+(* ---- ChaCha20 keystream ---------------------------------------------- *)
 
-let cache_matches_commit_derived =
-  qtest ~count:150 "Cache.commit ≡ commit_derived (incl. 1-byte fast path)"
+let keystream_is_encrypted_zeros () =
+  let key = String.init 32 (fun i -> Char.chr (7 * i)) in
+  let nonce = String.init 12 (fun i -> Char.chr (200 - i)) in
+  List.iter
+    (fun len ->
+      check
+        (Printf.sprintf "keystream %d" len)
+        (hex (C.Chacha20.encrypt ~key ~nonce (String.make len '\x00')))
+        (hex (C.Chacha20.keystream ~key ~nonce len)))
+    [ 32; 64; 100; 1024 ]
+
+(* ---- Commitment cache vs a reference stream ------------------------- *)
+
+(* The stream rebuilt from the one-shot primitives: [Hmac.mac] for the
+   cache's prepared key, [Chacha20.encrypt] of zeros for [keystream], and
+   [commit_with_nonce] for the fixed-width bit template. *)
+let reference_stream ~key ~context bits =
+  let pattern =
+    String.concat "" (List.map (fun b -> if b then "1" else "0") bits)
+  in
+  let k = String.length pattern in
+  let stream =
+    C.Chacha20.encrypt
+      ~key:
+        (C.Hmac.mac ~key
+           (C.Codec.encode_list [ "pvr-commit-stream-v2"; context; pattern ]))
+      ~nonce:(String.make 12 '\x00')
+      (String.make (32 * k) '\x00')
+  in
+  List.init k (fun i ->
+      let value = String.make 1 pattern.[i] in
+      let nonce = String.sub stream (32 * i) 32 in
+      (C.Commitment.commit_with_nonce ~nonce value, value, nonce))
+
+let cache_matches_reference_stream =
+  qtest ~count:150 "Cache.commit_bit_vector ≡ reference stream"
     QCheck2.Gen.(
-      triple (string_size (int_range 1 24)) (string_size (int_range 0 40))
-        (oneof [ string_size (int_range 0 5); oneofl [ "0"; "1" ] ]))
-    (fun (key, context, value) ->
+      triple (string_size (int_range 1 80)) (string_size (int_range 0 40))
+        (list_size (int_range 0 40) bool))
+    (fun (key, context, bits) ->
       let cache = C.Commitment.Cache.create ~key () in
-      let c1, o1 = C.Commitment.Cache.commit cache ~context value in
-      let c2, o2 = C.Commitment.commit_derived ~key ~context value in
-      (c1 :> string) = (c2 :> string)
-      && o1.C.Commitment.nonce = o2.C.Commitment.nonce
-      && o1.C.Commitment.value = o2.C.Commitment.value)
+      List.for_all2
+        (fun (c1, o1) (c2, value, nonce) ->
+          C.Commitment.to_hex c1 = C.Commitment.to_hex c2
+          && o1.C.Commitment.nonce = nonce
+          && o1.C.Commitment.value = value
+          && C.Commitment.verify c1 o1)
+        (C.Commitment.Cache.commit_bit_vector cache ~context bits)
+        (reference_stream ~key ~context bits))
 
-let vector_matches_per_bit () =
-  let mk () = C.Commitment.Cache.create ~key:"vec-salt" () in
-  let ctx i = Printf.sprintf "p|q|%d" (i + 1) in
-  let bits = [ false; false; true; true; true ] in
-  let per_bit =
-    let c = mk () in
-    List.mapi (fun i b -> C.Commitment.Cache.commit_bit c ~context:(ctx i) b) bits
+(* Pins the commitment bytes: a change to the stream's tag, key, layout
+   or the bit template moves these digests (and every report line's
+   [c=] field with them).  The values were also computed outside OCaml,
+   from textbook HMAC-SHA-256 and RFC 8439 ChaCha20. *)
+let vector_known_answer () =
+  let cache = C.Commitment.Cache.create ~key:"vec-salt" () in
+  let rs =
+    C.Commitment.Cache.commit_bit_vector cache ~context:"p|q|0"
+      (List.init 32 (fun i -> i >= 5))
   in
-  let vectored =
-    C.Commitment.Cache.commit_bit_vector (mk ()) ~vertex:"p|q" ~context:ctx bits
-  in
-  List.iter2
-    (fun (c1, o1) (c2, o2) ->
-      check "commitment" (C.Commitment.to_hex c1) (C.Commitment.to_hex c2);
-      check "nonce" o1.C.Commitment.nonce o2.C.Commitment.nonce)
-    per_bit vectored
+  check "first commitment"
+    "482647b72a752a31c79c4195ffda8dea0e125f62d91196b64e86731f5d8e0cb2"
+    (C.Commitment.to_hex (fst (List.hd rs)));
+  check "all commitments and nonces"
+    "533724c6a434c6c7e166f128e94013098292a19bc9164621a8174b4371580521"
+    (C.Sha256.digest_hex
+       (String.concat ""
+          (List.map
+             (fun ((c : C.Commitment.commitment), o) ->
+               (c :> string) ^ o.C.Commitment.nonce)
+             rs)))
 
 let vector_hit_accounting () =
   let cache = C.Commitment.Cache.create ~key:"vh-salt" () in
-  let ctx i = Printf.sprintf "v|%d" i in
   let bits = [ true; false; true; false ] in
   let commit () =
-    C.Commitment.Cache.commit_bit_vector cache ~vertex:"v" ~context:ctx bits
+    C.Commitment.Cache.commit_bit_vector cache ~context:"v" bits
   in
   let first, d1 = counted commit in
   check_int "first pass misses per bit" 4
     (delta d1 "crypto.commitment.cache.misses");
-  check_int "no vector hit yet" 0 (delta d1 "crypto.commitment.cache.vector.hits");
+  check_int "no vector hit yet" 0
+    (delta d1 "crypto.commitment.cache.vector.hits");
+  check_int "one HMAC keys the stream" 2 (delta d1 "crypto.sha256.ops" - 4);
   let second, d2 = counted commit in
   check_int "vector hit" 1 (delta d2 "crypto.commitment.cache.vector.hits");
-  check_int "counts one hit per bit" 4 (delta d2 "crypto.commitment.cache.hits");
+  check_int "counts one hit per bit" 4
+    (delta d2 "crypto.commitment.cache.hits");
   check_int "no sha256 on a vector hit" 0 (delta d2 "crypto.sha256.ops");
   List.iter2
     (fun (c1, _) (c2, _) ->
       check "stable" (C.Commitment.to_hex c1) (C.Commitment.to_hex c2))
     first second;
-  (* A different vertex with the same bit pattern misses the vector memo
-     but hits per-bit entries only if its contexts collide — they must not. *)
+  (* Another context with the same bit pattern misses, under its own
+     stream. *)
   let other, d3 =
     counted (fun () ->
-        C.Commitment.Cache.commit_bit_vector cache ~vertex:"w"
-          ~context:(fun i -> Printf.sprintf "w|%d" i)
-          bits)
+        C.Commitment.Cache.commit_bit_vector cache ~context:"w" bits)
   in
-  check_int "distinct vertex misses" 4 (delta d3 "crypto.commitment.cache.misses");
+  check_int "distinct context misses" 4
+    (delta d3 "crypto.commitment.cache.misses");
   List.iter2
     (fun (c1, _) (c2, _) ->
       check_bool "contexts separate vertices" false
@@ -521,9 +565,7 @@ let one_bit_apart_share_nothing () =
   let commit bits =
     List.map
       (fun (c, _) -> C.Commitment.to_hex c)
-      (C.Commitment.Cache.commit_bit_vector cache ~vertex:"p|q"
-         ~context:(fun i -> Printf.sprintf "p|q|0|%d" (i + 1))
-         bits)
+      (C.Commitment.Cache.commit_bit_vector cache ~context:"p|q|0" bits)
   in
   let before = List.init 32 (fun i -> i >= 5) in
   let after = List.init 32 (fun i -> i >= 4) in
@@ -534,33 +576,30 @@ let one_bit_apart_share_nothing () =
 let rotation_invalidates () =
   let cache = C.Commitment.Cache.create ~period:3 ~key:"salt-3" () in
   check_int "period" 3 (C.Commitment.Cache.period cache);
-  let c1, _ = C.Commitment.Cache.commit_bit cache ~context:"x" true in
-  let (_ : C.Commitment.commitment * C.Commitment.opening) =
-    C.Commitment.Cache.commit_bit_vector cache ~vertex:"v"
-      ~context:(fun _ -> "y") [ true ]
-    |> List.hd
+  let commit () =
+    fst
+      (List.hd
+         (C.Commitment.Cache.commit_bit_vector cache ~context:"x" [ true ]))
   in
-  check_bool "warm" true (C.Commitment.Cache.size cache > 0);
+  let c1 = commit () in
   (* Same period and key: a no-op, entries survive. *)
   C.Commitment.Cache.rotate cache ~period:3 ~key:"salt-3";
-  let (_, d) =
-    counted (fun () -> C.Commitment.Cache.commit_bit cache ~context:"x" true)
-  in
+  let (_, d) = counted commit in
   check_int "no-op rotation keeps entries" 1
     (delta d "crypto.commitment.cache.hits");
-  (* New period: everything (both memo levels) is dropped and re-keyed. *)
+  (* New period: every entry is dropped and the stream re-keyed. *)
   C.Commitment.Cache.rotate cache ~period:4 ~key:"salt-4";
   check_int "rotated period" 4 (C.Commitment.Cache.period cache);
-  check_int "rotation clears" 0 (C.Commitment.Cache.size cache);
-  let c2, d = counted (fun () -> C.Commitment.Cache.commit_bit cache ~context:"x" true) in
+  let c2, d = counted commit in
   check_int "recomputes after rotation" 1
     (delta d "crypto.commitment.cache.misses");
   check_bool "new salt, new commitment" false
-    (C.Commitment.to_hex c1 = C.Commitment.to_hex (fst c2));
-  check_bool "matches uncached oracle" true
-    (C.Commitment.to_hex (fst c2)
-    = C.Commitment.to_hex
-        (fst (C.Commitment.commit_derived ~key:"salt-4" ~context:"x" "1")))
+    (C.Commitment.to_hex c1 = C.Commitment.to_hex c2);
+  let c3, _, _ =
+    List.hd (reference_stream ~key:"salt-4" ~context:"x" [ true ])
+  in
+  check "keyed by the new salt" (C.Commitment.to_hex c3)
+    (C.Commitment.to_hex c2)
 
 let suite =
   [
@@ -589,8 +628,9 @@ let suite =
     ( "Wire.verify_batch structural rejects",
       `Quick,
       wire_batch_structural_rejects );
-    cache_matches_commit_derived;
-    ("vector commit ≡ per-bit", `Quick, vector_matches_per_bit);
+    ("keystream ≡ encrypt of zeros", `Quick, keystream_is_encrypted_zeros);
+    cache_matches_reference_stream;
+    ("vector commit known answer", `Quick, vector_known_answer);
     ("vector hit accounting", `Quick, vector_hit_accounting);
     ("salt rotation invalidates cache", `Quick, rotation_invalidates);
     ( "vectors one bit apart share no commitment",
