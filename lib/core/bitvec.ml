@@ -83,6 +83,7 @@ let verify_bit strategy published ~k ~index proof =
     | Merkle_vector, [ root ], Some path ->
         if
           path.Merkle.index = index - 1
+          && String.length proof.bp_opening.C.Commitment.nonce = 32
           && Merkle.verify ~root ~leaf:(digest_of_opening ()) path
         then C.Commitment.opening_bit proof.bp_opening
         else None

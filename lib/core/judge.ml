@@ -39,9 +39,10 @@ let same_slot (a : Wire.commit Wire.signed) (b : Wire.commit Wire.signed) =
 
 (* The lowest index whose opening is a valid bit set to 1. *)
 let min_set_index commit openings =
+  let bit = Proto_common.opening_bit_at commit in
   List.fold_left
     (fun acc (i, o) ->
-      match Proto_common.opening_bit_at commit ~index:i o with
+      match bit ~index:i o with
       | Some true -> min acc i
       | _ -> acc)
     max_int openings

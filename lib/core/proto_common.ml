@@ -40,14 +40,15 @@ let valid_inputs keyring ~prover ~epoch ~prefix anns =
     (fun ann ok -> ok && valid_input_structural ~prover ~epoch ~prefix ann)
     anns sigs
 
-let opening_bit_at (commit : Wire.commit Wire.signed) ~index opening =
-  let commitments = commit.Wire.payload.Wire.cmt_commitments in
-  if index < 1 || index > List.length commitments then None
-  else begin
-    let c = C.Commitment.of_raw (List.nth commitments (index - 1)) in
-    if C.Commitment.verify c opening then C.Commitment.opening_bit opening
-    else None
-  end
+let opening_bit_at (commit : Wire.commit Wire.signed) =
+  let digests = Array.of_list commit.Wire.payload.Wire.cmt_commitments in
+  fun ~index opening ->
+    if index < 1 || index > Array.length digests then None
+    else begin
+      let c = C.Commitment.of_raw digests.(index - 1) in
+      if C.Commitment.verify c opening then C.Commitment.opening_bit opening
+      else None
+    end
 
 (* Signatures last: an export that names another round costs no RSA. *)
 let export_binds ?verified keyring ~commit ~beneficiary

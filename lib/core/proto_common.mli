@@ -53,7 +53,9 @@ val opening_bit_at :
   bool option
 (** Check an opening against commitment [index] (1-based) of a commit
     message; [Some b] if it verifies and encodes bit [b], [None]
-    otherwise. *)
+    otherwise.  Applied to a commit alone, it indexes the commit's
+    digests once and returns a checker whose every lookup is O(1): callers
+    that check many openings of one commit apply it once. *)
 
 val export_binds :
   ?verified:Wire.Verified.t * Pvr_bgp.Asn.t ->

@@ -71,7 +71,7 @@ let path_len (e : Wire.export Wire.signed) =
   Bgp.Route.path_length e.Wire.payload.Wire.exp_route
 
 let offence_holds ?verified keyring evidence =
-  let bit commit index opening = opening_bit_at commit ~index opening in
+  let bit commit = opening_bit_at commit in
   let binds commit (export : Wire.export Wire.signed) =
     export_binds ?verified keyring ~commit
       ~beneficiary:export.Wire.payload.Wire.exp_to export
@@ -81,29 +81,32 @@ let offence_holds ?verified keyring evidence =
       let cp = commit.Wire.payload in
       cp.Wire.cmt_scheme = scheme
       && Bgp.Route.path_length witness.Wire.payload.Wire.ann_route <= index
-      && bit commit index opening = Some false
+      && bit commit ~index opening = Some false
       && valid_input ?verified keyring ~prover:commit.Wire.signer
            ~epoch:cp.Wire.cmt_epoch ~prefix:cp.Wire.cmt_prefix witness
   | Evidence.Non_monotonic_bits
       { commit; set_index; set_opening; unset_index; unset_opening } ->
+      let bit = bit commit in
       set_index < unset_index
-      && bit commit set_index set_opening = Some true
-      && bit commit unset_index unset_opening = Some false
+      && bit ~index:set_index set_opening = Some true
+      && bit ~index:unset_index unset_opening = Some false
   | Evidence.Nonminimal_export { commit; export; index; opening } ->
       index < path_len export
-      && bit commit index opening = Some true
+      && bit commit ~index opening = Some true
       && binds commit export
   | Evidence.Unsupported_export { commit; export; openings } ->
       let k = List.length commit.Wire.payload.Wire.cmt_commitments in
       List.length openings = k
       && List.sort_uniq Int.compare (List.map fst openings)
          = List.init k (fun i -> i + 1)
-      && List.for_all (fun (i, o) -> bit commit i o = Some false) openings
+      &&
+      let bit = bit commit in
+      List.for_all (fun (i, o) -> bit ~index:i o = Some false) openings
       && binds commit export
   | Evidence.Own_vector_mismatch { commit; my_export; bit_index; opening } ->
       commit.Wire.payload.Wire.cmt_scheme = "noshorter"
       && bit_index = path_len my_export
-      && bit commit bit_index opening = Some false
+      && bit commit ~index:bit_index opening = Some false
       && binds commit my_export
   | Evidence.Bad_provenance { export } ->
       export_provenance ?verified keyring export = None
@@ -163,10 +166,11 @@ let check_beneficiary ?(on_bit = fun _ _ -> ()) ?verified keyring ~me ~commit
     ]
   in
   (* Validate the openings: B expects one valid bit opening per index. *)
+  let bit = opening_bit_at commit in
   let bits =
     List.filter_map
       (fun (i, o) ->
-        match opening_bit_at commit ~index:i o with
+        match bit ~index:i o with
         | Some b ->
             on_bit i b;
             Some (i, b, o)
@@ -177,31 +181,28 @@ let check_beneficiary ?(on_bit = fun _ _ -> ()) ?verified keyring ~me ~commit
   if List.sort_uniq Int.compare indices <> List.init k (fun i -> i + 1) then
     claim_missing ()
   else begin
-    (* Monotonicity: find i < j with b_i = 1, b_j = 0. *)
-    let monotonicity_violation =
-      List.concat_map
-        (fun (i, bi, oi) ->
-          if not bi then []
-          else
-            List.filter_map
-              (fun (j, bj, oj) ->
-                if j > i && not bj then
-                  Some
-                    (Evidence.Non_monotonic_bits
-                       {
-                         commit;
-                         set_index = i;
-                         set_opening = oi;
-                         unset_index = j;
-                         unset_opening = oj;
-                       })
-                else None)
-              bits)
-        bits
+    (* Monotonicity: i < j with b_i = 1, b_j = 0.  The pair raised is the
+       first set bit, in disclosure order, below some unset index, with the
+       first unset bit after it in disclosure order.  Its openings are
+       valid, so it holds. *)
+    let max_unset =
+      List.fold_left (fun m (j, bj, _) -> if bj then m else max m j) 0 bits
     in
-    match monotonicity_violation with
-    | _ :: _ -> confirmed monotonicity_violation
-    | [] -> begin
+    match List.find_opt (fun (i, bi, _) -> bi && i < max_unset) bits with
+    | Some (i, _, oi) ->
+        let j, _, oj = List.find (fun (j, bj, _) -> j > i && not bj) bits in
+        confirmed
+          [
+            Evidence.Non_monotonic_bits
+              {
+                commit;
+                set_index = i;
+                set_opening = oi;
+                unset_index = j;
+                unset_opening = oj;
+              };
+          ]
+    | None -> begin
         let any_set = List.exists (fun (_, b, _) -> b) bits in
         (* An export for another round or another AS is no export to B. *)
         let export =

@@ -547,11 +547,13 @@ let check ?(gossip = `Clique) ?ledger ?verified keyring link r =
       ledger <> None
       && Option.fold ~none:true ~some:(fun c -> not (sent who c)) (view who)
     in
-    let openings =
-      List.iter (fun (index, o) ->
-          if unchecked then
-            Option.iter (bit who index)
-              (Proto_common.opening_bit_at (commit_for r who) ~index o))
+    let openings os =
+      if unchecked then begin
+        let opening_bit = Proto_common.opening_bit_at (commit_for r who) in
+        List.iter
+          (fun (index, o) -> Option.iter (bit who index) (opening_bit ~index o))
+          os
+      end
     in
     match d with
     | Min_opening { nd_index; nd_opening } ->

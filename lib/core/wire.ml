@@ -35,38 +35,61 @@ let signing_tag = "pvr-signed-v1:"
    RSA signature over the tagged statement, byte for byte, so the two shapes
    differ in length alone: a plain signature is exactly the modulus width.
 
-   Leaves hide their statements: leaf = H(0x00 ‖ nonce ‖ tagged statement),
-   the nonce an HMAC of the statement's encoding under a key derived from
-   the signer's private key, so a verifier cannot confirm a guessed route
-   against a sibling digest.  Leaves are ordered by nonce.  A level of odd
-   width is padded with a pseudorandom digest from the same key, so every
-   leaf has exactly ceil(log2 n) siblings and a pad looks like any other
-   sibling.  The sibling sides are the index bits (bit l set: the sibling
-   sits on the left at level l) and an index must be below 2^depth, so a
-   statement has exactly one encoding in a given batch. *)
+   Leaves hide their statements.  Each statement is hashed once, to
+   m = H(tagged statement); the leaf is H(0x00 ‖ nonce ‖ m), 49 bytes and
+   one SHA-256 block.  The 16-byte nonce is the head of H(K ‖ m), where K
+   is a secret 64-byte block derived from the signer's private key, so a
+   verifier cannot confirm a guessed route against a sibling digest.
+   Leaves are ordered by nonce.  A level of odd width is padded with a
+   pseudorandom digest under the same key, so every leaf has exactly
+   ceil(log2 n) siblings and a pad looks like any other sibling.  The
+   sibling sides are the index bits (bit l set: the sibling sits on the
+   left at level l) and an index must be below 2^depth, so a statement has
+   exactly one encoding in a given batch. *)
 
-let root_tag = "pvr-batch-root-v1:"
+let root_tag = "pvr-batch-root-v2:"
 let nonce_len = 16
 let max_depth = 32
 
-let leaf_hash nonce enc =
-  C.Sha256.digest_parts [ "\x00"; nonce; signing_tag; enc ]
+let statement_hash enc =
+  let ctx = C.Sha256.init () in
+  C.Sha256.update ctx signing_tag;
+  C.Sha256.update ctx enc;
+  C.Sha256.finalize ctx
 
+let leaf_hash nonce m = C.Sha256.digest (String.concat "" [ "\x00"; nonce; m ])
 let node_hash l r = C.Sha256.digest_parts [ "\x01"; l; r ]
 
+(* The SHA-256 state after the secret block K: every keyed digest of the
+   batch copies it and hashes only its own input.  Keyed inputs have fixed
+   lengths (32-byte m, 8-byte pad label), so no keyed output extends
+   another. *)
 let nonce_key (key : C.Rsa.private_key) =
-  C.Hmac.Key.create
-    (C.Hmac.mac
-       ~key:(C.Bigint.to_bytes_be key.C.Rsa.d)
-       "pvr-batch-nonce-key-v1")
+  let k =
+    C.Hmac.mac
+      ~key:(C.Bigint.to_bytes_be key.C.Rsa.d)
+      "pvr-batch-nonce-key-v2"
+  in
+  let ctx = C.Sha256.init () in
+  C.Sha256.update ctx k;
+  C.Sha256.update ctx (String.make (C.Sha256.block_size - String.length k) '\x00');
+  ctx
+
+let keyed nk msg =
+  let ctx = C.Sha256.copy nk in
+  C.Sha256.update ctx msg;
+  C.Sha256.finalize ctx
 
 (* Signatures for two or more distinct encodings, as (encoding, signature)
-   pairs.  The leaves hash the tagged statement without building it. *)
+   pairs. *)
 let batch_signatures key encs =
   let nk = nonce_key key in
   let leaves =
     List.map
-      (fun e -> (String.sub (C.Hmac.mac_with nk e) 0 nonce_len, e))
+      (fun e ->
+        let m = statement_hash e in
+        let nonce = String.sub (keyed nk m) 0 nonce_len in
+        (nonce, leaf_hash nonce m, e))
       encs
     |> List.sort compare |> Array.of_list
   in
@@ -77,7 +100,7 @@ let batch_signatures key encs =
         if Array.length level mod 2 = 0 then level
         else
           Array.append level
-            [| C.Hmac.mac_with nk ("\x02pad" ^ BU.be32 depth) |]
+            [| keyed nk ("\x02pad" ^ BU.be32 depth) |]
       in
       let up =
         Array.init (Array.length level / 2) (fun i ->
@@ -87,11 +110,11 @@ let batch_signatures key encs =
     end
   in
   let root, levels =
-    build 0 (Array.map (fun (nonce, e) -> leaf_hash nonce e) leaves) []
+    build 0 (Array.map (fun (_, leaf, _) -> leaf) leaves) []
   in
   let rsa = C.Rsa.sign key (root_tag ^ root) in
   Array.to_list leaves
-  |> List.mapi (fun i (nonce, e) ->
+  |> List.mapi (fun i (nonce, _, e) ->
          ( e,
            String.concat ""
              (rsa :: nonce :: BU.be32 i
@@ -114,7 +137,9 @@ let resolve pub enc signature =
       let index = BU.read_be32 signature (kb + nonce_len) in
       if index lsr depth <> 0 then None
       else begin
-        let node = ref (leaf_hash (String.sub signature kb nonce_len) enc) in
+        let node =
+          ref (leaf_hash (String.sub signature kb nonce_len) (statement_hash enc))
+        in
         for l = 0 to depth - 1 do
           let sibling = String.sub signature (kb + nonce_len + 4 + (32 * l)) 32 in
           node :=

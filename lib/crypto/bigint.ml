@@ -329,30 +329,50 @@ let divmod a b =
 let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
 
+(* Both byte codecs run in one pass over the limbs: byte i from the
+   least-significant end holds bits [8i, 8i+8), which straddle at most two
+   31-bit limbs. *)
 let of_bytes_be s =
-  let acc = ref zero in
-  String.iter (fun c -> acc := add_int (mul_int !acc 256) (Char.code c)) s;
-  !acc
-
-let to_bytes_be ?pad_to a =
-  let buf = Buffer.create 16 in
-  let rec go a = if not (is_zero a) then begin
-      let q, r = divmod_limb a 256 in
-      Buffer.add_char buf (Char.chr r);
-      go q
+  let len = String.length s in
+  let out = Array.make (((8 * len) + limb_bits - 1) / limb_bits) 0 in
+  let acc = ref 0 and nbits = ref 0 and limb = ref 0 in
+  for i = len - 1 downto 0 do
+    acc := !acc lor (Char.code (String.unsafe_get s i) lsl !nbits);
+    nbits := !nbits + 8;
+    if !nbits >= limb_bits then begin
+      out.(!limb) <- !acc land limb_mask;
+      incr limb;
+      acc := !acc lsr limb_bits;
+      nbits := !nbits - limb_bits
     end
+  done;
+  if !nbits > 0 then out.(!limb) <- !acc;
+  normalize out
+
+let to_bytes_be ?pad_to (a : t) =
+  let la = Array.length a in
+  let nbytes = (bit_length a + 7) / 8 in
+  let width =
+    match pad_to with
+    | None -> max nbytes 1
+    | Some n ->
+        if nbytes > n then
+          invalid_arg "Bigint.to_bytes_be: value too large for pad_to"
+        else n
   in
-  go a;
-  let raw =
-    let s = Buffer.contents buf in
-    String.init (String.length s) (fun i -> s.[String.length s - 1 - i])
-  in
-  match pad_to with
-  | None -> if raw = "" then "\x00" else raw
-  | Some n ->
-      if String.length raw > n then
-        invalid_arg "Bigint.to_bytes_be: value too large for pad_to"
-      else String.make (n - String.length raw) '\x00' ^ raw
+  let out = Bytes.make width '\x00' in
+  for i = 0 to nbytes - 1 do
+    let bit = 8 * i in
+    let l = bit / limb_bits and off = bit mod limb_bits in
+    let v = a.(l) lsr off in
+    let v =
+      if off > limb_bits - 8 && l + 1 < la then
+        v lor (a.(l + 1) lsl (limb_bits - off))
+      else v
+    in
+    Bytes.unsafe_set out (width - 1 - i) (Char.unsafe_chr (v land 0xff))
+  done;
+  Bytes.unsafe_to_string out
 
 let of_string s =
   if String.length s > 2 && s.[0] = '0' && (s.[1] = 'x' || s.[1] = 'X') then begin
@@ -524,28 +544,44 @@ let to_mont ctx (a : t) r = mont_mul ctx (mont_pad ctx a) (mont_pad ctx ctx.rr) 
    then MSB-first 4-bit windows with 4 squarings between digits. *)
 let window_bits = 4
 
+(* Exponents up to this many bits (the public exponent 65537 among them)
+   run plain left-to-right binary exponentiation: a low-weight exponent
+   pays one squaring per bit and one multiply per set bit, instead of the
+   window table's 14 precomputed multiplies. *)
+let short_exp_bits = 32
+
 let mod_pow_mont ~base:b ~exp ~modulus =
   let ctx = mont_create modulus in
   let k = ctx.k in
-  let table = Array.init (1 lsl window_bits) (fun _ -> Array.make k 0) in
-  Array.blit ctx.one_r 0 table.(0) 0 k;
-  to_mont ctx (rem b modulus) table.(1);
-  for i = 2 to (1 lsl window_bits) - 1 do
-    mont_mul ctx table.(i - 1) table.(1) table.(i)
-  done;
   let nbits = bit_length exp in
-  let nwin = (nbits + window_bits - 1) / window_bits in
-  let digit w =
-    let lo = w * window_bits in
-    let rec go i acc =
-      if i < 0 then acc
-      else go (i - 1) ((acc lsl 1) lor (if test_bit exp (lo + i) then 1 else 0))
-    in
-    go (window_bits - 1) 0
-  in
   let acc = Array.make k 0 in
-  if nwin = 0 then Array.blit ctx.one_r 0 acc 0 k
+  if nbits = 0 then Array.blit ctx.one_r 0 acc 0 k
+  else if nbits <= short_exp_bits then begin
+    let bm = Array.make k 0 in
+    to_mont ctx (rem b modulus) bm;
+    Array.blit bm 0 acc 0 k;
+    for i = nbits - 2 downto 0 do
+      mont_mul ctx acc acc acc;
+      if test_bit exp i then mont_mul ctx acc bm acc
+    done
+  end
   else begin
+    let table = Array.init (1 lsl window_bits) (fun _ -> Array.make k 0) in
+    Array.blit ctx.one_r 0 table.(0) 0 k;
+    to_mont ctx (rem b modulus) table.(1);
+    for i = 2 to (1 lsl window_bits) - 1 do
+      mont_mul ctx table.(i - 1) table.(1) table.(i)
+    done;
+    let nwin = (nbits + window_bits - 1) / window_bits in
+    let digit w =
+      let lo = w * window_bits in
+      let rec go i acc =
+        if i < 0 then acc
+        else
+          go (i - 1) ((acc lsl 1) lor (if test_bit exp (lo + i) then 1 else 0))
+      in
+      go (window_bits - 1) 0
+    in
     Array.blit table.(digit (nwin - 1)) 0 acc 0 k;
     for w = nwin - 2 downto 0 do
       for _ = 1 to window_bits do

@@ -28,11 +28,13 @@ val to_string : t -> string
 (** Decimal representation. *)
 
 val of_bytes_be : string -> t
-(** Interpret a byte string as a big-endian natural number. *)
+(** Interpret a byte string as a big-endian natural number (linear time;
+    the empty string is zero). *)
 
 val to_bytes_be : ?pad_to:int -> t -> string
-(** Minimal big-endian byte representation; [pad_to] left-pads with zero
-    bytes to a fixed width (raises if the value does not fit). *)
+(** Minimal big-endian byte representation (linear time; zero is one
+    zero byte); [pad_to] left-pads with zero bytes to a fixed width.
+    @raise Invalid_argument if the value does not fit in [pad_to] bytes. *)
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
@@ -66,8 +68,9 @@ val rem_int : t -> int -> int
 
 val mod_pow : base:t -> exp:t -> modulus:t -> t
 (** Modular exponentiation.  Odd moduli take the fast path: Montgomery
-    representation with word-by-word CIOS multiplication and fixed-window
-    (w=4) exponentiation.  Even moduli fall back to {!mod_pow_naive}.
+    representation with word-by-word CIOS multiplication, plain binary
+    exponentiation for exponents of at most 32 bits (e = 65537) and
+    fixed-window (w=4) exponentiation above that.  Even moduli fall back to {!mod_pow_naive}.
     Both paths return identical values — the differential test battery
     asserts it on random inputs.
     @raise Division_by_zero if [modulus] is zero. *)

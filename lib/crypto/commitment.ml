@@ -2,47 +2,48 @@ type commitment = string
 
 type opening = { value : string; nonce : string }
 
-let tag = "pvr-commit-v1:"
+let tag = "pvr-commit-v2:"
+let nonce_len = 32
 
+(* The nonce has a fixed width, so [tag ‖ nonce ‖ value] splits one way
+   only: the value is everything after byte [tag + 32]. *)
 let commit_with_nonce ~nonce value =
-  Sha256.digest (tag ^ Codec.encode_list [ value; nonce ])
+  if String.length nonce <> nonce_len then
+    invalid_arg "Commitment.commit_with_nonce: nonce must be 32 bytes";
+  Sha256.digest (String.concat "" [ tag; nonce; value ])
 
 let commit rng value =
-  let nonce = Drbg.generate rng 32 in
+  let nonce = Drbg.generate rng nonce_len in
   (commit_with_nonce ~nonce value, { value; nonce })
 
 let verify c { value; nonce } =
-  Bytes_util.equal_ct c (commit_with_nonce ~nonce value)
+  String.length nonce = nonce_len
+  && Bytes_util.equal_ct c (commit_with_nonce ~nonce value)
 
 let bit_string b = if b then "1" else "0"
 
 let commit_bit rng b = commit rng (bit_string b)
 
-(* Fast path for single-bit commitments: the preimage
-   [tag ^ encode_list [bit; nonce]] always has the same 59-byte layout
-   (14-byte tag, list header, 1-byte value, 32-byte nonce), so the template
-   — constants, length frames, SHA-256 padding — is precomputed once and
-   each commit blits two fields and compresses.  Byte-identical to
-   {!commit_with_nonce} by construction; the KAT suite asserts it. *)
+(* Fast path for single-bit commitments: the 47-byte preimage (14-byte
+   tag, 32-byte nonce, 1-byte value) fits one SHA-256 block, so the padded
+   template is precomputed once and each commit blits two fields and
+   compresses once.  Byte-identical to {!commit_with_nonce} by
+   construction; the KAT suite asserts it. *)
 module Bit_fast = struct
-  let tag_len = String.length tag (* 14 *)
-  let value_off = tag_len + 4 + 4 (* list count frame + value length frame *)
-  let nonce_off = value_off + 1 + 4
-  let preimage_len = nonce_off + 32 (* 59 *)
+  let nonce_off = String.length tag (* 14 *)
+  let value_off = nonce_off + nonce_len
+  let preimage_len = value_off + 1 (* 47 *)
 
   type t = { buf : Bytes.t; fixed : Sha256.Fixed.t }
 
   let create () =
     let buf = Bytes.make preimage_len '\x00' in
-    Bytes.blit_string tag 0 buf 0 tag_len;
-    Bytes.blit_string (Bytes_util.be32 2) 0 buf tag_len 4;
-    Bytes.blit_string (Bytes_util.be32 1) 0 buf (tag_len + 4) 4;
-    Bytes.blit_string (Bytes_util.be32 32) 0 buf (value_off + 1) 4;
+    Bytes.blit_string tag 0 buf 0 nonce_off;
     { buf; fixed = Sha256.Fixed.create preimage_len }
 
   let commit t ~nonce value_char =
+    Bytes.blit_string nonce 0 t.buf nonce_off nonce_len;
     Bytes.set t.buf value_off value_char;
-    Bytes.blit_string nonce 0 t.buf nonce_off 32;
     Sha256.Fixed.digest t.fixed (Bytes.unsafe_to_string t.buf)
 end
 

@@ -5,9 +5,17 @@
     nonce is mandatory — the paper's footnote 2 notes that without it a
     neighbor could brute-force small domains (c = H(0) or c = H(1)).
 
+    The digest is [SHA-256("pvr-commit-v2:" || nonce || value)] with a
+    nonce of exactly 32 bytes; a bit commitment's preimage is 47 bytes,
+    one SHA-256 block.
+
     A commitment is hiding (the digest reveals nothing about the value, given
-    the 32-byte random nonce) and binding (opening to a different value
-    requires a SHA-256 collision). *)
+    the 32-byte random nonce) and binding.  Binding rests on the nonce's
+    fixed width: the tag and the nonce take the first 46 bytes of every
+    preimage, so one preimage splits into (nonce, value) one way only, and
+    opening to a different value requires a SHA-256 collision.  An opening
+    whose nonce is not 32 bytes could shift bytes between nonce and value,
+    so {!verify} rejects it. *)
 
 type commitment = private string
 (** The published digest (32 bytes).  Comparable with [=]. *)
@@ -19,10 +27,12 @@ val commit : Drbg.t -> string -> commitment * opening
 (** Commit to an arbitrary byte string with a fresh 32-byte nonce. *)
 
 val commit_with_nonce : nonce:string -> string -> commitment
-(** Deterministic form, for recomputation during verification. *)
+(** Deterministic form, for recomputation during verification.
+    @raise Invalid_argument unless [nonce] is 32 bytes. *)
 
 val verify : commitment -> opening -> bool
-(** Does the opening match the commitment? Constant-time comparison. *)
+(** Does the opening match the commitment?  [false] for a nonce that is
+    not 32 bytes.  Constant-time comparison. *)
 
 val commit_bit : Drbg.t -> bool -> commitment * opening
 (** Commitment to a single bit, as in §3.2 / §3.3 (bits b, b_1 .. b_k). *)

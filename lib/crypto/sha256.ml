@@ -7,6 +7,7 @@ let mask32 = 0xFFFFFFFF
 
 let obs_ops = Pvr_obs.counter "crypto.sha256.ops"
 let obs_bytes = Pvr_obs.counter "crypto.sha256.bytes"
+let obs_blocks = Pvr_obs.counter "crypto.sha256.blocks"
 
 let k =
   [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
@@ -93,8 +94,10 @@ let[@inline] kw w t = Array.unsafe_get k t + Array.unsafe_get w t
    working variables renamed instead of shifted: a round only writes the
    new e into d's variable and the new a into h's, and the next round
    reads the eight variables one place along.  After eight rounds every
-   variable is back in its own name.  Nothing here allocates. *)
+   variable is back in its own name.  Nothing here allocates.  Each call
+   counts one ["crypto.sha256.blocks"]. *)
 let compress_raw (h : int array) (w : int array) (src : string) off =
+  Pvr_obs.incr obs_blocks;
   for t = 0 to 15 do
     Array.unsafe_set w t (read_be32_unsafe src (off + (4 * t)))
   done;

@@ -255,7 +255,9 @@ let quantile stats q =
       | (upper, n) :: rest ->
           if seen + n >= target then upper else go (seen + n) rest
     in
-    go 0 stats.hs_buckets
+    (* A bucket's upper edge can lie past every observation (or, for the
+       first bucket, below all of them): clamp to the observed range. *)
+    Float.min stats.hs_max (Float.max stats.hs_min (go 0 stats.hs_buckets))
   end
 
 module Snapshot = struct

@@ -111,7 +111,8 @@ type histogram_stats = {
 }
 
 val quantile : histogram_stats -> float -> float
-(** Approximate quantile (bucket upper bound), in seconds. *)
+(** Approximate quantile, in seconds: the upper bound of the bucket that
+    holds it, clamped to \[[hs_min], [hs_max]\]. *)
 
 module Snapshot : sig
   type t

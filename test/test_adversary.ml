@@ -368,7 +368,7 @@ let cli_matrix_reproducible () =
   (* Pinned bytes: the CLI is the only implementation of the zoo tally
      and its §2.3 violation rules, so any drift in them shows here. *)
   Alcotest.(check string) "pinned output sha256"
-    "048a1d55c7ca325d21f8d4dd9ed84680d6353b4c560cf4f9ad534ce991cf3224"
+    "78ecdbba534c153e043475a5753246bd6e17ed775fa2f2ba5950effede5c3b4e"
     (C.Sha256.digest_hex s1);
   let contains needle =
     let nl = String.length needle and hl = String.length s1 in

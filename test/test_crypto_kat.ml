@@ -265,6 +265,68 @@ let mont_wide_base () =
        (B.mod_pow ~base ~exp ~modulus)
        (B.mod_pow_naive ~base ~exp ~modulus))
 
+let mont_short_exp =
+  qtest ~count:150 "mod_pow short exponents ≡ naive"
+    QCheck2.Gen.(
+      triple (big_gen 256) (int_range 0 32) odd_modulus_gen
+      >>= fun (base, bits, modulus) ->
+      map (fun exp -> (base, exp, modulus)) (big_gen bits))
+    (fun (base, exp, modulus) ->
+      B.equal
+        (B.mod_pow ~base ~exp ~modulus)
+        (B.mod_pow_naive ~base ~exp ~modulus))
+
+(* ---- Bigint byte codecs vs a byte-at-a-time reference ------------------- *)
+
+(* The codecs as they were first written: one multiply-add per input byte,
+   one division by 256 per output byte. *)
+let ref_of_bytes s =
+  String.fold_left (fun acc c -> B.add_int (B.mul_int acc 256) (Char.code c)) B.zero s
+
+let ref_to_bytes ?pad_to a =
+  let rec go a acc =
+    if B.is_zero a then acc
+    else
+      let q, r = B.divmod a (B.of_int 256) in
+      go q (String.make 1 (Char.chr (B.to_int r)) ^ acc)
+  in
+  let raw = go a "" in
+  match pad_to with
+  | None -> if raw = "" then "\x00" else raw
+  | Some n ->
+      if String.length raw > n then invalid_arg "too large"
+      else String.make (n - String.length raw) '\x00' ^ raw
+
+let outcome f = match f () with v -> Some v | exception Invalid_argument _ -> None
+
+let bigint_codecs_match_reference =
+  qtest ~count:300 "Bigint byte codecs ≡ byte-at-a-time reference"
+    QCheck2.Gen.(
+      triple (int_range 0 4) (string_size (int_range 0 80)) (int_range 0 90))
+    (fun (zeros, body, pad) ->
+      (* Leading zero bytes, the empty string and widths below, at and
+         above the value's length all occur. *)
+      let s = String.make zeros '\x00' ^ body in
+      let a = B.of_bytes_be s in
+      B.equal a (ref_of_bytes s)
+      && B.to_bytes_be a = ref_to_bytes a
+      && outcome (fun () -> B.to_bytes_be ~pad_to:pad a)
+         = outcome (fun () -> ref_to_bytes ~pad_to:pad a))
+
+let bigint_codec_edges () =
+  check_bool "empty is zero" true (B.is_zero (B.of_bytes_be ""));
+  check_bool "zeros are zero" true (B.is_zero (B.of_bytes_be "\x00\x00\x00"));
+  check "zero is one byte" "00" (hex (B.to_bytes_be B.zero));
+  check "zero padded" "000000" (hex (B.to_bytes_be ~pad_to:3 B.zero));
+  check "leading zeros dropped" "0102"
+    (hex (B.to_bytes_be (B.of_bytes_be "\x00\x00\x01\x02")));
+  check "padded" "00000102" (hex (B.to_bytes_be ~pad_to:4 (B.of_int 0x102)));
+  check "limb boundary" "7fffffff80000000"
+    (hex (B.to_bytes_be (B.of_bytes_be "\x7f\xff\xff\xff\x80\x00\x00\x00")));
+  Alcotest.check_raises "too large for pad_to"
+    (Invalid_argument "Bigint.to_bytes_be: value too large for pad_to")
+    (fun () -> ignore (B.to_bytes_be ~pad_to:1 (B.of_int 0x100)))
+
 (* ---- RSA: CRT signing vs the plain x^d mod n oracle ---------------------- *)
 
 (* Keygen dominates: two fixed 512-bit keys serve the whole section, and a
@@ -510,16 +572,59 @@ let vector_known_answer () =
       (List.init 32 (fun i -> i >= 5))
   in
   check "first commitment"
-    "482647b72a752a31c79c4195ffda8dea0e125f62d91196b64e86731f5d8e0cb2"
+    "38df09d31651e097f646b24b1bbe4469af94936cb91f1abbfacecad3ebbc9ccd"
     (C.Commitment.to_hex (fst (List.hd rs)));
   check "all commitments and nonces"
-    "533724c6a434c6c7e166f128e94013098292a19bc9164621a8174b4371580521"
+    "9dea6e1df9eb10b20f4f75ae645241bf7ac8afee92ea147d711ac1f0bb4dcaa4"
     (C.Sha256.digest_hex
        (String.concat ""
           (List.map
              (fun ((c : C.Commitment.commitment), o) ->
                (c :> string) ^ o.C.Commitment.nonce)
              rs)))
+
+(* The v2 preimage of a bit is "pvr-commit-v2:" ‖ nonce ‖ bit, 47 bytes:
+   one SHA-256 block.  The digests were computed with Python's hashlib
+   over the same bytes, nonce = bytes 0x20..0x3f. *)
+let bit_commitment_known_answer () =
+  let nonce = String.init 32 (fun i -> Char.chr (0x20 + i)) in
+  let c1, d =
+    counted (fun () -> C.Commitment.commit_with_nonce ~nonce "1")
+  in
+  check "bit 1"
+    "63a37d5f5f38b79b4a011d6a2e4f1cb718559063dc983432c45cf33aee040068"
+    (C.Commitment.to_hex c1);
+  check "bit 0"
+    "9e61f7f49e40a979b9eca7d334f92c9c0e445bb01ab8d271c0ce990daec1c1e8"
+    (C.Commitment.to_hex (C.Commitment.commit_with_nonce ~nonce "0"));
+  check_int "one block" 1 (delta d "crypto.sha256.blocks");
+  check_int "47 bytes" 47 (delta d "crypto.sha256.bytes")
+
+(* Binding rests on the nonce's width: moving a byte across the
+   nonce/value boundary keeps the hashed bytes, so [verify] must reject
+   any nonce that is not 32 bytes. *)
+let commitment_rejects_shifted_openings () =
+  let nonce = String.init 32 (fun i -> Char.chr (0x41 + i)) in
+  let value = "xy" in
+  let c = C.Commitment.commit_with_nonce ~nonce value in
+  let o = { C.Commitment.value; nonce } in
+  check_bool "honest opening" true (C.Commitment.verify c o);
+  let same_bytes (o' : C.Commitment.opening) =
+    C.Sha256.digest ("pvr-commit-v2:" ^ o'.nonce ^ o'.value) = (c :> string)
+  in
+  let longer = { C.Commitment.nonce = nonce ^ "x"; value = "y" } in
+  let shorter =
+    { C.Commitment.nonce = String.sub nonce 0 31; value = "`xy" }
+  in
+  List.iter
+    (fun (name, o') ->
+      check_bool (name ^ ": same preimage bytes") true (same_bytes o');
+      check_bool (name ^ ": rejected") false (C.Commitment.verify c o'))
+    [ ("33-byte nonce", longer); ("31-byte nonce", shorter) ];
+  check_bool "31-byte nonce, same value" false
+    (C.Commitment.verify c { o with nonce = String.sub nonce 0 31 });
+  check_bool "33-byte nonce, same value" false
+    (C.Commitment.verify c { o with nonce = nonce ^ "\x00" })
 
 let vector_hit_accounting () =
   let cache = C.Commitment.Cache.create ~key:"vh-salt" () in
@@ -631,9 +736,16 @@ let suite =
     ("keystream ≡ encrypt of zeros", `Quick, keystream_is_encrypted_zeros);
     cache_matches_reference_stream;
     ("vector commit known answer", `Quick, vector_known_answer);
+    ("one-block bit commitment known answer", `Quick, bit_commitment_known_answer);
+    ( "commitment rejects shifted openings",
+      `Quick,
+      commitment_rejects_shifted_openings );
     ("vector hit accounting", `Quick, vector_hit_accounting);
     ("salt rotation invalidates cache", `Quick, rotation_invalidates);
     ( "vectors one bit apart share no commitment",
       `Quick,
       one_bit_apart_share_nothing );
+    mont_short_exp;
+    bigint_codecs_match_reference;
+    ("Bigint byte codec edges", `Quick, bigint_codec_edges);
   ]

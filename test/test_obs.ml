@@ -87,6 +87,34 @@ let histogram_quantiles () =
   check_bool "p100 covers the outlier" true (p100 >= 1e-3);
   check_bool "quantiles are monotone" true (p50 <= p95 && p95 <= p100)
 
+(* A log2 bucket's upper edge can lie far past every observation: two
+   samples of 30 ms and 42.8 ms both fall in the bucket whose edge is
+   67.1 ms.  Every reported quantile must stay within the observed range. *)
+let histogram_quantiles_within_range () =
+  with_fresh @@ fun () ->
+  let cases =
+    [
+      [ 0.030; 0.0428 ];
+      [ 0.0428 ];
+      [ 1e-9 ];
+      [ 3e-6; 3e-6; 5e-6; 0.7 ];
+      List.init 50 (fun i -> 1e-4 *. Float.of_int (i + 1));
+    ]
+  in
+  List.iteri
+    (fun i obs ->
+      let name = Printf.sprintf "t.histogram.range.%d" i in
+      List.iter (O.observe (O.histogram name)) obs;
+      let s = List.assoc name (O.Snapshot.histograms (O.Snapshot.capture ())) in
+      List.iter
+        (fun q ->
+          let v = O.quantile s q in
+          if v < s.O.hs_min || v > s.O.hs_max then
+            Alcotest.failf "case %d: q%.2f = %g outside [%g, %g]" i q v
+              s.O.hs_min s.O.hs_max)
+        [ 0.0; 0.1; 0.5; 0.95; 0.99; 1.0 ])
+    cases
+
 let histogram_empty_quantile () =
   with_fresh @@ fun () ->
   let h = O.histogram "t.histogram.empty" in
@@ -201,6 +229,8 @@ let suite =
     Alcotest.test_case "reset between rounds" `Quick reset_between_rounds;
     Alcotest.test_case "histogram stats" `Quick histogram_stats;
     Alcotest.test_case "histogram quantiles" `Quick histogram_quantiles;
+    Alcotest.test_case "quantiles within observed range" `Quick
+      histogram_quantiles_within_range;
     Alcotest.test_case "empty histogram quantile" `Quick histogram_empty_quantile;
     Alcotest.test_case "span records" `Quick span_records;
     Alcotest.test_case "span disabled creates nothing" `Quick
