@@ -40,6 +40,7 @@ let crypto_ops d =
       ("rsa_verify_ops", J.Int (delta d "crypto.rsa.verify.ops"));
       ("sha256_ops", J.Int (delta d "crypto.sha256.ops"));
       ("sha256_bytes", J.Int (delta d "crypto.sha256.bytes"));
+      ("sha256_blocks", J.Int (delta d "crypto.sha256.blocks"));
       ("gossip_exchanges", J.Int (delta d "gossip.exchanges"));
       ("wire_commit_bytes", J.Int (delta d "wire.commit.bytes"));
     ]
@@ -880,10 +881,11 @@ let e11 () =
   assert (digest_on = digest_off);
   let ops label d rounds =
     Printf.printf
-      "%-9s  rounds=%-4d  sha256=%-6d  rsa_sign=%-4d (%.2f/round)  \
-       rsa_verify=%-4d  commit_hits=%-5d  sign_hits=%d\n%!"
+      "%-9s  rounds=%-4d  sha256=%-6d  blocks=%-6d  rsa_sign=%-4d \
+       (%.2f/round)  rsa_verify=%-4d  commit_hits=%-5d  sign_hits=%d\n%!"
       label rounds
       (delta d "crypto.sha256.ops")
+      (delta d "crypto.sha256.blocks")
       (delta d "crypto.rsa.sign.ops")
       (float_of_int (delta d "crypto.rsa.sign.ops")
       /. float_of_int (max 1 rounds))

@@ -71,7 +71,6 @@ let path_len (e : Wire.export Wire.signed) =
   Bgp.Route.path_length e.Wire.payload.Wire.exp_route
 
 let offence_holds ?verified keyring evidence =
-  let bit commit = opening_bit_at commit in
   let binds commit (export : Wire.export Wire.signed) =
     export_binds ?verified keyring ~commit
       ~beneficiary:export.Wire.payload.Wire.exp_to export
@@ -81,18 +80,18 @@ let offence_holds ?verified keyring evidence =
       let cp = commit.Wire.payload in
       cp.Wire.cmt_scheme = scheme
       && Bgp.Route.path_length witness.Wire.payload.Wire.ann_route <= index
-      && bit commit ~index opening = Some false
+      && opening_bit_at commit ~index opening = Some false
       && valid_input ?verified keyring ~prover:commit.Wire.signer
            ~epoch:cp.Wire.cmt_epoch ~prefix:cp.Wire.cmt_prefix witness
   | Evidence.Non_monotonic_bits
       { commit; set_index; set_opening; unset_index; unset_opening } ->
-      let bit = bit commit in
+      let bit = opening_bit_at commit in
       set_index < unset_index
       && bit ~index:set_index set_opening = Some true
       && bit ~index:unset_index unset_opening = Some false
   | Evidence.Nonminimal_export { commit; export; index; opening } ->
       index < path_len export
-      && bit commit ~index opening = Some true
+      && opening_bit_at commit ~index opening = Some true
       && binds commit export
   | Evidence.Unsupported_export { commit; export; openings } ->
       let k = List.length commit.Wire.payload.Wire.cmt_commitments in
@@ -100,13 +99,13 @@ let offence_holds ?verified keyring evidence =
       && List.sort_uniq Int.compare (List.map fst openings)
          = List.init k (fun i -> i + 1)
       &&
-      let bit = bit commit in
+      let bit = opening_bit_at commit in
       List.for_all (fun (i, o) -> bit ~index:i o = Some false) openings
       && binds commit export
   | Evidence.Own_vector_mismatch { commit; my_export; bit_index; opening } ->
       commit.Wire.payload.Wire.cmt_scheme = "noshorter"
       && bit_index = path_len my_export
-      && bit commit ~index:bit_index opening = Some false
+      && opening_bit_at commit ~index:bit_index opening = Some false
       && binds commit my_export
   | Evidence.Bad_provenance { export } ->
       export_provenance ?verified keyring export = None

@@ -27,11 +27,15 @@ val sign :
     with a single statement gets a plain RSA signature, byte-identical to
     {!sign}.  {!verify} and {!verify_batch} accept both shapes.
 
-    Leaves are salted with a nonce derived from the signer's private key,
-    so sibling digests reveal nothing about the other statements in the
+    Each statement is hashed once, to m = SHA-256("pvr-signed-v1:" ‖
+    encoding); its leaf is SHA-256(0x00 ‖ nonce ‖ m), 49 bytes and one
+    compression.  The 16-byte nonce is the head of SHA-256(K ‖ m) for a
+    secret 64-byte block K derived from the signer's private key, so
+    sibling digests reveal nothing about the other statements in the
     batch; the path depth reveals ceil(log2 n) of the signer's batch size
-    n, and the index its rank by nonce.  Signatures are a deterministic
-    function of the signer's key and the set of statements in its batch. *)
+    n, and the index its rank by nonce.  The RSA signature covers
+    "pvr-batch-root-v2:" ‖ root.  Signatures are a deterministic function
+    of the signer's key and the set of statements in its batch. *)
 
 type 'a draft
 (** A statement waiting for its signature. *)

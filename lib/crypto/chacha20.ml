@@ -36,7 +36,7 @@ let stream ~key ~nonce ~counter len =
     let x12 = ref init.(12) and x13 = ref init.(13) and x14 = ref init.(14) in
     let x15 = ref init.(15) in
     for _ = 1 to 10 do
-      (* quarter round 0 4 8 12 *)
+      (* column rounds: (0 4 8 12) (1 5 9 13) (2 6 10 14) (3 7 11 15) *)
       x0 := (!x0 + !x4) land mask32;
       x12 := rotl (!x12 lxor !x0) 16;
       x8 := (!x8 + !x12) land mask32;
@@ -45,7 +45,6 @@ let stream ~key ~nonce ~counter len =
       x12 := rotl (!x12 lxor !x0) 8;
       x8 := (!x8 + !x12) land mask32;
       x4 := rotl (!x4 lxor !x8) 7;
-      (* quarter round 1 5 9 13 *)
       x1 := (!x1 + !x5) land mask32;
       x13 := rotl (!x13 lxor !x1) 16;
       x9 := (!x9 + !x13) land mask32;
@@ -54,7 +53,6 @@ let stream ~key ~nonce ~counter len =
       x13 := rotl (!x13 lxor !x1) 8;
       x9 := (!x9 + !x13) land mask32;
       x5 := rotl (!x5 lxor !x9) 7;
-      (* quarter round 2 6 10 14 *)
       x2 := (!x2 + !x6) land mask32;
       x14 := rotl (!x14 lxor !x2) 16;
       x10 := (!x10 + !x14) land mask32;
@@ -63,7 +61,6 @@ let stream ~key ~nonce ~counter len =
       x14 := rotl (!x14 lxor !x2) 8;
       x10 := (!x10 + !x14) land mask32;
       x6 := rotl (!x6 lxor !x10) 7;
-      (* quarter round 3 7 11 15 *)
       x3 := (!x3 + !x7) land mask32;
       x15 := rotl (!x15 lxor !x3) 16;
       x11 := (!x11 + !x15) land mask32;
@@ -72,7 +69,7 @@ let stream ~key ~nonce ~counter len =
       x15 := rotl (!x15 lxor !x3) 8;
       x11 := (!x11 + !x15) land mask32;
       x7 := rotl (!x7 lxor !x11) 7;
-      (* quarter round 0 5 10 15 *)
+      (* diagonal rounds: (0 5 10 15) (1 6 11 12) (2 7 8 13) (3 4 9 14) *)
       x0 := (!x0 + !x5) land mask32;
       x15 := rotl (!x15 lxor !x0) 16;
       x10 := (!x10 + !x15) land mask32;
@@ -81,7 +78,6 @@ let stream ~key ~nonce ~counter len =
       x15 := rotl (!x15 lxor !x0) 8;
       x10 := (!x10 + !x15) land mask32;
       x5 := rotl (!x5 lxor !x10) 7;
-      (* quarter round 1 6 11 12 *)
       x1 := (!x1 + !x6) land mask32;
       x12 := rotl (!x12 lxor !x1) 16;
       x11 := (!x11 + !x12) land mask32;
@@ -90,7 +86,6 @@ let stream ~key ~nonce ~counter len =
       x12 := rotl (!x12 lxor !x1) 8;
       x11 := (!x11 + !x12) land mask32;
       x6 := rotl (!x6 lxor !x11) 7;
-      (* quarter round 2 7 8 13 *)
       x2 := (!x2 + !x7) land mask32;
       x13 := rotl (!x13 lxor !x2) 16;
       x8 := (!x8 + !x13) land mask32;
@@ -99,7 +94,6 @@ let stream ~key ~nonce ~counter len =
       x13 := rotl (!x13 lxor !x2) 8;
       x8 := (!x8 + !x13) land mask32;
       x7 := rotl (!x7 lxor !x8) 7;
-      (* quarter round 3 4 9 14 *)
       x3 := (!x3 + !x4) land mask32;
       x14 := rotl (!x14 lxor !x3) 16;
       x9 := (!x9 + !x14) land mask32;
