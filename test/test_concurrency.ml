@@ -230,6 +230,25 @@ let arena_explicit_flush () =
   G.Intern.flush ();
   check_int "flush is idempotent" 1 (G.Intern.stats ()).G.Intern.live_routes
 
+(* Interning state belongs to the calling domain: a second domain that
+   turns its own interning off neither flips the first domain's toggle nor
+   clears its tables.  A serve worker running a [p_intern = false] session
+   must not disturb another worker's interned session. *)
+let intern_domain_local () =
+  with_intern true @@ fun () ->
+  let r = G.Intern.route (arena_route 0) in
+  let other =
+    Domain.join
+      (Domain.spawn (fun () ->
+           G.Intern.set_enabled false;
+           let copy = arena_route 0 in
+           G.Intern.route copy == copy))
+  in
+  check_bool "the other domain's route is the identity" true other;
+  check_bool "this domain's toggle is untouched" true (G.Intern.enabled ());
+  check_bool "this domain's table survives" true
+    (G.Intern.route (arena_route 0) == r)
+
 (* ---- sharded counters -------------------------------------------------------------- *)
 
 let with_obs f =
@@ -333,6 +352,7 @@ let suite =
       arena_merge_id_stability);
     ("intern: explicit flush is visible and idempotent", `Quick,
       arena_explicit_flush);
+    ("intern: toggle and tables are domain-local", `Quick, intern_domain_local);
     ("obs: sharded counter fold is exact across domains", `Quick,
       sharded_counter_fold_exact);
     ("obs: sharded fold matches runner tally reports", `Quick,
