@@ -2,13 +2,11 @@ module Bgp = Pvr_bgp
 module C = Pvr_crypto
 module Obs = Pvr_obs
 
-(* Tally keys: every round counts its protocol messages and the size of the
-   largest commitment message through the obs subsystem.  The tally is
-   always live (the report is built from it); [Obs.Tally.publish] mirrors
-   the totals into the global "runner.*" counters when metrics are on. *)
-let k_messages = "runner.messages"
-let k_commit_bytes = "runner.commit_bytes"
-
+(* Every round counts its protocol messages and the size of its largest
+   commitment message.  The counts are always kept (the report is built
+   from them) and added to these counters when metrics are on. *)
+let obs_messages = Obs.counter "runner.messages"
+let obs_commit_bytes = Obs.counter "runner.commit_bytes"
 let obs_rounds = Obs.counter "runner.rounds"
 
 type report = {
@@ -415,7 +413,7 @@ let check ?(gossip = `Clique) ?ledger ?verified keyring link r =
   let prover = prover_of r.draft and beneficiary = beneficiary_of r.draft in
   let providers = link.providers in
   let participants = providers @ [ beneficiary ] in
-  let tally = Obs.Tally.create () in
+  let messages = ref 0 and commit_bytes = ref 0 in
   let g = Gossip.create keyring in
   let raised = ref [] in
   let raise_ who e = raised := (who, e) :: !raised in
@@ -486,8 +484,9 @@ let check ?(gossip = `Clique) ?ledger ?verified keyring link r =
       List.iter
         (fun who ->
           let commit = commit_for r who in
-          Obs.Tally.max_ tally k_commit_bytes
-            (String.length (Wire.encode_commit commit.Wire.payload));
+          commit_bytes :=
+            max !commit_bytes
+              (String.length (Wire.encode_commit commit.Wire.payload));
           send ~dst:who (Net_commit commit))
         participants;
       quiesce n handler;
@@ -527,9 +526,9 @@ let check ?(gossip = `Clique) ?ledger ?verified keyring link r =
       (* [messages] counts protocol payload transmissions, including
          retransmissions: every reliable data frame plus every gossip
          digest. *)
-      Obs.Tally.add tally k_messages
-        (Pvr_net.Reliable.data_sends n.conn
-        + (Pvr_net.stats n.gnet).Pvr_net.sends));
+      messages :=
+        Pvr_net.Reliable.data_sends n.conn
+        + (Pvr_net.stats n.gnet).Pvr_net.sends);
   (* The ledger accounts each opening a party received as the bit it opens
      against the commitment that party was sent.  A check of that same
      commitment reports the bits it opens, so none is opened twice.  Graph
@@ -610,7 +609,8 @@ let check ?(gossip = `Clique) ?ledger ?verified keyring link r =
       Option.iter (account who) d)
     participants;
   Obs.incr obs_rounds;
-  Obs.Tally.publish tally;
+  Obs.add obs_messages !messages;
+  Obs.add obs_commit_bytes !commit_bytes;
   let raised = List.rev !raised in
   let judged =
     List.map
@@ -630,8 +630,8 @@ let check ?(gossip = `Clique) ?ledger ?verified keyring link r =
         detected = raised <> [];
         convicted = verdict Judge.Guilty;
         exonerated = verdict Judge.Exonerated;
-        messages = Obs.Tally.get tally k_messages;
-        commit_bytes = Obs.Tally.get tally k_commit_bytes;
+        messages = !messages;
+        commit_bytes = !commit_bytes;
       };
     delivered_announces = link.arrived;
     acked_announces = List.filter acked providers;

@@ -15,9 +15,7 @@
    returned in task order no matter which worker ran what or how rounds
    interleave.  Work is handed out as *chunks* of consecutive tasks
    (coarser work units — one atomic fetch per chunk instead of per
-   task).  Each worker flushes its domain-local intern arena
-   ({!Pvr_bgp.Intern.flush}) before signalling the barrier, so canonical
-   ids exist in the global tables by the time the caller resumes. *)
+   task). *)
 
 type 'a slot = Pending | Done of 'a | Failed of exn
 
@@ -210,7 +208,6 @@ let dispatch_round ~w body =
         (fun () ->
           let t0 = Unix.gettimeofday () in
           let executed = body () in
-          Pvr_bgp.Intern.flush ();
           let dt = Unix.gettimeofday () -. t0 in
           Mutex.lock st.mu;
           round_busy.(k) <- dt;

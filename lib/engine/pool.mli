@@ -17,10 +17,6 @@
     remaining tasks, completes the barrier, and re-raises the first
     exception (by task order).
 
-    Before signalling the barrier each worker flushes its domain-local
-    intern arena ({!Pvr_bgp.Intern.flush}), so canonical route/path ids
-    are merged into the global tables by the time the caller resumes.
-
     Cumulative per-worker utilization is published as gauges
     [engine.pool.domain.<k>.busy_us], [.idle_us] and [.tasks] after every
     round, making contention regressions visible in metric snapshots

@@ -377,32 +377,3 @@ module Snapshot = struct
                t.s_histograms) );
       ]
 end
-
-(* ---- per-round tallies ---------------------------------------------------- *)
-
-module Tally = struct
-  type t = (string, int ref) Hashtbl.t
-
-  let create () : t = Hashtbl.create 8
-
-  let cell t name =
-    match Hashtbl.find_opt t name with
-    | Some r -> r
-    | None ->
-        let r = ref 0 in
-        Hashtbl.add t name r;
-        r
-
-  let incr t name = Stdlib.incr (cell t name)
-  let add t name n = cell t name := !(cell t name) + n
-  let max_ t name n = cell t name := max !(cell t name) n
-  let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
-
-  let publish t =
-    if !enabled_flag then
-      Hashtbl.iter
-        (fun name r ->
-          let c = counter name in
-          ignore (Atomic.fetch_and_add (counter_cell c) !r : int))
-        t
-end

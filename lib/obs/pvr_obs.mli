@@ -12,11 +12,7 @@
     [bool ref] when off, so the hot paths pay nothing measurable.  Counter
     updates are atomic and histogram/registry mutations are mutex-guarded,
     so instrumented code may run on multiple domains (the
-    {!Pvr_engine.Pool} workers) without losing counts.  The one
-    exception is {!Tally}: protocol-semantic counts (messages exchanged in
-    a round, commitment bytes) that a {!Snapshot} consumer and the runner's
-    report both need, which are therefore always counted locally and only
-    {e published} to the global registry when enabled. *)
+    {!Pvr_engine.Pool} workers) without losing counts. *)
 
 val set_enabled : bool -> unit
 (** Turn global metric collection on or off (default: off). *)
@@ -50,13 +46,13 @@ val value : counter -> int
 (** {2 Gauges} *)
 
 type gauge
-(** A named {e level} — the current size of something (live interned
-    routes, heap words) rather than a monotonic count.  Writes are atomic
+(** A named {e level} — the current size of something (queued serve
+    sessions, heap words) rather than a monotonic count.  Writes are atomic
     stores, so gauges may be set from any domain. *)
 
 val gauge : string -> gauge
 (** Get or create the registered gauge with that name.  Gauge names use
-    dotted paths, e.g. ["intern.routes.live"] or ["engine.gc.heap_words"]. *)
+    dotted paths, e.g. ["serve.queue.depth"] or ["engine.gc.heap_words"]. *)
 
 val set_gauge : gauge -> int -> unit
 (** Overwrite the gauge's current value.  No-op while disabled. *)
@@ -146,28 +142,4 @@ module Snapshot : sig
         "gauges": {name: int, ...},
         "histograms": {name: {"count", "sum_ms", "min_ms", "max_ms",
                               "p50_ms", "p95_ms"}, ...}}] *)
-end
-
-(** {2 Per-round tallies} *)
-
-module Tally : sig
-  type t
-  (** A small local set of named counts for one protocol round.  Always
-      counted (the runner's report is built from it); {!publish} mirrors it
-      into the global registry when metrics are enabled. *)
-
-  val create : unit -> t
-  val incr : t -> string -> unit
-  val add : t -> string -> int -> unit
-
-  val max_ : t -> string -> int -> unit
-  (** Keep the maximum of the current and given value (e.g. the largest
-      commitment message of a round). *)
-
-  val get : t -> string -> int
-  (** 0 for names never touched. *)
-
-  val publish : t -> unit
-  (** [add] every entry to the global counter of the same name.  No-op
-      while disabled. *)
 end

@@ -270,9 +270,6 @@ let run_admitted t work =
         publish_queue t;
         Mutex.unlock t.mu;
         let dead = try work () with _ -> true in
-        (* Merge this worker's intern arena eagerly: async items have no
-           epoch barrier to do it for them. *)
-        Pvr_bgp.Intern.flush ();
         Mutex.lock t.mu;
         t.running <- t.running - 1;
         result := Some dead;

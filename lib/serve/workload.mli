@@ -75,8 +75,8 @@ val build_world : ?quiet:bool -> ?cache:cache -> params -> world
     hit skips only the [Topology] and [Keyring.create] calls that read
     the "topology" and "keys" streams, so the churn and engine streams of
     a hit equal those of a fresh build.  Without [cache] every world is
-    built from scratch.  Also flips the global intern toggle to
-    [p_intern]. *)
+    built from scratch.  Also sets the calling domain's intern toggle
+    ({!Pvr_bgp.Intern.set_enabled}) to [p_intern]. *)
 
 val engine_core :
   ?quiet:bool ->

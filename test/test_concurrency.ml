@@ -1,10 +1,10 @@
-(* Concurrency stress/determinism battery for the contention surgery
-   (PR 10): the persistent domain pool, per-domain intern arenas with
-   canonicalizing merge at epoch barriers, and sharded observability
-   counters.  The anchor is the digest invariant — every epoch digest must
-   be byte-identical across jobs x intern x cache settings, even
-   under adversarial scheduling perturbation — plus unit checks that the
-   merge and fold machinery is exact, not merely statistically close. *)
+(* Concurrency stress/determinism battery: the persistent domain pool,
+   domain-local interning and sharded observability counters.  The anchor
+   is the digest invariant — every epoch digest must be byte-identical
+   across jobs x intern x cache settings, even under adversarial
+   scheduling perturbation — plus unit checks that interning state stays
+   on its domain and the counter fold is exact, not merely statistically
+   close. *)
 
 module P = Pvr
 module E = Pvr_engine.Engine
@@ -93,10 +93,10 @@ let digest_differential =
       base = d && base_rib = rib && base <> [])
 
 (* Scheduler perturbation: seeded random sleeps before every pool task
-   reshuffle the interleaving (handout order, arena flush order, counter
-   cell assignment) without touching the computation.  The digests must
-   not move.  The hook is process-global state, so it is always removed
-   again even on failure. *)
+   reshuffle the interleaving (handout order, counter cell assignment)
+   without touching the computation.  The digests must not move.  The
+   hook is process-global state, so it is always removed again even on
+   failure. *)
 let perturbed_schedule_deterministic () =
   let base, base_rib =
     diff_run ~seed:271 ~intern:true ~jobs:1 ~cache:true ()
@@ -129,7 +129,7 @@ let perturbed_schedule_deterministic () =
             base_rib rib))
     [ 7; 99; 1234 ]
 
-(* ---- per-domain intern arenas ------------------------------------------------------ *)
+(* ---- domain-local interning -------------------------------------------------------- *)
 
 let mk_route ~addr ~len ~path ~lp =
   match path with
@@ -145,90 +145,8 @@ let mk_route ~addr ~len ~path ~lp =
         communities = [];
       }
 
-let arena_route i =
+let sample_route i =
   mk_route ~addr:(10 lsl 24) ~len:24 ~path:[ 3 + (i mod 8); 2; 1 ] ~lp:100
-
-(* Four workers intern heavily-overlapping route sets (every distinct
-   route is seen by every worker, through physically distinct copies).
-   After the round barrier every arena has flushed: the global tables must
-   hold exactly the distinct set, with dense ids and one canonical
-   representative per equivalence class. *)
-let arena_merge_no_duplicates () =
-  with_intern true @@ fun () ->
-  G.Intern.reset ();
-  let distinct = 8 in
-  let tasks =
-    Array.init 4 (fun w ->
-        fun () ->
-          List.init 24 (fun i ->
-              (* Each task builds its own copies in a different order. *)
-              G.Intern.route (arena_route ((i + (w * 3)) mod distinct))))
-  in
-  let results = Pool.run ~jobs:4 tasks in
-  let stats = G.Intern.stats () in
-  check_int "live routes = distinct set" distinct stats.G.Intern.live_routes;
-  (* No duplicate canonical ids: structurally equal routes resolve to the
-     same id no matter which domain first interned them. *)
-  let ids = Hashtbl.create 16 in
-  Array.iter
-    (fun rs ->
-      List.iter
-        (fun r ->
-          match G.Intern.route_id r with
-          | None -> Alcotest.fail "interned route has no id"
-          | Some id -> (
-              let key = G.Route.encode r in
-              match Hashtbl.find_opt ids key with
-              | None -> Hashtbl.add ids key id
-              | Some id' ->
-                  check_int "one id per equivalence class" id' id))
-        rs)
-    results;
-  check_int "id space is the distinct set" distinct (Hashtbl.length ids);
-  let sorted = Hashtbl.fold (fun _ id acc -> id :: acc) ids [] in
-  let sorted = List.sort_uniq Int.compare sorted in
-  check_bool "ids dense 0..n-1" true
-    (sorted = List.init distinct (fun i -> i))
-
-(* Dense-id stability: once merged, a canonical id never moves — a second
-   round re-interning the same routes (plus fresh ones) from different
-   domains extends the id space without renumbering survivors. *)
-let arena_merge_id_stability () =
-  with_intern true @@ fun () ->
-  G.Intern.reset ();
-  let first = Array.init 3 (fun _ -> fun () ->
-      List.init 6 (fun i -> G.Intern.route (arena_route i)))
-  in
-  ignore (Pool.run ~jobs:3 first : G.Route.t list array);
-  let id_of i =
-    match G.Intern.route_id (arena_route i) with
-    | Some id -> id
-    | None -> Alcotest.fail "expected an id"
-  in
-  let before = List.init 6 id_of in
-  let second =
-    Array.init 3 (fun w -> fun () ->
-        List.init 12 (fun i ->
-            G.Intern.route (arena_route ((i + w) mod 8))))
-  in
-  ignore (Pool.run ~jobs:3 second : G.Route.t list array);
-  List.iteri
-    (fun i id -> check_int (Printf.sprintf "route %d id stable" i) id (id_of i))
-    before;
-  check_int "id space extended densely" 8 (G.Intern.stats ()).G.Intern.live_routes;
-  let all = List.sort_uniq Int.compare (List.init 8 id_of) in
-  check_bool "still dense after growth" true (all = List.init 8 Fun.id)
-
-(* An explicit flush from the calling domain is also legal (the engine
-   calls it at epoch barriers; submit-path workers call it themselves). *)
-let arena_explicit_flush () =
-  with_intern true @@ fun () ->
-  G.Intern.reset ();
-  let r = G.Intern.route (arena_route 0) in
-  G.Intern.flush ();
-  check_bool "id visible after flush" true (G.Intern.route_id r <> None);
-  G.Intern.flush ();
-  check_int "flush is idempotent" 1 (G.Intern.stats ()).G.Intern.live_routes
 
 (* Interning state belongs to the calling domain: a second domain that
    turns its own interning off neither flips the first domain's toggle nor
@@ -236,18 +154,18 @@ let arena_explicit_flush () =
    must not disturb another worker's interned session. *)
 let intern_domain_local () =
   with_intern true @@ fun () ->
-  let r = G.Intern.route (arena_route 0) in
+  let r = G.Intern.route (sample_route 0) in
   let other =
     Domain.join
       (Domain.spawn (fun () ->
            G.Intern.set_enabled false;
-           let copy = arena_route 0 in
+           let copy = sample_route 0 in
            G.Intern.route copy == copy))
   in
   check_bool "the other domain's route is the identity" true other;
   check_bool "this domain's toggle is untouched" true (G.Intern.enabled ());
   check_bool "this domain's table survives" true
-    (G.Intern.route (arena_route 0) == r)
+    (G.Intern.route (sample_route 0) == r)
 
 (* ---- sharded counters -------------------------------------------------------------- *)
 
@@ -282,10 +200,10 @@ let sharded_counter_fold_exact () =
   check_int "snapshot capture folds identically" expect
     (Obs.Snapshot.counter_value snap "test.concurrency.hammer")
 
-(* Cross-check against the runner's always-exact local tally: a protocol
-   round counts its messages in a Tally (single-domain, exact by
-   construction) and publishes the same counts into the sharded global
-   counter.  The two must agree to the message. *)
+(* Cross-check against the runner's always-exact local counts: a protocol
+   round counts its messages locally (single-domain, exact by
+   construction) and adds the same counts to the sharded global counter.
+   The two must agree to the message. *)
 let sharded_counter_vs_runner_report () =
   with_obs @@ fun () ->
   let prover = asn 1 and beneficiary = asn 50 in
@@ -346,12 +264,6 @@ let suite =
     ( "digests: stable under seeded scheduler perturbation",
       `Slow,
       perturbed_schedule_deterministic );
-    ("intern: arena merge yields no duplicate canonicals", `Quick,
-      arena_merge_no_duplicates);
-    ("intern: canonical ids stable across merge rounds", `Quick,
-      arena_merge_id_stability);
-    ("intern: explicit flush is visible and idempotent", `Quick,
-      arena_explicit_flush);
     ("intern: toggle and tables are domain-local", `Quick, intern_domain_local);
     ("obs: sharded counter fold is exact across domains", `Quick,
       sharded_counter_fold_exact);

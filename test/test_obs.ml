@@ -201,27 +201,6 @@ let json_writer () =
     "{\"s\":\"a\\\"b\\\\c\\nd\",\"i\":-3,\"f\":1.5,\"nan\":null,\"l\":[true,null]}"
     (O.Json.to_string j)
 
-(* ---- tallies ----------------------------------------------------------- *)
-
-let tally_counts_when_disabled () =
-  with_fresh @@ fun () ->
-  O.set_enabled false;
-  let t = O.Tally.create () in
-  O.Tally.incr t "msgs";
-  O.Tally.add t "msgs" 4;
-  O.Tally.max_ t "bytes" 100;
-  O.Tally.max_ t "bytes" 60;
-  check_int "tally counts regardless of the flag" 5 (O.Tally.get t "msgs");
-  check_int "max_ keeps the max" 100 (O.Tally.get t "bytes");
-  check_int "unknown key reads zero" 0 (O.Tally.get t "nope");
-  (* publish while disabled must not touch the global registry... *)
-  O.Tally.publish t;
-  O.set_enabled true;
-  check_int "publish is gated" 0 (O.value (O.counter "msgs"));
-  (* ...but publishes once enabled. *)
-  O.Tally.publish t;
-  check_int "publish mirrors the tally" 5 (O.value (O.counter "msgs"))
-
 let suite =
   [
     Alcotest.test_case "counter basics" `Quick counter_basics;
@@ -240,6 +219,4 @@ let suite =
     Alcotest.test_case "snapshot diff" `Quick snapshot_diff;
     Alcotest.test_case "snapshot json shape" `Quick snapshot_json_shape;
     Alcotest.test_case "json writer" `Quick json_writer;
-    Alcotest.test_case "tally counts when disabled" `Quick
-      tally_counts_when_disabled;
   ]

@@ -298,11 +298,10 @@ let intern_canonicalizes () =
 let intern_ids_dense () =
   with_intern true @@ fun () ->
   G.Intern.reset ();
-  let rs = List.init 6 (fun i -> G.Intern.route (sample_route i)) in
-  let ids = List.filter_map G.Intern.route_id rs in
-  (* 6 inserts of 4 distinct routes: ids are dense in first-seen order. *)
-  check_int "distinct ids" 4 (List.length (List.sort_uniq Int.compare ids));
-  List.iter (fun id -> check_bool "id in range" true (id >= 0 && id < 4)) ids;
+  (* 6 inserts of 4 distinct routes. *)
+  for i = 0 to 5 do
+    ignore (G.Intern.route (sample_route i) : G.Route.t)
+  done;
   let stats = G.Intern.stats () in
   check_int "live routes" 4 stats.G.Intern.live_routes;
   check_bool "live paths bounded" true (stats.G.Intern.live_paths <= 4)
@@ -323,7 +322,6 @@ let intern_disabled_is_identity () =
   check_bool "route is physical identity" true (G.Intern.route r == r);
   check_bool "path is physical identity" true
     (G.Intern.path r.G.Route.as_path == r.G.Route.as_path);
-  check_bool "no ids" true (G.Intern.route_id r = None);
   check_string "encode falls through" (G.Route.encode r) (G.Intern.encode r);
   check_int "tables empty" 0 (G.Intern.stats ()).G.Intern.live_routes
 

@@ -182,26 +182,35 @@ let sessions_belong_to_connection () =
 
 (* ---- concurrent sessions are isolated --------------------------------------------- *)
 
+(* Sessions alternate interning on and off across the two workers: each
+   worker's toggle is its own, so a session that turns interning off never
+   changes another session's. *)
 let concurrent_sessions_isolated () =
-  let seeds = [| 50; 51; 52 |] in
-  let want = Array.map (fun s -> fst (batch_digest (params s))) seeds in
+  let seeds = [| 50; 51; 52; 53 |] in
+  let ps =
+    Array.mapi (fun i s -> { (params s) with W.p_intern = i mod 2 = 0 }) seeds
+  in
+  let want =
+    Fun.protect ~finally:(fun () -> Pvr_bgp.Intern.set_enabled false)
+    @@ fun () -> Array.map (fun p -> fst (batch_digest p)) ps
+  in
   with_server ~workers:2 @@ fun listen _t ->
   let got = Array.make (Array.length seeds) (Error "never ran") in
   let threads =
     Array.mapi
-      (fun i seed ->
+      (fun i p ->
         Thread.create
           (fun () ->
             let c = Cl.connect listen in
             Fun.protect ~finally:(fun () -> Cl.close c) @@ fun () ->
-            match Cl.open_session c (params seed) with
+            match Cl.open_session c p with
             | Error e -> got.(i) <- Error e
             | Ok id -> got.(i) <- (
                 match Cl.run_epochs c id with
                 | Ok (d, _) -> Ok d
                 | Error e -> Error e))
           ())
-      seeds
+      ps
   in
   Array.iter Thread.join threads;
   Array.iteri
@@ -215,7 +224,7 @@ let concurrent_sessions_isolated () =
     got;
   (* Different seeds must not bleed into each other. *)
   check_bool "digests differ across seeds" true
-    (want.(0) <> want.(1) && want.(1) <> want.(2))
+    (want.(0) <> want.(1) && want.(1) <> want.(2) && want.(2) <> want.(3))
 
 (* ---- world cache ------------------------------------------------------------------ *)
 
