@@ -666,6 +666,72 @@ let crypto_counts_per_round () =
     (Printf.sprintf "%.1f SHA-256 blocks per round <= 190" blocks)
     true (blocks <= 190.0)
 
+(* ---- flap pin ------------------------------------------------------------------- *)
+
+(* The churn shape: a 60-AS generated internet, 8 origins x 4 prefixes, 2
+   anycast slots, half the announcements turned over each epoch and the
+   salt never rotated, so the simulator's convergence dominates each
+   epoch.  It is `pvr engine --ases 60 --gen-seed 1102 --seed 1102
+   --origins 8 --prefixes-per-origin 4 --anycast 2 --turnover 0.5
+   --salt-every 1000000 --epochs 21 --intern true`. *)
+let flap_params =
+  {
+    Pvr_serve.Workload.defaults with
+    Pvr_serve.Workload.p_seed = 1102;
+    p_ases = 60;
+    p_gen_seed = Some 1102;
+    p_origins = 8;
+    p_ppo = 4;
+    p_anycast = 2;
+    p_turnover = 0.5;
+    p_salt_every = 1_000_000;
+    p_epochs = 21;
+    p_intern = true;
+  }
+
+(* Every epoch's message count, the tracked and the from-scratch RIB
+   digests, and the engine's chain digest, of one flap run. *)
+let flap_run () =
+  let module W = Pvr_serve.Workload in
+  let p = flap_params in
+  Fun.protect
+    ~finally:(fun () -> G.Intern.set_enabled false)
+    (fun () ->
+      let w = W.build_world ~quiet:true p in
+      let sim = G.Simulator.create w.W.w_topo in
+      let eng =
+        E.create ~salt_every:p.W.p_salt_every w.W.w_engine_rng w.W.w_keyring
+          ~topology:w.W.w_topo ~sim ()
+      in
+      let msgs =
+        List.init p.W.p_epochs (fun i ->
+            let apply sim =
+              if i = 0 then List.length (G.Update_gen.Churn.seed w.W.w_churn sim)
+              else
+                List.length
+                  (G.Update_gen.Churn.step w.W.w_churn_rng
+                     ~turnover:p.W.p_turnover w.W.w_churn sim)
+            in
+            (E.epoch ~apply eng).E.ep_msgs)
+      in
+      (msgs, E.rib_digest eng, E.rib_digest_full eng, E.digest eng))
+
+(* Pinned at the map-based simulator: a change to the delivery order, the
+   decision process or the RIB's contents moves the message counts or a
+   digest here. *)
+let flap_pin () =
+  let msgs, rib, rib_full, chain = flap_run () in
+  Alcotest.(check (list int))
+    "messages per epoch"
+    [ 3363; 11693; 7167; 11268; 4591; 9317; 7338; 6035; 4711; 4666; 9254;
+      6167; 7069; 6693; 5582; 8978; 4175; 5109; 9305; 5806; 7990 ]
+    msgs;
+  check_string "tracked RIB digest = from scratch" rib_full rib;
+  check_string "RIB digest"
+    "8839bbb1947445f0801f35da032dc297ec989beb9f463094248083c6833b89fc" rib;
+  check_string "chain digest"
+    "5c1398c2f0aeac93630c20f310b390f1db5afc976fdb3668602b3c5495153d26" chain
+
 (* Check tasks on two domains share the epoch's table: the verdicts and
    the digest chain are those of one domain. *)
 let verified_table_jobs_equal () =
@@ -759,6 +825,8 @@ let suite =
       verified_table_jobs_equal;
     Alcotest.test_case "engine: crypto operations per round" `Quick
       crypto_counts_per_round;
+    Alcotest.test_case "engine: flap pin (messages, RIB and chain digests)"
+      `Quick flap_pin;
     Alcotest.test_case "keyring: memo serves hot-path lookups" `Quick
       keyring_memo_serves_lookups;
     Alcotest.test_case "churn: deterministic streams" `Quick
