@@ -29,10 +29,40 @@ let run_step step routes =
   | Lowest_neighbor ->
       keep_minimal (fun (r : Route.t) -> Asn.to_int r.next_hop) routes
 
-let best ?(pipeline = standard_pipeline) routes =
-  match List.fold_left (fun rs step -> run_step step rs) routes pipeline with
+(* The standard pipeline in one comparison: each step keeps the routes
+   minimizing its key, so the survivors of all five are the routes whose
+   key tuple is lexicographically least.  The keys are exactly
+   [run_step]'s. *)
+let compare_standard (a : Route.t) (b : Route.t) =
+  let c = Int.compare (-a.local_pref) (-b.local_pref) in
+  if c <> 0 then c
+  else
+    let c = Int.compare (Route.path_length a) (Route.path_length b) in
+    if c <> 0 then c
+    else
+      let c = Int.compare (origin_rank a) (origin_rank b) in
+      if c <> 0 then c
+      else
+        let c = Int.compare a.med b.med in
+        if c <> 0 then c
+        else Int.compare (Asn.to_int a.next_hop) (Asn.to_int b.next_hop)
+
+(* The first route no later route strictly beats: the step-by-step fold
+   keeps ties in input order and then takes the first survivor. *)
+let best_standard = function
   | [] -> None
-  | r :: _ -> Some r
+  | r :: rest ->
+      Some
+        (List.fold_left
+           (fun b r -> if compare_standard r b < 0 then r else b)
+           r rest)
+
+let best ?(pipeline = standard_pipeline) routes =
+  if pipeline = standard_pipeline then best_standard routes
+  else
+    match List.fold_left (fun rs step -> run_step step rs) routes pipeline with
+    | [] -> None
+    | r :: _ -> Some r
 
 let rank routes =
   let rec go remaining acc =

@@ -1,112 +1,150 @@
-type t = {
-  mutable adj_in : Route.t Prefix.Map.t Asn.Map.t;
-  mutable loc : Route.t Prefix.Map.t;
-  mutable adj_out : Route.t Prefix.Map.t Asn.Map.t;
+type entry = {
+  prefix : Prefix.t;
+  mutable best : Route.t option;
+  adj_in : Route.t option array;
+  adj_out : Route.t option array;
+  mutable dirty : bool;
 }
 
-let create () =
-  { adj_in = Asn.Map.empty; loc = Prefix.Map.empty; adj_out = Asn.Map.empty }
+type t = {
+  neighbors : Asn.t array; (* ascending: index = slot *)
+  in_labels : string array; (* "i|AS<n>|" per slot, for [prefix_entry] *)
+  out_labels : string array; (* "o|AS<n>|" per slot *)
+  mutable entries : entry Prefix.Map.t;
+}
 
-(* Every route entering a RIB passes through the interner, so with
-   interning enabled all stored routes are canonical representatives and
-   downstream [Route.equal] calls settle on the [==] fast path. *)
+let create neighbors =
+  let neighbors = Array.copy neighbors in
+  Array.sort Asn.compare neighbors;
+  for i = 1 to Array.length neighbors - 1 do
+    if Asn.equal neighbors.(i - 1) neighbors.(i) then
+      invalid_arg ("Rib.create: repeated " ^ Asn.to_string neighbors.(i))
+  done;
+  let labels tag = Array.map (fun n -> tag ^ Asn.to_string n ^ "|") neighbors in
+  {
+    neighbors;
+    in_labels = labels "i|";
+    out_labels = labels "o|";
+    entries = Prefix.Map.empty;
+  }
+
+let neighbors t = t.neighbors
+
+let slot t asn =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) lsr 1 in
+      let c = Asn.compare t.neighbors.(mid) asn in
+      if c = 0 then mid else if c < 0 then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length t.neighbors)
+
+let entry t prefix =
+  match Prefix.Map.find_opt prefix t.entries with
+  | Some e -> e
+  | None ->
+      let n = Array.length t.neighbors in
+      let e =
+        {
+          prefix;
+          best = None;
+          adj_in = Array.make n None;
+          adj_out = Array.make n None;
+          dirty = false;
+        }
+      in
+      t.entries <- Prefix.Map.add prefix e t.entries;
+      e
+
+(* Every route entering a RIB through these setters passes through the
+   interner, so with interning enabled all stored routes are canonical
+   representatives and downstream [Route.equal] calls settle on the [==]
+   fast path. *)
 let canon = Option.map Intern.route
 
-let update_table table ~neighbor prefix route =
-  let per_prefix =
-    Option.value (Asn.Map.find_opt neighbor table) ~default:Prefix.Map.empty
-  in
-  let per_prefix =
-    match route with
-    | Some r -> Prefix.Map.add prefix r per_prefix
-    | None -> Prefix.Map.remove prefix per_prefix
-  in
-  Asn.Map.add neighbor per_prefix table
+let slot_exn t neighbor =
+  let s = slot t neighbor in
+  if s < 0 then invalid_arg ("Rib: not a neighbor: " ^ Asn.to_string neighbor);
+  s
 
 let set_in t ~neighbor prefix route =
-  t.adj_in <- update_table t.adj_in ~neighbor prefix (canon route)
-
-let get_in t ~neighbor prefix =
-  Option.bind (Asn.Map.find_opt neighbor t.adj_in) (Prefix.Map.find_opt prefix)
-
-let candidates t prefix =
-  Asn.Map.fold
-    (fun _ per_prefix acc ->
-      match Prefix.Map.find_opt prefix per_prefix with
-      | Some r -> r :: acc
-      | None -> acc)
-    t.adj_in []
-
-let candidates_from t ~neighbors prefix =
-  List.filter_map (fun n -> get_in t ~neighbor:n prefix) neighbors
-
-let set_best t prefix route =
-  t.loc <-
-    (match canon route with
-    | Some r -> Prefix.Map.add prefix r t.loc
-    | None -> Prefix.Map.remove prefix t.loc)
-
-let get_best t prefix = Prefix.Map.find_opt prefix t.loc
+  let s = slot_exn t neighbor in
+  (entry t prefix).adj_in.(s) <- canon route
 
 let set_out t ~neighbor prefix route =
-  t.adj_out <- update_table t.adj_out ~neighbor prefix (canon route)
+  let s = slot_exn t neighbor in
+  (entry t prefix).adj_out.(s) <- canon route
 
-let get_out t ~neighbor prefix =
-  Option.bind (Asn.Map.find_opt neighbor t.adj_out) (Prefix.Map.find_opt prefix)
+let set_best t prefix route = (entry t prefix).best <- canon route
+
+let find t prefix = Prefix.Map.find_opt prefix t.entries
+
+let get_slot table t ~neighbor prefix =
+  match find t prefix with
+  | None -> None
+  | Some e ->
+      let s = slot t neighbor in
+      if s < 0 then None else (table e).(s)
+
+let get_in = get_slot (fun e -> e.adj_in)
+let get_out = get_slot (fun e -> e.adj_out)
+
+let get_best t prefix = Option.bind (find t prefix) (fun e -> e.best)
+
+let candidates t prefix =
+  match find t prefix with
+  | None -> []
+  | Some e ->
+      Array.fold_left
+        (fun acc r -> match r with Some r -> r :: acc | None -> acc)
+        [] e.adj_in
 
 let prefixes t =
-  let set = ref Prefix.Set.empty in
-  Asn.Map.iter
-    (fun _ per_prefix ->
-      Prefix.Map.iter (fun p _ -> set := Prefix.Set.add p !set) per_prefix)
-    t.adj_in;
-  Prefix.Map.iter (fun p _ -> set := Prefix.Set.add p !set) t.loc;
-  Prefix.Set.elements !set
-
-let in_neighbors t prefix =
-  Asn.Map.fold
-    (fun n per_prefix acc ->
-      if Prefix.Map.mem prefix per_prefix then n :: acc else acc)
-    t.adj_in []
+  Prefix.Map.fold
+    (fun p e acc ->
+      if Option.is_some e.best || Array.exists Option.is_some e.adj_in then p :: acc
+      else acc)
+    t.entries []
   |> List.rev
 
 (* Canonical description of everything this RIB holds for one prefix,
-   across all three tables.  Map iteration is ASN-sorted and
-   [Intern.encode] is representation-independent, so the string is a pure
-   function of RIB contents — [""] when the prefix is absent everywhere.
-   This is the unit the incremental RIB tracker ({!Rib_delta}) digests. *)
+   across all three tables.  Slots are ASN-sorted and [Intern.encode] is
+   representation-independent, so the string is a pure function of RIB
+   contents — [""] when the prefix is absent everywhere.  This is the unit
+   the incremental RIB tracker ({!Rib_delta}) digests. *)
 let prefix_entry t prefix =
-  let buf = Buffer.create 128 in
-  (match Prefix.Map.find_opt prefix t.loc with
-  | Some r ->
-      Buffer.add_string buf "b|";
-      Buffer.add_string buf (Intern.encode r);
-      Buffer.add_char buf '\n'
-  | None -> ());
-  let add_table tag table =
-    Asn.Map.iter
-      (fun n per_prefix ->
-        match Prefix.Map.find_opt prefix per_prefix with
-        | Some r ->
-            Buffer.add_string buf tag;
-            Buffer.add_char buf '|';
-            Buffer.add_string buf (Asn.to_string n);
-            Buffer.add_char buf '|';
-            Buffer.add_string buf (Intern.encode r);
-            Buffer.add_char buf '\n'
-        | None -> ())
-      table
-  in
-  add_table "i" t.adj_in;
-  add_table "o" t.adj_out;
-  Buffer.contents buf
+  match find t prefix with
+  | None -> ""
+  | Some e ->
+      let buf = Buffer.create 128 in
+      (match e.best with
+      | Some r ->
+          Buffer.add_string buf "b|";
+          Buffer.add_string buf (Intern.encode r);
+          Buffer.add_char buf '\n'
+      | None -> ());
+      let add_table labels table =
+        Array.iteri
+          (fun s r ->
+            match r with
+            | Some r ->
+                Buffer.add_string buf labels.(s);
+                Buffer.add_string buf (Intern.encode r);
+                Buffer.add_char buf '\n'
+            | None -> ())
+          table
+      in
+      add_table t.in_labels e.adj_in;
+      add_table t.out_labels e.adj_out;
+      Buffer.contents buf
 
 let digest t =
-  (* Canonical fingerprint of all three tables.  Map folds visit keys in
-     sorted order and [Intern.encode] is byte-identical to [Route.encode]
-     in both interning modes, so the digest is a pure function of RIB
-     contents — the differential-oracle suite compares it across
-     representations. *)
+  (* Canonical fingerprint of all three tables.  Slots and the entry map
+     are visited in sorted order and [Intern.encode] is byte-identical to
+     [Route.encode] in both interning modes, so the digest is a pure
+     function of RIB contents — the differential-oracle suite compares it
+     across representations. *)
   let buf = Buffer.create 1024 in
   let add_route tag r =
     Buffer.add_string buf tag;
@@ -114,20 +152,24 @@ let digest t =
     Buffer.add_char buf '\n'
   in
   let add_table tag table =
-    Asn.Map.iter
-      (fun n per_prefix ->
+    Array.iteri
+      (fun s n ->
         Prefix.Map.iter
-          (fun p r ->
-            add_route
-              (Printf.sprintf "%s|%s|%s|" tag (Asn.to_string n)
-                 (Prefix.to_string p))
-              r)
-          per_prefix)
-      table
+          (fun p e ->
+            Option.iter
+              (add_route
+                 (Printf.sprintf "%s|%s|%s|" tag (Asn.to_string n)
+                    (Prefix.to_string p)))
+              (table e).(s))
+          t.entries)
+      t.neighbors
   in
-  add_table "in" t.adj_in;
+  add_table "in" (fun e -> e.adj_in);
   Prefix.Map.iter
-    (fun p r -> add_route (Printf.sprintf "loc|%s|" (Prefix.to_string p)) r)
-    t.loc;
-  add_table "out" t.adj_out;
+    (fun p e ->
+      Option.iter
+        (add_route (Printf.sprintf "loc|%s|" (Prefix.to_string p)))
+        e.best)
+    t.entries;
+  add_table "out" (fun e -> e.adj_out);
   Pvr_crypto.Sha256.digest_hex (Buffer.contents buf)

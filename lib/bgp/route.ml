@@ -30,7 +30,9 @@ let originate ~asn prefix =
 
 let path_length r = List.length r.as_path
 
-let through asn r = List.exists (Asn.equal asn) r.as_path
+let through asn r =
+  let rec go = function [] -> false | a :: p -> Asn.equal a asn || go p in
+  go r.as_path
 
 let has_loop asn r = through asn r
 

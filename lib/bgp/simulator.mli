@@ -6,6 +6,23 @@
     processed from a FIFO queue until convergence, which is guaranteed for
     sensible policies because paths with loops are dropped on import.
 
+    Representation: ASes are nodes of an array in ascending ASN, and each
+    node's neighbors are {e slots} in ascending ASN (the slots of its
+    {!Rib.t}).  A node keeps, per slot, the neighbor's relationship, node
+    index and {e back slot} (the node's own slot at that neighbor), so a
+    queued message is (destination node, destination slot, prefix id,
+    route) and its delivery is array stores.  Prefixes get dense ids on
+    first origination.
+
+    Ordering contract: a delivery or an origin change re-runs the decision
+    process for that (AS, prefix) — {!Decision.compare_standard} in one
+    pass, the origin route first and then the Adj-RIB-In in descending
+    neighbor ASN, keeping the first route no later one beats — and then
+    exports to the neighbors in ascending ASN, queueing a message for each
+    neighbor whose Adj-RIB-Out entry changed.  Messages are delivered in
+    FIFO order, so message counts, RIBs and every digest over them depend
+    only on the topology, the policies and the sequence of calls.
+
     The simulator supplies the *inputs* to PVR: Adj-RIB-In contents are what
     network A receives from N1..Nk; the exported best routes are what B
     observes.  A hook lets an experiment replace one AS's decision logic
@@ -13,13 +30,12 @@
 
 type t
 
-type update = { src : Asn.t; dst : Asn.t; prefix : Prefix.t; route : Route.t option }
-(** [route = None] is a withdrawal. *)
-
 val create : Topology.t -> t
 
 val set_import_policy : t -> asn:Asn.t -> neighbor:Asn.t -> Policy.t -> unit
 val set_export_policy : t -> asn:Asn.t -> neighbor:Asn.t -> Policy.t -> unit
+(** Both default to {!Policy.accept_all}.  @raise Invalid_argument when
+    [neighbor] is not linked to [asn]. *)
 
 val set_decision_override :
   t -> asn:Asn.t -> (Prefix.t -> Route.t list -> Route.t option) -> unit
@@ -46,7 +62,9 @@ val rib : t -> Asn.t -> Rib.t
 val best_route : t -> asn:Asn.t -> Prefix.t -> Route.t option
 
 val received_routes : t -> asn:Asn.t -> Prefix.t -> Route.t list
-(** Adj-RIB-In candidates at an AS (PVR's input variables r_1..r_k). *)
+(** Adj-RIB-In candidates at an AS (PVR's input variables r_1..r_k), in
+    descending neighbor ASN: the order a decision override sees them in,
+    after the origin route when the AS originates the prefix. *)
 
 val exported_route : t -> asn:Asn.t -> neighbor:Asn.t -> Prefix.t -> Route.t option
 (** What [asn] last sent [neighbor] (PVR's output variable r_o). *)
@@ -59,5 +77,5 @@ val drain_dirty : t -> (Asn.t * Prefix.t) list
 (** The (AS, prefix) pairs whose RIB state may have changed since the
     last drain, sorted by (ASN, prefix) and deduplicated; clears the set.
     Every RIB mutation passes through the decision/export step, which
-    marks here — this feeds the engine's incremental RIB tracker so the
+    marks the entry ({!Rib.entry}'s [dirty]) and lists it once — this feeds the engine's incremental RIB tracker so the
     global RIB digest is maintained in O(dirty pairs) per epoch. *)

@@ -327,7 +327,7 @@ let intern_disabled_is_identity () =
 
 let rib_digest_intern_invariant () =
   let fill () =
-    let rib = G.Rib.create () in
+    let rib = G.Rib.create [| asn 2; asn 3; asn 4 |] in
     G.Rib.set_in rib ~neighbor:(asn 2) (sample_route 0).G.Route.prefix
       (Some (sample_route 0));
     G.Rib.set_in rib ~neighbor:(asn 3) (sample_route 1).G.Route.prefix
