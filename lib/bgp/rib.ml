@@ -103,7 +103,8 @@ let candidates t prefix =
 let prefixes t =
   Prefix.Map.fold
     (fun p e acc ->
-      if Option.is_some e.best || Array.exists Option.is_some e.adj_in then p :: acc
+      if Option.is_some e.best || Array.exists Option.is_some e.adj_in then
+        p :: acc
       else acc)
     t.entries []
   |> List.rev

@@ -60,16 +60,19 @@ let create topo =
   let ases = Array.of_list (Topology.ases topo) in
   (* [Topology.neighbors] lists neighbors in ascending ASN, the slot order
      [Rib.create] sorts them into. *)
-  let links = Array.map (fun asn -> Array.of_list (Topology.neighbors topo asn)) ases in
+  let links =
+    Array.map (fun asn -> Array.of_list (Topology.neighbors topo asn)) ases
+  in
   let nodes =
     Array.mapi
       (fun i asn ->
         let l = links.(i) in
         let deg = Array.length l in
+        let rib = Rib.create (Array.map fst l) in
         {
           asn;
-          rib = Rib.create (Array.map fst l);
-          nbrs = Array.map fst l;
+          rib;
+          nbrs = Rib.neighbors rib;
           rels = Array.map snd l;
           peer = Array.make deg 0;
           back = Array.make deg 0;
@@ -138,7 +141,12 @@ let pid t prefix =
   | None ->
       let i = Hashtbl.length t.pids in
       Hashtbl.add t.pids prefix i;
-      t.by_pid <- Array.append t.by_pid [| prefix |];
+      if i = Array.length t.by_pid then begin
+        let grown = Array.make (max 16 (2 * i)) prefix in
+        Array.blit t.by_pid 0 grown 0 i;
+        t.by_pid <- grown
+      end;
+      t.by_pid.(i) <- prefix;
       i
 
 (* The node's entry for a prefix id, created when the node first meets
@@ -185,7 +193,9 @@ let push t ~dst ~slot ~pid route =
    carries [n.asn] as its whole path, a learned one gets [n.asn]
    prepended; local-pref never crosses the boundary. *)
 let announce n r =
-  let r = if Asn.equal r.Route.next_hop n.asn then r else Route.prepend n.asn r in
+  let r =
+    if Asn.equal r.Route.next_hop n.asn then r else Route.prepend n.asn r
+  in
   Intern.route (Route.strip_private_attrs r)
 
 (* Decide, then export to every neighbor in slot order, queueing a message
@@ -214,7 +224,8 @@ let reselect t n pid (e : Rib.entry) =
             | _ -> pick (s - 1) best
         in
         pick (deg - 1)
-          (if originated then Some (Intern.route (Route.originate ~asn:n.asn prefix))
+          (if originated then
+             Some (Intern.route (Route.originate ~asn:n.asn prefix))
            else None)
     | Some f ->
         let candidates =

@@ -77,5 +77,6 @@ val drain_dirty : t -> (Asn.t * Prefix.t) list
 (** The (AS, prefix) pairs whose RIB state may have changed since the
     last drain, sorted by (ASN, prefix) and deduplicated; clears the set.
     Every RIB mutation passes through the decision/export step, which
-    marks the entry ({!Rib.entry}'s [dirty]) and lists it once — this feeds the engine's incremental RIB tracker so the
-    global RIB digest is maintained in O(dirty pairs) per epoch. *)
+    marks the entry ({!Rib.entry}'s [dirty]) and lists it once — this
+    feeds the engine's incremental RIB tracker so the global RIB digest
+    is maintained in O(dirty pairs) per epoch. *)

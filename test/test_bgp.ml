@@ -247,6 +247,14 @@ let rib_in_out () =
   check_int "candidates" 1 (List.length (G.Rib.candidates rib p));
   G.Rib.set_in rib ~neighbor:(asn 21) p (Some (mk_route [ 21 ]));
   check_int "two candidates" 2 (List.length (G.Rib.candidates rib p));
+  check_bool "descending neighbor order" true
+    (List.map (fun r -> r.G.Route.next_hop) (G.Rib.candidates rib p)
+    = [ asn 21; asn 20 ]);
+  check_bool "no slot for a non-neighbor" true
+    (G.Rib.get_in rib ~neighbor:(asn 22) p = None);
+  Alcotest.check_raises "set_in from a non-neighbor"
+    (Invalid_argument "Rib: not a neighbor: AS22") (fun () ->
+      G.Rib.set_in rib ~neighbor:(asn 22) p (Some (mk_route [ 22 ])));
   G.Rib.set_in rib ~neighbor:(asn 20) p None;
   check_bool "withdrawn" true (G.Rib.get_in rib ~neighbor:(asn 20) p = None);
   check_int "one candidate left" 1 (List.length (G.Rib.candidates rib p))
