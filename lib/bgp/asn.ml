@@ -11,6 +11,16 @@ let hash n = n
 let to_string n = "AS" ^ string_of_int n
 let pp ppf n = Format.pp_print_string ppf (to_string n)
 
+let find_sorted a x =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) lsr 1 in
+      let c = compare a.(mid) x in
+      if c = 0 then mid else if c < 0 then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length a)
+
 module Ord = struct
   type nonrec t = t
 

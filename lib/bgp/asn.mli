@@ -14,5 +14,9 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
+val find_sorted : t array -> t -> int
+(** [find_sorted a x]: the index of [x] in [a], sorted ascending, or [-1]
+    when absent (binary search). *)
+
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

@@ -30,15 +30,7 @@ let create neighbors =
 
 let neighbors t = t.neighbors
 
-let slot t asn =
-  let rec go lo hi =
-    if lo >= hi then -1
-    else
-      let mid = (lo + hi) lsr 1 in
-      let c = Asn.compare t.neighbors.(mid) asn in
-      if c = 0 then mid else if c < 0 then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length t.neighbors)
+let slot t asn = Asn.find_sorted t.neighbors asn
 
 let entry t prefix =
   match Prefix.Map.find_opt prefix t.entries with

@@ -11,8 +11,9 @@ type t = {
   mutable per_as : string Prefix.Map.t Asn.Map.t;
   as_cache : (Asn.t, string) Hashtbl.t;
   mutable stale : Asn.Set.t;
-  prefix_labels : (Prefix.t, string) Hashtbl.t; (* "p:<prefix>" *)
-  as_labels : (Asn.t, string) Hashtbl.t; (* "as:AS<n>" *)
+  prefix_labels : (Prefix.t, string) Hashtbl.t;
+      (* "p:<prefix>", formatted once per prefix: every stale AS hashes
+         one per prefix it holds *)
 }
 
 let create () =
@@ -21,16 +22,14 @@ let create () =
     as_cache = Hashtbl.create 64;
     stale = Asn.Set.empty;
     prefix_labels = Hashtbl.create 64;
-    as_labels = Hashtbl.create 64;
   }
 
-(* The hashed label of a key, formatted once per tracker. *)
-let label table render key =
-  match Hashtbl.find_opt table key with
+let prefix_label t p =
+  match Hashtbl.find_opt t.prefix_labels p with
   | Some l -> l
   | None ->
-      let l = render key in
-      Hashtbl.add table key l;
+      let l = "p:" ^ Prefix.to_string p in
+      Hashtbl.add t.prefix_labels p l;
       l
 
 let update t ~asn ~prefix ~entry =
@@ -62,10 +61,7 @@ let as_digest t asn m =
   | None ->
       let parts =
         Prefix.Map.fold
-          (fun p dg acc ->
-            dg
-            :: label t.prefix_labels (fun p -> "p:" ^ Prefix.to_string p) p
-            :: acc)
+          (fun p dg acc -> dg :: prefix_label t p :: acc)
           m []
       in
       let d = C.Sha256.digest_parts (List.rev parts) in
@@ -75,10 +71,7 @@ let as_digest t asn m =
 let digest t =
   let parts =
     Asn.Map.fold
-      (fun asn m acc ->
-        as_digest t asn m
-        :: label t.as_labels (fun a -> "as:" ^ Asn.to_string a) asn
-        :: acc)
+      (fun asn m acc -> as_digest t asn m :: ("as:" ^ Asn.to_string asn) :: acc)
       t.per_as []
   in
   t.stale <- Asn.Set.empty;

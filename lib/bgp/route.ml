@@ -30,6 +30,8 @@ let originate ~asn prefix =
 
 let path_length r = List.length r.as_path
 
+(* No closure: the simulator asks this of every neighbor of every
+   decision. *)
 let through asn r =
   let rec go = function [] -> false | a :: p -> Asn.equal a asn || go p in
   go r.as_path

@@ -31,6 +31,7 @@ type fifo = {
 
 type t = {
   nodes : node array; (* ascending ASN *)
+  asns : Asn.t array; (* [asns.(i)] is [nodes.(i).asn] *)
   pids : (Prefix.t, int) Hashtbl.t; (* prefix -> dense id *)
   mutable by_pid : Prefix.t array; (* dense id -> prefix *)
   queue : fifo;
@@ -45,16 +46,6 @@ let obs_updates = Pvr_obs.counter "sim.updates.processed"
 let obs_runs = Pvr_obs.counter "sim.runs"
 let obs_originates = Pvr_obs.counter "sim.originates"
 let obs_withdrawals = Pvr_obs.counter "sim.withdrawals"
-
-let index_of nodes asn =
-  let rec go lo hi =
-    if lo >= hi then -1
-    else
-      let mid = (lo + hi) lsr 1 in
-      let c = Asn.compare nodes.(mid).asn asn in
-      if c = 0 then mid else if c < 0 then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length nodes)
 
 let create topo =
   let ases = Array.of_list (Topology.ases topo) in
@@ -88,13 +79,14 @@ let create topo =
     (fun n ->
       Array.iteri
         (fun s nbr ->
-          let j = index_of nodes nbr in
+          let j = Asn.find_sorted ases nbr in
           n.peer.(s) <- j;
           n.back.(s) <- Rib.slot nodes.(j).rib n.asn)
         n.nbrs)
     nodes;
   {
     nodes;
+    asns = ases;
     pids = Hashtbl.create 64;
     by_pid = [||];
     queue =
@@ -111,7 +103,7 @@ let create topo =
   }
 
 let node t asn =
-  let i = index_of t.nodes asn in
+  let i = Asn.find_sorted t.asns asn in
   if i < 0 then invalid_arg ("Simulator: unknown " ^ Asn.to_string asn);
   t.nodes.(i)
 
