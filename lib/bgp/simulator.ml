@@ -51,13 +51,10 @@ let create topo =
   let ases = Array.of_list (Topology.ases topo) in
   (* [Topology.neighbors] lists neighbors in ascending ASN, the slot order
      [Rib.create] sorts them into. *)
-  let links =
-    Array.map (fun asn -> Array.of_list (Topology.neighbors topo asn)) ases
-  in
   let nodes =
-    Array.mapi
-      (fun i asn ->
-        let l = links.(i) in
+    Array.map
+      (fun asn ->
+        let l = Array.of_list (Topology.neighbors topo asn) in
         let deg = Array.length l in
         let rib = Rib.create (Array.map fst l) in
         {
