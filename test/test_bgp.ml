@@ -764,7 +764,6 @@ let suite =
     ("decision empty", `Quick, decision_empty);
     decision_total;
     decision_rank_sorted;
-    decision_one_pass_is_fold;
     ("rib in/out", `Quick, rib_in_out);
     ("rib prefix listing", `Quick, rib_prefix_listing);
     ("relationship invert", `Quick, relationship_invert);
@@ -793,4 +792,5 @@ let suite =
     ("gao inference on hierarchy", `Quick, gao_inference_on_hierarchy);
     ("gao inference empty", `Quick, gao_inference_empty);
     ("gao inference edge cases", `Quick, gao_inference_edges);
+    decision_one_pass_is_fold;
   ]
