@@ -818,10 +818,9 @@ let prime memo p = W.build_world ~quiet:true ~cache:memo p
 (* One quiet run of [p] over a fresh world (journal fsync off: the store
    experiments measure serialization and framing, not the disk); returns
    the final digest. *)
-let run_world ?memo ?on_report ?checkpoint_dir ?checkpoint_every p =
+let run_world ?memo ?on_report ?checkpoint_dir p =
   match
-    W.engine_core ~quiet:true ?on_report ?checkpoint_dir ?checkpoint_every
-      ~fsync:false
+    W.engine_core ~quiet:true ?on_report ?checkpoint_dir ~fsync:false
       (W.build_world ~quiet:true ?cache:memo p)
       p
   with
@@ -961,30 +960,27 @@ let e11 () =
 (* ---- E12: durable store: journal overhead & crash-recovery equivalence ----------- *)
 
 let e12 () =
-  header "E12  durable store: journal/snapshot overhead, checkpoint cadence";
+  header "E12  durable store: journal overhead";
   let p = hierarchy_params 2027 in
   let memo = world_memo () in
   let ases = G.Topology.size (prime memo p).W.w_topo in
   let epochs = p.p_epochs in
   let dir = bench_dir "e12" in
-  (* One engine run, journaling every epoch into [dir] when [snapshot_every]
-     is given; the digest must agree with a checkpoint-free run. *)
-  let run ?snapshot_every () =
-    run_world ~memo
-      ?checkpoint_dir:(Option.map (fun _ -> dir) snapshot_every)
-      ?checkpoint_every:snapshot_every p
+  (* One engine run, journaling every epoch into [dir] when [journal]; the
+     digest must agree with a journal-free run. *)
+  let run ~journal () =
+    run_world ~memo ?checkpoint_dir:(if journal then Some dir else None) p
   in
-  let baseline = run () in
-  Printf.printf "%-12s  %10s  %10s  %12s  %9s  %9s\n" "mode" "run ms"
-    "epochs/s" "journal B" "snapshots" "digest=";
-  let mode name snapshot_every =
-    let digest, d = counted (run ?snapshot_every) in
-    let ms = time_ms (fun () -> ignore (run ?snapshot_every ())) in
+  let baseline = run ~journal:false () in
+  Printf.printf "%-12s  %10s  %10s  %12s  %9s\n" "mode" "run ms" "epochs/s"
+    "journal B" "digest=";
+  let mode name ~journal =
+    let digest, d = counted (run ~journal) in
+    let ms = time_ms (fun () -> ignore (run ~journal ())) in
     let journal_bytes = delta d "store.journal.bytes" in
-    let snaps = delta d "store.snapshot.writes" in
-    Printf.printf "%-12s  %10.1f  %10.2f  %12d  %9d  %9b\n%!" name ms
+    Printf.printf "%-12s  %10.1f  %10.2f  %12d  %9b\n%!" name ms
       (float_of_int epochs *. 1000.0 /. ms)
-      journal_bytes snaps (digest = baseline);
+      journal_bytes (digest = baseline);
     assert (digest = baseline);
     J.Obj
       [
@@ -993,18 +989,15 @@ let e12 () =
         ("epochs_per_s", J.Float (float_of_int epochs *. 1000.0 /. ms));
         ("journal_bytes", J.Int journal_bytes);
         ("journal_appends", J.Int (delta d "store.journal.appends"));
-        ("snapshot_writes", J.Int snaps);
-        ("replay_frames", J.Int (delta d "store.replay.frames"));
         ("digest_matches_off", J.Bool (digest = baseline));
       ]
   in
   let rows =
     (* bind in sequence: list-literal element order of evaluation is
        unspecified, and the table should print top-to-bottom *)
-    let off = mode "off" None in
-    let every_epoch = mode "every-epoch" (Some 1) in
-    let every_5 = mode "every-5" (Some 5) in
-    [ off; every_epoch; every_5 ]
+    let off = mode "off" ~journal:false in
+    let journal = mode "journal" ~journal:true in
+    [ off; journal ]
   in
   remove_dir dir;
   J.Obj
@@ -1325,7 +1318,7 @@ let e15 () =
   let ases = G.Topology.ases (prime memo p).W.w_topo in
   let epochs = p.p_epochs in
   let dir = bench_dir "e15" in
-  ignore (run_world ~memo ~checkpoint_dir:dir ~checkpoint_every:4 p : string);
+  ignore (run_world ~memo ~checkpoint_dir:dir p : string);
   let build () =
     counted (fun () ->
         match Idx.build ~quiet:true ~dir () with

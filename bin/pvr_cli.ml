@@ -210,8 +210,8 @@ let run_soak seed rounds k bits drop duplicate delay reorder budget stats =
    every promising AS re-verified each epoch by the incremental engine.
    Same determinism contract as soak — everything derives from --seed — plus
    the engine's own: the digest is identical for any --jobs value and for
-   the cache on or off.  With --checkpoint the run journals every epoch and
-   snapshots on a cadence, and --resume continues a crashed run. *)
+   the cache on or off.  With --checkpoint the run journals every epoch,
+   and --resume continues a crashed run from the journal. *)
 
 (* The engine parameter record, world construction and the epoch loop are
    factored into {!Pvr_serve.Workload} so that daemon sessions (`pvr
@@ -244,7 +244,7 @@ type eparams = Pvr_serve.Workload.params = {
 let build_world = Pvr_serve.Workload.build_world
 let engine_core = Pvr_serve.Workload.engine_core
 
-let run_engine p checkpoint resume checkpoint_every no_fsync report stats =
+let run_engine p checkpoint resume no_fsync report stats =
   if resume && checkpoint = None then begin
     Printf.eprintf "pvr engine: --resume requires --checkpoint DIR\n%!";
     2
@@ -253,8 +253,8 @@ let run_engine p checkpoint resume checkpoint_every no_fsync report stats =
     with_stats stats (fun () ->
         let world = build_world p in
         match
-          engine_core ?checkpoint_dir:checkpoint ~resume ~checkpoint_every
-            ~fsync:(not no_fsync) world p
+          engine_core ?checkpoint_dir:checkpoint ~resume ~fsync:(not no_fsync)
+            world p
         with
         | Error e ->
             Printf.eprintf "pvr engine: unrecoverable store: %s\n%!" e;
@@ -303,7 +303,7 @@ let kill_schedule rng ~phases ~epochs ~kills =
   Array.sub pool 0 kills |> Array.to_list |> List.sort compare
   |> List.map (fun e -> (e, phases.(C.Drbg.uniform_int rng (Array.length phases))))
 
-let flip_byte rng path what =
+let flip_byte rng path =
   try
     let len = (Unix.stat path).Unix.st_size in
     if len > 0 then begin
@@ -321,14 +321,14 @@ let flip_byte rng path what =
             ignore (Unix.lseek fd off Unix.SEEK_SET);
             ignore (Unix.write fd b 0 1)
           end);
-      Printf.printf "crashsoak: corrupted %s (bit flip at offset %d)\n%!" what
+      Printf.printf "crashsoak: corrupted journal (bit flip at offset %d)\n%!"
         off
     end
   with Unix.Unix_error _ | Sys_error _ -> ()
 
 let inject_corruption rng dir =
   let journal = Pvr_store.Store.journal_path ~dir in
-  match C.Drbg.uniform_int rng 4 with
+  match C.Drbg.uniform_int rng 3 with
   | 0 -> (
       (* Tear the journal tail, as an interrupted write would. *)
       try
@@ -342,8 +342,8 @@ let inject_corruption rng dir =
             cut
         end
       with Unix.Unix_error _ | Sys_error _ -> ())
-  | 1 -> flip_byte rng journal "journal"
-  | 2 -> (
+  | 1 -> flip_byte rng journal
+  | _ -> (
       (* Append garbage after the last frame. *)
       try
         let n = 1 + C.Drbg.uniform_int rng 16 in
@@ -357,21 +357,8 @@ let inject_corruption rng dir =
         close_out oc;
         Printf.printf "crashsoak: corrupted journal (%d garbage bytes)\n%!" n
       with Sys_error _ -> ())
-  | _ -> (
-      (* Flip a byte in the newest snapshot, if any. *)
-      match
-        Sys.readdir dir |> Array.to_list
-        |> List.filter (fun f ->
-               String.length f > 9
-               && String.sub f 0 5 = "snap-"
-               && Filename.check_suffix f ".pvrs")
-        |> List.sort (fun a b -> compare b a)
-      with
-      | newest :: _ -> flip_byte rng (Filename.concat dir newest) "snapshot"
-      | [] -> flip_byte rng journal "journal"
-      | exception Sys_error _ -> ())
 
-let run_crashsoak p kills checkpoint_every dir_opt no_corrupt keep stats =
+let run_crashsoak p kills dir_opt no_corrupt keep stats =
   if kills > p.p_epochs then begin
     Printf.eprintf "pvr crashsoak: --kills (%d) must be <= --epochs (%d)\n%!"
       kills p.p_epochs;
@@ -418,7 +405,7 @@ let run_crashsoak p kills checkpoint_every dir_opt no_corrupt keep stats =
                   in
                   match
                     engine_core ~quiet:true ~on_phase ~checkpoint_dir:dir
-                      ~resume:true ~checkpoint_every ~fsync:true world p
+                      ~resume:true ~fsync:true world p
                   with
                   | Ok (_, convicted) -> if convicted > 0 then 1 else 0
                   | Error _ -> 3
@@ -1024,15 +1011,6 @@ let eparams_term =
     $ intern $ bits $ cache $ salt_every $ turnover $ origins
     $ prefixes_per_origin $ anycast $ drop $ strategy $ mem_ceiling)
 
-let checkpoint_every_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "checkpoint-every" ]
-        ~doc:
-          "Epochs between full snapshots; the journal is still written \
-           every epoch.  0 disables snapshots (resume replays the churn \
-           stream from epoch 1).")
-
 let engine_cmd =
   let checkpoint =
     Arg.(
@@ -1041,27 +1019,26 @@ let engine_cmd =
       & info [ "checkpoint" ] ~docv:"DIR"
           ~doc:
             "Durable store directory: journal every epoch into \
-             $(docv)/journal.pvrj and snapshot on the \
-             $(b,--checkpoint-every) cadence.  Without $(b,--resume) any \
-             existing store in $(docv) is reset.")
+             $(docv)/journal.pvrj, the store's only file.  Without \
+             $(b,--resume) any existing journal in $(docv) is reset.")
   in
   let resume =
     Arg.(
       value & flag
       & info [ "resume" ]
           ~doc:
-            "Recover the store in $(b,--checkpoint) (truncating torn \
-             frames, skipping corrupt snapshots), replay to the newest \
-             durable epoch and continue from there.  Exits 3 when the \
-             store belongs to a different run or cannot be validated.")
+            "Recover the journal in $(b,--checkpoint) (truncating torn \
+             frames), replay the churn to its newest epoch record and \
+             continue from there.  Exits 3 when the store belongs to a \
+             different run or cannot be validated.")
   in
   let no_fsync =
     Arg.(
       value & flag
       & info [ "no-fsync" ]
           ~doc:
-            "Skip fsync barriers on journal appends and snapshot renames \
-             (framing and recovery still work; durability is best-effort).")
+            "Skip the fsync barrier on journal appends (framing and \
+             recovery still work; durability is best-effort).")
   in
   let report =
     Arg.(
@@ -1082,8 +1059,8 @@ let engine_cmd =
           after being killed, reproducing the exact digest of an \
           uninterrupted run.")
     Term.(
-      const run_engine $ eparams_term $ checkpoint $ resume
-      $ checkpoint_every_arg $ no_fsync $ report $ stats_arg)
+      const run_engine $ eparams_term $ checkpoint $ resume $ no_fsync
+      $ report $ stats_arg)
 
 let crashsoak_cmd =
   let kills =
@@ -1093,15 +1070,6 @@ let crashsoak_cmd =
           ~doc:
             "Distinct seeded kill points (epoch, phase); must not exceed \
              $(b,--epochs).")
-  in
-  let checkpoint_every =
-    Arg.(
-      value & opt int 2
-      & info [ "checkpoint-every" ]
-          ~doc:
-            "Epochs between snapshots in the children's store — 2 by \
-             default so resume exercises both the snapshot restore and the \
-             journal fast-forward paths.")
   in
   let dir =
     Arg.(
@@ -1132,8 +1100,8 @@ let crashsoak_cmd =
           an uninterrupted run.  Exits 1 on digest divergence, 3 on an \
           unrecoverable store.")
     Term.(
-      const run_crashsoak $ eparams_term $ kills $ checkpoint_every $ dir
-      $ no_corrupt $ keep $ stats_arg)
+      const run_crashsoak $ eparams_term $ kills $ dir $ no_corrupt $ keep
+      $ stats_arg)
 
 let check_cmd =
   let file =

@@ -6,8 +6,8 @@
     dirty-pair set via {!Rib.prefix_entry} — and a per-AS digest cache,
     so refreshing the global digest costs O(dirty pairs + dirty ASes).
     It has no serialized form: the digest it yields is stored in every
-    epoch record and checkpoint, and resume rebuilds the tracker by
-    replaying the churn stream. *)
+    epoch record, and resume rebuilds the tracker by replaying the churn
+    stream. *)
 
 type t
 

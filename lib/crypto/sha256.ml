@@ -227,7 +227,7 @@ let digest_many ctx parts = List.map (digest_with ctx) parts
 (* Digest-of-state helper: each part is fed length-framed, so the digest
    is unambiguous under concatenation — ["ab"; "c"] and ["a"; "bc"] hash
    differently.  The engine uses this to fingerprint simulator RIB state
-   for checkpoint validation. *)
+   for resume validation. *)
 let digest_parts_with ctx parts =
   reset ctx;
   List.iter

@@ -68,14 +68,13 @@ type snapshot = {
 
 (* Vertex carry-forward state is keyed by the snapshot digest rather than
    the snapshot itself: digest equality is what the clean-skip test needs,
-   and a digest (unlike route lists and memo tables) survives a trip
-   through the checkpoint store byte-for-byte. *)
+   and a digest is all a spilled slot has to keep in memory. *)
 type vstate = {
   mutable vs_digest : string; (* snapshot_digest of the last verified state *)
   mutable vs_period : int;
   mutable vs_outcome : outcome;
   mutable vs_cache : vcache option;
-      (* [None] after a governor cache drop (or a resume): memo tables are
+      (* [None] after a governor cache drop: memo tables are
          a pure accelerator, rebuilt lazily on the next dirty hit *)
   mutable vs_touched : int;
       (* engine epoch of the last recomputation — the LRU recency key the
@@ -505,13 +504,8 @@ let report_line r =
     r.ep_epoch r.ep_period r.ep_changes r.ep_msgs r.ep_vertices r.ep_dirty
     r.ep_skipped r.ep_detected r.ep_convicted r.ep_digest
 
-(* ---- vertex state records -------------------------------------------------- *)
+(* ---- evidence rows and spill pages ----------------------------------------- *)
 
-(* One vertex's carry-forward state, serialized.  This encoding is shared
-   byte-for-byte between checkpoint blobs (a count followed by records)
-   and spill pages (exactly one record per page frame): a spilled slot can
-   be passed straight through into a checkpoint, and unspill reuses the
-   checkpoint reader. *)
 module Codec = Pvr_crypto.Codec
 module Row = Pvr_query.Row
 
@@ -532,47 +526,31 @@ let row_of_outcome ~epoch o =
     r_excess = o.vx_excess_bits;
   }
 
-(* A record is the key, period and digest, then the outcome as an evidence
-   row body ({!Row.encode_body}: prover through excess), then the canonical
-   line.  The body carries no epoch; a decoded record's row has epoch 0. *)
-type state_record = {
-  sr_key : string;
-  sr_period : int;
-  sr_digest : string;
-  sr_row : Row.t;
-  sr_behaviour : Pvr.Adversary.behaviour;
-  sr_line : string;
-}
-
-let encode_state buf key vs =
-  Codec.str buf key;
-  Codec.u32 buf vs.vs_period;
-  Codec.str buf vs.vs_digest;
+(* A page is the outcome as an evidence row body ({!Row.encode_body}:
+   prover through excess), then the canonical line.  The spilled slot keeps
+   the snapshot digest and salt period in memory, so the page carries
+   neither.  The body carries no epoch. *)
+let page_blob vs =
+  let buf = Buffer.create 256 in
   Row.encode_body buf (row_of_outcome ~epoch:0 vs.vs_outcome);
-  Codec.str buf vs.vs_outcome.vx_line
+  Codec.str buf vs.vs_outcome.vx_line;
+  Buffer.contents buf
 
-let read_state r =
-  let sr_key = Codec.get_str r in
-  let sr_period = Codec.get_u32 r in
-  let sr_digest = Codec.get_str r in
-  let sr_row = Row.read_body ~epoch:0 r in
-  let sr_behaviour =
-    match Pvr.Adversary.behaviour_of_string sr_row.Row.r_behaviour with
+let read_page r =
+  let row = Row.read_body ~epoch:0 r in
+  let behaviour =
+    match Pvr.Adversary.behaviour_of_string row.Row.r_behaviour with
     | Some b -> b
-    | None -> Codec.malformed ("unknown behaviour " ^ sr_row.Row.r_behaviour)
+    | None -> Codec.malformed ("unknown behaviour " ^ row.Row.r_behaviour)
   in
-  let sr_line = Codec.get_str r in
-  { sr_key; sr_period; sr_digest; sr_row; sr_behaviour; sr_line }
-
-let outcome_of_record sr =
-  let row = sr.sr_row in
+  let line = Codec.get_str r in
   {
     vx_vertex = { vprover = Row.prover row; vprefix = Row.prefix row };
     vx_beneficiary = Row.beneficiary row;
     vx_providers = Row.providers row;
     vx_routes = [];
     vx_recomputed = false;
-    vx_behaviour = sr.sr_behaviour;
+    vx_behaviour = behaviour;
     vx_detected = row.Row.r_detected;
     vx_convicted = row.Row.r_convicted;
     vx_evidence = row.Row.r_evidence;
@@ -580,17 +558,12 @@ let outcome_of_record sr =
     vx_leaked_bits = row.Row.r_leaked;
     vx_excess_bits = row.Row.r_excess;
     vx_required = false;
-    vx_line = sr.sr_line;
+    vx_line = line;
   }
 
 (* ---- memory governor ------------------------------------------------------- *)
 
 let heap_words () = (Gc.quick_stat ()).Gc.heap_words
-
-let page_blob key vs =
-  let buf = Buffer.create 256 in
-  encode_state buf key vs;
-  Buffer.contents buf
 
 (* Read a spilled vertex's carried outcome back from its page.  [None] on
    any failure — a missing pager, a torn frame, a mangled record — which
@@ -607,11 +580,11 @@ let page_outcome t sp =
           None
       | Ok blob -> (
           Pvr_obs.incr c_mem_page_reads;
-          match Codec.decode blob read_state with
+          match Codec.decode blob read_page with
           | Error _ ->
               Pvr_obs.incr c_mem_page_read_failures;
               None
-          | Ok sr -> Some (outcome_of_record sr)))
+          | Ok o -> Some o))
 
 let drop_cold_caches t =
   let n = ref 0 in
@@ -645,7 +618,7 @@ let spill_cold t pg ~on_phase ~all =
   let first = ref true in
   List.iter
     (fun (key, vs) ->
-      let off = pg.pg_append ~key ~blob:(page_blob key vs) in
+      let off = pg.pg_append ~key ~blob:(page_blob vs) in
       Hashtbl.replace t.states key
         (Spilled
            { sp_digest = vs.vs_digest; sp_period = vs.vs_period; sp_off = off });
@@ -881,7 +854,7 @@ let epoch ?(apply = fun _ -> 0) ?(on_phase = fun (_ : string) -> ()) t =
     ep_digest = t.chain;
   }
 
-(* ---- checkpoint / resume --------------------------------------------------- *)
+(* ---- resume ---------------------------------------------------------------- *)
 
 (* Fast-forward: apply the epoch's update batch and converge the simulator
    without verifying anything.  Resume replays the (deterministic) churn
@@ -926,115 +899,7 @@ let rib_digest_full t =
   Bgp.Rib_delta.digest tr
 
 module Checkpoint = struct
-  type info = {
-    ck_epoch : int;
-    ck_chain : string;
-    ck_run_id : string;
-    ck_rib : string;
-    ck_states : int;
-  }
-
-  (* v5: every vertex writes the honest line format, so older blobs'
-     carried Byzantine or lossy lines would hash differently from
-     recomputation; they are refused and resume recomputes, which the
-     determinism contract makes harmless.  v4 made the RIB digest the
-     delta-tracker digest; v3 added evidence-kind tags; v2 behaviour and
-     leaked/excess bit counts. *)
-  let ck_version = 5
   let run_id t = C.Sha256.digest_hex ("pvr-engine-run-id|" ^ t.secret)
-
-  let save t =
-    let buf = Buffer.create 4096 in
-    Codec.u32 buf ck_version;
-    Codec.u32 buf t.epoch_no;
-    Codec.str buf t.chain;
-    Codec.str buf (run_id t);
-    Codec.str buf (rib_digest t);
-    let slots =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.states []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-    in
-    (* A spilled slot's page blob is exactly one state-record encoding, so
-       it passes through into the checkpoint untouched — no unspill storm
-       on the snapshot cadence.  An unreadable page is skipped: the vertex
-       recomputes once after resume, digest-identical. *)
-    let records =
-      List.filter_map
-        (fun (key, slot) ->
-          match slot with
-          | Resident vs -> Some (page_blob key vs)
-          | Spilled sp -> (
-              match t.pager with
-              | None -> None
-              | Some pg -> (
-                  match pg.pg_read ~off:sp.sp_off with
-                  | Ok blob ->
-                      Pvr_obs.incr c_mem_page_reads;
-                      Some blob
-                  | Error _ ->
-                      Pvr_obs.incr c_mem_page_read_failures;
-                      None)))
-        slots
-    in
-    Codec.u32 buf (List.length records);
-    List.iter (Buffer.add_string buf) records;
-    Buffer.contents buf
-
-  let parse blob =
-    Codec.decode blob (fun r ->
-        let v = Codec.get_u32 r in
-        if v <> ck_version then
-          raise (Codec.Malformed ("unsupported checkpoint version "
-                                  ^ string_of_int v));
-        let ck_epoch = Codec.get_u32 r in
-        let ck_chain = Codec.get_str r in
-        let ck_run_id = Codec.get_str r in
-        let ck_rib = Codec.get_str r in
-        let n = Codec.get_u32 r in
-        let states = List.init n (fun _ -> read_state r) in
-        ( { ck_epoch; ck_chain; ck_run_id; ck_rib; ck_states = n }, states ))
-
-  let info blob = Result.map fst (parse blob)
-
-  (* Rebuild a vstate from its serialized record.  Memo tables restart
-     absent ([vs_cache = None], built lazily on the next dirty hit):
-     recomputation is pure, so empty tables cost redundant crypto but can
-     never change an outcome.  [vx_routes]/[vx_required] are not persisted; a
-     carried-forward outcome only contributes its canonical line to the
-     digest. *)
-  let vstate_of_record sr =
-    {
-      vs_digest = sr.sr_digest;
-      vs_period = sr.sr_period;
-      vs_outcome = outcome_of_record sr;
-      vs_cache = None;
-      vs_touched = 0;
-    }
-
-  let load t blob =
-    match parse blob with
-    | Error e -> Error ("corrupt checkpoint: " ^ e)
-    | Ok (info, records) ->
-        if info.ck_run_id <> run_id t then
-          Error "checkpoint belongs to a different run (seed or parameters)"
-        else if info.ck_epoch <> t.epoch_no then
-          Error
-            (Printf.sprintf
-               "engine fast-forwarded to epoch %d but checkpoint is for \
-                epoch %d"
-               t.epoch_no info.ck_epoch)
-        else if rib_digest t <> info.ck_rib then
-          Error "replayed simulator state diverges from checkpoint RIB digest"
-        else begin
-          Hashtbl.reset t.states;
-          List.iter
-            (fun sr ->
-              Hashtbl.replace t.states sr.sr_key
-                (Resident (vstate_of_record sr)))
-            records;
-          t.chain <- info.ck_chain;
-          Ok info
-        end
 
   let advance t ~epoch ~chain ~rib =
     if t.epoch_no <> epoch then

@@ -55,7 +55,7 @@ type outcome = {
   vx_kinds : string list;
       (** sorted, deduplicated {!Pvr.Evidence.kind} tags of the evidence
           raised this round — the queryable violation classes; [[]] when
-          nothing was raised.  Persisted in checkpoints and evidence-row
+          nothing was raised.  Persisted in spill pages and evidence-row
           journal frames, never part of [vx_line] (digests are
           unchanged). *)
   vx_leaked_bits : int;
@@ -68,7 +68,7 @@ type outcome = {
   vx_required : bool;
       (** §2.3 Detection must have fired: {!Pvr.Runner.detection_expected}
           on the round's delivery (full delivery without [faults]);
-          [false] when read back from a checkpoint or spill page *)
+          [false] when read back from a spill page *)
   vx_line : string;
       (** canonical one-line rendering; the per-epoch digest hashes these.
           Excludes [vx_recomputed], so it is identical whether the outcome
@@ -190,7 +190,7 @@ val signatures : t -> (string * string) list
 val row_of_outcome : epoch:int -> outcome -> Pvr_query.Row.t
 (** The evidence-plane row of an outcome; its body
     ({!Pvr_query.Row.encode_body}) is also the outcome part of the engine's
-    checkpoint and spill-page vertex records. *)
+    spill pages. *)
 
 val report_line : epoch_report -> string
 (** One canonical summary line, stable across [jobs] and cache settings:
@@ -198,21 +198,21 @@ val report_line : epoch_report -> string
     convicted=… digest=…] — except for [dirty]/[skipped], which reflect the
     cache setting by design. *)
 
-(** {2 Checkpoint / resume}
+(** {2 Resume}
 
     Crash tolerance rests on the determinism contract: every verification
     outcome is a pure function of (master seed, vertex snapshot, salt
     period), so a resumed engine only needs (a) the simulator state — which
     replay of the deterministic churn stream rebuilds via {!skip_epoch} —
-    and (b) the hash chain position.  Carried per-vertex outcomes and salt
-    periods (a checkpoint's payload) merely restore the {e incremental}
-    part; without them every vertex recomputes once and the digest is
+    and (b) the hash chain position, which the journal's newest epoch
+    record holds.  No per-vertex state is carried over: every vertex
+    recomputes once in the first epoch after a resume, and the digest is
     still byte-identical. *)
 
 val skip_epoch : ?apply:(Bgp.Simulator.t -> int) -> t -> int * int
 (** Fast-forward one epoch: apply the update batch and converge the
     simulator without verifying.  Returns [(changes, msgs)].  Used by
-    resume to replay the churn stream up to the checkpointed epoch. *)
+    resume to replay the churn stream up to the journaled epoch. *)
 
 val rib_digest : t -> string
 (** Hex fingerprint of the full simulator state visible to the engine
@@ -227,36 +227,12 @@ val rib_digest_full : t -> string
     differential-oracle suite asserts it. *)
 
 module Checkpoint : sig
-  type info = {
-    ck_epoch : int;
-    ck_chain : string;  (** running report digest at [ck_epoch] *)
-    ck_run_id : string;  (** identifies the (seed, parameters) run *)
-    ck_rib : string;  (** {!rib_digest} at [ck_epoch] *)
-    ck_states : int;  (** carried vertex states *)
-  }
-
   val run_id : t -> string
   (** Digest of the engine's master secret: two engines agree on it iff
       they were created from the same seed stream. *)
 
-  val save : t -> string
-  (** Serialize epoch position, hash chain, RIB digest and every vertex's
-      carry-forward state (snapshot digest, salt period, outcome) into a
-      self-validating binary blob. *)
-
-  val info : string -> (info, string) result
-  (** Peek at a blob's header without an engine.  Never raises. *)
-
-  val load : t -> string -> (info, string) result
-  (** Install a checkpoint into an engine that has been fast-forwarded
-      (via {!skip_epoch}) to the checkpoint's epoch with the same seed.
-      Validates the run id and the replayed RIB digest first; on success
-      installs the hash chain and vertex states (memo tables restart
-      empty — harmless, recomputation is pure).  Never raises on corrupt
-      input. *)
-
   val advance : t -> epoch:int -> chain:string -> rib:string -> (unit, string) result
-  (** Move the hash chain to a journal-recorded epoch beyond the newest
-      snapshot: the engine must already be fast-forwarded to [epoch], and
-      [rib] must match the live simulator. *)
+  (** Move the hash chain to a journal-recorded epoch: the engine must
+      already be fast-forwarded to [epoch] (via {!skip_epoch}), and [rib]
+      must match the live simulator. *)
 end

@@ -7,19 +7,16 @@
     post-epoch hash-chain digest, the simulator RIB digest and the run
     id).  The epoch record is the commit mark for the rows before it.
     A paging run ({!pager}) also appends the governor's spill pages; they
-    are the journal's only page frames.
-    Every [snapshot_every] epochs the session also appends an
-    {!Pvr_query.Evidence_index} checkpoint frame and atomically rewrites
-    a full {!Engine.Checkpoint} snapshot.  Journal frames are written
-    {e before} the snapshot, so the WAL invariant holds: anything a
-    snapshot claims is also in the journal.
+    are the journal's only page frames.  The journal is the whole store:
+    nothing else is written.
 
-    {!resume} rebuilds a crashed run: recover the store (torn tails
-    truncated, corrupt snapshots skipped), pick the newest usable record,
-    replay the deterministic churn stream with {!Engine.skip_epoch} up to
-    it, validate run id + RIB digest, and install chain and carried
-    states.  The continued run produces a digest byte-identical to an
-    uninterrupted one — for any jobs value, cache on or off, and under
+    {!resume} rebuilds a crashed run from the journal alone: recover the
+    store (torn tails truncated), pick the newest epoch record of this
+    run, replay the deterministic churn stream with {!Engine.skip_epoch}
+    up to it, and adopt its chain with {!Engine.Checkpoint.advance},
+    which checks the RIB digest.  Every vertex recomputes once in the
+    next epoch, and the continued run produces a digest byte-identical to
+    an uninterrupted one — for any jobs value, cache on or off, and under
     fault-injected networks — because outcomes are pure functions of the
     seed and the replayed state. *)
 
@@ -46,9 +43,9 @@ val decode_epoch : string -> (epoch_record, string) result
 type session
 
 val start : ?fsync:bool -> ?snapshot_every:int -> dir:string -> unit -> session
-(** Open [dir] for appending.  [snapshot_every] (default 1) epochs per
-    full snapshot; [0] disables snapshots (journal-only, resume then
-    replays from epoch 1). *)
+(** Open [dir] for appending.  [snapshot_every] is accepted and ignored:
+    no snapshot is ever written.  It stays for the benchmark driver,
+    which still passes it. *)
 
 val pager : session -> run_id:string -> Engine.pager
 (** The session's WAL as an {!Engine.pager}: appended pages become tag-4
@@ -59,15 +56,14 @@ val pager : session -> run_id:string -> Engine.pager
     the same torn-tail-safe store the evidence plane lives in. *)
 
 val record : session -> Engine.t -> Engine.epoch_report -> unit
-(** Journal one completed epoch; snapshot if the cadence says so. *)
+(** Journal one completed epoch: its rows frame, then its epoch record. *)
 
 val close : session -> unit
 
 type resumed = {
   rs_epoch : int;  (** engine position after resume; [0] = fresh start *)
-  rs_snapshot_epoch : int;  (** epoch of the snapshot used; [0] = none *)
-  rs_replayed : int;  (** journal frames read back *)
-  rs_dropped : int;  (** corrupt frames/snapshots dropped during recovery *)
+  rs_replayed : int;  (** epoch records of this run read back *)
+  rs_dropped : int;  (** torn tails and foreign or undecodable frames *)
 }
 
 val resume :

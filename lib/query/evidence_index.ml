@@ -1,5 +1,4 @@
 module Bgp = Pvr_bgp
-module Codec = Pvr_crypto.Codec
 module Store = Pvr_store.Store
 module Bits = Pvr_merkle.Bitstring
 
@@ -180,154 +179,59 @@ let est_epoch_range t ~lo ~hi =
     0
     (epoch_segments t ~lo ~hi)
 
-(* ---- serialization --------------------------------------------------- *)
-
-let save_version = 1
-
-let save t =
-  let buf = Buffer.create 4096 in
-  Codec.u32 buf save_version;
-  Codec.str buf t.ix_run_id;
-  let epochs =
-    Hashtbl.fold (fun e seg acc -> (e, seg) :: acc) t.ix_epochs []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  in
-  Codec.u32 buf (List.length epochs);
-  List.iter
-    (fun (epoch, (first, count)) ->
-      Codec.u32 buf epoch;
-      Codec.u32 buf count;
-      for i = first to first + count - 1 do
-        Row.encode buf t.ix_rows.(i)
-      done)
-    epochs;
-  Buffer.contents buf
-
-let load blob =
-  Codec.decode blob (fun r ->
-      let v = Codec.get_u32 r in
-      if v <> save_version then
-        raise
-          (Codec.Malformed ("unsupported index version " ^ string_of_int v));
-      let run_id = Codec.get_str r in
-      let t = create ~run_id () in
-      let n = Codec.get_u32 r in
-      (* [save] writes epochs strictly ascending, which [add_epoch] needs. *)
-      let prev = ref (-1) in
-      for _ = 1 to n do
-        let epoch = Codec.get_u32 r in
-        if epoch <= !prev then Codec.malformed "index epochs out of order";
-        prev := epoch;
-        let count = Codec.get_u32 r in
-        let rows = List.init count (fun _ -> Row.read r) in
-        add_epoch t ~epoch rows
-      done;
-      t)
-
 (* ---- building from a store ------------------------------------------- *)
 
-(* Discovery pass over the whole journal (cheap: epoch records are tiny and
-   rows/index frames only have their headers peeked), then a row-decoding
-   pass that starts at the newest usable index checkpoint — the
-   incremental-materialization fast path: rows already covered by the
-   checkpoint are never decoded again. *)
-let build ?(quiet = false) ~dir () =
-  let warn fmt =
-    Printf.ksprintf
-      (fun msg -> if not quiet then Printf.eprintf "query: %s\n%!" msg)
-      fmt
-  in
+(* One pass over the journal: epoch records name the committed
+   (run, epoch) pairs and the newest run, and rows frames are decoded as
+   they stream past.  A rows frame is kept when it belongs to the newest
+   run and a record commits its epoch; of duplicates (a crashed epoch run
+   again after resume) the first in journal order wins.  Page frames and
+   undecodable payloads, old tag-3 index checkpoints among them, are
+   skipped. *)
+let build ?quiet:_ ~dir () =
   if not (Sys.file_exists (Store.journal_path ~dir)) then
     Error (Printf.sprintf "no journal in %s" dir)
   else begin
-    (* Pass 1: committed epochs, authoritative run id, newest index frame. *)
     let committed = Hashtbl.create 64 in
-    let last_run = ref "" in
-    let max_committed = ref 0 in
-    let index_frames = ref [] in
-    let (), _fe =
-      Store.fold_frames ~dir ~init:()
-        ~f:(fun () ~off payload ->
+    let (run, stash), fe =
+      Store.fold_frames ~dir ~init:("", [])
+        ~f:(fun ((run, stash) as acc) ~off:_ payload ->
           match Frame.tag payload with
           | Some t when t = Frame.tag_epoch -> (
               match Frame.decode_epoch payload with
               | Ok er ->
-                  last_run := er.Frame.er_run_id;
                   Hashtbl.replace committed
                     (er.Frame.er_run_id, er.Frame.er_epoch)
                     ();
-                  ()
-              | Error _ -> ())
-          | Some t when t = Frame.tag_index -> (
-              match Frame.peek_header payload with
-              | Some (_, run, epoch) ->
-                  index_frames := (off, run, epoch) :: !index_frames
-              | None -> ())
-          | _ -> ())
+                  (er.Frame.er_run_id, stash)
+              | Error _ -> acc)
+          | Some t when t = Frame.tag_rows -> (
+              match Frame.decode payload with
+              | Ok (Frame.Rows rf) -> (run, rf :: stash)
+              | Ok _ | Error _ -> acc)
+          | _ -> acc)
         ()
     in
-    let run = !last_run in
-    Hashtbl.iter
-      (fun (r, e) () -> if r = run then max_committed := max !max_committed e)
-      committed;
-    let is_committed e = Hashtbl.mem committed (run, e) in
-    (* Newest index checkpoint that belongs to this run and only covers
-       committed epochs. *)
-    let checkpoint =
-      List.find_opt
-        (fun (_, r, e) -> r = run && e <= !max_committed)
-        !index_frames
+    Pvr_obs.add c_scan_frames fe.Store.fe_frames;
+    let seen = Hashtbl.create 64 in
+    let epochs =
+      List.fold_left
+        (fun acc rf ->
+          let epoch = rf.Frame.rf_epoch in
+          if
+            rf.Frame.rf_run_id = run
+            && Hashtbl.mem committed (run, epoch)
+            && not (Hashtbl.mem seen epoch)
+          then begin
+            Hashtbl.replace seen epoch ();
+            (epoch, rf.Frame.rf_rows) :: acc
+          end
+          else acc)
+        [] (List.rev stash)
     in
-    (* Pass 2 from [from]: decode rows frames not covered by [base]. *)
-    let scan_rows ~from ~covered base =
-      let seen = Hashtbl.create 64 in
-      let stash, fe =
-        Store.fold_frames ~from ~dir ~init:[]
-          ~f:(fun acc ~off:_ payload ->
-            match Frame.tag payload with
-            | Some t when t = Frame.tag_rows -> (
-                match Frame.decode payload with
-                | Ok (Frame.Rows rf)
-                  when rf.Frame.rf_run_id = run
-                       && rf.Frame.rf_epoch > covered
-                       && is_committed rf.Frame.rf_epoch
-                       && not (Hashtbl.mem seen rf.Frame.rf_epoch) ->
-                    Hashtbl.replace seen rf.Frame.rf_epoch ();
-                    (rf.Frame.rf_epoch, rf.Frame.rf_rows) :: acc
-                | Ok _ | Error _ -> acc)
-            | _ -> acc)
-          ()
-      in
-      Pvr_obs.add c_scan_frames fe.Store.fe_frames;
-      List.iter
-        (fun (epoch, rows) -> add_epoch base ~epoch rows)
-        (List.sort (fun (a, _) (b, _) -> Int.compare a b) stash);
-      base
-    in
-    let from_scratch () =
-      scan_rows ~from:0 ~covered:0 (create ~run_id:run ())
-    in
-    let idx =
-      match checkpoint with
-      | None -> from_scratch ()
-      | Some (off, _, _) -> (
-          (* Re-read the checkpoint frame itself, then scan only past it. *)
-          let blob = ref None in
-          let (), _ =
-            Store.fold_frames ~from:off ~dir ~init:()
-              ~f:(fun () ~off:o payload ->
-                if o = off then
-                  match Frame.decode payload with
-                  | Ok (Frame.Index f) -> blob := Some f.Frame.if_blob
-                  | Ok _ | Error _ -> ())
-              ()
-          in
-          match Option.map load !blob with
-          | Some (Ok base) when run_id base = run ->
-              scan_rows ~from:off ~covered:(max_epoch base) base
-          | Some (Ok _) | Some (Error _) | None ->
-              warn "index checkpoint unusable; rebuilding from rows frames";
-              from_scratch ())
-    in
+    let idx = create ~run_id:run () in
+    List.iter
+      (fun (epoch, rows) -> add_epoch idx ~epoch rows)
+      (List.sort (fun (a, _) (b, _) -> Int.compare a b) epochs);
     Ok idx
   end

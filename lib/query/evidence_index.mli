@@ -46,19 +46,12 @@ val est_prefix : t -> exact:bool -> Bgp.Prefix.t -> int
 val ids_epoch_range : t -> lo:int -> hi:int -> int list
 val est_epoch_range : t -> lo:int -> hi:int -> int
 
-val save : t -> string
-(** Serialize for an index-checkpoint journal frame; {!load} rebuilds the
-    secondary structures, so the blob carries only run id + rows. *)
-
-val load : string -> (t, string) result
-
 val build : ?quiet:bool -> dir:string -> unit -> (t, string) result
-(** Materialize the index for the newest run recorded in [dir]'s journal.
-    Two passes over {!Pvr_store.Store.fold_frames}: a discovery pass that
-    peeks headers only, then a row-decoding pass starting at the newest
-    usable index checkpoint (or the journal start when there is none).
-    Only rows frames {e committed} by a following epoch record of the same
-    run are folded in; orphans from a crash are excluded, which is what
-    makes live and recovered stores answer queries byte-identically.
-    Frames the second pass touches are counted in ["query.scan.frames"].
-    [Error] when [dir] has no journal. *)
+(** Materialize the index for the newest run recorded in [dir]'s journal,
+    in one pass over {!Pvr_store.Store.fold_frames} that decodes epoch
+    records and rows frames.  Only rows frames {e committed} by an epoch
+    record of the same run are folded in; orphans from a crash are
+    excluded, which is what makes live and recovered stores answer
+    queries byte-identically.  Every frame of the walk is counted in
+    ["query.scan.frames"].  [quiet] is accepted and ignored: the build
+    prints nothing.  [Error] when [dir] has no journal. *)

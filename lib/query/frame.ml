@@ -2,10 +2,11 @@ module Codec = Pvr_crypto.Codec
 
 (* Tag space of engine journal payloads.  Tag 1 predates this module: it
    doubled as the epoch-record version field, so v1 epoch payloads from
-   older stores decode unchanged.  Tags 2/3 are the evidence plane. *)
+   older stores decode unchanged.  Tag 2 is the evidence plane.  Tag 3 was
+   an index checkpoint; it is no longer written, and an old store's tag-3
+   frames decode as [Error], skipped like any foreign frame. *)
 let tag_epoch = 1
 let tag_rows = 2
-let tag_index = 3
 
 (* Tag 4 is the engine's spill layer: one cold (prover,prefix) vertex
    state paged out to the journal.  Pages are read back by byte offset
@@ -29,13 +30,11 @@ type epoch_record = {
 }
 
 type rows_frame = { rf_run_id : string; rf_epoch : int; rf_rows : Row.t list }
-type index_frame = { if_run_id : string; if_epoch : int; if_blob : string }
 type page_frame = { pf_run_id : string; pf_key : string; pf_blob : string }
 
 type record =
   | Epoch of epoch_record
   | Rows of rows_frame
-  | Index of index_frame
   | Page of page_frame
 
 let tag payload =
@@ -111,20 +110,6 @@ let read_rows r =
   let rf_rows = List.init n (fun _ -> Row.read r) in
   { rf_run_id; rf_epoch; rf_rows }
 
-let encode_index f =
-  let buf = Buffer.create (String.length f.if_blob + 64) in
-  Codec.u32 buf tag_index;
-  Codec.str buf f.if_run_id;
-  Codec.u32 buf f.if_epoch;
-  Codec.str buf f.if_blob;
-  Buffer.contents buf
-
-let read_index r =
-  let if_run_id = Codec.get_str r in
-  let if_epoch = Codec.get_u32 r in
-  let if_blob = Codec.get_str r in
-  { if_run_id; if_epoch; if_blob }
-
 let encode_page f =
   let buf = Buffer.create (String.length f.pf_blob + 64) in
   Codec.u32 buf tag_page;
@@ -144,24 +129,5 @@ let decode payload =
       let t = Codec.get_u32 r in
       if t = tag_epoch then Epoch (read_epoch r)
       else if t = tag_rows then Rows (read_rows r)
-      else if t = tag_index then Index (read_index r)
       else if t = tag_page then Page (read_page r)
       else raise (Codec.Malformed ("unknown journal tag " ^ string_of_int t)))
-
-(* Header-only peek for the index builder's discovery pass: run id and
-   epoch of a rows/index frame without decoding row bodies (which for a
-   rows frame is the whole point — bodies are only decoded in the region
-   the chosen index checkpoint does not already cover). *)
-let peek_header payload =
-  match tag payload with
-  | Some t when t = tag_rows || t = tag_index -> (
-      let r = Codec.reader payload in
-      match
-        let _ = Codec.get_u32 r in
-        let run_id = Codec.get_str r in
-        let epoch = Codec.get_u32 r in
-        (t, run_id, epoch)
-      with
-      | v -> Some v
-      | exception Codec.Malformed _ -> None)
-  | _ -> None

@@ -12,14 +12,14 @@
       record: rows without a following epoch record for the same epoch
       are an uncommitted orphan.
     - tag [2] — evidence rows ({!Row.t} list) for one epoch.
-    - tag [3] — an {!Evidence_index} checkpoint: the serialized index
-      covering every committed epoch up to [if_epoch].  Purely an
-      accelerator; the builder falls back to scanning rows frames when
-      absent or stale.
-    - tag [4] — a spill page: one cold (prover,prefix) vertex state the
-      engine paged out to the journal.  Pages are addressed by byte
-      offset ({!Pvr_store.Store.read_frame_at}), never replayed; the
-      index builder and the resume filter skip them by tag. *)
+    - tag [3] — no longer written.  It held an index checkpoint; an old
+      store's tag-3 payloads decode as [Error], and resume and the index
+      builder skip them like any foreign frame.
+    - tag [4] — a spill page: the carried outcome of one cold
+      (prover,prefix) vertex the engine paged out to the journal.  Pages
+      are addressed by byte offset ({!Pvr_store.Store.read_frame_at}),
+      never replayed; the index builder and the resume filter skip them
+      by tag. *)
 
 type epoch_record = {
   er_epoch : int;
@@ -37,18 +37,15 @@ type epoch_record = {
 }
 
 type rows_frame = { rf_run_id : string; rf_epoch : int; rf_rows : Row.t list }
-type index_frame = { if_run_id : string; if_epoch : int; if_blob : string }
 type page_frame = { pf_run_id : string; pf_key : string; pf_blob : string }
 
 type record =
   | Epoch of epoch_record
   | Rows of rows_frame
-  | Index of index_frame
   | Page of page_frame
 
 val tag_epoch : int
 val tag_rows : int
-val tag_index : int
 val tag_page : int
 
 val tag : string -> int option
@@ -56,16 +53,11 @@ val tag : string -> int option
 
 val encode_epoch : epoch_record -> string
 val decode_epoch : string -> (epoch_record, string) result
-(** Tag-1 payloads only; rows/index payloads are an [Error], which is how
+(** Tag-1 payloads only; any other payload is an [Error], which is how
     pre-query-plane readers (crashsoak's frame audit) skip them. *)
 
 val encode_rows : rows_frame -> string
-val encode_index : index_frame -> string
 val encode_page : page_frame -> string
 
 val decode : string -> (record, string) result
-(** Decode any tagged payload. *)
-
-val peek_header : string -> (int * string * int) option
-(** [(tag, run_id, epoch)] of a rows/index payload without decoding row
-    bodies; [None] for epoch records and malformed payloads. *)
+(** Decode a tag-1, tag-2 or tag-4 payload; any other tag is an [Error]. *)

@@ -172,8 +172,7 @@ let scratch_seq = Atomic.make 0
    or [Error] when the checkpoint store is unrecoverable. *)
 let engine_core ?(quiet = false) ?(on_phase = fun ~epoch:_ (_ : string) -> ())
     ?(on_report = fun (_ : Pvr_engine.Engine.epoch_report) -> ())
-    ?checkpoint_dir ?(resume = false) ?(checkpoint_every = 1) ?(fsync = true)
-    world p =
+    ?checkpoint_dir ?(resume = false) ?(fsync = true) world p =
   let sim = G.Simulator.create world.w_topo in
   let faults =
     if p.p_drop > 0.0 then
@@ -204,10 +203,8 @@ let engine_core ?(quiet = false) ?(on_phase = fun ~epoch:_ (_ : string) -> ())
           match Pvr_engine.Persist.resume ~quiet ~dir ~engine:eng ~apply () with
           | Ok rs ->
               if not quiet then
-                Printf.printf
-                  "resumed: epoch=%d snapshot=%d replayed=%d dropped=%d\n%!"
-                  rs.Pvr_engine.Persist.rs_epoch rs.rs_snapshot_epoch
-                  rs.rs_replayed rs.rs_dropped;
+                Printf.printf "resumed: epoch=%d replayed=%d dropped=%d\n%!"
+                  rs.Pvr_engine.Persist.rs_epoch rs.rs_replayed rs.rs_dropped;
               Ok rs.Pvr_engine.Persist.rs_epoch
           | Error e -> Error e
         else begin
@@ -220,10 +217,7 @@ let engine_core ?(quiet = false) ?(on_phase = fun ~epoch:_ (_ : string) -> ())
   | Ok start ->
       let spill = p.p_mem_ceiling > 0 in
       let session =
-        Option.map
-          (fun dir ->
-            Pvr_engine.Persist.start ~fsync ~snapshot_every:checkpoint_every
-              ~dir ())
+        Option.map (fun dir -> Pvr_engine.Persist.start ~fsync ~dir ())
           checkpoint_dir
       in
       (* Spilling without a checkpoint dir still needs a WAL to page into:
@@ -244,7 +238,7 @@ let engine_core ?(quiet = false) ?(on_phase = fun ~epoch:_ (_ : string) -> ())
         Option.map
           (fun dir ->
             Pvr_store.Store.reset ~dir;
-            Pvr_engine.Persist.start ~fsync:false ~snapshot_every:0 ~dir ())
+            Pvr_engine.Persist.start ~fsync:false ~dir ())
           scratch_dir
       in
       Pvr_engine.Engine.set_mem_ceiling eng p.p_mem_ceiling;

@@ -84,7 +84,6 @@ val engine_core :
   ?on_report:(Pvr_engine.Engine.epoch_report -> unit) ->
   ?checkpoint_dir:string ->
   ?resume:bool ->
-  ?checkpoint_every:int ->
   ?fsync:bool ->
   world ->
   params ->
@@ -94,5 +93,8 @@ val engine_core :
     ("apply"/"collect"/"verify") and after the journal write ("record") —
     the crash-soak kill hook.  [on_report] fires once per completed epoch
     with its report — the serve daemon streams a verdict frame from it.
-    Returns [(final_digest, total_convictions)], or [Error] when the
-    checkpoint store is unrecoverable. *)
+    [checkpoint_dir] journals every epoch into that store (reset first
+    unless [resume]); with [resume] the run continues after the
+    journal's newest epoch record of this run.  Returns
+    [(final_digest, total_convictions)], or [Error] when the checkpoint
+    store is unrecoverable. *)

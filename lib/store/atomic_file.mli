@@ -4,7 +4,7 @@
     new one — never a half-written mix.  POSIX rename atomicity is the
     only primitive relied on.
 
-    Used for engine snapshots, [BENCH_pvr.json] and engine report files,
+    Used for [BENCH_pvr.json] and engine report files,
     so a crash during output can never leave a torn artifact behind. *)
 
 val write : ?fsync:bool -> string -> string -> unit

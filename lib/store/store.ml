@@ -3,16 +3,16 @@ module BU = Pvr_crypto.Bytes_util
 let c_fsync = Pvr_obs.counter "store.fsync.count"
 let c_journal_bytes = Pvr_obs.counter "store.journal.bytes"
 let c_journal_appends = Pvr_obs.counter "store.journal.appends"
-let c_snapshot_writes = Pvr_obs.counter "store.snapshot.writes"
 let c_replay_frames = Pvr_obs.counter "store.replay.frames"
 let c_corrupt_dropped = Pvr_obs.counter "store.corrupt.dropped"
 let c_frame_reads = Pvr_obs.counter "store.frame.reads"
 
-let journal_magic = "PVRJ"
-let snapshot_magic = "PVRS"
+let magic = "PVRJ"
 let version = 1
-let kind_epoch = 1
-let kind_snapshot = 2
+
+(* Every journal frame has kind 1; what a payload is, its own leading
+   tag says. *)
+let kind = 1
 
 (* magic(4) + version(1) + kind(1) + len(4) ... payload ... crc(4) *)
 let header_len = 10
@@ -20,10 +20,7 @@ let max_payload = 1 lsl 28
 
 let journal_path ~dir = Filename.concat dir "journal.pvrj"
 
-let snapshot_path ~dir ~epoch =
-  Filename.concat dir (Printf.sprintf "snap-%010d.pvrs" epoch)
-
-let frame ~magic ~kind payload =
+let frame payload =
   let buf = Buffer.create (header_len + String.length payload + 4) in
   Buffer.add_string buf magic;
   Buffer.add_char buf (Char.chr version);
@@ -36,30 +33,26 @@ let frame ~magic ~kind payload =
 
 (* Parse the frame starting at [off]; [Ok (payload, next_off)] or the
    reason it is invalid.  Never raises. *)
-let parse_frame ~magic src off =
+let parse_frame src off =
   let total = String.length src in
   if total - off < header_len + 4 then Error "short frame"
   else if String.sub src off 4 <> magic then Error "bad magic"
   else if Char.code src.[off + 4] <> version then Error "bad version"
+  else if Char.code src.[off + 5] <> kind then Error "bad kind"
   else begin
-    let kind = Char.code src.[off + 5] in
-    if kind <> kind_epoch && kind <> kind_snapshot then Error "bad kind"
+    let len = BU.read_be32 src (off + 6) in
+    if len > max_payload || total - off < header_len + len + 4 then
+      Error "truncated payload"
     else begin
-      let len = BU.read_be32 src (off + 6) in
-      if len > max_payload || total - off < header_len + len + 4 then
-        Error "truncated payload"
-      else begin
-        let crc = BU.read_be32 src (off + header_len + len) in
-        if Crc32.digest (String.sub src off (header_len + len)) <> crc then
-          Error "crc mismatch"
-        else
-          Ok (String.sub src (off + header_len) len, off + header_len + len + 4)
-      end
+      let crc = BU.read_be32 src (off + header_len + len) in
+      if Crc32.digest (String.sub src off (header_len + len)) <> crc then
+        Error "crc mismatch"
+      else
+        Ok (String.sub src (off + header_len) len, off + header_len + len + 4)
     end
   end
 
 type t = {
-  dir : string;
   fsync : bool;
   mutable oc : Out_channel.t option;
   mutable pos : int;
@@ -82,7 +75,7 @@ let open_ ?(fsync = true) ~dir () =
     | { Unix.st_size; _ } -> st_size
     | exception Unix.Unix_error _ -> 0
   in
-  { dir; fsync; oc = Some oc; pos }
+  { fsync; oc = Some oc; pos }
 
 let channel t =
   match t.oc with
@@ -93,7 +86,7 @@ let channel t =
    at — the stable address pages are later read back from. *)
 let append' t payload =
   let oc = channel t in
-  let fr = frame ~magic:journal_magic ~kind:kind_epoch payload in
+  let fr = frame payload in
   let off = t.pos in
   Out_channel.output_string oc fr;
   Out_channel.flush oc;
@@ -135,16 +128,11 @@ let read_frame_at ~dir ~off =
                     | None -> Error "short frame"
                     | Some () -> (
                         let src = hdr ^ Bytes.to_string rest in
-                        match parse_frame ~magic:journal_magic src 0 with
+                        match parse_frame src 0 with
                         | Ok (payload, _) ->
                             Pvr_obs.incr c_frame_reads;
                             Ok payload
                         | Error _ as e -> e))))
-
-let write_snapshot t ~epoch payload =
-  let fr = frame ~magic:snapshot_magic ~kind:kind_snapshot payload in
-  Atomic_file.write ~fsync:t.fsync (snapshot_path ~dir:t.dir ~epoch) fr;
-  Pvr_obs.incr c_snapshot_writes
 
 let close t =
   match t.oc with
@@ -154,7 +142,6 @@ let close t =
       Out_channel.close oc
 
 type recovery = {
-  rc_snapshots : (int * string) list;
   rc_frames : string list;
   rc_dropped : int;
   rc_truncated_bytes : int;
@@ -209,7 +196,7 @@ let fold_frames ?(from = 0) ~dir ~init ~f () =
               (if avail () >= header_len then
                  let len = BU.read_be32 !src (!start + 6) in
                  if len <= max_payload then refill (header_len + len + 4));
-              match parse_frame ~magic:journal_magic !src !start with
+              match parse_frame !src !start with
               | Ok (payload, next) ->
                   acc := f !acc ~off:!off payload;
                   incr frames;
@@ -222,28 +209,7 @@ let fold_frames ?(from = 0) ~dir ~init ~f () =
           done;
           (!acc, { fe_next = !off; fe_frames = !frames; fe_error = !stop }))
 
-let read_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | s -> Some s
-  | exception (Sys_error _ | Unix.Unix_error _) -> None
-
-let warn quiet fmt =
-  Printf.ksprintf
-    (fun msg -> if not quiet then Printf.eprintf "store: %s\n%!" msg)
-    fmt
-
-(* Snapshot file names carry the epoch; parse it back, rejecting strays. *)
-let snapshot_epoch_of_name name =
-  if
-    String.length name = 20
-    && String.sub name 0 5 = "snap-"
-    && Filename.check_suffix name ".pvrs"
-  then int_of_string_opt (String.sub name 5 10)
-  else None
-
 let recover ?(quiet = false) ~dir () =
-  let dropped = ref 0 in
-  let truncated = ref 0 in
   let jpath = journal_path ~dir in
   let frames, fe =
     fold_frames ~dir ~init:[]
@@ -252,66 +218,39 @@ let recover ?(quiet = false) ~dir () =
         payload :: acc)
       ()
   in
-  (match fe.fe_error with
-  | None -> ()
-  | Some reason ->
-      let total =
-        match Unix.stat jpath with
-        | { Unix.st_size; _ } -> st_size
-        | exception Unix.Unix_error _ -> fe.fe_next
-      in
-      incr dropped;
-      Pvr_obs.incr c_corrupt_dropped;
-      truncated := total - fe.fe_next;
-      warn quiet "journal %s: %s at offset %d; truncating %d byte(s)" jpath
-        reason fe.fe_next !truncated;
-      if !truncated > 0 then begin
-        (* Truncate-and-warn: cut the torn/corrupt tail so the next append
-           starts at a clean frame boundary. *)
-        match Unix.openfile jpath [ Unix.O_WRONLY ] 0o644 with
-        | exception Unix.Unix_error _ -> ()
-        | fd ->
-            Fun.protect
-              ~finally:(fun () -> Unix.close fd)
-              (fun () ->
-                try Unix.ftruncate fd fe.fe_next with Unix.Unix_error _ -> ())
-      end);
-  let frames = ref frames in
-  let snapshots =
-    (match Sys.readdir dir with
-    | names -> Array.to_list names
-    | exception Sys_error _ -> [])
-    |> List.filter_map (fun name ->
-           Option.map (fun e -> (e, name)) (snapshot_epoch_of_name name))
-    |> List.sort (fun (a, _) (b, _) -> Int.compare b a)
-    |> List.filter_map (fun (epoch, name) ->
-           match read_file (Filename.concat dir name) with
-           | None ->
-               incr dropped;
-               Pvr_obs.incr c_corrupt_dropped;
-               warn quiet "snapshot %s: unreadable; skipping" name;
-               None
-           | Some src -> (
-               match parse_frame ~magic:snapshot_magic src 0 with
-               | Ok (payload, next) when next = String.length src ->
-                   Some (epoch, payload)
-               | Ok _ | Error _ ->
-                   incr dropped;
-                   Pvr_obs.incr c_corrupt_dropped;
-                   warn quiet "snapshot %s: corrupt; skipping" name;
-                   None))
+  let truncated =
+    match fe.fe_error with
+    | None -> 0
+    | Some reason ->
+        let total =
+          match Unix.stat jpath with
+          | { Unix.st_size; _ } -> st_size
+          | exception Unix.Unix_error _ -> fe.fe_next
+        in
+        let cut = total - fe.fe_next in
+        Pvr_obs.incr c_corrupt_dropped;
+        if not quiet then
+          Printf.eprintf
+            "store: journal %s: %s at offset %d; truncating %d byte(s)\n%!"
+            jpath reason fe.fe_next cut;
+        (if cut > 0 then
+           (* Truncate-and-warn: cut the torn/corrupt tail so the next
+              append starts at a clean frame boundary. *)
+           match Unix.openfile jpath [ Unix.O_WRONLY ] 0o644 with
+           | exception Unix.Unix_error _ -> ()
+           | fd ->
+               Fun.protect
+                 ~finally:(fun () -> Unix.close fd)
+                 (fun () ->
+                   try Unix.ftruncate fd fe.fe_next
+                   with Unix.Unix_error _ -> ()));
+        cut
   in
   {
-    rc_snapshots = snapshots;
-    rc_frames = List.rev !frames;
-    rc_dropped = !dropped;
-    rc_truncated_bytes = !truncated;
+    rc_frames = List.rev frames;
+    rc_dropped = (if fe.fe_error = None then 0 else 1);
+    rc_truncated_bytes = truncated;
   }
 
 let reset ~dir =
-  if Sys.file_exists dir && Sys.is_directory dir then
-    Array.iter
-      (fun name ->
-        if name = "journal.pvrj" || snapshot_epoch_of_name name <> None then
-          try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
-      (Sys.readdir dir)
+  try Sys.remove (journal_path ~dir) with Sys_error _ -> ()

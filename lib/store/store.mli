@@ -1,5 +1,5 @@
 (** Durable epoch store: an append-only, CRC-framed write-ahead journal
-    plus periodic full snapshots, living together in one directory.
+    in one directory.
 
     {2 On-disk format}
 
@@ -11,19 +11,19 @@
 
     where the CRC covers everything from the magic through the payload.
     Frames are appended with a single [write] followed by an optional
-    [fsync], so a crash can only tear the {e last} frame.  Snapshots are
-    single-frame files ([snap-<epoch>.pvrs], magic ["PVRS"]) written via
-    {!Atomic_file.write} — they are either entirely present or absent.
+    [fsync], so a crash can only tear the {e last} frame.  Every frame
+    has kind 1; what a payload holds, its own leading tag says (the query
+    plane's [Frame] module owns the tags).
 
     {2 Recovery contract}
 
     {!recover} never raises on corrupt input.  It walks the journal from
     the start, keeps the longest valid prefix of frames, truncates the
     file back to that prefix (torn or mangled tails are dropped with a
-    warning on [stderr]), and returns every CRC-valid snapshot newest
-    first.  Corrupt snapshots are skipped, falling back to older ones.
-    Every dropped frame or snapshot bumps the ["store.corrupt.dropped"]
-    counter; every replayed frame bumps ["store.replay.frames"]; appends
+    warning on [stderr]) and returns the payloads of that prefix.  Other
+    files in the directory are never read.  A dropped tail bumps the
+    ["store.corrupt.dropped"] counter; every replayed frame bumps
+    ["store.replay.frames"]; appends
     account bytes in ["store.journal.bytes"] and fsyncs in
     ["store.fsync.count"]. *)
 
@@ -32,9 +32,9 @@ type t
 
 val open_ : ?fsync:bool -> dir:string -> unit -> t
 (** Create [dir] if needed and open the journal for appending.  [fsync]
-    (default [true]) syncs the journal after every append and snapshots
-    on rename; [false] keeps the framing (and hence torn-write recovery)
-    but skips durability barriers. *)
+    (default [true]) syncs the journal after every append; [false] keeps
+    the framing (and hence torn-write recovery) but skips the durability
+    barrier. *)
 
 val append : t -> string -> unit
 (** Append one journal frame with the given payload and flush it
@@ -54,16 +54,11 @@ val read_frame_at : dir:string -> off:int -> (string, string) result
     frame.  Never raises.  Each successful read bumps
     ["store.frame.reads"]. *)
 
-val write_snapshot : t -> epoch:int -> string -> unit
-(** Atomically (re)write the snapshot file for [epoch]. *)
-
 val close : t -> unit
 
 type recovery = {
-  rc_snapshots : (int * string) list;
-      (** CRC-valid snapshot payloads, newest epoch first *)
   rc_frames : string list;  (** valid journal frame payloads, append order *)
-  rc_dropped : int;  (** corrupt frames + snapshot files dropped *)
+  rc_dropped : int;  (** 1 when a corrupt or torn tail was dropped, else 0 *)
   rc_truncated_bytes : int;  (** journal bytes cut off the tail *)
 }
 
@@ -97,7 +92,6 @@ val recover : ?quiet:bool -> dir:string -> unit -> recovery
     [stderr] warnings. *)
 
 val reset : dir:string -> unit
-(** Delete the journal and all snapshots in [dir] (fresh-start). *)
+(** Delete the journal in [dir] (fresh start). *)
 
 val journal_path : dir:string -> string
-val snapshot_path : dir:string -> epoch:int -> string

@@ -13,10 +13,8 @@ module R = Pvr_rfg
 module C = Pvr_crypto
 module Codec = Pvr_crypto.Codec
 module N = Pvr_net
-module E = Pvr_engine.Engine
 module Row = Pvr_query.Row
 module Frame = Pvr_query.Frame
-module Index = Pvr_query.Evidence_index
 module Protocol = Pvr_serve.Protocol
 module Gen = QCheck2.Gen
 
@@ -399,27 +397,9 @@ let frame =
           Frame.Rows { rf_run_id; rf_epoch; rf_rows })
         blob small (items row_value);
       map3
-        (fun if_run_id if_epoch if_blob ->
-          Frame.Index { if_run_id; if_epoch; if_blob })
-        blob small blob;
-      map3
         (fun pf_run_id pf_key pf_blob -> Frame.Page { pf_run_id; pf_key; pf_blob })
         blob blob blob;
     ]
-
-(* Epochs ascending from 1, as the engine appends them. *)
-let evidence_index =
-  Gen.map2
-    (fun run_id epochs ->
-      let ix = Index.create ~run_id () in
-      List.iteri
-        (fun i rows ->
-          Index.add_epoch ix ~epoch:(i + 1)
-            (List.map (fun r -> { r with Row.r_epoch = i + 1 }) rows))
-        epochs;
-      ix)
-    blob
-    (items (items row_value))
 
 let params =
   let open Gen in
@@ -519,27 +499,6 @@ let response =
          });
       map (fun rows -> Protocol.Rows rows) (items blob);
     ]
-
-(* Checkpoints of a short engine run (the store test's world), at epochs 1
-   and 2; the value is the blob and the info it was saved with. *)
-let checkpoints =
-  lazy
-    (let eng, apply = Test_store.mk_world ~jobs:1 ~cache:true 77 in
-     List.map
-       (fun epoch ->
-         ignore (E.epoch ~apply:(apply ~epoch) eng : E.epoch_report);
-         let blob = E.Checkpoint.save eng in
-         (Result.get_ok (E.Checkpoint.info blob), blob))
-       [ 1; 2 ])
-
-(* A checkpoint whose vertex records name a behaviour no prover has: every
-   "honest" becomes "honost", which keeps the framing intact. *)
-let unknown_behaviour blob =
-  let b = Bytes.of_string blob in
-  for i = 0 to Bytes.length b - 6 do
-    if Bytes.sub_string b i 6 = "honest" then Bytes.set b (i + 4) 'o'
-  done;
-  Bytes.to_string b
 
 (* ---- rows ----------------------------------------------------------------- *)
 
@@ -664,6 +623,16 @@ let encode_with f x =
   f buf x;
   Buffer.contents buf
 
+(* A well-framed index-checkpoint payload: tag 3, which names no record,
+   then a run id, an epoch and a blob. *)
+let index_checkpoint_payload =
+  let b = Buffer.create 64 in
+  Codec.u32 b 3;
+  Codec.str b "run";
+  Codec.u32 b 2;
+  Codec.str b "index blob";
+  Buffer.contents b
+
 let store_rows =
   [
     row "Row.read" row_value ~encode:(encode_with Row.encode)
@@ -672,26 +641,15 @@ let store_rows =
       ~encode:(function
         | Frame.Epoch er -> Frame.encode_epoch er
         | Frame.Rows rf -> Frame.encode_rows rf
-        | Frame.Index f -> Frame.encode_index f
         | Frame.Page pf -> Frame.encode_page pf)
-      ~decode:(of_result Frame.decode);
+      ~decode:(of_result Frame.decode)
+      ~rejects:(lazy [ index_checkpoint_payload ]);
     row "Frame.decode_epoch" epoch_record ~encode:Pvr_engine.Persist.encode_epoch
       ~decode:(of_result Pvr_engine.Persist.decode_epoch);
-    row "Evidence_index.load" evidence_index ~encode:Index.save
-      ~decode:(of_result Index.load)
-      ~equal:(fun a b -> Index.save a = Index.save b);
     row "Protocol.decode_request" request ~encode:Protocol.encode_request
       ~decode:(of_result Protocol.decode_request);
     row "Protocol.decode_response" response ~encode:Protocol.encode_response
       ~decode:(of_result Protocol.decode_response);
-    row ~count:40 "Checkpoint.info"
-      (Gen.map (fun i -> List.nth (Lazy.force checkpoints) i) (Gen.int_bound 1))
-      ~encode:snd
-      ~decode:(fun blob ->
-        Option.map (fun info -> (info, blob)) (of_result E.Checkpoint.info blob))
-      ~seeds:(lazy [ String.make 64 'b' ])
-      ~rejects:
-        (lazy [ unknown_behaviour (snd (List.hd (Lazy.force checkpoints))) ]);
   ]
 
 let table = wire_rows @ proof_rows @ store_rows

@@ -3,8 +3,9 @@
    ceiling x jobs x cache (including a pager that always fails reads),
    governor staging counters, a paging run's journal holding only spill
    pages, tag-4 page frames, random-access journal reads, the 10k-AS
-   generated-topology tier histogram, and the CLI's --mem-ceiling and
-   crashsoak spill kill-point contracts. *)
+   generated-topology tier histogram, the CLI's --mem-ceiling and
+   crashsoak spill kill-point contracts, and a page whose record names no
+   behaviour. *)
 
 module E = Pvr_engine.Engine
 module G = Pvr_bgp
@@ -168,9 +169,8 @@ let page_read_failure_recomputes () =
 
 (* A checkpointed run under a 1-word ceiling spills vertex state into its
    own journal through [Persist.pager].  Those spill pages are the only
-   page frames the journal may hold: every other frame is evidence rows,
-   an index checkpoint or an epoch record, each of which something reads
-   back. *)
+   page frames the journal may hold: every other frame is evidence rows
+   or an epoch record, each of which something reads back. *)
 let paging_journal_holds_only_spills () =
   with_dir (fun dir ->
       let p =
@@ -309,6 +309,32 @@ let cli_crashsoak_spill () =
        "crashsoak --seed 37 --epochs 6 --kills 3 --mem-ceiling 1 \
         --no-corrupt")
 
+(* A page whose "honest" reads "honost" keeps its framing but names no
+   behaviour: the read succeeds, the record is refused, and the vertex
+   recomputes to the same digest. *)
+let page_unknown_behaviour_recomputes () =
+  let honost blob =
+    let b = Bytes.of_string blob in
+    for i = 0 to Bytes.length b - 6 do
+      if Bytes.sub_string b i 6 = "honest" then Bytes.set b (i + 4) 'o'
+    done;
+    Bytes.to_string b
+  in
+  let mem = E.memory_pager () in
+  let pager =
+    {
+      mem with
+      E.pg_read = (fun ~off -> Result.map honost (mem.E.pg_read ~off));
+    }
+  in
+  let eng0, _ = run_mem 309 in
+  let (eng, _), d = counted (fun () -> run_mem ~ceiling:1 ~pager 309) in
+  check_string "digest" (E.digest eng0) (E.digest eng);
+  let reads = delta d "engine.mem.page_reads" in
+  check_bool "pages read back" true (reads > 0);
+  check_int "every page read is refused" reads
+    (delta d "engine.mem.page_read_failures")
+
 let suite =
   [
     ("rib digest: incremental equals oracle", `Quick, rib_digest_matches_oracle);
@@ -323,4 +349,6 @@ let suite =
     ("topology: 10k-AS generation histogram", `Quick, topology_10k_histogram);
     ("cli: mem-ceiling digest = unbounded", `Quick, cli_spill_digest_matches);
     ("cli: crashsoak survives spill kill points", `Slow, cli_crashsoak_spill);
+    ("governor: a page naming no behaviour recomputes", `Quick,
+     page_unknown_behaviour_recomputes);
   ]

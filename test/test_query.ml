@@ -3,9 +3,9 @@
    canonical-form round-trip, Store.fold_frames streaming semantics, the
    commit protocol (orphan rows frames excluded, duplicates deduped), a
    qcheck differential between planned execution and a brute-force scan,
-   the index-checkpoint fast path, α viewer scoping (viewers never see
-   unauthorized rows; court sees everything), crash/recover query
-   byte-equality, and the query.* obs counters. *)
+   α viewer scoping (viewers never see unauthorized rows; court sees
+   everything), crash/recover query byte-equality, and the query.* obs
+   counters. *)
 
 module P = Pvr
 module E = Pvr_engine.Engine
@@ -249,7 +249,7 @@ let rows_frame_roundtrip =
     (fun (rows, epoch) ->
       let f = { Frame.rf_run_id = "run-x"; rf_epoch = epoch; rf_rows = rows } in
       let payload = Frame.encode_rows f in
-      Frame.peek_header payload = Some (Frame.tag_rows, "run-x", epoch)
+      Frame.tag payload = Some Frame.tag_rows
       && match Frame.decode payload with
          | Ok (Frame.Rows f') -> f' = f
          | _ -> false)
@@ -348,14 +348,14 @@ let run_epochs ~session eng apply ~from ~until =
     Option.iter (fun s -> Persist.record s eng r) session
   done
 
-(* (dir, index): a completed 5-epoch timing-probe run with snapshots (and
-   hence index checkpoints) every 2 epochs.  The dir is never cleaned —
-   it is shared by every test below, like test_store's pristine store. *)
+(* (dir, index): a completed 5-epoch timing-probe run.  The dir is never
+   cleaned — it is shared by every test below, like test_store's pristine
+   store. *)
 let fixture =
   lazy
     (let dir = fresh_dir () in
      let eng, apply = mk_world ~jobs:1 ~cache:true fixture_seed in
-     let s = Persist.start ~fsync:false ~snapshot_every:2 ~dir () in
+     let s = Persist.start ~fsync:false ~dir () in
      run_epochs ~session:(Some s) eng apply ~from:0 ~until:fixture_epochs;
      Persist.close s;
      match Idx.build ~quiet:true ~dir () with
@@ -529,35 +529,7 @@ let alpha_never_leaks =
       List.for_all (Exec.authorized_for_row ~viewer) res.Exec.qr_rows
       && List.for_all (fun r -> List.mem r court.Exec.qr_rows) res.Exec.qr_rows)
 
-(* ---- incremental materialization -------------------------------------------------- *)
-
-let index_checkpoint_fast_path () =
-  (* Same run journaled twice: with index checkpoints (snapshot cadence)
-     and without (snapshot_every 0).  Queries agree byte-for-byte and the
-     checkpointed build decodes strictly fewer frames in pass 2. *)
-  let dir_chk, idx_chk = Lazy.force fixture in
-  ignore dir_chk;
-  with_dir (fun dir ->
-      let eng, apply = mk_world ~jobs:1 ~cache:true fixture_seed in
-      let s = Persist.start ~fsync:false ~snapshot_every:0 ~dir () in
-      run_epochs ~session:(Some s) eng apply ~from:0 ~until:fixture_epochs;
-      Persist.close s;
-      let build d =
-        counted (fun () ->
-            match Idx.build ~quiet:true ~dir:d () with
-            | Ok idx -> idx
-            | Error e -> Alcotest.failf "build: %s" e)
-      in
-      let idx_flat, d_flat = build dir in
-      check_bool "same rows either way" true
-        (all_rows idx_flat = all_rows idx_chk);
-      let _, d_chk = build dir_chk in
-      let scanned d = delta d "query.scan.frames" in
-      check_bool
-        (Printf.sprintf "checkpointed build scans fewer frames (%d < %d)"
-           (scanned d_chk) (scanned d_flat))
-        true
-        (scanned d_chk < scanned d_flat))
+(* ---- crash recovery ---------------------------------------------------------------- *)
 
 let recovered_store_is_byte_identical () =
   (* Crash simulation: tear the final epoch record off the journal, so
@@ -567,7 +539,7 @@ let recovered_store_is_byte_identical () =
   let dir_ref, _ = Lazy.force fixture in
   with_dir (fun dir ->
       let eng, apply = mk_world ~jobs:1 ~cache:true fixture_seed in
-      let s = Persist.start ~fsync:false ~snapshot_every:2 ~dir () in
+      let s = Persist.start ~fsync:false ~dir () in
       run_epochs ~session:(Some s) eng apply ~from:0 ~until:fixture_epochs;
       Persist.close s;
       (* Find the last epoch frame's offset and cut the journal there. *)
@@ -593,7 +565,7 @@ let recovered_store_is_byte_identical () =
           check_int "resumed one epoch short" (fixture_epochs - 1)
             rs.Persist.rs_epoch
       | Error e -> Alcotest.failf "resume: %s" e);
-      let s2 = Persist.start ~fsync:false ~snapshot_every:2 ~dir () in
+      let s2 = Persist.start ~fsync:false ~dir () in
       run_epochs ~session:(Some s2) eng2 apply2 ~from:(fixture_epochs - 1)
         ~until:fixture_epochs;
       Persist.close s2;
@@ -615,18 +587,6 @@ let recovered_store_is_byte_identical () =
           "convictions";
         ])
 
-let index_save_load_roundtrip () =
-  let _, idx = Lazy.force fixture in
-  match Idx.load (Idx.save idx) with
-  | Error e -> Alcotest.failf "load: %s" e
-  | Ok idx' ->
-      check_string "run id" (Idx.run_id idx) (Idx.run_id idx');
-      check_int "rows" (Idx.row_count idx) (Idx.row_count idx');
-      check_bool "same rows in order" true (all_rows idx = all_rows idx');
-      check_bool "same prover postings" true
-        (Idx.ids_prover idx (G.Asn.of_int 1)
-        = Idx.ids_prover idx' (G.Asn.of_int 1))
-
 let suite =
   [
     ("query: parser handles the ROADMAP example", `Quick, parser_roadmap_example);
@@ -643,7 +603,5 @@ let suite =
     ("query: obs counters move", `Quick, query_counters);
     ("query: α viewer scoping and refusal accounting", `Quick, alpha_viewer_scoping);
     alpha_never_leaks;
-    ("query: index checkpoints skip scan work", `Quick, index_checkpoint_fast_path);
     ("query: crash-recovered store answers byte-identically", `Quick, recovered_store_is_byte_identical);
-    ("query: index save/load round-trips", `Quick, index_save_load_roundtrip);
   ]

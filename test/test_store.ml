@@ -1,11 +1,13 @@
-(* Tests for pvr_store and the engine's checkpoint/resume machinery: CRC
-   framing, atomic whole-file writes, journal append/recover roundtrips
-   (with counter cross-checks), torn-tail and corrupt-frame recovery, the
-   decoder-robustness property (any bit-flip/truncation of a journal or
-   snapshot is cleanly rejected or safely truncated — never an exception),
-   resume equivalence at every epoch boundary for jobs 1/4 and cache
-   on/off, and the CLI's exit-code contract (0 ok, 1 violation, 2 usage,
-   3 unrecoverable store). *)
+(* Tests for pvr_store and the engine's journal-only resume: CRC framing,
+   atomic whole-file writes, journal append/recover roundtrips (with
+   counter cross-checks), torn-tail and corrupt-frame recovery, the
+   decoder-robustness property (any bit-flip/truncation of a journal is
+   cleanly rejected or safely truncated — never an exception), resume
+   equivalence at every epoch boundary for jobs 1/4 and cache on/off, a
+   checkpointed run writing nothing but its journal, old stores with
+   snapshot files and index-checkpoint frames still resuming, and the
+   CLI's exit-code contract (0 ok, 1 violation, 2 usage, 3 unrecoverable
+   store). *)
 
 module P = Pvr
 module E = Pvr_engine.Engine
@@ -130,7 +132,6 @@ let journal_roundtrip_counters () =
         counted (fun () ->
             let s = S.open_ ~fsync:true ~dir () in
             List.iter (S.append s) payloads;
-            S.write_snapshot s ~epoch:4 "snapshot-blob";
             S.close s)
       in
       (* Counter cross-check: accounted journal bytes = physical file size. *)
@@ -140,16 +141,12 @@ let journal_roundtrip_counters () =
       check_int "journal.bytes = file size" journal_size
         (delta d_append "store.journal.bytes");
       check_int "journal.appends" 5 (delta d_append "store.journal.appends");
-      check_int "snapshot.writes" 1 (delta d_append "store.snapshot.writes");
       check_bool "fsync.count > 0" true (delta d_append "store.fsync.count" > 0);
       let rc, d_rec = counted (fun () -> S.recover ~quiet:true ~dir ()) in
       check_bool "frames roundtrip" true (rc.S.rc_frames = payloads);
       check_int "replay.frames" 5 (delta d_rec "store.replay.frames");
       check_int "nothing dropped" 0 rc.S.rc_dropped;
-      check_int "nothing truncated" 0 rc.S.rc_truncated_bytes;
-      match rc.S.rc_snapshots with
-      | [ (4, blob) ] -> check_string "snapshot payload" "snapshot-blob" blob
-      | _ -> Alcotest.fail "expected exactly one snapshot")
+      check_int "nothing truncated" 0 rc.S.rc_truncated_bytes)
 
 let journal_truncates_torn_tail () =
   with_dir (fun dir ->
@@ -199,30 +196,11 @@ let corrupt_mid_frame_drops_suffix () =
         || not (List.mem "beta" rc.S.rc_frames));
       check_bool "drops counted" true (rc.S.rc_dropped > 0))
 
-let corrupt_snapshot_skipped () =
-  with_dir (fun dir ->
-      let s = S.open_ ~fsync:false ~dir () in
-      S.append s "frame";
-      S.write_snapshot s ~epoch:1 "old-good";
-      S.write_snapshot s ~epoch:2 "new-good";
-      S.close s;
-      let sp = S.snapshot_path ~dir ~epoch:2 in
-      let b = read_file sp in
-      write_file sp
-        (String.mapi
-           (fun i c -> if i = String.length b - 1 then '\xFF' else c)
-           b);
-      let rc = S.recover ~quiet:true ~dir () in
-      (* The mangled newest snapshot is dropped; recovery falls back. *)
-      check_bool "fell back to older snapshot" true
-        (match rc.S.rc_snapshots with (1, "old-good") :: _ -> true | _ -> false);
-      check_bool "corruption counted" true (rc.S.rc_dropped > 0))
-
 (* ---- decoder robustness (qcheck) ------------------------------------------------ *)
 
-(* A pristine store (journal + snapshots) built once; each property
-   iteration mangles a byte-level copy and recovery must neither raise nor
-   replay mangled bytes as valid frames beyond the CRC's reach. *)
+(* A pristine journal built once; each property iteration mangles a
+   byte-level copy and recovery must neither raise nor replay mangled
+   bytes as valid frames beyond the CRC's reach. *)
 let pristine_store =
   lazy
     (let dir = fresh_dir () in
@@ -230,18 +208,14 @@ let pristine_store =
      for i = 1 to 6 do
        S.append s (Printf.sprintf "frame-%d-%s" i (String.make (7 * i) 'p'))
      done;
-     S.write_snapshot s ~epoch:3 (String.make 200 's');
-     S.write_snapshot s ~epoch:6 (String.make 120 't');
      S.close s;
-     let jbytes = read_file (S.journal_path ~dir) in
-     let s6 = read_file (S.snapshot_path ~dir ~epoch:6) in
-     (dir, jbytes, s6))
+     (dir, read_file (S.journal_path ~dir)))
 
 let recover_never_raises_on_mangled_journal =
   qtest ~count:60 "store: recover never raises on mangled journal"
     QCheck2.Gen.(int_range 0 100_000)
     (fun seed ->
-      let dir, pristine, _ = Lazy.force pristine_store in
+      let dir, pristine = Lazy.force pristine_store in
       let rng = C.Drbg.of_int_seed seed in
       write_file (S.journal_path ~dir) (N.Fuzz.mangle rng pristine);
       let rc = S.recover ~quiet:true ~dir () in
@@ -254,29 +228,6 @@ let recover_never_raises_on_mangled_journal =
             Printf.sprintf "frame-%d-%s" (i + 1) (String.make (7 * (i + 1)) 'p'))
       in
       List.for_all (fun f -> List.mem f originals) rc.S.rc_frames)
-
-let recover_never_raises_on_mangled_snapshot =
-  qtest ~count:40 "store: recover never raises on mangled snapshot"
-    QCheck2.Gen.(int_range 0 100_000)
-    (fun seed ->
-      let dir, pristine, snap6 = Lazy.force pristine_store in
-      let rng = C.Drbg.of_int_seed (seed + 7) in
-      write_file (S.journal_path ~dir) pristine;
-      let sp = S.snapshot_path ~dir ~epoch:6 in
-      write_file sp (N.Fuzz.mangle rng snap6);
-      let rc = S.recover ~quiet:true ~dir () in
-      (* Restore the pristine snapshot file for the next iteration. *)
-      write_file sp snap6;
-      (* Every snapshot recovery returns is CRC-valid: epoch 6 either
-         survives byte-identical or is dropped; epoch 3 is untouched. *)
-      List.for_all
-        (fun (e, blob) ->
-          match e with
-          | 6 -> blob = String.make 120 't'
-          | 3 -> blob = String.make 200 's'
-          | _ -> false)
-        rc.S.rc_snapshots
-      && List.mem_assoc 3 rc.S.rc_snapshots)
 
 (* ---- resume equivalence --------------------------------------------------------- *)
 
@@ -325,7 +276,7 @@ let resume_equivalence () =
       for boundary = 0 to epochs do
         with_dir (fun dir ->
             let eng1, apply1 = mk_world ~jobs:jobs_a ~cache:cache_a seed in
-            let s1 = Persist.start ~fsync:false ~snapshot_every:2 ~dir () in
+            let s1 = Persist.start ~fsync:false ~dir () in
             run_epochs ~session:(Some s1) eng1 apply1 ~from:0 ~until:boundary;
             Persist.close s1;
             (* "Crash": eng1 is dropped here.  Resume into a fresh engine,
@@ -339,7 +290,7 @@ let resume_equivalence () =
                   (Printf.sprintf "resume position (boundary %d)" boundary)
                   boundary rs.Persist.rs_epoch;
                 let s2 =
-                  Persist.start ~fsync:false ~snapshot_every:2 ~dir ()
+                  Persist.start ~fsync:false ~dir ()
                 in
                 run_epochs ~session:(Some s2) eng2 apply2 ~from:rs.Persist.rs_epoch
                   ~until:epochs;
@@ -352,47 +303,44 @@ let resume_equivalence () =
       done)
     [ (1, true, 1, true); (1, true, 4, true); (4, false, 1, false) ]
 
+(* A journaled run, torn partway into its epoch-[torn] record so that
+   epoch's rows frame is left behind as an uncommitted orphan. *)
+let tear_epoch_record dir ~torn =
+  let offs, fe =
+    S.fold_frames ~dir ~init:[]
+      ~f:(fun acc ~off payload ->
+        match Pvr_query.Frame.tag payload with
+        | Some t when t = Pvr_query.Frame.tag_epoch -> off :: acc
+        | _ -> acc)
+      ()
+  in
+  check_bool "clean walk before tearing" true (fe.S.fe_error = None);
+  let off = List.nth (List.rev offs) (torn - 1) in
+  let jp = S.journal_path ~dir in
+  write_file jp (String.sub (read_file jp) 0 (off + 5))
+
 let resume_after_torn_journal () =
-  (* Kill simulation: run 4 epochs with snapshots every 2, tear the journal
-     tail and delete the newest snapshot; resume must land on epoch 3
-     (snapshot 2 + journal frame 3) and still reach the reference digest. *)
+  (* Kill simulation: run 4 epochs and tear the journal partway into the
+     epoch-4 record.  Resume replays the churn to epoch 3, the newest
+     record left, and still reaches the reference digest. *)
   let seed = 83 and epochs = 4 in
   let ref_eng, ref_apply = mk_world ~jobs:1 ~cache:true seed in
   run_epochs ~session:None ref_eng ref_apply ~from:0 ~until:epochs;
   let want = E.digest ref_eng in
   with_dir (fun dir ->
       let eng1, apply1 = mk_world ~jobs:1 ~cache:true seed in
-      let s1 = Persist.start ~fsync:false ~snapshot_every:2 ~dir () in
+      let s1 = Persist.start ~fsync:false ~dir () in
       run_epochs ~session:(Some s1) eng1 apply1 ~from:0 ~until:epochs;
       Persist.close s1;
-      let jp = S.journal_path ~dir in
-      let full = read_file jp in
-      (* Tear the *epoch-4 record* specifically.  The journal also carries
-         rows and index-checkpoint frames after each epoch record, so a
-         blind tail truncation would only clip those; find the last
-         epoch-tagged frame and cut partway into it, leaving epoch 4's
-         rows frame behind as an uncommitted orphan. *)
-      let last_epoch_off = ref 0 in
-      let (), fe =
-        S.fold_frames ~dir ~init:()
-          ~f:(fun () ~off payload ->
-            match Pvr_query.Frame.tag payload with
-            | Some t when t = Pvr_query.Frame.tag_epoch -> last_epoch_off := off
-            | _ -> ())
-          ()
-      in
-      check_bool "clean walk before tearing" true (fe.S.fe_error = None);
-      check_bool "found an epoch frame to tear" true (!last_epoch_off > 0);
-      write_file jp (String.sub full 0 (!last_epoch_off + 5));
-      Sys.remove (S.snapshot_path ~dir ~epoch:4);
+      tear_epoch_record dir ~torn:epochs;
       let eng2, apply2 = mk_world ~jobs:1 ~cache:true seed in
       match Persist.resume ~quiet:true ~dir ~engine:eng2 ~apply:apply2 () with
       | Error e -> Alcotest.fail e
       | Ok rs ->
           check_int "resumed at epoch 3" 3 rs.Persist.rs_epoch;
-          check_int "snapshot 2 used" 2 rs.Persist.rs_snapshot_epoch;
+          check_int "three epoch records replayed" 3 rs.Persist.rs_replayed;
           check_bool "torn frame dropped" true (rs.Persist.rs_dropped > 0);
-          let s2 = Persist.start ~fsync:false ~snapshot_every:2 ~dir () in
+          let s2 = Persist.start ~fsync:false ~dir () in
           run_epochs ~session:(Some s2) eng2 apply2 ~from:3 ~until:epochs;
           Persist.close s2;
           check_string "digest after torn-tail resume" want (E.digest eng2))
@@ -400,7 +348,7 @@ let resume_after_torn_journal () =
 let resume_rejects_foreign_store () =
   with_dir (fun dir ->
       let eng1, apply1 = mk_world ~jobs:1 ~cache:true 91 in
-      let s1 = Persist.start ~fsync:false ~snapshot_every:1 ~dir () in
+      let s1 = Persist.start ~fsync:false ~dir () in
       run_epochs ~session:(Some s1) eng1 apply1 ~from:0 ~until:2;
       Persist.close s1;
       (* Different seed ⇒ different run id: the store must be refused, not
@@ -446,6 +394,106 @@ let cli_crashsoak_smoke () =
   check_int "crashsoak recovers to identical digest" 0
     (run_cli "crashsoak --seed 5 --epochs 4 --kills 2 --tiers 1,2 --origins 2")
 
+(* ---- the journal is the whole store ---------------------------------------------- *)
+
+module W = Pvr_serve.Workload
+module Frame = Pvr_query.Frame
+module Idx = Pvr_query.Evidence_index
+
+let checkpointed_run_writes_only_journal () =
+  with_dir (fun dir ->
+      let p =
+        {
+          W.defaults with
+          W.p_seed = 313;
+          p_epochs = 3;
+          p_tiers = "1,2";
+          p_origins = 2;
+        }
+      in
+      (match
+         W.engine_core ~quiet:true ~checkpoint_dir:dir ~fsync:false
+           (W.build_world ~quiet:true p)
+           p
+       with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail e);
+      check_bool "only journal.pvrj" true
+        (Sys.readdir dir = [| "journal.pvrj" |]);
+      let tags, fe =
+        S.fold_frames ~dir ~init:[]
+          ~f:(fun acc ~off:_ payload -> Frame.tag payload :: acc)
+          ()
+      in
+      check_bool "clean journal" true (fe.S.fe_error = None);
+      check_int "a rows frame and an epoch record per epoch" 6
+        (List.length tags);
+      let known = [ Frame.tag_epoch; Frame.tag_rows; Frame.tag_page ] in
+      check_bool "every frame is tag 1, 2 or 4" true
+        (List.for_all
+           (function Some t -> List.mem t known | None -> false)
+           tags))
+
+(* A store written before resume became journal-only: a snapshot file
+   beside the journal and a tag-3 index-checkpoint frame inside it.  The
+   frame is well framed under its old layout (run id, epoch, then a blob
+   of index version 1 holding no epochs), so a reader that trusted it
+   would lose every row before it.  Neither may change what resume or the
+   index builder see. *)
+let old_store_still_resumes () =
+  let seed = 87 and epochs = 4 in
+  let rows_of dir =
+    match Idx.build ~quiet:true ~dir () with
+    | Ok idx -> List.map (Idx.row idx) (Idx.ids_all idx)
+    | Error e -> Alcotest.failf "build: %s" e
+  in
+  with_dir (fun dir_ref ->
+      let ref_eng, ref_apply = mk_world ~jobs:1 ~cache:true seed in
+      let s = Persist.start ~fsync:false ~dir:dir_ref () in
+      run_epochs ~session:(Some s) ref_eng ref_apply ~from:0 ~until:epochs;
+      Persist.close s;
+      with_dir (fun dir ->
+          let eng1, apply1 = mk_world ~jobs:1 ~cache:true seed in
+          let s1 = Persist.start ~fsync:false ~dir () in
+          run_epochs ~session:(Some s1) eng1 apply1 ~from:0 ~until:2;
+          Persist.close s1;
+          let run_id = E.Checkpoint.run_id eng1 in
+          let index_blob =
+            let b = Buffer.create 64 in
+            Codec.u32 b 1;
+            Codec.str b run_id;
+            Codec.u32 b 0;
+            Buffer.contents b
+          in
+          let tag3 =
+            let b = Buffer.create 128 in
+            Codec.u32 b 3;
+            Codec.str b run_id;
+            Codec.u32 b 2;
+            Codec.str b index_blob;
+            Buffer.contents b
+          in
+          let st = S.open_ ~fsync:false ~dir () in
+          S.append st tag3;
+          S.close st;
+          write_file
+            (Filename.concat dir "snap-0000000002.pvrs")
+            ("PVRS\001\002" ^ String.make 64 's');
+          let eng2, apply2 = mk_world ~jobs:1 ~cache:true seed in
+          match
+            Persist.resume ~quiet:true ~dir ~engine:eng2 ~apply:apply2 ()
+          with
+          | Error e -> Alcotest.fail e
+          | Ok rs ->
+              check_int "resumed at epoch 2" 2 rs.Persist.rs_epoch;
+              check_int "the tag-3 frame is skipped" 1 rs.Persist.rs_dropped;
+              let s2 = Persist.start ~fsync:false ~dir () in
+              run_epochs ~session:(Some s2) eng2 apply2 ~from:2 ~until:epochs;
+              Persist.close s2;
+              check_string "digest" (E.digest ref_eng) (E.digest eng2);
+              check_bool "the index answers the same rows" true
+                (rows_of dir = rows_of dir_ref)))
+
 let suite =
   [
     Alcotest.test_case "crc32: known vectors" `Quick crc32_known_vectors;
@@ -461,16 +509,18 @@ let suite =
       journal_truncates_torn_tail;
     Alcotest.test_case "journal: corrupt mid-frame drops suffix" `Quick
       corrupt_mid_frame_drops_suffix;
-    Alcotest.test_case "snapshot: corrupt newest falls back" `Quick
-      corrupt_snapshot_skipped;
     recover_never_raises_on_mangled_journal;
-    recover_never_raises_on_mangled_snapshot;
     Alcotest.test_case "resume: equivalence at every epoch boundary" `Slow
       resume_equivalence;
-    Alcotest.test_case "resume: torn journal + lost snapshot" `Quick
+    Alcotest.test_case "resume: torn journal tail recovers" `Quick
       resume_after_torn_journal;
     Alcotest.test_case "resume: rejects foreign store" `Quick
       resume_rejects_foreign_store;
     Alcotest.test_case "cli: exit-code contract" `Slow cli_exit_codes;
     Alcotest.test_case "cli: crashsoak smoke" `Slow cli_crashsoak_smoke;
+    Alcotest.test_case "store: a checkpointed run writes only its journal"
+      `Quick checkpointed_run_writes_only_journal;
+    Alcotest.test_case
+      "store: a store with old snapshot and index frames still resumes"
+      `Quick old_store_still_resumes;
   ]
