@@ -387,12 +387,23 @@ let run_crashsoak p kills dir_opt no_corrupt keep stats =
         let world = build_world p in
         (* Children fork with pristine copies of the world's DRBGs and churn
            state, so every restart replays the exact streams a fresh
-           `pvr engine --seed S` would see. *)
+           `pvr engine --seed S` would see.  The corrupt tails a child's
+           resume drops die with its counters, so each child writes its
+           [rs_dropped] down a pipe and the parent sums them. *)
+        let dropped = ref 0 in
         let run_child point =
           flush stdout;
           flush stderr;
+          let rd, wr = Unix.pipe () in
           match Unix.fork () with
           | 0 ->
+              Unix.close rd;
+              let on_resume rs =
+                let line =
+                  Printf.sprintf "%d\n" rs.Pvr_engine.Persist.rs_dropped
+                in
+                ignore (Unix.write_substring wr line 0 (String.length line))
+              in
               let code =
                 try
                   let on_phase =
@@ -404,8 +415,8 @@ let run_crashsoak p kills dir_opt no_corrupt keep stats =
                             Unix.kill (Unix.getpid ()) Sys.sigkill
                   in
                   match
-                    engine_core ~quiet:true ~on_phase ~checkpoint_dir:dir
-                      ~resume:true ~fsync:true world p
+                    engine_core ~quiet:true ~on_phase ~on_resume
+                      ~checkpoint_dir:dir ~resume:true ~fsync:true world p
                   with
                   | Ok (_, convicted) -> if convicted > 0 then 1 else 0
                   | Error _ -> 3
@@ -413,6 +424,13 @@ let run_crashsoak p kills dir_opt no_corrupt keep stats =
               in
               Unix._exit code
           | pid ->
+              Unix.close wr;
+              let ic = Unix.in_channel_of_descr rd in
+              let report = String.trim (In_channel.input_all ic) in
+              close_in ic;
+              Option.iter
+                (fun n -> dropped := !dropped + n)
+                (int_of_string_opt report);
               let _, status = Unix.waitpid [] pid in
               status
         in
@@ -478,8 +496,8 @@ let run_crashsoak p kills dir_opt no_corrupt keep stats =
                     if clean = er.Pvr_engine.Persist.er_digest then begin
                       Printf.printf
                         "crashsoak: OK — digest %s identical after %d kills \
-                         and resumes\n"
-                        clean kills;
+                         and resumes; %d corrupt frames dropped\n"
+                        clean kills !dropped;
                       0
                     end
                     else begin
@@ -1430,6 +1448,8 @@ let run_drive socket tcp sessions p stats =
               match Pvr_serve.Client.stats cl with
               | Ok st ->
                   let looked = st.st_world_hits + st.st_world_misses in
+                  Printf.printf "daemon: sha256 accelerated=%b\n"
+                    st.st_sha256_accelerated;
                   Printf.printf
                     "world cache: hits=%d misses=%d keys=%d hit_ratio=%.2f\n"
                     st.st_world_hits st.st_world_misses st.st_world_keys

@@ -22,26 +22,44 @@ let k =
      0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
      0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2 |]
 
+(* The compression kernel is chosen once, when the module loads: the CPU's
+   SHA extensions (sha256_stubs.c) when CPUID reports them, otherwise
+   [compress_raw] below.  Nothing else selects it.  [Reference] contexts
+   always run [compress_raw], so tests can compare the two on any host. *)
+external ni_available : unit -> bool = "pvr_sha256_ni_available" [@@noalloc]
+
+external ni_compress :
+  int array -> string -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "pvr_sha256_ni_compress_byte" "pvr_sha256_ni_compress"
+[@@noalloc]
+
+let accelerated = ni_available ()
+
+let () =
+  Pvr_obs.fixed_gauge "crypto.sha256.accelerated" (Bool.to_int accelerated)
+
 type ctx = {
   h : int array;              (* 8 state words *)
   buf : Bytes.t;              (* partial block, [block_size] bytes *)
   mutable buf_len : int;      (* bytes currently in [buf] *)
   mutable total : int64;      (* total message length in bytes *)
-  w : int array;              (* message schedule scratch, 64 words *)
+  ni : bool;                  (* compress on the SHA extensions *)
 }
 
 let iv =
   [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
      0x1f83d9ab; 0x5be0cd19 |]
 
-let init () =
+let make ni =
   {
     h = Array.copy iv;
     buf = Bytes.create block_size;
     buf_len = 0;
     total = 0L;
-    w = Array.make 64 0;
+    ni;
   }
+
+let init () = make accelerated
 
 let reset ctx =
   Array.blit iv 0 ctx.h 0 8;
@@ -54,7 +72,7 @@ let copy ctx =
     buf = Bytes.copy ctx.buf;
     buf_len = ctx.buf_len;
     total = ctx.total;
-    w = Array.make 64 0;
+    ni = ctx.ni;
   }
 
 (* Callers guarantee [off + 64 <= String.length s]. *)
@@ -94,10 +112,8 @@ let[@inline] kw w t = Array.unsafe_get k t + Array.unsafe_get w t
    working variables renamed instead of shifted: a round only writes the
    new e into d's variable and the new a into h's, and the next round
    reads the eight variables one place along.  After eight rounds every
-   variable is back in its own name.  Nothing here allocates.  Each call
-   counts one ["crypto.sha256.blocks"]. *)
+   variable is back in its own name.  Nothing here allocates. *)
 let compress_raw (h : int array) (w : int array) (src : string) off =
-  Pvr_obs.incr obs_blocks;
   for t = 0 to 15 do
     Array.unsafe_set w t (read_be32_unsafe src (off + (4 * t)))
   done;
@@ -147,7 +163,24 @@ let compress_raw (h : int array) (w : int array) (src : string) off =
   h.(6) <- (h.(6) + !g) land mask32;
   h.(7) <- (h.(7) + !hh) land mask32
 
-let compress ctx (src : string) off = compress_raw ctx.h ctx.w src off
+(* One schedule array per domain: only [compress_raw] reads it, and it
+   never yields mid-block. *)
+let schedule = Domain.DLS.new_key (fun () -> Array.make 64 0)
+
+(* Compress the [n] whole blocks at [off] in [src] into [h], in one call
+   to the kernel.  Counts one ["crypto.sha256.blocks"] per block. *)
+let compress_blocks ni h src off n =
+  Pvr_obs.add obs_blocks n;
+  if ni then ni_compress h src off n
+  else begin
+    let w = Domain.DLS.get schedule in
+    for b = 0 to n - 1 do
+      compress_raw h w src (off + (b * block_size))
+    done
+  end
+
+let compress_buf ctx =
+  compress_blocks ctx.ni ctx.h (Bytes.unsafe_to_string ctx.buf) 0 1
 
 let update ctx s =
   let len = String.length s in
@@ -160,14 +193,15 @@ let update ctx s =
     ctx.buf_len <- ctx.buf_len + take;
     pos := take;
     if ctx.buf_len = block_size then begin
-      compress ctx (Bytes.unsafe_to_string ctx.buf) 0;
+      compress_buf ctx;
       ctx.buf_len <- 0
     end
   end;
-  while len - !pos >= block_size do
-    compress ctx s !pos;
-    pos := !pos + block_size
-  done;
+  let n = (len - !pos) / block_size in
+  if n > 0 then begin
+    compress_blocks ctx.ni ctx.h s !pos n;
+    pos := !pos + (n * block_size)
+  end;
   if !pos < len then begin
     Bytes.blit_string s !pos ctx.buf 0 (len - !pos);
     ctx.buf_len <- len - !pos
@@ -204,12 +238,12 @@ let finalize ctx =
   Bytes.set buf ctx.buf_len '\x80';
   if ctx.buf_len >= block_size - 8 then begin
     Bytes.fill buf (ctx.buf_len + 1) (block_size - ctx.buf_len - 1) '\x00';
-    compress ctx (Bytes.unsafe_to_string buf) 0;
+    compress_buf ctx;
     Bytes.fill buf 0 (block_size - 8) '\x00'
   end
   else Bytes.fill buf (ctx.buf_len + 1) (block_size - 9 - ctx.buf_len) '\x00';
   write_be64 buf (block_size - 8) bit_len;
-  compress ctx (Bytes.unsafe_to_string buf) 0;
+  compress_buf ctx;
   ctx.buf_len <- 0;
   output_of ctx.h
 
@@ -224,6 +258,19 @@ let digest_hex s = Hex.encode (digest s)
 
 let digest_many ctx parts = List.map (digest_with ctx) parts
 
+(* Absorb [v] as 8 big-endian bytes, written straight into the buffer. *)
+let update_be64 ctx v =
+  ctx.total <- Int64.add ctx.total 8L;
+  for i = 0 to 7 do
+    Bytes.unsafe_set ctx.buf ctx.buf_len
+      (Char.unsafe_chr ((v lsr (56 - (8 * i))) land 0xff));
+    ctx.buf_len <- ctx.buf_len + 1;
+    if ctx.buf_len = block_size then begin
+      compress_buf ctx;
+      ctx.buf_len <- 0
+    end
+  done
+
 (* Digest-of-state helper: each part is fed length-framed, so the digest
    is unambiguous under concatenation — ["ab"; "c"] and ["a"; "bc"] hash
    differently.  The engine uses this to fingerprint simulator RIB state
@@ -232,7 +279,7 @@ let digest_parts_with ctx parts =
   reset ctx;
   List.iter
     (fun p ->
-      update ctx (Bytes_util.be64 (Int64.of_int (String.length p)));
+      update_be64 ctx (String.length p);
       update ctx p)
     parts;
   finalize ctx
@@ -251,15 +298,17 @@ let digest_parts_hex parts = Hex.encode (digest_parts parts)
    buffering/padding machinery entirely.  A [Fixed.t] carries its own
    scratch state and is single-owner, like {!ctx}. *)
 module Fixed = struct
-  type t = { len : int; blocks : Bytes.t; fh : int array; fw : int array }
+  type t = { len : int; blocks : Bytes.t; fh : int array; fni : bool }
 
-  let create len =
+  let make ni len =
     if len < 0 then invalid_arg "Sha256.Fixed.create: negative width";
     let nblocks = (len + 1 + 8 + block_size - 1) / block_size in
     let blocks = Bytes.make (nblocks * block_size) '\x00' in
     Bytes.set blocks len '\x80';
     write_be64 blocks ((nblocks * block_size) - 8) (Int64.of_int (len * 8));
-    { len; blocks; fh = Array.make 8 0; fw = Array.make 64 0 }
+    { len; blocks; fh = Array.make 8 0; fni = ni }
+
+  let create len = make accelerated len
 
   let width t = t.len
 
@@ -270,9 +319,14 @@ module Fixed = struct
     Pvr_obs.add obs_bytes t.len;
     Bytes.blit_string msg 0 t.blocks 0 t.len;
     Array.blit iv 0 t.fh 0 8;
-    let s = Bytes.unsafe_to_string t.blocks in
-    for b = 0 to (Bytes.length t.blocks / block_size) - 1 do
-      compress_raw t.fh t.fw s (b * block_size)
-    done;
+    compress_blocks t.fni t.fh
+      (Bytes.unsafe_to_string t.blocks)
+      0
+      (Bytes.length t.blocks / block_size);
     output_of t.fh
+end
+
+module Reference = struct
+  let init () = make false
+  let fixed len = Fixed.make false len
 end

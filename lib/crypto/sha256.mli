@@ -58,9 +58,10 @@ val digest_parts_with : ctx -> string list -> string
     For messages of a known constant width (per-bit commitment preimages,
     length-framed digest blocks) the whole padding — 0x80 marker, zero
     fill, 64-bit length — is computed once at {!Fixed.create}; each
-    {!Fixed.digest} blits the message over the template and compresses.
-    Output is identical to {!digest} (the KAT suite asserts it).  A
-    [Fixed.t] owns mutable scratch and is single-owner, like {!ctx}. *)
+    {!Fixed.digest} blits the message over the template and compresses
+    every block in one kernel call.  Output is identical to {!digest} (the
+    KAT suite asserts it).  A [Fixed.t] owns mutable scratch and is
+    single-owner, like {!ctx}. *)
 module Fixed : sig
   type t
 
@@ -71,6 +72,30 @@ module Fixed : sig
 
   val digest : t -> string -> string
   (** @raise Invalid_argument if the message width does not match. *)
+end
+
+(** {2 Compression kernels}
+
+    The block compression runs on the CPU's SHA extensions (x86
+    [sha256rnds2]/[sha256msg1]/[sha256msg2], a C stub) when CPUID reports
+    them together with SSSE3 and SSE4.1, and otherwise on the OCaml
+    compression.  The choice is made once, when the module loads, and
+    nothing else selects it.  Both kernels produce the same digests and
+    the same ["crypto.sha256.blocks"] count. *)
+
+val accelerated : bool
+(** [true] when this process compresses on the SHA extensions.  Also
+    published as the fixed gauge ["crypto.sha256.accelerated"] (1 or 0). *)
+
+(** Contexts that always compress on the OCaml kernel, whatever the CPU:
+    the reference that tests compare the accelerated kernel against. *)
+module Reference : sig
+  val init : unit -> ctx
+  (** Like {!init}; {!reset}, {!copy} and every [*_with] function keep
+      the context on the OCaml kernel. *)
+
+  val fixed : int -> Fixed.t
+  (** Like {!Fixed.create}. *)
 end
 
 val digest_size : int

@@ -61,7 +61,14 @@ let value c = counter_total c
 
 (* ---- gauges -------------------------------------------------------------- *)
 
-type gauge = { g_name : string; g_value : int Atomic.t }
+(* A fixed gauge records a fact about the process (which SHA-256 kernel
+   it runs): it is set once, whether or not metrics are enabled, and
+   [reset_all] leaves it alone. *)
+type gauge = {
+  g_name : string;
+  g_value : int Atomic.t;
+  mutable g_fixed : bool;
+}
 
 let gauges_tbl : (string, gauge) Hashtbl.t = Hashtbl.create 16
 
@@ -70,13 +77,18 @@ let gauge name =
   match Hashtbl.find_opt gauges_tbl name with
   | Some g -> g
   | None ->
-      let g = { g_name = name; g_value = Atomic.make 0 } in
+      let g = { g_name = name; g_value = Atomic.make 0; g_fixed = false } in
       Hashtbl.add gauges_tbl name g;
       g
 
 let set_gauge g v = if !enabled_flag then Atomic.set g.g_value v
 
 let gauge_read g = Atomic.get g.g_value
+
+let fixed_gauge name v =
+  let g = gauge name in
+  Atomic.set g.g_value v;
+  g.g_fixed <- true
 
 (* ---- histograms ---------------------------------------------------------- *)
 
@@ -156,7 +168,9 @@ let reset_all () =
   Hashtbl.iter
     (fun _ c -> Array.iter (fun cell -> Atomic.set cell 0) c.c_cells)
     counters_tbl;
-  Hashtbl.iter (fun _ g -> Atomic.set g.g_value 0) gauges_tbl;
+  Hashtbl.iter
+    (fun _ g -> if not g.g_fixed then Atomic.set g.g_value 0)
+    gauges_tbl;
   Hashtbl.iter
     (fun _ h ->
       Array.fill h.h_buckets 0 n_buckets 0;

@@ -59,6 +59,11 @@ val set_gauge : gauge -> int -> unit
 
 val gauge_read : gauge -> int
 
+val fixed_gauge : string -> int -> unit
+(** Register a gauge that states a fact about the process, such as
+    ["crypto.sha256.accelerated"], and set it to that value.  It is set
+    even while metrics are disabled, and {!reset_all} keeps it. *)
+
 (** {2 Latency histograms and spans} *)
 
 type histogram
@@ -76,7 +81,8 @@ val with_span : string -> (unit -> 'a) -> 'a
     never read. *)
 
 val reset_all : unit -> unit
-(** Zero every registered counter and histogram (registrations remain). *)
+(** Zero every registered counter, histogram and gauge except the
+    {!fixed_gauge}s (registrations remain). *)
 
 (** {2 JSON} *)
 

@@ -97,6 +97,7 @@ type stats_reply = {
   st_world_hits : int; (* sessions whose world came from the world cache *)
   st_world_misses : int; (* sessions that built their world *)
   st_world_keys : int; (* RSA keys the world cache holds *)
+  st_sha256_accelerated : bool; (* SHA-256 runs on the SHA extensions *)
 }
 
 type request =
@@ -270,7 +271,8 @@ let encode_response resp =
       Codec.bool_ b st.st_draining;
       Codec.u32 b st.st_world_hits;
       Codec.u32 b st.st_world_misses;
-      Codec.u32 b st.st_world_keys
+      Codec.u32 b st.st_world_keys;
+      Codec.bool_ b st.st_sha256_accelerated
   | Rows rows ->
       Codec.u32 b 107;
       Codec.u32 b (List.length rows);
@@ -306,6 +308,7 @@ let decode_response payload =
           let st_world_hits = Codec.get_u32 r in
           let st_world_misses = Codec.get_u32 r in
           let st_world_keys = Codec.get_u32 r in
+          let st_sha256_accelerated = Codec.get_bool r in
           Stats_r
             {
               st_sessions;
@@ -317,6 +320,7 @@ let decode_response payload =
               st_world_hits;
               st_world_misses;
               st_world_keys;
+              st_sha256_accelerated;
             }
       | 107 ->
           let n = Codec.get_u32 r in

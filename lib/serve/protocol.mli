@@ -38,6 +38,9 @@ type stats_reply = {
   st_world_hits : int;  (** sessions whose world came from the world cache *)
   st_world_misses : int;  (** sessions that built their world *)
   st_world_keys : int;  (** RSA keys the world cache holds *)
+  st_sha256_accelerated : bool;
+      (** the daemon's SHA-256 runs on the CPU's SHA extensions
+          (["crypto.sha256.accelerated"]) *)
 }
 
 type request =

@@ -229,6 +229,7 @@ let stats t =
       st_world_hits = w.hits;
       st_world_misses = w.misses;
       st_world_keys = w.keys;
+      st_sha256_accelerated = Pvr_crypto.Sha256.accelerated;
     }
   in
   Mutex.unlock t.mu;

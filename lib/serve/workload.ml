@@ -168,10 +168,12 @@ let scratch_seq = Atomic.make 0
    the epoch's internal barriers ("apply"/"collect"/"verify") and after the
    journal write ("record") — the crash-soak kill hook.  [on_report] fires
    once per completed epoch with its report — the serve daemon streams a
-   verdict frame from it.  Returns the final digest and total convictions,
-   or [Error] when the checkpoint store is unrecoverable. *)
+   verdict frame from it.  [on_resume] fires after a resume recovered the
+   store.  Returns the final digest and total convictions, or [Error] when
+   the checkpoint store is unrecoverable. *)
 let engine_core ?(quiet = false) ?(on_phase = fun ~epoch:_ (_ : string) -> ())
     ?(on_report = fun (_ : Pvr_engine.Engine.epoch_report) -> ())
+    ?(on_resume = fun (_ : Pvr_engine.Persist.resumed) -> ())
     ?checkpoint_dir ?(resume = false) ?(fsync = true) world p =
   let sim = G.Simulator.create world.w_topo in
   let faults =
@@ -202,6 +204,7 @@ let engine_core ?(quiet = false) ?(on_phase = fun ~epoch:_ (_ : string) -> ())
         if resume then
           match Pvr_engine.Persist.resume ~quiet ~dir ~engine:eng ~apply () with
           | Ok rs ->
+              on_resume rs;
               if not quiet then
                 Printf.printf "resumed: epoch=%d replayed=%d dropped=%d\n%!"
                   rs.Pvr_engine.Persist.rs_epoch rs.rs_replayed rs.rs_dropped;

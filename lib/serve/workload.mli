@@ -82,6 +82,7 @@ val engine_core :
   ?quiet:bool ->
   ?on_phase:(epoch:int -> string -> unit) ->
   ?on_report:(Pvr_engine.Engine.epoch_report -> unit) ->
+  ?on_resume:(Pvr_engine.Persist.resumed -> unit) ->
   ?checkpoint_dir:string ->
   ?resume:bool ->
   ?fsync:bool ->
@@ -93,8 +94,9 @@ val engine_core :
     ("apply"/"collect"/"verify") and after the journal write ("record") —
     the crash-soak kill hook.  [on_report] fires once per completed epoch
     with its report — the serve daemon streams a verdict frame from it.
-    [checkpoint_dir] journals every epoch into that store (reset first
-    unless [resume]); with [resume] the run continues after the
-    journal's newest epoch record of this run.  Returns
+    [on_resume] fires once a [resume] has recovered the store, with what
+    it replayed and dropped.  [checkpoint_dir] journals every epoch into
+    that store (reset first unless [resume]); with [resume] the run
+    continues after the journal's newest epoch record of this run.  Returns
     [(final_digest, total_convictions)], or [Error] when the checkpoint
     store is unrecoverable. *)

@@ -484,7 +484,8 @@ let response =
        and+ st_draining = bool
        and+ st_world_hits = u32
        and+ st_world_misses = u32
-       and+ st_world_keys = u32 in
+       and+ st_world_keys = u32
+       and+ st_sha256_accelerated = bool in
        Protocol.Stats_r
          {
            st_sessions;
@@ -496,6 +497,7 @@ let response =
            st_world_hits;
            st_world_misses;
            st_world_keys;
+           st_sha256_accelerated;
          });
       map (fun rows -> Protocol.Rows rows) (items blob);
     ]

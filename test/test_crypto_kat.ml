@@ -168,6 +168,80 @@ let sha256_many_differential =
       let ctx = C.Sha256.init () in
       C.Sha256.digest_many ctx msgs = List.map C.Sha256.digest msgs)
 
+(* ---- SHA-256: accelerated kernel ≡ OCaml compression -------------------
+
+   [Sha256.Reference] contexts compress on the OCaml kernel on every host;
+   plain contexts use the SHA extensions where the CPU has them.  Each
+   check below runs the reference side everywhere and adds the
+   accelerated side only where it exists; the test names say which. *)
+
+let kernels =
+  if C.Sha256.accelerated then "SHA-NI ≡ OCaml"
+  else "OCaml only, no SHA-NI: stub side skipped"
+
+(* Feed [m] through [ctx] in pieces cut at [cuts], then finalize. *)
+let split_digest ctx m cuts =
+  C.Sha256.reset ctx;
+  let n = String.length m in
+  let last =
+    List.fold_left
+      (fun pos cut ->
+        let cut = max pos (min n cut) in
+        C.Sha256.update ctx (String.sub m pos (cut - pos));
+        cut)
+      0 (List.sort compare cuts)
+  in
+  C.Sha256.update ctx (String.sub m last (n - last));
+  C.Sha256.finalize ctx
+
+let sha256_kernels_split_updates =
+  qtest ~count:500
+    ("sha256 split updates: " ^ kernels)
+    QCheck2.Gen.(
+      pair (string_size (int_range 0 300))
+        (list_size (int_range 0 6) (int_range 0 300)))
+    (fun (m, cuts) ->
+      let reference = C.Sha256.digest_with (C.Sha256.Reference.init ()) m in
+      split_digest (C.Sha256.Reference.init ()) m cuts = reference
+      && ((not C.Sha256.accelerated)
+         || split_digest (C.Sha256.init ()) m cuts = reference))
+
+let sha256_kernels_fixed =
+  qtest ~count:300
+    ("sha256 Fixed widths: " ^ kernels)
+    QCheck2.Gen.(string_size (int_range 1 130))
+    (fun m ->
+      let w = String.length m in
+      let reference = C.Sha256.digest_with (C.Sha256.Reference.init ()) m in
+      C.Sha256.Fixed.digest (C.Sha256.Reference.fixed w) m = reference
+      && ((not C.Sha256.accelerated)
+         || C.Sha256.Fixed.digest (C.Sha256.Fixed.create w) m = reference))
+
+(* The FIPS vectors through each kernel's streaming and fixed-width paths;
+   both kernels count one ["crypto.sha256.blocks"] per padded block. *)
+let sha256_kernels_kat () =
+  let paths =
+    ("reference", C.Sha256.Reference.init, C.Sha256.Reference.fixed)
+    :: (if C.Sha256.accelerated then
+          [ ("accelerated", C.Sha256.init, C.Sha256.Fixed.create) ]
+        else [])
+  in
+  List.iter
+    (fun (name, init, fixed) ->
+      List.iter
+        (fun (m, d) ->
+          let blocks = (String.length m + 9 + 63) / 64 in
+          let got, dd = counted (fun () -> C.Sha256.digest_with (init ()) m) in
+          check (name ^ " digest_with") d (hex got);
+          check_int (name ^ " blocks") blocks (delta dd "crypto.sha256.blocks");
+          let t = fixed (String.length m) in
+          let got, dd = counted (fun () -> C.Sha256.Fixed.digest t m) in
+          check (name ^ " Fixed.digest") d (hex got);
+          check_int (name ^ " fixed blocks") blocks
+            (delta dd "crypto.sha256.blocks"))
+        sha_kats)
+    paths
+
 (* ---- HMAC: RFC 4231 on both the one-shot and precomputed-key paths ------ *)
 
 let hmac_vectors =
@@ -748,4 +822,7 @@ let suite =
     mont_short_exp;
     bigint_codecs_match_reference;
     ("Bigint byte codec edges", `Quick, bigint_codec_edges);
+    sha256_kernels_split_updates;
+    sha256_kernels_fixed;
+    ("sha256 FIPS KATs: " ^ kernels, `Quick, sha256_kernels_kat);
   ]

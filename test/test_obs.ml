@@ -56,6 +56,22 @@ let reset_between_rounds () =
   O.incr c;
   check_int "round two counts from zero" 1 (O.value c)
 
+(* A fixed gauge is set while metrics are off and survives [reset_all];
+   the SHA-256 kernel gauge is one, so every snapshot names the kernel. *)
+let fixed_gauge_survives_reset () =
+  O.set_enabled false;
+  O.fixed_gauge "t.gauge.fixed" 5;
+  with_fresh @@ fun () ->
+  let plain = O.gauge "t.gauge.plain" in
+  O.set_gauge plain 3;
+  O.reset_all ();
+  let snap = O.Snapshot.capture () in
+  check_int "fixed gauge kept" 5 (O.Snapshot.gauge_value snap "t.gauge.fixed");
+  check_int "plain gauge reset" 0 (O.Snapshot.gauge_value snap "t.gauge.plain");
+  check_int "sha256 kernel gauge"
+    (Bool.to_int Pvr_crypto.Sha256.accelerated)
+    (O.Snapshot.gauge_value snap "crypto.sha256.accelerated")
+
 (* ---- histograms -------------------------------------------------------- *)
 
 let histogram_stats () =
@@ -219,4 +235,6 @@ let suite =
     Alcotest.test_case "snapshot diff" `Quick snapshot_diff;
     Alcotest.test_case "snapshot json shape" `Quick snapshot_json_shape;
     Alcotest.test_case "json writer" `Quick json_writer;
+    Alcotest.test_case "fixed gauge survives reset" `Quick
+      fixed_gauge_survives_reset;
   ]

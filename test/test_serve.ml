@@ -113,6 +113,8 @@ let ping_stats_and_errors () =
   (match Cl.stats c with
   | Ok st ->
       check_bool "draining off" false st.Pr.st_draining;
+      check_bool "names the SHA-256 kernel" Pvr_crypto.Sha256.accelerated
+        st.Pr.st_sha256_accelerated;
       check_int "queue cap" 8 st.Pr.st_queue_cap;
       check_bool "workers sized" true (st.Pr.st_workers >= 1);
       check_int "no inflight" 0 st.Pr.st_inflight
