@@ -1,16 +1,22 @@
+module H = Pvr_crypto.Sha256
+
 type entry = {
   prefix : Prefix.t;
+  label : string;
   mutable best : Route.t option;
   adj_in : Route.t option array;
   adj_out : Route.t option array;
   mutable dirty : bool;
+  mutable digest : string;
 }
 
 type t = {
   neighbors : Asn.t array; (* ascending: index = slot *)
-  in_labels : string array; (* "i|AS<n>|" per slot, for [prefix_entry] *)
+  in_labels : string array; (* "i|AS<n>|" per slot, hashed before a route *)
   out_labels : string array; (* "o|AS<n>|" per slot *)
   mutable entries : entry Prefix.Map.t;
+  mutable stale : bool; (* some entry is dirty, so [folded] is out of date *)
+  mutable folded : string; (* the AS digest as of the last [digest] *)
 }
 
 let create neighbors =
@@ -26,6 +32,8 @@ let create neighbors =
     in_labels = labels "i|";
     out_labels = labels "o|";
     entries = Prefix.Map.empty;
+    stale = false;
+    folded = "";
   }
 
 let neighbors t = t.neighbors
@@ -40,10 +48,12 @@ let entry t prefix =
       let e =
         {
           prefix;
+          label = "p:" ^ Prefix.to_string prefix;
           best = None;
           adj_in = Array.make n None;
           adj_out = Array.make n None;
           dirty = false;
+          digest = "";
         }
       in
       t.entries <- Prefix.Map.add prefix e t.entries;
@@ -60,15 +70,29 @@ let slot_exn t neighbor =
   if s < 0 then invalid_arg ("Rib: not a neighbor: " ^ Asn.to_string neighbor);
   s
 
+(* A dirty entry implies a stale RIB: [digest] clears both together. *)
+let mark t e =
+  if not e.dirty then begin
+    e.dirty <- true;
+    t.stale <- true
+  end
+
 let set_in t ~neighbor prefix route =
   let s = slot_exn t neighbor in
-  (entry t prefix).adj_in.(s) <- canon route
+  let e = entry t prefix in
+  e.adj_in.(s) <- canon route;
+  mark t e
 
 let set_out t ~neighbor prefix route =
   let s = slot_exn t neighbor in
-  (entry t prefix).adj_out.(s) <- canon route
+  let e = entry t prefix in
+  e.adj_out.(s) <- canon route;
+  mark t e
 
-let set_best t prefix route = (entry t prefix).best <- canon route
+let set_best t prefix route =
+  let e = entry t prefix in
+  e.best <- canon route;
+  mark t e
 
 let find t prefix = Prefix.Map.find_opt prefix t.entries
 
@@ -101,68 +125,75 @@ let prefixes t =
     t.entries []
   |> List.rev
 
-(* Canonical description of everything this RIB holds for one prefix,
-   across all three tables.  Slots are ASN-sorted and [Intern.encode] is
-   representation-independent, so the string is a pure function of RIB
-   contents — [""] when the prefix is absent everywhere.  This is the unit
-   the incremental RIB tracker ({!Rib_delta}) digests. *)
-let prefix_entry t prefix =
-  match find t prefix with
-  | None -> ""
-  | Some e ->
-      let buf = Buffer.create 128 in
-      (match e.best with
-      | Some r ->
-          Buffer.add_string buf "b|";
-          Buffer.add_string buf (Intern.encode r);
-          Buffer.add_char buf '\n'
-      | None -> ());
-      let add_table labels table =
-        Array.iteri
-          (fun s r ->
-            match r with
-            | Some r ->
-                Buffer.add_string buf labels.(s);
-                Buffer.add_string buf (Intern.encode r);
-                Buffer.add_char buf '\n'
-            | None -> ())
-          table
-      in
-      add_table t.in_labels e.adj_in;
-      add_table t.out_labels e.adj_out;
-      Buffer.contents buf
+(* ---- digest ----------------------------------------------------------------
+
+   An entry's digest is SHA-256 over ["b|"] and its best route, then a
+   ["i|AS<n>|"] and ["o|AS<n>|"] label and route per filled slot, each
+   route as its [Intern.encode] bytes (identical to [Route.encode] in both
+   interning modes) followed by a newline; [""] when the entry holds
+   nothing.  The AS digest length-frames ["p:<prefix>"] and the entry
+   digest of every non-empty entry in prefix order, which is the order of
+   [entries]. *)
+
+let c_rehashed = Pvr_obs.counter "bgp.rib.rehashed"
+
+(* Two contexts per domain: the AS fold stays open while entries hash. *)
+let scratch = Domain.DLS.new_key (fun () -> (H.init (), H.init ()))
+
+let add_route ctx label r =
+  H.update ctx label;
+  H.update ctx (Intern.encode r);
+  H.update ctx "\n"
+
+let add_slots ctx labels table =
+  for s = 0 to Array.length table - 1 do
+    match table.(s) with Some r -> add_route ctx labels.(s) r | None -> ()
+  done
+
+let entry_digest ctx t e =
+  if
+    Option.is_none e.best
+    && Array.for_all Option.is_none e.adj_in
+    && Array.for_all Option.is_none e.adj_out
+  then ""
+  else begin
+    H.reset ctx;
+    (match e.best with Some r -> add_route ctx "b|" r | None -> ());
+    add_slots ctx t.in_labels e.adj_in;
+    add_slots ctx t.out_labels e.adj_out;
+    H.finalize ctx
+  end
+
+let fold ctx t digest_of =
+  H.reset ctx;
+  let any =
+    Prefix.Map.fold
+      (fun _ e any ->
+        match digest_of e with
+        | "" -> any
+        | d ->
+            H.update_part ctx e.label;
+            H.update_part ctx d;
+            true)
+      t.entries false
+  in
+  if any then H.finalize ctx else ""
 
 let digest t =
-  (* Canonical fingerprint of all three tables.  Slots and the entry map
-     are visited in sorted order and [Intern.encode] is byte-identical to
-     [Route.encode] in both interning modes, so the digest is a pure
-     function of RIB contents — the differential-oracle suite compares it
-     across representations. *)
-  let buf = Buffer.create 1024 in
-  let add_route tag r =
-    Buffer.add_string buf tag;
-    Buffer.add_string buf (Intern.encode r);
-    Buffer.add_char buf '\n'
-  in
-  let add_table tag table =
-    Array.iteri
-      (fun s n ->
-        Prefix.Map.iter
-          (fun p e ->
-            Option.iter
-              (add_route
-                 (Printf.sprintf "%s|%s|%s|" tag (Asn.to_string n)
-                    (Prefix.to_string p)))
-              (table e).(s))
-          t.entries)
-      t.neighbors
-  in
-  add_table "in" (fun e -> e.adj_in);
-  Prefix.Map.iter
-    (fun p e ->
-      Option.iter
-        (add_route (Printf.sprintf "loc|%s|" (Prefix.to_string p)))
-        e.best)
-    t.entries;
-  add_table "out" (fun e -> e.adj_out);
-  Pvr_crypto.Sha256.digest_hex (Buffer.contents buf)
+  if t.stale then begin
+    let as_ctx, entry_ctx = Domain.DLS.get scratch in
+    let rehashed = ref 0 in
+    t.folded <-
+      fold as_ctx t (fun e ->
+          if e.dirty then begin
+            e.digest <- entry_digest entry_ctx t e;
+            e.dirty <- false;
+            incr rehashed
+          end;
+          e.digest);
+    t.stale <- false;
+    Pvr_obs.add c_rehashed !rehashed
+  end;
+  t.folded
+
+let digest_full t = fold (H.init ()) t (entry_digest (H.init ()) t)

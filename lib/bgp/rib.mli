@@ -15,15 +15,20 @@ type t
 
 type entry = {
   prefix : Prefix.t;
+  label : string;  (** ["p:<prefix>"], the entry's label in {!digest} *)
   mutable best : Route.t option;  (** Loc-RIB *)
   adj_in : Route.t option array;  (** by slot; [None] = nothing received *)
   adj_out : Route.t option array;  (** by slot; [None] = nothing sent *)
   mutable dirty : bool;
-      (** set by {!Simulator} while the entry waits in its dirty list *)
+      (** [digest] is stale: set by {!mark} on a write, cleared when
+          {!digest} rehashes the entry *)
+  mutable digest : string;
+      (** the entry's digest as of the last {!digest} of its RIB *)
 }
-(** What the RIB holds for one prefix.  {!Simulator} writes the fields
-    directly and stores only interned routes; other writers go through
-    the setters below, which intern. *)
+(** What the RIB holds for one prefix.  {!Simulator} writes the route
+    fields directly, stores only interned routes and marks ({!mark})
+    every entry it writes; other writers go through the setters below,
+    which intern and mark. *)
 
 val create : Asn.t array -> t
 (** A RIB for an AS with these neighbors (in any order; they are sorted
@@ -60,14 +65,22 @@ val prefixes : t -> Prefix.t list
 (** Every prefix with any Adj-RIB-In or Loc-RIB state, sorted, no
     duplicates. *)
 
-val prefix_entry : t -> Prefix.t -> string
-(** Canonical description of everything this RIB holds for [prefix]
-    across all three tables (best route, per-neighbor Adj-RIB-In and
-    Adj-RIB-Out, neighbors sorted), or [""] when the prefix is absent
-    everywhere.  Representation-independent, like {!digest} — this is
-    the unit {!Rib_delta} digests per (AS, prefix) pair. *)
+val mark : t -> entry -> unit
+(** Note that the entry's routes changed: its digest and the RIB's are
+    recomputed by the next {!digest}. *)
 
 val digest : t -> string
-(** Canonical SHA-256 hex fingerprint of all three tables (sorted by
-    neighbor and prefix).  A pure function of RIB contents: byte-identical
-    whether or not routes are interned. *)
+(** The AS digest: {!Pvr_crypto.Sha256.digest_parts} over ["p:<prefix>"]
+    and the entry digest of every entry holding anything, in
+    [Prefix.compare] order, or [""] when no entry holds anything.  An
+    entry digest is SHA-256 over ["b|"] and the best route, then per
+    filled slot ["i|AS<n>|"] (Adj-RIB-In) or ["o|AS<n>|"] (Adj-RIB-Out)
+    and the route, each route as its {!Intern.encode} bytes and a
+    newline.  A pure function of RIB contents, byte-identical whether or
+    not routes are interned.  Rehashes only entries marked since the
+    last call (counted in ["bgp.rib.rehashed"]), and costs nothing when
+    none was. *)
+
+val digest_full : t -> string
+(** {!digest} recomputed from every entry, reading and clearing no
+    cached digest: the oracle {!digest} is tested against. *)

@@ -36,10 +36,6 @@ type t = {
   mutable by_pid : Prefix.t array; (* dense id -> prefix *)
   queue : fifo;
   mutable gao_rexford : bool;
-  mutable dirty : (Asn.t * Rib.entry) list;
-      (* entries whose RIB state may have changed since the last
-         [drain_dirty] — every mutation funnels through [reselect], which
-         marks here once per entry. *)
 }
 
 let obs_updates = Pvr_obs.counter "sim.updates.processed"
@@ -96,7 +92,6 @@ let create topo =
         len = 0;
       };
     gao_rexford = true;
-    dirty = [];
   }
 
 let node t asn =
@@ -188,12 +183,10 @@ let announce n r =
   Intern.route (Route.strip_private_attrs r)
 
 (* Decide, then export to every neighbor in slot order, queueing a message
-   wherever the Adj-RIB-Out changes. *)
+   wherever the Adj-RIB-Out changes.  Every write to an entry funnels
+   through here, so this one mark keeps the entry's digest honest. *)
 let reselect t n pid (e : Rib.entry) =
-  if not e.dirty then begin
-    e.dirty <- true;
-    t.dirty <- (n.asn, e) :: t.dirty
-  end;
+  Rib.mark n.rib e;
   let prefix = e.prefix in
   let originated = Prefix.Set.mem prefix n.origins in
   let deg = Array.length n.nbrs in
@@ -331,17 +324,3 @@ let exported_route t ~asn ~neighbor prefix =
   Rib.get_out (node t asn).rib ~neighbor prefix
 
 let set_log_enabled _ _ = ()
-
-let drain_dirty t =
-  let pairs =
-    List.rev_map
-      (fun (asn, (e : Rib.entry)) ->
-        e.dirty <- false;
-        (asn, e.prefix))
-      t.dirty
-  in
-  t.dirty <- [];
-  List.sort
-    (fun (a1, p1) (a2, p2) ->
-      match Asn.compare a1 a2 with 0 -> Prefix.compare p1 p2 | c -> c)
-    pairs

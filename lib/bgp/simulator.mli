@@ -72,11 +72,3 @@ val exported_route : t -> asn:Asn.t -> neighbor:Asn.t -> Prefix.t -> Route.t opt
 val set_log_enabled : t -> bool -> unit
 (** Does nothing: the simulator keeps no message log.  Kept only because
     [perfbench/pvrbench.ml] still switches the log off. *)
-
-val drain_dirty : t -> (Asn.t * Prefix.t) list
-(** The (AS, prefix) pairs whose RIB state may have changed since the
-    last drain, sorted by (ASN, prefix) and deduplicated; clears the set.
-    Every RIB mutation passes through the decision/export step, which
-    marks the entry ({!Rib.entry}'s [dirty]) and lists it once — this
-    feeds the engine's incremental RIB tracker so the global RIB digest
-    is maintained in O(dirty pairs) per epoch. *)

@@ -42,7 +42,7 @@ type ctx = {
   h : int array;              (* 8 state words *)
   buf : Bytes.t;              (* partial block, [block_size] bytes *)
   mutable buf_len : int;      (* bytes currently in [buf] *)
-  mutable total : int64;      (* total message length in bytes *)
+  mutable total : int;        (* total message length in bytes *)
   ni : bool;                  (* compress on the SHA extensions *)
 }
 
@@ -55,7 +55,7 @@ let make ni =
     h = Array.copy iv;
     buf = Bytes.create block_size;
     buf_len = 0;
-    total = 0L;
+    total = 0;
     ni;
   }
 
@@ -64,7 +64,7 @@ let init () = make accelerated
 let reset ctx =
   Array.blit iv 0 ctx.h 0 8;
   ctx.buf_len <- 0;
-  ctx.total <- 0L
+  ctx.total <- 0
 
 let copy ctx =
   {
@@ -184,7 +184,7 @@ let compress_buf ctx =
 
 let update ctx s =
   let len = String.length s in
-  ctx.total <- Int64.add ctx.total (Int64.of_int len);
+  ctx.total <- ctx.total + len;
   let pos = ref 0 in
   (* Fill a partial buffered block first. *)
   if ctx.buf_len > 0 then begin
@@ -219,11 +219,11 @@ let output_of (h : int array) =
   done;
   Bytes.unsafe_to_string out
 
-let write_be64 (b : Bytes.t) off (v : int64) =
+(* [v] is a non-negative native int: message bit lengths stay below 2^62. *)
+let write_be64 (b : Bytes.t) off v =
   for i = 0 to 7 do
     Bytes.unsafe_set b (off + i)
-      (Char.unsafe_chr
-         (Int64.to_int (Int64.shift_right_logical v (56 - (8 * i))) land 0xff))
+      (Char.unsafe_chr ((v lsr (56 - (8 * i))) land 0xff))
   done
 
 (* Padding happens in place in [ctx.buf]: append 0x80, zero-fill, write the
@@ -232,8 +232,8 @@ let write_be64 (b : Bytes.t) off (v : int64) =
    string, which at 10M+ finalizes per bench run was real garbage. *)
 let finalize ctx =
   Pvr_obs.incr obs_ops;
-  Pvr_obs.add obs_bytes (Int64.to_int ctx.total);
-  let bit_len = Int64.mul ctx.total 8L in
+  Pvr_obs.add obs_bytes ctx.total;
+  let bit_len = ctx.total * 8 in
   let buf = ctx.buf in
   Bytes.set buf ctx.buf_len '\x80';
   if ctx.buf_len >= block_size - 8 then begin
@@ -260,7 +260,7 @@ let digest_many ctx parts = List.map (digest_with ctx) parts
 
 (* Absorb [v] as 8 big-endian bytes, written straight into the buffer. *)
 let update_be64 ctx v =
-  ctx.total <- Int64.add ctx.total 8L;
+  ctx.total <- ctx.total + 8;
   for i = 0 to 7 do
     Bytes.unsafe_set ctx.buf ctx.buf_len
       (Char.unsafe_chr ((v lsr (56 - (8 * i))) land 0xff));
@@ -275,13 +275,13 @@ let update_be64 ctx v =
    is unambiguous under concatenation — ["ab"; "c"] and ["a"; "bc"] hash
    differently.  The engine uses this to fingerprint simulator RIB state
    for resume validation. *)
+let update_part ctx p =
+  update_be64 ctx (String.length p);
+  update ctx p
+
 let digest_parts_with ctx parts =
   reset ctx;
-  List.iter
-    (fun p ->
-      update_be64 ctx (String.length p);
-      update ctx p)
-    parts;
+  List.iter (update_part ctx) parts;
   finalize ctx
 
 let digest_parts parts = digest_parts_with (init ()) parts
@@ -305,7 +305,7 @@ module Fixed = struct
     let nblocks = (len + 1 + 8 + block_size - 1) / block_size in
     let blocks = Bytes.make (nblocks * block_size) '\x00' in
     Bytes.set blocks len '\x80';
-    write_be64 blocks ((nblocks * block_size) - 8) (Int64.of_int (len * 8));
+    write_be64 blocks ((nblocks * block_size) - 8) (len * 8);
     { len; blocks; fh = Array.make 8 0; fni = ni }
 
   let create len = make accelerated len

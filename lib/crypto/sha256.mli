@@ -53,6 +53,11 @@ val digest_parts_hex : string list -> string
 val digest_parts_with : ctx -> string list -> string
 (** {!digest_parts} through a caller-owned reusable context. *)
 
+val update_part : ctx -> string -> unit
+(** Absorb one part length-framed, as {!digest_parts} frames each of its
+    parts: [digest_parts ps] is {!reset}, [update_part] per part, then
+    {!finalize}. *)
+
 (** Fixed-width one-shot hashing with a precomputed padded layout.
 
     For messages of a known constant width (per-bit commitment preimages,

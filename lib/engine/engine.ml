@@ -92,7 +92,7 @@ type slot = Resident of vstate | Spilled of spilled
    read one back.  [Persist.pager] wires this to the WAL journal;
    [memory_pager] is the store-free variant unit tests use. *)
 type pager = {
-  pg_append : key:string -> blob:string -> int;
+  pg_append : blob:string -> int;
   pg_read : off:int -> (string, string) result;
 }
 
@@ -101,7 +101,7 @@ let memory_pager () =
   let next = ref 0 in
   {
     pg_append =
-      (fun ~key:_ ~blob ->
+      (fun ~blob ->
         let off = !next in
         incr next;
         Hashtbl.replace tbl off blob;
@@ -131,9 +131,6 @@ type t = {
   states : (string, slot) Hashtbl.t;
   mutable epoch_no : int;
   mutable chain : string;
-  rtracker : Bgp.Rib_delta.t;
-      (* digest-level mirror of the simulator's RIBs, fed from its dirty
-         pairs — keeps [rib_digest] O(dirty) instead of O(world) *)
   mutable pager : pager option;
   mutable mem_ceiling : int; (* heap-word budget; 0 = unbounded *)
   mutable throttled : bool;
@@ -177,7 +174,6 @@ let create ?(jobs = 1) ?(cache = true) ?(salt_every = 8)
     states = Hashtbl.create 256;
     epoch_no = 0;
     chain = chain0;
-    rtracker = Bgp.Rib_delta.create ();
     pager = None;
     mem_ceiling = 0;
     throttled = false;
@@ -618,7 +614,7 @@ let spill_cold t pg ~on_phase ~all =
   let first = ref true in
   List.iter
     (fun (key, vs) ->
-      let off = pg.pg_append ~key ~blob:(page_blob vs) in
+      let off = pg.pg_append ~blob:(page_blob vs) in
       Hashtbl.replace t.states key
         (Spilled
            { sp_digest = vs.vs_digest; sp_period = vs.vs_period; sp_off = off });
@@ -866,37 +862,23 @@ let skip_epoch ?(apply = fun _ -> 0) t =
   let msgs = Bgp.Simulator.run ~max_messages:(convergence_budget t) t.sim in
   (changes, msgs)
 
-(* Canonical fingerprint of the entire simulator state the engine can see,
-   maintained incrementally: the simulator marks every (AS, prefix) pair
-   its decision/export step touches, [sync_rib] folds those pairs'
-   canonical entries ({!Bgp.Rib.prefix_entry}) into the digest-level
-   tracker, and the global digest falls out in O(dirty) per refresh
-   instead of an O(world) walk.  [rib_digest_full] is the naive twin the
-   differential-oracle suite pins the tracker against. *)
-let sync_rib t =
-  List.iter
-    (fun (asn, prefix) ->
-      let entry = Bgp.Rib.prefix_entry (Bgp.Simulator.rib t.sim asn) prefix in
-      ignore (Bgp.Rib_delta.update t.rtracker ~asn ~prefix ~entry))
-    (Bgp.Simulator.drain_dirty t.sim)
+(* The fingerprint of every RIB the engine can see: ["as:<asn>"] and the
+   AS's digest for each AS whose RIB holds anything, in ASN order.  Each
+   RIB caches its digest and rehashes only the entries the simulator
+   marked, so [rib_digest] costs O(dirty entries + dirty ASes' entries);
+   [rib_digest_full] recomputes everything and is the oracle the tests
+   hold it to. *)
+let world_digest t as_digest =
+  C.Sha256.digest_parts_hex
+    (List.fold_right
+       (fun asn acc ->
+         match as_digest (Bgp.Simulator.rib t.sim asn) with
+         | "" -> acc
+         | d -> ("as:" ^ Bgp.Asn.to_string asn) :: d :: acc)
+       t.ases [])
 
-let rib_digest t =
-  sync_rib t;
-  Bgp.Rib_delta.digest t.rtracker
-
-let rib_digest_full t =
-  let tr = Bgp.Rib_delta.create () in
-  List.iter
-    (fun asn ->
-      let rib = Bgp.Simulator.rib t.sim asn in
-      List.iter
-        (fun p ->
-          ignore
-            (Bgp.Rib_delta.update tr ~asn ~prefix:p
-               ~entry:(Bgp.Rib.prefix_entry rib p)))
-        (Bgp.Rib.prefixes rib))
-    t.ases;
-  Bgp.Rib_delta.digest tr
+let rib_digest t = world_digest t Bgp.Rib.digest
+let rib_digest_full t = world_digest t Bgp.Rib.digest_full
 
 module Checkpoint = struct
   let run_id t = C.Sha256.digest_hex ("pvr-engine-run-id|" ^ t.secret)

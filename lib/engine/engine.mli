@@ -149,7 +149,7 @@ val current_epoch : t -> int
     byte-identical. *)
 
 type pager = {
-  pg_append : key:string -> blob:string -> int;
+  pg_append : blob:string -> int;
       (** persist one page blob, returning its stable address *)
   pg_read : off:int -> (string, string) result;
 }
@@ -216,15 +216,17 @@ val skip_epoch : ?apply:(Bgp.Simulator.t -> int) -> t -> int * int
 
 val rib_digest : t -> string
 (** Hex fingerprint of the full simulator state visible to the engine
-    (Loc-RIB and per-neighbor Adj-RIB-In/Out of every AS), maintained
-    incrementally by a {!Bgp.Rib_delta} tracker fed from the simulator's
-    dirty pairs — O(dirty) per refresh.  Resume refuses to continue when
-    the replayed state does not match the stored one. *)
+    (Loc-RIB and per-neighbor Adj-RIB-In/Out of every AS):
+    {!Pvr_crypto.Sha256.digest_parts_hex} over ["as:<asn>"] and
+    {!Bgp.Rib.digest} for each AS whose RIB holds anything, in ASN order.
+    Each RIB rehashes only the entries marked since its last digest.
+    Resume refuses to continue when the replayed state does not match
+    the stored one. *)
 
 val rib_digest_full : t -> string
-(** The O(world) naive twin of {!rib_digest}: rebuild the tracker from
-    scratch over every AS's RIB.  Must always equal {!rib_digest} — the
-    differential-oracle suite asserts it. *)
+(** {!rib_digest} recomputed from every entry with {!Bgp.Rib.digest_full},
+    reading and clearing no cached digest.  Must always equal
+    {!rib_digest} — the differential-oracle suite asserts it. *)
 
 module Checkpoint : sig
   val run_id : t -> string

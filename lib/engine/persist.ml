@@ -24,7 +24,7 @@ type session = { store : Store.t; dir : string }
 let start ?(fsync = true) ?snapshot_every:_ ~dir () =
   { store = Store.open_ ~fsync ~dir (); dir }
 
-(* Wire the engine's spill layer to this session's WAL: pages are tag-4
+(* Wire the engine's spill layer to this session's WAL: pages are tag-5
    journal frames addressed by the byte offset [Store.append'] returns,
    CRC-checked on the way back and validated against the run id — a page
    from another run (or a mangled one) reads as an error, which the
@@ -32,10 +32,9 @@ let start ?(fsync = true) ?snapshot_every:_ ~dir () =
 let pager s ~run_id =
   {
     Engine.pg_append =
-      (fun ~key ~blob ->
+      (fun ~blob ->
         Store.append' s.store
-          (Frame.encode_page
-             { Frame.pf_run_id = run_id; pf_key = key; pf_blob = blob }));
+          (Frame.encode_page { Frame.pf_run_id = run_id; pf_blob = blob }));
     pg_read =
       (fun ~off ->
         match Store.read_frame_at ~dir:s.dir ~off with

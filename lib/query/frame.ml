@@ -3,16 +3,17 @@ module Codec = Pvr_crypto.Codec
 (* Tag space of engine journal payloads.  Tag 1 predates this module: it
    doubled as the epoch-record version field, so v1 epoch payloads from
    older stores decode unchanged.  Tag 2 is the evidence plane.  Tag 3 was
-   an index checkpoint; it is no longer written, and an old store's tag-3
-   frames decode as [Error], skipped like any foreign frame. *)
+   an index checkpoint and tag 4 a spill page that also named its vertex;
+   neither is written any more, and an old store's tag-3 and tag-4 frames
+   decode as [Error], skipped like any foreign frame. *)
 let tag_epoch = 1
 let tag_rows = 2
 
-(* Tag 4 is the engine's spill layer: one cold (prover,prefix) vertex
+(* Tag 5 is the engine's spill layer: one cold (prover,prefix) vertex
    state paged out to the journal.  Pages are read back by byte offset
    ([Store.read_frame_at]), never replayed — the index builder and resume
    filter skip them by tag. *)
-let tag_page = 4
+let tag_page = 5
 
 type epoch_record = {
   er_epoch : int;
@@ -30,7 +31,7 @@ type epoch_record = {
 }
 
 type rows_frame = { rf_run_id : string; rf_epoch : int; rf_rows : Row.t list }
-type page_frame = { pf_run_id : string; pf_key : string; pf_blob : string }
+type page_frame = { pf_run_id : string; pf_blob : string }
 
 type record =
   | Epoch of epoch_record
@@ -114,15 +115,13 @@ let encode_page f =
   let buf = Buffer.create (String.length f.pf_blob + 64) in
   Codec.u32 buf tag_page;
   Codec.str buf f.pf_run_id;
-  Codec.str buf f.pf_key;
   Codec.str buf f.pf_blob;
   Buffer.contents buf
 
 let read_page r =
   let pf_run_id = Codec.get_str r in
-  let pf_key = Codec.get_str r in
   let pf_blob = Codec.get_str r in
-  { pf_run_id; pf_key; pf_blob }
+  { pf_run_id; pf_blob }
 
 let decode payload =
   Codec.decode payload (fun r ->

@@ -15,7 +15,10 @@
     - tag [3] — no longer written.  It held an index checkpoint; an old
       store's tag-3 payloads decode as [Error], and resume and the index
       builder skip them like any foreign frame.
-    - tag [4] — a spill page: the carried outcome of one cold
+    - tag [4] — no longer written.  It was a spill page that also named
+      its vertex, which nothing read; an old store's tag-4 payloads
+      decode as [Error] and are skipped like tag [3].
+    - tag [5] — a spill page: the carried outcome of one cold
       (prover,prefix) vertex the engine paged out to the journal.  Pages
       are addressed by byte offset ({!Pvr_store.Store.read_frame_at}),
       never replayed; the index builder and the resume filter skip them
@@ -37,7 +40,7 @@ type epoch_record = {
 }
 
 type rows_frame = { rf_run_id : string; rf_epoch : int; rf_rows : Row.t list }
-type page_frame = { pf_run_id : string; pf_key : string; pf_blob : string }
+type page_frame = { pf_run_id : string; pf_blob : string }
 
 type record =
   | Epoch of epoch_record
@@ -60,4 +63,4 @@ val encode_rows : rows_frame -> string
 val encode_page : page_frame -> string
 
 val decode : string -> (record, string) result
-(** Decode a tag-1, tag-2 or tag-4 payload; any other tag is an [Error]. *)
+(** Decode a tag-1, tag-2 or tag-5 payload; any other tag is an [Error]. *)

@@ -396,9 +396,7 @@ let frame =
         (fun rf_run_id rf_epoch rf_rows ->
           Frame.Rows { rf_run_id; rf_epoch; rf_rows })
         blob small (items row_value);
-      map3
-        (fun pf_run_id pf_key pf_blob -> Frame.Page { pf_run_id; pf_key; pf_blob })
-        blob blob blob;
+      map2 (fun pf_run_id pf_blob -> Frame.Page { pf_run_id; pf_blob }) blob blob;
     ]
 
 let params =
@@ -635,6 +633,16 @@ let index_checkpoint_payload =
   Codec.str b "index blob";
   Buffer.contents b
 
+(* A spill page as tag 4 wrote it: run id, then the vertex key nothing
+   read, then the blob.  Pages are tag 5 now. *)
+let keyed_page_payload =
+  let b = Buffer.create 64 in
+  Codec.u32 b 4;
+  Codec.str b "run";
+  Codec.str b "AS7|10.0.0.0/24";
+  Codec.str b "page blob";
+  Buffer.contents b
+
 let store_rows =
   [
     row "Row.read" row_value ~encode:(encode_with Row.encode)
@@ -645,7 +653,7 @@ let store_rows =
         | Frame.Rows rf -> Frame.encode_rows rf
         | Frame.Page pf -> Frame.encode_page pf)
       ~decode:(of_result Frame.decode)
-      ~rejects:(lazy [ index_checkpoint_payload ]);
+      ~rejects:(lazy [ index_checkpoint_payload; keyed_page_payload ]);
     row "Frame.decode_epoch" epoch_record ~encode:Pvr_engine.Persist.encode_epoch
       ~decode:(of_result Pvr_engine.Persist.decode_epoch);
     row "Protocol.decode_request" request ~encode:Protocol.encode_request

@@ -689,6 +689,21 @@ let flap_params =
     p_intern = true;
   }
 
+(* Epoch [i]'s update batch on the flap shape, counting from 1: the
+   seeding announcements, then churn at the shape's turnover. *)
+let flap_churn (w : Pvr_serve.Workload.world) i sim =
+  if i = 1 then List.length (G.Update_gen.Churn.seed w.w_churn sim)
+  else
+    List.length
+      (G.Update_gen.Churn.step w.w_churn_rng
+         ~turnover:flap_params.Pvr_serve.Workload.p_turnover w.w_churn sim)
+
+(* An engine over the flap shape's world. *)
+let flap_engine (w : Pvr_serve.Workload.world) =
+  E.create ~salt_every:flap_params.Pvr_serve.Workload.p_salt_every
+    w.w_engine_rng w.w_keyring ~topology:w.w_topo
+    ~sim:(G.Simulator.create w.w_topo) ()
+
 (* Every epoch's message count, the tracked and the from-scratch RIB
    digests, and the engine's chain digest, of one flap run. *)
 let flap_run () =
@@ -698,21 +713,10 @@ let flap_run () =
     ~finally:(fun () -> G.Intern.set_enabled false)
     (fun () ->
       let w = W.build_world ~quiet:true p in
-      let sim = G.Simulator.create w.W.w_topo in
-      let eng =
-        E.create ~salt_every:p.W.p_salt_every w.W.w_engine_rng w.W.w_keyring
-          ~topology:w.W.w_topo ~sim ()
-      in
+      let eng = flap_engine w in
       let msgs =
         List.init p.W.p_epochs (fun i ->
-            let apply sim =
-              if i = 0 then List.length (G.Update_gen.Churn.seed w.W.w_churn sim)
-              else
-                List.length
-                  (G.Update_gen.Churn.step w.W.w_churn_rng
-                     ~turnover:p.W.p_turnover w.W.w_churn sim)
-            in
-            (E.epoch ~apply eng).E.ep_msgs)
+            (E.epoch ~apply:(flap_churn w (i + 1)) eng).E.ep_msgs)
       in
       (msgs, E.rib_digest eng, E.rib_digest_full eng, E.digest eng))
 
@@ -734,8 +738,7 @@ let flap_pin () =
 
 (* Minor-heap words the simulator allocates per message on the flap
    shape's first ten epochs: the churn's originations and withdrawals
-   plus convergence, with the dirty set drained between epochs as the
-   engine does.  Deterministic for a given build, so it gates what
+   plus convergence.  Deterministic for a given build, so it gates what
    wall-clock convergence times cannot. *)
 let sim_words_per_message () =
   let module W = Pvr_serve.Workload in
@@ -750,14 +753,9 @@ let sim_words_per_message () =
         let words = ref 0.0 and msgs = ref 0 in
         for i = 1 to 10 do
           let before = Gc.minor_words () in
-          if i = 1 then ignore (G.Update_gen.Churn.seed w.W.w_churn sim)
-          else
-            ignore
-              (G.Update_gen.Churn.step w.W.w_churn_rng
-                 ~turnover:p.W.p_turnover w.W.w_churn sim);
+          ignore (flap_churn w i sim : int);
           msgs := !msgs + G.Simulator.run sim;
-          words := !words +. (Gc.minor_words () -. before);
-          ignore (G.Simulator.drain_dirty sim)
+          words := !words +. (Gc.minor_words () -. before)
         done;
         (!words, !msgs))
   in
@@ -768,6 +766,40 @@ let sim_words_per_message () =
   check_bool
     (Printf.sprintf "%.1f minor words per message <= 70" per_msg)
     true (per_msg <= 70.0)
+
+(* Minor-heap words [E.rib_digest] allocates per RIB entry it rehashes,
+   after each of the same ten flap epochs (replayed through
+   [E.skip_epoch]: the digest does not depend on verification). *)
+let rib_digest_words_per_entry () =
+  let words, d =
+    Fun.protect
+      ~finally:(fun () -> G.Intern.set_enabled false)
+      (fun () ->
+        let w = Pvr_serve.Workload.build_world ~quiet:true flap_params in
+        let eng = flap_engine w in
+        counted (fun () ->
+            let words = ref 0.0 in
+            for i = 1 to 10 do
+              ignore (E.skip_epoch ~apply:(flap_churn w i) eng : int * int);
+              let before = Gc.minor_words () in
+              ignore (E.rib_digest eng : string);
+              words := !words +. (Gc.minor_words () -. before)
+            done;
+            !words))
+  in
+  (* Only the entries the simulator marked are rehashed: one per (AS,
+     prefix) pair its decision step touched in an epoch. *)
+  let entries = delta d "bgp.rib.rehashed" in
+  check_int "entries rehashed" 11_166 entries;
+  (* Measured: 56.0 words per entry, over 11 166 entries.  The same ten
+     epochs cost 351.8 words per dirty (AS, prefix) pair (321.6 of them
+     syncing the pairs) when a separate tracker mirrored the RIBs from
+     one entry string per pair.  The margin allows 24 more, about one
+     more 32-byte digest string per route hashed. *)
+  let per_entry = words /. float entries in
+  check_bool
+    (Printf.sprintf "%.1f minor words per rehashed entry <= 80" per_entry)
+    true (per_entry <= 80.0)
 
 (* Check tasks on two domains share the epoch's table: the verdicts and
    the digest chain are those of one domain. *)
@@ -870,4 +902,6 @@ let suite =
       keyring_memo_serves_lookups;
     Alcotest.test_case "churn: deterministic streams" `Quick
       churn_is_deterministic;
+    Alcotest.test_case "engine: minor words per rehashed RIB entry" `Quick
+      rib_digest_words_per_entry;
   ]

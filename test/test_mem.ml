@@ -2,7 +2,7 @@
    equivalence, the spill layer's digest invariance across
    ceiling x jobs x cache (including a pager that always fails reads),
    governor staging counters, a paging run's journal holding only spill
-   pages, tag-4 page frames, random-access journal reads, the 10k-AS
+   pages, page frames, random-access journal reads, the 10k-AS
    generated-topology tier histogram, the CLI's --mem-ceiling and
    crashsoak spill kill-point contracts, and a page whose record names no
    behaviour. *)
@@ -101,14 +101,14 @@ let rib_digest_matches_oracle () =
           (E.rib_digest_full eng) (E.rib_digest eng))
   in
   check_int "every epoch checked" 4 !checks;
-  (* Spilling must not perturb the tracker either. *)
+  (* Spilling must not perturb the cached digests either. *)
   let eng', _ =
     run_mem 301 ~ceiling:1 ~pager:(E.memory_pager ())
       ~per_epoch:(fun eng _ ->
         check_string "spilled incremental = oracle" (E.rib_digest_full eng)
           (E.rib_digest eng))
   in
-  check_string "same world, same tracker" (E.rib_digest eng) (E.rib_digest eng')
+  check_string "same world, same digest" (E.rib_digest eng) (E.rib_digest eng')
 
 let spill_differential () =
   let eng0, lines0 = run_mem 303 in
@@ -156,7 +156,7 @@ let page_read_failure_recomputes () =
   (* A pager whose reads always fail: every unspill degrades to a dirty
      recomputation, which purity makes byte-identical. *)
   let broken =
-    { E.pg_append = (fun ~key:_ ~blob:_ -> 0);
+    { E.pg_append = (fun ~blob:_ -> 0);
       pg_read = (fun ~off:_ -> Error "page lost") }
   in
   let eng0, _ = run_mem 307 in
@@ -202,15 +202,15 @@ let paging_journal_holds_only_spills () =
 
 let frame_page_roundtrip =
   qtest "frame: page round-trips; mangled never raises"
-    QCheck2.Gen.(triple string string string)
-    (fun (run_id, key, blob) ->
-      let pf = { Frame.pf_run_id = run_id; pf_key = key; pf_blob = blob } in
+    QCheck2.Gen.(pair string string)
+    (fun (run_id, blob) ->
+      let pf = { Frame.pf_run_id = run_id; pf_blob = blob } in
       let enc = Frame.encode_page pf in
       (match Frame.decode enc with
       | Ok (Frame.Page pf') -> pf' = pf
       | Ok _ | Error _ -> false)
       &&
-      let rng = C.Drbg.of_int_seed (String.length blob + String.length key) in
+      let rng = C.Drbg.of_int_seed (String.length blob + String.length run_id) in
       match Frame.decode (N.Fuzz.mangle rng enc) with
       | Ok _ | Error _ -> true)
 

@@ -341,8 +341,13 @@ let rib_digest_intern_invariant () =
   let interned = with_intern true (fun () -> G.Rib.digest (fill ())) in
   check_string "digest invariant under interning" plain interned;
   let rib = fill () in
+  check_string "cached = recomputed" (G.Rib.digest_full rib) (G.Rib.digest rib);
   G.Rib.set_best rib (sample_route 0).G.Route.prefix None;
-  check_bool "digest tracks content" false (G.Rib.digest rib = plain)
+  let changed = G.Rib.digest rib in
+  check_bool "digest tracks content" false (changed = plain);
+  check_string "a setter marks its entry" (G.Rib.digest_full rib) changed;
+  check_string "an empty RIB digests to nothing" ""
+    (G.Rib.digest (G.Rib.create [| asn 2 |]))
 
 (* ---- differential oracle ----------------------------------------------------------- *)
 

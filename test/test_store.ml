@@ -429,7 +429,7 @@ let checkpointed_run_writes_only_journal () =
       check_int "a rows frame and an epoch record per epoch" 6
         (List.length tags);
       let known = [ Frame.tag_epoch; Frame.tag_rows; Frame.tag_page ] in
-      check_bool "every frame is tag 1, 2 or 4" true
+      check_bool "every frame is an epoch, rows or page frame" true
         (List.for_all
            (function Some t -> List.mem t known | None -> false)
            tags))
