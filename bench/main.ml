@@ -1012,7 +1012,7 @@ let e12 () =
       ("modes", J.List rows);
     ]
 
-(* ---- E13: internet scale: generated topology, interning ------------------------- *)
+(* ---- E13: internet scale: generated topology ------------------------------------ *)
 
 (* E13 and E16: a generated power-law internet, churned at its four
    highest ASNs — late arrivals in the preferential-attachment order, hence
@@ -1027,7 +1027,7 @@ let internet_params seed ~ases ~epochs =
   }
 
 let e13 () =
-  header "E13  internet scale: generated topology, route interning";
+  header "E13  internet scale: generated topology";
   let base_p = internet_params 2028 ~ases:1000 ~epochs:4 in
   let sizes = [ 100; 300; 1000 ] in
   let memo = world_memo () in
@@ -1036,9 +1036,9 @@ let e13 () =
     sizes;
   (* Every run re-derives topology, churn and engine secret from the same
      seed: same [ases] means the same internet, so digests are comparable
-     across jobs/cache/intern settings. *)
+     across jobs/cache settings. *)
   let run ?(epochs = base_p.p_epochs) ?(turnover = base_p.p_turnover) ?(mem = 0)
-      ?on_report ~ases ~jobs ~intern ~cache () =
+      ?on_report ~ases ~jobs ~cache () =
     let dirty = ref 0 and msgs = ref 0 in
     let d =
       run_world ~memo
@@ -1052,13 +1052,10 @@ let e13 () =
           p_epochs = epochs;
           p_turnover = turnover;
           p_jobs = jobs;
-          p_intern = intern;
           p_cache = cache;
           p_mem_ceiling = mem;
         }
     in
-    (* Every run starts from empty intern tables, as a fresh process does. *)
-    G.Intern.set_enabled false;
     (d, !dirty, !msgs)
   in
   (* Scaling curve: ASes x jobs at fixed turnover (single timed run per
@@ -1089,7 +1086,7 @@ let e13 () =
         List.map
           (fun jobs ->
             let t0 = Unix.gettimeofday () in
-            let _, dirty, msgs = run ~ases ~jobs ~intern:true ~cache:true () in
+            let _, dirty, msgs = run ~ases ~jobs ~cache:true () in
             let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
             Printf.printf "%6d %5d  %10.1f  %10.1f  %8d  %8d\n%!" ases jobs
               ms
@@ -1117,7 +1114,7 @@ let e13 () =
       (fun turnover ->
         let t0 = Unix.gettimeofday () in
         let _, dirty, msgs =
-          run ~turnover ~ases:300 ~jobs:1 ~intern:true ~cache:true ()
+          run ~turnover ~ases:300 ~jobs:1 ~cache:true ()
         in
         let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
         Printf.printf "%8.2f  %10.1f  %8d  %8d\n%!" turnover ms dirty msgs;
@@ -1131,21 +1128,17 @@ let e13 () =
       [ 0.05; 0.2; 0.5 ]
   in
   (* Determinism matrix at 1000 ASes: the digest must be byte-identical
-     across jobs, the memo cache and interning. *)
-  let base, _, _ = run ~ases:1000 ~jobs:1 ~intern:true ~cache:true () in
+     across jobs, the memo cache and a memory ceiling. *)
+  let base, _, _ = run ~ases:1000 ~jobs:1 ~cache:true () in
   let matrix =
     [
-      ("jobs=2", fun () -> run ~ases:1000 ~jobs:2 ~intern:true ~cache:true ());
-      ("jobs=4", fun () -> run ~ases:1000 ~jobs:4 ~intern:true ~cache:true ());
-      ( "jobs=2 intern=off",
-        fun () -> run ~ases:1000 ~jobs:2 ~intern:false ~cache:true () );
-      ( "jobs=1 cache=off",
-        fun () -> run ~ases:1000 ~jobs:1 ~intern:true ~cache:false () );
+      ("jobs=2", fun () -> run ~ases:1000 ~jobs:2 ~cache:true ());
+      ("jobs=4", fun () -> run ~ases:1000 ~jobs:4 ~cache:true ());
+      ("jobs=1 cache=off", fun () -> run ~ases:1000 ~jobs:1 ~cache:false ());
       ( "jobs=2 mem-ceiling",
         (* Bounded memory at scale: a tight governor ceiling with spilling
            must not perturb the digest (E16 measures the footprint). *)
-        fun () ->
-          run ~mem:200_000 ~ases:1000 ~jobs:2 ~intern:true ~cache:true () );
+        fun () -> run ~mem:200_000 ~ases:1000 ~jobs:2 ~cache:true () );
     ]
   in
   let determinism =
@@ -1158,19 +1151,18 @@ let e13 () =
         J.Obj [ ("variant", J.String label); ("digest_matches", J.Bool true) ])
       matrix
   in
-  (* Interning ablation: allocated words per steady-state epoch (§3.8's
-     quiet regime: zero turnover after the seeding epoch, so every epoch is
-     collect + classify + digest with no fresh RSA).  Interning memoizes
-     the per-vertex snapshot encodes, which dominate allocation there. *)
+  (* Allocated words per steady-state epoch (§3.8's quiet regime: zero
+     turnover after the seeding epoch, so every epoch is collect + classify
+     + digest with no fresh RSA). *)
   let allocated_words () =
     let s = Gc.quick_stat () in
     s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
   in
-  let quiet_words ~intern =
+  let quiet_words =
     let words = ref [] in
     let before = ref 0.0 in
-    let d, _, _ =
-      run ~epochs:6 ~turnover:0.0 ~ases:1000 ~jobs:1 ~intern ~cache:true
+    let (_ : string * int * int) =
+      run ~epochs:6 ~turnover:0.0 ~ases:1000 ~jobs:1 ~cache:true
         ~on_report:(fun r ->
           (* Epoch 1 seeds the table (RSA everywhere); epochs 2.. are the
              steady state we measure. *)
@@ -1179,20 +1171,10 @@ let e13 () =
           before := now)
         ()
     in
-    let n = List.length !words in
-    (d, List.fold_left ( +. ) 0.0 !words /. float_of_int n)
+    List.fold_left ( +. ) 0.0 !words /. float_of_int (List.length !words)
   in
-  let d_off, w_off = quiet_words ~intern:false in
-  let d_on, w_on = quiet_words ~intern:true in
-  assert (d_off = d_on);
-  let ratio = w_off /. w_on in
-  Printf.printf
-    "quiet-epoch allocation (1000 ASes): intern=off %.0f words/epoch, \
-     intern=on %.0f words/epoch, reduction %.2fx\n%!"
-    w_off w_on ratio;
-  (* The acceptance claim: interning at least halves steady-state
-     allocation on the 1k-AS workload. *)
-  assert (ratio >= 2.0);
+  Printf.printf "quiet-epoch allocation (1000 ASes): %.0f words/epoch\n%!"
+    quiet_words;
   J.Obj
     [
       ("max_ases", J.Int (List.fold_left max 0 sizes));
@@ -1202,14 +1184,7 @@ let e13 () =
       ("turnover_sweep", J.List turnover_rows);
       ("digest", J.String base);
       ("determinism", J.List determinism);
-      ( "intern_ablation",
-        J.Obj
-          [
-            ("allocated_words_per_quiet_epoch_off", J.Float w_off);
-            ("allocated_words_per_quiet_epoch_on", J.Float w_on);
-            ("reduction_factor", J.Float ratio);
-            ("digest_matches", J.Bool (d_off = d_on));
-          ] );
+      ("allocated_words_per_quiet_epoch", J.Float quiet_words);
     ]
 
 (* ---- E16: bounded memory: governor staging and spill-to-store ------------------- *)

@@ -917,16 +917,6 @@ let eparams_term =
       value & opt int 1
       & info [ "jobs"; "j" ] ~doc:"Worker domains for verification rounds.")
   in
-  let intern =
-    Arg.(
-      value & opt bool false
-      & info [ "intern" ]
-          ~doc:
-            "Hash-cons AS paths and routes (shared canonical storage, \
-             pointer-equality fast paths, memoized encodings).  \
-             Behaviour-identical: the digest is byte-identical with \
-             interning on or off.")
-  in
   let bits =
     Arg.(value & opt int 512 & info [ "bits" ] ~doc:"RSA modulus size.")
   in
@@ -1000,9 +990,9 @@ let eparams_term =
              scratch store under the temp dir), throttle carry-forward — \
              all digest-invariant.  0 (default) is unbounded.")
   in
-  let make p_seed p_tiers p_peering p_ases p_gen_seed p_epochs p_jobs
-      p_intern p_bits p_cache p_salt_every p_turnover p_origins p_ppo p_anycast
-      p_drop p_strategy p_mem_ceiling =
+  let make p_seed p_tiers p_peering p_ases p_gen_seed p_epochs p_jobs p_bits
+      p_cache p_salt_every p_turnover p_origins p_ppo p_anycast p_drop
+      p_strategy p_mem_ceiling =
     {
       p_seed;
       p_tiers;
@@ -1011,7 +1001,7 @@ let eparams_term =
       p_gen_seed;
       p_epochs;
       p_jobs;
-      p_intern;
+      p_intern = false;
       p_bits;
       p_cache;
       p_salt_every;
@@ -1026,8 +1016,8 @@ let eparams_term =
   in
   Term.(
     const make $ seed $ tiers $ peering $ ases $ gen_seed $ epochs $ jobs
-    $ intern $ bits $ cache $ salt_every $ turnover $ origins
-    $ prefixes_per_origin $ anycast $ drop $ strategy $ mem_ceiling)
+    $ bits $ cache $ salt_every $ turnover $ origins $ prefixes_per_origin
+    $ anycast $ drop $ strategy $ mem_ceiling)
 
 let engine_cmd =
   let checkpoint =

@@ -26,9 +26,39 @@ let of_string s =
       in
       make ~addr ~len
 
-let to_string { addr; len } =
-  Printf.sprintf "%d.%d.%d.%d/%d" (addr lsr 24 land 0xff)
-    (addr lsr 16 land 0xff) (addr lsr 8 land 0xff) (addr land 0xff) len
+(* Decimal width of an octet or a length: both are below 1000. *)
+let digits n = if n < 10 then 1 else if n < 100 then 2 else 3
+
+let write_digits buf off n =
+  let d = digits n in
+  let n = ref n in
+  for i = off + d - 1 downto off do
+    Bytes.set buf i (Char.unsafe_chr (48 + (!n mod 10)));
+    n := !n / 10
+  done;
+  off + d
+
+let text_length { addr; len } =
+  digits (addr lsr 24) + digits (addr lsr 16 land 0xff)
+  + digits (addr lsr 8 land 0xff) + digits (addr land 0xff) + digits len + 4
+
+(* The octet of [addr] at [shift], then [sep]. *)
+let write_octet buf off addr shift sep =
+  let off = write_digits buf off (addr lsr shift land 0xff) in
+  Bytes.set buf off sep;
+  off + 1
+
+let write_text { addr; len } buf off =
+  let off = write_octet buf off addr 24 '.' in
+  let off = write_octet buf off addr 16 '.' in
+  let off = write_octet buf off addr 8 '.' in
+  let off = write_octet buf off addr 0 '/' in
+  write_digits buf off len
+
+let to_string p =
+  let buf = Bytes.create (text_length p) in
+  ignore (write_text p buf 0 : int);
+  Bytes.unsafe_to_string buf
 
 let pp ppf p = Format.pp_print_string ppf (to_string p)
 let equal a b = a.addr = b.addr && a.len = b.len

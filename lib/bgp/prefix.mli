@@ -11,6 +11,16 @@ val of_string : string -> t
 (** Parse ["10.0.0.0/8"].  @raise Invalid_argument on malformed input. *)
 
 val to_string : t -> string
+(** Dotted-quad text, ["10.0.0.0/8"]. *)
+
+val text_length : t -> int
+(** [String.length (to_string p)]. *)
+
+val write_text : t -> Bytes.t -> int -> int
+(** [write_text p buf off] writes [to_string p] into [buf] at [off] and
+    returns the offset just past it.
+    @raise Invalid_argument if it does not fit. *)
+
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
 val compare : t -> t -> int

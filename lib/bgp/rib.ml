@@ -59,12 +59,6 @@ let entry t prefix =
       t.entries <- Prefix.Map.add prefix e t.entries;
       e
 
-(* Every route entering a RIB through these setters passes through the
-   interner, so with interning enabled all stored routes are canonical
-   representatives and downstream [Route.equal] calls settle on the [==]
-   fast path. *)
-let canon = Option.map Intern.route
-
 let slot_exn t neighbor =
   let s = slot t neighbor in
   if s < 0 then invalid_arg ("Rib: not a neighbor: " ^ Asn.to_string neighbor);
@@ -80,18 +74,18 @@ let mark t e =
 let set_in t ~neighbor prefix route =
   let s = slot_exn t neighbor in
   let e = entry t prefix in
-  e.adj_in.(s) <- canon route;
+  e.adj_in.(s) <- route;
   mark t e
 
 let set_out t ~neighbor prefix route =
   let s = slot_exn t neighbor in
   let e = entry t prefix in
-  e.adj_out.(s) <- canon route;
+  e.adj_out.(s) <- route;
   mark t e
 
 let set_best t prefix route =
   let e = entry t prefix in
-  e.best <- canon route;
+  e.best <- route;
   mark t e
 
 let find t prefix = Prefix.Map.find_opt prefix t.entries
@@ -129,11 +123,10 @@ let prefixes t =
 
    An entry's digest is SHA-256 over ["b|"] and its best route, then a
    ["i|AS<n>|"] and ["o|AS<n>|"] label and route per filled slot, each
-   route as its [Intern.encode] bytes (identical to [Route.encode] in both
-   interning modes) followed by a newline; [""] when the entry holds
-   nothing.  The AS digest length-frames ["p:<prefix>"] and the entry
-   digest of every non-empty entry in prefix order, which is the order of
-   [entries]. *)
+   route as its [Route.encode] bytes followed by a newline; [""] when the
+   entry holds nothing.  The AS digest length-frames ["p:<prefix>"] and
+   the entry digest of every non-empty entry in prefix order, which is
+   the order of [entries]. *)
 
 let c_rehashed = Pvr_obs.counter "bgp.rib.rehashed"
 
@@ -142,7 +135,7 @@ let scratch = Domain.DLS.new_key (fun () -> (H.init (), H.init ()))
 
 let add_route ctx label r =
   H.update ctx label;
-  H.update ctx (Intern.encode r);
+  Route.absorb ctx r;
   H.update ctx "\n"
 
 let add_slots ctx labels table =

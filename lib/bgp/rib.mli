@@ -26,9 +26,8 @@ type entry = {
       (** the entry's digest as of the last {!digest} of its RIB *)
 }
 (** What the RIB holds for one prefix.  {!Simulator} writes the route
-    fields directly, stores only interned routes and marks ({!mark})
-    every entry it writes; other writers go through the setters below,
-    which intern and mark. *)
+    fields directly and marks ({!mark}) every entry it writes; other
+    writers go through the setters below, which mark. *)
 
 val create : Asn.t array -> t
 (** A RIB for an AS with these neighbors (in any order; they are sorted
@@ -75,11 +74,11 @@ val digest : t -> string
     [Prefix.compare] order, or [""] when no entry holds anything.  An
     entry digest is SHA-256 over ["b|"] and the best route, then per
     filled slot ["i|AS<n>|"] (Adj-RIB-In) or ["o|AS<n>|"] (Adj-RIB-Out)
-    and the route, each route as its {!Intern.encode} bytes and a
-    newline.  A pure function of RIB contents, byte-identical whether or
-    not routes are interned.  Rehashes only entries marked since the
-    last call (counted in ["bgp.rib.rehashed"]), and costs nothing when
-    none was. *)
+    and the route, each route as its {!Route.encode} bytes and a
+    newline.  A pure function of RIB contents.  Rehashes only entries
+    marked since the last call (counted in ["bgp.rib.rehashed"]), each
+    route written in place ({!Route.absorb}), and costs nothing when none
+    was. *)
 
 val digest_full : t -> string
 (** {!digest} recomputed from every entry, reading and clearing no

@@ -1,6 +1,3 @@
-module BU = Pvr_crypto.Bytes_util
-module Codec = Pvr_crypto.Codec
-
 type origin = Igp | Egp | Incomplete
 
 type community = int * int
@@ -54,19 +51,69 @@ let strip_private_attrs r = { r with local_pref = default_local_pref }
 
 let origin_code = function Igp -> 0 | Egp -> 1 | Incomplete -> 2
 
+(* ---- the injective encoding ------------------------------------------------
+
+   The bytes of the seven-item list that route.mli describes, laid down in
+   place by [write_at]: no item string is built.  The outer count and
+   frames, the path list's count, the four attribute words and the
+   communities list's count come to 56 bytes; each hop adds a framed word
+   (8) and each community a framed pair (12). *)
+
+let encoded_length r =
+  56 + Prefix.text_length r.prefix
+  + (8 * List.length r.as_path)
+  + (12 * List.length r.communities)
+
+let set32 buf off v =
+  Bytes.set_int32_be buf off (Int32.of_int v);
+  off + 4
+
+(* A length-framed 4-byte word. *)
+let word buf off v = set32 buf (set32 buf off 4) v
+
+let rec write_path buf off = function
+  | [] -> off
+  | a :: p -> write_path buf (word buf off (Asn.to_int a)) p
+
+let rec write_communities buf off = function
+  | [] -> off
+  | (a, v) :: cs ->
+      write_communities buf (set32 buf (set32 buf (set32 buf off 8) a) v) cs
+
+let write_at buf off r =
+  let off = set32 buf off 7 in
+  let off = set32 buf off (Prefix.text_length r.prefix) in
+  let off = Prefix.write_text r.prefix buf off in
+  let hops = List.length r.as_path in
+  let off = set32 buf (set32 buf off (4 + (8 * hops))) hops in
+  let off = write_path buf off r.as_path in
+  let off = word buf off (Asn.to_int r.next_hop) in
+  let off = word buf off r.local_pref in
+  let off = word buf off r.med in
+  let off = word buf off (origin_code r.origin) in
+  let n = List.length r.communities in
+  let off = set32 buf (set32 buf off (4 + (12 * n))) n in
+  write_communities buf off r.communities
+
+let write r buf off =
+  if off < 0 || off > Bytes.length buf - encoded_length r then
+    invalid_arg "Route.write";
+  write_at buf off r
+
 let encode r =
-  Codec.encode_list
-    [
-      Prefix.to_string r.prefix;
-      Codec.encode_list
-        (List.map (fun a -> BU.be32 (Asn.to_int a)) r.as_path);
-      BU.be32 (Asn.to_int r.next_hop);
-      BU.be32 r.local_pref;
-      BU.be32 r.med;
-      BU.be32 (origin_code r.origin);
-      Codec.encode_list
-        (List.map (fun (a, v) -> BU.be32 a ^ BU.be32 v) r.communities);
-    ]
+  let buf = Bytes.create (encoded_length r) in
+  ignore (write_at buf 0 r : int);
+  Bytes.unsafe_to_string buf
+
+(* One scratch buffer per domain, grown to the longest route absorbed. *)
+let scratch = Domain.DLS.new_key (fun () -> ref (Bytes.create 256))
+
+let absorb ctx r =
+  let len = encoded_length r in
+  let buf = Domain.DLS.get scratch in
+  if Bytes.length !buf < len then buf := Bytes.create (2 * len);
+  ignore (write_at !buf 0 r : int);
+  Pvr_crypto.Sha256.update_sub ctx (Bytes.unsafe_to_string !buf) 0 len
 
 let pp ppf r =
   Format.fprintf ppf "%a via [%s]" Prefix.pp r.prefix
@@ -74,11 +121,10 @@ let pp ppf r =
 
 let to_string r = Format.asprintf "%a" pp r
 
-(* Structural, allocation-free equality with physical fast paths: interned
-   routes (see {!Intern}) share canonical representatives, so the [==]
-   checks short-circuit the common case on the engine's hot diff path.
-   Equivalent to the old [encode a = encode b] — the encoding is injective
-   over exactly these fields — without building two encodings per call. *)
+(* Structural, allocation-free equality.  The [==] checks settle a route
+   compared with itself, as when the simulator offers every neighbour the
+   one announcement it built.  Equivalent to [encode a = encode b]: the
+   encoding is injective over exactly these fields. *)
 
 let rec equal_path p q =
   p == q

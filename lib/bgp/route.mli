@@ -43,7 +43,24 @@ val strip_private_attrs : t -> t
 val default_local_pref : int
 
 val encode : t -> string
-(** Injective byte encoding, used for signing and commitments. *)
+(** Injective byte encoding, used for signing, commitments and every
+    digest of routes.  Its bytes are a {!Pvr_crypto.Codec.encode_list} of
+    seven items: the {!Prefix.to_string} text, the list of path ASNs, next
+    hop, local-pref, MED, origin code ([Igp] 0, [Egp] 1, [Incomplete] 2),
+    and the list of communities (each [a] and [v] in one item); every
+    integer is 4 big-endian bytes of its low 32 bits. *)
+
+val encoded_length : t -> int
+(** [String.length (encode r)], computed without encoding. *)
+
+val write : t -> Bytes.t -> int -> int
+(** [write r buf off] writes [encode r]'s bytes into [buf] at [off] and
+    returns the offset just past them.  Allocates nothing.
+    @raise Invalid_argument unless they fit; [buf] is then untouched. *)
+
+val absorb : Pvr_crypto.Sha256.ctx -> t -> unit
+(** [absorb ctx r] is [Sha256.update ctx (encode r)], through a scratch
+    buffer of the calling domain instead of a fresh string. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

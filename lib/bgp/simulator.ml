@@ -180,7 +180,7 @@ let announce n r =
   let r =
     if Asn.equal r.Route.next_hop n.asn then r else Route.prepend n.asn r
   in
-  Intern.route (Route.strip_private_attrs r)
+  Route.strip_private_attrs r
 
 (* Decide, then export to every neighbor in slot order, queueing a message
    wherever the Adj-RIB-Out changes.  Every write to an entry funnels
@@ -207,7 +207,7 @@ let reselect t n pid (e : Rib.entry) =
         in
         pick (deg - 1)
           (if originated then
-             Some (Intern.route (Route.originate ~asn:n.asn prefix))
+             Some (Route.originate ~asn:n.asn prefix)
            else None)
     | Some f ->
         let candidates =
@@ -219,7 +219,7 @@ let reselect t n pid (e : Rib.entry) =
           if originated then Route.originate ~asn:n.asn prefix :: candidates
           else candidates
         in
-        Option.map Intern.route (f prefix candidates)
+        f prefix candidates
   in
   e.best <- best;
   match best with
@@ -290,7 +290,7 @@ let deliver t ~dst ~slot ~pid route =
         else
           let policy = n.import.(slot) in
           if policy == Policy.accept_all then route
-          else Option.map Intern.route (Policy.evaluate policy r)
+          else Policy.evaluate policy r
   in
   e.adj_in.(slot) <- imported;
   reselect t n pid e

@@ -182,30 +182,36 @@ let compress_blocks ni h src off n =
 let compress_buf ctx =
   compress_blocks ctx.ni ctx.h (Bytes.unsafe_to_string ctx.buf) 0 1
 
-let update ctx s =
-  let len = String.length s in
+(* The range is checked before anything else: [ni_compress] reads raw
+   memory at the offsets it is given. *)
+let update_sub ctx s off len =
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Sha256.update_sub";
+  let stop = off + len in
   ctx.total <- ctx.total + len;
-  let pos = ref 0 in
+  let pos = ref off in
   (* Fill a partial buffered block first. *)
   if ctx.buf_len > 0 then begin
     let take = min (block_size - ctx.buf_len) len in
-    Bytes.blit_string s 0 ctx.buf ctx.buf_len take;
+    Bytes.blit_string s off ctx.buf ctx.buf_len take;
     ctx.buf_len <- ctx.buf_len + take;
-    pos := take;
+    pos := off + take;
     if ctx.buf_len = block_size then begin
       compress_buf ctx;
       ctx.buf_len <- 0
     end
   end;
-  let n = (len - !pos) / block_size in
+  let n = (stop - !pos) / block_size in
   if n > 0 then begin
     compress_blocks ctx.ni ctx.h s !pos n;
     pos := !pos + (n * block_size)
   end;
-  if !pos < len then begin
-    Bytes.blit_string s !pos ctx.buf 0 (len - !pos);
-    ctx.buf_len <- len - !pos
+  if !pos < stop then begin
+    Bytes.blit_string s !pos ctx.buf 0 (stop - !pos);
+    ctx.buf_len <- stop - !pos
   end
+
+let update ctx s = update_sub ctx s 0 (String.length s)
 
 (* Serialize [h] as the 32-byte big-endian digest. *)
 let output_of (h : int array) =

@@ -23,6 +23,12 @@ val copy : ctx -> ctx
 val update : ctx -> string -> unit
 (** Absorb more input.  May be called any number of times. *)
 
+val update_sub : ctx -> string -> int -> int -> unit
+(** [update_sub ctx s off len] absorbs the [len] bytes of [s] at [off],
+    as [update ctx (String.sub s off len)] would, without the copy.
+    @raise Invalid_argument unless [off] and [len] name a range of [s];
+    nothing is absorbed then. *)
+
 val finalize : ctx -> string
 (** Produce the 32-byte digest.  Pads in place — no intermediate
     allocation.  The context must be {!reset} before any reuse. *)

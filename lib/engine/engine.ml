@@ -232,17 +232,26 @@ let recycle_vcache t vc ~period =
   Pvr.Runner.clear_memo vc.memo;
   vc
 
-(* [Intern.encode] is byte-identical to [Route.encode]; with interning on
-   it is memoized per canonical route, which removes the dominant per-epoch
-   allocation — this digest runs for every live vertex every epoch. *)
+(* SHA-256 over the beneficiary, the export and each input's neighbour and
+   route, joined by NUL bytes, each route as its [Route.encode] bytes.  It
+   runs for every live vertex every epoch, so the routes are written in
+   place into the hash rather than built as strings. *)
+let snapshot_ctx = Domain.DLS.new_key C.Sha256.init
+
 let snapshot_digest sn =
-  C.Sha256.digest_hex
-    (String.concat "\x00"
-       (Bgp.Asn.to_string sn.sn_beneficiary
-       :: Bgp.Intern.encode sn.sn_export
-       :: List.concat_map
-            (fun (n, r) -> [ Bgp.Asn.to_string n; Bgp.Intern.encode r ])
-            sn.sn_inputs))
+  let ctx = Domain.DLS.get snapshot_ctx in
+  C.Sha256.reset ctx;
+  C.Sha256.update ctx (Bgp.Asn.to_string sn.sn_beneficiary);
+  C.Sha256.update ctx "\x00";
+  Bgp.Route.absorb ctx sn.sn_export;
+  List.iter
+    (fun (n, r) ->
+      C.Sha256.update ctx "\x00";
+      C.Sha256.update ctx (Bgp.Asn.to_string n);
+      C.Sha256.update ctx "\x00";
+      Bgp.Route.absorb ctx r)
+    sn.sn_inputs;
+  C.Hex.encode (C.Sha256.finalize ctx)
 
 (* The simulator's Adj-RIB-Out entry carries the prover's prepended path;
    PVR compares exports against inputs as received, so strip the prover. *)
@@ -301,7 +310,7 @@ let collect t =
                           ~neighbor:n prefix
                       with
                       | Some out ->
-                          let route = Bgp.Intern.route (unprepend prover out) in
+                          let route = unprepend prover out in
                           if
                             List.exists
                               (fun (_, r) -> Bgp.Route.equal r route)

@@ -96,7 +96,6 @@ type cache =
    on every call; a [cache] may only stand in for the topology and key
    generation that consume the first two streams. *)
 let build_world ?(quiet = false) ?(cache : cache option) p =
-  G.Intern.set_enabled p.p_intern;
   let master = C.Drbg.of_int_seed p.p_seed in
   (* Power-law internet: --gen-seed decouples the topology from the run
      seed (same internet, different salts/churn); without it the topology
@@ -113,11 +112,10 @@ let build_world ?(quiet = false) ?(cache : cache option) p =
     if not quiet then
       Printf.printf
         "engine: %d ASes, %d links; seed=%d epochs=%d jobs=%d cache=%b \
-         intern=%b salt_every=%d turnover=%.2f\n%!"
+         salt_every=%d turnover=%.2f\n%!"
         (G.Topology.size topo)
         (List.length (G.Topology.links topo))
-        p.p_seed p.p_epochs p.p_jobs p.p_cache p.p_intern p.p_salt_every
-        p.p_turnover
+        p.p_seed p.p_epochs p.p_jobs p.p_cache p.p_salt_every p.p_turnover
   in
   let generate () =
     let topo =

@@ -16,6 +16,8 @@ type params = {
   p_epochs : int;
   p_jobs : int;
   p_intern : bool;
+      (** inert: read by nothing but the serve wire format.  Routes are no
+          longer interned; the field stays while a benchmark sets it. *)
   p_bits : int;
   p_cache : bool;
   p_salt_every : int;
@@ -32,7 +34,7 @@ type params = {
 
 val defaults : params
 (** The CLI's flag defaults: hierarchy "1,2,4", seed 42, 5 epochs,
-    jobs 1, RSA-512, cache on, intern off. *)
+    jobs 1, RSA-512, cache on. *)
 
 type world = {
   w_topo : Pvr_bgp.Topology.t;
@@ -52,8 +54,7 @@ type world_key = {
 }
 (** Exactly the {!params} fields that decide a world's topology and
     keyring.  Params with equal keys build equal [w_topo] and [w_keyring];
-    every other field ([p_intern], churn, engine knobs) is re-derived per
-    call. *)
+    every other field (churn, engine knobs) is re-derived per call. *)
 
 val world_key : params -> world_key
 
@@ -75,8 +76,7 @@ val build_world : ?quiet:bool -> ?cache:cache -> params -> world
     hit skips only the [Topology] and [Keyring.create] calls that read
     the "topology" and "keys" streams, so the churn and engine streams of
     a hit equal those of a fresh build.  Without [cache] every world is
-    built from scratch.  Also sets the calling domain's intern toggle
-    ({!Pvr_bgp.Intern.set_enabled}) to [p_intern]. *)
+    built from scratch. *)
 
 val engine_core :
   ?quiet:bool ->

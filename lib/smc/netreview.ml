@@ -25,8 +25,6 @@ let revealed_paths d = List.map (fun (_, r) -> r.Bgp.Route.as_path) d.inputs
 
 let disclosure_bytes d =
   List.fold_left
-    (fun acc (_, r) -> acc + String.length (Bgp.Route.encode r) + 4)
-    (match d.chosen with
-    | Some r -> String.length (Bgp.Route.encode r)
-    | None -> 0)
+    (fun acc (_, r) -> acc + Bgp.Route.encoded_length r + 4)
+    (match d.chosen with Some r -> Bgp.Route.encoded_length r | None -> 0)
     d.inputs

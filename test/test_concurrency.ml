@@ -1,10 +1,8 @@
-(* Concurrency stress/determinism battery: the persistent domain pool,
-   domain-local interning and sharded observability counters.  The anchor
-   is the digest invariant — every epoch digest must be byte-identical
-   across jobs x intern x cache settings, even under adversarial
-   scheduling perturbation — plus unit checks that interning state stays
-   on its domain and the counter fold is exact, not merely statistically
-   close. *)
+(* Concurrency stress/determinism battery: the persistent domain pool and
+   sharded observability counters.  The anchor is the digest invariant —
+   every epoch digest must be byte-identical across jobs x cache settings,
+   even under adversarial scheduling perturbation — plus unit checks that
+   the counter fold is exact, not merely statistically close. *)
 
 module P = Pvr
 module E = Pvr_engine.Engine
@@ -20,13 +18,6 @@ let check_string = Alcotest.(check string)
 
 let qtest ?(count = 30) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
-
-let with_intern enabled f =
-  Fun.protect
-    ~finally:(fun () -> G.Intern.set_enabled false)
-    (fun () ->
-      G.Intern.set_enabled enabled;
-      f ())
 
 (* ---- differential engine runs ----------------------------------------------------- *)
 
@@ -66,30 +57,26 @@ let diff_engine ~seed ~jobs ~cache () =
   (eng, List.rev !digests)
 
 (* The per-epoch report digests and the final RIB digest.  Everything that
-   may legally vary — jobs, intern, cache — is a parameter; the
-   digests must not notice. *)
-let diff_run ~seed ~intern ~jobs ~cache () =
-  with_intern intern @@ fun () ->
+   may legally vary — jobs, cache — is a parameter; the digests must not
+   notice. *)
+let diff_run ~seed ~jobs ~cache () =
   let eng, digests = diff_engine ~seed ~jobs ~cache () in
   (digests, E.rib_digest eng)
 
-(* jobs in {1,2,4,8} x intern on/off x cache: every combination must
-   reproduce the jobs=1 plain-representation baseline byte for byte. *)
+(* jobs in {1,2,4,8} x cache: every combination must reproduce the
+   jobs=1 baseline byte for byte. *)
 let digest_differential =
   let open QCheck2.Gen in
   let gen =
     let* seed = 1 -- 1000 in
     let* jobs = oneofl [ 1; 2; 4; 8 ] in
-    let* intern = bool in
     let* cache = bool in
-    return (seed, jobs, intern, cache)
+    return (seed, jobs, cache)
   in
   qtest ~count:8 "digests: jobs x intern x cache differential" gen
-    (fun (seed, jobs, intern, cache) ->
-      let base, base_rib =
-        diff_run ~seed ~intern:false ~jobs:1 ~cache:true ()
-      in
-      let d, rib = diff_run ~seed ~intern ~jobs ~cache () in
+    (fun (seed, jobs, cache) ->
+      let base, base_rib = diff_run ~seed ~jobs:1 ~cache:true () in
+      let d, rib = diff_run ~seed ~jobs ~cache () in
       base = d && base_rib = rib && base <> [])
 
 (* Scheduler perturbation: seeded random sleeps before every pool task
@@ -99,7 +86,7 @@ let digest_differential =
    failure. *)
 let perturbed_schedule_deterministic () =
   let base, base_rib =
-    diff_run ~seed:271 ~intern:true ~jobs:1 ~cache:true ()
+    diff_run ~seed:271 ~jobs:1 ~cache:true ()
   in
   List.iter
     (fun pseed ->
@@ -119,7 +106,7 @@ let perturbed_schedule_deterministic () =
         (fun () ->
           Pool.set_perturb (Some sleep);
           let d, rib =
-            diff_run ~seed:271 ~intern:true ~jobs:4 ~cache:true ()
+            diff_run ~seed:271 ~jobs:4 ~cache:true ()
           in
           Alcotest.(check (list string))
             (Printf.sprintf "perturb seed %d: epoch digests" pseed)
@@ -128,44 +115,6 @@ let perturbed_schedule_deterministic () =
             (Printf.sprintf "perturb seed %d: rib digest" pseed)
             base_rib rib))
     [ 7; 99; 1234 ]
-
-(* ---- domain-local interning -------------------------------------------------------- *)
-
-let mk_route ~addr ~len ~path ~lp =
-  match path with
-  | [] -> invalid_arg "mk_route: empty path"
-  | first :: _ ->
-      {
-        G.Route.prefix = G.Prefix.make ~addr ~len;
-        as_path = List.map asn path;
-        next_hop = asn first;
-        local_pref = lp;
-        med = 0;
-        origin = G.Route.Igp;
-        communities = [];
-      }
-
-let sample_route i =
-  mk_route ~addr:(10 lsl 24) ~len:24 ~path:[ 3 + (i mod 8); 2; 1 ] ~lp:100
-
-(* Interning state belongs to the calling domain: a second domain that
-   turns its own interning off neither flips the first domain's toggle nor
-   clears its tables.  A serve worker running a [p_intern = false] session
-   must not disturb another worker's interned session. *)
-let intern_domain_local () =
-  with_intern true @@ fun () ->
-  let r = G.Intern.route (sample_route 0) in
-  let other =
-    Domain.join
-      (Domain.spawn (fun () ->
-           G.Intern.set_enabled false;
-           let copy = sample_route 0 in
-           G.Intern.route copy == copy))
-  in
-  check_bool "the other domain's route is the identity" true other;
-  check_bool "this domain's toggle is untouched" true (G.Intern.enabled ());
-  check_bool "this domain's table survives" true
-    (G.Intern.route (sample_route 0) == r)
 
 (* ---- sharded counters -------------------------------------------------------------- *)
 
@@ -264,7 +213,6 @@ let suite =
     ( "digests: stable under seeded scheduler perturbation",
       `Slow,
       perturbed_schedule_deterministic );
-    ("intern: toggle and tables are domain-local", `Quick, intern_domain_local);
     ("obs: sharded counter fold is exact across domains", `Quick,
       sharded_counter_fold_exact);
     ("obs: sharded fold matches runner tally reports", `Quick,

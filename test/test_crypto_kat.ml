@@ -242,6 +242,51 @@ let sha256_kernels_kat () =
         sha_kats)
     paths
 
+(* [update_sub] after a preamble of any length, so the slice lands at every
+   offset within the buffered block, equals hashing the copied slice. *)
+let sha256_kernels_update_sub =
+  qtest ~count:500
+    ("sha256 update_sub ≡ digest of String.sub: " ^ kernels)
+    QCheck2.Gen.(
+      let* pre = string_size (int_range 0 70) in
+      let* m = string_size (int_range 0 300) in
+      let* off = int_range 0 (String.length m) in
+      let* len = int_range 0 (String.length m - off) in
+      return (pre, m, off, len))
+    (fun (pre, m, off, len) ->
+      let want = C.Sha256.digest (pre ^ String.sub m off len) in
+      let run ctx =
+        C.Sha256.update ctx pre;
+        C.Sha256.update_sub ctx m off len;
+        C.Sha256.finalize ctx
+      in
+      run (C.Sha256.Reference.init ()) = want
+      && ((not C.Sha256.accelerated) || run (C.Sha256.init ()) = want))
+
+(* A slice outside the string is refused before any byte reaches a kernel:
+   no block is compressed and the context still holds only what came
+   before. *)
+let sha256_update_sub_range () =
+  let m = String.make 200 'x' in
+  List.iter
+    (fun (off, len) ->
+      let ctx = C.Sha256.init () in
+      C.Sha256.update ctx "abc";
+      let raised, d =
+        counted (fun () ->
+            match C.Sha256.update_sub ctx m off len with
+            | () -> false
+            | exception Invalid_argument _ -> true)
+      in
+      let what = Printf.sprintf "off=%d len=%d" off len in
+      check_bool (what ^ " raises") true raised;
+      check_int (what ^ " compresses nothing") 0
+        (delta d "crypto.sha256.blocks");
+      check (what ^ " leaves the context") (hex (C.Sha256.digest "abc"))
+        (hex (C.Sha256.finalize ctx)))
+    [ (-1, 1); (0, -1); (0, 201); (199, 2); (201, 0); (max_int, 1);
+      (1, max_int); (-64, 128) ]
+
 (* ---- HMAC: RFC 4231 on both the one-shot and precomputed-key paths ------ *)
 
 let hmac_vectors =
@@ -825,4 +870,7 @@ let suite =
     sha256_kernels_split_updates;
     sha256_kernels_fixed;
     ("sha256 FIPS KATs: " ^ kernels, `Quick, sha256_kernels_kat);
+    sha256_kernels_update_sub;
+    ("sha256 update_sub rejects out-of-range slices", `Quick,
+     sha256_update_sub_range);
   ]

@@ -588,25 +588,21 @@ let rotate_params ~jobs ~epochs =
     p_gen_seed = Some 1101;
     p_salt_every = 1;
     p_turnover = 0.0;
-    p_intern = true;
     p_jobs = jobs;
     p_epochs = epochs;
   }
 
-(* Every epoch report of one quiet run; the run leaves interning off. *)
+(* Every epoch report of one quiet run. *)
 let run_reports p =
   let module W = Pvr_serve.Workload in
-  Fun.protect
-    ~finally:(fun () -> G.Intern.set_enabled false)
-    (fun () ->
-      let reports = ref [] in
-      match
-        W.engine_core ~quiet:true
-          ~on_report:(fun r -> reports := r :: !reports)
-          (W.build_world ~quiet:true p) p
-      with
-      | Ok _ -> List.rev !reports
-      | Error e -> Alcotest.fail e)
+  let reports = ref [] in
+  match
+    W.engine_core ~quiet:true
+      ~on_report:(fun r -> reports := r :: !reports)
+      (W.build_world ~quiet:true p) p
+  with
+  | Ok _ -> List.rev !reports
+  | Error e -> Alcotest.fail e
 
 (* A beneficiary checks each signer's batch root once per epoch: the
    epoch's check phase pays fewer RSA verifications than it runs rounds,
@@ -635,16 +631,13 @@ let one_verify_per_round () =
 let crypto_counts_per_round () =
   let module W = Pvr_serve.Workload in
   let p = { (rotate_params ~jobs:1 ~epochs:3) with p_ases = 16 } in
+  let w = W.build_world ~quiet:true p in
   let d =
-    Fun.protect
-      ~finally:(fun () -> G.Intern.set_enabled false)
-      (fun () ->
-        let w = W.build_world ~quiet:true p in
-        snd
-          (counted (fun () ->
-               match W.engine_core ~quiet:true w p with
-               | Ok _ -> ()
-               | Error e -> Alcotest.fail e)))
+    snd
+      (counted (fun () ->
+           match W.engine_core ~quiet:true w p with
+           | Ok _ -> ()
+           | Error e -> Alcotest.fail e))
   in
   let rounds = delta d "engine.rounds" in
   check_int "rounds" 168 rounds;
@@ -673,7 +666,7 @@ let crypto_counts_per_round () =
    salt never rotated, so the simulator's convergence dominates each
    epoch.  It is `pvr engine --ases 60 --gen-seed 1102 --seed 1102
    --origins 8 --prefixes-per-origin 4 --anycast 2 --turnover 0.5
-   --salt-every 1000000 --epochs 21 --intern true`. *)
+   --salt-every 1000000 --epochs 21`. *)
 let flap_params =
   {
     Pvr_serve.Workload.defaults with
@@ -686,7 +679,6 @@ let flap_params =
     p_turnover = 0.5;
     p_salt_every = 1_000_000;
     p_epochs = 21;
-    p_intern = true;
   }
 
 (* Epoch [i]'s update batch on the flap shape, counting from 1: the
@@ -709,16 +701,13 @@ let flap_engine (w : Pvr_serve.Workload.world) =
 let flap_run () =
   let module W = Pvr_serve.Workload in
   let p = flap_params in
-  Fun.protect
-    ~finally:(fun () -> G.Intern.set_enabled false)
-    (fun () ->
-      let w = W.build_world ~quiet:true p in
-      let eng = flap_engine w in
-      let msgs =
-        List.init p.W.p_epochs (fun i ->
-            (E.epoch ~apply:(flap_churn w (i + 1)) eng).E.ep_msgs)
-      in
-      (msgs, E.rib_digest eng, E.rib_digest_full eng, E.digest eng))
+  let w = W.build_world ~quiet:true p in
+  let eng = flap_engine w in
+  let msgs =
+    List.init p.W.p_epochs (fun i ->
+        (E.epoch ~apply:(flap_churn w (i + 1)) eng).E.ep_msgs)
+  in
+  (msgs, E.rib_digest eng, E.rib_digest_full eng, E.digest eng)
 
 (* Pinned at the map-based simulator: a change to the delivery order, the
    decision process or the RIB's contents moves the message counts or a
@@ -743,26 +732,20 @@ let flap_pin () =
 let sim_words_per_message () =
   let module W = Pvr_serve.Workload in
   let p = flap_params in
-  let words, msgs =
-    Fun.protect
-      ~finally:(fun () -> G.Intern.set_enabled false)
-      (fun () ->
-        let w = W.build_world ~quiet:true p in
-        G.Intern.set_enabled true;
-        let sim = G.Simulator.create w.W.w_topo in
-        let words = ref 0.0 and msgs = ref 0 in
-        for i = 1 to 10 do
-          let before = Gc.minor_words () in
-          ignore (flap_churn w i sim : int);
-          msgs := !msgs + G.Simulator.run sim;
-          words := !words +. (Gc.minor_words () -. before)
-        done;
-        (!words, !msgs))
-  in
-  (* Measured: 53.4 words per message (313.1 when every delivery rebuilt
-     persistent per-neighbor maps); the margin allows 16 more, less than
-     one more route record and list cell per export. *)
-  let per_msg = words /. float msgs in
+  let w = W.build_world ~quiet:true p in
+  let sim = G.Simulator.create w.W.w_topo in
+  let words = ref 0.0 and msgs = ref 0 in
+  for i = 1 to 10 do
+    let before = Gc.minor_words () in
+    ignore (flap_churn w i sim : int);
+    msgs := !msgs + G.Simulator.run sim;
+    words := !words +. (Gc.minor_words () -. before)
+  done;
+  (* Measured: 45.3 words per message (53.4 with routes interned, 313.1
+     when every delivery rebuilt persistent per-neighbor maps).  The bound
+     was set at 53.4 with a margin of 16, less than one more route record
+     and list cell per export. *)
+  let per_msg = !words /. float !msgs in
   check_bool
     (Printf.sprintf "%.1f minor words per message <= 70" per_msg)
     true (per_msg <= 70.0)
@@ -771,35 +754,34 @@ let sim_words_per_message () =
    after each of the same ten flap epochs (replayed through
    [E.skip_epoch]: the digest does not depend on verification). *)
 let rib_digest_words_per_entry () =
+  let w = Pvr_serve.Workload.build_world ~quiet:true flap_params in
+  let eng = flap_engine w in
   let words, d =
-    Fun.protect
-      ~finally:(fun () -> G.Intern.set_enabled false)
-      (fun () ->
-        let w = Pvr_serve.Workload.build_world ~quiet:true flap_params in
-        let eng = flap_engine w in
-        counted (fun () ->
-            let words = ref 0.0 in
-            for i = 1 to 10 do
-              ignore (E.skip_epoch ~apply:(flap_churn w i) eng : int * int);
-              let before = Gc.minor_words () in
-              ignore (E.rib_digest eng : string);
-              words := !words +. (Gc.minor_words () -. before)
-            done;
-            !words))
+    counted (fun () ->
+        let words = ref 0.0 in
+        for i = 1 to 10 do
+          ignore (E.skip_epoch ~apply:(flap_churn w i) eng : int * int);
+          let before = Gc.minor_words () in
+          ignore (E.rib_digest eng : string);
+          words := !words +. (Gc.minor_words () -. before)
+        done;
+        !words)
   in
   (* Only the entries the simulator marked are rehashed: one per (AS,
      prefix) pair its decision step touched in an epoch. *)
   let entries = delta d "bgp.rib.rehashed" in
   check_int "entries rehashed" 11_166 entries;
-  (* Measured: 56.0 words per entry, over 11 166 entries.  The same ten
-     epochs cost 351.8 words per dirty (AS, prefix) pair (321.6 of them
-     syncing the pairs) when a separate tracker mirrored the RIBs from
-     one entry string per pair.  The margin allows 24 more, about one
-     more 32-byte digest string per route hashed. *)
+  (* Measured: 10.7 words per entry, over 11 166 entries: the entry's
+     digest string and its share of the AS digests.  Routes are written in
+     place into the hash, so none allocates; 56.0 when each route's
+     encoding came from an intern table, and 351.8 per dirty (AS, prefix)
+     pair when a separate tracker mirrored the RIBs from one entry string
+     per pair.  The margin allows 5 more, one more 32-byte digest string
+     per entry, and a fresh encoding string per route hashed exceeds it. *)
   let per_entry = words /. float entries in
   check_bool
-    (Printf.sprintf "%.1f minor words per rehashed entry <= 80" per_entry)
-    true (per_entry <= 80.0)
+    (Printf.sprintf "%.1f minor words per rehashed entry <= 16" per_entry)
+    true (per_entry <= 16.0)
 
 (* Check tasks on two domains share the epoch's table: the verdicts and
    the digest chain are those of one domain. *)

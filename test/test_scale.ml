@@ -1,8 +1,8 @@
 (* Internet-scale layer: the synthetic power-law generator's Gao–Rexford
-   invariants, hash-consed route interning, and the differential
-   oracle — interned and plain representations must produce
-   identical Decision outcomes, RIB digests and engine report digests on
-   random topologies and churn schedules. *)
+   invariants, the route encoding's bytes against the list composition it
+   replaced, and the differential oracle — every jobs and cache setting
+   must produce identical Decision outcomes, RIB digests and engine report
+   digests on random topologies and churn schedules. *)
 
 module P = Pvr
 module E = Pvr_engine.Engine
@@ -16,15 +16,6 @@ let check_string = Alcotest.(check string)
 
 let qtest ?(count = 30) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
-
-(* Interning is a process-wide toggle: every test that flips it restores the
-   default so suites running later see the plain representation. *)
-let with_intern enabled f =
-  Fun.protect
-    ~finally:(fun () -> G.Intern.set_enabled false)
-    (fun () ->
-      G.Intern.set_enabled enabled;
-      f ())
 
 (* ---- generator: structural invariants -------------------------------------------- *)
 
@@ -273,74 +264,132 @@ let route_compare_coherent =
       Int.compare c 0 = -Int.compare (G.Route.compare b a) 0
       && (c = 0) = G.Route.equal a b)
 
-(* ---- interning -------------------------------------------------------------------- *)
+(* ---- route encoding: bytes ---------------------------------------------------------- *)
+
+(* The dotted prefix text as [Printf] wrote it before the digit writer. *)
+let printf_prefix (p : G.Prefix.t) =
+  let a = p.G.Prefix.addr in
+  Printf.sprintf "%d.%d.%d.%d/%d" (a lsr 24 land 0xff) (a lsr 16 land 0xff)
+    (a lsr 8 land 0xff) (a land 0xff) p.G.Prefix.len
+
+(* The encoding as a composition of list encodings and 4-byte strings, as
+   [Route.encode] was written before it wrote its bytes in place. *)
+let reference_encode (r : G.Route.t) =
+  let be32 = C.Bytes_util.be32 in
+  C.Codec.encode_list
+    [
+      printf_prefix r.G.Route.prefix;
+      C.Codec.encode_list
+        (List.map (fun a -> be32 (G.Asn.to_int a)) r.G.Route.as_path);
+      be32 (G.Asn.to_int r.G.Route.next_hop);
+      be32 r.G.Route.local_pref;
+      be32 r.G.Route.med;
+      be32
+        (match r.G.Route.origin with
+        | G.Route.Igp -> 0
+        | Egp -> 1
+        | Incomplete -> 2);
+      C.Codec.encode_list
+        (List.map (fun (a, v) -> be32 a ^ be32 v) r.G.Route.communities);
+    ]
+
+(* Prefixes at the digit writer's edges: every octet of one to three
+   digits, lengths 0 and 32. *)
+let prefix_gen =
+  let open QCheck2.Gen in
+  let octet = oneof [ oneofl [ 0; 9; 10; 99; 100; 255 ]; int_bound 255 ] in
+  let* a = octet and* b = octet and* c = octet and* d = octet in
+  let* len = oneof [ oneofl [ 0; 32 ]; int_bound 32 ] in
+  return
+    (G.Prefix.make ~addr:((a lsl 24) lor (b lsl 16) lor (c lsl 8) lor d) ~len)
+
+(* Routes at the encoding's edges: empty paths and community lists, ASNs
+   0 and 2^32 - 1, and attributes outside 32 bits, of which both encoders
+   keep the low 32. *)
+let edge_route_gen =
+  let open QCheck2.Gen in
+  let word = oneof [ oneofl [ 0; 1; 0xFFFFFFFF ]; int_bound 0xFFFFFFFF ] in
+  let attr = oneof [ word; oneofl [ -1; min_int; (1 lsl 40) + 5 ] ] in
+  let asn_gen = map asn word in
+  let* prefix = prefix_gen
+  and* as_path = list_size (0 -- 6) asn_gen
+  and* next_hop = asn_gen
+  and* local_pref = attr
+  and* med = attr
+  and* origin = oneofl [ G.Route.Igp; G.Route.Egp; G.Route.Incomplete ]
+  and* communities = list_size (0 -- 3) (pair attr attr) in
+  return
+    { G.Route.prefix; as_path; next_hop; local_pref; med; origin; communities }
+
+let route_encode_reference =
+  qtest ~count:500 "route: encode ≡ reference list encoding" edge_route_gen
+    (fun r -> G.Route.encode r = reference_encode r)
+
+let prefix_text_printf =
+  qtest ~count:500 "prefix: to_string ≡ Printf form" prefix_gen (fun p ->
+      let s = G.Prefix.to_string p in
+      s = printf_prefix p && String.length s = G.Prefix.text_length p)
+
+(* [write] at an offset lays down exactly [encode]'s bytes, returns the
+   offset past them and leaves the bytes around them alone; [absorb]
+   hashes the same bytes. *)
+let route_write_in_place =
+  qtest ~count:300 "route: write at an offset ≡ encode"
+    QCheck2.Gen.(pair edge_route_gen (0 -- 9))
+    (fun (r, off) ->
+      let e = G.Route.encode r in
+      let n = G.Route.encoded_length r in
+      let buf = Bytes.make (off + n + 3) '#' in
+      let stop = G.Route.write r buf off in
+      let ctx = C.Sha256.init () in
+      G.Route.absorb ctx r;
+      n = String.length e && stop = off + n
+      && Bytes.sub_string buf off n = e
+      && Bytes.sub_string buf 0 off = String.make off '#'
+      && Bytes.sub_string buf stop 3 = "###"
+      && C.Sha256.finalize ctx = C.Sha256.digest e)
+
+(* A buffer the bytes do not fit is refused before anything is written. *)
+let route_write_out_of_range () =
+  let r =
+    mk_route ~addr:(10 lsl 24) ~len:24 ~path:[ 3; 2; 1 ] ~lp:100 ~med:0
+      ~origin:G.Route.Igp ~communities:[ (1, 2) ]
+  in
+  let n = G.Route.encoded_length r in
+  List.iter
+    (fun (size, off) ->
+      let buf = Bytes.make size '#' in
+      let what = Printf.sprintf "size %d, offset %d" size off in
+      check_bool (what ^ " raises") true
+        (match G.Route.write r buf off with
+        | _ -> false
+        | exception Invalid_argument _ -> true);
+      check_string (what ^ " leaves the buffer") (String.make size '#')
+        (Bytes.to_string buf))
+    [ (n - 1, 0); (n, 1); (n + 4, -1); (n, max_int); (0, 0) ]
 
 let sample_route i =
   mk_route ~addr:(10 lsl 24) ~len:24
     ~path:[ 3 + (i mod 4); 2; 1 ]
     ~lp:100 ~med:0 ~origin:G.Route.Igp ~communities:[]
 
-let intern_canonicalizes () =
-  with_intern true @@ fun () ->
-  G.Intern.reset ();
-  let a = G.Intern.route (sample_route 0) in
-  let b = G.Intern.route (deep_copy (sample_route 0)) in
-  check_bool "same canonical representative" true (a == b);
-  check_bool "structurally intact" true (G.Route.equal a (sample_route 0));
-  let c = G.Intern.route (sample_route 1) in
-  check_bool "distinct routes stay distinct" false (a == c);
-  (* Shared tail: both paths end [2; 1]; whole paths differ, so each path
-     interns separately, but equal paths share one spine. *)
-  let p1 = G.Intern.path [ asn 9; asn 2; asn 1 ] in
-  let p2 = G.Intern.path (List.map Fun.id [ asn 9; asn 2; asn 1 ]) in
-  check_bool "equal paths share storage" true (p1 == p2)
-
-let intern_ids_dense () =
-  with_intern true @@ fun () ->
-  G.Intern.reset ();
-  (* 6 inserts of 4 distinct routes. *)
-  for i = 0 to 5 do
-    ignore (G.Intern.route (sample_route i) : G.Route.t)
-  done;
-  let stats = G.Intern.stats () in
-  check_int "live routes" 4 stats.G.Intern.live_routes;
-  check_bool "live paths bounded" true (stats.G.Intern.live_paths <= 4)
-
-let intern_encode_memo () =
-  with_intern true @@ fun () ->
-  G.Intern.reset ();
-  let r = sample_route 2 in
-  check_string "memoized encode bytes" (G.Route.encode r) (G.Intern.encode r);
-  check_string "hit returns same bytes" (G.Route.encode r)
-    (G.Intern.encode (deep_copy r));
-  check_bool "encode table populated" true
-    ((G.Intern.stats ()).G.Intern.memoized_encodes = 1)
-
-let intern_disabled_is_identity () =
-  G.Intern.set_enabled false;
-  let r = sample_route 3 in
-  check_bool "route is physical identity" true (G.Intern.route r == r);
-  check_bool "path is physical identity" true
-    (G.Intern.path r.G.Route.as_path == r.G.Route.as_path);
-  check_string "encode falls through" (G.Route.encode r) (G.Intern.encode r);
-  check_int "tables empty" 0 (G.Intern.stats ()).G.Intern.live_routes
-
+(* The RIB digest reads route contents only: a RIB whose slots share one
+   route value and one holding a separate copy per slot digest alike. *)
 let rib_digest_intern_invariant () =
-  let fill () =
+  let fill copy =
     let rib = G.Rib.create [| asn 2; asn 3; asn 4 |] in
-    G.Rib.set_in rib ~neighbor:(asn 2) (sample_route 0).G.Route.prefix
-      (Some (sample_route 0));
-    G.Rib.set_in rib ~neighbor:(asn 3) (sample_route 1).G.Route.prefix
-      (Some (sample_route 1));
-    G.Rib.set_best rib (sample_route 0).G.Route.prefix (Some (sample_route 0));
-    G.Rib.set_out rib ~neighbor:(asn 4) (sample_route 0).G.Route.prefix
-      (Some (sample_route 0));
+    let r0 = sample_route 0 in
+    let p = r0.G.Route.prefix in
+    G.Rib.set_in rib ~neighbor:(asn 2) p (Some (copy r0));
+    G.Rib.set_in rib ~neighbor:(asn 3) p (Some (copy (sample_route 1)));
+    G.Rib.set_best rib p (Some (copy r0));
+    G.Rib.set_out rib ~neighbor:(asn 4) p (Some (copy r0));
     rib
   in
-  let plain = G.Rib.digest (fill ()) in
-  let interned = with_intern true (fun () -> G.Rib.digest (fill ())) in
-  check_string "digest invariant under interning" plain interned;
-  let rib = fill () in
+  let plain = G.Rib.digest (fill Fun.id) in
+  check_string "digest invariant under sharing" plain
+    (G.Rib.digest (fill deep_copy));
+  let rib = fill Fun.id in
   check_string "cached = recomputed" (G.Rib.digest_full rib) (G.Rib.digest rib);
   G.Rib.set_best rib (sample_route 0).G.Route.prefix None;
   let changed = G.Rib.digest rib in
@@ -363,8 +412,7 @@ let oracle_keyring =
 (* Run [epochs] of the same seeded workload and return per-epoch report
    digests, the final RIB digest, and every (AS, prefix, best-route
    encoding) decision outcome. *)
-let oracle_run ?strategy ~seed ~intern ~jobs ~cache () =
-  with_intern intern @@ fun () ->
+let oracle_run ?strategy ~seed ~jobs ~cache () =
   let topo =
     G.Topology.generate (C.Drbg.of_int_seed seed) ~ases:oracle_ases ()
   in
@@ -402,56 +450,45 @@ let oracle_run ?strategy ~seed ~intern ~jobs ~cache () =
   in
   (List.rev !digests, E.rib_digest eng, decisions)
 
-let oracle_intern_transparent () =
-  List.iter
-    (fun seed ->
-      let base = oracle_run ~seed ~intern:false ~jobs:1 ~cache:true () in
-      let interned = oracle_run ~seed ~intern:true ~jobs:2 ~cache:true () in
-      let digests0, rib0, dec0 = base and digests1, rib1, dec1 = interned in
-      Alcotest.(check (list string))
-        (Printf.sprintf "seed %d: epoch digests" seed)
-        digests0 digests1;
-      check_string (Printf.sprintf "seed %d: rib digest" seed) rib0 rib1;
-      check_bool
-        (Printf.sprintf "seed %d: decision outcomes" seed)
-        true (dec0 = dec1);
-      check_bool "outcomes non-trivial" true (dec0 <> []))
-    [ 2; 29; 631 ]
-
+(* Every seed's digests and decisions at jobs 1 are reproduced by the
+   pool and by the uncached engine. *)
 let oracle_jobs_invariant () =
-  let seed = 77 in
-  let base = oracle_run ~seed ~intern:true ~jobs:1 ~cache:true () in
+  List.iter
+    (fun (seed, settings) ->
+      let d0, rib0, dec0 = oracle_run ~seed ~jobs:1 ~cache:true () in
+      check_bool "outcomes non-trivial" true (dec0 <> []);
+      List.iter
+        (fun (jobs, cache) ->
+          let d, rib, dec = oracle_run ~seed ~jobs ~cache () in
+          let what = Printf.sprintf "seed %d jobs=%d cache=%b" seed jobs cache in
+          Alcotest.(check (list string)) (what ^ ": epoch digests") d0 d;
+          check_string (what ^ ": rib digest") rib0 rib;
+          check_bool (what ^ ": decision outcomes") true (dec = dec0))
+        settings)
+    [
+      (2, [ (2, true) ]);
+      (29, [ (2, true) ]);
+      (631, [ (2, true) ]);
+      (77, [ (2, true); (3, true); (1, false) ]);
+    ]
+
+(* Adversarial rounds keep the whole determinism contract — a strategy
+   mixing fast and fault-runner paths (cross-shard equivocation picks its
+   dirty subset by vertex hash) must produce byte-identical digests and
+   decisions for any jobs/cache setting. *)
+let oracle_adversary_invariant () =
+  let strategy = P.Adversary.Cross_shard { shards = 4; target = 1 } in
+  let seed = 91 in
+  let d0, rib0, dec0 = oracle_run ~strategy ~seed ~jobs:1 ~cache:true () in
   List.iter
     (fun (jobs, cache) ->
-      let d, rib, dec = oracle_run ~seed ~intern:true ~jobs ~cache () in
-      let d0, rib0, dec0 = base in
+      let d, rib, dec = oracle_run ~strategy ~seed ~jobs ~cache () in
       Alcotest.(check (list string))
         (Printf.sprintf "jobs=%d cache=%b" jobs cache)
         d0 d;
       check_string "rib" rib0 rib;
       check_bool "decisions" true (dec = dec0))
     [ (2, true); (3, true); (1, false) ]
-
-(* PR 6: adversarial rounds keep the whole determinism contract — a
-   strategy mixing fast and fault-runner paths (cross-shard equivocation
-   picks its dirty subset by vertex hash) must produce byte-identical
-   digests and decisions for any jobs/intern/cache setting. *)
-let oracle_adversary_invariant () =
-  let strategy = P.Adversary.Cross_shard { shards = 4; target = 1 } in
-  let seed = 91 in
-  let base =
-    oracle_run ~strategy ~seed ~intern:true ~jobs:1 ~cache:true ()
-  in
-  let d0, rib0, dec0 = base in
-  List.iter
-    (fun (intern, jobs, cache) ->
-      let d, rib, dec = oracle_run ~strategy ~seed ~intern ~jobs ~cache () in
-      Alcotest.(check (list string))
-        (Printf.sprintf "intern=%b jobs=%d cache=%b" intern jobs cache)
-        d0 d;
-      check_string "rib" rib0 rib;
-      check_bool "decisions" true (dec = dec0))
-    [ (false, 2, true); (true, 3, true); (true, 1, false) ]
 
 let suite =
   [
@@ -466,12 +503,12 @@ let suite =
     route_equal_structural;
     route_equal_iff_encode;
     route_compare_coherent;
-    ("intern: canonical representatives", `Quick, intern_canonicalizes);
-    ("intern: dense stable ids", `Quick, intern_ids_dense);
-    ("intern: memoized encode", `Quick, intern_encode_memo);
-    ("intern: disabled is identity", `Quick, intern_disabled_is_identity);
+    route_encode_reference;
+    prefix_text_printf;
+    route_write_in_place;
+    ("route: write refuses what does not fit", `Quick,
+     route_write_out_of_range);
     ("rib digest: interning-invariant", `Quick, rib_digest_intern_invariant);
-    ("oracle: interning transparent end-to-end", `Slow, oracle_intern_transparent);
     ("oracle: digest invariant across jobs/cache", `Slow,
      oracle_jobs_invariant);
     ("oracle: adversarial runs digest-invariant", `Slow,

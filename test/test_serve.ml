@@ -184,18 +184,12 @@ let sessions_belong_to_connection () =
 
 (* ---- concurrent sessions are isolated --------------------------------------------- *)
 
-(* Sessions alternate interning on and off across the two workers: each
-   worker's toggle is its own, so a session that turns interning off never
-   changes another session's. *)
+(* Four sessions run at once on two workers: each session's digest is its
+   batch run's. *)
 let concurrent_sessions_isolated () =
   let seeds = [| 50; 51; 52; 53 |] in
-  let ps =
-    Array.mapi (fun i s -> { (params s) with W.p_intern = i mod 2 = 0 }) seeds
-  in
-  let want =
-    Fun.protect ~finally:(fun () -> Pvr_bgp.Intern.set_enabled false)
-    @@ fun () -> Array.map (fun p -> fst (batch_digest p)) ps
-  in
+  let ps = Array.map params seeds in
+  let want = Array.map (fun p -> fst (batch_digest p)) ps in
   with_server ~workers:2 @@ fun listen _t ->
   let got = Array.make (Array.length seeds) (Error "never ran") in
   let threads =
