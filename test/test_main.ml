@@ -25,7 +25,7 @@ let suites =
     ("codec", Test_codec.suite);
   ]
 
-let expected_tests = 515
+let expected_tests = 516
 
 let () =
   let total = List.fold_left (fun n (_, s) -> n + List.length s) 0 suites in

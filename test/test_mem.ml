@@ -54,8 +54,8 @@ let write_file path s =
    the *streaming* churn twins (their DRBG equivalence makes digests
    comparable with every other suite's runs), with optional ceiling and
    pager so the governor's shedding stages can be forced. *)
-let run_mem ?(jobs = 1) ?(cache = true) ?(ceiling = 0) ?pager ?(epochs = 4)
-    ?(per_epoch = fun _ _ -> ()) seed =
+let run_mem ?(jobs = 1) ?(cache = true) ?strategy ?(ceiling = 0) ?pager
+    ?(epochs = 4) ?(per_epoch = fun _ _ -> ()) seed =
   let topo = Lazy.force Test_engine.etopo in
   let sim = G.Simulator.create topo in
   let origins =
@@ -68,7 +68,7 @@ let run_mem ?(jobs = 1) ?(cache = true) ?(ceiling = 0) ?pager ?(epochs = 4)
   in
   let churn_rng = C.Drbg.of_int_seed seed in
   let eng =
-    E.create ~jobs ~cache ~salt_every:3 ~max_path_len:8
+    E.create ~jobs ~cache ?strategy ~salt_every:3 ~max_path_len:8
       (C.Drbg.of_int_seed (seed + 1))
       (Lazy.force Test_engine.ekeyring) ~topology:topo ~sim ()
   in
@@ -164,6 +164,58 @@ let page_read_failure_recomputes () =
   check_string "digest" (E.digest eng0) (E.digest eng);
   check_bool "failures counted" true
     (delta d "engine.mem.page_read_failures" > 0)
+
+(* A vertex carried forward from its page reports the same outcome as one
+   carried forward from the heap, field by field: the report a caller sees
+   does not depend on where the governor keeps the state.  The cheating
+   sweep makes [vx_required] hold on some carried vertices. *)
+let page_outcome_equals_resident () =
+  let outcomes ?ceiling ?pager () =
+    let eps = ref [] in
+    let (_ : E.t * string list) =
+      run_mem ~strategy:(Pvr.Adversary.Sweep Pvr.Adversary.Export_nonminimal)
+        ?ceiling ?pager ~epochs:5
+        ~per_epoch:(fun _ r -> eps := r.E.ep_outcomes :: !eps)
+        313
+    in
+    List.rev !eps
+  in
+  let resident = outcomes () in
+  let (paged : E.outcome list list), d =
+    counted (fun () -> outcomes ~ceiling:1 ~pager:(E.memory_pager ()) ())
+  in
+  check_bool "pages read back" true (delta d "engine.mem.page_reads" > 0);
+  check_bool "a carried vertex must detect" true
+    (List.exists
+       (List.exists (fun o -> (not o.E.vx_recomputed) && o.E.vx_required))
+       resident);
+  List.iteri
+    (fun i (rs, ps) ->
+      check_int (Printf.sprintf "epoch %d vertices" (i + 1)) (List.length rs)
+        (List.length ps);
+      List.iter2
+        (fun (r : E.outcome) (p : E.outcome) ->
+          let field name eq =
+            check_bool
+              (Printf.sprintf "epoch %d %s %s" (i + 1) r.E.vx_line name)
+              true eq
+          in
+          field "vx_vertex" (r.E.vx_vertex = p.E.vx_vertex);
+          field "vx_beneficiary" (r.vx_beneficiary = p.vx_beneficiary);
+          field "vx_providers" (r.vx_providers = p.vx_providers);
+          field "vx_routes" (r.vx_routes = p.vx_routes);
+          field "vx_recomputed" (r.vx_recomputed = p.vx_recomputed);
+          field "vx_behaviour" (r.vx_behaviour = p.vx_behaviour);
+          field "vx_detected" (r.vx_detected = p.vx_detected);
+          field "vx_convicted" (r.vx_convicted = p.vx_convicted);
+          field "vx_evidence" (r.vx_evidence = p.vx_evidence);
+          field "vx_kinds" (r.vx_kinds = p.vx_kinds);
+          field "vx_leaked_bits" (r.vx_leaked_bits = p.vx_leaked_bits);
+          field "vx_excess_bits" (r.vx_excess_bits = p.vx_excess_bits);
+          field "vx_required" (r.vx_required = p.vx_required);
+          field "vx_line" (r.vx_line = p.vx_line))
+        rs ps)
+    (List.combine resident paged)
 
 (* ---- the journal of a paging run ------------------------------------------------- *)
 
@@ -351,4 +403,6 @@ let suite =
     ("cli: crashsoak survives spill kill points", `Slow, cli_crashsoak_spill);
     ("governor: a page naming no behaviour recomputes", `Quick,
      page_unknown_behaviour_recomputes);
+    ("governor: a paged outcome equals the resident one", `Quick,
+     page_outcome_equals_resident);
   ]
