@@ -1187,7 +1187,7 @@ let e13 () =
       ("allocated_words_per_quiet_epoch", J.Float quiet_words);
     ]
 
-(* ---- E16: bounded memory: governor staging and spill-to-store ------------------- *)
+(* ---- E16: bounded memory: governor spilling to the store ------------------------- *)
 
 (* The memory-governor acceptance claim, measured: an unbounded run's peak
    major heap sets the budget, then the same seeded run under a ceiling of
@@ -1229,10 +1229,9 @@ let e16 () =
   let d = Obs.Snapshot.diff ~before ~after:(Obs.Snapshot.capture ()) in
   let mem name = Obs.Snapshot.counter_value d ("engine.mem." ^ name) in
   Printf.printf
-    "bounded:   peak %d heap words (%.1f ms) — cache_drops=%d spills=%d \
-     unspills=%d page_reads=%d throttles=%d\n%!"
-    bounded_peak bounded_ms (mem "cache_drops") (mem "spills") (mem "unspills")
-    (mem "page_reads") (mem "throttles");
+    "bounded:   peak %d heap words (%.1f ms) — spills=%d unspills=%d \
+     page_reads=%d\n%!"
+    bounded_peak bounded_ms (mem "spills") (mem "unspills") (mem "page_reads");
   Printf.printf "digest %s under a 4x-tighter heap: %s\n%!"
     (if bounded_digest = base_digest then "identical" else "MISMATCH")
     base_digest;
@@ -1259,12 +1258,10 @@ let e16 () =
             ("mem_ceiling_words", J.Int ceiling);
             ("peak_heap_words", J.Int bounded_peak);
             ("ms_per_run", J.Float bounded_ms);
-            ("cache_drops", J.Int (mem "cache_drops"));
             ("spills", J.Int (mem "spills"));
             ("unspills", J.Int (mem "unspills"));
             ("page_reads", J.Int (mem "page_reads"));
             ("page_read_failures", J.Int (mem "page_read_failures"));
-            ("throttles", J.Int (mem "throttles"));
           ] );
     ]
 

@@ -984,11 +984,12 @@ let eparams_term =
           ~doc:
             "Major-heap budget in words (the figure \
              $(b,engine.gc.heap_words) exports).  When the post-epoch heap \
-             exceeds it the governor sheds load in stages — drop cold memo \
-             tables, spill cold vertex state to the store as CRC-framed \
-             journal pages (the $(b,--checkpoint) store when given, else a \
-             scratch store under the temp dir), throttle carry-forward — \
-             all digest-invariant.  0 (default) is unbounded.")
+             exceeds it the governor spills the vertex state not \
+             recomputed this epoch to the store as CRC-framed journal \
+             pages (the $(b,--checkpoint) store when given, else a \
+             scratch store under the temp dir), then the rest if the heap \
+             is still over — all digest-invariant.  0 (default) is \
+             unbounded.")
   in
   let make p_seed p_tiers p_peering p_ases p_gen_seed p_epochs p_jobs p_bits
       p_cache p_salt_every p_turnover p_origins p_ppo p_anycast p_drop

@@ -17,10 +17,6 @@ let equal_ct a b =
 let be32 v =
   String.init 4 (fun i -> Char.chr ((v lsr (24 - 8 * i)) land 0xff))
 
-let be64 v =
-  String.init 8 (fun i ->
-      Char.chr (Int64.to_int (Int64.shift_right_logical v (56 - 8 * i)) land 0xff))
-
 let le32 v =
   String.init 4 (fun i -> Char.chr ((v lsr (8 * i)) land 0xff))
 

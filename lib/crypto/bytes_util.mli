@@ -14,9 +14,6 @@ val equal_ct : string -> string -> bool
 val be32 : int -> string
 (** 4-byte big-endian encoding of the low 32 bits of an integer. *)
 
-val be64 : int64 -> string
-(** 8-byte big-endian encoding. *)
-
 val le32 : int -> string
 (** 4-byte little-endian encoding of the low 32 bits. *)
 

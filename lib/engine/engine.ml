@@ -42,14 +42,12 @@ let sign_misses = Pvr_obs.counter "engine.cache.sign.misses"
 let g_heap_words = Pvr_obs.gauge "engine.gc.heap_words"
 let g_allocated_words = Pvr_obs.gauge "engine.gc.allocated_words"
 
-(* Memory-governor telemetry: every load-shedding transition is counted so
-   a bounded-memory run is auditable after the fact. *)
-let c_mem_cache_drops = Pvr_obs.counter "engine.mem.cache_drops"
+(* Memory-governor telemetry: every spill and page read is counted so a
+   bounded-memory run is auditable after the fact. *)
 let c_mem_spills = Pvr_obs.counter "engine.mem.spills"
 let c_mem_unspills = Pvr_obs.counter "engine.mem.unspills"
 let c_mem_page_reads = Pvr_obs.counter "engine.mem.page_reads"
 let c_mem_page_read_failures = Pvr_obs.counter "engine.mem.page_read_failures"
-let c_mem_throttles = Pvr_obs.counter "engine.mem.throttles"
 let g_mem_resident = Pvr_obs.gauge "engine.mem.resident"
 let g_mem_spilled = Pvr_obs.gauge "engine.mem.spilled"
 let g_mem_ceiling = Pvr_obs.gauge "engine.mem.ceiling"
@@ -74,8 +72,8 @@ type vstate = {
   mutable vs_period : int;
   mutable vs_outcome : outcome;
   mutable vs_cache : vcache option;
-      (* [None] after a governor cache drop: memo tables are
-         a pure accelerator, rebuilt lazily on the next dirty hit *)
+      (* [None] when the engine runs with the cache off: nothing would
+         ever read the tables *)
   mutable vs_touched : int;
       (* engine epoch of the last recomputation — the LRU recency key the
          governor spills by *)
@@ -83,8 +81,8 @@ type vstate = {
 
 (* A vertex slot is either resident or paged out to the store.  A spilled
    slot keeps only what the clean-skip test needs (snapshot digest + salt
-   period) plus the journal offset of its page frame; the outcome line is
-   read back transiently each epoch, so a cold vertex costs O(1) heap. *)
+   period) plus the journal offset of its page frame; the outcome is read
+   back transiently each epoch, so a cold vertex costs O(1) heap. *)
 type spilled = { sp_digest : string; sp_period : int; sp_off : int }
 type slot = Resident of vstate | Spilled of spilled
 
@@ -131,14 +129,19 @@ type t = {
   states : (string, slot) Hashtbl.t;
   mutable epoch_no : int;
   mutable chain : string;
-  mutable pager : pager option;
+  mutable pager : pager;
   mutable mem_ceiling : int; (* heap-word budget; 0 = unbounded *)
-  mutable throttled : bool;
-      (* governor stage 3 latched: the next epoch runs without retaining
-         any memo tables *)
 }
 
 let chain0 = C.Sha256.digest_hex "pvr-engine-report-v1"
+
+(* The pager of an engine without a ceiling: the governor never runs, so
+   nothing is ever appended or read. *)
+let no_pager =
+  {
+    pg_append = (fun ~blob:_ -> invalid_arg "Engine: no pager installed");
+    pg_read = (fun ~off:_ -> Error "no pager installed");
+  }
 
 let create ?(jobs = 1) ?(cache = true) ?(salt_every = 8)
     ?(max_path_len = Pvr.Proto_min.default_max_path_len)
@@ -174,17 +177,16 @@ let create ?(jobs = 1) ?(cache = true) ?(salt_every = 8)
     states = Hashtbl.create 256;
     epoch_no = 0;
     chain = chain0;
-    pager = None;
+    pager = no_pager;
     mem_ceiling = 0;
-    throttled = false;
   }
 
 let current_epoch t = t.epoch_no
 let digest t = t.chain
-let set_pager t p = t.pager <- p
 
-let set_mem_ceiling t words =
-  t.mem_ceiling <- max 0 words;
+let set_governor t ~ceiling ~pager =
+  t.mem_ceiling <- max 0 ceiling;
+  t.pager <- pager;
   Pvr_obs.set_gauge g_mem_ceiling t.mem_ceiling
 
 let resident_states t =
@@ -532,13 +534,17 @@ let row_of_outcome ~epoch o =
   }
 
 (* A page is the outcome as an evidence row body ({!Row.encode_body}:
-   prover through excess), then the canonical line.  The spilled slot keeps
-   the snapshot digest and salt period in memory, so the page carries
+   prover through excess), then the canonical line, [vx_required], and one
+   [Route.encode] string per provider, in provider order.  The spilled slot
+   keeps the snapshot digest and salt period in memory, so the page carries
    neither.  The body carries no epoch. *)
 let page_blob vs =
+  let o = vs.vs_outcome in
   let buf = Buffer.create 256 in
-  Row.encode_body buf (row_of_outcome ~epoch:0 vs.vs_outcome);
-  Codec.str buf vs.vs_outcome.vx_line;
+  Row.encode_body buf (row_of_outcome ~epoch:0 o);
+  Codec.str buf o.vx_line;
+  Codec.bool_ buf o.vx_required;
+  List.iter (fun (_, r) -> Codec.str buf (Bgp.Route.encode r)) o.vx_routes;
   Buffer.contents buf
 
 let read_page r =
@@ -549,11 +555,21 @@ let read_page r =
     | None -> Codec.malformed ("unknown behaviour " ^ row.Row.r_behaviour)
   in
   let line = Codec.get_str r in
+  let required = Codec.get_bool r in
+  let providers = Row.providers row in
+  let routes =
+    List.map
+      (fun p ->
+        match Pvr.Wire.decode_route (Codec.get_str r) with
+        | Some route -> (p, route)
+        | None -> Codec.malformed "undecodable route")
+      providers
+  in
   {
     vx_vertex = { vprover = Row.prover row; vprefix = Row.prefix row };
     vx_beneficiary = Row.beneficiary row;
-    vx_providers = Row.providers row;
-    vx_routes = [];
+    vx_providers = providers;
+    vx_routes = routes;
     vx_recomputed = false;
     vx_behaviour = behaviour;
     vx_detected = row.Row.r_detected;
@@ -562,7 +578,7 @@ let read_page r =
     vx_kinds = row.Row.r_kinds;
     vx_leaked_bits = row.Row.r_leaked;
     vx_excess_bits = row.Row.r_excess;
-    vx_required = false;
+    vx_required = required;
     vx_line = line;
   }
 
@@ -571,43 +587,26 @@ let read_page r =
 let heap_words () = (Gc.quick_stat ()).Gc.heap_words
 
 (* Read a spilled vertex's carried outcome back from its page.  [None] on
-   any failure — a missing pager, a torn frame, a mangled record — which
-   the caller turns into a recomputation; the purity contract makes that
-   digest-identical, so a corrupt page can degrade performance but never
-   poison a result. *)
+   any failure — a torn frame, a mangled record — which the caller turns
+   into a recomputation; the purity contract makes that digest-identical,
+   so a corrupt page can degrade performance but never poison a result. *)
 let page_outcome t sp =
-  match t.pager with
-  | None -> None
-  | Some pg -> (
-      match pg.pg_read ~off:sp.sp_off with
+  match t.pager.pg_read ~off:sp.sp_off with
+  | Error _ ->
+      Pvr_obs.incr c_mem_page_read_failures;
+      None
+  | Ok blob -> (
+      Pvr_obs.incr c_mem_page_reads;
+      match Codec.decode blob read_page with
       | Error _ ->
           Pvr_obs.incr c_mem_page_read_failures;
           None
-      | Ok blob -> (
-          Pvr_obs.incr c_mem_page_reads;
-          match Codec.decode blob read_page with
-          | Error _ ->
-              Pvr_obs.incr c_mem_page_read_failures;
-              None
-          | Ok o -> Some o))
-
-let drop_cold_caches t =
-  let n = ref 0 in
-  Hashtbl.iter
-    (fun _ s ->
-      match s with
-      | Resident vs when vs.vs_touched < t.epoch_no && vs.vs_cache <> None ->
-          vs.vs_cache <- None;
-          incr n
-      | _ -> ())
-    t.states;
-  Pvr_obs.add c_mem_cache_drops !n;
-  !n
+      | Ok o -> Some o)
 
 (* Page resident vertices out, coldest (oldest recomputation) first; with
    [all] even this epoch's vertices go.  The key tiebreak keeps the spill
    order — and hence the journal layout — deterministic. *)
-let spill_cold t pg ~on_phase ~all =
+let spill t ~on_phase ~all =
   let candidates =
     Hashtbl.fold
       (fun k s acc ->
@@ -623,7 +622,7 @@ let spill_cold t pg ~on_phase ~all =
   let first = ref true in
   List.iter
     (fun (key, vs) ->
-      let off = pg.pg_append ~blob:(page_blob vs) in
+      let off = t.pager.pg_append ~blob:(page_blob vs) in
       Hashtbl.replace t.states key
         (Spilled
            { sp_digest = vs.vs_digest; sp_period = vs.vs_period; sp_off = off });
@@ -638,40 +637,21 @@ let spill_cold t pg ~on_phase ~all =
     candidates;
   List.length candidates
 
-(* Shed load in stages until the major heap fits under the ceiling:
-   1. drop cold memo tables (pure accelerators, rebuilt on demand);
-   2. spill cold vertex state to the store, LRU first;
-   3. throttle — shed everything sheddable and retain no memo tables next
-      epoch.  [Gc.compact] between stages because [heap_words] measures
-      the major heap's footprint, which only shrinks on compaction. *)
+(* When the major heap is over the ceiling, spill every vertex not
+   recomputed this epoch; if it is still over, spill the rest.  A spilled
+   slot holds no memo tables, so spilling is the only shedding there is.
+   [Gc.compact] after each step because [heap_words] measures the major
+   heap's footprint, which only shrinks on compaction. *)
 let govern t ~on_phase =
   if t.mem_ceiling > 0 then begin
     let over () = heap_words () > t.mem_ceiling in
     if over () then begin
-      if drop_cold_caches t > 0 then Gc.compact ();
-      (match t.pager with
-      | Some pg when over () ->
-          if spill_cold t pg ~on_phase ~all:false > 0 then Gc.compact ()
-      | _ -> ());
+      if spill t ~on_phase ~all:false > 0 then Gc.compact ();
       if over () then begin
-        Pvr_obs.incr c_mem_throttles;
-        t.throttled <- true;
-        Hashtbl.iter
-          (fun _ s ->
-            match s with
-            | Resident vs when vs.vs_cache <> None ->
-                vs.vs_cache <- None;
-                Pvr_obs.incr c_mem_cache_drops
-            | _ -> ())
-          t.states;
-        (match t.pager with
-        | Some pg -> ignore (spill_cold t pg ~on_phase ~all:true)
-        | None -> ());
+        ignore (spill t ~on_phase ~all:true);
         Gc.compact ()
       end
-      else t.throttled <- false
-    end
-    else t.throttled <- false;
+    end;
     Pvr_obs.set_gauge g_mem_resident (resident_states t);
     Pvr_obs.set_gauge g_mem_spilled (spilled_states t)
   end
@@ -736,19 +716,15 @@ let epoch ?(apply = fun _ -> 0) ?(on_phase = fun (_ : string) -> ()) t =
         | `Clean _ | `Carried _ -> None)
       classified
   in
+  (* Only a cache-on engine keeps memo tables, so a kept table is
+     reusable as it stands within its period and recycled across one. *)
   let caches =
     Array.of_list
       (List.map
          (fun (_, _, prev) ->
            match prev with
-           | Some vs when t.cache && vs.vs_period = period -> (
-               match vs.vs_cache with
-               | Some vc -> vc
-               | None -> fresh_vcache t ~period)
-           | Some vs when t.cache -> (
-               match vs.vs_cache with
-               | Some vc -> recycle_vcache t vc ~period
-               | None -> fresh_vcache t ~period)
+           | Some { vs_cache = Some vc; vs_period; _ } ->
+               if vs_period = period then vc else recycle_vcache t vc ~period
            | _ -> fresh_vcache t ~period)
          dirty)
   in
@@ -762,9 +738,6 @@ let epoch ?(apply = fun _ -> 0) ?(on_phase = fun (_ : string) -> ()) t =
   (* Merge back in vertex order; record fresh state for recomputed vertices,
      carry the previous outcome for clean ones. *)
   let i = ref 0 in
-  (* Under throttle (governor stage 3) no memo tables are retained: fresh
-     caches still accelerate within the epoch, then become garbage. *)
-  let retain = not t.throttled in
   let outcomes =
     List.map
       (function
@@ -775,7 +748,7 @@ let epoch ?(apply = fun _ -> 0) ?(on_phase = fun (_ : string) -> ()) t =
             let k = !i in
             incr i;
             let outcome = results.(k) in
-            let vc = if retain then Some caches.(k) else None in
+            let vc = if t.cache then Some caches.(k) else None in
             (match prev with
             | Some vs ->
                 vs.vs_digest <- dg;

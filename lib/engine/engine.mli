@@ -67,8 +67,7 @@ type outcome = {
           cheating round is the meter flagging the cheat) *)
   vx_required : bool;
       (** §2.3 Detection must have fired: {!Pvr.Runner.detection_expected}
-          on the round's delivery (full delivery without [faults]);
-          [false] when read back from a spill page *)
+          on the round's delivery (full delivery without [faults]) *)
   vx_line : string;
       (** canonical one-line rendering; the per-epoch digest hashes these.
           Excludes [vx_recomputed], so it is identical whether the outcome
@@ -140,12 +139,15 @@ val current_epoch : t -> int
 (** {2 Bounded memory}
 
     With a ceiling set, the governor checks the major heap after every
-    epoch and sheds load in stages: drop cold memo tables, page cold
-    (prover, prefix) vertex state out through the {!pager}, and finally
-    throttle (retain nothing next epoch).  Every transition is counted
-    under ["engine.mem.*"].  Spilling is digest-invariant: a spilled
-    vertex's carried outcome is read back transiently each epoch, and any
-    unreadable page degrades to recomputation, which purity makes
+    epoch.  When it is over, the governor pages every (prover, prefix)
+    vertex not recomputed this epoch out through the {!pager}, coldest
+    first, and compacts; if the heap is still over, it pages out the rest
+    and compacts again.  A spilled slot keeps only its snapshot digest,
+    salt period and page address, and no memo tables.  Spills and page
+    reads are counted under ["engine.mem.*"].  Spilling is
+    digest-invariant: a spilled vertex's carried outcome is read back
+    transiently each epoch, equal to the resident one field by field, and
+    any unreadable page degrades to recomputation, which purity makes
     byte-identical. *)
 
 type pager = {
@@ -162,14 +164,12 @@ val memory_pager : unit -> pager
     it exists so differential tests can exercise the spill machinery
     without a store directory. *)
 
-val set_pager : t -> pager option -> unit
-(** Install (or remove) the paging backend.  Without one, the governor
-    can only shed caches and throttle, never spill. *)
-
-val set_mem_ceiling : t -> int -> unit
-(** Set the major-heap budget in words ([0] = unbounded, the default).
-    The governor compares it against [Gc.quick_stat].heap_words — the
-    same figure the ["engine.gc.heap_words"] gauge exports. *)
+val set_governor : t -> ceiling:int -> pager:pager -> unit
+(** Set the major-heap budget in words and the pager the governor spills
+    through.  [ceiling] [0] is unbounded, the default, and then the pager
+    is never used.  The governor compares the ceiling against
+    [Gc.quick_stat].heap_words — the same figure the
+    ["engine.gc.heap_words"] gauge exports. *)
 
 val resident_states : t -> int
 (** Vertices whose carry-forward state is in the heap. *)

@@ -48,11 +48,11 @@ val start : ?fsync:bool -> ?snapshot_every:int -> dir:string -> unit -> session
     which still passes it. *)
 
 val pager : session -> run_id:string -> Engine.pager
-(** The session's WAL as an {!Engine.pager}: appended pages become tag-4
+(** The session's WAL as an {!Engine.pager}: appended pages become tag-5
     journal frames addressed by byte offset (stable for the life of the
     journal — recovery only ever truncates the tail), and reads CRC-check
     the frame and validate [run_id] before handing the blob back.  Install
-    with {!Engine.set_pager} to let the governor spill vertex state into
+    with {!Engine.set_governor} to let the governor spill vertex state into
     the same torn-tail-safe store the evidence plane lives in. *)
 
 val record : session -> Engine.t -> Engine.epoch_report -> unit

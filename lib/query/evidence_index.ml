@@ -57,7 +57,6 @@ let create ~run_id () =
 
 let run_id t = t.ix_run_id
 let row_count t = t.ix_n
-let epoch_count t = Hashtbl.length t.ix_epochs
 let max_epoch t = t.ix_max_epoch
 
 let row t i =

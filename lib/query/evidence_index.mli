@@ -27,7 +27,6 @@ val add_epoch : t -> epoch:int -> Row.t list -> unit
 
 val run_id : t -> string
 val row_count : t -> int
-val epoch_count : t -> int
 val max_epoch : t -> int
 (** Highest epoch folded in; 0 when empty. *)
 

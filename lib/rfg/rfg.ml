@@ -102,9 +102,6 @@ let is_operator_vertex t id = SMap.mem id t.ops
 let inputs_of_op t id =
   match SMap.find_opt id t.ops with Some n -> n.op_inputs | None -> []
 
-let output_of_op t id =
-  Option.map (fun n -> n.op_output) (SMap.find_opt id t.ops)
-
 let producer_of_var t id = SMap.find_opt id t.producers
 
 let consumers_of_var t id =

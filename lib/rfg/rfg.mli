@@ -57,7 +57,6 @@ val vertex_ids : t -> vertex_id list
 val kind_of_var : t -> vertex_id -> vertex_kind option
 val operator_of : t -> vertex_id -> Operator.t option
 val inputs_of_op : t -> vertex_id -> vertex_id list
-val output_of_op : t -> vertex_id -> vertex_id option
 val producer_of_var : t -> vertex_id -> vertex_id option
 (** The operator computing a variable, if any. *)
 

@@ -242,15 +242,14 @@ let engine_core ?(quiet = false) ?(on_phase = fun ~epoch:_ (_ : string) -> ())
             Pvr_engine.Persist.start ~fsync:false ~dir ())
           scratch_dir
       in
-      Pvr_engine.Engine.set_mem_ceiling eng p.p_mem_ceiling;
       if spill then begin
         let s =
           match session with Some s -> s | None -> Option.get scratch
         in
-        Pvr_engine.Engine.set_pager eng
-          (Some
-             (Pvr_engine.Persist.pager s
-                ~run_id:(Pvr_engine.Engine.Checkpoint.run_id eng)))
+        Pvr_engine.Engine.set_governor eng ~ceiling:p.p_mem_ceiling
+          ~pager:
+            (Pvr_engine.Persist.pager s
+               ~run_id:(Pvr_engine.Engine.Checkpoint.run_id eng))
       end;
       let convicted = ref 0 in
       Fun.protect

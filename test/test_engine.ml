@@ -259,7 +259,9 @@ let cache_off_equals_cache_on () =
   check_bool "cache-on actually skipped work" true
     (total (fun r -> r.E.ep_skipped) r_on > 0);
   check_int "cache-off recomputes everything" 0
-    (total (fun r -> r.E.ep_skipped) r_off)
+    (total (fun r -> r.E.ep_skipped) r_off);
+  check_bool "cache-on keeps memo tables" true (E.signatures eng_on <> []);
+  check_bool "cache-off keeps no memo tables" true (E.signatures eng_off = [])
 
 let incremental_equals_scratch_qcheck =
   (* The tentpole property: after N epochs of any churn stream, the

@@ -1,11 +1,13 @@
 (* Memory-governor tests: the incremental-vs-oracle RIB digest
    equivalence, the spill layer's digest invariance across
    ceiling x jobs x cache (including a pager that always fails reads),
-   governor staging counters, a paging run's journal holding only spill
-   pages, page frames, random-access journal reads, the 10k-AS
-   generated-topology tier histogram, the CLI's --mem-ceiling and
-   crashsoak spill kill-point contracts, and a page whose record names no
-   behaviour. *)
+   the governor's one shedding rule (over the ceiling, spill the cold
+   vertices, then the rest) and its counters, a paging run's journal
+   holding only spill pages, page frames, random-access journal reads,
+   the 10k-AS generated-topology tier histogram, the CLI's --mem-ceiling
+   and crashsoak spill kill-point contracts, a page whose record names no
+   behaviour, and a paged outcome equal to the resident one field by
+   field. *)
 
 module E = Pvr_engine.Engine
 module G = Pvr_bgp
@@ -52,10 +54,12 @@ let write_file path s =
 
 (* Same world as Test_engine.run_engine / Test_store.mk_world, driven by
    the *streaming* churn twins (their DRBG equivalence makes digests
-   comparable with every other suite's runs), with optional ceiling and
-   pager so the governor's shedding stages can be forced. *)
-let run_mem ?(jobs = 1) ?(cache = true) ?strategy ?(ceiling = 0) ?pager
-    ?(epochs = 4) ?(per_epoch = fun _ _ -> ()) seed =
+   comparable with every other suite's runs), with an optional ceiling so
+   the governor's spilling can be forced.  A positive ceiling installs
+   [pager], by default a fresh in-heap one. *)
+let run_mem ?(jobs = 1) ?(cache = true) ?strategy ?(ceiling = 0)
+    ?(pager = E.memory_pager ()) ?(epochs = 4) ?(per_epoch = fun _ _ -> ())
+    seed =
   let topo = Lazy.force Test_engine.etopo in
   let sim = G.Simulator.create topo in
   let origins =
@@ -72,8 +76,7 @@ let run_mem ?(jobs = 1) ?(cache = true) ?strategy ?(ceiling = 0) ?pager
       (C.Drbg.of_int_seed (seed + 1))
       (Lazy.force Test_engine.ekeyring) ~topology:topo ~sim ()
   in
-  E.set_mem_ceiling eng ceiling;
-  Option.iter (fun pg -> E.set_pager eng (Some pg)) pager;
+  if ceiling > 0 then E.set_governor eng ~ceiling ~pager;
   let lines = ref [] in
   for i = 1 to epochs do
     let r =
@@ -103,7 +106,7 @@ let rib_digest_matches_oracle () =
   check_int "every epoch checked" 4 !checks;
   (* Spilling must not perturb the cached digests either. *)
   let eng', _ =
-    run_mem 301 ~ceiling:1 ~pager:(E.memory_pager ())
+    run_mem 301 ~ceiling:1
       ~per_epoch:(fun eng _ ->
         check_string "spilled incremental = oracle" (E.rib_digest_full eng)
           (E.rib_digest eng))
@@ -117,8 +120,7 @@ let spill_differential () =
   List.iter
     (fun (jobs, cache) ->
       let (eng, lines), d =
-        counted (fun () ->
-            run_mem ~jobs ~cache ~ceiling:1 ~pager:(E.memory_pager ()) 303)
+        counted (fun () -> run_mem ~jobs ~cache ~ceiling:1 303)
       in
       let label = Printf.sprintf "(jobs=%d cache=%b)" jobs cache in
       check_string ("digest " ^ label) d0 (E.digest eng);
@@ -136,16 +138,17 @@ let spill_differential () =
     [ (1, true); (4, true); (1, false) ]
 
 let governor_stages () =
-  (* Without a pager the governor can shed caches and throttle but never
-     spill; with one, spilling engages and pages are read back. *)
-  let (eng, _), d = counted (fun () -> run_mem ~ceiling:1 305) in
-  check_bool "cache drops" true (delta d "engine.mem.cache_drops" > 0);
-  check_bool "throttles" true (delta d "engine.mem.throttles" > 0);
-  check_int "no pager, no spills" 0 (delta d "engine.mem.spills");
-  check_int "no pager, all resident" 0 (E.spilled_states eng);
-  check_bool "states tracked" true (E.resident_states eng > 0);
+  (* A 1-word ceiling is over after every epoch, so the governor spills
+     the cold vertices, then the rest: no vertex stays resident, and the
+     pages are read back in later epochs. *)
+  let eng, _ = run_mem 305 in
   let (eng2, _), d2 =
-    counted (fun () -> run_mem ~ceiling:1 ~pager:(E.memory_pager ()) 305)
+    counted (fun () ->
+        run_mem ~ceiling:1 305
+          ~per_epoch:(fun eng r ->
+            check_int
+              (Printf.sprintf "epoch %d: nothing resident" r.E.ep_epoch)
+              0 (E.resident_states eng)))
   in
   check_bool "spills" true (delta d2 "engine.mem.spills" > 0);
   check_bool "page reads" true (delta d2 "engine.mem.page_reads" > 0);
@@ -170,11 +173,11 @@ let page_read_failure_recomputes () =
    does not depend on where the governor keeps the state.  The cheating
    sweep makes [vx_required] hold on some carried vertices. *)
 let page_outcome_equals_resident () =
-  let outcomes ?ceiling ?pager () =
+  let outcomes ?ceiling () =
     let eps = ref [] in
     let (_ : E.t * string list) =
       run_mem ~strategy:(Pvr.Adversary.Sweep Pvr.Adversary.Export_nonminimal)
-        ?ceiling ?pager ~epochs:5
+        ?ceiling ~epochs:5
         ~per_epoch:(fun _ r -> eps := r.E.ep_outcomes :: !eps)
         313
     in
@@ -182,7 +185,7 @@ let page_outcome_equals_resident () =
   in
   let resident = outcomes () in
   let (paged : E.outcome list list), d =
-    counted (fun () -> outcomes ~ceiling:1 ~pager:(E.memory_pager ()) ())
+    counted (fun () -> outcomes ~ceiling:1 ())
   in
   check_bool "pages read back" true (delta d "engine.mem.page_reads" > 0);
   check_bool "a carried vertex must detect" true
