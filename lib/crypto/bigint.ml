@@ -232,7 +232,14 @@ let divmod_limb (a : t) d =
 
 let rem_int (a : t) d =
   if d <= 0 then invalid_arg "Bigint.rem_int: non-positive divisor";
-  if d < base then snd (divmod_limb a d)
+  if d < base then begin
+    (* Horner over the limbs, without building the quotient. *)
+    let r = ref 0 in
+    for i = Array.length a - 1 downto 0 do
+      r := ((!r lsl limb_bits) lor a.(i)) mod d
+    done;
+    !r
+  end
   else begin
     (* Fold limbs through native-int modular arithmetic. *)
     let r = ref 0 in
@@ -438,172 +445,87 @@ let mod_pow_naive ~base:b ~exp ~modulus =
     !result
   end
 
-(* ---- Montgomery arithmetic (odd moduli) --------------------------------
+(* ---- Montgomery exponentiation (odd moduli) -----------------------------
 
-   Operands live as fixed-width little-endian limb vectors of the modulus
-   width [k]; a value [x] is represented as [x * R mod m] with
-   [R = base^k].  [mont_mul] is word-by-word CIOS (Koç–Acar–Kaliski):
-   interleaved multiply and reduce, one limb of the multiplier at a time.
+   The kernel lives in bigint_stubs.c: word-by-word CIOS multiplication
+   over 64-bit limbs, run inside the whole exponentiation.  A context
+   holds what the kernel needs of an odd modulus m of k 64-bit words as
+   one string of little-endian words — m0' = -m^-1 mod 2^64, m, R^2 mod m
+   and R mod m with R = 2^(64k) — so it is built once, never mutated, and
+   domains share it. *)
 
-   Bounds: with 31-bit limbs the inner sum [t.(j) + ai * b.(j) + carry] is
-   at most (2^31-1) + (2^31-1)^2 + (2^31-1) = 2^62 - 1 = max_int, so CIOS
-   runs on native ints with no overflow. *)
+let obs_mont_pow = Pvr_obs.counter "crypto.bigint.mont_pow.ops"
 
-type mont = {
-  m : int array;  (* modulus limbs, width k *)
-  k : int;
-  m0' : int;  (* -m^-1 mod 2^31 *)
-  rr : t;  (* R^2 mod m *)
-  one_r : int array;  (* R mod m, i.e. Montgomery form of 1 *)
-  t : int array;  (* CIOS scratch, width k+2; contexts are single-owner *)
-}
+module Mont = struct
+  type nat = t
+  type t = { modulus : nat; rr : nat; words : string }
 
-(* Inverse of an odd limb modulo 2^31 by Newton doubling: each step doubles
-   the number of correct low bits, so five steps cover 31 bits.  Products of
-   two 31-bit values stay below max_int. *)
-let inv_limb m0 =
-  let x = ref 1 in
-  for _ = 1 to 5 do
-    x := !x * ((2 - (m0 * !x)) land limb_mask) land limb_mask
-  done;
-  !x
+  external pow_stub : string -> nat -> nat -> Bytes.t -> unit
+    = "pvr_bigint_mont_pow"
 
-let mont_pad ctx (a : t) =
-  let out = Array.make ctx.k 0 in
-  Array.blit a 0 out 0 (Array.length a);
-  out
+  external mul_stub : string -> nat -> nat -> Bytes.t -> unit
+    = "pvr_bigint_mont_product"
 
-(* r := a * b * R^-1 mod m.  [a], [b], [r] are width-k vectors; [r] may
-   alias [a] or [b] (all reads happen before the final writeback). *)
-let mont_mul ctx (a : int array) (b : int array) (r : int array) =
-  let k = ctx.k and m = ctx.m and m0' = ctx.m0' and t = ctx.t in
-  Array.fill t 0 (k + 2) 0;
-  for i = 0 to k - 1 do
-    let ai = Array.unsafe_get a i in
-    let c = ref 0 in
-    for j = 0 to k - 1 do
-      let s = Array.unsafe_get t j + (ai * Array.unsafe_get b j) + !c in
-      Array.unsafe_set t j (s land limb_mask);
-      c := s lsr limb_bits
+  let max_bits = 16384
+
+  (* -m0^-1 mod 2^64 by Newton iteration: each step doubles the number of
+     correct low bits, so six steps from one cover 64. *)
+  let neg_inv64 m0 =
+    let x = ref 1L in
+    for _ = 1 to 6 do
+      x := Int64.mul !x (Int64.sub 2L (Int64.mul m0 !x))
     done;
-    let s = t.(k) + !c in
-    t.(k) <- s land limb_mask;
-    t.(k + 1) <- t.(k + 1) + (s lsr limb_bits);
-    (* One reduction step: add m_ * m so the low limb cancels, shift down. *)
-    let m_ = t.(0) * m0' land limb_mask in
-    let c = ref ((t.(0) + (m_ * m.(0))) lsr limb_bits) in
-    for j = 1 to k - 1 do
-      let s = Array.unsafe_get t j + (m_ * Array.unsafe_get m j) + !c in
-      Array.unsafe_set t (j - 1) (s land limb_mask);
-      c := s lsr limb_bits
-    done;
-    let s = t.(k) + !c in
-    t.(k - 1) <- s land limb_mask;
-    t.(k) <- t.(k + 1) + (s lsr limb_bits);
-    t.(k + 1) <- 0
-  done;
-  (* t < 2m here; one conditional subtract restores t < m. *)
-  let ge =
-    t.(k) > 0
-    ||
-    let rec cmp j =
-      j < 0 || (if t.(j) <> m.(j) then t.(j) > m.(j) else cmp (j - 1))
+    Int64.neg !x
+
+  let create modulus =
+    if is_even modulus then invalid_arg "Bigint.Mont.create: even modulus";
+    let bits = bit_length modulus in
+    if bits > max_bits then invalid_arg "Bigint.Mont.create: modulus too wide";
+    let k = (bits + 63) / 64 in
+    let buf = Bytes.create (8 * (1 + (3 * k))) in
+    let put slot v =
+      let be = to_bytes_be ~pad_to:(8 * k) v in
+      for i = 0 to k - 1 do
+        Bytes.set_int64_le buf
+          (8 * (1 + (slot * k) + i))
+          (String.get_int64_be be (8 * (k - 1 - i)))
+      done
     in
-    cmp (k - 1)
-  in
-  if ge then begin
-    let borrow = ref 0 in
-    for j = 0 to k - 1 do
-      let d = t.(j) - m.(j) - !borrow in
-      if d < 0 then begin
-        r.(j) <- d + base;
-        borrow := 1
-      end
-      else begin
-        r.(j) <- d;
-        borrow := 0
-      end
-    done
-  end
-  else Array.blit t 0 r 0 k
+    let rr = rem (shift_left one (128 * k)) modulus in
+    put 0 modulus;
+    put 1 rr;
+    put 2 (rem (shift_left one (64 * k)) modulus);
+    Bytes.set_int64_le buf 0 (neg_inv64 (Bytes.get_int64_le buf 8));
+    { modulus; rr; words = Bytes.unsafe_to_string buf }
 
-let mont_create (modulus : t) =
-  let k = Array.length modulus in
-  let m = Array.copy modulus in
-  let m0' = base - inv_limb m.(0) land limb_mask in
-  let rr = rem (shift_left one (2 * k * limb_bits)) modulus in
-  let ctx =
-    { m; k; m0' = m0' land limb_mask; rr; one_r = [||]; t = Array.make (k + 2) 0 }
-  in
-  let one_r = mont_pad ctx (rem (shift_left one (k * limb_bits)) modulus) in
-  { ctx with one_r }
+  let words c = (String.length c.words / 8 - 1) / 3
+  let reduce c x = if compare x c.modulus < 0 then x else rem x c.modulus
 
-let to_mont ctx (a : t) r = mont_mul ctx (mont_pad ctx a) (mont_pad ctx ctx.rr) r
+  (* The kernel writes its result as big-endian bytes of the modulus
+     width. *)
+  let run stub c a b =
+    let out = Bytes.create (8 * words c) in
+    stub c.words a b out;
+    of_bytes_be (Bytes.unsafe_to_string out)
 
-(* Fixed-window (w=4) exponentiation: 16-entry table of Montgomery powers,
-   then MSB-first 4-bit windows with 4 squarings between digits. *)
-let window_bits = 4
+  let pow c ~base ~exp =
+    if bit_length exp > max_bits then
+      invalid_arg "Bigint.Mont.pow: exponent too wide";
+    Pvr_obs.incr obs_mont_pow;
+    run pow_stub c (reduce c base) exp
 
-(* Exponents up to this many bits (the public exponent 65537 among them)
-   run plain left-to-right binary exponentiation: a low-weight exponent
-   pays one squaring per bit and one multiply per set bit, instead of the
-   window table's 14 precomputed multiplies. *)
-let short_exp_bits = 32
-
-let mod_pow_mont ~base:b ~exp ~modulus =
-  let ctx = mont_create modulus in
-  let k = ctx.k in
-  let nbits = bit_length exp in
-  let acc = Array.make k 0 in
-  if nbits = 0 then Array.blit ctx.one_r 0 acc 0 k
-  else if nbits <= short_exp_bits then begin
-    let bm = Array.make k 0 in
-    to_mont ctx (rem b modulus) bm;
-    Array.blit bm 0 acc 0 k;
-    for i = nbits - 2 downto 0 do
-      mont_mul ctx acc acc acc;
-      if test_bit exp i then mont_mul ctx acc bm acc
-    done
-  end
-  else begin
-    let table = Array.init (1 lsl window_bits) (fun _ -> Array.make k 0) in
-    Array.blit ctx.one_r 0 table.(0) 0 k;
-    to_mont ctx (rem b modulus) table.(1);
-    for i = 2 to (1 lsl window_bits) - 1 do
-      mont_mul ctx table.(i - 1) table.(1) table.(i)
-    done;
-    let nwin = (nbits + window_bits - 1) / window_bits in
-    let digit w =
-      let lo = w * window_bits in
-      let rec go i acc =
-        if i < 0 then acc
-        else
-          go (i - 1) ((acc lsl 1) lor (if test_bit exp (lo + i) then 1 else 0))
-      in
-      go (window_bits - 1) 0
-    in
-    Array.blit table.(digit (nwin - 1)) 0 acc 0 k;
-    for w = nwin - 2 downto 0 do
-      for _ = 1 to window_bits do
-        mont_mul ctx acc acc acc
-      done;
-      let d = digit w in
-      if d <> 0 then mont_mul ctx acc table.(d) acc
-    done
-  end;
-  (* Leave Montgomery form: multiply by 1 (un-Montgomeried). *)
-  let out = Array.make k 0 in
-  let one_v = Array.make k 0 in
-  one_v.(0) <- 1;
-  mont_mul ctx acc one_v out;
-  normalize out
+  let mul c a b = run mul_stub c (reduce c a) (reduce c b)
+  let to_mont c x = mul c x c.rr
+end
 
 let mod_pow ~base:b ~exp ~modulus =
   if is_zero modulus then raise Division_by_zero;
-  if equal modulus one then zero
-  else if not (is_even modulus) then
-    mod_pow_mont ~base:b ~exp ~modulus
-  else mod_pow_naive ~base:b ~exp ~modulus
+  if
+    is_even modulus
+    || bit_length modulus > Mont.max_bits
+    || bit_length exp > Mont.max_bits
+  then mod_pow_naive ~base:b ~exp ~modulus
+  else Mont.pow (Mont.create modulus) ~base:b ~exp
 
 let rec gcd a b = if is_zero b then a else gcd b (rem a b)
 

@@ -3,7 +3,18 @@
     The sealed build environment has no [zarith], so RSA and the ring
     signature run on this module: little-endian arrays of 31-bit limbs, with
     schoolbook and Karatsuba multiplication, Knuth Algorithm-D division,
-    square-and-multiply modular exponentiation, and binary extended GCD.
+    and Euclid's algorithm over {!rem} and {!divmod} for {!gcd} and
+    {!mod_inv}.
+
+    Modular exponentiation by an odd modulus runs in C
+    ([bigint_stubs.c]): Montgomery multiplication over 64-bit limbs
+    (word-by-word CIOS with 128-bit products) inside the whole
+    exponentiation, fixed-window (w = 4) for exponents over 32 bits and
+    plain binary below.  A {!Mont} context, built once per modulus, holds
+    the modulus words and their Montgomery constants; it is immutable, so
+    domains share it.  The kernel copies its operands onto the C stack,
+    releases the domain lock while it computes and never allocates on the
+    OCaml heap.  Nothing here is constant-time.
 
     All values are non-negative; {!sub} raises on underflow.  Values are
     immutable and canonical (no most-significant zero limbs), so structural
@@ -67,18 +78,47 @@ val rem_int : t -> int -> int
 (** Remainder by a positive native int. *)
 
 val mod_pow : base:t -> exp:t -> modulus:t -> t
-(** Modular exponentiation.  Odd moduli take the fast path: Montgomery
-    representation with word-by-word CIOS multiplication, plain binary
-    exponentiation for exponents of at most 32 bits (e = 65537) and
-    fixed-window (w=4) exponentiation above that.  Even moduli fall back to {!mod_pow_naive}.
-    Both paths return identical values — the differential test battery
-    asserts it on random inputs.
+(** Modular exponentiation.  Odd moduli go through a fresh {!Mont}
+    context; even moduli, and moduli or exponents wider than
+    {!Mont.max_bits}, fall back to {!mod_pow_naive}.  Both paths return
+    identical values — the differential test battery asserts it on random
+    inputs.
     @raise Division_by_zero if [modulus] is zero. *)
+
+(** Montgomery contexts: one per odd modulus, reused by every
+    exponentiation under it (RSA keys keep one each for n, p and q). *)
+module Mont : sig
+  type nat := t
+
+  type t
+  (** An odd modulus m of k 64-bit words with m0' = -m{^-1} mod 2{^64},
+      R{^2} mod m and R mod m, R = 2{^64k}.  Immutable: structural
+      equality and hashing work, and domains may share one. *)
+
+  val max_bits : int
+  (** Widest modulus and exponent the kernel takes (16384 bits). *)
+
+  val create : nat -> t
+  (** @raise Invalid_argument if the modulus is even (zero included) or
+      wider than {!max_bits}. *)
+
+  val pow : t -> base:nat -> exp:nat -> nat
+  (** [base{^exp} mod m]; a base at or above m is reduced first.  Bumps
+      ["crypto.bigint.mont_pow.ops"].
+      @raise Invalid_argument if [exp] is wider than {!max_bits}. *)
+
+  val to_mont : t -> nat -> nat
+  (** Montgomery form x·R mod m. *)
+
+  val mul : t -> nat -> nat -> nat
+  (** Montgomery product a·b·R{^-1} mod m: on Montgomery forms, the
+      Montgomery form of the product. *)
+end
 
 val mod_pow_naive : base:t -> exp:t -> modulus:t -> t
 (** The original square-and-multiply implementation, one Knuth division per
-    step.  Retained deliberately as the test oracle for the Montgomery fast
-    path; like the fast path it is {b not constant-time} and must not be
+    step.  Retained deliberately as the test oracle for the Montgomery
+    kernel; like the kernel it is {b not constant-time} and must not be
     treated as side-channel hardened.
     @raise Division_by_zero if [modulus] is zero. *)
 

@@ -17,17 +17,20 @@ let small_primes =
   done;
   Array.of_list !out
 
-let miller_rabin_witness n d r a =
-  (* Returns true if [a] witnesses that [n] is composite. *)
-  let x = ref (Bigint.mod_pow ~base:a ~exp:d ~modulus:n) in
-  let n1 = Bigint.sub_int n 1 in
-  if Bigint.equal !x Bigint.one || Bigint.equal !x n1 then false
+(* Returns true if [a] witnesses that [n] is composite.  [ctx] is n's
+   Montgomery context and [minus_one] the Montgomery form of n-1: the
+   squarings of x = a^d run in Montgomery form, where x^2 = n-1 exactly
+   when the Montgomery forms agree. *)
+let miller_rabin_witness ctx ~n1 ~minus_one d r a =
+  let x = Bigint.Mont.pow ctx ~base:a ~exp:d in
+  if Bigint.equal x Bigint.one || Bigint.equal x n1 then false
   else begin
+    let xm = ref (Bigint.Mont.to_mont ctx x) in
     let composite = ref true in
     (try
        for _ = 1 to r - 1 do
-         x := Bigint.rem (Bigint.mul !x !x) n;
-         if Bigint.equal !x n1 then begin
+         xm := Bigint.Mont.mul ctx !xm !xm;
+         if Bigint.equal !xm minus_one then begin
            composite := false;
            raise Exit
          end
@@ -64,11 +67,14 @@ let is_probably_prime ?(rounds = 32) rng n =
         incr r
       done;
       let n3 = Bigint.sub_int n 3 in
+      let ctx = Bigint.Mont.create n in
+      let minus_one = Bigint.Mont.to_mont ctx n1 in
       let rec rounds_left k =
         if k = 0 then true
         else begin
           let a = Bigint.add_int (Bigint.random_below rng n3) 2 in
-          if miller_rabin_witness n !d !r a then false else rounds_left (k - 1)
+          if miller_rabin_witness ctx ~n1 ~minus_one !d !r a then false
+          else rounds_left (k - 1)
         end
       in
       rounds_left rounds

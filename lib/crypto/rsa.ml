@@ -1,6 +1,6 @@
 module B = Bigint
 
-type public_key = { n : B.t; e : B.t }
+type public_key = { n : B.t; e : B.t; n_mont : B.Mont.t }
 
 type private_key = {
   pub : public_key;
@@ -10,6 +10,8 @@ type private_key = {
   dp : B.t;
   dq : B.t;
   qinv : B.t;
+  p_mont : B.Mont.t;
+  q_mont : B.Mont.t;
 }
 
 let e_default = B.of_int 65537
@@ -34,13 +36,15 @@ let generate rng ~bits =
       else begin
         let d = B.mod_inv e_default phi in
         {
-          pub = { n; e = e_default };
+          pub = { n; e = e_default; n_mont = B.Mont.create n };
           d;
           p;
           q;
           dp = B.rem d p1;
           dq = B.rem d q1;
           qinv = B.mod_inv q p;
+          p_mont = B.Mont.create p;
+          q_mont = B.Mont.create q;
         }
       end
     end
@@ -49,16 +53,17 @@ let generate rng ~bits =
 
 let key_size pub = (B.bit_length pub.n + 7) / 8
 
-let raw_apply_public pub x = B.mod_pow ~base:x ~exp:pub.e ~modulus:pub.n
+let raw_apply_public pub x = B.Mont.pow pub.n_mont ~base:x ~exp:pub.e
 
-(* CRT: m_p = x^dp mod p, m_q = x^dq mod q, recombine. *)
+(* CRT: m_p = x^dp mod p, m_q = x^dq mod q, recombine.  [Mont.pow]
+   reduces x by each prime itself. *)
 let raw_apply_private key x =
-  let mp = B.mod_pow ~base:(B.rem x key.p) ~exp:key.dp ~modulus:key.p in
-  let mq = B.mod_pow ~base:(B.rem x key.q) ~exp:key.dq ~modulus:key.q in
+  let mp = B.Mont.pow key.p_mont ~base:x ~exp:key.dp in
+  let mq = B.Mont.pow key.q_mont ~base:x ~exp:key.dq in
   let diff =
-    let mp' = B.rem mp key.p and mq' = B.rem mq key.p in
-    if B.compare mp' mq' >= 0 then B.sub mp' mq'
-    else B.sub (B.add mp' key.p) mq'
+    let mq' = B.rem mq key.p in
+    if B.compare mp mq' >= 0 then B.sub mp mq'
+    else B.sub (B.add mp key.p) mq'
   in
   let h = B.rem (B.mul key.qinv diff) key.p in
   B.add mq (B.mul h key.q)

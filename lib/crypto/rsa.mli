@@ -5,11 +5,19 @@
     ~2 ms per RSA-1024 signature on 2011 hardware.  Experiment E4 re-measures
     that claim on this implementation.
 
-    Signing uses the Chinese-Remainder optimization.  This implementation is
-    for protocol research: it is not constant-time and must not be used to
-    protect real secrets. *)
+    Signing uses the Chinese-Remainder optimization.  Every key carries
+    the {!Bigint.Mont} contexts of its moduli (n, and p and q for a
+    private key), built once by {!generate}, so no sign, verify or ring
+    signature operation rebuilds one.  The contexts are plain immutable
+    data: keys still compare and hash structurally.  This implementation
+    is for protocol research: it is not constant-time and must not be
+    used to protect real secrets. *)
 
-type public_key = { n : Bigint.t; e : Bigint.t }
+type public_key = {
+  n : Bigint.t;
+  e : Bigint.t;
+  n_mont : Bigint.Mont.t;  (** the context of [n] *)
+}
 
 type private_key = {
   pub : public_key;
@@ -19,6 +27,8 @@ type private_key = {
   dp : Bigint.t;   (** d mod (p-1) *)
   dq : Bigint.t;   (** d mod (q-1) *)
   qinv : Bigint.t; (** q^-1 mod p *)
+  p_mont : Bigint.Mont.t;  (** the context of [p] *)
+  q_mont : Bigint.Mont.t;  (** the context of [q] *)
 }
 
 val generate : Drbg.t -> bits:int -> private_key
@@ -29,7 +39,7 @@ val key_size : public_key -> int
 
 val sign : private_key -> string -> string
 (** Signature over SHA-256 of the message, one modulus-width string.
-    CRT-accelerated over the Montgomery fast path; byte-identical to
+    CRT over the key's Montgomery contexts of p and q; byte-identical to
     {!sign_plain} (signatures here are deterministic). *)
 
 val sign_plain : private_key -> string -> string
@@ -40,7 +50,9 @@ val sign_plain : private_key -> string -> string
 
 val verify : public_key -> msg:string -> signature:string -> bool
 (** Exact check of one signature: [signature] is one modulus width, below
-    the modulus, and raises to the PKCS#1 encoding of [msg]. *)
+    the modulus, and raises to the PKCS#1 encoding of [msg].  A signature
+    of the wrong width or at or above the modulus is refused before any
+    exponentiation. *)
 
 val raw_apply_public : public_key -> Bigint.t -> Bigint.t
 (** The raw RSA permutation x -> x^e mod n, used by {!Ring_signature}. *)

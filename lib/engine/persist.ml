@@ -19,10 +19,10 @@ type epoch_record = Frame.epoch_record = {
 let encode_epoch = Frame.encode_epoch
 let decode_epoch = Frame.decode_epoch
 
-type session = { store : Store.t; dir : string }
+type session = { store : Store.t }
 
 let start ?(fsync = true) ?snapshot_every:_ ~dir () =
-  { store = Store.open_ ~fsync ~dir (); dir }
+  { store = Store.open_ ~fsync ~dir () }
 
 (* Wire the engine's spill layer to this session's WAL: pages are tag-5
    journal frames addressed by the byte offset [Store.append'] returns,
@@ -37,7 +37,7 @@ let pager s ~run_id =
           (Frame.encode_page { Frame.pf_run_id = run_id; pf_blob = blob }));
     pg_read =
       (fun ~off ->
-        match Store.read_frame_at ~dir:s.dir ~off with
+        match Store.read_frame_at s.store ~off with
         | Error _ as e -> e
         | Ok payload -> (
             match Frame.decode payload with

@@ -54,7 +54,9 @@ let parse_frame src off =
 
 type t = {
   fsync : bool;
+  path : string;
   mutable oc : Out_channel.t option;
+  mutable ic : In_channel.t option;  (* page reads; opened on first use *)
   mutable pos : int;
 }
 
@@ -75,7 +77,7 @@ let open_ ?(fsync = true) ~dir () =
     | { Unix.st_size; _ } -> st_size
     | exception Unix.Unix_error _ -> 0
   in
-  { fsync; oc = Some oc; pos }
+  { fsync; path = journal_path ~dir; oc = Some oc; ic = None; pos }
 
 let channel t =
   match t.oc with
@@ -101,40 +103,49 @@ let append' t payload =
 
 let append t payload = ignore (append' t payload)
 
-(* Random-access read of the single frame whose header starts at [off].
-   Same validation as the streaming walk (magic/version/kind/len/CRC);
-   any mangled byte comes back as [Error], never an exception or a torn
-   payload — callers treat a failed page read as a cache miss. *)
-let read_frame_at ~dir ~off =
-  match In_channel.open_bin (journal_path ~dir) with
-  | exception Sys_error e -> Error e
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> In_channel.close ic)
-        (fun () ->
-          match In_channel.seek ic (Int64.of_int off) with
-          | exception Sys_error e -> Error e
-          | () -> (
-              let hdr = Bytes.create header_len in
-              match In_channel.really_input ic hdr 0 header_len with
-              | None -> Error "short frame"
-              | Some () ->
-                  let hdr = Bytes.to_string hdr in
-                  let len = BU.read_be32 hdr 6 in
-                  if len > max_payload then Error "truncated payload"
-                  else
-                    let rest = Bytes.create (len + 4) in
-                    (match In_channel.really_input ic rest 0 (len + 4) with
-                    | None -> Error "short frame"
-                    | Some () -> (
-                        let src = hdr ^ Bytes.to_string rest in
-                        match parse_frame src 0 with
-                        | Ok (payload, _) ->
-                            Pvr_obs.incr c_frame_reads;
-                            Ok payload
-                        | Error _ as e -> e))))
+(* Random-access read of the single frame whose header starts at [off],
+   through the store's one read channel.  Same validation as the
+   streaming walk (magic/version/kind/len/CRC); any mangled byte comes
+   back as [Error], never an exception or a torn payload — callers treat
+   a failed page read as a cache miss.  Appends flush before they return
+   their offset, so the reader sees every frame they wrote. *)
+let read_frame_at t ~off =
+  let reader () =
+    match t.ic with
+    | Some ic -> ic
+    | None ->
+        let ic = In_channel.open_bin t.path in
+        t.ic <- Some ic;
+        ic
+  in
+  if t.oc = None then Error "store closed"
+  else if off < 0 then Error "negative offset"
+  else
+    try
+      let ic = reader () in
+      In_channel.seek ic (Int64.of_int off);
+      let hdr = Bytes.create header_len in
+      match In_channel.really_input ic hdr 0 header_len with
+      | None -> Error "short frame"
+      | Some () -> (
+          let hdr = Bytes.to_string hdr in
+          let len = BU.read_be32 hdr 6 in
+          if len > max_payload then Error "truncated payload"
+          else
+            let rest = Bytes.create (len + 4) in
+            match In_channel.really_input ic rest 0 (len + 4) with
+            | None -> Error "short frame"
+            | Some () -> (
+                match parse_frame (hdr ^ Bytes.to_string rest) 0 with
+                | Ok (payload, _) ->
+                    Pvr_obs.incr c_frame_reads;
+                    Ok payload
+                | Error _ as e -> e))
+    with Sys_error e -> Error e
 
 let close t =
+  Option.iter In_channel.close t.ic;
+  t.ic <- None;
   match t.oc with
   | None -> ()
   | Some oc ->

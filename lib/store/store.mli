@@ -47,14 +47,17 @@ val append' : t -> string -> int
     {!read_frame_at} — this is the paging primitive the engine's spill
     layer builds on. *)
 
-val read_frame_at : dir:string -> off:int -> (string, string) result
+val read_frame_at : t -> off:int -> (string, string) result
 (** Read back the single frame whose header starts at byte [off] of the
     journal, re-validating magic, version, kind, length and CRC.  Returns
     the payload, or [Error reason] for any torn, mangled, or out-of-range
-    frame.  Never raises.  Each successful read bumps
-    ["store.frame.reads"]. *)
+    frame, and for a closed store.  Never raises.  Reads go through one
+    read channel per store, opened on the first read and closed by
+    {!close}; it sees every frame {!append'} has returned.  Each
+    successful read bumps ["store.frame.reads"]. *)
 
 val close : t -> unit
+(** Close the journal and the read channel. *)
 
 type recovery = {
   rc_frames : string list;  (** valid journal frame payloads, append order *)

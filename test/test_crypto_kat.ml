@@ -1,7 +1,7 @@
 (* Known-answer and differential tests for the fast-math crypto core.
 
    The fast paths introduced for the engine's per-epoch RSA/SHA-256 bill —
-   Montgomery/fixed-window modular exponentiation, CRT signing,
+   the C Montgomery/fixed-window exponentiation kernel, CRT signing,
    precomputed-schedule and multi-buffer SHA-256, HMAC key midstates —
    must be byte-identical to the naive reference paths they replaced.
    This suite pins them three ways:
@@ -395,6 +395,107 @@ let mont_short_exp =
         (B.mod_pow ~base ~exp ~modulus)
         (B.mod_pow_naive ~base ~exp ~modulus))
 
+(* ---- The C Montgomery kernel vs the naive oracle ------------------------ *)
+
+(* Widths either side of the 31-bit limb and 64-bit word boundaries come
+   up often; the rest spread over 64..2048 bits. *)
+let width_gen =
+  QCheck2.Gen.(
+    frequency
+      [ (1, oneofl [ 63; 64; 65; 127; 128; 129 ]); (2, int_range 64 2048) ])
+
+let kernel_differential =
+  qtest ~count:120 "Mont kernel ≡ naive (odd moduli, 64–2048 bits)"
+    QCheck2.Gen.(
+      quad width_gen (int_range 0 1_000_000) (int_range 0 3) (int_range 0 64))
+    (fun (bits, seed, shape, exp_bits) ->
+      let rng = C.Drbg.of_int_seed seed in
+      let modulus = B.random_odd_bits rng bits in
+      (* Bases below, at, just above and far above the modulus. *)
+      let base =
+        match shape with
+        | 0 -> B.random_below rng modulus
+        | 1 -> modulus
+        | 2 -> B.add modulus (B.random_bits rng bits)
+        | _ -> B.random_bits rng (2 * bits)
+      in
+      let exp = B.random_bits rng exp_bits in
+      B.equal
+        (B.Mont.pow (B.Mont.create modulus) ~base ~exp)
+        (B.mod_pow_naive ~base ~exp ~modulus))
+
+let kernel_tiny_moduli () =
+  List.iter
+    (fun m ->
+      let modulus = B.of_int m in
+      let ctx = B.Mont.create modulus in
+      for b = 0 to 7 do
+        List.iter
+          (fun exp ->
+            let base = B.of_int b in
+            check_bool
+              (Printf.sprintf "%d^%s mod %d" b (B.to_string exp) m)
+              true
+              (B.equal
+                 (B.Mont.pow ctx ~base ~exp)
+                 (B.mod_pow_naive ~base ~exp ~modulus)))
+          [
+            B.zero;
+            B.one;
+            B.two;
+            B.of_int 9;
+            B.random_bits (C.Drbg.of_int_seed b) 200;
+          ]
+      done)
+    [ 1; 3 ];
+  List.iter
+    (fun m ->
+      Alcotest.check_raises
+        (Printf.sprintf "modulus %d" m)
+        (Invalid_argument "Bigint.Mont.create: even modulus")
+        (fun () -> ignore (B.Mont.create (B.of_int m))))
+    [ 0; 2; 1024 ]
+
+(* Exponents 0, 1, a random full-width one and all ones, against bases 0,
+   1, m-1, m, m+1 and one twice the modulus width. *)
+let kernel_edges widths () =
+  List.iter
+    (fun bits ->
+      let rng = C.Drbg.of_int_seed (7000 + bits) in
+      let modulus = B.random_odd_bits rng bits in
+      let ctx = B.Mont.create modulus in
+      let bases =
+        [
+          B.zero;
+          B.one;
+          B.sub_int modulus 1;
+          modulus;
+          B.add_int modulus 1;
+          B.random_bits rng (2 * bits);
+        ]
+      and exps =
+        [
+          B.zero;
+          B.one;
+          B.random_odd_bits rng bits;
+          B.sub_int (B.shift_left B.one bits) 1;
+        ]
+      in
+      List.iter
+        (fun base ->
+          List.iter
+            (fun exp ->
+              check_bool
+                (Printf.sprintf "%d bits, exponent of %d bits" bits
+                   (B.bit_length exp))
+                true
+                (B.equal
+                   (B.Mont.pow ctx ~base ~exp)
+                   (B.mod_pow_naive ~base ~exp ~modulus)))
+            exps)
+        bases)
+    widths
+
 (* ---- Bigint byte codecs vs a byte-at-a-time reference ------------------- *)
 
 (* The codecs as they were first written: one multiply-add per input byte,
@@ -468,6 +569,78 @@ let crt_sign_1024 () =
     (s = C.Rsa.sign_plain key "production width");
   check_bool "verifies" true
     (C.Rsa.verify key.C.Rsa.pub ~msg:"production width" ~signature:s)
+
+(* Keys and signatures of the 31-bit OCaml kernel this one replaced, so
+   keygen's Miller–Rabin and CRT signing are held byte-identical. *)
+let keygen_known_answers () =
+  List.iter
+    (fun (key, fp, sig_digest) ->
+      let key = Lazy.force key in
+      check "fingerprint" fp (hex (C.Rsa.fingerprint key.C.Rsa.pub));
+      check "signature" sig_digest
+        (hex (C.Sha256.digest (C.Rsa.sign key "kat"))))
+    [
+      ( key_a,
+        "cce6797fc831e51d677d6f07bfd3000305c45d2917c72c09366edf5a186df802",
+        "0494d195361cde9be71d284640e131bc9e71fa3ba980f1a46b093a8125e7e993" );
+      ( key_big,
+        "21f84a84e165368e0bc916909388e23f148b1744b22b66274bd5f1bbfc4b6528",
+        "f866eb33068bd360a62b56e9699a5fa16b5e116ca4002ad98a02b39bf24ca4dd" );
+    ]
+
+(* Keys carry their Montgomery contexts as plain data: equal seeds give
+   equal, equally hashed keys. *)
+let keys_compare_structurally () =
+  let a = C.Rsa.generate (C.Drbg.of_int_seed 1001) ~bits:512 in
+  check_bool "same seed, equal keys" true (a = Lazy.force key_a);
+  check_int "same seed, same hash" (Hashtbl.hash (Lazy.force key_a))
+    (Hashtbl.hash a);
+  check_bool "other key differs" false (a = Lazy.force key_b)
+
+(* The kernel releases the domain lock while it computes: one key signing
+   from two domains at once gives the sequential signatures. *)
+let sign_from_two_domains () =
+  let key = Lazy.force key_a in
+  let msgs = List.init 40 (Printf.sprintf "two domains %d") in
+  let expected = List.map (C.Rsa.sign key) msgs in
+  let sign_all () = List.map (C.Rsa.sign key) msgs in
+  let d1 = Domain.spawn sign_all and d2 = Domain.spawn sign_all in
+  let s1 = Domain.join d1 and s2 = Domain.join d2 in
+  check_bool "first domain" true (s1 = expected);
+  check_bool "second domain" true (s2 = expected)
+
+(* Signatures of the wrong width or at or above n are refused before any
+   exponentiation. *)
+let verify_refuses_before_kernel () =
+  let key = Lazy.force key_a in
+  let pub = key.C.Rsa.pub in
+  let kb = C.Rsa.key_size pub in
+  let good = C.Rsa.sign key "hostile" in
+  let hostile =
+    [
+      ("empty", "");
+      ("one byte short", String.sub good 1 (kb - 1));
+      ("one byte long", "\x00" ^ good);
+      ("equal to n", B.to_bytes_be ~pad_to:kb pub.C.Rsa.n);
+      ("n + 1", B.to_bytes_be ~pad_to:kb (B.add_int pub.C.Rsa.n 1));
+      ("all 0xff", String.make kb '\xff');
+    ]
+  in
+  List.iter
+    (fun (name, signature) ->
+      let ok, d =
+        counted (fun () -> C.Rsa.verify pub ~msg:"hostile" ~signature)
+      in
+      check_bool name false ok;
+      check_int (name ^ ": no exponentiation") 0
+        (delta d "crypto.bigint.mont_pow.ops"))
+    hostile;
+  let ok, d =
+    counted (fun () -> C.Rsa.verify pub ~msg:"hostile" ~signature:good)
+  in
+  check_bool "genuine" true ok;
+  check_int "genuine: one exponentiation" 1
+    (delta d "crypto.bigint.mont_pow.ops")
 
 (* ---- Wire.verify_batch: exact per-statement verdicts -------------------- *)
 
@@ -873,4 +1046,18 @@ let suite =
     sha256_kernels_update_sub;
     ("sha256 update_sub rejects out-of-range slices", `Quick,
      sha256_update_sub_range);
+    kernel_differential;
+    ("Mont kernel: moduli 1 and 3", `Quick, kernel_tiny_moduli);
+    ( "Mont kernel edges ≡ naive (63–512 bits)",
+      `Quick,
+      kernel_edges [ 63; 64; 65; 127; 128; 129; 256; 512 ] );
+    ( "Mont kernel edges ≡ naive (1024, 2048 bits)",
+      `Slow,
+      kernel_edges [ 1024; 2048 ] );
+    ("RSA keygen known answers", `Quick, keygen_known_answers);
+    ("RSA keys compare structurally", `Quick, keys_compare_structurally);
+    ("RSA sign from two domains at once", `Quick, sign_from_two_domains);
+    ( "RSA verify refuses misshapen signatures before the kernel",
+      `Quick,
+      verify_refuses_before_kernel );
   ]

@@ -274,21 +274,31 @@ let read_frame_at_random_access () =
       let st = S.open_ ~fsync:false ~dir () in
       let payloads = [ "alpha"; "beta"; String.make 300 'x' ] in
       let offs = List.map (fun p -> (p, S.append' st p)) payloads in
-      S.close st;
-      (* Every offset reads back its exact payload, in any order. *)
+      (* Every offset reads back its exact payload, in any order, through
+         the store's one read channel. *)
       List.iter
         (fun (p, off) ->
-          match S.read_frame_at ~dir ~off with
+          match S.read_frame_at st ~off with
           | Ok p' -> check_string "payload" p p'
           | Error e -> Alcotest.fail e)
         (List.rev offs);
+      (* A frame appended after the channel has read to the end reads
+         back too. *)
+      let off_delta = S.append' st "delta" in
+      (match S.read_frame_at st ~off:off_delta with
+      | Ok p -> check_string "appended after a read" "delta" p
+      | Error e -> Alcotest.fail e);
+      S.close st;
+      (match S.read_frame_at st ~off:off_delta with
+      | Ok _ -> Alcotest.fail "a closed store must not read"
+      | Error _ -> ());
       (* A reopened store appends at the right offset. *)
       let st2 = S.open_ ~fsync:false ~dir () in
       let off4 = S.append' st2 "gamma" in
-      S.close st2;
-      (match S.read_frame_at ~dir ~off:off4 with
+      (match S.read_frame_at st2 ~off:off4 with
       | Ok p -> check_string "post-reopen payload" "gamma" p
       | Error e -> Alcotest.fail e);
+      S.close st2;
       (* Corrupt one payload byte: the CRC refuses the frame. *)
       let jp = S.journal_path ~dir in
       let full = read_file jp in
@@ -296,13 +306,21 @@ let read_frame_at_random_access () =
       let b = Bytes.of_string full in
       Bytes.set b (off1 + 10) 'Z';
       write_file jp (Bytes.to_string b);
-      (match S.read_frame_at ~dir ~off:off1 with
-      | Ok _ -> Alcotest.fail "corrupt frame must not read back"
-      | Error _ -> ());
-      (* An offset pointing into a torn tail errors instead of raising. *)
-      match S.read_frame_at ~dir ~off:(String.length full - 3) with
-      | Ok _ -> Alcotest.fail "torn tail must not read back"
-      | Error _ -> ())
+      let st3 = S.open_ ~fsync:false ~dir () in
+      Fun.protect
+        ~finally:(fun () -> S.close st3)
+        (fun () ->
+          (match S.read_frame_at st3 ~off:off1 with
+          | Ok _ -> Alcotest.fail "corrupt frame must not read back"
+          | Error _ -> ());
+          (* Offsets into a torn tail, past the end or negative error
+             instead of raising. *)
+          List.iter
+            (fun off ->
+              match S.read_frame_at st3 ~off with
+              | Ok _ -> Alcotest.fail "torn tail must not read back"
+              | Error _ -> ())
+            [ String.length full - 3; String.length full + 100; -1 ]))
 
 (* ---- 10k-AS topology generation -------------------------------------------------- *)
 
