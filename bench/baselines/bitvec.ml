@@ -1,5 +1,5 @@
 module C = Pvr_crypto
-module Merkle = Pvr_merkle.Merkle_tree
+module Merkle = Merkle_tree
 
 type strategy = Per_bit | Merkle_vector
 

@@ -1,3 +1,5 @@
+open Pvr_bgp
+
 type inferred = (Asn.t * Asn.t * Relationship.t) list
 
 module Edge = struct

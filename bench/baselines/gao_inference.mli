@@ -15,6 +15,8 @@
     to it are customer→provider, edges walking down are provider→customer,
     and the edge at the top (if the plateau has two ASes) is a peering. *)
 
+open Pvr_bgp
+
 type inferred = (Asn.t * Asn.t * Relationship.t) list
 (** [(a, b, rel)]: [rel] is what [b] is inferred to be to [a]. *)
 

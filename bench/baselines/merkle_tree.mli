@@ -1,6 +1,6 @@
 (** Dense binary Merkle hash trees (Merkle 1980).
 
-    Used for the Merkle-committed bit vector ([Pvr.Bitvec], experiment
+    Used for the Merkle-committed bit vector ([Bitvec], experiment
     E5b).  §3.8 batch signing uses its own compact
     tree with salted leaves ([Pvr.Wire.sign_batch]), whose sibling digests
     must not let a verifier confirm a guessed route. *)

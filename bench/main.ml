@@ -20,7 +20,7 @@ module P = Pvr
 module G = Pvr_bgp
 module R = Pvr_rfg
 module C = Pvr_crypto
-module Smc = Pvr_smc
+module B = Pvr_baselines
 module Obs = Pvr_obs
 module J = Pvr_obs.Json
 
@@ -466,12 +466,12 @@ let e5b () =
       (fun k ->
         let rng = C.Drbg.of_int_seed (550 + k) in
         let bits = List.init k (fun i -> i mod 3 = 0) in
-        let t_pb, pub_pb = P.Bitvec.commit rng P.Bitvec.Per_bit bits in
-        let t_mv, pub_mv = P.Bitvec.commit rng P.Bitvec.Merkle_vector bits in
-        let pub_pb_b = P.Bitvec.published_bytes pub_pb
-        and pub_mv_b = P.Bitvec.published_bytes pub_mv
-        and open_pb_b = P.Bitvec.proof_bytes (P.Bitvec.open_bit t_pb (k / 2))
-        and open_mv_b = P.Bitvec.proof_bytes (P.Bitvec.open_bit t_mv (k / 2)) in
+        let t_pb, pub_pb = B.Bitvec.commit rng B.Bitvec.Per_bit bits in
+        let t_mv, pub_mv = B.Bitvec.commit rng B.Bitvec.Merkle_vector bits in
+        let pub_pb_b = B.Bitvec.published_bytes pub_pb
+        and pub_mv_b = B.Bitvec.published_bytes pub_mv
+        and open_pb_b = B.Bitvec.proof_bytes (B.Bitvec.open_bit t_pb (k / 2))
+        and open_mv_b = B.Bitvec.proof_bytes (B.Bitvec.open_bit t_mv (k / 2)) in
         Printf.printf "%4d  %14d  %14d  %14d  %14d\n%!" k pub_pb_b pub_mv_b
           open_pb_b open_mv_b;
         J.Obj
@@ -492,25 +492,25 @@ let e5b () =
 
 let e6 () =
   header "E6  PVR vs SMC vs ZKP per BGP update (§3.1)";
-  let model = Smc.Cost_model.default in
+  let model = B.Cost_model.default in
   Printf.printf "anchor: 5-player vote modeled at %.1f s (paper: ~15 s)\n"
-    (Smc.Cost_model.anchor_check model);
+    (B.Cost_model.anchor_check model);
   Printf.printf "%4s  %12s  %14s  %14s  %14s  %10s\n" "k" "PVR ms"
     "GMW sim ms" "SMC model s" "ZKP model s" "SMC/PVR";
   let rows =
   List.map
     (fun k ->
       let pvr_ms = time_ms (fun () -> min_round_once k) in
-      let circuit = Smc.Circuit.minimum ~bits:8 ~k in
+      let circuit = B.Circuit.minimum ~bits:8 ~k in
       let parties = k + 1 in
       let inputs = Array.init (8 * k) (fun i -> i mod 3 = 0) in
       let rng = C.Drbg.of_int_seed (600 + k) in
       let gmw_ms =
-        time_ms ~min_time:0.1 (fun () -> Smc.Gmw.run rng ~parties circuit ~inputs)
+        time_ms ~min_time:0.1 (fun () -> B.Gmw.run rng ~parties circuit ~inputs)
       in
-      let smc_s = Smc.Cost_model.smc_seconds_for model circuit ~parties in
+      let smc_s = B.Cost_model.smc_seconds_for model circuit ~parties in
       let zkp_s =
-        Smc.Cost_model.zkp_seconds model ~gates:(Smc.Circuit.size circuit)
+        B.Cost_model.zkp_seconds model ~gates:(B.Circuit.size circuit)
       in
       Printf.printf "%4d  %12.2f  %14.2f  %14.1f  %14.2f  %9.0fx\n%!" k pvr_ms
         gmw_ms smc_s zkp_s
@@ -611,8 +611,8 @@ let e7 () =
       (G.Topology.ases topo)
   in
   let acc paths =
-    G.Gao_inference.accuracy ~truth:topo
-      (G.Gao_inference.infer ~degree:(G.Topology.degree topo) paths)
+    B.Gao_inference.accuracy ~truth:topo
+      (B.Gao_inference.infer ~degree:(G.Topology.degree topo) paths)
   in
   Printf.printf
     "Gao-inference accuracy: chosen-routes only (BGP/PVR view) %.2f | all \
@@ -854,12 +854,6 @@ let bench_dir name =
     (Filename.get_temp_dir_name ())
     (Printf.sprintf "pvr-bench-%s-%d" name (Unix.getpid ()))
 
-let remove_dir dir =
-  try
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  with Sys_error _ | Unix.Unix_error _ -> ()
-
 (* E11 and E12: a 10-AS hierarchy under 20% turnover with anycast churn. *)
 let hierarchy_params seed =
   {
@@ -1021,7 +1015,7 @@ let e12 () =
     let journal = mode "journal" ~journal:true in
     [ off; journal ]
   in
-  remove_dir dir;
+  Pvr_store.Store.remove ~dir;
   J.Obj
     [
       ("ases", J.Int ases);
@@ -1436,7 +1430,7 @@ let e15 () =
           ])
       queries
   in
-  remove_dir dir;
+  Pvr_store.Store.remove ~dir;
   J.Obj
     [
       ("ases", J.Int (List.length ases));
@@ -1610,7 +1604,7 @@ let bechamel_tests () =
   let open Bechamel in
   let key = P.Keyring.private_key keyring a_as in
   let graph_promise = R.Promise.Shortest_from (List.map fst (routes_for 4)) in
-  let smc_circuit = Smc.Circuit.minimum ~bits:8 ~k:4 in
+  let smc_circuit = B.Circuit.minimum ~bits:8 ~k:4 in
   let smc_inputs = Array.init 32 (fun i -> i mod 2 = 0) in
   [
     Test.make ~name:"e1/min-round-k8"
@@ -1632,7 +1626,7 @@ let bechamel_tests () =
     Test.make ~name:"e6/gmw-min-k4"
       (Staged.stage (fun () ->
            ignore
-             (Smc.Gmw.run (C.Drbg.of_int_seed 3) ~parties:5 smc_circuit
+             (B.Gmw.run (C.Drbg.of_int_seed 3) ~parties:5 smc_circuit
                 ~inputs:smc_inputs)));
     Test.make ~name:"e7/leakage-audit"
       (Staged.stage (fun () ->

@@ -16,6 +16,7 @@ module G = Pvr_bgp
 module R = Pvr_rfg
 module C = Pvr_crypto
 module Obs = Pvr_obs
+module W = Pvr_serve.Workload
 
 let asn = G.Asn.of_int
 
@@ -68,6 +69,17 @@ let strategy_conv =
     Format.pp_print_string ppf (P.Adversary.strategy_to_string st)
   in
   Cmdliner.Arg.conv (parse, print)
+
+(* --tiers stays the string [W.params] holds; parsing only rejects what
+   [W.topology] could not build. *)
+let tiers_conv =
+  let parse s =
+    match W.tiers_of_string s with
+    | Some _ -> Ok s
+    | None ->
+        Error (`Msg "expected comma-separated positive integers, e.g. 1,2,4")
+  in
+  Cmdliner.Arg.conv (parse, Format.pp_print_string)
 
 let run_round behaviour k bits seed dump_evidence stats =
   with_stats stats (fun () ->
@@ -213,47 +225,21 @@ let run_soak seed rounds k bits drop duplicate delay reorder budget stats =
    the cache on or off.  With --checkpoint the run journals every epoch,
    and --resume continues a crashed run from the journal. *)
 
-(* The engine parameter record, world construction and the epoch loop are
-   factored into {!Pvr_serve.Workload} so that daemon sessions (`pvr
-   serve`) and these batch commands run the identical code path — the
-   serve-vs-batch digest differential holds by construction.  The type
-   equation re-exports the record so the flag terms below construct it
-   literally. *)
+(* The parameter record, world construction and the epoch loop live in
+   {!Pvr_serve.Workload}, so daemon sessions (`pvr serve`) and these batch
+   commands run the identical code path: the serve-vs-batch digest
+   differential holds by construction. *)
 
-type eparams = Pvr_serve.Workload.params = {
-  p_seed : int;
-  p_tiers : string;
-  p_peering : float;
-  p_ases : int; (* > 0: power-law generated topology instead of --tiers *)
-  p_gen_seed : int option;
-  p_epochs : int;
-  p_jobs : int;
-  p_intern : bool;
-  p_bits : int;
-  p_cache : bool;
-  p_salt_every : int;
-  p_turnover : float;
-  p_origins : int;
-  p_ppo : int;
-  p_anycast : int;
-  p_drop : float;
-  p_strategy : P.Adversary.strategy;
-  p_mem_ceiling : int; (* major-heap budget in words; 0 = unbounded *)
-}
-
-let build_world = Pvr_serve.Workload.build_world
-let engine_core = Pvr_serve.Workload.engine_core
-
-let run_engine p checkpoint resume no_fsync report stats =
+let run_engine (p : W.params) checkpoint resume no_fsync report stats =
   if resume && checkpoint = None then begin
     Printf.eprintf "pvr engine: --resume requires --checkpoint DIR\n%!";
     2
   end
   else
     with_stats stats (fun () ->
-        let world = build_world p in
+        let world = W.build_world p in
         match
-          engine_core ?checkpoint_dir:checkpoint ~resume ~fsync:(not no_fsync)
+          W.engine_core ?checkpoint_dir:checkpoint ~resume ~fsync:(not no_fsync)
             world p
         with
         | Error e ->
@@ -358,7 +344,7 @@ let inject_corruption rng dir =
         Printf.printf "crashsoak: corrupted journal (%d garbage bytes)\n%!" n
       with Sys_error _ -> ())
 
-let run_crashsoak p kills dir_opt no_corrupt keep stats =
+let run_crashsoak (p : W.params) kills dir_opt no_corrupt keep stats =
   if kills > p.p_epochs then begin
     Printf.eprintf "pvr crashsoak: --kills (%d) must be <= --epochs (%d)\n%!"
       kills p.p_epochs;
@@ -384,7 +370,7 @@ let run_crashsoak p kills dir_opt no_corrupt keep stats =
           dir
           (String.concat ", "
              (List.map (fun (e, ph) -> Printf.sprintf "%d/%s" e ph) points));
-        let world = build_world p in
+        let world = W.build_world p in
         (* Children fork with pristine copies of the world's DRBGs and churn
            state, so every restart replays the exact streams a fresh
            `pvr engine --seed S` would see.  The corrupt tails a child's
@@ -415,7 +401,7 @@ let run_crashsoak p kills dir_opt no_corrupt keep stats =
                             Unix.kill (Unix.getpid ()) Sys.sigkill
                   in
                   match
-                    engine_core ~quiet:true ~on_phase ~on_resume
+                    W.engine_core ~quiet:true ~on_phase ~on_resume
                       ~checkpoint_dir:dir ~resume:true ~fsync:true world p
                   with
                   | Ok (_, convicted) -> if convicted > 0 then 1 else 0
@@ -487,8 +473,8 @@ let run_crashsoak p kills dir_opt no_corrupt keep stats =
                 3
             | Some er -> (
                 (* Uninterrupted reference run, same seed, in-process. *)
-                let world2 = build_world ~quiet:true p in
-                match engine_core ~quiet:true world2 p with
+                let world2 = W.build_world ~quiet:true p in
+                match W.engine_core ~quiet:true world2 p with
                 | Error e ->
                     Printf.eprintf "crashsoak: reference run failed: %s\n%!" e;
                     3
@@ -509,12 +495,7 @@ let run_crashsoak p kills dir_opt no_corrupt keep stats =
           with Crashsoak_abort c -> c
         in
         if code = 0 && dir_opt = None && not keep then
-          (try
-             Array.iter
-               (fun f -> Sys.remove (Filename.concat dir f))
-               (Sys.readdir dir);
-             Unix.rmdir dir
-           with Sys_error _ | Unix.Unix_error _ -> ());
+          Pvr_store.Store.remove ~dir;
         code)
 
 (* ---- adversary --------------------------------------------------------------
@@ -722,13 +703,7 @@ let run_check file =
 
 let run_topology tiers peering ases seed stats =
   with_stats stats @@ fun () ->
-  let rng = C.Drbg.of_int_seed seed in
-  let topo =
-    if ases > 0 then G.Topology.generate rng ~extra_peering:peering ~ases ()
-    else
-      let tiers = List.map int_of_string (String.split_on_char ',' tiers) in
-      G.Topology.hierarchy rng ~tiers ~extra_peering:peering
-  in
+  let topo = W.topology (C.Drbg.of_int_seed seed) ~tiers ~peering ~ases in
   Printf.printf "topology: %d ASes, %d links\n" (G.Topology.size topo)
     (List.length (G.Topology.links topo));
   if ases > 0 then begin
@@ -870,12 +845,13 @@ let soak_cmd =
       const run_soak $ seed $ rounds $ k $ bits $ drop $ duplicate $ delay
       $ reorder $ budget $ stats_arg)
 
-(* Engine/crashsoak share the run parameters: both must derive the exact
-   same world from --seed for digests to be comparable. *)
+(* Engine, crashsoak and drive share the run parameters: all must derive
+   the exact same world from --seed for digests to be comparable.  Every
+   default is [W.defaults]'s, so a flagless run is the default workload. *)
 let eparams_term =
   let seed =
     Arg.(
-      value & opt int 42
+      value & opt int W.defaults.p_seed
       & info [ "seed" ]
           ~doc:
             "Master DRBG seed.  The whole run — topology, keys, churn, salts \
@@ -883,16 +859,19 @@ let eparams_term =
              any $(b,--jobs) value and cache setting.")
   in
   let tiers =
-    Arg.(value & opt string "1,2,4" & info [ "tiers" ] ~doc:"ASes per tier.")
+    Arg.(
+      value
+      & opt tiers_conv W.defaults.p_tiers
+      & info [ "tiers" ] ~doc:"ASes per tier.")
   in
   let peering =
     Arg.(
-      value & opt float 0.1
+      value & opt float W.defaults.p_peering
       & info [ "peering" ] ~doc:"Same-tier peering probability.")
   in
   let ases =
     Arg.(
-      value & opt int 0
+      value & opt int W.defaults.p_ases
       & info [ "ases" ]
           ~doc:
             "Generate a seeded power-law (preferential-attachment) internet \
@@ -902,7 +881,7 @@ let eparams_term =
   let gen_seed =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some int) W.defaults.p_gen_seed
       & info [ "gen-seed" ]
           ~doc:
             "Dedicated seed for $(b,--ases) topology generation — the same \
@@ -910,19 +889,23 @@ let eparams_term =
              topology from $(b,--seed).")
   in
   let epochs =
-    Arg.(value & opt int 5 & info [ "epochs" ] ~doc:"Verification epochs.")
+    Arg.(
+      value & opt int W.defaults.p_epochs
+      & info [ "epochs" ] ~doc:"Verification epochs.")
   in
   let jobs =
     Arg.(
-      value & opt int 1
+      value & opt int W.defaults.p_jobs
       & info [ "jobs"; "j" ] ~doc:"Worker domains for verification rounds.")
   in
   let bits =
-    Arg.(value & opt int 512 & info [ "bits" ] ~doc:"RSA modulus size.")
+    Arg.(
+      value & opt int W.defaults.p_bits
+      & info [ "bits" ] ~doc:"RSA modulus size.")
   in
   let cache =
     Arg.(
-      value & opt bool true
+      value & opt bool W.defaults.p_cache
       & info [ "cache" ]
           ~doc:
             "Incremental mode: skip clean vertices and memoize \
@@ -931,27 +914,28 @@ let eparams_term =
   in
   let salt_every =
     Arg.(
-      value & opt int 8
+      value & opt int W.defaults.p_salt_every
       & info [ "salt-every" ] ~doc:"Epochs per commitment-salt period.")
   in
   let turnover =
     Arg.(
-      value & opt float 0.2
+      value & opt float W.defaults.p_turnover
       & info [ "turnover" ]
           ~doc:"Fraction of churn slots flipped per epoch (0..1).")
   in
   let origins =
     Arg.(
-      value & opt int 4 & info [ "origins" ] ~doc:"Churn origin ASes (bottom tier).")
+      value & opt int W.defaults.p_origins
+      & info [ "origins" ] ~doc:"Churn origin ASes (bottom tier).")
   in
   let prefixes_per_origin =
     Arg.(
-      value & opt int 2
+      value & opt int W.defaults.p_ppo
       & info [ "prefixes-per-origin" ] ~doc:"Churn prefixes per origin.")
   in
   let anycast =
     Arg.(
-      value & opt int 1
+      value & opt int W.defaults.p_anycast
       & info [ "anycast" ]
           ~doc:
             "Churn prefixes announced by two origins each (partial route \
@@ -959,7 +943,7 @@ let eparams_term =
   in
   let drop =
     Arg.(
-      value & opt float 0.0
+      value & opt float W.defaults.p_drop
       & info [ "drop" ]
           ~doc:
             "Per-message drop probability; non-zero routes every round \
@@ -968,7 +952,7 @@ let eparams_term =
   let strategy =
     Arg.(
       value
-      & opt strategy_conv (P.Adversary.Sweep P.Adversary.Honest)
+      & opt strategy_conv W.defaults.p_strategy
       & info [ "strategy" ]
           ~doc:
             "Adversary strategy planning per-vertex behaviours (default \
@@ -979,7 +963,7 @@ let eparams_term =
   in
   let mem_ceiling =
     Arg.(
-      value & opt int 0
+      value & opt int W.defaults.p_mem_ceiling
       & info [ "mem-ceiling" ] ~docv:"WORDS"
           ~doc:
             "Major-heap budget in words (the figure \
@@ -995,6 +979,7 @@ let eparams_term =
       p_cache p_salt_every p_turnover p_origins p_ppo p_anycast p_drop
       p_strategy p_mem_ceiling =
     {
+      W.defaults with
       p_seed;
       p_tiers;
       p_peering;
@@ -1002,7 +987,6 @@ let eparams_term =
       p_gen_seed;
       p_epochs;
       p_jobs;
-      p_intern = false;
       p_bits;
       p_cache;
       p_salt_every;
@@ -1122,7 +1106,8 @@ let check_cmd =
 
 let topology_cmd =
   let tiers =
-    Arg.(value & opt string "2,4,8" & info [ "tiers" ] ~doc:"ASes per tier.")
+    Arg.(
+      value & opt tiers_conv "2,4,8" & info [ "tiers" ] ~doc:"ASes per tier.")
   in
   let peering =
     Arg.(value & opt float 0.1 & info [ "peering" ] ~doc:"Same-tier peering probability.")
@@ -1376,7 +1361,7 @@ let serve_cmd =
           drain in-flight sessions cleanly before exit.")
     Term.(const run_serve $ socket $ tcp $ workers $ queue_cap $ store $ stats_arg)
 
-let run_drive socket tcp sessions p stats =
+let run_drive socket tcp sessions (p : W.params) stats =
   with_stats stats (fun () ->
       match parse_listen socket tcp with
       | Error msg ->

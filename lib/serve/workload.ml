@@ -31,8 +31,8 @@ type params = {
          spills through the store *)
 }
 
-(* Mirrors the CLI's flag defaults, so a request that omits overrides runs
-   the same workload `pvr engine` runs with no flags. *)
+(* The CLI reads its flag defaults from here, so a request that omits
+   overrides runs the same workload `pvr engine` runs with no flags. *)
 let defaults =
   {
     p_seed = 42;
@@ -89,6 +89,26 @@ let world_key p =
 type cache =
   world_key -> (unit -> G.Topology.t * P.Keyring.t) -> G.Topology.t * P.Keyring.t
 
+let tiers_of_string s =
+  let digit = function '0' .. '9' -> true | _ -> false in
+  let tier t =
+    match int_of_string_opt t with
+    | Some n when n > 0 && String.for_all digit t -> Some n
+    | _ -> None
+  in
+  List.fold_right
+    (fun t acc ->
+      match (tier t, acc) with Some n, Some l -> Some (n :: l) | _ -> None)
+    (String.split_on_char ',' s)
+    (Some [])
+
+let topology rng ~tiers ~peering ~ases =
+  if ases > 0 then G.Topology.generate rng ~extra_peering:peering ~ases ()
+  else
+    match tiers_of_string tiers with
+    | Some tiers -> G.Topology.hierarchy rng ~tiers ~extra_peering:peering
+    | None -> invalid_arg ("Workload.topology: malformed tiers " ^ tiers)
+
 (* Deterministic world construction.  The split order on the master DRBG —
    "topology" (unless --gen-seed seeds a generated topology), "keys",
    "churn", "engine" — is part of the on-disk contract: a resumed run
@@ -119,13 +139,7 @@ let build_world ?(quiet = false) ?(cache : cache option) p =
   in
   let generate () =
     let topo =
-      if p.p_ases > 0 then
-        G.Topology.generate topo_rng ~extra_peering:p.p_peering ~ases:p.p_ases ()
-      else
-        let tiers =
-          List.map int_of_string (String.split_on_char ',' p.p_tiers)
-        in
-        G.Topology.hierarchy topo_rng ~tiers ~extra_peering:p.p_peering
+      topology topo_rng ~tiers:p.p_tiers ~peering:p.p_peering ~ases:p.p_ases
     in
     let ases = G.Topology.ases topo in
     announce topo;
@@ -256,15 +270,7 @@ let engine_core ?(quiet = false) ?(on_phase = fun ~epoch:_ (_ : string) -> ())
         ~finally:(fun () ->
           Option.iter Pvr_engine.Persist.close session;
           Option.iter Pvr_engine.Persist.close scratch;
-          Option.iter
-            (fun dir ->
-              try
-                Array.iter
-                  (fun f -> Sys.remove (Filename.concat dir f))
-                  (Sys.readdir dir);
-                Unix.rmdir dir
-              with Sys_error _ | Unix.Unix_error _ -> ())
-            scratch_dir)
+          Option.iter (fun dir -> Pvr_store.Store.remove ~dir) scratch_dir)
         (fun () ->
           for i = start + 1 to p.p_epochs do
             let r =

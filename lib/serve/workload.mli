@@ -33,8 +33,9 @@ type params = {
 }
 
 val defaults : params
-(** The CLI's flag defaults: hierarchy "1,2,4", seed 42, 5 epochs,
-    jobs 1, RSA-512, cache on. *)
+(** The default workload: hierarchy "1,2,4", seed 42, 5 epochs, jobs 1,
+    RSA-512, cache on.  The CLI's engine flags read their defaults from
+    it. *)
 
 type world = {
   w_topo : Pvr_bgp.Topology.t;
@@ -66,6 +67,21 @@ type cache =
     either remembered or by calling [generate] (the serve daemon's
     world cache).  Sharing them is safe: the engine never mutates a
     topology or a keyring. *)
+
+val tiers_of_string : string -> int list option
+(** Tier sizes from their flag syntax: comma-separated positive decimal
+    integers, as in ["1,2,4"].  [None] for anything else. *)
+
+val topology :
+  Pvr_crypto.Drbg.t ->
+  tiers:string ->
+  peering:float ->
+  ases:int ->
+  Pvr_bgp.Topology.t
+(** A power-law internet of [ases] ASes when [ases > 0], else the
+    [tiers] hierarchy; [peering] is the extra same-tier peering
+    probability.  Every draw comes from the given DRBG.  Raises
+    [Invalid_argument] when [ases <= 0] and [tiers] is malformed. *)
 
 val build_world : ?quiet:bool -> ?cache:cache -> params -> world
 (** Deterministic world construction.  The split order on the master

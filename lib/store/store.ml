@@ -265,3 +265,9 @@ let recover ?(quiet = false) ~dir () =
 
 let reset ~dir =
   try Sys.remove (journal_path ~dir) with Sys_error _ -> ()
+
+let remove ~dir =
+  try
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Unix.rmdir dir
+  with Sys_error _ | Unix.Unix_error _ -> ()

@@ -97,4 +97,9 @@ val recover : ?quiet:bool -> dir:string -> unit -> recovery
 val reset : dir:string -> unit
 (** Delete the journal in [dir] (fresh start). *)
 
+val remove : dir:string -> unit
+(** Delete every file in [dir], then [dir] itself.  Errors are ignored:
+    a directory that is already gone, or cannot be emptied, is left as
+    it is. *)
+
 val journal_path : dir:string -> string

@@ -4,6 +4,7 @@
 
 module G = Pvr_bgp
 module C = Pvr_crypto
+module Gao_inference = Pvr_baselines.Gao_inference
 
 let asn = G.Asn.of_int
 let check_bool = Alcotest.(check bool)
@@ -715,26 +716,26 @@ let gao_inference_on_hierarchy () =
       (G.Topology.ases t)
   in
   check_bool "saw paths" true (List.length paths > 20);
-  let inferred = G.Gao_inference.infer ~degree:(G.Topology.degree t) paths in
+  let inferred = Gao_inference.infer ~degree:(G.Topology.degree t) paths in
   check_bool "inferred something" true (inferred <> []);
-  let acc = G.Gao_inference.accuracy ~truth:t inferred in
+  let acc = Gao_inference.accuracy ~truth:t inferred in
   check_bool
     (Printf.sprintf "accuracy %.2f > 0.5" acc)
     true (acc > 0.5)
 
 let gao_inference_empty () =
   check_bool "no paths, no inference" true
-    (G.Gao_inference.infer ~degree:(fun _ -> 0) [] = []);
+    (Gao_inference.infer ~degree:(fun _ -> 0) [] = []);
   check_bool "accuracy of nothing" true
-    (G.Gao_inference.accuracy ~truth:G.Topology.empty [] = 0.0)
+    (Gao_inference.accuracy ~truth:G.Topology.empty [] = 0.0)
 
 let gao_inference_edges () =
   let a = asn 1 and b = asn 2 in
   check_bool "singleton paths carry no edges" true
-    (G.Gao_inference.infer ~degree:(fun _ -> 1) [ [ a ]; [ b ] ] = []);
+    (Gao_inference.infer ~degree:(fun _ -> 1) [ [ a ]; [ b ] ] = []);
   (* The same edge observed from both directions with equal degrees splits
      the vote evenly, which the attack reads as peering. *)
-  match G.Gao_inference.infer ~degree:(fun _ -> 1) [ [ a; b ]; [ b; a ] ] with
+  match Gao_inference.infer ~degree:(fun _ -> 1) [ [ a; b ]; [ b; a ] ] with
   | [ (x, y, rel) ] ->
       check_bool "edge normalized to (low, high)" true
         (G.Asn.equal x a && G.Asn.equal y b);

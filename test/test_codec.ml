@@ -289,7 +289,7 @@ let operator =
 
 let merkle_proof =
   Gen.map2
-    (fun index path -> { Pvr_merkle.Merkle_tree.index; path })
+    (fun index path -> { Pvr_baselines.Merkle_tree.index; path })
     u32
     (items (Gen.pair digest (Gen.oneofl [ `Left; `Right ])))
 
@@ -598,8 +598,8 @@ let proof_rows =
       ~encode:(fun (a, b, c) -> Codec.encode_list [ a; b; c ])
       ~decode:PG.leaf_digests;
     row "Merkle_tree.decode_proof" merkle_proof
-      ~encode:Pvr_merkle.Merkle_tree.encode_proof
-      ~decode:Pvr_merkle.Merkle_tree.decode_proof;
+      ~encode:Pvr_baselines.Merkle_tree.encode_proof
+      ~decode:Pvr_baselines.Merkle_tree.decode_proof;
     row "Prefix_tree.decode_proof" prefix_tree_proof
       ~encode:Pvr_merkle.Prefix_tree.encode_proof
       ~decode:Pvr_merkle.Prefix_tree.decode_proof;

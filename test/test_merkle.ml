@@ -1,7 +1,9 @@
-(* Tests for pvr_merkle: bitstrings, dense Merkle trees, and the §3.6
-   prefix-free selective-disclosure tree. *)
+(* Tests for pvr_merkle's bitstrings and §3.6 prefix-free
+   selective-disclosure tree, and for the dense Merkle tree of the §5
+   bit-vector baseline. *)
 
 module M = Pvr_merkle
+module Merkle_tree = Pvr_baselines.Merkle_tree
 module C = Pvr_crypto
 
 let check_bool = Alcotest.(check bool)
@@ -63,78 +65,79 @@ let merkle_all_leaves_provable () =
   List.iter
     (fun n ->
       let leaves = List.init n (fun i -> "leaf" ^ string_of_int i) in
-      let t = M.Merkle_tree.build leaves in
-      check_int "size" n (M.Merkle_tree.size t);
+      let t = Merkle_tree.build leaves in
+      check_int "size" n (Merkle_tree.size t);
       List.iteri
         (fun i leaf ->
-          let p = M.Merkle_tree.prove t i in
+          let p = Merkle_tree.prove t i in
           check_bool "proof verifies" true
-            (M.Merkle_tree.verify ~root:(M.Merkle_tree.root t) ~leaf p))
+            (Merkle_tree.verify ~root:(Merkle_tree.root t) ~leaf p))
         leaves)
     [ 1; 2; 3; 7; 8; 9; 64; 100 ]
 
 let merkle_rejects_wrong_leaf () =
-  let t = M.Merkle_tree.build [ "a"; "b"; "c" ] in
-  let p = M.Merkle_tree.prove t 1 in
+  let t = Merkle_tree.build [ "a"; "b"; "c" ] in
+  let p = Merkle_tree.prove t 1 in
   check_bool "wrong leaf" false
-    (M.Merkle_tree.verify ~root:(M.Merkle_tree.root t) ~leaf:"x" p)
+    (Merkle_tree.verify ~root:(Merkle_tree.root t) ~leaf:"x" p)
 
 let merkle_rejects_wrong_root () =
-  let t = M.Merkle_tree.build [ "a"; "b"; "c" ] in
-  let t2 = M.Merkle_tree.build [ "a"; "b"; "d" ] in
-  let p = M.Merkle_tree.prove t 0 in
+  let t = Merkle_tree.build [ "a"; "b"; "c" ] in
+  let t2 = Merkle_tree.build [ "a"; "b"; "d" ] in
+  let p = Merkle_tree.prove t 0 in
   check_bool "different trees, different roots" true
-    (M.Merkle_tree.root t <> M.Merkle_tree.root t2);
+    (Merkle_tree.root t <> Merkle_tree.root t2);
   check_bool "cross-root proof fails for changed leafset" true
     (* leaf 0 is "a" in both trees, but the roots differ, so the proof from
        t cannot verify against t2's root *)
-    (not (M.Merkle_tree.verify ~root:(M.Merkle_tree.root t2) ~leaf:"a" p))
+    (not (Merkle_tree.verify ~root:(Merkle_tree.root t2) ~leaf:"a" p))
 
 let merkle_proof_is_positional () =
   (* The same value at two positions yields distinct proofs that do not
      cross-verify at the wrong index semantics. *)
-  let t = M.Merkle_tree.build [ "same"; "same" ] in
-  let p0 = M.Merkle_tree.prove t 0 and p1 = M.Merkle_tree.prove t 1 in
-  check_bool "indices differ" true (p0.M.Merkle_tree.index <> p1.M.Merkle_tree.index);
+  let t = Merkle_tree.build [ "same"; "same" ] in
+  let p0 = Merkle_tree.prove t 0 and p1 = Merkle_tree.prove t 1 in
+  check_bool "indices differ" true
+    (p0.Merkle_tree.index <> p1.Merkle_tree.index);
   check_bool "both verify" true
-    (M.Merkle_tree.verify ~root:(M.Merkle_tree.root t) ~leaf:"same" p0
-    && M.Merkle_tree.verify ~root:(M.Merkle_tree.root t) ~leaf:"same" p1)
+    (Merkle_tree.verify ~root:(Merkle_tree.root t) ~leaf:"same" p0
+    && Merkle_tree.verify ~root:(Merkle_tree.root t) ~leaf:"same" p1)
 
 let merkle_empty () =
-  let t = M.Merkle_tree.build [] in
-  check_int "size 0" 0 (M.Merkle_tree.size t);
+  let t = Merkle_tree.build [] in
+  check_int "size 0" 0 (Merkle_tree.size t);
   check_bool "distinguished root" true
-    (M.Merkle_tree.root t <> M.Merkle_tree.root (M.Merkle_tree.build [ "" ]))
+    (Merkle_tree.root t <> Merkle_tree.root (Merkle_tree.build [ "" ]))
 
 let merkle_out_of_range () =
-  let t = M.Merkle_tree.build [ "a" ] in
+  let t = Merkle_tree.build [ "a" ] in
   Alcotest.check_raises "negative" (Invalid_argument "Merkle_tree.prove: index")
-    (fun () -> ignore (M.Merkle_tree.prove t (-1)));
+    (fun () -> ignore (Merkle_tree.prove t (-1)));
   Alcotest.check_raises "too big" (Invalid_argument "Merkle_tree.prove: index")
-    (fun () -> ignore (M.Merkle_tree.prove t 1))
+    (fun () -> ignore (Merkle_tree.prove t 1))
 
 let merkle_proof_encoding_roundtrip =
   qtest "proof encoding roundtrip"
     QCheck2.Gen.(pair (int_range 1 50) (int_range 0 1_000_000))
     (fun (n, salt) ->
       let leaves = List.init n (fun i -> Printf.sprintf "%d-%d" salt i) in
-      let t = M.Merkle_tree.build leaves in
+      let t = Merkle_tree.build leaves in
       let i = salt mod n in
-      let p = M.Merkle_tree.prove t i in
-      match M.Merkle_tree.decode_proof (M.Merkle_tree.encode_proof p) with
+      let p = Merkle_tree.prove t i in
+      match Merkle_tree.decode_proof (Merkle_tree.encode_proof p) with
       | None -> false
       | Some p' ->
-          M.Merkle_tree.verify ~root:(M.Merkle_tree.root t)
+          Merkle_tree.verify ~root:(Merkle_tree.root t)
             ~leaf:(List.nth leaves i) p')
 
 let merkle_decode_garbage () =
-  check_bool "empty" true (M.Merkle_tree.decode_proof "" = None);
-  check_bool "junk" true (M.Merkle_tree.decode_proof "garbage!" = None)
+  check_bool "empty" true (Merkle_tree.decode_proof "" = None);
+  check_bool "junk" true (Merkle_tree.decode_proof "garbage!" = None)
 
 let merkle_leaf_order_matters () =
   check_bool "order changes root" true
-    (M.Merkle_tree.root (M.Merkle_tree.build [ "a"; "b" ])
-    <> M.Merkle_tree.root (M.Merkle_tree.build [ "b"; "a" ]))
+    (Merkle_tree.root (Merkle_tree.build [ "a"; "b" ])
+    <> Merkle_tree.root (Merkle_tree.build [ "b"; "a" ]))
 
 (* ---- Prefix tree ------------------------------------------------------------ *)
 

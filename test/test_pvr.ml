@@ -8,6 +8,7 @@ module P = Pvr
 module G = Pvr_bgp
 module R = Pvr_rfg
 module C = Pvr_crypto
+module Bitvec = Pvr_baselines.Bitvec
 
 let asn = G.Asn.of_int
 let check_bool = Alcotest.(check bool)
@@ -2246,68 +2247,6 @@ let gossip_round_dedups_evidence () =
   | [ P.Evidence.Equivocation _ ] -> ()
   | _ -> Alcotest.fail "expected a single equivocation"
 
-(* ---- S-BGP attestation chains ------------------------------------------------------ *)
-
-let sbgp_route len =
-  (* Build a route whose whole path lives in the keyring: use A, AS2 and
-     providers as hops. *)
-  let pool = a_as :: asn 2 :: providers in
-  let path = List.filteri (fun i _ -> i < len) pool in
-  let origin = List.nth path (len - 1) in
-  let base = G.Route.originate ~asn:origin prefix0 in
-  match path with
-  | first :: _ -> { base with G.Route.as_path = path; next_hop = first }
-  | [] -> assert false
-
-let sbgp_chain_verifies () =
-  let kr = Lazy.force keyring in
-  List.iter
-    (fun len ->
-      let route = sbgp_route len in
-      let chain = P.Sbgp.chain_route kr route ~to_:b_as in
-      check_bool
-        (Printf.sprintf "chain of %d verifies" len)
-        true
-        (P.Sbgp.verify kr ~prefix:prefix0 ~path:route.G.Route.as_path
-           ~to_:b_as chain);
-      check_bool "wrong recipient fails" false
-        (P.Sbgp.verify kr ~prefix:prefix0 ~path:route.G.Route.as_path
-           ~to_:(asn 2) chain))
-    [ 1; 2; 4 ]
-
-let sbgp_extend () =
-  let kr = Lazy.force keyring in
-  let origin = List.hd providers in
-  let chain = P.Sbgp.originate kr ~origin ~prefix:prefix0 ~to_:a_as in
-  (match P.Sbgp.extend kr ~me:a_as ~to_:b_as chain with
-  | Ok chain' ->
-      check_bool "extended chain verifies" true
-        (P.Sbgp.verify kr ~prefix:prefix0 ~path:[ a_as; origin ] ~to_:b_as
-           chain')
-  | Error e -> Alcotest.failf "extend failed: %s" e);
-  (* Extending a chain that was not addressed to you must fail. *)
-  match P.Sbgp.extend kr ~me:(asn 2) ~to_:b_as chain with
-  | Ok _ -> Alcotest.fail "hijacked extension accepted"
-  | Error _ -> ()
-
-let sbgp_path_shortening_rejected () =
-  (* An AS that drops a hop from the path (path-shortening attack, one of
-     the §1 'lie about routes' incentives) cannot produce a valid chain. *)
-  let kr = Lazy.force keyring in
-  let route = sbgp_route 3 in
-  let chain = P.Sbgp.chain_route kr route ~to_:b_as in
-  let shortened =
-    match route.G.Route.as_path with
-    | keep :: _ :: rest -> keep :: rest
-    | _ -> assert false
-  in
-  check_bool "shortened path rejected" false
-    (P.Sbgp.verify kr ~prefix:prefix0 ~path:shortened ~to_:b_as chain);
-  (* Dropping the matching attestation does not help either. *)
-  let pruned = match chain with a :: _ :: rest -> a :: rest | c -> c in
-  check_bool "pruned chain rejected" false
-    (P.Sbgp.verify kr ~prefix:prefix0 ~path:shortened ~to_:b_as pruned)
-
 (* ---- Bitvec commitment strategies (DESIGN §5 ablation) ----------------------------- *)
 
 let bitvec_roundtrip_both_strategies () =
@@ -2315,45 +2254,45 @@ let bitvec_roundtrip_both_strategies () =
   List.iter
     (fun strategy ->
       let rng = fresh_rng () in
-      let t, published = P.Bitvec.commit rng strategy bits in
+      let t, published = Bitvec.commit rng strategy bits in
       List.iteri
         (fun i expected ->
-          let proof = P.Bitvec.open_bit t (i + 1) in
+          let proof = Bitvec.open_bit t (i + 1) in
           check_bool
-            (P.Bitvec.strategy_to_string strategy ^ " bit " ^ string_of_int i)
+            (Bitvec.strategy_to_string strategy ^ " bit " ^ string_of_int i)
             true
-            (P.Bitvec.verify_bit strategy published ~k:8 ~index:(i + 1) proof
+            (Bitvec.verify_bit strategy published ~k:8 ~index:(i + 1) proof
             = Some expected))
         bits)
-    [ P.Bitvec.Per_bit; P.Bitvec.Merkle_vector ]
+    [ Bitvec.Per_bit; Bitvec.Merkle_vector ]
 
 let bitvec_sizes_tradeoff () =
   let rng = fresh_rng () in
   let bits = List.init 64 (fun i -> i mod 3 = 0) in
-  let t_pb, pub_pb = P.Bitvec.commit rng P.Bitvec.Per_bit bits in
-  let t_mv, pub_mv = P.Bitvec.commit rng P.Bitvec.Merkle_vector bits in
+  let t_pb, pub_pb = Bitvec.commit rng Bitvec.Per_bit bits in
+  let t_mv, pub_mv = Bitvec.commit rng Bitvec.Merkle_vector bits in
   (* Published: linear vs constant. *)
   check_bool "per-bit publishes k digests" true
-    (P.Bitvec.published_bytes pub_pb = 64 * 32);
+    (Bitvec.published_bytes pub_pb = 64 * 32);
   check_bool "merkle publishes one root" true
-    (P.Bitvec.published_bytes pub_mv = 32);
+    (Bitvec.published_bytes pub_mv = 32);
   (* Disclosure: constant vs logarithmic. *)
-  let d_pb = P.Bitvec.proof_bytes (P.Bitvec.open_bit t_pb 5) in
-  let d_mv = P.Bitvec.proof_bytes (P.Bitvec.open_bit t_mv 5) in
+  let d_pb = Bitvec.proof_bytes (Bitvec.open_bit t_pb 5) in
+  let d_mv = Bitvec.proof_bytes (Bitvec.open_bit t_mv 5) in
   check_bool "merkle proofs are bigger" true (d_mv > d_pb);
   check_bool "but only by ~log k siblings" true (d_mv <= d_pb + (7 * 40))
 
 let bitvec_rejects_wrong_index () =
   let rng = fresh_rng () in
   let bits = [ true; false; true; false ] in
-  let t, published = P.Bitvec.commit rng P.Bitvec.Merkle_vector bits in
-  let proof = P.Bitvec.open_bit t 1 in
+  let t, published = Bitvec.commit rng Bitvec.Merkle_vector bits in
+  let proof = Bitvec.open_bit t 1 in
   (* Proof for bit 1 cannot pass as bit 2. *)
   check_bool "index binding" true
-    (P.Bitvec.verify_bit P.Bitvec.Merkle_vector published ~k:4 ~index:2 proof
+    (Bitvec.verify_bit Bitvec.Merkle_vector published ~k:4 ~index:2 proof
     = None);
   check_bool "out of range" true
-    (P.Bitvec.verify_bit P.Bitvec.Merkle_vector published ~k:4 ~index:9 proof
+    (Bitvec.verify_bit Bitvec.Merkle_vector published ~k:4 ~index:9 proof
     = None)
 
 (* ---- Composite operators in the graph protocol ------------------------------------ *)
@@ -2707,9 +2646,6 @@ let suite =
     ("gossip ring one-round miss, clique catches", `Quick,
      gossip_ring_one_round_miss_clique_catches);
     ("gossip round dedups evidence", `Quick, gossip_round_dedups_evidence);
-    ("sbgp: chains verify", `Quick, sbgp_chain_verifies);
-    ("sbgp: extend", `Quick, sbgp_extend);
-    ("sbgp: path shortening rejected", `Quick, sbgp_path_shortening_rejected);
     ("bitvec: roundtrip both strategies", `Quick, bitvec_roundtrip_both_strategies);
     ("bitvec: size tradeoff", `Quick, bitvec_sizes_tradeoff);
     ("bitvec: rejects wrong index", `Quick, bitvec_rejects_wrong_index);

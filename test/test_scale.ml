@@ -8,6 +8,7 @@ module P = Pvr
 module E = Pvr_engine.Engine
 module G = Pvr_bgp
 module C = Pvr_crypto
+module Gao_inference = Pvr_baselines.Gao_inference
 
 let asn = G.Asn.of_int
 let check_bool = Alcotest.(check bool)
@@ -202,10 +203,10 @@ let generate_gao_inference_sane () =
           (G.Rib.prefixes (G.Simulator.rib sim a)))
       (G.Topology.ases t)
   in
-  let inferred = G.Gao_inference.infer ~degree:(G.Topology.degree t) paths in
+  let inferred = Gao_inference.infer ~degree:(G.Topology.degree t) paths in
   check_bool "inferred something" true (inferred <> []);
   check_bool "accuracy beats chance" true
-    (G.Gao_inference.accuracy ~truth:t inferred > 0.5)
+    (Gao_inference.accuracy ~truth:t inferred > 0.5)
 
 (* ---- route: structural equality and ordering -------------------------------------- *)
 

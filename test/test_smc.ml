@@ -1,9 +1,8 @@
-(* Tests for pvr_smc: boolean circuits, XOR sharing, the GMW evaluation, the
-   calibrated cost models, and the NetReview full-disclosure baseline. *)
+(* Tests for the §3.1 SMC strawman in pvr_baselines: boolean circuits, XOR
+   sharing, the GMW evaluation and the calibrated cost models. *)
 
-module S = Pvr_smc
+module S = Pvr_baselines
 module C = Pvr_crypto
-module G = Pvr_bgp
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -153,44 +152,6 @@ let cost_model_zkp_linear () =
     (S.Cost_model.zkp_seconds m ~gates:2000
     = 2. *. S.Cost_model.zkp_seconds m ~gates:1000)
 
-(* ---- NetReview baseline ----------------------------------------------------------- *)
-
-let mk_route n len =
-  let path =
-    List.init len (fun j -> if j = 0 then G.Asn.of_int n else G.Asn.of_int (3000 + j))
-  in
-  let base = G.Route.originate ~asn:(G.Asn.of_int n) (G.Prefix.of_string "10.0.0.0/8") in
-  { base with G.Route.as_path = path; next_hop = G.Asn.of_int n }
-
-let netreview_verifies_honest () =
-  let inputs = [ (G.Asn.of_int 10, mk_route 10 3); (G.Asn.of_int 11, mk_route 11 1) ] in
-  let d = S.Netreview.disclose ~inputs ~chosen:(Some (mk_route 11 1)) in
-  check_bool "honest accepted" true (S.Netreview.verify_shortest d)
-
-let netreview_catches_cheating () =
-  let inputs = [ (G.Asn.of_int 10, mk_route 10 3); (G.Asn.of_int 11, mk_route 11 1) ] in
-  check_bool "nonminimal rejected" false
-    (S.Netreview.verify_shortest
-       (S.Netreview.disclose ~inputs ~chosen:(Some (mk_route 10 3))));
-  check_bool "suppression rejected" false
-    (S.Netreview.verify_shortest (S.Netreview.disclose ~inputs ~chosen:None));
-  check_bool "fabrication rejected" false
-    (S.Netreview.verify_shortest
-       (S.Netreview.disclose ~inputs ~chosen:(Some (mk_route 99 1))))
-
-let netreview_empty () =
-  check_bool "nothing to verify" true
-    (S.Netreview.verify_shortest (S.Netreview.disclose ~inputs:[] ~chosen:None))
-
-let netreview_reveals_everything () =
-  let inputs = List.init 4 (fun i -> (G.Asn.of_int (10 + i), mk_route (10 + i) (i + 1))) in
-  let d = S.Netreview.disclose ~inputs ~chosen:(Some (mk_route 10 1)) in
-  check_int "all paths revealed" 4 (List.length (S.Netreview.revealed_paths d));
-  check_bool "bytes grow with k" true
-    (S.Netreview.disclosure_bytes d
-    > S.Netreview.disclosure_bytes
-        (S.Netreview.disclose ~inputs:[ List.hd inputs ] ~chosen:None))
-
 let xor_only_circuit_free_in_gmw () =
   (* A parity circuit has zero AND gates: GMW evaluates it with no triples
      and a single reconstruction round. *)
@@ -236,8 +197,4 @@ let suite =
     ("cost model hits the 15s anchor", `Quick, cost_model_anchor);
     ("cost model scaling shape", `Quick, cost_model_scaling_shape);
     ("cost model zkp linear", `Quick, cost_model_zkp_linear);
-    ("netreview verifies honest", `Quick, netreview_verifies_honest);
-    ("netreview catches cheating", `Quick, netreview_catches_cheating);
-    ("netreview empty", `Quick, netreview_empty);
-    ("netreview reveals everything", `Quick, netreview_reveals_everything);
   ]

@@ -371,6 +371,10 @@ let cli_exit_codes () =
         check_int "unknown command is usage error" 2 (run_cli "frobnicate");
         check_int "crashsoak kills>epochs is usage error" 2
           (run_cli "crashsoak --kills 9 --epochs 3");
+        check_int "malformed engine --tiers is usage error" 2
+          (run_cli "engine --tiers 1,x --epochs 1");
+        check_int "malformed topology --tiers is usage error" 2
+          (run_cli "topology --tiers 1,,2");
         check_int "clean checkpointed engine run" 0
           (run_cli
              (Printf.sprintf
