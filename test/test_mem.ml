@@ -35,15 +35,9 @@ let fresh_dir =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "pvr-test-mem-%d-%d" (Unix.getpid ()) !n)
 
-let rm_rf dir =
-  try
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  with Sys_error _ | Unix.Unix_error _ -> ()
-
 let with_dir f =
   let dir = fresh_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+  Fun.protect ~finally:(fun () -> S.remove ~dir) (fun () -> f dir)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 

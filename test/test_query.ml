@@ -39,15 +39,9 @@ let fresh_dir =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "pvr-test-query-%d-%d" (Unix.getpid ()) !n)
 
-let rm_rf dir =
-  try
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  with Sys_error _ | Unix.Unix_error _ -> ()
-
 let with_dir f =
   let dir = fresh_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+  Fun.protect ~finally:(fun () -> S.remove ~dir) (fun () -> f dir)
 
 (* ---- parser ---------------------------------------------------------------------- *)
 
@@ -348,12 +342,12 @@ let run_epochs ~session eng apply ~from ~until =
     Option.iter (fun s -> Persist.record s eng r) session
   done
 
-(* (dir, index): a completed 5-epoch timing-probe run.  The dir is never
-   cleaned — it is shared by every test below, like test_store's pristine
-   store. *)
+(* (dir, index): a completed 5-epoch timing-probe run, shared by every
+   test below, so the dir is removed only when the test binary exits. *)
 let fixture =
   lazy
     (let dir = fresh_dir () in
+     at_exit (fun () -> S.remove ~dir);
      let eng, apply = mk_world ~jobs:1 ~cache:true fixture_seed in
      let s = Persist.start ~fsync:false ~dir () in
      run_epochs ~session:(Some s) eng apply ~from:0 ~until:fixture_epochs;

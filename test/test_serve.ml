@@ -350,13 +350,7 @@ let held_index_follows_journal () =
     | Ok _ -> ()
     | Error e -> Alcotest.fail ("recording the store: " ^ e)
   in
-  Fun.protect
-    ~finally:(fun () ->
-      try
-        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-        Unix.rmdir dir
-      with Sys_error _ | Unix.Unix_error _ -> ())
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> Pvr_store.Store.remove ~dir) @@ fun () ->
   record 2 ~resume:false;
   let court = Pvr.Leakage.court in
   let text = "rows where epoch >= 1 order by epoch" in

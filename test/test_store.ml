@@ -40,15 +40,9 @@ let fresh_dir =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "pvr-test-store-%d-%d" (Unix.getpid ()) !n)
 
-let rm_rf dir =
-  try
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  with Sys_error _ | Unix.Unix_error _ -> ()
-
 let with_dir f =
   let dir = fresh_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+  Fun.protect ~finally:(fun () -> S.remove ~dir) (fun () -> f dir)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -198,25 +192,29 @@ let corrupt_mid_frame_drops_suffix () =
 
 (* ---- decoder robustness (qcheck) ------------------------------------------------ *)
 
-(* A pristine journal built once; each property iteration mangles a
-   byte-level copy and recovery must neither raise nor replay mangled
-   bytes as valid frames beyond the CRC's reach. *)
-let pristine_store =
+(* A pristine journal built once; each property iteration recovers a
+   mangled byte-level copy in its own scratch directory, and recovery must
+   neither raise nor replay mangled bytes as valid frames beyond the CRC's
+   reach. *)
+let pristine_journal =
   lazy
-    (let dir = fresh_dir () in
-     let s = S.open_ ~fsync:false ~dir () in
-     for i = 1 to 6 do
-       S.append s (Printf.sprintf "frame-%d-%s" i (String.make (7 * i) 'p'))
-     done;
-     S.close s;
-     (dir, read_file (S.journal_path ~dir)))
+    (with_dir (fun dir ->
+         let s = S.open_ ~fsync:false ~dir () in
+         for i = 1 to 6 do
+           S.append s
+             (Printf.sprintf "frame-%d-%s" i (String.make (7 * i) 'p'))
+         done;
+         S.close s;
+         read_file (S.journal_path ~dir)))
 
 let recover_never_raises_on_mangled_journal =
   qtest ~count:60 "store: recover never raises on mangled journal"
     QCheck2.Gen.(int_range 0 100_000)
     (fun seed ->
-      let dir, pristine = Lazy.force pristine_store in
+      let pristine = Lazy.force pristine_journal in
       let rng = C.Drbg.of_int_seed seed in
+      with_dir @@ fun dir ->
+      Unix.mkdir dir 0o755;
       write_file (S.journal_path ~dir) (N.Fuzz.mangle rng pristine);
       let rc = S.recover ~quiet:true ~dir () in
       (* Every frame recovery replays is byte-identical to one of the
