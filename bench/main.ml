@@ -721,7 +721,6 @@ let e9 () =
       ~rel:G.Relationship.Customer
   in
   let sim = G.Simulator.create topo in
-  G.Simulator.set_gao_rexford sim false;
   let prefixes_per_provider = 4 in
   List.iteri
     (fun i n ->

@@ -23,9 +23,6 @@ type clause = {
 
 type t = clause list
 
-let accept_all = [ { matches = []; actions = []; verdict = Accept } ]
-let reject_all = [ { matches = []; actions = []; verdict = Reject } ]
-
 let matches cond (r : Route.t) =
   match cond with
   | Match_prefix_exact p -> Prefix.equal p r.prefix
@@ -35,57 +32,3 @@ let matches cond (r : Route.t) =
   | Match_next_hop a -> Asn.equal a r.next_hop
   | Match_path_length_le n -> Route.path_length r <= n
   | Match_any -> true
-
-let apply_action action r =
-  match action with
-  | Set_local_pref lp -> Route.with_local_pref lp r
-  | Set_med m -> Route.with_med m r
-  | Add_community c -> Route.add_community c r
-  | Prepend (asn, n) ->
-      let rec go r k =
-        if k = 0 then r
-        else go { r with Route.as_path = asn :: r.Route.as_path } (k - 1)
-      in
-      go r n
-
-let evaluate policy r =
-  let rec first = function
-    | [] -> None
-    | clause :: rest ->
-        if List.for_all (fun c -> matches c r) clause.matches then
-          match clause.verdict with
-          | Reject -> None
-          | Accept -> Some (List.fold_left (fun r a -> apply_action a r) r clause.actions)
-        else first rest
-  in
-  first policy
-
-let pp_match ppf = function
-  | Match_prefix_exact p -> Format.fprintf ppf "prefix = %a" Prefix.pp p
-  | Match_prefix_in p -> Format.fprintf ppf "prefix in %a" Prefix.pp p
-  | Match_community (a, v) -> Format.fprintf ppf "community %d:%d" a v
-  | Match_as_in_path a -> Format.fprintf ppf "path has %a" Asn.pp a
-  | Match_next_hop a -> Format.fprintf ppf "from %a" Asn.pp a
-  | Match_path_length_le n -> Format.fprintf ppf "pathlen <= %d" n
-  | Match_any -> Format.pp_print_string ppf "any"
-
-let pp_action ppf = function
-  | Set_local_pref lp -> Format.fprintf ppf "local-pref %d" lp
-  | Set_med m -> Format.fprintf ppf "med %d" m
-  | Add_community (a, v) -> Format.fprintf ppf "community add %d:%d" a v
-  | Prepend (asn, n) -> Format.fprintf ppf "prepend %a x%d" Asn.pp asn n
-
-let pp ppf policy =
-  List.iteri
-    (fun i clause ->
-      Format.fprintf ppf "@[<h>%d: if %a then %a %s@]@." i
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " && ")
-           pp_match)
-        (if clause.matches = [] then [ Match_any ] else clause.matches)
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
-           pp_action)
-        clause.actions
-        (match clause.verdict with Accept -> "accept" | Reject -> "reject"))
-    policy

@@ -34,13 +34,4 @@ type t = clause list
 (** First matching clause wins; a route matching no clause is rejected
     (deny-by-default, as on real routers). *)
 
-val accept_all : t
-val reject_all : t
-
 val matches : match_cond -> Route.t -> bool
-val apply_action : action -> Route.t -> Route.t
-
-val evaluate : t -> Route.t -> Route.t option
-(** [None] if rejected. *)
-
-val pp : Format.formatter -> t -> unit

@@ -39,7 +39,6 @@ let prepend asn r =
   { r with as_path = asn :: r.as_path; next_hop = asn }
 
 let with_local_pref lp r = { r with local_pref = lp }
-let with_med med r = { r with med }
 
 let add_community c r =
   if List.mem c r.communities then r

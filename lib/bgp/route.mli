@@ -33,7 +33,6 @@ val prepend : Asn.t -> t -> t
     front.  [next_hop] becomes [asn]. *)
 
 val with_local_pref : int -> t -> t
-val with_med : int -> t -> t
 val add_community : community -> t -> t
 val has_community : community -> t -> bool
 val strip_private_attrs : t -> t

@@ -1,7 +1,7 @@
 (* A node is one AS.  Its neighbors sit in slots sorted by ASN (the slots
    of its {!Rib.t}); the per-slot arrays hold what the neighbor is to this
-   AS, the neighbor's node index, this AS's slot in the neighbor's arrays
-   (the back slot) and the two policies for that link. *)
+   AS, the neighbor's node index and this AS's slot in the neighbor's
+   arrays (the back slot). *)
 type node = {
   asn : Asn.t;
   rib : Rib.t;
@@ -9,9 +9,6 @@ type node = {
   rels : Relationship.t array;
   peer : int array;
   back : int array;
-  import : Policy.t array;
-  export : Policy.t array;
-  mutable decide : (Prefix.t -> Route.t list -> Route.t option) option;
   mutable origins : Prefix.Set.t;
   mutable entries : Rib.entry option array; (* by prefix id *)
 }
@@ -35,7 +32,6 @@ type t = {
   pids : (Prefix.t, int) Hashtbl.t; (* prefix -> dense id *)
   mutable by_pid : Prefix.t array; (* dense id -> prefix *)
   queue : fifo;
-  mutable gao_rexford : bool;
 }
 
 let obs_updates = Pvr_obs.counter "sim.updates.processed"
@@ -60,9 +56,6 @@ let create topo =
           rels = Array.map snd l;
           peer = Array.make deg 0;
           back = Array.make deg 0;
-          import = Array.make deg Policy.accept_all;
-          export = Array.make deg Policy.accept_all;
-          decide = None;
           origins = Prefix.Set.empty;
           entries = [||];
         })
@@ -91,33 +84,12 @@ let create topo =
         head = 0;
         len = 0;
       };
-    gao_rexford = true;
   }
 
 let node t asn =
   let i = Asn.find_sorted t.asns asn in
   if i < 0 then invalid_arg ("Simulator: unknown " ^ Asn.to_string asn);
   t.nodes.(i)
-
-let slot_exn n neighbor =
-  let s = Rib.slot n.rib neighbor in
-  if s < 0 then
-    invalid_arg
-      (Printf.sprintf "Simulator: %s is not a neighbor of %s"
-         (Asn.to_string neighbor) (Asn.to_string n.asn));
-  s
-
-let set_import_policy t ~asn ~neighbor policy =
-  let n = node t asn in
-  n.import.(slot_exn n neighbor) <- policy
-
-let set_export_policy t ~asn ~neighbor policy =
-  let n = node t asn in
-  n.export.(slot_exn n neighbor) <- policy
-
-let set_decision_override t ~asn f = (node t asn).decide <- Some f
-
-let set_gao_rexford t b = t.gao_rexford <- b
 
 let pid t prefix =
   match Hashtbl.find_opt t.pids prefix with
@@ -190,36 +162,21 @@ let reselect t n pid (e : Rib.entry) =
   let prefix = e.prefix in
   let originated = Prefix.Set.mem prefix n.origins in
   let deg = Array.length n.nbrs in
+  (* One pass of the standard pipeline over the origin route and then the
+     slots in descending ASN: the order [Decision.best] would see the
+     candidates in. *)
+  let rec pick s best =
+    if s < 0 then best
+    else
+      match (e.adj_in.(s), best) with
+      | (Some _ as c), None -> pick (s - 1) c
+      | (Some r as c), Some b when Decision.compare_standard r b < 0 ->
+          pick (s - 1) c
+      | _ -> pick (s - 1) best
+  in
   let best =
-    match n.decide with
-    | None ->
-        (* One pass of the standard pipeline over the origin route and
-           then the slots in descending ASN: the order [Decision.best]
-           would see the candidates in. *)
-        let rec pick s best =
-          if s < 0 then best
-          else
-            match (e.adj_in.(s), best) with
-            | (Some _ as c), None -> pick (s - 1) c
-            | (Some r as c), Some b when Decision.compare_standard r b < 0 ->
-                pick (s - 1) c
-            | _ -> pick (s - 1) best
-        in
-        pick (deg - 1)
-          (if originated then
-             Some (Route.originate ~asn:n.asn prefix)
-           else None)
-    | Some f ->
-        let candidates =
-          Array.fold_left
-            (fun acc r -> match r with Some r -> r :: acc | None -> acc)
-            [] e.adj_in
-        in
-        let candidates =
-          if originated then Route.originate ~asn:n.asn prefix :: candidates
-          else candidates
-        in
-        f prefix candidates
+    pick (deg - 1)
+      (if originated then Some (Route.originate ~asn:n.asn prefix) else None)
   in
   e.best <- best;
   match best with
@@ -234,8 +191,7 @@ let reselect t n pid (e : Rib.entry) =
       (* Gao–Rexford: the slot the route was learned through, or [-1]
          when every export is allowed. *)
       let learned =
-        if (not t.gao_rexford) || originated then -1
-        else Rib.slot n.rib r.Route.next_hop
+        if originated then -1 else Rib.slot n.rib r.Route.next_hop
       in
       let shared = Some (announce n r) in
       for s = 0 to deg - 1 do
@@ -248,10 +204,7 @@ let reselect t n pid (e : Rib.entry) =
                  (Relationship.export_allowed ~learned_from:n.rels.(learned)
                     ~to_:n.rels.(s))
           then None
-          else
-            let policy = n.export.(s) in
-            if policy == Policy.accept_all then shared
-            else Option.map (announce n) (Policy.evaluate policy r)
+          else shared
         in
         let changed =
           match (e.adj_out.(s), proposed) with
@@ -282,17 +235,9 @@ let withdraw_origin t ~asn prefix =
 let deliver t ~dst ~slot ~pid route =
   let n = t.nodes.(dst) in
   let e = entry t n pid in
-  let imported =
-    match route with
-    | None -> None
-    | Some r ->
-        if Route.has_loop n.asn r then None
-        else
-          let policy = n.import.(slot) in
-          if policy == Policy.accept_all then route
-          else Policy.evaluate policy r
-  in
-  e.adj_in.(slot) <- imported;
+  (* A route whose path already holds this AS is dropped on import. *)
+  e.adj_in.(slot) <-
+    (match route with Some r when Route.has_loop n.asn r -> None | _ -> route);
   reselect t n pid e
 
 let run ?(max_messages = 1_000_000) t =
@@ -302,7 +247,7 @@ let run ?(max_messages = 1_000_000) t =
       let processed = ref 0 in
       while q.len > 0 do
         if !processed >= max_messages then
-          failwith "Simulator.run: no convergence (policy dispute?)";
+          failwith "Simulator.run: message budget exceeded";
         let i = q.head in
         let route = q.q_route.(i) in
         q.q_route.(i) <- None;

@@ -1,10 +1,10 @@
 (** Event-driven path-vector (BGP-like) simulation.
 
-    Each AS holds a {!Rib.t}, an import policy per neighbor, and an export
-    policy per neighbor; on top of any custom policy the Gao–Rexford export
-    rule is enforced when the topology declares relationships.  Messages are
-    processed from a FIFO queue until convergence, which is guaranteed for
-    sensible policies because paths with loops are dropped on import.
+    Every AS runs one routing policy: it drops a route whose path holds its
+    own ASN on import, selects with {!Decision.compare_standard}, and
+    exports under the Gao–Rexford rule of the topology's relationships
+    ({!Relationship.export_allowed}), never back to an AS on the route's
+    path.  Messages are processed from a FIFO queue until convergence.
 
     Representation: ASes are nodes of an array in ascending ASN, and each
     node's neighbors are {e slots} in ascending ASN (the slots of its
@@ -21,30 +21,16 @@
     exports to the neighbors in ascending ASN, queueing a message for each
     neighbor whose Adj-RIB-Out entry changed.  Messages are delivered in
     FIFO order, so message counts, RIBs and every digest over them depend
-    only on the topology, the policies and the sequence of calls.
+    only on the topology and the sequence of calls.
 
     The simulator supplies the *inputs* to PVR: Adj-RIB-In contents are what
     network A receives from N1..Nk; the exported best routes are what B
-    observes.  A hook lets an experiment replace one AS's decision logic
-    with a Byzantine variant. *)
+    observes.  A Byzantine A misbehaves in the PVR round (the [Adversary]
+    behaviours of the core library), never in the simulator. *)
 
 type t
 
 val create : Topology.t -> t
-
-val set_import_policy : t -> asn:Asn.t -> neighbor:Asn.t -> Policy.t -> unit
-val set_export_policy : t -> asn:Asn.t -> neighbor:Asn.t -> Policy.t -> unit
-(** Both default to {!Policy.accept_all}.  @raise Invalid_argument when
-    [neighbor] is not linked to [asn]. *)
-
-val set_decision_override :
-  t -> asn:Asn.t -> (Prefix.t -> Route.t list -> Route.t option) -> unit
-(** Replace the standard decision process at one AS (used to inject
-    misbehaviour: the Byzantine A of §3). *)
-
-val set_gao_rexford : t -> bool -> unit
-(** Enforce the relationship-based export rule (default [true] when the
-    topology has relationship annotations; harmless for Peer-only graphs). *)
 
 val originate : t -> asn:Asn.t -> Prefix.t -> unit
 (** Inject a locally-originated prefix and enqueue the announcements. *)
@@ -53,8 +39,8 @@ val withdraw_origin : t -> asn:Asn.t -> Prefix.t -> unit
 
 val run : ?max_messages:int -> t -> int
 (** Process queued messages to convergence; returns the number of messages
-    processed.  @raise Failure if [max_messages] (default 1_000_000) is
-    exceeded, which indicates a policy dispute (e.g. BAD GADGET). *)
+    processed.  @raise Failure if [max_messages] (default 1_000_000) are
+    processed with messages still queued. *)
 
 val rib : t -> Asn.t -> Rib.t
 (** The RIB of an AS (live reference). *)
@@ -63,7 +49,7 @@ val best_route : t -> asn:Asn.t -> Prefix.t -> Route.t option
 
 val received_routes : t -> asn:Asn.t -> Prefix.t -> Route.t list
 (** Adj-RIB-In candidates at an AS (PVR's input variables r_1..r_k), in
-    descending neighbor ASN: the order a decision override sees them in,
+    descending neighbor ASN: the order the decision process reads them in,
     after the origin route when the AS originates the prefix. *)
 
 val exported_route : t -> asn:Asn.t -> neighbor:Asn.t -> Prefix.t -> Route.t option

@@ -25,6 +25,8 @@ let allow_component t ~viewer vertex comp =
 let allow t ~viewer vertex =
   List.fold_left (fun t c -> allow_component t ~viewer vertex c) t components
 
+(* Every network gets all components of the vertex (the paper's
+   "α(n, min) = TRUE for all networks n"). *)
 let allow_everyone t vertex =
   List.fold_left (fun t c -> KSet.add (None, vertex, c) t) t components
 

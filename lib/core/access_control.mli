@@ -21,10 +21,6 @@ val allow : t -> viewer:Pvr_bgp.Asn.t -> Pvr_rfg.Rfg.vertex_id -> t
 val allow_component :
   t -> viewer:Pvr_bgp.Asn.t -> Pvr_rfg.Rfg.vertex_id -> component -> t
 
-val allow_everyone : t -> Pvr_rfg.Rfg.vertex_id -> t
-(** Grant every network all components of a vertex (the paper's
-    "α(n, min) = TRUE for all networks n"). *)
-
 val permits :
   t -> viewer:Pvr_bgp.Asn.t -> Pvr_rfg.Rfg.vertex_id -> component -> bool
 

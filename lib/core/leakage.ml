@@ -195,10 +195,10 @@ let court = Bgp.Asn.of_int 0
 module Ledger = struct
   type ledger = {
     facts : (Bgp.Asn.t, fact list) Hashtbl.t; (* reverse arrival order *)
-    mutable refused : (Bgp.Asn.t * int) list; (* per-viewer refusal tally *)
+    mutable refused : int;
   }
 
-  let create () = { facts = Hashtbl.create 8; refused = [] }
+  let create () = { facts = Hashtbl.create 8; refused = 0 }
   let facts l v = Option.value (Hashtbl.find_opt l.facts v) ~default:[]
 
   let record l ~viewer fact =
@@ -211,19 +211,11 @@ module Ledger = struct
   (* α said no: the item was withheld, but the *attempt* is part of the
      audit trail — refusals are how the disclosure ledger proves the
      access-control map was actually enforced, not just declared. *)
-  let record_refusal l ~viewer =
+  let record_refusal l =
     Pvr_obs.incr obs_refusals;
-    let n = match List.assoc_opt viewer l.refused with
-      | Some n -> n
-      | None -> 0
-    in
-    l.refused <- (viewer, n + 1) :: List.remove_assoc viewer l.refused
+    l.refused <- l.refused + 1
 
-  let refusal_count l =
-    List.fold_left (fun acc (_, n) -> acc + n) 0 l.refused
-
-  let refusals l =
-    List.sort (fun (a, _) (b, _) -> Bgp.Asn.compare a b) l.refused
+  let refusal_count l = l.refused
 
   let view l ~viewer = List.rev (facts l viewer)
 

@@ -29,8 +29,6 @@ type fact =
   | Knows_route_count_positive
       (** the party knows at least one input existed *)
 
-val pp_fact : Format.formatter -> fact -> unit
-
 type view = fact list
 
 (** {2 Views per scheme} *)
@@ -73,11 +71,6 @@ val excess_count : baseline:view -> observed:view -> int
     a full route is 32 bits per hop.  The absolute numbers are coarse by
     design — what the E14 matrix relies on is monotonicity and seeded
     determinism. *)
-
-val fact_bits : fact -> int
-
-val view_bits : view -> int
-(** Sum of {!fact_bits} over the deduplicated view. *)
 
 val pooled : view list -> view
 (** Union of coalition members' views, deduplicated — what colluding
@@ -133,21 +126,18 @@ module Ledger : sig
   (** Account a disclosed fact (idempotent per (viewer, fact)); increments
       ["leakage.bits.disclosed"]. *)
 
-  val record_refusal : ledger -> viewer:Bgp.Asn.t -> unit
-  (** Account an α-refused disclosure attempt: [viewer] asked for (or a
+  val record_refusal : ledger -> unit
+  (** Account an α-refused disclosure attempt: a viewer asked for (or a
       query tried to show it) something {!alpha_authorizes} rejects.
       Nothing was revealed, but enforcement is auditable — increments
-      ["leakage.refusals"] and the per-viewer tally. *)
+      ["leakage.refusals"] and the ledger's count. *)
 
   val refusal_count : ledger -> int
   (** Total refusals across all viewers. *)
-
-  val refusals : ledger -> (Bgp.Asn.t * int) list
-  (** Per-viewer refusal tallies, sorted by ASN. *)
 
   val view : ledger -> viewer:Bgp.Asn.t -> view
   val viewers : ledger -> Bgp.Asn.t list
 
   val bits : ledger -> int
-  (** {!view_bits} summed over every viewer's view. *)
+  (** The bits of every viewer's deduplicated view, summed. *)
 end

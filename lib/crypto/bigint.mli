@@ -79,8 +79,8 @@ val rem_int : t -> int -> int
 
 val mod_pow : base:t -> exp:t -> modulus:t -> t
 (** Modular exponentiation.  Odd moduli go through a fresh {!Mont}
-    context; even moduli, and moduli or exponents wider than
-    {!Mont.max_bits}, fall back to {!mod_pow_naive}.  Both paths return
+    context; even moduli, and moduli or exponents wider than the
+    kernel's 16384 bits, fall back to {!mod_pow_naive}.  Both paths return
     identical values — the differential test battery asserts it on random
     inputs.
     @raise Division_by_zero if [modulus] is zero. *)
@@ -95,17 +95,14 @@ module Mont : sig
       R{^2} mod m and R mod m, R = 2{^64k}.  Immutable: structural
       equality and hashing work, and domains may share one. *)
 
-  val max_bits : int
-  (** Widest modulus and exponent the kernel takes (16384 bits). *)
-
   val create : nat -> t
   (** @raise Invalid_argument if the modulus is even (zero included) or
-      wider than {!max_bits}. *)
+      wider than 16384 bits. *)
 
   val pow : t -> base:nat -> exp:nat -> nat
   (** [base{^exp} mod m]; a base at or above m is reduced first.  Bumps
       ["crypto.bigint.mont_pow.ops"].
-      @raise Invalid_argument if [exp] is wider than {!max_bits}. *)
+      @raise Invalid_argument if [exp] is wider than 16384 bits. *)
 
   val to_mont : t -> nat -> nat
   (** Montgomery form x·R mod m. *)
@@ -116,10 +113,12 @@ module Mont : sig
 end
 
 val mod_pow_naive : base:t -> exp:t -> modulus:t -> t
-(** The original square-and-multiply implementation, one Knuth division per
-    step.  Retained deliberately as the test oracle for the Montgomery
-    kernel; like the kernel it is {b not constant-time} and must not be
-    treated as side-channel hardened.
+(** Oracle: the original square-and-multiply implementation, one Knuth
+    division per step, and the fallback of {!mod_pow} for even or too-wide
+    moduli.  [Montgomery mod_pow ≡ square-and-multiply], [Mont kernel ≡
+    naive] and the other [crypto-kat] differentials compare the kernel
+    against it, and E4 times it.  Like the kernel it is {b not
+    constant-time} and must not be treated as side-channel hardened.
     @raise Division_by_zero if [modulus] is zero. *)
 
 val gcd : t -> t -> t

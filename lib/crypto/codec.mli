@@ -11,7 +11,7 @@
 
     by {!encode_list}; it is injective, so two distinct lists never encode
     equally, and it is what statements are hashed and signed over.  The
-    readers {!get_list}, {!list} and {!decode_list} are its only inverse:
+    readers {!list} and {!decode_list} are its only inverse:
     each call site checks its own constraints on the items (arity, fixed
     widths) after the generic read.
 
@@ -45,11 +45,6 @@ val reader : string -> reader
 val get_u32 : reader -> int
 val get_str : reader -> string
 val get_bool : reader -> bool
-
-val get_list : reader -> string list
-(** Read one list in the list format. *)
-
-val at_end : reader -> bool
 
 val decode : string -> (reader -> 'a) -> ('a, string) result
 (** Run a parser over a payload, turning {!Malformed} (and any leftover

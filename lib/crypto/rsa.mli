@@ -43,8 +43,9 @@ val sign : private_key -> string -> string
     {!sign_plain} (signatures here are deterministic). *)
 
 val sign_plain : private_key -> string -> string
-(** Plain [x^d mod n] over the retained naive exponentiation — the
-    differential-test oracle for CRT signing.  Like everything in this
+(** Oracle: plain [x^d mod n] over {!Pvr_crypto.Bigint.mod_pow_naive},
+    which [CRT sign ≡ plain x^d mod n] and [CRT sign at 1024 bits]
+    compare {!sign} against, and E4 times beside it.  Like everything in this
     module it is {b not constant-time}; it exists for tests and benches,
     not as a hardened fallback. *)
 

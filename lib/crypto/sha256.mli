@@ -98,8 +98,9 @@ val accelerated : bool
 (** [true] when this process compresses on the SHA extensions.  Also
     published as the fixed gauge ["crypto.sha256.accelerated"] (1 or 0). *)
 
-(** Contexts that always compress on the OCaml kernel, whatever the CPU:
-    the reference that tests compare the accelerated kernel against. *)
+(** Oracle: contexts that always compress on the OCaml kernel, whatever the
+    CPU.  [sha256 FIPS KATs], [sha256 split updates] and [sha256 Fixed
+    widths] run on both kernels against it, and E4 times it. *)
 module Reference : sig
   val init : unit -> ctx
   (** Like {!init}; {!reset}, {!copy} and every [*_with] function keep

@@ -658,9 +658,9 @@ let govern t ~on_phase =
 
 (* BGP path hunting on a withdrawal can revisit a large share of the graph
    several times over before settling, so the simulator's default
-   1M-message dispute cap is too tight for 10k+-AS worlds.  Scale the
-   budget with the topology — small worlds keep the old cap, so a genuine
-   policy dispute still fails fast. *)
+   1M-message cap is too tight for 10k+-AS worlds.  Scale the budget with
+   the topology — small worlds keep the old cap, so a run that does not
+   settle still fails fast. *)
 let convergence_budget t = max 1_000_000 (1_000 * List.length t.ases)
 
 let epoch ?(apply = fun _ -> 0) ?(on_phase = fun (_ : string) -> ()) t =

@@ -224,9 +224,11 @@ val rib_digest : t -> string
     the stored one. *)
 
 val rib_digest_full : t -> string
-(** {!rib_digest} recomputed from every entry with {!Bgp.Rib.digest_full},
-    reading and clearing no cached digest.  Must always equal
-    {!rib_digest} — the differential-oracle suite asserts it. *)
+(** Oracle: {!rib_digest} recomputed from every entry with
+    {!Bgp.Rib.digest_full}, reading and clearing no cached digest.  Must
+    always equal {!rib_digest}: the tests [rib digest: incremental equals
+    oracle] (resident and spilled) and [engine: flap pin] and the
+    benchmark's engine oracle compare against it; [pvr] never calls it. *)
 
 module Checkpoint : sig
   val run_id : t -> string

@@ -287,6 +287,8 @@ end
 (* ---- Byte mangling --------------------------------------------------------- *)
 
 module Fuzz = struct
+  (* One random mutation of the input bytes (may return it unchanged only
+     when the input is empty). *)
   let mutate rng s =
     let n = String.length s in
     if n = 0 then String.make (Drbg.uniform_int rng 8) '\x00'

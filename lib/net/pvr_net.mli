@@ -140,10 +140,6 @@ end
     the DRBG; used by the decoder-robustness properties ("malformed input
     yields [None], never an exception"). *)
 module Fuzz : sig
-  val mutate : Pvr_crypto.Drbg.t -> string -> string
-  (** One random mutation of the input bytes (may return it unchanged
-      only when the input is empty). *)
-
   val mangle : Pvr_crypto.Drbg.t -> string -> string
-  (** One to four stacked {!mutate} passes. *)
+  (** One to four stacked random mutations of the input bytes. *)
 end

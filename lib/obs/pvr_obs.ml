@@ -317,8 +317,6 @@ module Snapshot = struct
     in
     { s_counters = cs; s_gauges = gs; s_histograms = hs }
 
-  let counters t = t.s_counters
-
   let counter_value t name =
     Option.value (List.assoc_opt name t.s_counters) ~default:0
 

@@ -122,9 +122,6 @@ module Snapshot : sig
 
   val capture : unit -> t
 
-  val counters : t -> (string * int) list
-  (** Sorted by name. *)
-
   val counter_value : t -> string -> int
   (** 0 for names never registered. *)
 

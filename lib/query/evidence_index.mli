@@ -20,11 +20,6 @@ type t
 
 val create : run_id:string -> unit -> t
 
-val add_epoch : t -> epoch:int -> Row.t list -> unit
-(** Fold one committed epoch's rows in.  Epochs must arrive in ascending
-    order and at most once.
-    @raise Invalid_argument otherwise. *)
-
 val run_id : t -> string
 val row_count : t -> int
 val max_epoch : t -> int

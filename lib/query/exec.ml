@@ -199,7 +199,7 @@ let run ?ledger idx ~viewer (q : Lang.t) =
     List.partition (fun r -> authorized_for_row ~viewer r) matched
   in
   List.iter
-    (fun (_ : Row.t) -> Pvr.Leakage.Ledger.record_refusal ledger ~viewer)
+    (fun (_ : Row.t) -> Pvr.Leakage.Ledger.record_refusal ledger)
     refused;
   let ordered =
     match q.Lang.q_order with

@@ -30,7 +30,6 @@ type plan = {
 }
 
 val access_to_string : access -> string
-val plan_to_string : plan -> string
 
 val explain : plan -> string
 (** One line: the chosen path plus every considered alternative. *)

@@ -70,10 +70,6 @@ val to_string : t -> string
 (** Canonical form (fully parenthesized); [parse (to_string q)]
     reconstructs [q] exactly. *)
 
-val expr_to_string : expr -> string
-val source_to_string : source -> string
-val order_key_to_string : order_key -> string
-
 val eval : expr -> Row.t -> bool
 
 val admits : t -> Row.t -> bool

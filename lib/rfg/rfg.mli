@@ -50,7 +50,6 @@ val composite_of : t -> vertex_id -> t option
 val is_operator_vertex : t -> vertex_id -> bool
 (** Primitive or composite. *)
 
-val var_ids : t -> vertex_id list
 val op_ids : t -> vertex_id list
 val vertex_ids : t -> vertex_id list
 
@@ -59,9 +58,6 @@ val operator_of : t -> vertex_id -> Operator.t option
 val inputs_of_op : t -> vertex_id -> vertex_id list
 val producer_of_var : t -> vertex_id -> vertex_id option
 (** The operator computing a variable, if any. *)
-
-val consumers_of_var : t -> vertex_id -> vertex_id list
-(** Operators reading a variable. *)
 
 val predecessors : t -> vertex_id -> vertex_id list
 (** Graph predecessors of any vertex (vars of an op, producer op of a

@@ -12,8 +12,7 @@ exception Closed
 (** Peer hung up (EOF, EPIPE, ECONNRESET) — the connection is dead. *)
 
 val max_frame : int
-(** Largest frame {!read_frame} accepts (16 MiB): the bound on
-    responses. *)
+(** Largest frame a client reads (16 MiB): the bound on responses. *)
 
 val max_request : int
 (** Largest request frame {!recv_request} accepts (64 KiB).  A larger
@@ -63,9 +62,6 @@ type response =
   | Done of { d_digest : string; d_convicted : int }
   | Stats_r of stats_reply
   | Rows of string list
-
-val write_frame : Unix.file_descr -> string -> unit
-val read_frame : Unix.file_descr -> string
 
 val encode_request : request -> string
 val decode_request : string -> (request, string) result

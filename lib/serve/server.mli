@@ -29,8 +29,8 @@
 
     State kept between requests: every run builds its world
     ({!Workload.build_world}), taking the topology and keyring from a
-    {!World_cache} shared by every session and bounded by
-    {!world_cache_keys} RSA keys, so a seed seen before skips key
+    {!World_cache} shared by every session and bounded by 4096 RSA keys
+    (about 4.5 MB at RSA-512, 7 MB at RSA-1024), so a seed seen before skips key
     generation; the churn state and the churn and engine DRBGs are
     derived afresh per run, so every run of a session streams the batch
     digests.  Query requests read one held {!Pvr_query.Evidence_index},
@@ -49,10 +49,6 @@ type config = {
 
 val default_config : listen -> config
 (** 2 workers, queue cap 8, no store, quiet. *)
-
-val world_cache_keys : int
-(** The daemon's world-cache bound: RSA keys held, summed over cached
-    worlds (about 4.5 MB at RSA-512, 7 MB at RSA-1024). *)
 
 (** Least-recently-used cache of the immutable part of session worlds,
     keyed by {!Workload.world_key} and bounded by the total number of keys

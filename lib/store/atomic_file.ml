@@ -1,5 +1,6 @@
 let c_fsync = Pvr_obs.counter "store.fsync.count"
 
+(* Best-effort: some filesystems refuse directory syncs. *)
 let fsync_dir dir =
   match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
   | exception Unix.Unix_error _ -> ()

@@ -14,7 +14,3 @@ val write : ?fsync:bool -> string -> string -> unit
     but skips the durability barrier — appropriate for tests and
     benchmark artifacts.  Raises [Sys_error]/[Unix.Unix_error] on I/O
     failure (the temp file is removed on the error path). *)
-
-val fsync_dir : string -> unit
-(** Best-effort [fsync] of a directory fd (no-op on failure: some
-    filesystems refuse directory syncs). *)

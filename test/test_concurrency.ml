@@ -73,7 +73,7 @@ let digest_differential =
     let* cache = bool in
     return (seed, jobs, cache)
   in
-  qtest ~count:8 "digests: jobs x intern x cache differential" gen
+  qtest ~count:8 "digests: jobs x cache differential" gen
     (fun (seed, jobs, cache) ->
       let base, base_rib = diff_run ~seed ~jobs:1 ~cache:true () in
       let d, rib = diff_run ~seed ~jobs ~cache () in

@@ -188,47 +188,55 @@ let drop_faults =
     P.Runner.fp_policy = N.faulty ~drop:0.15 ~duplicate:0.05 ~delay_max:2 ();
   }
 
-(* A in the centre of a star, B and four providers around it, all taken
-   from the shared keyring.  Each provider originates one prefix with a
-   different amount of prepending, so A's vertex has inputs of four
-   distinct lengths, and B (the one neighbour that is not a provider) is
-   its beneficiary.  [decision] replaces A's decision process.  Returns
-   the engine, A, and the first epoch's [apply]. *)
+(* A with its customer B and four providers, provider i reached through a
+   chain of i ASes, each the provider of the one below it.  Each provider
+   originates the same prefix, so A's vertex has inputs of four distinct
+   lengths (1 to 4); A learned its best route from a provider, so under
+   Gao–Rexford it exports to B alone, its beneficiary.  The world has its
+   own keyring.  Returns the engine, A, B and the first epoch's [apply]. *)
 let star_prefix = G.Prefix.of_string "10.0.0.0/8"
 
-let star_engine ?decision () =
-  let kr = Lazy.force ekeyring in
-  let a, b, providers =
-    match P.Keyring.members kr with
-    | a :: b :: rest -> (a, b, List.filteri (fun i _ -> i < 4) rest)
-    | _ -> assert false
-  in
-  let topo =
-    G.Topology.star ~center:a ~leaves:(b :: providers)
-      ~rel:G.Relationship.Customer
-  in
+let star_a = asn 1
+let star_b = asn 2
+let star_providers = List.init 4 (fun i -> asn (10 * (i + 1)))
+
+let star_topo =
+  lazy
+    (List.fold_left
+       (fun t (i, p) ->
+         let chain = List.init i (fun j -> asn ((10 * (i + 1)) + j + 1)) in
+         let rec up t lower = function
+           | [] -> t
+           | upper :: rest ->
+               up
+                 (G.Topology.add_link t ~a:lower ~b:upper
+                    ~rel_ab:G.Relationship.Provider)
+                 upper rest
+         in
+         up t star_a (chain @ [ p ]))
+       (G.Topology.add_link G.Topology.empty ~a:star_a ~b:star_b
+          ~rel_ab:G.Relationship.Customer)
+       (List.mapi (fun i p -> (i, p)) star_providers))
+
+let star_keyring =
+  lazy
+    (P.Keyring.create ~bits:512
+       (C.Drbg.of_int_seed 97)
+       (G.Topology.ases (Lazy.force star_topo)))
+
+let star_engine () =
+  let topo = Lazy.force star_topo in
   let sim = G.Simulator.create topo in
-  G.Simulator.set_gao_rexford sim false;
-  List.iteri
-    (fun i n ->
-      G.Simulator.set_export_policy sim ~asn:n ~neighbor:a
-        [
-          {
-            G.Policy.matches = [];
-            actions = [ G.Policy.Prepend (n, i) ];
-            verdict = G.Policy.Accept;
-          };
-        ])
-    providers;
-  Option.iter (G.Simulator.set_decision_override sim ~asn:a) decision;
   let eng =
-    E.create ~max_path_len:8 (C.Drbg.of_int_seed 61) kr ~topology:topo ~sim ()
+    E.create ~max_path_len:8 (C.Drbg.of_int_seed 61)
+      (Lazy.force star_keyring) ~topology:topo ~sim ()
   in
   let apply sim =
-    List.iter (fun n -> G.Simulator.originate sim ~asn:n star_prefix) providers;
-    List.length providers
+    List.iter (fun n -> G.Simulator.originate sim ~asn:n star_prefix)
+      star_providers;
+    List.length star_providers
   in
-  (eng, a, apply)
+  (eng, apply)
 
 (* ---- engine determinism --------------------------------------------------------- *)
 
@@ -379,10 +387,24 @@ let fault_soak_accuracy () =
 
 let honest_epochs_clean () =
   (* The honest star on a perfect network: nothing is even detected. *)
-  let star, _, apply = star_engine () in
+  let star, apply = star_engine () in
   let r1 = E.epoch ~apply star in
   let r2 = E.epoch star in
-  check_int "star vertices" 1 r1.E.ep_vertices;
+  (match
+     List.find_opt
+       (fun (o : E.outcome) ->
+         G.Asn.equal o.E.vx_vertex.E.vprover star_a
+         && G.Prefix.equal o.E.vx_vertex.E.vprefix star_prefix)
+       r1.E.ep_outcomes
+   with
+  | None -> Alcotest.fail "no vertex (A, prefix)"
+  | Some o ->
+      check_bool "A's beneficiary is B" true
+        (G.Asn.equal o.E.vx_beneficiary star_b);
+      Alcotest.(check (list int))
+        "A's input lengths" [ 1; 2; 3; 4 ]
+        (List.sort Int.compare
+           (List.map (fun (_, r) -> G.Route.path_length r) o.E.vx_routes)));
   check_int "star epoch 1 detections" 0 r1.E.ep_detected;
   check_int "star epoch 2 detections" 0 r2.E.ep_detected;
   check_int "star epoch counter" 2 (E.current_epoch star)
@@ -444,49 +466,30 @@ let perfect_net_byzantine_always_convicted () =
     run_engine ~behaviour ~faults:P.Runner.perfect_faults ~seed:51 ~epochs:2
       ~turnover:0.2 ()
   in
+  let cheats = ref 0 in
   List.iter
     (fun r ->
       List.iter
         (fun (o : E.outcome) ->
           (* Export_nonminimal only misbehaves when it has a strictly
-             non-minimal input to export; with one input it is honest. *)
+             non-minimal input to export; with one input it is honest.
+             The export it really sends B is then not the minimum of its
+             inputs, and that is the one offence it is convicted of. *)
           let lens =
             List.map (fun (_, rt) -> G.Route.path_length rt) o.E.vx_routes
           in
           let can_cheat =
             List.length (List.sort_uniq Int.compare lens) > 1
           in
-          if can_cheat then
-            check_bool "convicted on perfect net" true o.E.vx_convicted)
+          if can_cheat then begin
+            incr cheats;
+            check_bool "convicted on perfect net" true o.E.vx_convicted;
+            Alcotest.(check (list string))
+              "evidence kinds" [ "nonminimal-export" ] o.E.vx_kinds
+          end)
         r.E.ep_outcomes)
-    reports
-
-let corrupt_decision_convicted () =
-  (* A's decision process goes rogue and prefers the LONGEST candidate, so
-     the route it really exports to B is not the minimum of its inputs. *)
-  let longest _ candidates =
-    List.fold_left
-      (fun acc r ->
-        match acc with
-        | Some best when G.Route.path_length r <= G.Route.path_length best ->
-            acc
-        | _ -> Some r)
-      None candidates
-  in
-  let eng, a, apply = star_engine ~decision:longest () in
-  let r = E.epoch ~apply eng in
-  match
-    List.find_opt
-      (fun (o : E.outcome) ->
-        G.Asn.equal o.E.vx_vertex.E.vprover a
-        && G.Prefix.equal o.E.vx_vertex.E.vprefix star_prefix)
-      r.E.ep_outcomes
-  with
-  | None -> Alcotest.fail "no vertex (A, prefix)"
-  | Some o ->
-      check_bool "convicted" true o.E.vx_convicted;
-      Alcotest.(check (list string))
-        "evidence kinds" [ "nonminimal-export" ] o.E.vx_kinds
+    reports;
+  check_bool "some vertex could cheat" true (!cheats > 0)
 
 (* Fixed digests of `pvr engine --seed 12 --tiers 1,2,4 --epochs 3 --bits
    512` under a Byzantine strategy and under a lossy network: a change to
@@ -865,8 +868,6 @@ let suite =
       honest_rows_audited;
     Alcotest.test_case "engine: byzantine convicted on perfect net" `Quick
       perfect_net_byzantine_always_convicted;
-    Alcotest.test_case "engine: corrupt decision convicted" `Quick
-      corrupt_decision_convicted;
     Alcotest.test_case "engine: golden digests (false-bits, drop 0.1)" `Quick
       golden_digests;
     Alcotest.test_case "engine: outcome projection golden" `Quick
@@ -874,10 +875,10 @@ let suite =
     Alcotest.test_case
       "engine: at most one RSA verify per round on salt rotation" `Quick
       one_verify_per_round;
-    Alcotest.test_case "engine: verified table, jobs 1 = 2" `Quick
-      verified_table_jobs_equal;
     Alcotest.test_case "engine: crypto operations per round" `Quick
       crypto_counts_per_round;
+    Alcotest.test_case "engine: verified table, jobs 1 = 2" `Quick
+      verified_table_jobs_equal;
     Alcotest.test_case "engine: flap pin (messages, RIB and chain digests)"
       `Quick flap_pin;
     Alcotest.test_case "simulator: minor words per message" `Quick

@@ -376,7 +376,7 @@ let sample_route i =
 
 (* The RIB digest reads route contents only: a RIB whose slots share one
    route value and one holding a separate copy per slot digest alike. *)
-let rib_digest_intern_invariant () =
+let rib_digest_sharing_invariant () =
   let fill copy =
     let rib = G.Rib.create [| asn 2; asn 3; asn 4 |] in
     let r0 = sample_route 0 in
@@ -509,7 +509,7 @@ let suite =
     route_write_in_place;
     ("route: write refuses what does not fit", `Quick,
      route_write_out_of_range);
-    ("rib digest: interning-invariant", `Quick, rib_digest_intern_invariant);
+    ("rib digest: sharing-invariant", `Quick, rib_digest_sharing_invariant);
     ("oracle: digest invariant across jobs/cache", `Slow,
      oracle_jobs_invariant);
     ("oracle: adversarial runs digest-invariant", `Slow,
