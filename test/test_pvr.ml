@@ -1597,7 +1597,7 @@ let graph_within_hops_window_enforced () =
    holds its route and each operator its honest threshold bits over the
    shortest input, but B's output variable holds [out_routes].  Returns the
    signed commit and every vertex disclosed in full. *)
-let forged_graph_commit promise routes ~out_routes =
+let forged_graph_commit ?op_encoding promise routes ~out_routes =
   let kr = Lazy.force keyring in
   let rng = fresh_rng () in
   let rfg =
@@ -1622,10 +1622,16 @@ let forged_graph_commit promise routes ~out_routes =
                 List.init 8 (fun i ->
                     C.Commitment.commit_bit rng (shortest <= i + 1))
               in
-              ( P.Proto_graph.encode_op_payload op
-                  (List.map
-                     (fun ((c : C.Commitment.commitment), _) -> (c :> string))
-                     bits),
+              let digests =
+                List.map
+                  (fun ((c : C.Commitment.commitment), _) -> (c :> string))
+                  bits
+              in
+              ( (match op_encoding with
+                | None -> P.Proto_graph.encode_op_payload op digests
+                | Some enc ->
+                    C.Codec.encode_list
+                      [ "op"; enc; C.Codec.encode_list digests ]),
                 List.mapi (fun i (_, o) -> (i + 1, o)) bits )
           | None ->
               ( P.Proto_graph.encode_var_payload
@@ -1723,6 +1729,44 @@ let graph_output_length_convicts () =
             (P.Judge.evaluate_offline kr e = P.Judge.Guilty))
         mismatches)
     [ R.Promise.Shortest_from [ asn 10; asn 11 ]; R.Promise.Within_hops 2 ]
+
+(* Encodings of operators PVR has no evidence bits for, as earlier
+   versions of the operator language wrote them. *)
+let retired_operators =
+  [
+    [ "union" ];
+    [ "best"; "lp"; "len"; "orig"; "med"; "nbr" ];
+    [ "filter"; "any" ];
+    [ "not-through"; "AS5" ];
+    [ "has-community"; "65000:1" ];
+    [ "first-nonempty" ];
+  ]
+
+(* The forged commit of [graph_output_length_convicts], with op:min's
+   payload naming a retired operator: its bits attest nothing, so the
+   6-hop output contradicts no evidence and the accusation fails. *)
+let graph_retired_operator_attests_nothing () =
+  let kr = Lazy.force keyring in
+  let routes = [ (asn 10, mk_route (asn 10) 2); (asn 11, mk_route (asn 11) 6) ] in
+  let mismatch =
+    P.Evidence.Output_evidence_mismatch
+      { out_var = R.Promise.output_var b_as; op = "op:min"; detail = "" }
+  in
+  let holds op_encoding =
+    let commit, disclosures =
+      forged_graph_commit ?op_encoding
+        (R.Promise.Shortest_from [ asn 10; asn 11 ])
+        routes
+        ~out_routes:[ mk_route (asn 11) 6 ]
+    in
+    P.Proto_graph.offence_holds kr ~commit ~disclosures mismatch
+  in
+  check_bool "min's bits convict" true (holds None);
+  List.iter
+    (fun items ->
+      check_bool (String.concat " " items) false
+        (holds (Some (C.Codec.encode_list items))))
+    retired_operators
 
 (* B cut off from A holds A's commitment only through gossip and accuses
    A of silence.  The judge asks A for B's export: an honest A produces
@@ -2620,6 +2664,8 @@ let suite =
     ("graph within-hops window enforced", `Quick, graph_within_hops_window_enforced);
     ("graph: B's output-length evidence convicts", `Quick,
      graph_output_length_convicts);
+    ("graph: a retired operator's bits attest nothing", `Quick,
+     graph_retired_operator_attests_nothing);
     ("graph: partitioned B judged by export challenge", `Quick,
      graph_partitioned_beneficiary);
     ("graph: misdirected export judged by export challenge", `Quick,
