@@ -679,10 +679,7 @@ let run_check file =
       Format.printf "parsed policy for %a: %d promises@." G.Asn.pp
         config.R.Compiler.owner
         (List.length config.R.Compiler.promises);
-      let neighbors =
-        (* All ASes mentioned in import blocks serve as the neighbor set. *)
-        List.map fst config.R.Compiler.imports
-      in
+      let neighbors = config.R.Compiler.neighbors in
       List.iter
         (fun (beneficiary, promise, rfg) ->
           let issues =
@@ -696,7 +693,7 @@ let run_check file =
                  (List.map
                     (Format.asprintf "%a" R.Static_check.pp_issue)
                     issues)))
-        (R.Compiler.compile config ~neighbors);
+        (R.Compiler.compile config);
       0
 
 (* ---- topology --------------------------------------------------------------- *)

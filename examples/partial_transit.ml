@@ -25,13 +25,7 @@ let policy_src =
 policy for AS1 {
   promise to AS100 = prefer AS11 AS12 AS13 unless-shorter AS10;
 
-  import from AS10 {
-    if prefix-in 0.0.0.0/0 then set-local-pref 120 accept;
-  }
-  export to AS100 {
-    if path-has AS666 then reject;
-    accept;
-  }
+  neighbors AS10 AS11 AS12 AS13;
 }
 |}
 
@@ -46,8 +40,8 @@ let () =
         Format.eprintf "config error: %a@." R.Compiler.pp_error e;
         exit 1
   in
-  let neighbors = List.init 4 (fun i -> asn (10 + i)) in
-  let compiled = R.Compiler.compile config ~neighbors in
+  let neighbors = config.R.Compiler.neighbors in
+  let compiled = R.Compiler.compile config in
   let beneficiary, promise, rfg =
     match compiled with [ x ] -> x | _ -> failwith "expected one promise"
   in

@@ -9,8 +9,6 @@ module P = Pvr
 module G = Pvr_bgp
 module R = Pvr_rfg
 
-let asn = G.Asn.of_int
-
 let source =
   {|
 # A mid-size ISP's promises to three different neighbors.
@@ -25,17 +23,8 @@ policy for AS3356 {
   # To the backup peer: merely existence.
   promise to AS300 = export-if-any AS5511 AS6762 AS1299;
 
-  import from AS1299 {
-    if prefix-in 0.0.0.0/0 and pathlen-le 12 then set-local-pref 80 accept;
-  }
-  import from AS5511 {
-    if community 3356:70 then set-local-pref 140 accept;
-    accept;
-  }
-  export to AS100 {
-    if path-has AS666 then reject;
-    then prepend 1 accept;
-  }
+  # The upstreams whose routes feed these promises.
+  neighbors AS1299 AS5511 AS6762;
 }
 |}
 
@@ -50,8 +39,8 @@ let () =
   Format.printf "Parsed configuration for %a:@." G.Asn.pp config.R.Compiler.owner;
   Format.printf "%s@." (R.Compiler.render config);
 
-  let neighbors = [ asn 1299; asn 5511; asn 6762 ] in
-  let compiled = R.Compiler.compile config ~neighbors in
+  let neighbors = config.R.Compiler.neighbors in
+  let compiled = R.Compiler.compile config in
   List.iter
     (fun (beneficiary, promise, rfg) ->
       Format.printf "--- promise to %a: %s@." G.Asn.pp beneficiary

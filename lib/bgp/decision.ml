@@ -46,30 +46,3 @@ let compare_standard (a : Route.t) (b : Route.t) =
         let c = Int.compare a.med b.med in
         if c <> 0 then c
         else Int.compare (Asn.to_int a.next_hop) (Asn.to_int b.next_hop)
-
-(* The first route no later route strictly beats: the step-by-step fold
-   keeps ties in input order and then takes the first survivor. *)
-let best_standard = function
-  | [] -> None
-  | r :: rest ->
-      Some
-        (List.fold_left
-           (fun b r -> if compare_standard r b < 0 then r else b)
-           r rest)
-
-let best ?(pipeline = standard_pipeline) routes =
-  if pipeline = standard_pipeline then best_standard routes
-  else
-    match List.fold_left (fun rs step -> run_step step rs) routes pipeline with
-    | [] -> None
-    | r :: _ -> Some r
-
-let rank routes =
-  let rec go remaining acc =
-    match best remaining with
-    | None -> List.rev acc
-    | Some winner ->
-        let rest = List.filter (fun r -> not (Route.equal r winner)) remaining in
-        go rest (winner :: acc)
-  in
-  go routes []

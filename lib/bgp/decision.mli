@@ -15,11 +15,19 @@ type step =
   | Lowest_neighbor
       (** deterministic tie-break on the next-hop AS number *)
 
+(** {2 Oracle}
+
+    The pipeline step by step, as §2.1 describes it.  [pvr] never runs
+    it: the test [one-pass best = step-by-step fold] holds
+    {!compare_standard} to this fold. *)
+
 val standard_pipeline : step list
 
 val run_step : step -> Route.t list -> Route.t list
 (** Keep only the routes surviving this step (never empties a non-empty
     input). *)
+
+(** {2 Selection} *)
 
 val compare_standard : Route.t -> Route.t -> int
 (** The standard pipeline as one comparison: negative when the first route
@@ -28,14 +36,3 @@ val compare_standard : Route.t -> Route.t -> int
     key is lexicographically smaller; [0] on a full tie.  A single pass
     that keeps the first route no later one beats picks what
     {!standard_pipeline}'s step-by-step fold picks. *)
-
-val best : ?pipeline:step list -> Route.t list -> Route.t option
-(** The single best route, or [None] on empty input.  The standard pipeline
-    always narrows to one route because [Lowest_neighbor] is a total
-    tie-break; a custom pipeline that does not narrow picks the first
-    survivor.  The standard pipeline runs as one pass of
-    {!compare_standard}; among routes tied on every key that is the first
-    in input order, as the step-by-step fold would pick. *)
-
-val rank : Route.t list -> Route.t list
-(** All candidates, best first, by repeatedly extracting the winner. *)

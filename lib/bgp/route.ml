@@ -38,14 +38,6 @@ let has_loop asn r = through asn r
 let prepend asn r =
   { r with as_path = asn :: r.as_path; next_hop = asn }
 
-let with_local_pref lp r = { r with local_pref = lp }
-
-let add_community c r =
-  if List.mem c r.communities then r
-  else { r with communities = c :: r.communities }
-
-let has_community c r = List.mem c r.communities
-
 let strip_private_attrs r = { r with local_pref = default_local_pref }
 
 let origin_code = function Igp -> 0 | Egp -> 1 | Incomplete -> 2

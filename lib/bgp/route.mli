@@ -32,14 +32,9 @@ val prepend : Asn.t -> t -> t
 (** [prepend asn r] is the route as announced by [asn]: path extended at the
     front.  [next_hop] becomes [asn]. *)
 
-val with_local_pref : int -> t -> t
-val add_community : community -> t -> t
-val has_community : community -> t -> bool
 val strip_private_attrs : t -> t
 (** What actually crosses an AS boundary: local-pref is meaningless to the
-    neighbor and reset to the default. *)
-
-val default_local_pref : int
+    neighbor and reset to {!originate}'s default. *)
 
 val encode : t -> string
 (** Injective byte encoding, used for signing, commitments and every

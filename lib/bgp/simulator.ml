@@ -163,8 +163,7 @@ let reselect t n pid (e : Rib.entry) =
   let originated = Prefix.Set.mem prefix n.origins in
   let deg = Array.length n.nbrs in
   (* One pass of the standard pipeline over the origin route and then the
-     slots in descending ASN: the order [Decision.best] would see the
-     candidates in. *)
+     slots in descending ASN; on a full tie the earlier candidate stays. *)
   let rec pick s best =
     if s < 0 then best
     else

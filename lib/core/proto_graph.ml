@@ -45,7 +45,7 @@ let decode_var_payload raw =
 
 (* The §3.3 threshold bits of the routes feeding an operator.  For
    [Shorter_of] each input branch gets its own k-bit vector (indices
-   1..k and k+1..2k); every other supported operator pools its inputs. *)
+   1..k and k+1..2k); every other operator pools its inputs. *)
 let evidence_bits ~k op (input_values : Bgp.Route.t list list) =
   let thresholds routes =
     let shortest =
@@ -66,10 +66,6 @@ let evidence_bits ~k op (input_values : Bgp.Route.t list list) =
       | [ first; second ] -> thresholds first @ thresholds second
       | _ -> []
     end
-  | Operator.Union | Operator.Best _ | Operator.Filter _
-  | Operator.Not_through _ | Operator.Has_community _
-  | Operator.First_nonempty ->
-      []
 
 type vertex_record = {
   vr_id : Rfg.vertex_id;
@@ -237,7 +233,6 @@ let provider_bit_indices c op_id ~provider_var ~route_len =
           else [ c.k + route_len ]
       | _ -> []
     end
-  | Some _ -> []
 
 (* Everything α lets [viewer] see of one tree level, authenticated
    against its root; [bits] picks a visible operator's bit openings. *)
@@ -395,7 +390,7 @@ let forced_bit_indices od ~var ~len =
           in
           if branch >= 0 && len <= k then [ (branch * k) + len ] else []
         end
-      | _ -> []
+      | None -> []
     end
 
 (* What an operator's opened evidence bits attest of its output: no
@@ -433,7 +428,7 @@ let attested_output od =
             | `Len l, `No_route | `No_route, `Len l -> `Len l
             | `No_route, `No_route -> `No_route
             | `Unknown, _ | _, `Unknown -> `Unknown)
-      | _ -> `Unknown
+      | None -> `Unknown
     end
 
 (* How the committed output [routes] (route encodings) contradict the

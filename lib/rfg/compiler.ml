@@ -3,8 +3,7 @@ module Bgp = Pvr_bgp
 type config = {
   owner : Bgp.Asn.t;
   promises : (Bgp.Asn.t * Promise.t) list;
-  imports : (Bgp.Asn.t * Bgp.Policy.t) list;
-  exports : (Bgp.Asn.t * Bgp.Policy.t) list;
+  neighbors : Bgp.Asn.t list;
 }
 
 type error = { line : int; message : string }
@@ -95,23 +94,6 @@ let parse_int s =
   | Some n -> n
   | None -> fail t.line (Printf.sprintf "expected a number, found %S" t.text)
 
-let parse_prefix s =
-  let t = next s in
-  match Bgp.Prefix.of_string t.text with
-  | p -> p
-  | exception Invalid_argument _ ->
-      fail t.line (Printf.sprintf "expected a prefix, found %S" t.text)
-
-let parse_community s =
-  let t = next s in
-  match String.split_on_char ':' t.text with
-  | [ a; v ] -> begin
-      match (int_of_string_opt a, int_of_string_opt v) with
-      | Some a, Some v -> (a, v)
-      | _ -> fail t.line "expected a community like 65000:1"
-    end
-  | _ -> fail t.line "expected a community like 65000:1"
-
 (* One or more AS numbers, up to (not consuming) a keyword/terminator. *)
 let parse_asn_list s =
   let rec go acc =
@@ -143,84 +125,12 @@ let parse_promise_body s =
       Promise.Prefer_unless_shorter { fallback; override }
   | other -> fail t.line (Printf.sprintf "unknown promise %S" other)
 
-let parse_cond s =
-  let t = next s in
-  match t.text with
-  | "prefix" -> Bgp.Policy.Match_prefix_exact (parse_prefix s)
-  | "prefix-in" -> Bgp.Policy.Match_prefix_in (parse_prefix s)
-  | "community" -> Bgp.Policy.Match_community (parse_community s)
-  | "path-has" -> Bgp.Policy.Match_as_in_path (parse_asn s)
-  | "from" -> Bgp.Policy.Match_next_hop (parse_asn s)
-  | "pathlen-le" -> Bgp.Policy.Match_path_length_le (parse_int s)
-  | "any" -> Bgp.Policy.Match_any
-  | other -> fail t.line (Printf.sprintf "unknown condition %S" other)
-
-let is_verdict t = t = "accept" || t = "reject"
-
-let parse_action s =
-  let t = next s in
-  match t.text with
-  | "set-local-pref" -> Bgp.Policy.Set_local_pref (parse_int s)
-  | "set-med" -> Bgp.Policy.Set_med (parse_int s)
-  | "add-community" -> Bgp.Policy.Add_community (parse_community s)
-  | "prepend" -> Bgp.Policy.Prepend (Bgp.Asn.of_int 0, parse_int s)
-  | other -> fail t.line (Printf.sprintf "unknown action %S" other)
-
-(* clause := ["if" cond ("and" cond)*] ["then" action*] verdict ";" *)
-let parse_clause s ~owner =
-  let matches =
-    if accept s "if" then begin
-      let rec go acc =
-        let c = parse_cond s in
-        if accept s "and" then go (c :: acc) else List.rev (c :: acc)
-      in
-      go []
-    end
-    else []
-  in
-  let actions =
-    if accept s "then" then begin
-      let rec go acc =
-        match peek s with
-        | Some t when (not (is_verdict t.text)) && t.text <> ";" ->
-            go (parse_action s :: acc)
-        | _ -> List.rev acc
-      in
-      go []
-    end
-    else []
-  in
-  (* Fill in the owner ASN for prepend actions. *)
-  let actions =
-    List.map
-      (function
-        | Bgp.Policy.Prepend (_, n) -> Bgp.Policy.Prepend (owner, n)
-        | a -> a)
-      actions
-  in
-  let t = next s in
-  let verdict =
-    match t.text with
-    | "accept" -> Bgp.Policy.Accept
-    | "reject" -> Bgp.Policy.Reject
-    | other -> fail t.line (Printf.sprintf "expected accept/reject, found %S" other)
-  in
-  expect s ";";
-  { Bgp.Policy.matches; actions; verdict }
-
-let parse_clause_block s ~owner =
-  expect s "{";
-  let rec go acc =
-    if accept s "}" then List.rev acc else go (parse_clause s ~owner :: acc)
-  in
-  go []
-
 let parse_config s =
   expect s "policy";
   expect s "for";
   let owner = parse_asn s in
   expect s "{";
-  let promises = ref [] and imports = ref [] and exports = ref [] in
+  let promises = ref [] and neighbors = ref None in
   let rec items () =
     if accept s "}" then ()
     else begin
@@ -233,14 +143,14 @@ let parse_config s =
           let p = parse_promise_body s in
           expect s ";";
           promises := (beneficiary, p) :: !promises
-      | "import" ->
-          expect s "from";
-          let neighbor = parse_asn s in
-          imports := (neighbor, parse_clause_block s ~owner) :: !imports
-      | "export" ->
-          expect s "to";
-          let neighbor = parse_asn s in
-          exports := (neighbor, parse_clause_block s ~owner) :: !exports
+      | "neighbors" when !neighbors = None ->
+          let asns = parse_asn_list s in
+          if List.length (List.sort_uniq Bgp.Asn.compare asns)
+             <> List.length asns
+          then fail t.line "a neighbor listed twice";
+          neighbors := Some asns;
+          expect s ";"
+      | "neighbors" -> fail t.line "a second neighbors statement"
       | other -> fail t.line (Printf.sprintf "unexpected %S" other));
       items ()
     end
@@ -252,8 +162,7 @@ let parse_config s =
   {
     owner;
     promises = List.rev !promises;
-    imports = List.rev !imports;
-    exports = List.rev !exports;
+    neighbors = Option.value !neighbors ~default:[];
   }
 
 let parse src =
@@ -262,60 +171,27 @@ let parse src =
   | config -> Ok config
   | exception Parse_error e -> Error e
 
-let compile config ~neighbors =
+let compile config =
   List.map
     (fun (beneficiary, promise) ->
-      (beneficiary, promise, Promise.reference_rfg promise ~beneficiary ~neighbors))
+      ( beneficiary,
+        promise,
+        Promise.reference_rfg promise ~beneficiary ~neighbors:config.neighbors ))
     config.promises
 
 (* ---- Renderer ----------------------------------------------------------- *)
 
+let render_asns asns = String.concat " " (List.map Bgp.Asn.to_string asns)
+
 let render_promise = function
   | Promise.Shortest_route -> "shortest"
-  | Promise.Shortest_from asns ->
-      "shortest-from "
-      ^ String.concat " " (List.map Bgp.Asn.to_string asns)
+  | Promise.Shortest_from asns -> "shortest-from " ^ render_asns asns
   | Promise.Within_hops n -> "within-hops " ^ string_of_int n
   | Promise.No_longer_than_others -> "no-longer-than-others"
-  | Promise.Export_if_any asns ->
-      "export-if-any "
-      ^ String.concat " " (List.map Bgp.Asn.to_string asns)
+  | Promise.Export_if_any asns -> "export-if-any " ^ render_asns asns
   | Promise.Prefer_unless_shorter { fallback; override } ->
-      "prefer "
-      ^ String.concat " " (List.map Bgp.Asn.to_string fallback)
-      ^ " unless-shorter "
+      "prefer " ^ render_asns fallback ^ " unless-shorter "
       ^ Bgp.Asn.to_string override
-
-let render_cond = function
-  | Bgp.Policy.Match_prefix_exact p -> "prefix " ^ Bgp.Prefix.to_string p
-  | Bgp.Policy.Match_prefix_in p -> "prefix-in " ^ Bgp.Prefix.to_string p
-  | Bgp.Policy.Match_community (a, v) -> Printf.sprintf "community %d:%d" a v
-  | Bgp.Policy.Match_as_in_path a -> "path-has " ^ Bgp.Asn.to_string a
-  | Bgp.Policy.Match_next_hop a -> "from " ^ Bgp.Asn.to_string a
-  | Bgp.Policy.Match_path_length_le n -> "pathlen-le " ^ string_of_int n
-  | Bgp.Policy.Match_any -> "any"
-
-let render_action = function
-  | Bgp.Policy.Set_local_pref n -> "set-local-pref " ^ string_of_int n
-  | Bgp.Policy.Set_med n -> "set-med " ^ string_of_int n
-  | Bgp.Policy.Add_community (a, v) -> Printf.sprintf "add-community %d:%d" a v
-  | Bgp.Policy.Prepend (_, n) -> "prepend " ^ string_of_int n
-
-let render_clause (c : Bgp.Policy.clause) =
-  let cond =
-    match c.matches with
-    | [] -> ""
-    | ms -> "if " ^ String.concat " and " (List.map render_cond ms) ^ " "
-  in
-  let acts =
-    match c.actions with
-    | [] -> ""
-    | acts -> "then " ^ String.concat " " (List.map render_action acts) ^ " "
-  in
-  let verdict =
-    match c.verdict with Bgp.Policy.Accept -> "accept" | Bgp.Policy.Reject -> "reject"
-  in
-  Printf.sprintf "    %s%s%s;" cond acts verdict
 
 let render config =
   let buf = Buffer.create 256 in
@@ -327,23 +203,8 @@ let render config =
         (Printf.sprintf "  promise to %s = %s;\n" (Bgp.Asn.to_string b)
            (render_promise p)))
     config.promises;
-  List.iter
-    (fun (n, policy) ->
-      Buffer.add_string buf
-        (Printf.sprintf "  import from %s {\n" (Bgp.Asn.to_string n));
-      List.iter
-        (fun c -> Buffer.add_string buf (render_clause c ^ "\n"))
-        policy;
-      Buffer.add_string buf "  }\n")
-    config.imports;
-  List.iter
-    (fun (n, policy) ->
-      Buffer.add_string buf
-        (Printf.sprintf "  export to %s {\n" (Bgp.Asn.to_string n));
-      List.iter
-        (fun c -> Buffer.add_string buf (render_clause c ^ "\n"))
-        policy;
-      Buffer.add_string buf "  }\n")
-    config.exports;
+  if config.neighbors <> [] then
+    Buffer.add_string buf
+      (Printf.sprintf "  neighbors %s;\n" (render_asns config.neighbors));
   Buffer.add_string buf "}\n";
   Buffer.contents buf

@@ -2,21 +2,14 @@
     support for compiling a high-level policy description (or router
     configuration file) into a compact route-flow graph").
 
-    The language mirrors a stripped-down router configuration:
+    A config names its owner, the promises it makes and the neighbours
+    whose routes feed them:
 
     {v
     policy for AS1 {
       promise to AS100 = shortest-from AS10 AS11 AS12;
       promise to AS200 = prefer AS11 AS12 unless-shorter AS10;
-
-      import from AS10 {
-        if prefix-in 10.0.0.0/8 then set-local-pref 120 accept;
-        reject;
-      }
-      export to AS100 {
-        if community 65000:666 then reject;
-        accept;
-      }
+      neighbors AS10 AS11 AS12;
     }
     v}
 
@@ -24,16 +17,15 @@
     [no-longer-than-others], [export-if-any ASn...],
     [prefer ASn... unless-shorter ASm].
 
-    Clause conditions: [prefix p/l], [prefix-in p/l], [community a:v],
-    [path-has ASn], [from ASn], [pathlen-le n], [any].
-    Actions: [set-local-pref n], [set-med n], [add-community a:v],
-    [prepend n].  Verdicts: [accept], [reject]. *)
+    At most one [neighbors ASn...;] statement, naming each AS once;
+    without one the neighbour set is empty.  Route-maps ([import]/[export] blocks) are not part of
+    the language: PVR verifies promises, not how a router ranks routes,
+    and such a block fails to parse at its line. *)
 
 type config = {
   owner : Pvr_bgp.Asn.t;
   promises : (Pvr_bgp.Asn.t * Promise.t) list;
-  imports : (Pvr_bgp.Asn.t * Pvr_bgp.Policy.t) list;
-  exports : (Pvr_bgp.Asn.t * Pvr_bgp.Policy.t) list;
+  neighbors : Pvr_bgp.Asn.t list;  (** in the order the statement lists them *)
 }
 
 type error = { line : int; message : string }
@@ -42,12 +34,9 @@ val pp_error : Format.formatter -> error -> unit
 
 val parse : string -> (config, error) result
 
-val compile :
-  config ->
-  neighbors:Pvr_bgp.Asn.t list ->
-  (Pvr_bgp.Asn.t * Promise.t * Rfg.t) list
+val compile : config -> (Pvr_bgp.Asn.t * Promise.t * Rfg.t) list
 (** One route-flow graph per promise (beneficiary, promise, graph), built
-    with {!Promise.reference_rfg} over the declared neighbor set. *)
+    with {!Promise.reference_rfg} over the config's [neighbors]. *)
 
 val render : config -> string
 (** Pretty-print a config back to (re-parseable) source. *)

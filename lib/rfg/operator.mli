@@ -5,10 +5,10 @@
     all)."  Operators consume the values of their predecessor variables (in
     edge order) and produce one value.
 
-    The two operators the paper builds protocols for are {!Exists} (§3.2)
-    and {!Min_path_length} (§3.3); the rest make the language rich enough to
-    express the §2 promise list, the Figure-2 policy, and the §4 "more
-    operators" challenge items (communities, AS-presence tests). *)
+    These are the operators PVR can verify: each has evidence bits in
+    [Proto_graph].  The paper builds protocols for {!Exists} (§3.2) and
+    {!Min_path_length} (§3.3); {!Within_hops_of_min} and {!Shorter_of}
+    reuse the §3.3 threshold bits for promise 3 and the Figure-2 policy. *)
 
 type t =
   | Exists
@@ -16,17 +16,6 @@ type t =
           holds a route — §3.2. *)
   | Min_path_length
       (** Emit the input routes of minimal AS-path length — §3.3. *)
-  | Union  (** All routes from all inputs. *)
-  | Best of Pvr_bgp.Decision.step list
-      (** The BGP decision pipeline as one (composite) operator. *)
-  | Filter of Pvr_bgp.Policy.match_cond list
-      (** Keep routes satisfying the conjunction. *)
-  | Not_through of Pvr_bgp.Asn.t
-      (** Drop routes whose path contains the AS — §4 "check for the
-          presence of particular ASes on the path". *)
-  | Has_community of Pvr_bgp.Route.community
-      (** Keep routes carrying the community — §4 "operators that evaluate
-          communities". *)
   | Within_hops_of_min of int
       (** Keep routes at most n hops longer than the shortest input —
           promise 3 of §2. *)
@@ -34,9 +23,6 @@ type t =
       (** Binary: emit the first input if it beats the second on path
           length, else the second — the Figure-2 combiner ("unless N1
           provides a shorter route"). *)
-  | First_nonempty
-      (** Emit the first input variable that holds any route (ordered
-          fallback/preference). *)
 
 val arity : t -> int option
 (** Fixed arity if the operator requires one ([Shorter_of] is binary);
@@ -53,7 +39,8 @@ val encode : t -> string
 (** Injective byte encoding (committed to in the vertex MHT). *)
 
 val decode : string -> t option
-(** Inverse of {!encode}; [None] on malformed input.  Verifiers use it to
-    interpret a disclosed operator payload. *)
+(** Inverse of {!encode}; [None] on malformed input and on any operator
+    outside {!t}.  Verifiers use it to interpret a disclosed operator
+    payload. *)
 
 val pp : Format.formatter -> t -> unit

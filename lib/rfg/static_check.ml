@@ -103,7 +103,7 @@ let implements g ~promise ~beneficiary ~neighbors =
                         :: !issues
                   | Some inner_id ->
                       let inner = Option.get (Rfg.operator_of g inner_id) in
-                      if Operator.name inner <> "min" then
+                      if inner <> Operator.Min_path_length then
                         issues :=
                           Wrong_operator
                             {

@@ -1,4 +1,4 @@
-(* Tests for pvr_bgp: prefixes, routes, policies, the decision process,
+(* Tests for pvr_bgp: prefixes, routes, the decision process,
    RIBs, topologies, the simulator, workload generation, and the Gao
    relationship-inference attack. *)
 
@@ -75,17 +75,10 @@ let route_prepend () =
   check_bool "loop detect" true (G.Route.has_loop (asn 20) r');
   check_bool "no loop" false (G.Route.has_loop (asn 99) r')
 
-let route_communities () =
-  let r = mk_route [ 20 ] in
-  let r = G.Route.add_community (65000, 1) r in
-  check_bool "has" true (G.Route.has_community (65000, 1) r);
-  check_bool "hasn't" false (G.Route.has_community (65000, 2) r);
-  let r2 = G.Route.add_community (65000, 1) r in
-  check_int "no duplicates" 1 (List.length r2.G.Route.communities)
-
 let route_strip_private () =
-  let r = G.Route.with_local_pref 200 (mk_route [ 20 ]) in
-  check_int "reset" G.Route.default_local_pref
+  let r = mk_route ~lp:200 [ 20 ] in
+  check_int "reset"
+    (G.Route.originate ~asn:(asn 20) r.G.Route.prefix).G.Route.local_pref
     (G.Route.strip_private_attrs r).G.Route.local_pref
 
 let route_encode_injective =
@@ -96,85 +89,47 @@ let route_encode_injective =
       p1 = p2
       || G.Route.encode (mk_route p1) <> G.Route.encode (mk_route p2))
 
-(* ---- Policy ------------------------------------------------------------------ *)
-
-let policy_match_conditions () =
-  let r =
-    mk_route ~prefix:(G.Prefix.of_string "10.1.0.0/16")
-      ~communities:[ (65000, 7) ] [ 20; 30 ]
-  in
-  let m c = G.Policy.matches c r in
-  check_bool "prefix exact" true
-    (m (G.Policy.Match_prefix_exact (G.Prefix.of_string "10.1.0.0/16")));
-  check_bool "prefix in" true
-    (m (G.Policy.Match_prefix_in (G.Prefix.of_string "10.0.0.0/8")));
-  check_bool "prefix not in" false
-    (m (G.Policy.Match_prefix_in (G.Prefix.of_string "172.16.0.0/12")));
-  check_bool "community" true (m (G.Policy.Match_community (65000, 7)));
-  check_bool "as in path" true (m (G.Policy.Match_as_in_path (asn 30)));
-  check_bool "next hop" true (m (G.Policy.Match_next_hop (asn 20)));
-  check_bool "pathlen" true (m (G.Policy.Match_path_length_le 2));
-  check_bool "pathlen tight" false (m (G.Policy.Match_path_length_le 1));
-  check_bool "any" true (m G.Policy.Match_any)
-
 (* ---- Decision ------------------------------------------------------------------ *)
 
+(* [beats a b]: the standard pipeline prefers [a] to [b]. *)
+let beats a b = G.Decision.compare_standard a b < 0
+
 let decision_prefers_local_pref () =
-  let a = G.Route.with_local_pref 200 (mk_route [ 20; 30; 40 ]) in
-  let b = mk_route [ 21 ] in
-  match G.Decision.best [ a; b ] with
-  | Some r -> check_bool "local pref beats length" true (G.Route.equal r a)
-  | None -> Alcotest.fail "expected a route"
+  let a = mk_route ~lp:200 [ 20; 30; 40 ] and b = mk_route [ 21 ] in
+  check_bool "local pref beats length" true (beats a b && not (beats b a))
 
 let decision_prefers_short_path () =
   let a = mk_route [ 20; 30 ] and b = mk_route [ 21 ] in
-  match G.Decision.best [ a; b ] with
-  | Some r -> check_bool "shorter" true (G.Route.equal r b)
-  | None -> Alcotest.fail "expected a route"
+  check_bool "shorter" true (beats b a && not (beats a b))
 
 let decision_origin_and_med () =
   let a = mk_route ~origin:G.Route.Egp [ 20 ] in
   let b = mk_route ~origin:G.Route.Igp [ 21 ] in
-  (match G.Decision.best [ a; b ] with
-  | Some r -> check_bool "igp wins" true (G.Route.equal r b)
-  | None -> Alcotest.fail "no route");
+  check_bool "igp wins" true (beats b a && not (beats a b));
   let c = mk_route ~med:10 [ 20 ] and d = mk_route ~med:5 [ 21 ] in
-  match G.Decision.best [ c; d ] with
-  | Some r -> check_bool "low med wins" true (G.Route.equal r d)
-  | None -> Alcotest.fail "no route"
+  check_bool "low med wins" true (beats d c && not (beats c d))
 
 let decision_tiebreak_neighbor () =
   let a = mk_route [ 21 ] and b = mk_route [ 20 ] in
-  match G.Decision.best [ a; b ] with
-  | Some r -> check_bool "lowest neighbor" true (G.Route.equal r b)
-  | None -> Alcotest.fail "no route"
+  check_bool "lowest neighbor" true (beats b a && not (beats a b));
+  check_int "full tie" 0 (G.Decision.compare_standard a a)
 
-let decision_empty () = check_bool "empty" true (G.Decision.best [] = None)
+let decision_empty () =
+  List.iter
+    (fun step -> check_bool "empty" true (G.Decision.run_step step [] = []))
+    G.Decision.standard_pipeline
 
 let decision_total =
   qtest "decision always picks from candidates"
     QCheck2.Gen.(list_size (int_range 1 8) (int_range 1 500))
     (fun firsts ->
       let routes = List.map (fun f -> mk_route [ f; 999 ]) firsts in
-      match G.Decision.best routes with
-      | Some r -> List.exists (G.Route.equal r) routes
-      | None -> false)
-
-let decision_rank_sorted =
-  qtest "rank is best-first and complete"
-    QCheck2.Gen.(list_size (int_range 1 6) (int_range 1 100))
-    (fun firsts ->
-      let firsts = List.sort_uniq Int.compare firsts in
-      let routes = List.map (fun f -> mk_route [ f ]) firsts in
-      let ranked = G.Decision.rank routes in
-      List.length ranked = List.length routes
-      &&
-      match ranked with
-      | [] -> true
-      | best :: _ -> (
-          match G.Decision.best routes with
-          | Some b -> G.Route.equal b best
-          | None -> false))
+      let survivors =
+        List.fold_left
+          (fun rs step -> G.Decision.run_step step rs)
+          routes G.Decision.standard_pipeline
+      in
+      survivors <> [] && List.for_all (fun r -> List.memq r routes) survivors)
 
 (* The one-pass comparison picks the very route the step-by-step fold
    picks.  Keys are drawn from tiny ranges so that ties on every step,
@@ -204,7 +159,13 @@ let decision_one_pass_is_fold =
         | [] -> None
         | r :: _ -> Some r
       in
-      match (G.Decision.best routes, by_steps) with
+      let one_pass =
+        match routes with
+        | [] -> None
+        | r :: rest ->
+            Some (List.fold_left (fun b r -> if beats r b then r else b) r rest)
+      in
+      match (one_pass, by_steps) with
       | None, None -> routes = []
       | Some a, Some b -> a == b
       | _ -> false)
@@ -621,17 +582,14 @@ let suite =
     ("prefix contains", `Quick, prefix_contains);
     prefix_random_valid;
     ("route prepend/loop", `Quick, route_prepend);
-    ("route communities", `Quick, route_communities);
     ("route strip private attrs", `Quick, route_strip_private);
     route_encode_injective;
-    ("policy match conditions", `Quick, policy_match_conditions);
     ("decision local pref", `Quick, decision_prefers_local_pref);
     ("decision short path", `Quick, decision_prefers_short_path);
     ("decision origin and med", `Quick, decision_origin_and_med);
     ("decision neighbor tiebreak", `Quick, decision_tiebreak_neighbor);
     ("decision empty", `Quick, decision_empty);
     decision_total;
-    decision_rank_sorted;
     ("rib in/out", `Quick, rib_in_out);
     ("rib prefix listing", `Quick, rib_prefix_listing);
     ("relationship invert", `Quick, relationship_invert);

@@ -13,12 +13,12 @@ let qtest ?(count = 100) name gen prop =
 
 let prefix0 = G.Prefix.of_string "10.0.0.0/8"
 
-let mk_route ?(communities = []) first len =
+let mk_route first len =
   let path =
     List.init len (fun j -> if j = 0 then asn first else asn (1000 + j))
   in
   let base = G.Route.originate ~asn:(asn first) prefix0 in
-  { base with G.Route.as_path = path; next_hop = asn first; communities }
+  { base with G.Route.as_path = path; next_hop = asn first }
 
 (* ---- Operators -------------------------------------------------------------- *)
 
@@ -33,35 +33,6 @@ let op_min_path_length () =
   check_int "both minima" 2 (List.length out);
   check_bool "all length 1" true
     (List.for_all (fun r -> G.Route.path_length r = 1) out)
-
-let op_union () =
-  let out =
-    R.Operator.apply R.Operator.Union [ [ mk_route 10 1 ]; [ mk_route 11 2 ] ]
-  in
-  check_int "all" 2 (List.length out)
-
-let op_filter () =
-  let rs = [ mk_route 10 1; mk_route 11 3 ] in
-  let out =
-    R.Operator.apply
-      (R.Operator.Filter [ G.Policy.Match_path_length_le 2 ])
-      [ rs ]
-  in
-  check_int "filtered" 1 (List.length out)
-
-let op_not_through () =
-  let rs = [ mk_route 10 3; mk_route 11 1 ] in
-  let out = R.Operator.apply (R.Operator.Not_through (asn 1001)) [ rs ] in
-  (* route 10 has path [10;1001;1002]; route 11 is [11]. *)
-  check_int "dropped transit" 1 (List.length out)
-
-let op_has_community () =
-  let tagged = mk_route ~communities:[ (65000, 1) ] 10 1 in
-  let out =
-    R.Operator.apply (R.Operator.Has_community (65000, 1))
-      [ [ tagged; mk_route 11 1 ] ]
-  in
-  check_int "kept tagged" 1 (List.length out)
 
 let op_within_hops_of_min () =
   let rs = [ mk_route 10 2; mk_route 11 3; mk_route 12 6 ] in
@@ -88,49 +59,12 @@ let op_shorter_of_arity () =
     (Invalid_argument "Operator.apply: wrong arity") (fun () ->
       ignore (R.Operator.apply R.Operator.Shorter_of [ [] ]))
 
-let op_first_nonempty () =
-  let out =
-    R.Operator.apply R.Operator.First_nonempty
-      [ []; [ mk_route 11 2 ]; [ mk_route 12 1 ] ]
-  in
-  check_bool "ordered fallback" true
-    (List.for_all (fun r -> G.Route.path_length r = 2) out)
-
-let op_best_matches_decision =
-  qtest "Best operator = Decision.best"
-    QCheck2.Gen.(list_size (int_range 1 6) (pair (int_range 10 99) (int_range 1 8)))
-    (fun specs ->
-      let rs = List.map (fun (f, l) -> mk_route f l) specs in
-      let via_op =
-        R.Operator.apply (R.Operator.Best G.Decision.standard_pipeline) [ rs ]
-      in
-      match (via_op, G.Decision.best rs) with
-      | [ a ], Some b -> G.Route.equal a b
-      | [], None -> true
-      | _ -> false)
-
 let all_ops =
   [
     R.Operator.Exists;
     R.Operator.Min_path_length;
-    R.Operator.Union;
-    R.Operator.Best G.Decision.standard_pipeline;
-    R.Operator.Best [ G.Decision.Shortest_as_path ];
-    R.Operator.Filter
-      [
-        G.Policy.Match_any;
-        G.Policy.Match_prefix_exact (G.Prefix.of_string "10.0.0.0/8");
-        G.Policy.Match_prefix_in (G.Prefix.of_string "172.16.0.0/12");
-        G.Policy.Match_community (65000, 1);
-        G.Policy.Match_as_in_path (asn 7);
-        G.Policy.Match_next_hop (asn 8);
-        G.Policy.Match_path_length_le 5;
-      ];
-    R.Operator.Not_through (asn 666);
-    R.Operator.Has_community (65000, 42);
     R.Operator.Within_hops_of_min 3;
     R.Operator.Shorter_of;
-    R.Operator.First_nonempty;
   ]
 
 let op_decode_roundtrip () =
@@ -155,16 +89,9 @@ let op_encode_injective () =
     [
       R.Operator.Exists;
       R.Operator.Min_path_length;
-      R.Operator.Union;
-      R.Operator.Best G.Decision.standard_pipeline;
-      R.Operator.Filter [ G.Policy.Match_any ];
-      R.Operator.Not_through (asn 1);
-      R.Operator.Not_through (asn 2);
-      R.Operator.Has_community (1, 2);
       R.Operator.Within_hops_of_min 1;
       R.Operator.Within_hops_of_min 2;
       R.Operator.Shorter_of;
-      R.Operator.First_nonempty;
     ]
   in
   let encs = List.map R.Operator.encode ops in
@@ -206,23 +133,23 @@ let rfg_rejects_duplicate_vertex () =
 let rfg_rejects_double_producer () =
   let g = R.Rfg.add_var R.Rfg.empty "in" (R.Rfg.Input (asn 1)) in
   let g = R.Rfg.add_var g "out" R.Rfg.Internal in
-  let g = R.Rfg.add_op g "op1" R.Operator.Union ~inputs:[ "in" ] ~output:"out" in
+  let g = R.Rfg.add_op g "op1" R.Operator.Exists ~inputs:[ "in" ] ~output:"out" in
   Alcotest.check_raises "double producer"
     (Invalid_argument "Rfg.add_op: variable out already has a producer")
     (fun () ->
-      ignore (R.Rfg.add_op g "op2" R.Operator.Union ~inputs:[ "in" ] ~output:"out"))
+      ignore (R.Rfg.add_op g "op2" R.Operator.Exists ~inputs:[ "in" ] ~output:"out"))
 
 let rfg_rejects_unknown_input () =
   let g = R.Rfg.add_var R.Rfg.empty "out" R.Rfg.Internal in
   Alcotest.check_raises "unknown input"
     (Invalid_argument "Rfg.add_op: unknown input variable nope") (fun () ->
-      ignore (R.Rfg.add_op g "op" R.Operator.Union ~inputs:[ "nope" ] ~output:"out"))
+      ignore (R.Rfg.add_op g "op" R.Operator.Exists ~inputs:[ "nope" ] ~output:"out"))
 
 let rfg_detects_cycle () =
   let g = R.Rfg.add_var R.Rfg.empty "a" R.Rfg.Internal in
   let g = R.Rfg.add_var g "b" R.Rfg.Internal in
-  let g = R.Rfg.add_op g "op1" R.Operator.Union ~inputs:[ "a" ] ~output:"b" in
-  let g = R.Rfg.add_op g "op2" R.Operator.Union ~inputs:[ "b" ] ~output:"a" in
+  let g = R.Rfg.add_op g "op1" R.Operator.Exists ~inputs:[ "a" ] ~output:"b" in
+  let g = R.Rfg.add_op g "op2" R.Operator.Exists ~inputs:[ "b" ] ~output:"a" in
   Alcotest.check_raises "cycle"
     (Failure "Rfg.topological_ops: cycle in route-flow graph") (fun () ->
       ignore (R.Rfg.topological_ops g))
@@ -473,15 +400,7 @@ policy for AS1 {
   promise to AS400 = within-hops 3;
   promise to AS500 = shortest;
   promise to AS600 = no-longer-than-others;
-  import from AS10 {
-    if prefix-in 10.0.0.0/8 and pathlen-le 6 then set-local-pref 120 accept;
-    if community 65000:666 then reject;
-    accept;
-  }
-  export to AS100 {
-    if path-has AS666 then reject;
-    then prepend 2 accept;
-  }
+  neighbors AS10 AS11;
 }
 |}
 
@@ -490,8 +409,8 @@ let compiler_parses_sample () =
   | Error e -> Alcotest.failf "parse error: %s" (Format.asprintf "%a" R.Compiler.pp_error e)
   | Ok config ->
       check_int "promises" 6 (List.length config.R.Compiler.promises);
-      check_int "imports" 1 (List.length config.R.Compiler.imports);
-      check_int "exports" 1 (List.length config.R.Compiler.exports);
+      check_bool "neighbors" true
+        (config.R.Compiler.neighbors = [ asn 10; asn 11 ]);
       check_bool "owner" true (G.Asn.equal config.R.Compiler.owner (asn 1))
 
 let compiler_render_roundtrip () =
@@ -511,7 +430,7 @@ let compiler_compile_static_ok () =
   match R.Compiler.parse sample_config with
   | Error _ -> Alcotest.fail "sample must parse"
   | Ok config ->
-      let neighbors = [ asn 10; asn 11 ] in
+      let neighbors = config.R.Compiler.neighbors in
       List.iter
         (fun (b, p, g) ->
           check_int
@@ -520,7 +439,7 @@ let compiler_compile_static_ok () =
             (List.length
                (R.Static_check.implements g ~promise:p ~beneficiary:b
                   ~neighbors)))
-        (R.Compiler.compile config ~neighbors)
+        (R.Compiler.compile config)
 
 let compiler_error_reporting () =
   let cases =
@@ -528,23 +447,36 @@ let compiler_error_reporting () =
       ("", "end of input");
       ("policy for X1 {}", "AS number");
       ("policy for AS1 { promise to AS2 = bogus; }", "unknown promise");
-      ("policy for AS1 { import from AS2 { if then accept; } }", "condition");
-      ("policy for AS1 { export to AS2 { maybe; } }", "accept/reject");
+      ("policy for AS1 { neighbors; }", "AS number");
+      ("policy for AS1 { neighbors AS2 AS3 }", "\";\"");
+      ("policy for AS1 { neighbors AS2; neighbors AS3; }", "second");
+      ("policy for AS1 { neighbors AS2 AS3 AS2; }", "twice");
       ("policy for AS1 {} trailing", "trailing");
     ]
   in
   List.iter
-    (fun (src, _hint) ->
+    (fun (src, hint) ->
       match R.Compiler.parse src with
       | Ok _ -> Alcotest.failf "expected %S to fail" src
-      | Error _ -> ())
+      | Error e ->
+          let message = e.R.Compiler.message in
+          check_bool
+            (Printf.sprintf "%S: %S names %S" src message hint)
+            true
+            (Test_serve.contains message hint))
     cases
 
 let compiler_line_numbers () =
-  let src = "policy for AS1 {\n  promise to AS2 = bogus;\n}" in
-  match R.Compiler.parse src with
-  | Error e -> check_int "line 2" 2 e.R.Compiler.line
-  | Ok _ -> Alcotest.fail "expected error"
+  let line_of src =
+    match R.Compiler.parse src with
+    | Error e -> e.R.Compiler.line
+    | Ok _ -> Alcotest.failf "expected %S to fail" src
+  in
+  check_int "line 2" 2 (line_of "policy for AS1 {\n  promise to AS2 = bogus;\n}");
+  (* Route-maps are not part of the language. *)
+  check_int "import block" 3
+    (line_of
+       "policy for AS1 {\n  neighbors AS10;\n  import from AS10 { accept; }\n}")
 
 let compiler_comments_ignored () =
   let src = "# hello\npolicy for AS1 { # mid\n promise to AS2 = shortest; # end\n}" in
@@ -556,15 +488,9 @@ let suite =
   [
     ("operator exists", `Quick, op_exists);
     ("operator min path length", `Quick, op_min_path_length);
-    ("operator union", `Quick, op_union);
-    ("operator filter", `Quick, op_filter);
-    ("operator not-through", `Quick, op_not_through);
-    ("operator has-community", `Quick, op_has_community);
     ("operator within-hops-of-min", `Quick, op_within_hops_of_min);
     ("operator shorter-of", `Quick, op_shorter_of);
     ("operator shorter-of arity", `Quick, op_shorter_of_arity);
-    ("operator first-nonempty", `Quick, op_first_nonempty);
-    op_best_matches_decision;
     ("operator encodings injective", `Quick, op_encode_injective);
     ("operator decode roundtrip", `Quick, op_decode_roundtrip);
     ("operator decode garbage", `Quick, op_decode_garbage);

@@ -390,7 +390,33 @@ let cli_exit_codes () =
              (Printf.sprintf
                 "engine --seed 8 --epochs 3 --tiers 1,2 --origins 2 \
                  --checkpoint %s --resume --no-fsync"
-                dir)))
+                dir));
+        (* pvr check: a config's neighbour set is its neighbors statement;
+           route-maps are a parse error. *)
+        let config = Filename.concat dir "policy.conf" in
+        let out = Filename.concat dir "check.out" in
+        write_file config
+          "policy for AS1 {\n\
+          \  promise to AS100 = shortest-from AS10 AS11;\n\
+          \  promise to AS200 = prefer AS11 unless-shorter AS10;\n\
+          \  neighbors AS10 AS11;\n\
+           }\n";
+        check_int "check of a neighbors config" 0
+          (Sys.command (Printf.sprintf "%s check %s >%s 2>&1" cli config out));
+        check_int "one OK line per promise" 2
+          (List.length
+             (List.filter
+                (String.ends_with ~suffix:": OK")
+                (String.split_on_char '\n' (read_file out))));
+        write_file config
+          "policy for AS1 {\n\
+          \  promise to AS100 = shortest-from AS10 AS11;\n\
+          \  import from AS10 { accept; }\n\
+           }\n";
+        check_int "check of a config with an import block" 1
+          (run_cli ("check " ^ config));
+        check_int "check of a missing file is a usage error" 2
+          (run_cli ("check " ^ Filename.concat dir "missing.conf")))
 
 let cli_crashsoak_smoke () =
   check_int "crashsoak recovers to identical digest" 0
