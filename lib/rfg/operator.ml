@@ -7,7 +7,9 @@ type t =
   | Within_hops_of_min of int
   | Shorter_of
 
-let arity = function Shorter_of -> Some 2 | _ -> None
+let arity = function
+  | Shorter_of -> Some 2
+  | Exists | Min_path_length | Within_hops_of_min _ -> None
 
 let min_length routes =
   List.fold_left (fun acc r -> min acc (Bgp.Route.path_length r)) max_int routes
