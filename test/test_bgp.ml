@@ -602,10 +602,10 @@ let suite =
     ("sim withdraw", `Quick, sim_withdraw);
     ("sim withdraw leaves no stale state", `Quick, sim_withdraw_no_stale_state);
     ("sim run feeds obs counters", `Quick, sim_run_feeds_counters);
-    ("sim star: Figure 1 shape", `Quick, sim_star_min_at_center);
     ("sim gao-rexford valley-free", `Quick, sim_gao_rexford_valley_free);
     ("sim hierarchy full reachability", `Quick, sim_hierarchy_full_reachability);
     ("sim run stops at its message budget", `Quick, sim_message_budget);
+    ("sim star: Figure 1 shape", `Quick, sim_star_min_at_center);
     ("update gen sorted and bursty", `Quick, update_gen_sorted_and_bursty);
     ("update gen batches partition", `Quick, update_gen_batches_partition);
     ("sim single-AS only route", `Quick, sim_single_as_only_route);

@@ -686,10 +686,22 @@ let operator_refuses_retired () =
         (R.Operator.decode (Codec.encode_list items) = None))
     Test_pvr.retired_operators
 
+(* An AS-numbered operator payload with a negative AS decodes to nothing. *)
+let operator_rejects_negative_asn () =
+  List.iter
+    (fun items ->
+      Alcotest.(check bool)
+        (String.concat " " items) true
+        (R.Operator.decode (Codec.encode_list items) = None))
+    [
+      [ "not-through"; "AS-5" ]; [ "filter"; "nh=AS-1" ]; [ "filter"; "inpath=AS-1" ];
+    ]
+
 let suite =
   List.map row_test table
   @ [
       list_reader_matches_reference;
+      ("Operator.decode: negative AS is None", `Quick, operator_rejects_negative_asn);
       ("Operator.decode: retired operators are None", `Quick,
        operator_refuses_retired);
     ]
